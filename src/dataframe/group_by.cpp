@@ -117,22 +117,24 @@ void SortCountsByKey(std::vector<uint64_t>* keys,
 
 namespace {
 
-// Re-encodes `in`'s keys under `target` (same column list; cardinalities
-// possibly larger, never smaller). Sortedness survives: mixed-radix key
+// `in`'s keys under `target` (same column list; cardinalities possibly
+// larger, never smaller): `in.keys` itself when the codecs already agree,
+// else re-encoded into `*rekeyed`. Sortedness survives: mixed-radix key
 // comparison is lexicographic on the digit tuple (most-significant digit
 // last), and the digits themselves are unchanged.
-std::vector<uint64_t> ReKeyOnto(const GroupCounts& in,
-                                const TupleCodec& target) {
+const std::vector<uint64_t>& KeysOnto(const GroupCounts& in,
+                                      const TupleCodec& target,
+                                      std::vector<uint64_t>* rekeyed) {
   if (in.codec.cardinalities() == target.cardinalities()) return in.keys;
-  std::vector<uint64_t> out(in.keys.size());
+  rekeyed->resize(in.keys.size());
   std::vector<int32_t> codes(in.codec.cols().size());
   for (size_t g = 0; g < in.keys.size(); ++g) {
     for (size_t j = 0; j < codes.size(); ++j) {
       codes[j] = in.codec.DecodeAt(in.keys[g], static_cast<int>(j));
     }
-    out[g] = target.EncodeCodes(codes);
+    (*rekeyed)[g] = target.EncodeCodes(codes);
   }
-  return out;
+  return *rekeyed;
 }
 
 }  // namespace
@@ -142,8 +144,9 @@ GroupCounts MergeGroupCounts(const GroupCounts& a, const GroupCounts& b,
   GroupCounts out;
   out.codec = target;
   out.total = a.total + b.total;
-  const std::vector<uint64_t> ka = ReKeyOnto(a, target);
-  const std::vector<uint64_t> kb = ReKeyOnto(b, target);
+  std::vector<uint64_t> rekeyed_a, rekeyed_b;
+  const std::vector<uint64_t>& ka = KeysOnto(a, target, &rekeyed_a);
+  const std::vector<uint64_t>& kb = KeysOnto(b, target, &rekeyed_b);
   out.keys.reserve(ka.size() + kb.size());
   out.counts.reserve(ka.size() + kb.size());
   size_t i = 0, j = 0;

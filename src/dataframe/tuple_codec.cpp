@@ -15,8 +15,8 @@ int BitsFor(int32_t card) {
 
 }  // namespace
 
-StatusOr<TupleCodec> TupleCodec::Create(const Table& table,
-                                        const std::vector<int>& cols) {
+StatusOr<TupleCodec> TupleCodec::Create(
+    const std::vector<int32_t>& cardinalities, const std::vector<int>& cols) {
   TupleCodec codec;
   codec.cols_ = cols;
   codec.cards_.reserve(cols.size());
@@ -24,13 +24,13 @@ StatusOr<TupleCodec> TupleCodec::Create(const Table& table,
   constexpr uint64_t kMaxDomain = 1ull << 62;
   uint64_t stride = 1;
   for (int col : cols) {
-    if (col < 0 || col >= table.NumColumns()) {
+    if (col < 0 || col >= static_cast<int>(cardinalities.size())) {
       return Status::OutOfRange("column index " + std::to_string(col) +
                                 " out of range");
     }
-    int32_t card = table.column(col).Cardinality();
+    const int32_t card = cardinalities[col];
     if (card <= 0) {
-      return Status::InvalidArgument("column " + table.column(col).name() +
+      return Status::InvalidArgument("column index " + std::to_string(col) +
                                      " has empty dictionary");
     }
     codec.cards_.push_back(card);
@@ -46,6 +46,15 @@ StatusOr<TupleCodec> TupleCodec::Create(const Table& table,
   }
   codec.domain_ = stride;
   return codec;
+}
+
+StatusOr<TupleCodec> TupleCodec::Create(const Table& table,
+                                        const std::vector<int>& cols) {
+  std::vector<int32_t> cardinalities(table.NumColumns());
+  for (int c = 0; c < table.NumColumns(); ++c) {
+    cardinalities[c] = table.column(c).Cardinality();
+  }
+  return Create(cardinalities, cols);
 }
 
 TupleCodec TupleCodec::Project(const std::vector<int>& positions) const {

@@ -26,8 +26,14 @@ class TupleCodec {
  public:
   TupleCodec() = default;
 
-  /// Builds a codec for `cols` (indices into `table`). Fails if the domain
-  /// product would overflow 2^62 (keys must remain exact).
+  /// Builds a codec for `cols`, indices into a schema whose column c has
+  /// `cardinalities[c]` codes. Fails with OutOfRange for an index outside
+  /// the schema or a domain product that would overflow 2^62 (keys must
+  /// remain exact), and with InvalidArgument for an empty dictionary.
+  static StatusOr<TupleCodec> Create(const std::vector<int32_t>& cardinalities,
+                                     const std::vector<int>& cols);
+
+  /// The same, with the cardinalities of `table`'s dictionaries.
   static StatusOr<TupleCodec> Create(const Table& table,
                                      const std::vector<int>& cols);
 

@@ -275,15 +275,14 @@ struct ScanShape {
   uint64_t packed_domain = ~uint64_t{0};
 };
 
-ScanShape ResolveShape(const TableView& view, const std::vector<int>& cols,
+ScanShape ResolveShape(std::vector<const int32_t*> codes, const int64_t* ids,
                        const TupleCodec& codec) {
   ScanShape s;
-  s.arity = static_cast<int>(cols.size());
-  s.codes.reserve(cols.size());
-  for (int c : cols) s.codes.push_back(view.table().column(c).codes().data());
+  s.arity = static_cast<int>(codes.size());
+  s.codes = std::move(codes);
   s.shifts = codec.shifts();
   s.strides = codec.strides();
-  s.ids = view.row_ids() != nullptr ? view.row_ids()->data() : nullptr;
+  s.ids = ids;
   if (codec.CanBitPack()) s.packed_domain = codec.PackedDomain();
   for (int j = 0; j < std::min(s.arity, kMaxSpecializedArity); ++j) {
     s.packed.codes[j] = s.codes[j];
@@ -602,31 +601,17 @@ void DrainDense(const TupleCodec& codec, const CountVec& totals,
   }
 }
 
-}  // namespace
-
-bool GroupByKernelSimdActive() { return RuntimeSimdTable() != nullptr; }
-
-int64_t GroupByMorselsDispatched() {
-  return g_morsels_dispatched.load(std::memory_order_relaxed);
-}
-
-StatusOr<GroupCounts> ScanCounts(const TableView& view,
-                                 const std::vector<int>& cols,
-                                 const GroupByKernelOptions& options) {
-  if (options.mode == GroupByKernelMode::kReference) {
-    TraceSpanScope span(
-        TraceEventKind::kKernelScan, 1,
-        static_cast<uint64_t>(TraceKernelTier::kReference),
-        static_cast<uint64_t>(view.NumRows()));
-    return ReferenceScanCounts(view, cols, options);
-  }
-
+// The bit-packed kernel behind both entry points: count(*) GROUP BY over
+// `n` rows of the per-codec-column code arrays `codes`, read at row ids
+// `ids[i]` or, when `ids` is null, at rows [0, n).
+GroupCounts PackedScan(std::vector<const int32_t*> codes, const int64_t* ids,
+                       int64_t n, TupleCodec codec,
+                       const GroupByKernelOptions& options) {
   GroupCounts out;
-  HYPDB_ASSIGN_OR_RETURN(out.codec, TupleCodec::Create(view.table(), cols));
-  const int64_t n = view.NumRows();
+  out.codec = std::move(codec);
   out.total = n;
 
-  if (cols.empty()) {
+  if (codes.empty()) {
     if (n > 0) {
       out.keys.push_back(0);
       out.counts.push_back(n);
@@ -634,7 +619,7 @@ StatusOr<GroupCounts> ScanCounts(const TableView& view,
     return out;
   }
 
-  const ScanShape shape = ResolveShape(view, cols, out.codec);
+  const ScanShape shape = ResolveShape(std::move(codes), ids, out.codec);
   const GroupBySimdKernels* simd =
       options.use_simd ? RuntimeSimdTable() : nullptr;
   // One span per scan, tagged with the tier that actually ran (arg0) and
@@ -738,6 +723,41 @@ StatusOr<GroupCounts> ScanCounts(const TableView& view,
   }
   SortCountsByKey(&out.keys, &out.counts);
   return out;
+}
+
+}  // namespace
+
+bool GroupByKernelSimdActive() { return RuntimeSimdTable() != nullptr; }
+
+int64_t GroupByMorselsDispatched() {
+  return g_morsels_dispatched.load(std::memory_order_relaxed);
+}
+
+GroupCounts ScanCodeSpans(const std::vector<const int32_t*>& codes,
+                          int64_t num_rows, const TupleCodec& codec,
+                          const GroupByKernelOptions& options) {
+  return PackedScan(codes, /*ids=*/nullptr, num_rows, codec, options);
+}
+
+StatusOr<GroupCounts> ScanCounts(const TableView& view,
+                                 const std::vector<int>& cols,
+                                 const GroupByKernelOptions& options) {
+  if (options.mode == GroupByKernelMode::kReference) {
+    TraceSpanScope span(
+        TraceEventKind::kKernelScan, 1,
+        static_cast<uint64_t>(TraceKernelTier::kReference),
+        static_cast<uint64_t>(view.NumRows()));
+    return ReferenceScanCounts(view, cols, options);
+  }
+  HYPDB_ASSIGN_OR_RETURN(TupleCodec codec,
+                         TupleCodec::Create(view.table(), cols));
+  std::vector<const int32_t*> codes;
+  codes.reserve(cols.size());
+  for (int c : cols) codes.push_back(view.table().column(c).codes().data());
+  return PackedScan(
+      std::move(codes),
+      view.row_ids() != nullptr ? view.row_ids()->data() : nullptr,
+      view.NumRows(), std::move(codec), options);
 }
 
 }  // namespace hypdb

@@ -67,6 +67,16 @@ StatusOr<GroupCounts> ScanCounts(const TableView& view,
                                  const std::vector<int>& cols,
                                  const GroupByKernelOptions& options = {});
 
+/// count(*) GROUP BY over code spans that live outside any Table (e.g. a
+/// chunk's code arrays at an in-chunk offset): `codes[j]` points at
+/// `num_rows` contiguous codes of codec column j, each below that
+/// column's cardinality in `codec`. Results are keyed under `codec`, so
+/// spans scanned under one codec merge without re-keying. The same
+/// bit-packed kernels ScanCounts dispatches; `options.mode` is ignored.
+GroupCounts ScanCodeSpans(const std::vector<const int32_t*>& codes,
+                          int64_t num_rows, const TupleCodec& codec,
+                          const GroupByKernelOptions& options = {});
+
 /// True when the AVX2 kernels are compiled in AND the running CPU
 /// supports them — i.e. `use_simd = true` actually changes the inner
 /// loop. Benchmarks gate SIMD speedup assertions on this.

@@ -179,12 +179,11 @@ StatusOr<DatasetLease> DatasetRegistry::ReadLease(
 }
 
 StatusOr<TablePtr> DatasetRegistry::Get(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = datasets_.find(name);
-  if (it == datasets_.end() || it->second.store == nullptr) {
-    return Status::NotFound("dataset not registered: " + name);
-  }
-  return it->second.store->Materialized();
+  HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<const ChunkedTable> store,
+                         Store(name));
+  // Outside mu_: after an append this rebuilds the whole-table copy, and
+  // requests on other datasets must not wait behind it.
+  return store->Materialized();
 }
 
 StatusOr<int64_t> DatasetRegistry::Epoch(const std::string& name) const {
@@ -208,14 +207,20 @@ StatusOr<std::shared_ptr<const ChunkedTable>> DatasetRegistry::Store(
 
 StatusOr<DatasetRegistry::Snapshot> DatasetRegistry::GetSnapshot(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = datasets_.find(name);
-  if (it == datasets_.end() || it->second.store == nullptr) {
-    return Status::NotFound("dataset not registered: " + name);
-  }
+  std::shared_ptr<const ChunkedTable> store;
   Snapshot out;
-  out.table = it->second.store->Materialized();
-  out.epoch = it->second.epoch;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = datasets_.find(name);
+    if (it == datasets_.end() || it->second.store == nullptr) {
+      return Status::NotFound("dataset not registered: " + name);
+    }
+    store = it->second.store;
+    out.epoch = it->second.epoch;
+  }
+  // Materialize outside mu_ (see Get). The caller's read lease keeps the
+  // watermark still in between, so table, epoch and watermark agree.
+  out.table = store->Materialized();
   out.watermark = out.table->NumRows();
   return out;
 }

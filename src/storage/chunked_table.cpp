@@ -5,7 +5,6 @@
 
 #include "dataframe/group_by.h"
 #include "dataframe/tuple_codec.h"
-#include "dataframe/view.h"
 #include "util/trace.h"
 
 namespace hypdb {
@@ -35,10 +34,6 @@ StatusOr<std::shared_ptr<ChunkedTable>> ChunkedTable::FromTable(
       const std::vector<int32_t>& src = seed->column(c).codes();
       std::copy(src.begin() + begin, src.begin() + begin + n,
                 chunk->codes[c].begin());
-    }
-    chunk->used.store(n, std::memory_order_relaxed);
-    if (n == chunk_rows) {
-      chunk->sealed = table->SliceTable(*chunk, 0, chunk_rows, table->dicts_);
     }
     table->chunks_.push_back(std::move(chunk));
   }
@@ -74,13 +69,7 @@ Status ChunkedTable::Append(const std::vector<std::vector<std::string>>& rows) {
     for (size_t c = 0; c < num_cols; ++c) {
       chunk.codes[c][offset] = dicts_[c].GetOrAdd(row[c]);
     }
-    chunk.used.store(offset + 1, std::memory_order_relaxed);
     ++w;
-    if (offset + 1 == chunk_rows_) {
-      // Seal: every code in the chunk is below the current dictionary
-      // cardinalities, so this snapshot stays valid forever.
-      chunk.sealed = SliceTable(chunk, 0, chunk_rows_, dicts_);
-    }
   }
   span.set_arg1(static_cast<uint64_t>(w));
   watermark_.store(w, std::memory_order_release);
@@ -112,18 +101,6 @@ TablePtr ChunkedTable::Materialized() const {
   return materialized_;
 }
 
-TablePtr ChunkedTable::SliceTable(const Chunk& chunk, int64_t lo, int64_t hi,
-                                  const std::vector<Dictionary>& dicts) const {
-  Table t;
-  for (size_t c = 0; c < names_.size(); ++c) {
-    std::vector<int32_t> codes(chunk.codes[c].begin() + lo,
-                               chunk.codes[c].begin() + hi);
-    Status s = t.AddColumn(Column(names_[c], dicts[c], std::move(codes)));
-    (void)s;  // row counts agree by construction
-  }
-  return MakeTable(std::move(t));
-}
-
 StatusOr<GroupCounts> ChunkedTable::ScanRange(
     const std::vector<int>& cols, int64_t from_row, int64_t to_row,
     const GroupByKernelOptions& kernel, ChunkedScanStats* stats) const {
@@ -133,52 +110,45 @@ StatusOr<GroupCounts> ChunkedTable::ScanRange(
   if (to_row > Watermark()) {
     return Status::OutOfRange("scan range exceeds the published watermark");
   }
-  struct Snap {
-    std::shared_ptr<Chunk> chunk;
-    TablePtr sealed;
-  };
-  std::vector<Snap> snap;
-  std::vector<Dictionary> dicts;
+  // Chunks entirely below `from_row` hold the rows delta maintenance
+  // never re-reads; only the chunks overlapping [from_row, to_row) are
+  // pinned. Rows below the watermark are immutable, so their codes are
+  // read in place once the lock is released.
+  const int64_t first = from_row / chunk_rows_;
+  const int64_t last = (to_row + chunk_rows_ - 1) / chunk_rows_;
+  std::vector<std::shared_ptr<const Chunk>> chunks;
+  std::vector<int32_t> cardinalities;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    snap.reserve(chunks_.size());
-    for (const auto& c : chunks_) snap.push_back({c, c->sealed});
-    dicts = dicts_;
+    chunks.assign(chunks_.begin() + first, chunks_.begin() + last);
+    cardinalities.reserve(dicts_.size());
+    for (const Dictionary& dict : dicts_) cardinalities.push_back(dict.size());
   }
   // The merge target: current cardinalities, exactly what a cold kernel
-  // scan of Materialized() would key under.
-  Table schema;
-  for (size_t c = 0; c < names_.size(); ++c) {
-    Status s = schema.AddColumn(Column(names_[c], dicts[c], {}));
-    (void)s;
-  }
+  // scan of Materialized() would key under. Every chunk is scanned under
+  // it, so per-chunk summaries merge without re-keying. Create also
+  // rejects a column index outside the schema — the only guard before
+  // the code arrays are indexed by column below.
   GroupCounts result;
-  HYPDB_ASSIGN_OR_RETURN(result.codec, TupleCodec::Create(schema, cols));
-  for (size_t ci = 0; ci < snap.size(); ++ci) {
-    const int64_t begin = static_cast<int64_t>(ci) * chunk_rows_;
-    const int64_t end = begin + chunk_rows_;
-    if (begin >= to_row) break;
-    if (end <= from_row) {
-      // Entirely below the caller's watermark: the rows delta
-      // maintenance never re-reads.
-      if (stats) ++stats->chunks_skipped;
-      continue;
-    }
+  HYPDB_ASSIGN_OR_RETURN(result.codec, TupleCodec::Create(cardinalities, cols));
+  if (stats) stats->chunks_skipped += first;
+  std::vector<const int32_t*> codes(cols.size());
+  for (int64_t ci = first; ci < last; ++ci) {
+    const int64_t begin = ci * chunk_rows_;
     const int64_t lo = std::max(from_row, begin);
-    const int64_t hi = std::min(to_row, end);
+    const int64_t hi = std::min(to_row, begin + chunk_rows_);
     if (hi <= lo) continue;
     TraceSpanScope span(TraceEventKind::kChunkScan, 1,
                         static_cast<uint64_t>(ci),
                         static_cast<uint64_t>(hi - lo));
-    TablePtr chunk_table;
-    if (lo == begin && hi == end && snap[ci].sealed) {
-      chunk_table = snap[ci].sealed;
-    } else {
-      chunk_table = SliceTable(*snap[ci].chunk, lo - begin, hi - begin, dicts);
+    const Chunk& chunk = *chunks[ci - first];
+    for (size_t j = 0; j < cols.size(); ++j) {
+      codes[j] = chunk.codes[cols[j]].data() + (lo - begin);
     }
-    HYPDB_ASSIGN_OR_RETURN(GroupCounts chunk_counts,
-                           ScanCounts(TableView(chunk_table), cols, kernel));
-    result = MergeGroupCounts(result, chunk_counts, result.codec);
+    GroupCounts chunk_counts =
+        ScanCodeSpans(codes, hi - lo, result.codec, kernel);
+    result = ci == first ? std::move(chunk_counts)
+                         : MergeGroupCounts(result, chunk_counts, result.codec);
     if (stats) {
       ++stats->chunk_scans;
       stats->rows_scanned += hi - lo;

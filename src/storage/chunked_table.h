@@ -8,12 +8,11 @@
 // can *patch* cached summaries instead of invalidating them.
 //
 // Layout: per column, dictionary codes stored in fixed-capacity row
-// chunks. Invariants, in order of importance:
-//  * Sealed chunks are immutable: once a chunk reaches capacity it is
-//    sealed and its rows (and their codes) never change. A sealed chunk
-//    caches a per-chunk Table built with the dictionary snapshot at seal
-//    time — every code in the chunk is below that snapshot's
-//    cardinality, so the cached table stays valid forever.
+// chunks, plus one append-only dictionary per column. Invariants, in
+// order of importance:
+//  * Published rows are immutable: a row's codes are written once,
+//    before the watermark passes it, and never change. A full chunk is
+//    never written again.
 //  * Dictionaries grow append-only: a label's code never changes, so
 //    codes written yesterday mean the same thing after any number of
 //    appends, and summaries keyed under an older (smaller-cardinality)
@@ -22,16 +21,18 @@
 //    codes first, then release-stores the new row count. A reader that
 //    acquire-loads Watermark() == W may touch any row < W without
 //    locking; rows at or past W are writer-private.
-//  * Scans are chunk-at-a-time: ScanRange() feeds each chunk (or chunk
-//    suffix) to the group-by kernel as its own table, so kernel morsels
-//    never straddle a chunk boundary, and merges the per-chunk
-//    summaries. A delta scan [from, to) skips every chunk entirely
-//    below `from` — the whole point of incremental ingest.
+//  * Scans read codes where they live: ScanRange() hands each chunk's
+//    code span (at its in-chunk offset) to the group-by kernel under one
+//    codec built from the current dictionary sizes, so kernel morsels
+//    never straddle a chunk boundary and per-chunk summaries merge
+//    without re-keying. No Table, Column or Dictionary is built. A delta
+//    scan [from, to) skips every chunk entirely below `from` — the whole
+//    point of incremental ingest.
 //
 // Writer concurrency: Append() assumes external serialization (the
 // DatasetRegistry holds the dataset's exclusive ingest lease around it).
-// Readers are lock-free on the hot path and take the internal mutex only
-// to snapshot the chunk list and dictionaries.
+// Readers take the internal mutex only to copy the chunk-pointer list
+// and the dictionary sizes (or, for Materialized(), to build its copy).
 
 #ifndef HYPDB_STORAGE_CHUNKED_TABLE_H_
 #define HYPDB_STORAGE_CHUNKED_TABLE_H_
@@ -103,11 +104,13 @@ class ChunkedTable {
   TablePtr Materialized() const;
 
   /// count(*) GROUP BY `cols` over rows [from_row, to_row), scanned
-  /// chunk-at-a-time and merged onto a codec with the current dictionary
+  /// chunk-at-a-time in place under a codec with the current dictionary
   /// cardinalities — bit-identical to a cold kernel scan of
   /// Materialized() restricted to the same range. Chunks entirely below
-  /// `from_row` are skipped, which is what makes a delta scan cheap.
-  /// `to_row` must not exceed the watermark.
+  /// `from_row` are skipped, which is what makes a delta scan cheap: the
+  /// cost is O(rows scanned), independent of dictionary sizes.
+  /// `to_row` must not exceed the watermark; a column index outside the
+  /// schema is OutOfRange.
   StatusOr<GroupCounts> ScanRange(const std::vector<int>& cols,
                                   int64_t from_row, int64_t to_row,
                                   const GroupByKernelOptions& kernel,
@@ -115,29 +118,21 @@ class ChunkedTable {
 
  private:
   // One fixed-capacity run of rows. Codes are preallocated at
-  // construction so readers never race a reallocation; `used` counts
-  // writer-filled rows (ordering comes from the global watermark, so
-  // relaxed is enough).
+  // construction so readers never race a reallocation; which rows are
+  // filled is told by the global watermark alone.
   struct Chunk {
     Chunk(int num_cols, int64_t capacity);
     std::vector<std::vector<int32_t>> codes;  // [col][row-in-chunk]
-    std::atomic<int64_t> used{0};
-    TablePtr sealed;  // set once when the chunk fills (guarded by mu_)
   };
 
   ChunkedTable(std::vector<std::string> names, int64_t chunk_rows)
       : names_(std::move(names)), chunk_rows_(chunk_rows) {}
 
-  // Builds the per-chunk Table for rows [lo, hi) of `chunk` (chunk-local
-  // offsets) under dictionary snapshot `dicts`.
-  TablePtr SliceTable(const Chunk& chunk, int64_t lo, int64_t hi,
-                      const std::vector<Dictionary>& dicts) const;
-
   const std::vector<std::string> names_;
   const int64_t chunk_rows_;
 
   // Guards chunks_ (the vector itself; code arrays are published via the
-  // watermark), sealed pointers, dicts_, and the materialized cache.
+  // watermark), dicts_, and the materialized cache.
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<Chunk>> chunks_;
   std::vector<Dictionary> dicts_;

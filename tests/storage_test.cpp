@@ -1,9 +1,9 @@
-// Tests for src/storage: the chunked column store (sealed-chunk and
-// watermark invariants, delta scans), summary merging across dictionary
-// growth, growing filtered populations, and the caching engine's delta
-// patching — every patched summary must be bit-identical to a cold
-// rebuild of the grown table (the additive-counts property the whole
-// ingest path rests on).
+// Tests for src/storage: the chunked column store (chunk layout and
+// watermark invariants, in-place and delta scans, scan input checks),
+// summary merging across dictionary growth, growing filtered
+// populations, and the caching engine's delta patching — every patched
+// summary must be bit-identical to a cold rebuild of the grown table
+// (the additive-counts property the whole ingest path rests on).
 
 #include <gtest/gtest.h>
 
@@ -142,6 +142,42 @@ TEST(ChunkedTableTest, ScanRangeSkipsChunksBelowFrom) {
   EXPECT_FALSE((*table)->ScanRange({0}, 0, 21, {}, &ignored).ok());
 }
 
+TEST(ChunkedTableTest, ScanRangeRejectsColumnsOutsideSchemaBeforeScanning) {
+  // Chunk code arrays are indexed by column directly, so the schema check
+  // is the only thing between a bad index and an out-of-bounds read.
+  Rng rng(15);
+  auto table = ChunkedTable::FromTable(
+      TableFromRows({"a", "b"}, RandomRows(10, 2, 3, &rng)), 4);
+  ASSERT_TRUE(table.ok());
+  for (const std::vector<int>& cols :
+       std::vector<std::vector<int>>{{2}, {0, 2}, {-1}, {1, 99}}) {
+    ChunkedScanStats stats;
+    auto counts = (*table)->ScanRange(cols, 1, 9, {}, &stats);
+    ASSERT_FALSE(counts.ok());
+    EXPECT_EQ(counts.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(stats.chunk_scans, 0);
+    EXPECT_EQ(stats.rows_scanned, 0);
+  }
+}
+
+TEST(ChunkedTableTest, ScanRangeEmptyColumnListCountsTheRange) {
+  Rng rng(16);
+  auto table = ChunkedTable::FromTable(
+      TableFromRows({"a", "b"}, RandomRows(10, 2, 3, &rng)), 4);
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->Append(RandomRows(7, 2, 3, &rng)).ok());
+  // [3, 14): both ends mid-chunk, spanning four chunks.
+  ChunkedScanStats stats;
+  auto counts = (*table)->ScanRange({}, 3, 14, {}, &stats);
+  ASSERT_TRUE(counts.ok());
+  ASSERT_EQ(counts->NumGroups(), 1);
+  EXPECT_EQ(counts->keys[0], 0u);
+  EXPECT_EQ(counts->counts[0], 11);
+  EXPECT_EQ(counts->total, 11);
+  EXPECT_EQ(stats.chunk_scans, 4);
+  EXPECT_EQ(stats.rows_scanned, 11);
+}
+
 // ---- MergeGroupCounts across dictionary growth -------------------------
 
 TEST(MergeGroupCountsTest, ReKeysOntoGrownCodec) {
@@ -178,59 +214,86 @@ TEST(MergeGroupCountsTest, ReKeysOntoGrownCodec) {
 // ---- the property: delta-patched counts == cold rebuild ----------------
 
 TEST(StoragePropertyTest, DeltaScansMatchColdRebuildAcrossConfigs) {
-  // Sweep chunk sizes x batch sizes x kernel threading; at every step,
-  // counts from the chunked store (full and delta) must be bit-identical
-  // to a cold scan of the materialized grown table. Batches include
-  // empties and grow the dictionaries mid-stream (card 2 -> 6).
-  const std::vector<int64_t> kChunkRows = {1, 3, 7, 64};
+  // Sweep chunk sizes x batch sizes x kernel threading x SIMD on/off; at
+  // every step, counts from the chunked store (full, delta, and a range
+  // with both ends mid-chunk) must be bit-identical to a cold scan of the
+  // same rows of the grown table. Batches include empties and grow the
+  // dictionaries mid-stream (card 2 -> 7). Chunks of 128 rows put the
+  // in-place spans' SIMD bodies and scalar tails at unaligned offsets.
+  const std::vector<int64_t> kChunkRows = {1, 3, 7, 64, 128};
   const std::vector<int> kThreads = {1, 4};
   const std::vector<std::vector<int>> kColSets = {{0}, {1, 2}, {0, 1, 2}};
 
   for (int64_t chunk_rows : kChunkRows) {
     for (int threads : kThreads) {
-      Rng rng(100 * chunk_rows + threads);
-      GroupByKernelOptions kernel;
-      kernel.num_threads = threads;
-      kernel.parallel_min_rows = 16;  // exercise the threaded path
+      for (bool simd : {true, false}) {
+        SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) +
+                     " threads=" + std::to_string(threads) +
+                     " simd=" + std::to_string(simd));
+        Rng rng(100 * chunk_rows + threads);
+        GroupByKernelOptions kernel;
+        kernel.num_threads = threads;
+        kernel.parallel_min_rows = 16;  // exercise the threaded path
+        kernel.use_simd = simd;
 
-      Rows all = RandomRows(20, 3, 2, &rng);
-      auto table = ChunkedTable::FromTable(
-          TableFromRows({"a", "b", "c"}, all), chunk_rows);
-      ASSERT_TRUE(table.ok());
+        Rows all = RandomRows(20, 3, 2, &rng);
+        auto table = ChunkedTable::FromTable(
+            TableFromRows({"a", "b", "c"}, all), chunk_rows);
+        ASSERT_TRUE(table.ok());
 
-      int64_t last = (*table)->Watermark();
-      for (int step = 0; step < 6; ++step) {
-        const int card = 2 + step;  // dictionary growth mid-stream
-        Rows batch =
-            RandomRows(rng.NextBounded(3) == 0 ? 0 : rng.NextBounded(40),
-                       3, card, &rng);
-        all.insert(all.end(), batch.begin(), batch.end());
-        ASSERT_TRUE((*table)->Append(batch).ok());
-        ASSERT_EQ((*table)->Watermark(),
-                  static_cast<int64_t>(all.size()));
+        int64_t last = (*table)->Watermark();
+        for (int step = 0; step < 6; ++step) {
+          const int card = 2 + step;  // dictionary growth mid-stream
+          Rows batch =
+              RandomRows(rng.NextBounded(3) == 0 ? 0 : rng.NextBounded(40),
+                         3, card, &rng);
+          all.insert(all.end(), batch.begin(), batch.end());
+          ASSERT_TRUE((*table)->Append(batch).ok());
+          ASSERT_EQ((*table)->Watermark(),
+                    static_cast<int64_t>(all.size()));
 
-        TablePtr cold_table = TableFromRows({"a", "b", "c"}, all);
-        for (const auto& cols : kColSets) {
-          auto cold = ScanCounts(TableView(cold_table), cols, kernel);
-          ChunkedScanStats stats;
-          auto warm = (*table)->ScanRange(cols, 0, (*table)->Watermark(),
-                                          kernel, &stats);
-          ASSERT_TRUE(cold.ok() && warm.ok());
-          ExpectSameCounts(*warm, *cold);
+          TablePtr cold_table = TableFromRows({"a", "b", "c"}, all);
+          for (const auto& cols : kColSets) {
+            auto cold = ScanCounts(TableView(cold_table), cols, kernel);
+            ChunkedScanStats stats;
+            auto warm = (*table)->ScanRange(cols, 0, (*table)->Watermark(),
+                                            kernel, &stats);
+            ASSERT_TRUE(cold.ok() && warm.ok());
+            ExpectSameCounts(*warm, *cold);
 
-          // Delta + prefix == full, under the grown codec.
-          ChunkedScanStats delta_stats;
-          auto prefix = (*table)->ScanRange(cols, 0, last, kernel,
-                                            &delta_stats);
-          auto delta = (*table)->ScanRange(cols, last,
-                                           (*table)->Watermark(), kernel,
-                                           &delta_stats);
-          ASSERT_TRUE(prefix.ok() && delta.ok());
-          GroupCounts patched =
-              MergeGroupCounts(*prefix, *delta, cold->codec);
-          ExpectSameCounts(patched, *cold);
+            // Delta + prefix == full, under the grown codec.
+            ChunkedScanStats delta_stats;
+            auto prefix = (*table)->ScanRange(cols, 0, last, kernel,
+                                              &delta_stats);
+            auto delta = (*table)->ScanRange(cols, last,
+                                             (*table)->Watermark(), kernel,
+                                             &delta_stats);
+            ASSERT_TRUE(prefix.ok() && delta.ok());
+            GroupCounts patched =
+                MergeGroupCounts(*prefix, *delta, cold->codec);
+            ExpectSameCounts(patched, *cold);
+
+            // [from, to) with both ends mid-chunk (when chunks hold more
+            // than one row) against a cold scan of exactly those rows.
+            const int64_t w = (*table)->Watermark();
+            int64_t from = static_cast<int64_t>(rng.NextBounded(w + 1));
+            if (from % chunk_rows == 0 && from < w) ++from;
+            int64_t to =
+                from + static_cast<int64_t>(rng.NextBounded(w - from + 1));
+            if (to % chunk_rows == 0 && to > from) --to;
+            std::vector<int64_t> ids;
+            for (int64_t r = from; r < to; ++r) ids.push_back(r);
+            auto cold_range = ScanCounts(
+                TableView(cold_table).WithRows(std::move(ids)), cols, kernel);
+            ChunkedScanStats range_stats;
+            auto range = (*table)->ScanRange(cols, from, to, kernel,
+                                             &range_stats);
+            ASSERT_TRUE(cold_range.ok() && range.ok());
+            ExpectSameCounts(*range, *cold_range);
+            EXPECT_EQ(range_stats.rows_scanned, to - from);
+          }
+          last = (*table)->Watermark();
         }
-        last = (*table)->Watermark();
       }
     }
   }
