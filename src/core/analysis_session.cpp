@@ -4,7 +4,6 @@
 
 #include "causal/ci_oracle.h"
 #include "core/sql_printer.h"
-#include "engine/caching_count_engine.h"
 #include "stats/mi_engine.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -23,21 +22,6 @@ std::vector<std::string> Names(const TablePtr& table,
   out.reserve(cols.size());
   for (int c : cols) out.push_back(table->column(c).name());
   return out;
-}
-
-// A session-private per-context engine, built exactly the way MiEngine
-// builds its default engine (so routing stages through a persisted
-// engine instead of per-stage rebuilds preserves the materialization
-// ablation semantics: no caching layer appears that the one-shot
-// configuration would not have had).
-std::shared_ptr<CountEngine> MakePrivateEngine(const TableView& view,
-                                               const MiEngineOptions& o) {
-  std::shared_ptr<CountEngine> base =
-      std::make_shared<ViewCountProvider>(view, ScanKernelOptions(o));
-  if (!o.materialize_focus) return base;
-  CachingCountEngineOptions caching;
-  caching.max_cached_cells = o.max_cached_cells;
-  return std::make_shared<CachingCountEngine>(std::move(base), caching);
 }
 
 }  // namespace
@@ -78,17 +62,25 @@ AnalysisSession::AnalysisSession(TablePtr table, AggQuery query,
 StatusOr<std::unique_ptr<AnalysisSession>> AnalysisSession::Create(
     TablePtr table, AggQuery query, HypDbOptions options,
     SessionHooks hooks) {
-  std::unique_ptr<AnalysisSession> session(new AnalysisSession(
-      std::move(table), std::move(query), std::move(options),
-      std::move(hooks)));
+  BoundQuery bound;
   {
     // Binding scans (treatment-label enumeration) are engine work too;
     // the kBind span keeps them nested under a stage in the trace.
     TraceSpanScope span(TraceEventKind::kStage, 1,
                         static_cast<uint64_t>(TraceStage::kBind));
-    HYPDB_ASSIGN_OR_RETURN(session->bound_,
-                           BindQuery(session->table_, session->query_));
+    HYPDB_ASSIGN_OR_RETURN(bound, BindQuery(table, query));
   }
+  return Create(std::move(table), std::move(query), std::move(bound),
+                std::move(options), std::move(hooks));
+}
+
+StatusOr<std::unique_ptr<AnalysisSession>> AnalysisSession::Create(
+    TablePtr table, AggQuery query, BoundQuery bound, HypDbOptions options,
+    SessionHooks hooks) {
+  std::unique_ptr<AnalysisSession> session(new AnalysisSession(
+      std::move(table), std::move(query), std::move(options),
+      std::move(hooks)));
+  session->bound_ = std::move(bound);
   session->direct_reference_ =
       ResolveDirectReference(session->options_, session->bound_);
   session->sql_plain_ = session->query_.ToSql();
@@ -160,7 +152,7 @@ StatusOr<std::shared_ptr<CountEngine>> AnalysisSession::ContextEngine(int i) {
                                             contexts_[i].view);
   }
   if (engine == nullptr) {
-    engine = MakePrivateEngine(contexts_[i].view, options_.engine);
+    engine = MakeViewEngine(contexts_[i].view, options_.engine);
   }
   return engine;
 }
@@ -190,7 +182,18 @@ StatusOr<const QueryAnswers*> AnalysisSession::Answers() {
   Stopwatch timer;
   TraceSpanScope span(TraceEventKind::kStage, 1,
                       static_cast<uint64_t>(TraceStage::kAnswers));
-  HYPDB_ASSIGN_OR_RETURN(answers_, EvaluatePlainQuery(table_, query_));
+  // The averages derive from count(*) GROUP BY (T, X..., Y): the shared
+  // population engine serves them from cache once warm; without one, a
+  // throwaway scanner counts the population once per outcome.
+  std::shared_ptr<CountEngine> engine = hooks_.population_engine;
+  if (engine == nullptr) {
+    engine = std::make_shared<ViewCountProvider>(
+        bound_.population, ScanKernelOptions(options_.engine));
+  }
+  const CountEngineStats stats_before = engine->stats();
+  HYPDB_ASSIGN_OR_RETURN(answers_,
+                         EvaluateBoundQuery(table_, query_, bound_, *engine));
+  pipeline_stats_ += engine->stats() - stats_before;
   st.done = true;
   ++st.runs;
   st.seconds += timer.ElapsedSeconds();
@@ -292,6 +295,7 @@ StatusOr<DiscoveryReport> AnalysisSession::ComputeDiscovery() {
   report.tests_used = oracle.num_tests();
   report.count_stats = engine.count_engine().stats() - stats_before;
   report.seconds = timer.ElapsedSeconds();
+  discovery_computed_ = true;
   return report;
 }
 
@@ -308,9 +312,7 @@ StatusOr<const DiscoveryReport*> AnalysisSession::Discover() {
   // events nest inside it.
   TraceSpanScope span(TraceEventKind::kStage, 1,
                       static_cast<uint64_t>(TraceStage::kDiscover));
-  if (hooks_.reuse_discovery.has_value()) {
-    discovery_ = *hooks_.reuse_discovery;
-  } else if (hooks_.discovery_interceptor) {
+  if (hooks_.discovery_interceptor) {
     HYPDB_ASSIGN_OR_RETURN(
         discovery_,
         hooks_.discovery_interceptor([this] { return ComputeDiscovery(); }));
@@ -519,8 +521,8 @@ HypDbReport AnalysisSession::Snapshot() const {
       st[static_cast<int>(AnalysisStage::kExplain)].seconds;
   report.resolve_seconds =
       st[static_cast<int>(AnalysisStage::kRewrite)].seconds;
-  report.count_stats = discovery_.count_stats;
-  report.count_stats += pipeline_stats_;
+  report.count_stats = pipeline_stats_;
+  if (discovery_computed_) report.count_stats += discovery_.count_stats;
   return report;
 }
 

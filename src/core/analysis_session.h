@@ -37,7 +37,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,37 +65,6 @@ const char* AnalysisStageName(AnalysisStage stage);
 /// Inverse of AnalysisStageName; InvalidArgument on anything else.
 StatusOr<AnalysisStage> ParseAnalysisStage(const std::string& name);
 
-/// Hooks the service layer threads into a session to share work across
-/// concurrent queries. All members optional; default-constructed hooks
-/// reproduce the self-contained one-shot behavior.
-struct SessionHooks {
-  /// Count engine aggregating exactly the bound WHERE population; routes
-  /// discovery counts (see AnalyzeHooks::population_engine).
-  std::shared_ptr<CountEngine> population_engine;
-  /// When set, the discovery stage reuses this report verbatim instead
-  /// of computing (the DiscoveryCache hit path).
-  std::optional<DiscoveryReport> reuse_discovery;
-  /// When set, the discovery stage routes its computation through this
-  /// wrapper (the DiscoveryCache lookup-or-compute path; `compute` runs
-  /// the session's own discovery). Ignored when reuse_discovery is set.
-  std::function<StatusOr<DiscoveryReport>(
-      const std::function<StatusOr<DiscoveryReport>()>& compute)>
-      discovery_interceptor;
-  /// Maps a context's WHERE conjunction (the query's WHERE plus one
-  /// `attr IN {label}` term per grouping attribute — the subpopulation
-  /// Γ_i = C ∧ X = x_i) and its row view to a shared count engine; the
-  /// service renders the terms with its canonical signature and serves
-  /// the registry's per-context shard. A null return (or unset hook)
-  /// falls back to a session-private engine. Either way the engine
-  /// persists in the session and serves detection, explanation and
-  /// resolution for that context.
-  std::function<std::shared_ptr<CountEngine>(
-      const std::vector<std::pair<std::string, std::vector<std::string>>>&
-          context_where,
-      const TableView& view)>
-      context_engine_provider;
-};
-
 /// Per-stage bookkeeping: `runs` counts computations performed (one per
 /// whole stage, or one per context for the per-context stages), `reuses`
 /// counts calls fully served from persisted state.
@@ -115,6 +83,12 @@ class AnalysisSession {
   static StatusOr<std::unique_ptr<AnalysisSession>> Create(
       TablePtr table, AggQuery query, HypDbOptions options = {},
       SessionHooks hooks = {});
+  /// The same over `bound`, which the caller already bound from `query`
+  /// against `table` (the service binds once per request to pick its
+  /// population shard, and the session reuses that bind).
+  static StatusOr<std::unique_ptr<AnalysisSession>> Create(
+      TablePtr table, AggQuery query, BoundQuery bound, HypDbOptions options,
+      SessionHooks hooks);
 
   const AggQuery& query() const { return query_; }
   const BoundQuery& bound() const { return bound_; }
@@ -216,10 +190,13 @@ class AnalysisSession {
   std::string sql_direct_;
 
   StageState stages_[kNumAnalysisStages];
-  /// Count-engine work of detection + explanation + resolution (the
-  /// discovery stage's work lives in discovery_.count_stats, matching
-  /// the one-shot report layout).
+  /// Count-engine work of answers + detection + explanation + resolution
+  /// (the discovery stage's work lives in discovery_.count_stats,
+  /// matching the one-shot report layout).
   CountEngineStats pipeline_stats_;
+  /// This session ran ComputeDiscovery (rather than receiving a report
+  /// computed elsewhere through the discovery interceptor).
+  bool discovery_computed_ = false;
 
   std::function<bool()> cancel_check_;
 };

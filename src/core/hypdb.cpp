@@ -14,15 +14,6 @@ bool Contains(const std::vector<int>& v, int x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
 
-SessionHooks ToSessionHooks(const AnalyzeHooks& hooks) {
-  SessionHooks out;
-  out.population_engine = hooks.population_engine;
-  if (hooks.reuse_discovery != nullptr) {
-    out.reuse_discovery = *hooks.reuse_discovery;
-  }
-  return out;
-}
-
 }  // namespace
 
 bool HypDbReport::AnyBias() const {
@@ -40,19 +31,10 @@ StatusOr<QueryAnswers> HypDb::Answers(const AggQuery& query) const {
 }
 
 StatusOr<DiscoveryReport> HypDb::Discover(const AggQuery& query) const {
-  return Discover(query, nullptr);
-}
-
-StatusOr<DiscoveryReport> HypDb::Discover(
-    const AggQuery& query,
-    const std::shared_ptr<CountEngine>& population_engine) const {
   // One implementation: the session's discovery stage (the FD filter +
   // two CD runs) over a throwaway session.
-  SessionHooks hooks;
-  hooks.population_engine = population_engine;
-  HYPDB_ASSIGN_OR_RETURN(
-      std::unique_ptr<AnalysisSession> session,
-      AnalysisSession::Create(table_, query, options_, std::move(hooks)));
+  HYPDB_ASSIGN_OR_RETURN(std::unique_ptr<AnalysisSession> session,
+                         AnalysisSession::Create(table_, query, options_));
   HYPDB_ASSIGN_OR_RETURN(const DiscoveryReport* report, session->Discover());
   return *report;
 }
@@ -68,12 +50,8 @@ StatusOr<EffectBounds> HypDb::BoundEffects(
   return BoundTotalEffect(table_, bound, candidates, options);
 }
 
-StatusOr<HypDbReport> HypDb::Analyze(const AggQuery& query) {
-  return Analyze(query, AnalyzeHooks{});
-}
-
 StatusOr<HypDbReport> HypDb::Analyze(const AggQuery& query,
-                                     const AnalyzeHooks& hooks) {
+                                     SessionHooks hooks) {
   // The one-shot pipeline is a composition of the session stages in
   // canonical order — Report() runs answers, discovery, detection,
   // explanation and resolution over one set of persisted intermediate
@@ -81,8 +59,7 @@ StatusOr<HypDbReport> HypDb::Analyze(const AggQuery& query,
   // reports bit-identical by construction.
   HYPDB_ASSIGN_OR_RETURN(
       std::unique_ptr<AnalysisSession> session,
-      AnalysisSession::Create(table_, query, options_,
-                              ToSessionHooks(hooks)));
+      AnalysisSession::Create(table_, query, options_, std::move(hooks)));
   return session->Report();
 }
 

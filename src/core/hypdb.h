@@ -14,8 +14,10 @@
 #ifndef HYPDB_CORE_HYPDB_H_
 #define HYPDB_CORE_HYPDB_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "causal/cd_algorithm.h"
@@ -70,21 +72,39 @@ struct DiscoveryReport {
   double seconds = 0.0;
 };
 
-/// Hooks the service layer (src/service) threads into Analyze() to share
-/// work across concurrent queries. Both members are optional; a
-/// default-constructed AnalyzeHooks reproduces the one-shot behavior.
-struct AnalyzeHooks {
-  /// Count engine aggregating exactly the rows of the bound WHERE
-  /// population. When set, discovery routes its counts through it instead
-  /// of a private engine, so concurrent queries on the same subpopulation
-  /// share cached contingency summaries. Must be thread-safe when shared
-  /// (CachingCountEngine over ViewCountProvider is).
+/// Hooks the service layer threads into an analysis (HypDb::Analyze or an
+/// AnalysisSession) to share work across concurrent queries. All members
+/// optional; default-constructed hooks reproduce the self-contained
+/// one-shot behavior.
+struct SessionHooks {
+  /// Count engine aggregating exactly the bound WHERE population. When
+  /// set, the plain answers and discovery read their counts from it
+  /// instead of private engines, so concurrent queries on the same
+  /// subpopulation share cached contingency summaries. Must be
+  /// thread-safe when shared (CachingCountEngine over ViewCountProvider
+  /// is).
   std::shared_ptr<CountEngine> population_engine;
-  /// When set, steps 2-3 (FD filtering + CD discovery) are skipped and
-  /// this report is reused verbatim — the DiscoveryCache path. The caller
-  /// guarantees it was produced for the same table, treatment, outcomes
-  /// and subpopulation under equivalent options.
-  const DiscoveryReport* reuse_discovery = nullptr;
+  /// When set, the discovery stage routes its computation through this
+  /// wrapper (the DiscoveryCache lookup-or-compute path; `compute` runs
+  /// the session's own discovery, and the wrapper may instead return a
+  /// report computed earlier for the same table, treatment, outcomes and
+  /// subpopulation under equivalent options).
+  std::function<StatusOr<DiscoveryReport>(
+      const std::function<StatusOr<DiscoveryReport>()>& compute)>
+      discovery_interceptor;
+  /// Maps a context's WHERE conjunction (the query's WHERE plus one
+  /// `attr IN {label}` term per grouping attribute — the subpopulation
+  /// Γ_i = C ∧ X = x_i) and its row view to a shared count engine; the
+  /// service renders the terms with its canonical signature and serves
+  /// the registry's per-context shard. A null return (or unset hook)
+  /// falls back to a session-private engine. Either way the engine
+  /// persists in the session and serves detection, explanation and
+  /// resolution for that context.
+  std::function<std::shared_ptr<CountEngine>(
+      const std::vector<std::pair<std::string, std::vector<std::string>>>&
+          context_where,
+      const TableView& view)>
+      context_engine_provider;
 };
 
 /// Everything HypDB has to say about one query (Fig. 1/3/4 reports).
@@ -101,8 +121,11 @@ struct HypDbReport {
   double detect_seconds = 0.0;
   double explain_seconds = 0.0;
   double resolve_seconds = 0.0;
-  /// Aggregate count-engine work across discovery, detection, explanation
-  /// and resolution (scans vs cache hits vs marginalizations — Fig. 6c).
+  /// Count-engine work of this analysis (scans vs cache hits vs
+  /// marginalizations — Fig. 6c): answers, detection, explanation and
+  /// resolution, plus discovery when this analysis computed it. A
+  /// discovery reused from a cache adds nothing here; its original work
+  /// stays in discovery.count_stats.
   CountEngineStats count_stats;
 
   /// True when any context is biased w.r.t. the covariates.
@@ -116,12 +139,10 @@ class HypDb {
   const TablePtr& table() const { return table_; }
   const HypDbOptions& options() const { return options_; }
 
-  /// Full pipeline.
-  StatusOr<HypDbReport> Analyze(const AggQuery& query);
-  /// Full pipeline with service-layer hooks (shared population engine
-  /// and/or a cached discovery to reuse).
+  /// Full pipeline, optionally with service-layer hooks (shared count
+  /// engines, a discovery cache — see SessionHooks).
   StatusOr<HypDbReport> Analyze(const AggQuery& query,
-                                const AnalyzeHooks& hooks);
+                                SessionHooks hooks = {});
   /// Full pipeline from Listing-1 SQL text.
   StatusOr<HypDbReport> AnalyzeSql(const std::string& sql);
 
@@ -130,12 +151,6 @@ class HypDb {
 
   /// Steps 2-3 only: logical-dependency filtering + CD discovery.
   StatusOr<DiscoveryReport> Discover(const AggQuery& query) const;
-  /// Discovery routing counts through `population_engine` (may be null =
-  /// private engine). The engine must aggregate the bound WHERE
-  /// population; its stats delta over the call is reported.
-  StatusOr<DiscoveryReport> Discover(
-      const AggQuery& query,
-      const std::shared_ptr<CountEngine>& population_engine) const;
 
   /// The Sec. 4 future-work extension: when the parents of T are not
   /// identifiable, evaluate the adjustment formula under every subset of

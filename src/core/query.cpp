@@ -7,6 +7,7 @@
 
 #include "dataframe/group_by.h"
 #include "dataframe/predicate.h"
+#include "engine/count_engine.h"
 #include "util/string_util.h"
 
 namespace hypdb {
@@ -121,13 +122,20 @@ StatusOr<std::vector<Context>> SplitContexts(const TablePtr& table,
 StatusOr<QueryAnswers> EvaluatePlainQuery(const TablePtr& table,
                                           const AggQuery& query) {
   HYPDB_ASSIGN_OR_RETURN(BoundQuery bound, BindQuery(table, query));
+  ViewCountProvider population(bound.population);
+  return EvaluateBoundQuery(table, query, bound, population);
+}
 
+StatusOr<QueryAnswers> EvaluateBoundQuery(const TablePtr& table,
+                                          const AggQuery& query,
+                                          const BoundQuery& bound,
+                                          CountEngine& population) {
   std::vector<int> group_cols = {bound.treatment};
   group_cols.insert(group_cols.end(), bound.grouping.begin(),
                     bound.grouping.end());
   HYPDB_ASSIGN_OR_RETURN(
       GroupedAverages averages,
-      AverageBy(bound.population, group_cols, bound.outcomes));
+      AverageBy(population, *table, group_cols, bound.outcomes));
 
   QueryAnswers answers;
   answers.outcome_names = query.outcomes;

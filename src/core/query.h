@@ -23,6 +23,8 @@
 
 namespace hypdb {
 
+class CountEngine;
+
 struct AggQuery {
   std::string table_name = "D";
   /// Treatment attribute T (first GROUP BY column).
@@ -90,7 +92,17 @@ struct Context {
 StatusOr<std::vector<Context>> SplitContexts(const TablePtr& table,
                                              const BoundQuery& bound);
 
-/// Evaluates the plain (biased) group-by-average query.
+/// Evaluates the plain (biased) group-by-average query of an already
+/// bound `query`, its averages derived from `population`'s counts
+/// (count(*) GROUP BY T, X..., Y — see AverageBy). `population` must
+/// aggregate exactly bound.population.
+StatusOr<QueryAnswers> EvaluateBoundQuery(const TablePtr& table,
+                                          const AggQuery& query,
+                                          const BoundQuery& bound,
+                                          CountEngine& population);
+
+/// Binds `query`, then evaluates it over the population's own kernel
+/// counts.
 StatusOr<QueryAnswers> EvaluatePlainQuery(const TablePtr& table,
                                           const AggQuery& query);
 

@@ -27,10 +27,11 @@ StatusOr<std::vector<std::pair<int32_t, std::string>>> TreatmentsIn(
 
 namespace {
 
-// The adjustment formula (Eq. 2) with exact matching over one context.
+// The adjustment formula (Eq. 2) with exact matching over one context,
+// from the context engine's counts.
 Status ComputeTotal(
-    const TableView& ctx, int treatment, const std::vector<int>& covariates,
-    const std::vector<int>& outcomes,
+    CountEngine& engine, const Table& table, int treatment,
+    const std::vector<int>& covariates, const std::vector<int>& outcomes,
     const std::vector<std::pair<int32_t, std::string>>& treatments,
     ContextRewrite* out) {
   const int num_outcomes = static_cast<int>(outcomes.size());
@@ -44,7 +45,7 @@ Status ComputeTotal(
   std::vector<int> cols = {treatment};
   cols.insert(cols.end(), covariates.begin(), covariates.end());
   HYPDB_ASSIGN_OR_RETURN(GroupedAverages blocks,
-                         AverageBy(ctx, cols, outcomes));
+                         AverageBy(engine, table, cols, outcomes));
 
   // Bucket the (t, z) cells by block key z.
   std::vector<int> z_positions;
@@ -118,10 +119,12 @@ Status ComputeTotal(
   return Status::Ok();
 }
 
-// The mediator formula (Eq. 3) over one context, binary treatment.
+// The mediator formula (Eq. 3) over one context, binary treatment, from
+// the context engine's counts.
 Status ComputeDirect(
-    const TableView& ctx, int treatment, const std::vector<int>& covariates,
-    const std::vector<int>& mediators, const std::vector<int>& outcomes,
+    CountEngine& engine, const Table& table, int treatment,
+    const std::vector<int>& covariates, const std::vector<int>& mediators,
+    const std::vector<int>& outcomes,
     const std::vector<std::pair<int32_t, std::string>>& treatments,
     int reference_slot, ContextRewrite* out) {
   const int num_outcomes = static_cast<int>(outcomes.size());
@@ -130,7 +133,8 @@ Status ComputeDirect(
   // E[Y | T = t, M = m] for every observed (t, m).
   std::vector<int> tm_cols = {treatment};
   tm_cols.insert(tm_cols.end(), mediators.begin(), mediators.end());
-  HYPDB_ASSIGN_OR_RETURN(GroupedAverages tm, AverageBy(ctx, tm_cols, outcomes));
+  HYPDB_ASSIGN_OR_RETURN(GroupedAverages tm,
+                         AverageBy(engine, table, tm_cols, outcomes));
   std::vector<int> m_positions;
   for (size_t i = 1; i < tm_cols.size(); ++i) {
     m_positions.push_back(static_cast<int>(i));
@@ -148,20 +152,32 @@ Status ComputeDirect(
     mean_of[t_code][m_codec.EncodeCodes(m_codes)] = &tm.means[g];
   }
 
-  // Joint counts over (T, M..., Z...) for Pr(m | t_ref, z) and Pr(z).
+  // Joint counts over (T, M..., Z...) for Pr(m | t_ref, z) and Pr(z). A
+  // column that is both a mediator and a covariate is counted once (the
+  // engine caches only distinct-column queries), at its last occurrence:
+  // keys compare most-significant-last, so the groups come in the order
+  // of the full (T, M..., Z...) tuple, which fixes the float summation
+  // order below.
   std::vector<int> tmz_cols = tm_cols;
   tmz_cols.insert(tmz_cols.end(), covariates.begin(), covariates.end());
-  HYPDB_ASSIGN_OR_RETURN(GroupCounts tmz, CountBy(ctx, tmz_cols));
-  std::vector<int> z_positions;
-  for (size_t i = tm_cols.size(); i < tmz_cols.size(); ++i) {
-    z_positions.push_back(static_cast<int>(i));
+  std::vector<int> joint_cols;
+  for (size_t i = 0; i < tmz_cols.size(); ++i) {
+    if (std::find(tmz_cols.begin() + i + 1, tmz_cols.end(), tmz_cols[i]) ==
+        tmz_cols.end()) {
+      joint_cols.push_back(tmz_cols[i]);
+    }
   }
+  auto joint_position = [&joint_cols](int col) {
+    return static_cast<int>(
+        std::find(joint_cols.begin(), joint_cols.end(), col) -
+        joint_cols.begin());
+  };
   std::vector<int> m_positions2;
-  for (size_t i = 1; i < tm_cols.size(); ++i) {
-    m_positions2.push_back(static_cast<int>(i));
-  }
+  for (int m : mediators) m_positions2.push_back(joint_position(m));
+  std::vector<int> z_positions;
+  for (int z : covariates) z_positions.push_back(joint_position(z));
+  HYPDB_ASSIGN_OR_RETURN(GroupCounts tmz, engine.Counts(joint_cols));
   TupleCodec z_codec = tmz.codec.Project(z_positions);
-  TupleCodec m_codec2 = tmz.codec.Project(m_positions2);
 
   std::unordered_map<uint64_t, int64_t> z_count;          // all treatments
   std::unordered_map<uint64_t, int64_t> ref_z_count;      // T = ref
@@ -186,14 +202,14 @@ Status ComputeDirect(
     for (size_t i = 0; i < m_positions2.size(); ++i) {
       codes[i] = tmz.codec.DecodeAt(key, m_positions2[i]);
     }
-    terms.push_back(Term{z_key, m_codec2.EncodeCodes(codes),
-                         tmz.counts[g]});
+    // Keyed under the averages' codec, which mean_of is keyed by.
+    terms.push_back(Term{z_key, m_codec.EncodeCodes(codes), tmz.counts[g]});
   }
 
   // Σ_{z,m} E[Y|t,m] · Pr(m|t_ref,z) · Pr(z), skipping (z,m) terms where
   // either counterfactual mean is unobserved (the exact-matching analog)
   // and renormalizing the weights over the used terms.
-  const double n = static_cast<double>(ctx.NumRows());
+  const double n = static_cast<double>(engine.NumRows());
   out->direct_blocks_seen = static_cast<int64_t>(terms.size());
   out->direct.clear();
   for (const auto& [code, label] : treatments) {
@@ -267,7 +283,6 @@ StatusOr<ContextRewrite> RewriteContextAndEstimate(
     const RewriterOptions& options, uint64_t sig_seed,
     const std::shared_ptr<CountEngine>& engine,
     CountEngineStats* count_stats) {
-  (void)table;
   ContextRewrite rewrite;
   rewrite.context_labels = ctx.labels;
   rewrite.rows = ctx.view.NumRows();
@@ -277,8 +292,16 @@ StatusOr<ContextRewrite> RewriteContextAndEstimate(
     return rewrite;
   }
 
-  HYPDB_RETURN_IF_ERROR(ComputeTotal(ctx.view, bound.treatment, covariates,
-                                     bound.outcomes, treatments, &rewrite));
+  // One count engine serves both formulas and the significance tests:
+  // the blocks' (T, Z, Y) counts are exactly what I(T;Y|Z) needs.
+  MiEngine mi = engine != nullptr ? MiEngine(ctx.view, engine, options.engine,
+                                             /*wrap_provider=*/false)
+                                  : MiEngine(ctx.view, options.engine);
+  CountEngine& counts = mi.count_engine();
+  const CountEngineStats stats_before = counts.stats();
+  HYPDB_RETURN_IF_ERROR(ComputeTotal(counts, *table, bound.treatment,
+                                     covariates, bound.outcomes, treatments,
+                                     &rewrite));
 
   if (options.compute_direct && treatments.size() == 2) {
     int reference_slot = static_cast<int>(treatments.size()) - 1;
@@ -289,17 +312,13 @@ StatusOr<ContextRewrite> RewriteContextAndEstimate(
         }
       }
     }
-    HYPDB_RETURN_IF_ERROR(
-        ComputeDirect(ctx.view, bound.treatment, covariates, mediators,
-                      bound.outcomes, treatments, reference_slot, &rewrite));
+    HYPDB_RETURN_IF_ERROR(ComputeDirect(counts, *table, bound.treatment,
+                                        covariates, mediators, bound.outcomes,
+                                        treatments, reference_slot,
+                                        &rewrite));
   }
 
   if (options.compute_significance) {
-    MiEngine mi = engine != nullptr
-                      ? MiEngine(ctx.view, engine, options.engine,
-                                 /*wrap_provider=*/false)
-                      : MiEngine(ctx.view, options.engine);
-    const CountEngineStats stats_before = mi.count_engine().stats();
     CiTester tester(&mi, options.ci, sig_seed);
     for (int y : bound.outcomes) {
       std::vector<int> z_total;
@@ -328,10 +347,8 @@ StatusOr<ContextRewrite> RewriteContextAndEstimate(
         rewrite.direct_sig.push_back(direct_sig);
       }
     }
-    if (count_stats != nullptr) {
-      *count_stats += mi.count_engine().stats() - stats_before;
-    }
   }
+  if (count_stats != nullptr) *count_stats += counts.stats() - stats_before;
   return rewrite;
 }
 

@@ -84,8 +84,8 @@ struct RewriterOptions {
 
 /// Rewrites the bound query w.r.t. `covariates` (total effect) and
 /// `mediators` (direct effect) and evaluates it per context. When
-/// `count_stats` is non-null, the significance tests' count-engine work
-/// is accumulated into it.
+/// `count_stats` is non-null, the rewrite's count-engine work (both
+/// formulas and the significance tests) is accumulated into it.
 StatusOr<std::vector<ContextRewrite>> RewriteAndEstimate(
     const TablePtr& table, const BoundQuery& bound,
     const std::vector<int>& covariates, const std::vector<int>& mediators,
@@ -104,9 +104,10 @@ StatusOr<std::vector<std::pair<int32_t, std::string>>> TreatmentsIn(
 /// `treatments` must be TreatmentsIn(ctx.view) and `sig_seed` the seed
 /// the whole-query loop would hand this context (see TreatmentsIn) —
 /// given those, the result is bit-identical to the batch path. When
-/// `engine` is non-null the significance tests route their counts
-/// through it (it must aggregate exactly ctx.view's rows) instead of a
-/// private engine; only the stats delta over the call is accumulated.
+/// `engine` is non-null the formulas' averages and joint counts and the
+/// significance tests all route their counts through it (it must
+/// aggregate exactly ctx.view's rows) instead of a private engine; only
+/// the stats delta over the call is accumulated.
 StatusOr<ContextRewrite> RewriteContextAndEstimate(
     const TablePtr& table, const BoundQuery& bound, const Context& ctx,
     const std::vector<std::pair<int32_t, std::string>>& treatments,

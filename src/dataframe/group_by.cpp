@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "engine/count_engine.h"
 #include "engine/groupby_kernel.h"
 
 namespace hypdb {
@@ -53,61 +54,105 @@ StatusOr<GroupedRows> CollectGroups(const TableView& view,
   return out;
 }
 
-StatusOr<GroupedAverages> AverageBy(const TableView& view,
+StatusOr<GroupedAverages> AverageBy(CountEngine& engine, const Table& table,
                                     const std::vector<int>& group_cols,
                                     const std::vector<int>& outcome_cols) {
   GroupedAverages out;
-  HYPDB_ASSIGN_OR_RETURN(out.codec,
-                         TupleCodec::Create(view.table(), group_cols));
-  const int num_outcomes = static_cast<int>(outcome_cols.size());
-
-  // Pre-resolve numeric values per outcome column code to fail fast on
-  // non-numeric labels and avoid per-row parsing.
-  std::vector<std::vector<double>> outcome_values(num_outcomes);
-  for (int o = 0; o < num_outcomes; ++o) {
-    const Column& col = view.table().column(outcome_cols[o]);
-    outcome_values[o].resize(col.Cardinality());
-    for (int32_t c = 0; c < col.Cardinality(); ++c) {
-      HYPDB_ASSIGN_OR_RETURN(outcome_values[o][c], col.NumericValue(c));
+  HYPDB_ASSIGN_OR_RETURN(out.codec, TupleCodec::Create(table, group_cols));
+  const size_t num_outcomes = outcome_cols.size();
+  std::vector<int32_t> codes(group_cols.size());
+  // One count(*) GROUP BY (G..., Y) per outcome; with no outcome, the
+  // plain group counts.
+  for (size_t o = 0; o < std::max<size_t>(num_outcomes, 1); ++o) {
+    std::vector<int> cols = group_cols;
+    int y_pos = -1;
+    // Per code: its rank in ascending (value, label) order; per rank:
+    // the value. Resolved for the whole dictionary, so a non-numeric
+    // label fails fast even when no counted row carries it.
+    std::vector<int32_t> rank_of;
+    std::vector<double> value_at;
+    if (o < num_outcomes) {
+      const Column& col = table.column(outcome_cols[o]);
+      std::vector<std::pair<double, int32_t>> order(col.Cardinality());
+      for (int32_t c = 0; c < col.Cardinality(); ++c) {
+        HYPDB_ASSIGN_OR_RETURN(order[c].first, col.NumericValue(c));
+        order[c].second = c;
+      }
+      std::sort(order.begin(), order.end(),
+                [&col](const auto& a, const auto& b) {
+                  if (a.first != b.first) return a.first < b.first;
+                  return col.dict().Label(a.second) <
+                         col.dict().Label(b.second);
+                });
+      rank_of.resize(order.size());
+      value_at.resize(order.size());
+      for (size_t r = 0; r < order.size(); ++r) {
+        rank_of[order[r].second] = static_cast<int32_t>(r);
+        value_at[r] = order[r].first;
+      }
+      auto in_group = std::find(cols.begin(), cols.end(), outcome_cols[o]);
+      y_pos = static_cast<int>(in_group - cols.begin());
+      if (in_group == cols.end()) cols.push_back(outcome_cols[o]);
     }
-  }
+    HYPDB_ASSIGN_OR_RETURN(GroupCounts counts, engine.Counts(cols));
 
-  struct Acc {
-    int64_t count = 0;
-    std::vector<double> sums;
-  };
-  std::unordered_map<uint64_t, Acc> agg;
-  const int64_t n = view.NumRows();
-  out.total = n;
-  for (int64_t i = 0; i < n; ++i) {
-    uint64_t key = out.codec.Encode(view, i);
-    Acc& acc = agg[key];
-    if (acc.sums.empty()) acc.sums.assign(num_outcomes, 0.0);
-    ++acc.count;
-    for (int o = 0; o < num_outcomes; ++o) {
-      acc.sums[o] += outcome_values[o][view.CodeAt(i, outcome_cols[o])];
+    // (group key, value rank, count) per cell, sorted so each group's
+    // cells are adjacent and summed in value order.
+    struct Cell {
+      uint64_t key;
+      int32_t rank;
+      int64_t count;
+    };
+    std::vector<Cell> cells;
+    cells.reserve(counts.keys.size());
+    for (size_t g = 0; g < counts.keys.size(); ++g) {
+      for (size_t j = 0; j < codes.size(); ++j) {
+        codes[j] = counts.codec.DecodeAt(counts.keys[g], static_cast<int>(j));
+      }
+      const int32_t rank =
+          y_pos < 0 ? 0
+                    : rank_of[counts.codec.DecodeAt(counts.keys[g], y_pos)];
+      cells.push_back(
+          Cell{out.codec.EncodeCodes(codes), rank, counts.counts[g]});
     }
-  }
+    std::sort(cells.begin(), cells.end(), [](const Cell& a, const Cell& b) {
+      return a.key != b.key ? a.key < b.key : a.rank < b.rank;
+    });
 
-  std::vector<Acc> payload;
-  payload.reserve(agg.size());
-  out.keys.reserve(agg.size());
-  for (auto& [k, acc] : agg) {
-    out.keys.push_back(k);
-    payload.push_back(std::move(acc));
-  }
-  SortByKey(&out.keys, &payload);
-  out.counts.reserve(payload.size());
-  out.means.reserve(payload.size());
-  for (auto& acc : payload) {
-    out.counts.push_back(acc.count);
-    std::vector<double> mean(num_outcomes);
-    for (int o = 0; o < num_outcomes; ++o) {
-      mean[o] = acc.count > 0 ? acc.sums[o] / acc.count : 0.0;
+    size_t group = 0;
+    for (size_t i = 0; i < cells.size(); ++group) {
+      const uint64_t key = cells[i].key;
+      int64_t n = 0;
+      double sum = 0.0;
+      for (; i < cells.size() && cells[i].key == key; ++i) {
+        n += cells[i].count;
+        if (y_pos >= 0) {
+          sum += value_at[cells[i].rank] * static_cast<double>(cells[i].count);
+        }
+      }
+      if (o == 0) {
+        out.keys.push_back(key);
+        out.counts.push_back(n);
+        out.means.emplace_back(num_outcomes, 0.0);
+        out.total += n;
+      } else if (group >= out.keys.size() || out.keys[group] != key ||
+                 out.counts[group] != n) {
+        return Status::Internal("outcome counts disagree on the groups");
+      }
+      if (y_pos >= 0) out.means[group][o] = sum / static_cast<double>(n);
     }
-    out.means.push_back(std::move(mean));
+    if (group != out.keys.size()) {
+      return Status::Internal("outcome counts disagree on the groups");
+    }
   }
   return out;
+}
+
+StatusOr<GroupedAverages> AverageBy(const TableView& view,
+                                    const std::vector<int>& group_cols,
+                                    const std::vector<int>& outcome_cols) {
+  ViewCountProvider engine(view);
+  return AverageBy(engine, view.table(), group_cols, outcome_cols);
 }
 
 void SortCountsByKey(std::vector<uint64_t>* keys,

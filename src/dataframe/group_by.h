@@ -17,6 +17,8 @@
 
 namespace hypdb {
 
+class CountEngine;
+
 /// count(*) GROUP BY result: parallel arrays of (key, count), keys sorted
 /// ascending. `total` is the number of rows aggregated.
 struct GroupCounts {
@@ -57,8 +59,19 @@ StatusOr<GroupCounts> CountBy(const TableView& view,
 StatusOr<GroupedRows> CollectGroups(const TableView& view,
                                     const std::vector<int>& cols);
 
-/// SELECT avg(outcomes...) ... GROUP BY group_cols. Outcome labels must be
-/// numeric (e.g. "0"/"1").
+/// SELECT avg(outcomes...) ... GROUP BY group_cols, derived from counts
+/// (paper Sec. 6): per outcome Y, one count(*) GROUP BY (G..., Y) from
+/// `engine` gives mean_g = Σ_y value(y)·c(g,y) / c(g). The sum runs in
+/// ascending value order (ties by label), so the mean depends only on the
+/// counts — never on row order or dictionary codes — and equals sum/count
+/// exactly for integer labels. `engine` must aggregate rows of `table`;
+/// keys use TupleCodec::Create(table, group_cols) whatever codec the
+/// engine answers in. Outcome labels must be numeric (e.g. "0"/"1").
+StatusOr<GroupedAverages> AverageBy(CountEngine& engine, const Table& table,
+                                    const std::vector<int>& group_cols,
+                                    const std::vector<int>& outcome_cols);
+
+/// The same over a view's own kernel counts (one scan per outcome).
 StatusOr<GroupedAverages> AverageBy(const TableView& view,
                                     const std::vector<int>& group_cols,
                                     const std::vector<int>& outcome_cols);

@@ -42,6 +42,69 @@ bool ResolveSlicePredicates(const Table& table, const std::string& signature,
   return true;
 }
 
+/// Pins a shared shard engine to a caller's bind-time watermark. The
+/// registry's shared engines are *live* — they answer at the store's
+/// current watermark — but a caller's population is fixed when its
+/// query binds; an append between session stages must not leak new rows
+/// into its counts (the staged digest invariant). Each call validates the
+/// shared engine's version before AND after delegating: the watermark is
+/// monotone, so matching twice means it was the bind watermark throughout
+/// the call. Once the store advances, calls permanently degrade to a
+/// lazily-built private stack over the pinned bind-time view.
+class WatermarkGuardEngine : public CountEngine {
+ public:
+  WatermarkGuardEngine(std::shared_ptr<CountEngine> shared,
+                       int64_t bind_watermark, TableView pinned,
+                       MiEngineOptions engine)
+      : shared_(std::move(shared)), bind_(bind_watermark),
+        pinned_(std::move(pinned)), engine_(engine) {}
+
+  StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override {
+    if (shared_->PopulationVersion() == bind_) {
+      StatusOr<GroupCounts> counts = shared_->Counts(cols);
+      if (shared_->PopulationVersion() == bind_) return counts;
+    }
+    return Pinned()->Counts(cols);
+  }
+
+  Status Prefetch(const std::vector<int>& cols) override {
+    // A hint: no post-validation needed (a summary prefetched at the
+    // wrong watermark is never *served* — Counts() re-validates).
+    if (shared_->PopulationVersion() == bind_) {
+      return shared_->Prefetch(cols);
+    }
+    return Pinned()->Prefetch(cols);
+  }
+
+  int64_t NumRows() const override { return pinned_.NumRows(); }
+  int64_t PopulationVersion() const override { return bind_; }
+
+  CountEngineStats stats() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return private_ != nullptr ? private_->stats() : shared_->stats();
+  }
+  void ResetStats() override {
+    // The shared engine serves other sessions/requests — never reset it
+    // from here.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (private_ != nullptr) private_->ResetStats();
+  }
+
+ private:
+  std::shared_ptr<CountEngine> Pinned() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (private_ == nullptr) private_ = MakeViewEngine(pinned_, engine_);
+    return private_;
+  }
+
+  std::shared_ptr<CountEngine> shared_;
+  const int64_t bind_;
+  TableView pinned_;
+  MiEngineOptions engine_;
+  mutable std::mutex mu_;
+  std::shared_ptr<CountEngine> private_;
+};
+
 }  // namespace
 
 DatasetRegistry::DatasetRegistry(DatasetRegistryOptions options)
@@ -336,14 +399,6 @@ std::shared_ptr<CountEngine> DatasetRegistry::WrapCache(
   return std::make_shared<CachingCountEngine>(std::move(base), caching);
 }
 
-std::shared_ptr<CountEngine> DatasetRegistry::CachedScanStack(
-    const TableView& view) const {
-  // Mirror MiEngine's engine stack: a kernel-backed scanner, wrapped in
-  // a (thread-safe) caching layer unless materialization is disabled.
-  return WrapCache(
-      std::make_shared<ViewCountProvider>(view, KernelOptions()));
-}
-
 std::shared_ptr<CountEngine> DatasetRegistry::ParentEngineLocked(
     Dataset& ds) {
   if (ds.parent == nullptr && ds.store != nullptr) {
@@ -424,7 +479,39 @@ std::shared_ptr<CountEngine> DatasetRegistry::BuildShardLocked(
   // view stops covering the population at the next append, so remember
   // the signature for drop-on-append.
   ds.frozen.insert(signature);
-  return CachedScanStack(population);
+  return MakeViewEngine(population, options_.engine);
+}
+
+StatusOr<PooledEngines> DatasetRegistry::Pool(const std::string& name,
+                                              const Snapshot& snapshot,
+                                              const std::string& signature,
+                                              const TableView& population) {
+  PooledEngines out;
+  const int64_t epoch = snapshot.epoch;
+  const int64_t watermark = snapshot.watermark;
+  const MiEngineOptions engine = options_.engine;
+  StatusOr<std::shared_ptr<CountEngine>> shard =
+      ShardEngine(name, epoch, signature, population, watermark);
+  if (shard.ok()) {
+    out.population = std::make_shared<WatermarkGuardEngine>(
+        std::move(*shard), watermark, population, engine);
+  } else if (shard.status().code() != StatusCode::kFailedPrecondition) {
+    return shard.status();
+  }
+  out.contexts = [this, name, epoch, watermark, engine](
+                     const std::vector<std::pair<
+                         std::string, std::vector<std::string>>>& where,
+                     const TableView& view) -> std::shared_ptr<CountEngine> {
+    AggQuery context_query;
+    context_query.where = where;
+    StatusOr<std::shared_ptr<CountEngine>> shard = ShardEngine(
+        name, epoch, SubpopulationSignature(context_query), view, watermark);
+    // Stale epoch or advanced watermark: the caller's private fallback.
+    if (!shard.ok()) return nullptr;
+    return std::make_shared<WatermarkGuardEngine>(std::move(*shard),
+                                                  watermark, view, engine);
+  };
+  return out;
 }
 
 StatusOr<CountEngineStats> DatasetRegistry::EngineStats(

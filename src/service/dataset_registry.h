@@ -41,6 +41,7 @@
 #define HYPDB_SERVICE_DATASET_REGISTRY_H_
 
 #include <condition_variable>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -49,6 +50,7 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cube/adaptive_cube_provider.h"
@@ -128,6 +130,25 @@ struct CubeAdvisorStats {
   /// Full-table scans spent building candidate cubes (includes refused
   /// builds).
   int64_t build_scans = 0;
+};
+
+/// Maps a context's WHERE conjunction and row view to a count engine —
+/// the shape of SessionHooks::context_engine_provider (core/hypdb.h). A
+/// null return means "no shared engine"; the caller builds a private one.
+using ContextEngineProvider = std::function<std::shared_ptr<CountEngine>(
+    const std::vector<std::pair<std::string, std::vector<std::string>>>&
+        where,
+    const TableView& view)>;
+
+/// The shard engines a request or session draws its counts from.
+struct PooledEngines {
+  /// Shard of the bound WHERE population; null when the dataset was
+  /// re-registered since the caller's snapshot (the caller runs unshared
+  /// over its snapshot table).
+  std::shared_ptr<CountEngine> population;
+  /// Per-context shards: context Γ_i = C ∧ X = x_i gets the shard of its
+  /// WHERE conjunction's canonical signature.
+  ContextEngineProvider contexts;
 };
 
 /// A held shared (reader) lease on one dataset: while alive, AppendRows
@@ -213,6 +234,19 @@ class DatasetRegistry {
       const std::string& name, int64_t epoch, const std::string& signature,
       const TableView& population, int64_t watermark = -1);
 
+  /// The engines of one request or session bound at `snapshot`, whose
+  /// WHERE has canonical `signature` and selects `population`: the one
+  /// provider the analyze path and staged sessions share. Every engine
+  /// is pinned to snapshot.watermark — the shared shards answer at the
+  /// store's live watermark, so a call made after an append degrades to
+  /// a private cached scan of the pinned bind-time view (bit-identical
+  /// counts, just no pooling). Requests hold the read lease and never
+  /// see that; sessions outlive it.
+  StatusOr<PooledEngines> Pool(const std::string& name,
+                               const Snapshot& snapshot,
+                               const std::string& signature,
+                               const TableView& population);
+
   /// Aggregate count-engine stats across a dataset's live shards plus
   /// its parent engine. Well-defined without double counting: slicing
   /// shards report only their own layer and private fallback scanner,
@@ -282,9 +316,6 @@ class DatasetRegistry {
   /// shard's demand is not cube-promotable).
   std::shared_ptr<CountEngine> WrapCache(std::shared_ptr<CountEngine> base,
                                          bool track_demand = false) const;
-  /// The classic frozen stack: kernel-backed scanner over `view` +
-  /// WrapCache. Static — no delta protocol.
-  std::shared_ptr<CountEngine> CachedScanStack(const TableView& view) const;
 
   /// ds.parent, created over the chunked store if absent. Requires mu_.
   std::shared_ptr<CountEngine> ParentEngineLocked(Dataset& ds);

@@ -1,7 +1,6 @@
 #include "service/hypdb_service.h"
 
 #include "core/sql_parser.h"
-#include "engine/caching_count_engine.h"
 #include "engine/groupby_kernel.h"
 #include "util/build_info.h"
 #include "util/trace.h"
@@ -25,82 +24,6 @@ DiscoveryCacheOptions DiscoveryOptions(const HypDbServiceOptions& o) {
   out.refresh_rows_fraction = o.refresh_rows_fraction;
   return out;
 }
-
-/// Pins a session's shared shard engine to the session's bind-time
-/// watermark. The registry's shared engines are *live* — they answer at
-/// the store's current watermark — but a session's population is fixed
-/// when the query binds; an append between stages must not leak new rows
-/// into its counts (the staged digest invariant). Each call validates the
-/// shared engine's version before AND after delegating: the watermark is
-/// monotone, so matching twice means it was the bind watermark throughout
-/// the call. Once the store advances, calls permanently degrade to a
-/// lazily-built private cached-scan stack over the pinned bind-time view
-/// — bit-identical counts either way, just no cross-session pooling.
-class WatermarkGuardEngine : public CountEngine {
- public:
-  WatermarkGuardEngine(std::shared_ptr<CountEngine> shared,
-                       int64_t bind_watermark, TableView pinned,
-                       MiEngineOptions engine)
-      : shared_(std::move(shared)), bind_(bind_watermark),
-        pinned_(std::move(pinned)), engine_(engine) {}
-
-  StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override {
-    if (shared_->PopulationVersion() == bind_) {
-      StatusOr<GroupCounts> counts = shared_->Counts(cols);
-      if (shared_->PopulationVersion() == bind_) return counts;
-    }
-    return Pinned()->Counts(cols);
-  }
-
-  Status Prefetch(const std::vector<int>& cols) override {
-    // A hint: no post-validation needed (a summary prefetched at the
-    // wrong watermark is never *served* — Counts() re-validates).
-    if (shared_->PopulationVersion() == bind_) {
-      return shared_->Prefetch(cols);
-    }
-    return Pinned()->Prefetch(cols);
-  }
-
-  int64_t NumRows() const override { return pinned_.NumRows(); }
-  int64_t PopulationVersion() const override { return bind_; }
-
-  CountEngineStats stats() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return private_ != nullptr ? private_->stats() : shared_->stats();
-  }
-  void ResetStats() override {
-    // The shared engine serves other sessions/requests — never reset it
-    // from here.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (private_ != nullptr) private_->ResetStats();
-  }
-
- private:
-  std::shared_ptr<CountEngine> Pinned() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (private_ == nullptr) {
-      // Mirror the registry's isolated stack over the pinned view.
-      std::shared_ptr<CountEngine> scan = std::make_shared<ViewCountProvider>(
-          pinned_, ScanKernelOptions(engine_));
-      if (engine_.materialize_focus) {
-        CachingCountEngineOptions caching;
-        caching.max_cached_cells = engine_.max_cached_cells;
-        private_ =
-            std::make_shared<CachingCountEngine>(std::move(scan), caching);
-      } else {
-        private_ = std::move(scan);
-      }
-    }
-    return private_;
-  }
-
-  std::shared_ptr<CountEngine> shared_;
-  const int64_t bind_;
-  TableView pinned_;
-  MiEngineOptions engine_;
-  mutable std::mutex mu_;
-  std::shared_ptr<CountEngine> private_;
-};
 
 QuerySchedulerOptions SchedulerOptions(const HypDbServiceOptions& o) {
   QuerySchedulerOptions out;
@@ -578,54 +501,29 @@ StatusOr<SessionInfo> HypDbService::CreateSession(
   const HypDbOptions& analysis =
       request.options.has_value() ? *request.options : options_.analysis;
 
+  // One bind for the session: it picks the population shard, and the
+  // session reuses it. The bind span keeps this setup work nested under
+  // a stage in the trace.
+  BoundQuery bound;
   SessionHooks hooks;
   const std::string dataset = request.dataset;
   const int64_t epoch = snapshot.epoch;
-  const int64_t watermark = snapshot.watermark;
-  const MiEngineOptions engine_options = analysis.engine;
-  if (options_.share_engines) {
-    // The whole-population shard (discovery counts), exactly as the
-    // analyze path wires it. A re-registration between snapshot and here
-    // degrades to unshared — still correct, just not pooled. The bind
-    // span keeps this setup scan nested under a stage in the trace.
-    // Shared engines are wrapped in a WatermarkGuardEngine: the session
-    // outlives this call, and appends between its stages must not leak
-    // new rows into the bind-time population (staged digest invariant).
+  {
     TraceSpanScope bind_span(TraceEventKind::kStage, 1,
                              static_cast<uint64_t>(TraceStage::kBind));
-    HYPDB_ASSIGN_OR_RETURN(BoundQuery bound,
-                           BindQuery(snapshot.table, query));
-    StatusOr<std::shared_ptr<CountEngine>> shard = registry_.ShardEngine(
-        dataset, epoch, SubpopulationSignature(query), bound.population,
-        watermark);
-    if (shard.ok()) {
-      hooks.population_engine = std::make_shared<WatermarkGuardEngine>(
-          std::move(*shard), watermark, bound.population, engine_options);
-    } else if (shard.status().code() != StatusCode::kFailedPrecondition) {
-      return shard.status();
+    HYPDB_ASSIGN_OR_RETURN(bound, BindQuery(snapshot.table, query));
+    if (options_.share_engines) {
+      // The population shard and per-context shards, exactly as the
+      // analyze path wires them. The session outlives this call, so the
+      // pins matter here: appends between its stages must not leak new
+      // rows into the bind-time population (staged digest invariant).
+      HYPDB_ASSIGN_OR_RETURN(
+          PooledEngines pooled,
+          registry_.Pool(dataset, snapshot, SubpopulationSignature(query),
+                         bound.population));
+      hooks.population_engine = std::move(pooled.population);
+      hooks.context_engine_provider = std::move(pooled.contexts);
     }
-    // Per-context shards: detection/explanation/resolution counts of
-    // context Γ_i = C ∧ X = x_i route through the shard keyed by that
-    // conjunction's canonical signature, so concurrent sessions (and
-    // future direct queries on the same subpopulation) share one cache
-    // instead of each rebuilding a private engine.
-    DatasetRegistry* registry = &registry_;
-    hooks.context_engine_provider =
-        [registry, dataset, epoch, watermark, engine_options](
-            const std::vector<std::pair<std::string,
-                                        std::vector<std::string>>>& where,
-            const TableView& view) -> std::shared_ptr<CountEngine> {
-      AggQuery context_query;
-      context_query.where = where;
-      StatusOr<std::shared_ptr<CountEngine>> shard = registry->ShardEngine(
-          dataset, epoch, SubpopulationSignature(context_query), view,
-          watermark);
-      // Stale epoch or advanced watermark: private fallback — the
-      // session keeps computing over its pinned bind-time table.
-      if (!shard.ok()) return nullptr;
-      return std::make_shared<WatermarkGuardEngine>(
-          std::move(*shard), watermark, view, engine_options);
-    };
   }
   // The interceptor closure is built before the session's Entry exists;
   // both share ownership of the flags object, so there is no post-
@@ -655,8 +553,8 @@ StatusOr<SessionInfo> HypDbService::CreateSession(
 
   HYPDB_ASSIGN_OR_RETURN(
       std::unique_ptr<AnalysisSession> session,
-      AnalysisSession::Create(snapshot.table, query, analysis,
-                              std::move(hooks)));
+      AnalysisSession::Create(snapshot.table, query, std::move(bound),
+                              analysis, std::move(hooks)));
   std::shared_ptr<SessionManager::Entry> entry = sessions_.Insert(
       dataset, epoch, request.sql, query, BatchKey(dataset, query),
       std::move(session), std::move(flags));

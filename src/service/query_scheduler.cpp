@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/analysis_session.h"
 #include "core/sql_parser.h"
 #include "service/union_planner.h"
 #include "util/string_util.h"
@@ -380,65 +381,63 @@ StatusOr<ServiceReport> QueryScheduler::Execute(const Job& job,
   const HypDbOptions& options = job.request.options.has_value()
                                     ? *job.request.options
                                     : options_.defaults;
-  HypDb db(snapshot.table, options);
 
-  AnalyzeHooks hooks;
+  // One bind per request: it materializes the WHERE view the population
+  // shard aggregates, and the session reuses it. The bind span covers
+  // this setup work so every traced kernel event has a stage parent.
+  BoundQuery bound;
+  SessionHooks hooks;
   std::shared_ptr<CountEngine> engine;
   CountEngineStats engine_before;
-  if (options_.share_engines) {
-    // Bind once here to materialize the WHERE view the shard engine
-    // aggregates. Analyze() re-binds internally; both binds produce the
-    // same row set, which is all count equality needs. The bind span
-    // covers this setup scan so every traced kernel event has a stage
-    // parent.
+  {
     TraceSpanScope bind_span(TraceEventKind::kStage, 1,
                              static_cast<uint64_t>(TraceStage::kBind));
-    HYPDB_ASSIGN_OR_RETURN(BoundQuery bound,
-                           BindQuery(snapshot.table, job.query));
-    StatusOr<std::shared_ptr<CountEngine>> shard = registry_->ShardEngine(
-        job.request.dataset, snapshot.epoch,
-        SubpopulationSignature(job.query), bound.population,
-        snapshot.watermark);
-    if (shard.ok()) {
-      engine = std::move(*shard);
-      hooks.population_engine = engine;
-      engine_before = engine->stats();
-    } else if (shard.status().code() != StatusCode::kFailedPrecondition) {
-      return shard.status();
+    HYPDB_ASSIGN_OR_RETURN(bound, BindQuery(snapshot.table, job.query));
+    if (options_.share_engines) {
+      // The same provider sessions use: the population shard serves the
+      // answers and discovery, per-context shards serve detection,
+      // explanation and the rewrite. A null population means the dataset
+      // was re-registered after our snapshot; the request then runs
+      // unshared over the snapshot table — still correct, just not
+      // pooled — and its discovery caches under the (now stale,
+      // unreachable) snapshot epoch.
+      HYPDB_ASSIGN_OR_RETURN(
+          PooledEngines pooled,
+          registry_->Pool(job.request.dataset, snapshot,
+                          SubpopulationSignature(job.query),
+                          bound.population));
+      engine = pooled.population;
+      if (engine != nullptr) engine_before = engine->stats();
+      hooks.population_engine = std::move(pooled.population);
+      hooks.context_engine_provider = std::move(pooled.contexts);
     }
-    // FailedPrecondition = the dataset was re-registered after our
-    // snapshot. Run unshared over the snapshot table — still correct,
-    // just not pooled; the discovery below caches under the (now stale,
-    // unreachable) snapshot epoch.
   }
-
-  // Trace cursor: spans are laid out on the submit-relative axis, the
-  // queue span (already recorded by RunJob) ends at queue_seconds.
-  double cursor = stats->queue_seconds;
-
-  DiscoveryReport discovery;
-  double discovery_span = -1.0;  // <0: take it from the report below
   if (options_.share_discovery) {
-    const std::string key = DiscoveryKey(job.request.dataset,
-                                         snapshot.epoch, job.query, options);
-    Stopwatch discovery_watch;
-    HYPDB_ASSIGN_OR_RETURN(
-        discovery,
-        discovery_->LookupOrCompute(
-            key,
-            [&] { return db.Discover(job.query, hooks.population_engine); },
-            &stats->discovery_reused, &stats->discovery_coalesced,
-            snapshot.watermark));
-    // Wall time THIS request spent (near-zero on a cache hit, the full
-    // compute when it was the single flight) — not the cached report's
-    // original compute time.
-    discovery_span = discovery_watch.ElapsedSeconds();
-    hooks.reuse_discovery = &discovery;
+    hooks.discovery_interceptor =
+        [this, stats, &snapshot,
+         key = DiscoveryKey(job.request.dataset, snapshot.epoch, job.query,
+                            options)](
+            const std::function<StatusOr<DiscoveryReport>()>& compute) {
+          return discovery_->LookupOrCompute(
+              key, compute, &stats->discovery_reused,
+              &stats->discovery_coalesced, snapshot.watermark);
+        };
   }
 
+  HYPDB_ASSIGN_OR_RETURN(
+      std::unique_ptr<AnalysisSession> session,
+      AnalysisSession::Create(snapshot.table, job.query, std::move(bound),
+                              options, std::move(hooks)));
   ServiceReport out;
-  HYPDB_ASSIGN_OR_RETURN(out.report, db.Analyze(job.query, hooks));
-  if (discovery_span < 0.0) discovery_span = out.report.discovery.seconds;
+  HYPDB_ASSIGN_OR_RETURN(out.report, session->Report());
+  // Trace cursor: spans are laid out on the submit-relative axis, the
+  // queue span (already recorded by RunJob) ends at queue_seconds. The
+  // discovery span is the wall time THIS request spent in the stage
+  // (near-zero on a cache hit, the full compute when it was the single
+  // flight) — not the cached report's original compute time.
+  double cursor = stats->queue_seconds;
+  const double discovery_span =
+      session->stage_state(AnalysisStage::kDiscover).seconds;
   stats->trace.push_back({"discovery", cursor, discovery_span});
   cursor += discovery_span;
   stats->trace.push_back({"detect", cursor, out.report.detect_seconds});

@@ -30,12 +30,15 @@ std::shared_ptr<CountEngine> WrapEngine(std::shared_ptr<CountEngine> base,
 
 }  // namespace
 
+std::shared_ptr<CountEngine> MakeViewEngine(const TableView& view,
+                                            const MiEngineOptions& options) {
+  return WrapEngine(
+      std::make_shared<ViewCountProvider>(view, ScanKernelOptions(options)),
+      options);
+}
+
 MiEngine::MiEngine(TableView view, MiEngineOptions options)
-    : view_(view),
-      engine_(WrapEngine(std::make_shared<ViewCountProvider>(
-                             view, ScanKernelOptions(options)),
-                         options)),
-      options_(options) {}
+    : view_(view), engine_(MakeViewEngine(view, options)), options_(options) {}
 
 MiEngine::MiEngine(TableView view, std::shared_ptr<CountEngine> provider,
                    MiEngineOptions options, bool wrap_provider)

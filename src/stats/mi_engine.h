@@ -71,6 +71,14 @@ inline GroupByKernelOptions ScanKernelOptions(const MiEngineOptions& options) {
   return kernel;
 }
 
+/// The default count stack over `view`: a kernel scanner
+/// (ScanKernelOptions) wrapped in a CachingCountEngine under `options`'
+/// cell budget and materialization policy, or the bare scanner when
+/// materialization is off. MiEngine's own engine, session-private context
+/// engines and the service's pinned fallbacks are all this stack.
+std::shared_ptr<CountEngine> MakeViewEngine(const TableView& view,
+                                            const MiEngineOptions& options);
+
 /// Estimates entropies and conditional mutual information over one view.
 class MiEngine {
  public:

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dataframe/csv.h"
 #include "dataframe/group_by.h"
@@ -11,6 +16,8 @@
 #include "dataframe/table.h"
 #include "dataframe/tuple_codec.h"
 #include "dataframe/view.h"
+#include "engine/caching_count_engine.h"
+#include "engine/count_engine.h"
 
 namespace hypdb {
 namespace {
@@ -249,6 +256,145 @@ TEST(GroupByTest, AverageByComputesMeans) {
 TEST(GroupByTest, AverageByRejectsNonNumericOutcome) {
   TablePtr t = FixtureTable();
   EXPECT_FALSE(AverageBy(TableView(t), {2}, {0}).ok());
+}
+
+// Rows (g, side, y1, y2) with non-integer outcome labels, so a mean's
+// last bit depends on the order its terms are summed in.
+std::vector<std::vector<std::string>> NonIntegerRows() {
+  const char* groups[] = {"a", "b", "c"};
+  const char* sides[] = {"x", "y"};
+  const char* y1[] = {"0.1", "0.25", "2.5", "-1.75", "0.3"};
+  const char* y2[] = {"1.5", "-0.5", "0.3"};
+  std::vector<std::vector<std::string>> rows;
+  uint64_t state = 12345;
+  for (int i = 0; i < 240; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const uint64_t r = state >> 33;
+    rows.push_back({groups[r % 3], sides[(r / 3) % 2], y1[(r / 6) % 5],
+                    y2[(r / 30) % 3]});
+  }
+  return rows;
+}
+
+TablePtr TableOfRows(const std::vector<std::vector<std::string>>& rows) {
+  ColumnBuilder g("g"), side("side"), y1("y1"), y2("y2");
+  for (const auto& row : rows) {
+    g.Append(row[0]);
+    side.Append(row[1]);
+    y1.Append(row[2]);
+    y2.Append(row[3]);
+  }
+  Table t;
+  EXPECT_TRUE(t.AddColumn(g.Finish()).ok());
+  EXPECT_TRUE(t.AddColumn(side.Finish()).ok());
+  EXPECT_TRUE(t.AddColumn(y1.Finish()).ok());
+  EXPECT_TRUE(t.AddColumn(y2.Finish()).ok());
+  return MakeTable(std::move(t));
+}
+
+// Group label -> (count, means), so tables whose dictionaries assign
+// different codes compare by label.
+std::map<std::string, std::pair<int64_t, std::vector<double>>> MeansByLabel(
+    const Table& table, const GroupedAverages& avg) {
+  std::map<std::string, std::pair<int64_t, std::vector<double>>> out;
+  for (int i = 0; i < avg.NumGroups(); ++i) {
+    const std::string label =
+        table.column(0).dict().Label(avg.codec.DecodeAt(avg.keys[i], 0));
+    out[label] = {avg.counts[i], avg.means[i]};
+  }
+  return out;
+}
+
+TEST(GroupByTest, CountDerivedMeansIgnoreRowOrder) {
+  std::vector<std::vector<std::string>> rows = NonIntegerRows();
+  std::vector<std::vector<std::vector<std::string>>> permutations = {rows};
+  permutations.emplace_back(rows.rbegin(), rows.rend());
+  std::vector<std::vector<std::string>> interleaved;
+  for (size_t i = 0; i < rows.size(); i += 2) interleaved.push_back(rows[i]);
+  for (size_t i = 1; i < rows.size(); i += 2) interleaved.push_back(rows[i]);
+  permutations.push_back(interleaved);
+
+  std::map<std::string, std::pair<int64_t, std::vector<double>>> reference;
+  for (size_t p = 0; p < permutations.size(); ++p) {
+    TablePtr t = TableOfRows(permutations[p]);
+    auto avg = AverageBy(TableView(t), {0}, {2, 3});
+    ASSERT_TRUE(avg.ok()) << avg.status();
+    auto means = MeansByLabel(*t, *avg);
+    ASSERT_EQ(means.size(), 3u);
+    if (p == 0) {
+      reference = means;
+      continue;
+    }
+    for (const auto& [label, value] : reference) {
+      EXPECT_EQ(means[label].first, value.first) << label;
+      ASSERT_EQ(means[label].second.size(), 2u);
+      EXPECT_EQ(means[label].second[0], value.second[0]) << label;
+      EXPECT_EQ(means[label].second[1], value.second[1]) << label;
+    }
+  }
+}
+
+TEST(GroupByTest, CountDerivedMeansMatchCachingEngine) {
+  std::vector<std::vector<std::string>> rows = NonIntegerRows();
+  std::vector<std::vector<std::string>> reversed(rows.rbegin(), rows.rend());
+  for (const auto& order : {rows, reversed}) {
+    TablePtr t = TableOfRows(order);
+    TableView view(t);
+    auto direct = AverageBy(view, {0}, {2, 3});
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    // The engine holds one superset summary; both outcomes' (g, y)
+    // counts marginalize from it without another scan.
+    CachingCountEngine engine(std::make_shared<ViewCountProvider>(view));
+    ASSERT_TRUE(engine.Prefetch({0, 1, 2, 3}).ok());
+    auto served = AverageBy(engine, *t, {0}, {2, 3});
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(engine.stats().scans, 1);
+    EXPECT_EQ(engine.stats().marginalizations, 2);
+    ASSERT_EQ(served->NumGroups(), direct->NumGroups());
+    EXPECT_EQ(served->keys, direct->keys);
+    EXPECT_EQ(served->counts, direct->counts);
+    EXPECT_EQ(served->total, direct->total);
+    for (int g = 0; g < direct->NumGroups(); ++g) {
+      EXPECT_EQ(served->means[g], direct->means[g]) << g;
+    }
+  }
+}
+
+TEST(GroupByTest, IntegerLabelMeansEqualSumOverCount) {
+  ColumnBuilder g("g"), y("y");
+  const char* groups[] = {"p", "q", "p", "r", "q", "p", "r", "p", "q"};
+  const int values[] = {0, 7, 2, 1, 1, 5, 3, 2, 0};
+  std::map<std::string, std::pair<int64_t, int64_t>> sums;  // sum, count
+  for (int i = 0; i < 9; ++i) {
+    g.Append(groups[i]);
+    y.Append(std::to_string(values[i]));
+    sums[groups[i]].first += values[i];
+    sums[groups[i]].second += 1;
+  }
+  Table table;
+  ASSERT_TRUE(table.AddColumn(g.Finish()).ok());
+  ASSERT_TRUE(table.AddColumn(y.Finish()).ok());
+  TablePtr t = MakeTable(std::move(table));
+  auto avg = AverageBy(TableView(t), {0}, {1});
+  ASSERT_TRUE(avg.ok()) << avg.status();
+  ASSERT_EQ(avg->NumGroups(), 3);
+  EXPECT_EQ(avg->total, 9);
+  for (int i = 0; i < avg->NumGroups(); ++i) {
+    const std::string label =
+        t->column(0).dict().Label(avg->codec.DecodeAt(avg->keys[i], 0));
+    const auto [sum, count] = sums[label];
+    EXPECT_EQ(avg->counts[i], count) << label;
+    EXPECT_EQ(avg->means[i][0],
+              static_cast<double>(sum) / static_cast<double>(count))
+        << label;
+  }
+  // An outcome that is also grouped on averages to its own value.
+  auto self = AverageBy(TableView(t), {1}, {1});
+  ASSERT_TRUE(self.ok()) << self.status();
+  for (int i = 0; i < self->NumGroups(); ++i) {
+    const int32_t code = self->codec.DecodeAt(self->keys[i], 0);
+    EXPECT_EQ(self->means[i][0], *t->column(1).NumericValue(code));
+  }
 }
 
 TEST(GroupByTest, MarginalizeOntoMatchesDirectCount) {

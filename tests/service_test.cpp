@@ -19,6 +19,7 @@
 #include "dataframe/predicate.h"
 #include "datagen/berkeley_data.h"
 #include "datagen/cancer_data.h"
+#include "datagen/staples_data.h"
 #include "service/dataset_registry.h"
 #include "service/discovery_cache.h"
 #include "service/hypdb_service.h"
@@ -38,6 +39,66 @@ TablePtr Cancer(int64_t rows = 4000) {
   auto table = GenerateCancerData({.num_rows = rows});
   EXPECT_TRUE(table.ok());
   return MakeTable(std::move(*table));
+}
+
+TablePtr Staples(int64_t rows) {
+  auto table = GenerateStaplesData({.num_rows = rows});
+  EXPECT_TRUE(table.ok());
+  return MakeTable(std::move(*table));
+}
+
+// Runs `sql` twice through a fresh service and checks both reports
+// against cold serial HypDb::Analyze. The warm repeat must read no rows:
+// its discovery comes from the cache and every count of answers,
+// detection, explanation and rewrite from the shard caches the first
+// run filled — so it queries the population shard, no shard of the
+// pool scans, and the report's own count work holds no scan. Returns
+// the repeat for further checks.
+ServiceReport ExpectWarmRepeatReadsNoRows(const TablePtr& table,
+                                          const std::string& sql) {
+  SCOPED_TRACE(sql);
+  HypDb direct(table, HypDbOptions{});
+  auto expected = direct.AnalyzeSql(sql);
+  EXPECT_TRUE(expected.ok()) << expected.status();
+  if (!expected.ok()) return {};
+  const std::string digest = CanonicalReportDigest(*expected);
+
+  HypDbServiceOptions options;
+  options.num_workers = 2;
+  HypDbService service(options);
+  service.RegisterTable("d", table);
+  auto first = service.AnalyzeSql("d", sql);
+  EXPECT_TRUE(first.ok()) << first.status();
+  if (!first.ok()) return {};
+  EXPECT_EQ(CanonicalReportDigest(first->report), digest);
+  EXPECT_FALSE(first->stats.discovery_reused);
+  // The cold run computed discovery itself, so its work is counted.
+  EXPECT_GT(first->report.count_stats.queries,
+            first->report.discovery.count_stats.queries);
+
+  auto pool_before = service.engine_stats("d");
+  auto repeat = service.AnalyzeSql("d", sql);
+  EXPECT_TRUE(repeat.ok()) << repeat.status();
+  if (!repeat.ok()) return {};
+  EXPECT_TRUE(repeat->stats.discovery_reused);
+  EXPECT_EQ(CanonicalReportDigest(repeat->report), digest);
+  EXPECT_GT(repeat->stats.engine_delta.queries, 0);
+  EXPECT_EQ(repeat->stats.engine_delta.scans, 0);
+  EXPECT_EQ(repeat->report.count_stats.scans, 0);
+  // A reused discovery adds nothing to the report's own count work (the
+  // repeat issues the first run's queries minus discovery's); its
+  // original computation stays described in discovery.count_stats.
+  EXPECT_EQ(repeat->report.discovery.count_stats.queries,
+            first->report.discovery.count_stats.queries);
+  EXPECT_EQ(repeat->report.count_stats.queries +
+                first->report.discovery.count_stats.queries,
+            first->report.count_stats.queries);
+  auto pool_after = service.engine_stats("d");
+  EXPECT_TRUE(pool_before.ok() && pool_after.ok());
+  if (pool_before.ok() && pool_after.ok()) {
+    EXPECT_EQ(pool_after->scans, pool_before->scans);
+  }
+  return *repeat;
 }
 
 TEST(SubpopulationSignatureTest, CanonicalizesTermAndValueOrder) {
@@ -394,6 +455,29 @@ TEST(HypDbServiceTest, SyncAnalyzeMatchesDirectHypDb) {
   auto engine_stats = service.engine_stats("b");
   ASSERT_TRUE(engine_stats.ok());
   EXPECT_GT(engine_stats->queries, 0);
+
+  // ...and reads no rows doing so, on every query shape: plain, a WHERE
+  // subpopulation, several contexts (per-context shards), and Staples,
+  // whose Distance is both a covariate and a mediator (the rewrite's
+  // (T, M, Z) joint must still reach the cache).
+  ExpectWarmRepeatReadsNoRows(table, sql);
+  ExpectWarmRepeatReadsNoRows(
+      table,
+      "SELECT Gender, avg(Accepted) FROM b WHERE Department IN ('A', 'C') "
+      "GROUP BY Gender");
+  ExpectWarmRepeatReadsNoRows(
+      table,
+      "SELECT Gender, Department, avg(Accepted) FROM b "
+      "GROUP BY Gender, Department");
+  ServiceReport staples = ExpectWarmRepeatReadsNoRows(
+      Staples(4000), "SELECT Income, avg(Price) FROM s GROUP BY Income");
+  bool shared_column = false;
+  for (int m : staples.report.discovery.mediator_cols) {
+    for (int z : staples.report.discovery.covariate_cols) {
+      shared_column = shared_column || m == z;
+    }
+  }
+  EXPECT_TRUE(shared_column) << "no mediator is also a covariate";
 }
 
 TEST(HypDbServiceTest, ReregistrationInvalidatesDiscovery) {
