@@ -24,7 +24,10 @@
 //
 // Service mode (REPL) — a long-lived HypDbService driven line-by-line
 // from stdin, sharing discovery results and contingency caches across
-// queries and running them on a worker pool:
+// queries and running them on a worker pool. Each line is a verb of the
+// command table in net/hypdb_handlers.cpp (HypDbHandlers::Commands())
+// and its positional words; it prints the JSON the wire serves for that
+// verb, and a report as its rendered text plus a `service:` footer:
 //
 //   $ ./examples/hypdb_cli --serve [--workers=N] [--threads=N] [--alpha=A]
 //   hypdb> load flights /data/flights.csv      # register a CSV
@@ -34,14 +37,14 @@
 //          caches are delta-patched, not invalidated)
 //   hypdb> analyze flights SELECT Carrier, avg(Delayed) FROM flights
 //          WHERE Airport IN ('COS','ROC') GROUP BY Carrier
-//   hypdb> submit flights SELECT ...           # async: prints a ticket
-//   ticket 3
-//   hypdb> poll 3                              # done yet?
+//   hypdb> submit flights SELECT ...           # async
+//   {"ticket":3}
+//   hypdb> poll 3                              # done yet? (never claims)
 //   hypdb> wait 3                              # block + print the report
 //   hypdb> cancel 3                            # drop it if still queued
 //   hypdb> session flights SELECT Carrier, avg(Delayed) FROM flights
 //          GROUP BY Carrier                    # staged "think twice" loop
-//   session 1
+//   {"session":1,...}
 //   hypdb> step 1 detect                       # first bias verdicts only
 //   hypdb> step 1 explain 0                    # drill into context 0
 //   hypdb> step 1 report                       # run the rest, full report
@@ -49,11 +52,12 @@
 //   hypdb> close 1                             # delete the session
 //   hypdb> stats                               # cache/engine/worker stats
 //   hypdb> datasets                            # what is registered
+//   hypdb> metrics prometheus                  # the /metrics exposition
 //   hypdb> quit
 //
 // Network mode — the same HypDbService behind the src/net wire protocol
-// (HTTP/1.1 + line-JSON on one port; see net/hypdb_handlers.h for the
-// endpoint reference):
+// (HTTP/1.1 + line-JSON on one port; the same command table routes both,
+// see net/hypdb_handlers.h):
 //
 //   $ ./examples/hypdb_cli --listen=8080 [--host=0.0.0.0] [--workers=N] \
 //       [--stats-log=requests.jsonl]
@@ -76,19 +80,19 @@
 // (same JSONL record as --stats-log, including the engine-deep events),
 // so the log stays small enough to keep on all the time.
 //
-// Each report footer shows the per-request service stats as the same
-// JSON the wire protocol serves (one rendering path — the REPL can never
-// drift from the network API). Re-`load`ing a name invalidates caches.
+// Re-`load`ing a name invalidates caches.
 //
 // With no arguments, runs a built-in demo on the Berkeley dataset.
 
+#include <charconv>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <ctime>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -100,7 +104,6 @@
 #include "net/hypdb_handlers.h"
 #include "net/json.h"
 #include "service/hypdb_service.h"
-#include "util/metrics.h"
 #include "util/stats_log.h"
 #include "util/string_util.h"
 
@@ -113,275 +116,37 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// REPL report output goes through the same codec the wire protocol
-// serves: the codec's "rendered" member is the human-readable report and
-// "stats" the service footer, so the two surfaces cannot drift.
-void PrintServiceReport(const ServiceReport& report) {
-  const net::JsonValue json = net::ToJson(report);
-  std::printf("%s", json.Find("rendered")->string_value().c_str());
-  std::printf("service: %s\n",
-              net::SerializeJson(*json.Find("stats")).c_str());
+// Numeric flag values parse strictly: the whole value must be a number
+// in [lo, hi], otherwise the flag is named and main exits 1.
+template <typename T>
+bool ParseFlagValue(const std::string& flag, T lo, T hi, T* out) {
+  const size_t eq = flag.find('=');
+  const std::string text = flag.substr(eq + 1);
+  T value{};
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc() || end != text.data() + text.size() ||
+      !(value >= lo && value <= hi)) {
+    std::fprintf(stderr, "invalid %s value '%s'\n",
+                 flag.substr(0, eq).c_str(), text.c_str());
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
-// The REPL: one command per line; `analyze`/`submit` take the rest of the
-// line as SQL. Returns the process exit code.
+// The REPL: each line is answered through the handlers' command table,
+// exactly as the wire answers it. Returns the process exit code.
 int RunServe(const HypDbServiceOptions& options) {
   HypDbService service(options);
-  std::printf("HypDB service REPL — %d workers. Commands: load, gen, "
-              "append, analyze, submit, poll, wait, cancel, trace, session, "
-              "step, sessions, close, datasets, stats, metrics, quit\n",
-              service.num_workers());
-
+  net::HypDbHandlers handlers(&service);
+  std::printf("HypDB service REPL — %d workers. Commands: %s (aliases: "
+              "load, gen, close), quit\n",
+              service.num_workers(), net::HypDbHandlers::VerbList().c_str());
   std::string line;
   while (std::printf("hypdb> "), std::fflush(stdout),
-         std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string cmd;
-    in >> cmd;
-    if (cmd.empty()) continue;
-    if (cmd == "quit" || cmd == "exit") break;
-
-    if (cmd == "load" || cmd == "gen") {
-      std::string name;
-      std::string src;
-      in >> name >> src;
-      if (name.empty() || src.empty()) {
-        std::printf("usage: %s <name> <%s>\n", cmd.c_str(),
-                    cmd == "load" ? "path.csv"
-                                  : "berkeley|flight|adult|staples|cancer");
-        continue;
-      }
-      StatusOr<int64_t> epoch =
-          cmd == "load" ? service.RegisterCsv(name, src) : [&] {
-            StatusOr<Table> table = net::GenerateNamedDataset(src);
-            if (!table.ok()) return StatusOr<int64_t>(table.status());
-            return StatusOr<int64_t>(
-                service.RegisterTable(name, MakeTable(std::move(*table))));
-          }();
-      if (!epoch.ok()) {
-        std::printf("error: %s\n", epoch.status().ToString().c_str());
-        continue;
-      }
-      auto table = service.Dataset(name);
-      std::printf("registered '%s' (epoch %lld, %lld rows, %d columns)\n",
-                  name.c_str(), static_cast<long long>(*epoch),
-                  static_cast<long long>((*table)->NumRows()),
-                  (*table)->NumColumns());
-      continue;
-    }
-
-    if (cmd == "append") {
-      std::string name;
-      in >> name;
-      std::vector<std::vector<std::string>> rows;
-      std::string token;
-      while (in >> token) rows.push_back(Split(token, ','));
-      if (name.empty() || rows.empty()) {
-        std::printf("usage: append <dataset> <label,label,...> "
-                    "[<label,...> ...]  (one token per row, schema column "
-                    "order)\n");
-        continue;
-      }
-      auto watermark = service.AppendRows(name, rows);
-      if (!watermark.ok()) {
-        std::printf("error: %s\n", watermark.status().ToString().c_str());
-        continue;
-      }
-      std::printf("appended %zu rows to '%s' (watermark %lld)\n",
-                  rows.size(), name.c_str(),
-                  static_cast<long long>(*watermark));
-      continue;
-    }
-
-    if (cmd == "analyze" || cmd == "submit") {
-      AnalyzeRequest request;
-      in >> request.dataset;
-      std::getline(in, request.sql);
-      if (request.dataset.empty() || Trim(request.sql).empty()) {
-        std::printf("usage: %s <dataset> <SELECT ...>\n", cmd.c_str());
-        continue;
-      }
-      if (cmd == "submit") {
-        std::printf("ticket %llu\n",
-                    static_cast<unsigned long long>(
-                        service.Submit(std::move(request))));
-        continue;
-      }
-      auto report = service.Analyze(std::move(request));
-      if (!report.ok()) {
-        std::printf("error: %s\n", report.status().ToString().c_str());
-        continue;
-      }
-      PrintServiceReport(*report);
-      continue;
-    }
-
-    if (cmd == "poll" || cmd == "wait" || cmd == "cancel") {
-      uint64_t ticket = 0;
-      in >> ticket;
-      if (ticket == 0) {
-        std::printf("usage: %s <ticket>\n", cmd.c_str());
-        continue;
-      }
-      if (cmd == "cancel") {
-        std::printf(service.Cancel(ticket)
-                        ? "ticket %llu: cancelled\n"
-                        : "ticket %llu: not cancellable (running, done, or "
-                          "unknown)\n",
-                    static_cast<unsigned long long>(ticket));
-        continue;
-      }
-      if (cmd == "poll" && !service.Done(ticket)) {
-        std::printf("ticket %llu: pending\n",
-                    static_cast<unsigned long long>(ticket));
-        continue;
-      }
-      auto report = service.Wait(ticket);
-      if (!report.ok()) {
-        std::printf("error: %s\n", report.status().ToString().c_str());
-        continue;
-      }
-      PrintServiceReport(*report);
-      continue;
-    }
-
-    if (cmd == "trace") {
-      uint64_t ticket = 0;
-      in >> ticket;
-      if (ticket == 0) {
-        std::printf("usage: trace <ticket>\n");
-        continue;
-      }
-      // Same Chrome-trace document GET /v1/requests/{id}/trace serves;
-      // pipe it to a file and open it in chrome://tracing.
-      auto stats = service.RequestTrace(ticket);
-      if (!stats.ok()) {
-        std::printf("error: %s\n", stats.status().ToString().c_str());
-        continue;
-      }
-      std::printf("%s\n",
-                  net::SerializeJson(net::ChromeTraceJson(*stats)).c_str());
-      continue;
-    }
-
-    if (cmd == "session") {
-      AnalyzeRequest request;
-      in >> request.dataset;
-      std::getline(in, request.sql);
-      if (request.dataset.empty() || Trim(request.sql).empty()) {
-        std::printf("usage: session <dataset> <SELECT ...>\n");
-        continue;
-      }
-      auto info = service.CreateSession(request);
-      if (!info.ok()) {
-        std::printf("error: %s\n", info.status().ToString().c_str());
-        continue;
-      }
-      std::printf("session %llu\n%s\n",
-                  static_cast<unsigned long long>(info->id),
-                  net::SerializeJson(net::ToJson(*info)).c_str());
-      continue;
-    }
-
-    if (cmd == "step") {
-      uint64_t session = 0;
-      std::string stage;
-      std::string context_token;
-      in >> session >> stage >> context_token;
-      if (session == 0 || stage.empty()) {
-        std::printf("usage: step <session> "
-                    "<answers|discover|detect|explain|rewrite|report> "
-                    "[context]\n");
-        continue;
-      }
-      std::optional<int> ctx;
-      if (!context_token.empty()) ctx = std::atoi(context_token.c_str());
-      auto report = service.AdvanceSession(session, stage, ctx);
-      if (!report.ok()) {
-        std::printf("error: %s\n", report.status().ToString().c_str());
-        continue;
-      }
-      if (stage == "report" || stage == "run") {
-        // The full analysis — same rendering as `analyze`.
-        PrintServiceReport(*report);
-      } else {
-        // The incremental stage body the wire protocol serves.
-        std::printf("%s\n",
-                    net::SerializeJson(net::SessionStageToJson(*report))
-                        .c_str());
-      }
-      continue;
-    }
-
-    if (cmd == "sessions") {
-      for (const SessionInfo& info : service.Sessions()) {
-        std::string stages;
-        for (const auto& s : info.stages) {
-          if (!stages.empty()) stages += " ";
-          stages += s.stage + (s.done ? "+" : "-");
-        }
-        std::printf("session %-4llu %-12s %s  %s\n",
-                    static_cast<unsigned long long>(info.id),
-                    info.dataset.c_str(),
-                    info.complete ? "complete  " : "in-progress",
-                    stages.c_str());
-      }
-      continue;
-    }
-
-    if (cmd == "close") {
-      uint64_t session = 0;
-      in >> session;
-      if (session == 0) {
-        std::printf("usage: close <session>\n");
-        continue;
-      }
-      Status closed = service.CloseSession(session);
-      std::printf(closed.ok() ? "session %llu: closed\n"
-                              : "session %llu: not found or gone\n",
-                  static_cast<unsigned long long>(session));
-      continue;
-    }
-
-    if (cmd == "datasets") {
-      for (const DatasetInfo& d : service.Datasets()) {
-        std::printf("%-16s epoch %lld  %lld rows  %d columns  %d shards  "
-                    "%lld chunks  watermark %lld\n",
-                    d.name.c_str(), static_cast<long long>(d.epoch),
-                    static_cast<long long>(d.rows), d.columns, d.shards,
-                    static_cast<long long>(d.chunks),
-                    static_cast<long long>(d.watermark));
-        std::printf("%-16s cache %lld/%lld cells (%lld pinned, %lld "
-                    "entries)  cube %lld cells  hit %.1f%%  evictions "
-                    "%lld\n",
-                    "", static_cast<long long>(d.cache.cached_cells),
-                    static_cast<long long>(d.cache.budget_cells),
-                    static_cast<long long>(d.cache.pinned_cells),
-                    static_cast<long long>(d.cache.entries),
-                    static_cast<long long>(d.cube_cells),
-                    d.cache_hit_ratio * 100.0,
-                    static_cast<long long>(d.evictions));
-      }
-      continue;
-    }
-
-    if (cmd == "stats") {
-      // Same body GET /v1/stats serves.
-      std::printf("%s\n",
-                  net::SerializeJson(net::ServiceStatsToJson(service))
-                      .c_str());
-      continue;
-    }
-
-    if (cmd == "metrics") {
-      // Same exposition GET /metrics serves.
-      std::printf("%s", RenderPrometheusText(
-                            service.metrics_registry().Snapshot())
-                            .c_str());
-      continue;
-    }
-
-    std::printf("unknown command '%s'\n", cmd.c_str());
+         std::getline(std::cin, line) && Trim(line) != "quit") {
+    std::fputs(handlers.HandleRepl(line).c_str(), stdout);
   }
   return 0;
 }
@@ -450,15 +215,20 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
     if (flag.rfind("--alpha=", 0) == 0) {
-      options.alpha = std::atof(flag.c_str() + 8);
+      if (!ParseFlagValue(flag, 0.0, 1.0, &options.alpha)) return 1;
     } else if (flag == "--no-mediators") {
       options.discover_mediators = false;
     } else if (flag == "--bounds") {
       bounds = true;
     } else if (flag.rfind("--threads=", 0) == 0) {
-      options.engine.scan_threads = std::atoi(flag.c_str() + 10);
+      if (!ParseFlagValue(flag, 0, INT_MAX, &options.engine.scan_threads)) {
+        return 1;
+      }
     } else if (flag.rfind("--morsel=", 0) == 0) {
-      options.engine.scan_morsel_rows = std::atoll(flag.c_str() + 9);
+      if (!ParseFlagValue(flag, int64_t{1}, INT64_MAX,
+                          &options.engine.scan_morsel_rows)) {
+        return 1;
+      }
     } else if (flag == "--no-simd") {
       options.engine.scan_simd = false;
     } else if (flag.rfind("--materialization=", 0) == 0) {
@@ -470,11 +240,11 @@ int main(int argc, char** argv) {
       }
       options.engine.materialization = *mode;
     } else if (flag.rfind("--workers=", 0) == 0) {
-      workers = std::atoi(flag.c_str() + 10);
+      if (!ParseFlagValue(flag, 0, INT_MAX, &workers)) return 1;
     } else if (flag == "--serve") {
       serve = true;
     } else if (flag.rfind("--listen=", 0) == 0) {
-      listen_port = std::atoi(flag.c_str() + 9);
+      if (!ParseFlagValue(flag, 0, 65535, &listen_port)) return 1;
     } else if (flag.rfind("--host=", 0) == 0) {
       host = flag.c_str() + 7;
     } else if (flag.rfind("--stats-log=", 0) == 0) {
@@ -482,12 +252,8 @@ int main(int argc, char** argv) {
     } else if (flag.rfind("--slow-query-log=", 0) == 0) {
       slow_log_spec = flag.c_str() + 17;
     } else if (flag.rfind("--trace=", 0) == 0) {
-      trace_level = std::atoi(flag.c_str() + 8);
+      if (!ParseFlagValue(flag, 0, 2, &trace_level)) return 1;
       trace_flag_given = true;
-      if (trace_level < 0 || trace_level > 2) {
-        std::fprintf(stderr, "--trace must be 0, 1, or 2\n");
-        return 1;
-      }
     } else if (flag.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return 1;
@@ -562,8 +328,10 @@ int main(int argc, char** argv) {
                      "(e.g. --slow-query-log=slow.jsonl,0.5)\n");
         return 1;
       }
-      slow_threshold = std::atof(slow_log_spec.c_str() + comma + 1);
-      if (slow_threshold <= 0.0) {
+      const std::string seconds = slow_log_spec.substr(comma + 1);
+      char* end = nullptr;
+      slow_threshold = std::strtod(seconds.c_str(), &end);
+      if (seconds.empty() || *end != '\0' || !(slow_threshold > 0.0)) {
         std::fprintf(stderr, "--slow-query-log threshold must be a "
                      "positive number of seconds\n");
         return 1;

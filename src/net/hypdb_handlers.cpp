@@ -1,6 +1,10 @@
 #include "net/hypdb_handlers.h"
 
-#include <cstdlib>
+#include <cctype>
+#include <charconv>
+#include <climits>
+#include <optional>
+#include <sstream>
 
 #include "datagen/adult_data.h"
 #include "datagen/berkeley_data.h"
@@ -14,7 +18,9 @@
 
 namespace hypdb {
 namespace net {
+namespace {
 
+/// HTTP status for a Status code (kOk -> 200, kNotFound -> 404, ...).
 int HttpStatusForCode(StatusCode code) {
   switch (code) {
     case StatusCode::kOk: return 200;
@@ -32,6 +38,8 @@ int HttpStatusForCode(StatusCode code) {
   return 500;
 }
 
+/// The table of a named built-in generator
+/// (berkeley|flight|adult|staples|cancer).
 StatusOr<Table> GenerateNamedDataset(const std::string& kind) {
   if (kind == "berkeley") return GenerateBerkeleyData();
   if (kind == "flight") return GenerateFlightData();
@@ -43,97 +51,156 @@ StatusOr<Table> GenerateNamedDataset(const std::string& kind) {
       "' (expected berkeley|flight|adult|staples|cancer)");
 }
 
+}  // namespace
+
+Reply::Reply(const Status& error)
+    : status(HttpStatusForCode(error.code())), body(ErrorToJson(error)) {}
+
+std::span<const HypDbHandlers::Command> HypDbHandlers::Commands() {
+  using H = HypDbHandlers;
+  static const Command kCommands[] = {
+      // Readiness: ok/workers/uptime/datasets/queue_depth/sessions/simd
+      // + build identity + per-dataset storage shape and cache occupancy.
+      {"health", "GET", "/healthz", kRouteHealthz, &H::Health, ""},
+      // Prometheus text over HTTP; ?format=json (and line-JSON) get the
+      // structured flavor with p50/95/99.
+      {"metrics", "GET", "/metrics?format=prometheus", kRouteMetrics,
+       &H::Metrics, "format"},
+      {"stats", "GET", "/v1/stats", kRouteStats, &H::Stats, ""},
+      {"datasets", "GET", "/v1/datasets", kRouteDatasets, &H::Datasets, ""},
+      // {"name", "csv"|"generator"}: register (or replace) a dataset.
+      {"register", "POST", "/v1/datasets", kRouteDatasets, &H::Register,
+       "name generator"},
+      {"analyze", "POST", "/v1/analyze", kRouteAnalyze, &H::Analyze,
+       "dataset *sql"},
+      {"submit", "POST", "/v1/submit", kRouteSubmit, &H::Submit,
+       "dataset *sql"},
+      {"poll", nullptr, nullptr, kRouteOther, &H::Poll, "#ticket"},
+      // Blocks and claims the result. Over HTTP it polls unless ?wait=1:
+      // 202 while pending, and the GET that sees it done claims it.
+      {"wait", "GET", "/v1/requests/{#ticket}?wait=0", kRouteRequests,
+       &H::Wait, "#ticket"},
+      // Drops a still-queued request, or asks a running session stage
+      // job to stop at its next stage boundary.
+      {"cancel", "DELETE", "/v1/requests/{#ticket}", kRouteRequests,
+       &H::Cancel, "#ticket"},
+      // 404 unknown/expired, 409 ran untraced.
+      {"trace", "GET", "/v1/requests/{#ticket}/trace?format", kRouteRequests,
+       &H::Trace, "#ticket format"},
+      {"session", "POST", "/v1/sessions", kRouteSessions, &H::SessionCreate,
+       "dataset *sql"},
+      // Stage bodies are optional: {"context"?, "deadline_seconds"?}.
+      {"step", "POST", "/v1/sessions/{#session}/{stage}", kRouteSessions,
+       &H::SessionStep, "#session stage #context"},
+      {"sessions", "GET", "/v1/sessions", kRouteSessions, &H::SessionList,
+       ""},
+      // The full report + digest once the session is complete.
+      {"session_info", "GET", "/v1/sessions/{#session}", kRouteSessions,
+       &H::SessionInspect, "#session"},
+      {"session_close", "DELETE", "/v1/sessions/{#session}", kRouteSessions,
+       &H::SessionClose, "#session"},
+      // {"rows": [["label",...],...]} in schema column order; no epoch
+      // bump. A body "name" must match the path.
+      {"append", "POST", "/v1/datasets/{name}/rows", kRouteIngest,
+       &H::Append, "name +rows"},
+  };
+  return kCommands;
+}
+
+std::string HypDbHandlers::VerbList() {
+  std::string out;
+  for (const Command& c : Commands()) {
+    out += (out.empty() ? "" : "|") + std::string(c.verb);
+  }
+  return out;
+}
+
 namespace {
 
-/// Splits "/v1/requests/7?wait=1" into path and a query-parameter check.
-struct Target {
-  std::string path;
-  std::string query;
-
-  bool HasParam(const std::string& name) const {
-    for (const std::string& param : Split(query, '&')) {
-      const size_t eq = param.find('=');
-      const std::string key =
-          eq == std::string::npos ? param : param.substr(0, eq);
-      const std::string value =
-          eq == std::string::npos ? "" : param.substr(eq + 1);
-      if (key == name && value != "0" && value != "false") return true;
-    }
-    return false;
+const HypDbHandlers::Command* FindCommand(const std::string& verb) {
+  for (const HypDbHandlers::Command& c : HypDbHandlers::Commands()) {
+    if (verb == c.verb) return &c;
   }
+  return nullptr;
+}
 
-  /// Value of the first `name=value` parameter; "" when absent.
-  std::string ParamValue(const std::string& name) const {
+/// Binds one path segment or REPL word under `spec`: "#key" as an
+/// integer when the text is one (otherwise as the string, which the
+/// handler then rejects), "key" as a string.
+void Bind(std::string_view spec, std::string_view text, JsonValue* params) {
+  if (spec.front() != '#') {
+    params->Set(std::string(spec), JsonValue::Str(std::string(text)));
+    return;
+  }
+  int64_t value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  params->Set(std::string(spec.substr(1)),
+              error == std::errc() && end == text.data() + text.size()
+                  ? JsonValue::Int(value)
+                  : JsonValue::Str(std::string(text)));
+}
+
+/// Matches `path` against a row's path pattern segment by segment,
+/// binding each non-empty {spec} segment into `params`.
+bool MatchPath(std::string_view pattern, std::string_view path,
+               JsonValue* params) {
+  while (!pattern.empty() && !path.empty()) {
+    const std::string_view want = pattern.substr(0, pattern.find('/', 1));
+    const std::string_view got = path.substr(0, path.find('/', 1));
+    if (want.size() > 3 && want[1] == '{') {
+      if (got.size() < 2) return false;
+      Bind(want.substr(2, want.size() - 3), got.substr(1), params);
+    } else if (want != got) {
+      return false;
+    }
+    pattern.remove_prefix(want.size());
+    path.remove_prefix(got.size());
+  }
+  return pattern.empty() && path.empty();
+}
+
+/// Binds the query parameters a row declares ("name" or "name=default",
+/// '&'-separated) from the request's query string; undeclared ones are
+/// ignored.
+void BindQuery(const std::string& declared, const std::string& query,
+               JsonValue* params) {
+  for (const std::string& decl : Split(declared, '&')) {
+    const size_t eq = decl.find('=');
+    const std::string key = decl.substr(0, eq);
+    std::optional<std::string> value;
+    if (eq != std::string::npos) value = decl.substr(eq + 1);
     for (const std::string& param : Split(query, '&')) {
-      const size_t eq = param.find('=');
-      if (eq != std::string::npos && param.substr(0, eq) == name) {
-        return param.substr(eq + 1);
+      const size_t sep = param.find('=');
+      if (param.substr(0, sep) == key) {
+        value = sep == std::string::npos ? "" : param.substr(sep + 1);
+        break;
       }
     }
-    return "";
+    if (value.has_value()) params->Set(key, JsonValue::Str(*value));
   }
-};
-
-Target SplitTarget(const std::string& target) {
-  const size_t question = target.find('?');
-  if (question == std::string::npos) return {target, ""};
-  return {target.substr(0, question), target.substr(question + 1)};
 }
 
-StatusOr<uint64_t> ParseId(const std::string& id) {
-  if (id.empty() || id.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::InvalidArgument("malformed request id '" + id + "'");
+/// A positive integer id member ("ticket", "session").
+StatusOr<uint64_t> IdParam(const JsonValue& params, const std::string& key) {
+  const JsonValue* id = params.Find(key);
+  if (id == nullptr || !id->is_int() || id->int_value() <= 0) {
+    return Status::InvalidArgument("expected a positive integer \"" + key +
+                                   "\" member");
   }
-  errno = 0;
-  const uint64_t ticket = std::strtoull(id.c_str(), nullptr, 10);
-  if (errno != 0 || ticket == 0) {
-    return Status::InvalidArgument("request id out of range: " + id);
-  }
-  return ticket;
+  return static_cast<uint64_t>(id->int_value());
 }
 
-/// ASSIGN_OR_RETURN for HttpResponse-returning routing code: failures
-/// become the mapped 4xx/5xx error response instead of a Status.
-#define HYPDB_ASSIGN_OR_RETURN_HTTP(lhs, rexpr)                    \
-  HYPDB_ASSIGN_OR_RETURN_HTTP_IMPL_(                               \
-      HYPDB_STATUS_CONCAT_(_http_statusor_, __LINE__), lhs, rexpr)
-#define HYPDB_ASSIGN_OR_RETURN_HTTP_IMPL_(tmp, lhs, rexpr) \
-  auto tmp = (rexpr);                                      \
-  if (!tmp.ok()) return ErrorResponse(tmp.status());       \
-  lhs = std::move(tmp).value()
-
-StatusOr<uint64_t> TicketFromJson(const JsonValue& body) {
-  const JsonValue* ticket = body.Find("ticket");
-  if (ticket == nullptr || !ticket->is_int() || ticket->int_value() <= 0) {
-    return Status::InvalidArgument(
-        "expected a positive integer \"ticket\" member");
-  }
-  return static_cast<uint64_t>(ticket->int_value());
+JsonValue PollBody(uint64_t ticket, bool done) {
+  JsonValue out = JsonValue::MakeObject();
+  out.Set("ticket", JsonValue::Int(static_cast<int64_t>(ticket)));
+  out.Set("done", JsonValue::Bool(done));
+  return out;
 }
 
 }  // namespace
 
-HttpResponse HypDbHandlers::JsonResponse(int status,
-                                         const JsonValue& body) const {
-  HttpResponse response;
-  response.status = status;
-  Stopwatch watch;
-  response.body = SerializeJson(body);
-  serialize_.Observe(watch.ElapsedSeconds());
-  return response;
-}
-
-HttpResponse HypDbHandlers::ErrorResponse(const Status& status) const {
-  return JsonResponse(HttpStatusForCode(status.code()), ErrorToJson(status));
-}
-
-HttpResponse HypDbHandlers::ResultResponse(
-    const StatusOr<JsonValue>& result) const {
-  if (!result.ok()) return ErrorResponse(result.status());
-  return JsonResponse(200, *result);
-}
-
-JsonValue HypDbHandlers::Healthz() const {
+Reply HypDbHandlers::Health(const JsonValue&) {
   JsonValue out = JsonValue::MakeObject();
   out.Set("ok", JsonValue::Bool(true));
   out.Set("workers", JsonValue::Int(service_->num_workers()));
@@ -173,9 +240,34 @@ JsonValue HypDbHandlers::Healthz() const {
   return out;
 }
 
-StatusOr<JsonValue> HypDbHandlers::Register(const JsonValue& body) {
+Reply HypDbHandlers::Metrics(const JsonValue& params) {
+  const MetricsSnapshot snapshot = service_->metrics_registry().Snapshot();
+  const JsonValue* format = params.Find("format");
+  if (format == nullptr ||
+      (format->is_string() && format->string_value() == "json")) {
+    return MetricsToJson(snapshot);
+  }
+  Stopwatch render;
+  Reply text(JsonValue::Str(RenderPrometheusText(snapshot)));
+  serialize_.Observe(render.ElapsedSeconds());
+  return text;
+}
+
+Reply HypDbHandlers::Stats(const JsonValue&) {
+  return ServiceStatsToJson(*service_);
+}
+
+Reply HypDbHandlers::Datasets(const JsonValue&) {
+  JsonValue out = JsonValue::MakeArray();
+  for (const DatasetInfo& info : service_->Datasets()) {
+    out.Append(ToJson(info));
+  }
+  return out;
+}
+
+Reply HypDbHandlers::Register(const JsonValue& params) {
   HYPDB_ASSIGN_OR_RETURN(RegisterCommand command,
-                         RegisterCommandFromJson(body));
+                         RegisterCommandFromJson(params));
   int64_t epoch = 0;
   if (!command.csv_path.empty()) {
     HYPDB_ASSIGN_OR_RETURN(
@@ -195,17 +287,8 @@ StatusOr<JsonValue> HypDbHandlers::Register(const JsonValue& body) {
   return out;
 }
 
-StatusOr<JsonValue> HypDbHandlers::Append(const JsonValue& body,
-                                          const std::string& path_name) {
-  HYPDB_ASSIGN_OR_RETURN(AppendCommand command, AppendCommandFromJson(body));
-  if (!path_name.empty()) {
-    if (!command.name.empty() && command.name != path_name) {
-      return Status::InvalidArgument(
-          "body \"name\" '" + command.name +
-          "' does not match the URL dataset '" + path_name + "'");
-    }
-    command.name = path_name;
-  }
+Reply HypDbHandlers::Append(const JsonValue& params) {
+  HYPDB_ASSIGN_OR_RETURN(AppendCommand command, AppendCommandFromJson(params));
   if (command.name.empty()) {
     return Status::InvalidArgument(
         "append requires a dataset \"name\"");
@@ -219,10 +302,10 @@ StatusOr<JsonValue> HypDbHandlers::Append(const JsonValue& body,
   return out;
 }
 
-StatusOr<JsonValue> HypDbHandlers::Analyze(const JsonValue& body) {
+Reply HypDbHandlers::Analyze(const JsonValue& params) {
   HYPDB_ASSIGN_OR_RETURN(
       WireAnalyzeRequest wire,
-      AnalyzeRequestFromJson(body, service_->options().analysis));
+      AnalyzeRequestFromJson(params, service_->options().analysis));
   // Submit + Wait rather than the sync facade so deadlines apply to
   // synchronous requests too.
   const uint64_t ticket =
@@ -231,10 +314,10 @@ StatusOr<JsonValue> HypDbHandlers::Analyze(const JsonValue& body) {
   return ToJson(report);
 }
 
-StatusOr<JsonValue> HypDbHandlers::Submit(const JsonValue& body) {
+Reply HypDbHandlers::Submit(const JsonValue& params) {
   HYPDB_ASSIGN_OR_RETURN(
       WireAnalyzeRequest wire,
-      AnalyzeRequestFromJson(body, service_->options().analysis));
+      AnalyzeRequestFromJson(params, service_->options().analysis));
   const uint64_t ticket =
       service_->Submit(std::move(wire.request), wire.submit);
   JsonValue out = JsonValue::MakeObject();
@@ -242,59 +325,77 @@ StatusOr<JsonValue> HypDbHandlers::Submit(const JsonValue& body) {
   return out;
 }
 
-StatusOr<JsonValue> HypDbHandlers::Poll(uint64_t ticket) {
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("ticket", JsonValue::Int(static_cast<int64_t>(ticket)));
-  out.Set("done", JsonValue::Bool(service_->Done(ticket)));
-  return out;
+Reply HypDbHandlers::Poll(const JsonValue& params) {
+  HYPDB_ASSIGN_OR_RETURN(uint64_t ticket, IdParam(params, "ticket"));
+  return PollBody(ticket, service_->Done(ticket));
 }
 
-StatusOr<JsonValue> HypDbHandlers::WaitFor(uint64_t ticket) {
+Reply HypDbHandlers::Wait(const JsonValue& params) {
+  HYPDB_ASSIGN_OR_RETURN(uint64_t ticket, IdParam(params, "ticket"));
+  // The HTTP route binds ?wait, "0" unless given: "0" or "false" polls,
+  // answering 202 while the request is pending.
+  const JsonValue* wait = params.Find("wait");
+  if (wait != nullptr &&
+      (*wait == JsonValue::Str("0") || *wait == JsonValue::Str("false")) &&
+      !service_->Done(ticket)) {
+    return Reply(PollBody(ticket, false), 202);
+  }
   HYPDB_ASSIGN_OR_RETURN(ServiceReport report, service_->Wait(ticket));
   return ToJson(report);
 }
 
-StatusOr<JsonValue> HypDbHandlers::SessionCreate(const JsonValue& body) {
+Reply HypDbHandlers::SessionCreate(const JsonValue& params) {
   HYPDB_ASSIGN_OR_RETURN(
       WireAnalyzeRequest wire,
-      AnalyzeRequestFromJson(body, service_->options().analysis));
+      AnalyzeRequestFromJson(params, service_->options().analysis));
   HYPDB_ASSIGN_OR_RETURN(SessionInfo info,
                          service_->CreateSession(wire.request));
-  return ToJson(info);
+  return Reply(ToJson(info), 201);
 }
 
-StatusOr<JsonValue> HypDbHandlers::SessionStep(uint64_t session,
-                                               const std::string& stage,
-                                               const JsonValue& body) {
+Reply HypDbHandlers::SessionStep(const JsonValue& params) {
+  HYPDB_ASSIGN_OR_RETURN(uint64_t session, IdParam(params, "session"));
+  const JsonValue* stage = params.Find("stage");
+  if (stage == nullptr || !stage->is_string()) {
+    return Status::InvalidArgument(
+        "expected a string \"stage\" member (answers|discover|detect|"
+        "explain|rewrite|report)");
+  }
   std::optional<int> context;
   SubmitOptions submit;
-  if (body.is_object()) {
-    // Strict like every other wire body: only the step parameters are
-    // legal here (HandleLine strips its cmd/session/stage envelope
-    // members before delegating).
-    for (const auto& [key, value] : body.members()) {
-      if (key == "context" && value.is_int()) {
-        context = static_cast<int>(value.int_value());
-      } else if (key == "deadline_seconds" && value.is_number()) {
-        submit.deadline_seconds = value.number_value();
-      } else {
+  // Strict like every other wire body: only the step parameters are
+  // legal here.
+  for (const auto& [key, value] : params.members()) {
+    if (key == "cmd" || key == "session" || key == "stage") continue;
+    if (key == "context") {
+      if (!value.is_int() || value.int_value() < 0 ||
+          value.int_value() > INT_MAX) {
         return Status::InvalidArgument(
-            "unknown or mistyped step member \"" + key + "\"");
+            "\"context\" must be an integer in [0, " +
+            std::to_string(INT_MAX) + "]");
       }
+      context = static_cast<int>(value.int_value());
+    } else if (key == "deadline_seconds" && value.is_number()) {
+      submit.deadline_seconds = value.number_value();
+    } else {
+      return Status::InvalidArgument(
+          "unknown or mistyped step member \"" + key + "\"");
     }
-  } else if (!body.is_null()) {
-    return Status::InvalidArgument("step body must be a JSON object");
   }
   HYPDB_ASSIGN_OR_RETURN(
       ServiceReport report,
-      service_->AdvanceSession(session, stage, context, submit));
+      service_->AdvanceSession(session, stage->string_value(), context,
+                               submit));
   // The "report" stage is the full analysis: answer with the same body
   // /v1/analyze serves (digest-comparable by any client).
-  if (stage == "report" || stage == "run") return ToJson(report);
+  if (stage->string_value() == "report" || stage->string_value() == "run") {
+    return ToJson(report);
+  }
   return SessionStageToJson(report);
 }
 
-StatusOr<JsonValue> HypDbHandlers::SessionInspect(uint64_t session) {
+Reply HypDbHandlers::SessionInspect(const JsonValue& params) {
+  HYPDB_ASSIGN_OR_RETURN(uint64_t session, IdParam(params, "session"));
   HYPDB_ASSIGN_OR_RETURN(SessionInfo info,
                          service_->InspectSession(session));
   JsonValue out = ToJson(info);
@@ -306,7 +407,8 @@ StatusOr<JsonValue> HypDbHandlers::SessionInspect(uint64_t session) {
   return out;
 }
 
-StatusOr<JsonValue> HypDbHandlers::SessionClose(uint64_t session) {
+Reply HypDbHandlers::SessionClose(const JsonValue& params) {
+  HYPDB_ASSIGN_OR_RETURN(uint64_t session, IdParam(params, "session"));
   HYPDB_RETURN_IF_ERROR(service_->CloseSession(session));
   JsonValue out = JsonValue::MakeObject();
   out.Set("session", JsonValue::Int(static_cast<int64_t>(session)));
@@ -314,7 +416,7 @@ StatusOr<JsonValue> HypDbHandlers::SessionClose(uint64_t session) {
   return out;
 }
 
-JsonValue HypDbHandlers::SessionList() {
+Reply HypDbHandlers::SessionList(const JsonValue&) {
   JsonValue out = JsonValue::MakeArray();
   for (const SessionInfo& info : service_->Sessions()) {
     out.Append(ToJson(info));
@@ -322,7 +424,8 @@ JsonValue HypDbHandlers::SessionList() {
   return out;
 }
 
-StatusOr<JsonValue> HypDbHandlers::Cancel(uint64_t ticket) {
+Reply HypDbHandlers::Cancel(const JsonValue& params) {
+  HYPDB_ASSIGN_OR_RETURN(uint64_t ticket, IdParam(params, "ticket"));
   if (!service_->Cancel(ticket)) {
     if (service_->Done(ticket)) {
       return Status::FailedPrecondition(
@@ -339,322 +442,197 @@ StatusOr<JsonValue> HypDbHandlers::Cancel(uint64_t ticket) {
   return out;
 }
 
-StatusOr<JsonValue> HypDbHandlers::RequestTrace(uint64_t ticket,
-                                                bool chrome) {
+Reply HypDbHandlers::Trace(const JsonValue& params) {
+  HYPDB_ASSIGN_OR_RETURN(uint64_t ticket, IdParam(params, "ticket"));
+  const JsonValue* format = params.Find("format");
+  if (format != nullptr &&
+      (!format->is_string() || (format->string_value() != "chrome" &&
+                                format->string_value() != "raw"))) {
+    return Status::InvalidArgument(
+        "trace \"format\" must be \"chrome\" or \"raw\"");
+  }
   HYPDB_ASSIGN_OR_RETURN(RequestStats stats,
                          service_->RequestTrace(ticket));
-  return chrome ? ChromeTraceJson(stats) : ToJson(stats);
+  if (format != nullptr && format->string_value() == "raw") {
+    return ToJson(stats);
+  }
+  return ChromeTraceJson(stats);
 }
 
-HypDbHandlers::Route HypDbHandlers::ClassifyRoute(const std::string& target) {
-  const std::string path = target.substr(0, target.find('?'));
-  if (path == "/healthz") return kRouteHealthz;
-  if (path == "/metrics") return kRouteMetrics;
-  if (path == "/v1/stats") return kRouteStats;
-  if (path == "/v1/datasets") return kRouteDatasets;
-  if (path.rfind("/v1/datasets/", 0) == 0) return kRouteIngest;
-  if (path == "/v1/analyze") return kRouteAnalyze;
-  if (path == "/v1/submit") return kRouteSubmit;
-  if (path.rfind("/v1/requests/", 0) == 0) return kRouteRequests;
-  if (path == "/v1/sessions" || path.rfind("/v1/sessions/", 0) == 0) {
-    return kRouteSessions;
+Reply HypDbHandlers::Call(const JsonValue& params) {
+  const JsonValue* cmd = params.Find("cmd");
+  if (cmd == nullptr || !cmd->is_string()) {
+    return Status::InvalidArgument("expected a string \"cmd\" member (" +
+                                   VerbList() + ")");
   }
-  return kRouteOther;
+  const Command* command = FindCommand(cmd->string_value());
+  if (command == nullptr) {
+    return Status::InvalidArgument("unknown cmd \"" + cmd->string_value() +
+                                   "\" (expected " + VerbList() + ")");
+  }
+  return (this->*command->run)(params);
+}
+
+void HypDbHandlers::Count(Route route, int status, double seconds) const {
+  RouteMetrics& m = routes_[route];
+  (status >= 500   ? m.server_error
+   : status >= 400 ? m.client_error
+                   : m.ok)
+      .Add();
+  m.latency.Observe(seconds);
 }
 
 HttpResponse HypDbHandlers::HandleHttp(const HttpRequest& request) {
   Stopwatch watch;
-  const Route route = ClassifyRoute(request.target);
-  HttpResponse response = RouteHttp(request);
+  const size_t question = request.target.find('?');
+  const std::string path = request.target.substr(0, question);
+  const std::string query =
+      question == std::string::npos ? "" : request.target.substr(question + 1);
+  // The dispatched row, else the first whose path matches.
+  const Command* known = nullptr;
+  Reply reply = [&]() -> Reply {
+    std::string methods;  // what the matched path accepts
+    for (const Command& c : Commands()) {
+      if (c.method == nullptr) continue;
+      const std::string_view pattern = c.path;
+      const size_t declared = pattern.find('?');
+      JsonValue bound = JsonValue::MakeObject();
+      if (!MatchPath(pattern.substr(0, declared), path, &bound)) continue;
+      if (request.method != c.method) {
+        if (known == nullptr) known = &c;
+        methods += (methods.empty() ? "" : " or ") + std::string(c.method);
+        continue;
+      }
+      known = &c;
+      if (declared != std::string_view::npos) {
+        BindQuery(std::string(pattern.substr(declared + 1)), query, &bound);
+      }
+      // POST bodies are the params; an empty body is an empty object.
+      JsonValue params = JsonValue::MakeObject();
+      if (request.method == "POST" && !request.body.empty()) {
+        HYPDB_ASSIGN_OR_RETURN(params, ParseJson(request.body));
+        if (!params.is_object()) {
+          return Status::InvalidArgument(
+              "request body must be a JSON object");
+        }
+      }
+      for (auto& [key, value] : bound.members()) {
+        const JsonValue* given = params.Find(key);
+        if (given != nullptr && *given != value) {
+          return Status::InvalidArgument("body \"" + key +
+                                         "\" does not match the URL " + path);
+        }
+        params.Set(key, std::move(value));
+      }
+      return (this->*c.run)(params);
+    }
+    if (known != nullptr) {
+      return Status::InvalidArgument("use " + methods + " " + path);
+    }
+    return Status::NotFound("no route for " + request.method + " " + path);
+  }();
+
+  HttpResponse response;
+  response.status = reply.status;
+  if (reply.body.is_string()) {
+    response.content_type = "text/plain; version=0.0.4; charset=utf-8";
+    response.body = reply.body.string_value();
+  } else {
+    Stopwatch serialize;
+    response.body = SerializeJson(reply.body);
+    serialize_.Observe(serialize.ElapsedSeconds());
+  }
   // Count after the body is built: a /metrics scrape never includes
   // itself, so a client can assert exact counts against what it sent.
-  RouteMetrics& m = routes_[route];
-  (response.status >= 500   ? m.server_error
-   : response.status >= 400 ? m.client_error
-                            : m.ok)
-      .Add();
-  m.latency.Observe(watch.ElapsedSeconds());
+  Count(known != nullptr ? known->route : kRouteOther, response.status,
+        watch.ElapsedSeconds());
   return response;
-}
-
-HttpResponse HypDbHandlers::RouteHttp(const HttpRequest& request) {
-  const Target target = SplitTarget(request.target);
-
-  if (target.path == "/healthz") {
-    if (request.method != "GET") {
-      return ErrorResponse(Status::InvalidArgument("use GET /healthz"));
-    }
-    return JsonResponse(200, Healthz());
-  }
-
-  if (target.path == "/metrics") {
-    if (request.method != "GET") {
-      return ErrorResponse(Status::InvalidArgument("use GET /metrics"));
-    }
-    const MetricsSnapshot snapshot = service_->metrics_registry().Snapshot();
-    if (target.ParamValue("format") == "json") {
-      return JsonResponse(200, MetricsToJson(snapshot));
-    }
-    HttpResponse response;
-    response.status = 200;
-    response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    Stopwatch render;
-    response.body = RenderPrometheusText(snapshot);
-    serialize_.Observe(render.ElapsedSeconds());
-    return response;
-  }
-
-  if (target.path == "/v1/stats") {
-    if (request.method != "GET") {
-      return ErrorResponse(Status::InvalidArgument("use GET /v1/stats"));
-    }
-    return JsonResponse(200, ServiceStatsToJson(*service_));
-  }
-
-  if (target.path == "/v1/datasets") {
-    if (request.method == "GET") {
-      JsonValue out = JsonValue::MakeArray();
-      for (const DatasetInfo& info : service_->Datasets()) {
-        out.Append(ToJson(info));
-      }
-      return JsonResponse(200, out);
-    }
-    if (request.method == "POST") {
-      HYPDB_ASSIGN_OR_RETURN_HTTP(JsonValue body, ParseJson(request.body));
-      return ResultResponse(Register(body));
-    }
-    return ErrorResponse(
-        Status::InvalidArgument("use GET or POST /v1/datasets"));
-  }
-
-  const std::string kDatasets = "/v1/datasets/";
-  if (target.path.rfind(kDatasets, 0) == 0) {
-    const std::string rest = target.path.substr(kDatasets.size());
-    const size_t slash = rest.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        rest.substr(slash + 1) != "rows") {
-      // The only dataset sub-resource is the append endpoint.
-      return ErrorResponse(Status::NotFound(
-          "no route for " + request.method + " " + target.path));
-    }
-    if (request.method != "POST") {
-      return ErrorResponse(
-          Status::InvalidArgument("use POST " + target.path));
-    }
-    HYPDB_ASSIGN_OR_RETURN_HTTP(JsonValue body, ParseJson(request.body));
-    return ResultResponse(Append(body, rest.substr(0, slash)));
-  }
-
-  if (target.path == "/v1/analyze" || target.path == "/v1/submit") {
-    if (request.method != "POST") {
-      return ErrorResponse(
-          Status::InvalidArgument("use POST " + target.path));
-    }
-    HYPDB_ASSIGN_OR_RETURN_HTTP(JsonValue body, ParseJson(request.body));
-    return ResultResponse(target.path == "/v1/analyze" ? Analyze(body)
-                                                       : Submit(body));
-  }
-
-  if (target.path == "/v1/sessions") {
-    if (request.method == "GET") return JsonResponse(200, SessionList());
-    if (request.method == "POST") {
-      HYPDB_ASSIGN_OR_RETURN_HTTP(JsonValue body, ParseJson(request.body));
-      StatusOr<JsonValue> created = SessionCreate(body);
-      if (!created.ok()) return ErrorResponse(created.status());
-      return JsonResponse(201, *created);
-    }
-    return ErrorResponse(
-        Status::InvalidArgument("use GET or POST /v1/sessions"));
-  }
-
-  const std::string kSessions = "/v1/sessions/";
-  if (target.path.rfind(kSessions, 0) == 0) {
-    const std::string rest = target.path.substr(kSessions.size());
-    const size_t slash = rest.find('/');
-    if (slash == std::string::npos) {
-      HYPDB_ASSIGN_OR_RETURN_HTTP(uint64_t session, ParseId(rest));
-      if (request.method == "GET") {
-        return ResultResponse(SessionInspect(session));
-      }
-      if (request.method == "DELETE") {
-        return ResultResponse(SessionClose(session));
-      }
-      return ErrorResponse(
-          Status::InvalidArgument("use GET or DELETE " + target.path));
-    }
-    HYPDB_ASSIGN_OR_RETURN_HTTP(uint64_t session,
-                                ParseId(rest.substr(0, slash)));
-    const std::string stage = rest.substr(slash + 1);
-    if (stage.empty() || stage.find('/') != std::string::npos) {
-      return ErrorResponse(Status::InvalidArgument(
-          "use POST /v1/sessions/{id}/{stage}"));
-    }
-    if (request.method != "POST") {
-      return ErrorResponse(
-          Status::InvalidArgument("use POST " + target.path));
-    }
-    JsonValue body;  // stage bodies are optional
-    if (!request.body.empty()) {
-      HYPDB_ASSIGN_OR_RETURN_HTTP(body, ParseJson(request.body));
-    }
-    return ResultResponse(SessionStep(session, stage, body));
-  }
-
-  const std::string kRequests = "/v1/requests/";
-  if (target.path.rfind(kRequests, 0) == 0) {
-    std::string rest = target.path.substr(kRequests.size());
-    const size_t slash = rest.find('/');
-    if (slash != std::string::npos) {
-      // The only sub-resource is the execution trace.
-      if (rest.substr(slash + 1) != "trace") {
-        return ErrorResponse(Status::NotFound(
-            "no route for " + request.method + " " + target.path));
-      }
-      HYPDB_ASSIGN_OR_RETURN_HTTP(uint64_t ticket,
-                                  ParseId(rest.substr(0, slash)));
-      if (request.method != "GET") {
-        return ErrorResponse(
-            Status::InvalidArgument("use GET " + target.path));
-      }
-      const std::string format = target.ParamValue("format");
-      if (!format.empty() && format != "chrome" && format != "raw") {
-        return ErrorResponse(Status::InvalidArgument(
-            "unknown trace format '" + format +
-            "' (expected chrome|raw)"));
-      }
-      return ResultResponse(RequestTrace(ticket, format != "raw"));
-    }
-    HYPDB_ASSIGN_OR_RETURN_HTTP(uint64_t ticket, ParseId(rest));
-    if (request.method == "DELETE") return ResultResponse(Cancel(ticket));
-    if (request.method == "GET") {
-      // Poll unless told to block. The GET that sees done=true (or
-      // ?wait=1) claims the result — claim-once, like Wait().
-      if (!target.HasParam("wait") && !service_->Done(ticket)) {
-        JsonValue pending = JsonValue::MakeObject();
-        pending.Set("ticket", JsonValue::Int(static_cast<int64_t>(ticket)));
-        pending.Set("done", JsonValue::Bool(false));
-        return JsonResponse(202, pending);
-      }
-      return ResultResponse(WaitFor(ticket));
-    }
-    return ErrorResponse(
-        Status::InvalidArgument("use GET or DELETE " + target.path));
-  }
-
-  return ErrorResponse(
-      Status::NotFound("no route for " + request.method + " " +
-                       target.path));
 }
 
 std::string HypDbHandlers::HandleLine(const std::string& line) {
   Stopwatch watch;
-  const auto envelope = [this, &watch](StatusOr<JsonValue> result) {
-    JsonValue out = JsonValue::MakeObject();
-    RouteMetrics& m = routes_[kRouteLine];
-    if (result.ok()) {
-      out.Set("ok", JsonValue::Bool(true));
-      out.Set("result", std::move(*result));
-      m.ok.Add();
-    } else {
-      out.Set("ok", JsonValue::Bool(false));
-      out.Set("error", ErrorToJson(result.status()));
-      (HttpStatusForCode(result.status().code()) >= 500 ? m.server_error
-                                                        : m.client_error)
-          .Add();
-    }
-    m.latency.Observe(watch.ElapsedSeconds());
-    Stopwatch serialize;
-    std::string text = SerializeJson(out);
-    serialize_.Observe(serialize.ElapsedSeconds());
-    return text;
-  };
+  StatusOr<JsonValue> params = ParseJson(line);
+  Reply reply = params.ok() ? Call(*params) : Reply(params.status());
+  const bool ok = reply.status < 400;
+  JsonValue out = JsonValue::MakeObject();
+  out.Set("ok", JsonValue::Bool(ok));
+  out.Set(ok ? "result" : "error", std::move(reply.body));
+  Count(kRouteLine, reply.status, watch.ElapsedSeconds());
+  Stopwatch serialize;
+  std::string text = SerializeJson(out);
+  serialize_.Observe(serialize.ElapsedSeconds());
+  return text;
+}
 
-  auto parsed = ParseJson(line);
-  if (!parsed.ok()) return envelope(parsed.status());
-  const JsonValue& body = *parsed;
-  const JsonValue* cmd = body.Find("cmd");
-  if (cmd == nullptr || !cmd->is_string()) {
-    return envelope(Status::InvalidArgument(
-        "expected a string \"cmd\" member (register|append|datasets|"
-        "analyze|submit|poll|wait|cancel|trace|session|step|sessions|"
-        "session_info|session_close|stats|health|metrics)"));
-  }
-  const std::string& verb = cmd->string_value();
-
-  const auto session_id = [&body]() -> StatusOr<uint64_t> {
-    const JsonValue* session = body.Find("session");
-    if (session == nullptr || !session->is_int() ||
-        session->int_value() <= 0) {
-      return Status::InvalidArgument(
-          "expected a positive integer \"session\" member");
+StatusOr<JsonValue> ParseReplLine(const std::string& line) {
+  // REPL-only spellings of two verbs.
+  static constexpr struct {
+    const char* word;
+    const char* verb;
+    const char* args;
+  } kAliases[] = {{"load", "register", "name csv"},
+                  {"gen", "register", "name generator"},
+                  {"close", "session_close", "#session"}};
+  std::istringstream in(line);
+  std::string word;
+  in >> word;
+  JsonValue params = JsonValue::MakeObject();
+  params.Set("cmd", JsonValue::Str(word));
+  const char* args = nullptr;
+  for (const auto& alias : kAliases) {
+    if (word == alias.word) {
+      params.Set("cmd", JsonValue::Str(alias.verb));
+      args = alias.args;
     }
-    return static_cast<uint64_t>(session->int_value());
-  };
-
-  if (verb == "health") return envelope(Healthz());
-  if (verb == "metrics") {
-    return envelope(MetricsToJson(service_->metrics_registry().Snapshot()));
   }
-  if (verb == "stats") return envelope(ServiceStatsToJson(*service_));
-  if (verb == "datasets") {
-    JsonValue out = JsonValue::MakeArray();
-    for (const DatasetInfo& info : service_->Datasets()) {
-      out.Append(ToJson(info));
-    }
-    return envelope(std::move(out));
+  for (const HypDbHandlers::Command& c : HypDbHandlers::Commands()) {
+    if (word == c.verb) args = c.repl;
   }
-  if (verb == "register") return envelope(Register(body));
-  if (verb == "append") return envelope(Append(body));
-  if (verb == "analyze") return envelope(Analyze(body));
-  if (verb == "submit") return envelope(Submit(body));
-  if (verb == "poll" || verb == "wait" || verb == "cancel" ||
-      verb == "trace") {
-    auto ticket = TicketFromJson(body);
-    if (!ticket.ok()) return envelope(ticket.status());
-    if (verb == "poll") return envelope(Poll(*ticket));
-    if (verb == "wait") return envelope(WaitFor(*ticket));
-    if (verb == "trace") {
-      const JsonValue* format = body.Find("format");
-      if (format != nullptr &&
-          (!format->is_string() ||
-           (format->string_value() != "chrome" &&
-            format->string_value() != "raw"))) {
-        return envelope(Status::InvalidArgument(
-            "\"format\" must be \"chrome\" or \"raw\""));
+  if (args == nullptr) return params;  // Call names the unknown verb
+  std::string usage = word;
+  for (const std::string& spec : Split(args, ' ')) {
+    if (spec.empty()) continue;
+    const bool marked = !std::isalpha(static_cast<unsigned char>(spec[0]));
+    const std::string key = marked ? spec.substr(1) : spec;
+    usage += " <" + key + ">";
+    if (spec[0] == '*') {
+      std::string rest;
+      std::getline(in, rest);
+      rest = Trim(rest);
+      if (!rest.empty()) params.Set(key, JsonValue::Str(rest));
+    } else if (spec[0] == '+') {
+      JsonValue rows = JsonValue::MakeArray();
+      for (std::string token; in >> token;) {
+        JsonValue row = JsonValue::MakeArray();
+        for (const std::string& label : Split(token, ',')) {
+          row.Append(JsonValue::Str(label));
+        }
+        rows.Append(std::move(row));
       }
-      const bool chrome = format == nullptr ||
-                          format->string_value() == "chrome";
-      return envelope(RequestTrace(*ticket, chrome));
+      if (!rows.array().empty()) params.Set(key, std::move(rows));
+    } else if (std::string token; in >> token) {
+      Bind(spec, token, &params);
     }
-    return envelope(Cancel(*ticket));
   }
-  if (verb == "session") return envelope(SessionCreate(body));
-  if (verb == "sessions") return envelope(SessionList());
-  if (verb == "step") {
-    auto session = session_id();
-    if (!session.ok()) return envelope(session.status());
-    const JsonValue* stage = body.Find("stage");
-    if (stage == nullptr || !stage->is_string()) {
-      return envelope(Status::InvalidArgument(
-          "expected a string \"stage\" member (answers|discover|detect|"
-          "explain|rewrite|report)"));
-    }
-    // Strip the line-protocol envelope; SessionStep is strict about the
-    // rest, exactly like the HTTP route.
-    JsonValue params = JsonValue::MakeObject();
-    for (const auto& [key, value] : body.members()) {
-      if (key == "cmd" || key == "session" || key == "stage") continue;
-      params.Set(key, value);
-    }
-    return envelope(SessionStep(*session, stage->string_value(), params));
+  if (std::string extra; in >> extra) {
+    return Status::InvalidArgument("unexpected argument '" + extra +
+                                   "' (usage: " + usage + ")");
   }
-  if (verb == "session_info" || verb == "session_close") {
-    auto session = session_id();
-    if (!session.ok()) return envelope(session.status());
-    return envelope(verb == "session_info" ? SessionInspect(*session)
-                                           : SessionClose(*session));
+  return params;
+}
+
+std::string HypDbHandlers::HandleRepl(const std::string& line) {
+  if (Trim(line).empty()) return "";
+  StatusOr<JsonValue> params = ParseReplLine(line);
+  const Reply reply = params.ok() ? Call(*params) : Reply(params.status());
+  if (reply.status >= 400) return "error: " + SerializeJson(reply.body) + "\n";
+  if (reply.body.is_string()) return reply.body.string_value();
+  const JsonValue* rendered = reply.body.Find("rendered");
+  if (rendered != nullptr) {
+    return rendered->string_value() +
+           "service: " + SerializeJson(*reply.body.Find("stats")) + "\n";
   }
-  return envelope(Status::InvalidArgument("unknown cmd \"" + verb + "\""));
+  return SerializeJson(reply.body) + "\n";
 }
 
 void HypDbHandlers::RegisterMetrics(MetricsRegistry* registry) const {

@@ -1,56 +1,26 @@
-// Endpoint routing: the HypDbService API as HTTP resources and line-JSON
-// commands. Every route maps one-to-one onto a DatasetRegistry or
-// QueryScheduler call, so the sharding, discovery coalescing, and
-// same-key batching built for in-process callers apply unchanged to
-// remote traffic.
+// The HypDbService API as one command table (HypDbHandlers::Commands()
+// in hypdb_handlers.cpp). Each row names a verb — the line-JSON "cmd"
+// and the REPL word — with its HTTP method and path, its
+// hypdb_http_requests_total route label, and one handler from a params
+// object to (HTTP status, JSON body). HTTP, line-JSON and the
+// hypdb_cli REPL only decode a request into params and encode the
+// reply, so the three surfaces cannot drift. Every handler maps
+// one-to-one onto a DatasetRegistry, QueryScheduler or SessionManager
+// call, so the sharding, discovery coalescing, and same-key batching
+// built for in-process callers apply unchanged to remote traffic.
+// README.md "API" renders the table with each verb's body.
 //
-//   POST   /v1/datasets        {"name","csv"|"generator"}  register
-//   GET    /v1/datasets                                    list
-//   POST   /v1/datasets/{name}/rows
-//                              {"rows": [["label",...],...]}  append rows
-//                              (schema column order; no epoch bump — 200
-//                              with the new watermark, 400 on arity/
-//                              schema mismatch, 404 unknown dataset)
-//   POST   /v1/analyze         {"dataset","sql",...}       sync analyze
-//   POST   /v1/submit          (same body)                 async -> ticket
-//   GET    /v1/requests/{id}   poll; ?wait=1 blocks; a finished result is
-//                              claimed by the GET that fetches it
-//   DELETE /v1/requests/{id}   cancel a still-queued request (or request
-//                              cooperative cancellation of a running
-//                              session stage job)
-//   GET    /v1/requests/{id}/trace
-//                              engine-deep execution trace of a completed
-//                              request; ?format=chrome (default) is a
-//                              chrome://tracing / Perfetto JSON document,
-//                              ?format=raw the RequestStats rendering.
-//                              404 unknown/expired, 409 ran untraced
-//   POST   /v1/sessions        (analyze body)  create a staged session
-//   POST   /v1/sessions/{id}/{answers|discover|detect|explain|rewrite|
-//          report}             advance one stage; body optional
-//                              {"context": N, "deadline_seconds": X}
-//   GET    /v1/sessions        list live sessions
-//   GET    /v1/sessions/{id}   inspect (full report + digest once the
-//                              session is complete)
-//   DELETE /v1/sessions/{id}   close the session
-//   GET    /v1/stats           cache/engine/worker/session introspection
-//   GET    /healthz            readiness: ok/workers/uptime/datasets/
-//                              queue_depth/sessions/simd + build identity
-//                              (version/compiler/build_type) + per-dataset
-//                              storage shape (rows/chunks/watermark)
-//   GET    /metrics            Prometheus text exposition; ?format=json
-//                              for the structured flavor (with p50/95/99)
-//
-// Errors are ErrorToJson bodies ({"code","message"}) with the HTTP status
-// from HttpStatusForCode; expired/invalidated sessions answer 410 Gone,
-// never-issued session ids 404. The line-JSON protocol carries the same
-// payloads in an {"ok":bool, "result"|"error": ...} envelope, selected by
-// a "cmd" member (register/append/datasets/analyze/submit/poll/wait/
-// cancel/trace/session/step/sessions/session_info/session_close/stats/
-// health).
+// Errors are ErrorToJson bodies ({"code","message"}) with the HTTP
+// status mapped from the Status code; expired/invalidated sessions
+// answer 410 Gone, never-issued session ids 404. A path no row matches
+// answers 404, a known path with the wrong method 400. The line-JSON
+// protocol carries the same payloads in an {"ok":bool,
+// "result"|"error": ...} envelope.
 
 #ifndef HYPDB_NET_HYPDB_HANDLERS_H_
 #define HYPDB_NET_HYPDB_HANDLERS_H_
 
+#include <span>
 #include <string>
 
 #include "net/http_server.h"
@@ -60,41 +30,34 @@
 namespace hypdb {
 namespace net {
 
-/// HTTP status for a Status code (kOk -> 200, kNotFound -> 404, ...).
-int HttpStatusForCode(StatusCode code);
+/// What every surface serves for one command: the HTTP status and the
+/// JSON body (an ErrorToJson body when status >= 400). A string body is
+/// a text rendering (the Prometheus exposition): HTTP serves it raw as
+/// text/plain, the REPL prints it, line-JSON carries it as a string.
+struct Reply {
+  Reply(JsonValue body, int status = 200)
+      : status(status), body(std::move(body)) {}
+  Reply(const Status& error);
 
-/// Builds the table of a named built-in generator
-/// (berkeley|flight|adult|staples|cancer) — shared by the wire protocol
-/// and the CLI so both accept the same names.
-StatusOr<Table> GenerateNamedDataset(const std::string& kind);
+  int status;
+  JsonValue body;
+};
 
-/// Fan-in from both wire protocols onto one HypDbService. Thread-safe:
-/// the service is, and the handlers' only mutable state is lock-free
-/// route metrics.
+/// Decodes one REPL line into its verb's params: the first word is the
+/// verb (or an alias: `load`/`gen` register a CSV/generator, `close` is
+/// session_close) and the rest are the row's positional words, e.g.
+/// `step 1 explain 0` -> {"cmd":"step","session":1,"stage":"explain",
+/// "context":0}. An unknown word yields just {"cmd": word}.
+StatusOr<JsonValue> ParseReplLine(const std::string& line);
+
+/// Fan-in from every surface onto one HypDbService. Thread-safe: the
+/// service is, and the handlers' only mutable state is lock-free route
+/// metrics.
 class HypDbHandlers {
  public:
-  explicit HypDbHandlers(HypDbService* service) : service_(service) {}
-
-  /// The HttpServer HTTP callback. Wraps the routing with per-route
-  /// status-class counters and a latency histogram; the counters are
-  /// bumped AFTER the response body is built, so a GET /metrics scrape
-  /// never counts itself in its own body — which is what lets CI assert
-  /// exact counter consistency against the requests it issued.
-  HttpResponse HandleHttp(const HttpRequest& request);
-  /// The HttpServer line-JSON callback: one request line in, one
-  /// response line out (envelope documented above). Counted under the
-  /// "line" route.
-  std::string HandleLine(const std::string& line);
-
-  /// Registers hypdb_http_requests_total{route,status},
-  /// hypdb_http_request_seconds{route} and hypdb_http_serialize_seconds.
-  /// The handlers must outlive every scrape of `registry`.
-  void RegisterMetrics(MetricsRegistry* registry) const;
-
- private:
   /// Stable route classes for metric labels — bounded cardinality, so a
   /// path scanner probing random URLs cannot mint unbounded series
-  /// (everything unknown lands in kRouteOther).
+  /// (every path no row matches lands in kRouteOther).
   enum Route {
     kRouteHealthz,
     kRouteMetrics,
@@ -109,6 +72,52 @@ class HypDbHandlers {
     kRouteOther,
     kNumRoutes
   };
+
+  /// One row of the command table. `path` segments written {key} bind
+  /// into params[key] ({#key}: as an integer when the segment is one);
+  /// a "?key" suffix declares a query parameter bound the same way,
+  /// "?key=value" one with a default. `repl` names the REPL's positional
+  /// words: "#key" an integer, "*key" the rest of the line, "+key" the
+  /// remaining words as comma-separated rows.
+  struct Command {
+    const char* verb;
+    const char* method;  // nullptr: line-JSON and REPL only
+    const char* path;
+    Route route;
+    Reply (HypDbHandlers::*run)(const JsonValue& params);
+    const char* repl;
+  };
+  static std::span<const Command> Commands();
+  /// The table's verbs as "health|metrics|...", for usage messages.
+  static std::string VerbList();
+
+  explicit HypDbHandlers(HypDbService* service) : service_(service) {}
+
+  /// The HttpServer HTTP callback. Wraps the dispatch with per-route
+  /// status-class counters and a latency histogram; the counters are
+  /// bumped AFTER the response body is built, so a GET /metrics scrape
+  /// never counts itself in its own body — which is what lets CI assert
+  /// exact counter consistency against the requests it issued.
+  HttpResponse HandleHttp(const HttpRequest& request);
+  /// The HttpServer line-JSON callback: one request line in, one
+  /// response line out (envelope documented above). Counted under the
+  /// "line" route.
+  std::string HandleLine(const std::string& line);
+  /// One REPL line in (ParseReplLine), the text to print out: a report
+  /// as its rendered text plus a `service:` footer, an error as
+  /// `error: {...}`, any other reply as its JSON. Not counted in the
+  /// route metrics.
+  std::string HandleRepl(const std::string& line);
+  /// Runs the row named by params["cmd"] — the line-JSON and REPL
+  /// dispatch.
+  Reply Call(const JsonValue& params);
+
+  /// Registers hypdb_http_requests_total{route,status},
+  /// hypdb_http_request_seconds{route} and hypdb_http_serialize_seconds.
+  /// The handlers must outlive every scrape of `registry`.
+  void RegisterMetrics(MetricsRegistry* registry) const;
+
+ private:
   /// Per-route status-class counters + latency. Plain C array member:
   /// the atomics make RouteMetrics immovable.
   struct RouteMetrics {
@@ -117,45 +126,36 @@ class HypDbHandlers {
     Counter server_error;  // 5xx
     LatencyHistogram latency;
   };
+  void Count(Route route, int status, double seconds) const;
 
-  static Route ClassifyRoute(const std::string& target);
-  /// The actual routing (the pre-metrics HandleHttp body).
-  HttpResponse RouteHttp(const HttpRequest& request);
-
-  /// Response builders; JsonResponse times SerializeJson into the
-  /// hypdb_http_serialize_seconds histogram (serialization cannot appear
-  /// as a trace span inside its own output).
-  HttpResponse JsonResponse(int status, const JsonValue& body) const;
-  HttpResponse ErrorResponse(const Status& status) const;
-  HttpResponse ResultResponse(const StatusOr<JsonValue>& result) const;
-  /// The readiness body shared by GET /healthz and the line "health"
-  /// verb.
-  JsonValue Healthz() const;
-
-  /// Shared verb implementations; both protocols decode into these.
-  StatusOr<JsonValue> Register(const JsonValue& body);
-  /// Append rows to a dataset. `path_name` is the dataset from the URL
-  /// path on the HTTP route (empty for the line verb, where the body
-  /// carries "name"); a body name must match the path when both appear.
-  StatusOr<JsonValue> Append(const JsonValue& body,
-                             const std::string& path_name = "");
-  StatusOr<JsonValue> Analyze(const JsonValue& body);
-  StatusOr<JsonValue> Submit(const JsonValue& body);
-  StatusOr<JsonValue> Poll(uint64_t ticket);
-  StatusOr<JsonValue> WaitFor(uint64_t ticket);
-  StatusOr<JsonValue> Cancel(uint64_t ticket);
+  // The table's handlers, one per verb.
+  Reply Health(const JsonValue& params);
+  /// JSON unless params["format"] names another rendering, which is the
+  /// Prometheus text (GET /metrics defaults to it); the text render is
+  /// timed into hypdb_http_serialize_seconds.
+  Reply Metrics(const JsonValue& params);
+  Reply Stats(const JsonValue& params);
+  Reply Datasets(const JsonValue& params);
+  Reply Register(const JsonValue& params);
+  Reply Append(const JsonValue& params);
+  Reply Analyze(const JsonValue& params);
+  Reply Submit(const JsonValue& params);
+  Reply Poll(const JsonValue& params);
+  Reply Wait(const JsonValue& params);
+  Reply Cancel(const JsonValue& params);
   /// The retained trace of a completed request, rendered as a Chrome
-  /// trace document (`chrome` true) or the raw RequestStats body.
-  StatusOr<JsonValue> RequestTrace(uint64_t ticket, bool chrome);
-  StatusOr<JsonValue> SessionCreate(const JsonValue& body);
-  StatusOr<JsonValue> SessionStep(uint64_t session, const std::string& stage,
-                                  const JsonValue& body);
-  StatusOr<JsonValue> SessionInspect(uint64_t session);
-  StatusOr<JsonValue> SessionClose(uint64_t session);
-  JsonValue SessionList();
+  /// trace document (the default) or the raw RequestStats body.
+  Reply Trace(const JsonValue& params);
+  Reply SessionCreate(const JsonValue& params);
+  Reply SessionStep(const JsonValue& params);
+  Reply SessionList(const JsonValue& params);
+  Reply SessionInspect(const JsonValue& params);
+  Reply SessionClose(const JsonValue& params);
 
   HypDbService* service_;
   mutable RouteMetrics routes_[kNumRoutes];
+  /// JSON serialization and text rendering time (serialization cannot
+  /// appear as a trace span inside its own output).
   mutable LatencyHistogram serialize_;
 };
 

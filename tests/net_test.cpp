@@ -13,7 +13,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +30,7 @@
 #include "net/hypdb_handlers.h"
 #include "net/json.h"
 #include "service/report_digest.h"
+#include "util/string_util.h"
 
 namespace hypdb {
 namespace net {
@@ -494,6 +498,287 @@ TEST(NetTest, LineJsonModeServesIdenticalPayloadsOnTheSamePort) {
   ASSERT_TRUE(missing_cmd.ok());
   EXPECT_NE(missing_cmd->find("invalid_argument"), std::string::npos);
   EXPECT_EQ(client.Call(health).status().code(), StatusCode::kOk);
+}
+
+// ---- one command table, three surfaces ---------------------------------
+
+/// What a surface answered, comparable across surfaces: the error code,
+/// or the success body with the members that legitimately differ per
+/// call (ids, names, clocks, request stats) removed. Reports compare by
+/// digest, metrics by family names.
+std::string Outcome(bool ok, const JsonValue& body) {
+  if (!ok) return "error " + body.Find("code")->string_value();
+  if (const JsonValue* digest = body.Find("digest")) {
+    return "digest " + digest->string_value();
+  }
+  if (const JsonValue* families = body.Find("families")) {
+    std::string names = "families";
+    for (const JsonValue& f : families->array()) {
+      names += " " + f.Find("name")->string_value();
+    }
+    return names;
+  }
+  const auto scrub = [](const auto& self, JsonValue v) -> JsonValue {
+    if (v.is_array()) {
+      for (JsonValue& e : v.array()) e = self(self, std::move(e));
+    }
+    std::erase_if(v.members(), [](const auto& member) {
+      for (const char* key :
+           {"ticket", "session", "name", "watermark", "uptime_seconds",
+            "age_seconds", "idle_seconds", "seconds", "stats"}) {
+        if (member.first == key) return true;
+      }
+      return false;
+    });
+    for (auto& member : v.members()) {
+      member.second = self(self, std::move(member.second));
+    }
+    return v;
+  };
+  return SerializeJson(scrub(scrub, body));
+}
+
+std::string Token(const JsonValue& v) {
+  return v.is_int() ? std::to_string(v.int_value()) : v.string_value();
+}
+
+/// The HTTP request a row's pattern makes of `params`: {key} segments
+/// and declared query keys are filled from params, the rest is the body.
+HttpRequest ToHttp(const HypDbHandlers::Command& c, JsonValue params) {
+  const auto take = [&params](const std::string& key) {
+    const JsonValue value = *params.Find(key);
+    std::erase_if(params.members(),
+                  [&](const auto& m) { return m.first == key; });
+    return Token(value);
+  };
+  HttpRequest request;
+  request.method = c.method;
+  const std::string pattern = c.path;
+  const size_t question = pattern.find('?');
+  for (const std::string& segment :
+       Split(pattern.substr(0, question), '/')) {
+    if (segment.empty()) continue;
+    const bool bound = segment.front() == '{';
+    const size_t skip = segment.size() > 1 && segment[1] == '#' ? 2 : 1;
+    request.target +=
+        "/" + (bound ? take(segment.substr(skip, segment.size() - skip - 1))
+                     : segment);
+  }
+  if (question != std::string::npos) {
+    for (const std::string& decl : Split(pattern.substr(question + 1), '&')) {
+      const std::string key = decl.substr(0, decl.find('='));
+      if (params.Find(key) == nullptr) continue;
+      request.target += (request.target.find('?') == std::string::npos
+                             ? "?"
+                             : "&") +
+                        key + "=" + take(key);
+    }
+  }
+  if (request.method == "POST") request.body = SerializeJson(params);
+  EXPECT_TRUE(request.method == "POST" || params.members().empty())
+      << c.verb << " has params its route cannot carry";
+  return request;
+}
+
+/// The REPL line a row's positional words make of `params`.
+std::string ToRepl(const HypDbHandlers::Command& c, const JsonValue& params) {
+  std::string line = c.verb;
+  size_t used = 0;
+  for (const std::string& spec : Split(c.repl, ' ')) {
+    if (spec.empty()) continue;
+    const bool marked = !std::isalpha(static_cast<unsigned char>(spec[0]));
+    const std::string key = marked ? spec.substr(1) : spec;
+    const JsonValue* value = params.Find(key);
+    if (value == nullptr) continue;
+    ++used;
+    if (!value->is_array()) {
+      line += " " + Token(*value);
+      continue;
+    }
+    for (const JsonValue& row : value->array()) {
+      std::vector<std::string> labels;
+      for (const JsonValue& label : row.array()) {
+        labels.push_back(label.string_value());
+      }
+      line += " " + Join(labels, ",");
+    }
+  }
+  EXPECT_EQ(used, params.members().size())
+      << c.verb << " has params its REPL words cannot carry";
+  return line;
+}
+
+// Walks the command table: every verb answers alike over HTTP (where it
+// has a route), line-JSON, and the REPL parser.
+TEST(NetTest, EveryTableVerbAnswersAlikeOnEverySurface) {
+  Harness harness({.num_workers = 2});
+  HypDbHandlers& handlers = harness.handlers;
+  harness.service.RegisterTable("b", Berkeley());
+  harness.service.RegisterTable("ingest", Berkeley());
+  const std::string sql =
+      "SELECT Gender, avg(Accepted) FROM b GROUP BY Gender";
+
+  const auto object = [](std::initializer_list<
+                             std::pair<const char*, JsonValue>> members) {
+    JsonValue out = JsonValue::MakeObject();
+    for (const auto& [key, value] : members) out.Set(key, value);
+    return out;
+  };
+  // A finished request's ticket, and a fresh session's id.
+  const auto finished = [&] {
+    const uint64_t ticket =
+        harness.service.Submit({"b", sql, std::nullopt});
+    while (!harness.service.Done(ticket)) std::this_thread::yield();
+    return JsonValue::Int(static_cast<int64_t>(ticket));
+  };
+  const auto session = [&] {
+    auto info = harness.service.CreateSession({"b", sql, std::nullopt});
+    EXPECT_TRUE(info.ok()) << info.status();
+    return JsonValue::Int(static_cast<int64_t>(info->id));
+  };
+  const JsonValue traced = finished();
+  const JsonValue inspected = session();
+  JsonValue row = JsonValue::MakeArray();
+  row.Append(JsonValue::Str("Male"))
+      .Append(JsonValue::Str("A"))
+      .Append(JsonValue::Str("1"));
+  JsonValue rows = JsonValue::MakeArray();
+  rows.Append(row);
+
+  // Params per verb for surface i (0 HTTP, 1 line, 2 REPL). Verbs that
+  // consume what they touch get their own ticket, session or name.
+  const std::map<std::string, std::function<JsonValue(int)>> cases = {
+      {"health", [&](int) { return object({}); }},
+      {"metrics",
+       [&](int) { return object({{"format", JsonValue::Str("json")}}); }},
+      {"stats", [&](int) { return object({}); }},
+      {"datasets", [&](int) { return object({}); }},
+      {"register",
+       [&](int i) {
+         return object({{"name", JsonValue::Str("r" + std::to_string(i))},
+                        {"generator", JsonValue::Str("berkeley")}});
+       }},
+      {"analyze",
+       [&](int) {
+         return object({{"dataset", JsonValue::Str("b")},
+                        {"sql", JsonValue::Str(sql)}});
+       }},
+      {"submit",
+       [&](int) {
+         return object({{"dataset", JsonValue::Str("b")},
+                        {"sql", JsonValue::Str(sql)}});
+       }},
+      {"poll", [&](int) { return object({{"ticket", traced}}); }},
+      {"wait", [&](int) { return object({{"ticket", finished()}}); }},
+      {"cancel", [&](int) { return object({{"ticket", traced}}); }},
+      {"trace", [&](int) { return object({{"ticket", traced}}); }},
+      {"session",
+       [&](int) {
+         return object({{"dataset", JsonValue::Str("b")},
+                        {"sql", JsonValue::Str(sql)}});
+       }},
+      {"step",
+       [&](int) {
+         return object(
+             {{"session", session()}, {"stage", JsonValue::Str("detect")}});
+       }},
+      {"sessions", [&](int) { return object({}); }},
+      {"session_info", [&](int) { return object({{"session", inspected}}); }},
+      {"session_close", [&](int) { return object({{"session", session()}}); }},
+      {"append",
+       [&](int) {
+         return object({{"name", JsonValue::Str("ingest")}, {"rows", rows}});
+       }},
+  };
+
+  for (const HypDbHandlers::Command& c : HypDbHandlers::Commands()) {
+    const auto found = cases.find(c.verb);
+    ASSERT_NE(found, cases.end()) << "no parity case for verb " << c.verb;
+    // Build every surface's params first: making them may run requests
+    // that move the counters the three replies report.
+    std::vector<JsonValue> params;
+    for (int i = 0; i < 3; ++i) params.push_back(found->second(i));
+    std::vector<std::string> outcomes;
+
+    if (c.method != nullptr) {
+      const HttpResponse http = handlers.HandleHttp(ToHttp(c, params[0]));
+      auto body = ParseJson(http.body);
+      ASSERT_TRUE(body.ok()) << c.verb << ": " << http.body;
+      outcomes.push_back(Outcome(http.status < 400, *body));
+    }
+
+    JsonValue line = params[1];
+    line.Set("cmd", JsonValue::Str(c.verb));
+    auto envelope = ParseJson(handlers.HandleLine(SerializeJson(line)));
+    ASSERT_TRUE(envelope.ok());
+    const bool line_ok = envelope->Find("ok")->bool_value();
+    outcomes.push_back(
+        Outcome(line_ok, *envelope->Find(line_ok ? "result" : "error")));
+
+    auto repl = ParseReplLine(ToRepl(c, params[2]));
+    ASSERT_TRUE(repl.ok()) << repl.status();
+    EXPECT_EQ(repl->Find("cmd")->string_value(), c.verb);
+    const Reply reply = handlers.Call(*repl);
+    outcomes.push_back(Outcome(reply.status < 400, reply.body));
+
+    for (const std::string& outcome : outcomes) {
+      EXPECT_EQ(outcome, outcomes.back()) << "verb " << c.verb;
+    }
+  }
+
+  // Unknown verbs and paths: 400 invalid_argument naming the table's
+  // verbs on the line and in the REPL, 404 over HTTP.
+  const std::string unknown = handlers.HandleLine(R"({"cmd":"nope"})");
+  EXPECT_NE(unknown.find("invalid_argument"), std::string::npos);
+  EXPECT_NE(unknown.find(HypDbHandlers::VerbList()), std::string::npos);
+  const std::string repl = handlers.HandleRepl("nope 1");
+  EXPECT_EQ(repl.rfind("error: ", 0), 0u);
+  EXPECT_NE(repl.find(HypDbHandlers::VerbList()), std::string::npos);
+  HttpRequest missing;
+  missing.method = "GET";
+  missing.target = "/v1/nope";
+  EXPECT_EQ(handlers.HandleHttp(missing).status, 404);
+}
+
+TEST(NetTest, ReplWordsDecodeIntoTheirVerbParams) {
+  const auto parsed = [](const std::string& line) {
+    auto params = ParseReplLine(line);
+    EXPECT_TRUE(params.ok()) << params.status();
+    return params.ok() ? SerializeJson(*params) : "";
+  };
+  EXPECT_EQ(parsed("load f /data/f.csv"),
+            R"({"cmd":"register","name":"f","csv":"/data/f.csv"})");
+  EXPECT_EQ(parsed("gen b berkeley"),
+            R"({"cmd":"register","name":"b","generator":"berkeley"})");
+  EXPECT_EQ(parsed("close 7"), R"({"cmd":"session_close","session":7})");
+  EXPECT_EQ(parsed("step 3 explain 0"),
+            R"({"cmd":"step","session":3,"stage":"explain","context":0})");
+  EXPECT_EQ(parsed("analyze b  SELECT g, avg(y) FROM b GROUP BY g "),
+            R"({"cmd":"analyze","dataset":"b",)"
+            R"("sql":"SELECT g, avg(y) FROM b GROUP BY g"})");
+  EXPECT_EQ(parsed("append b x,A,1 y,B,0"),
+            R"({"cmd":"append","name":"b","rows":[["x","A","1"],)"
+            R"(["y","B","0"]]})");
+  EXPECT_EQ(parsed("wait abc"), R"({"cmd":"wait","ticket":"abc"})");
+  EXPECT_EQ(ParseReplLine("poll 1 2").status().code(),
+            StatusCode::kInvalidArgument);
+
+  // poll answers the line verb's body and leaves the result to wait,
+  // which prints the report with its service footer.
+  Harness harness({.num_workers = 1});
+  HypDbHandlers& handlers = harness.handlers;
+  EXPECT_EQ(handlers.HandleRepl("gen b berkeley").rfind("{\"name\":\"b\"", 0),
+            0u);
+  ASSERT_EQ(handlers.HandleRepl(
+                "submit b SELECT Gender, avg(Accepted) FROM b GROUP BY Gender"),
+            "{\"ticket\":1}\n");
+  while (!harness.service.Done(1)) std::this_thread::yield();
+  EXPECT_EQ(handlers.HandleRepl("poll 1"), "{\"ticket\":1,\"done\":true}\n");
+  EXPECT_EQ(handlers.HandleRepl("poll 1"), "{\"ticket\":1,\"done\":true}\n");
+  const std::string report = handlers.HandleRepl("wait 1");
+  EXPECT_EQ(report.rfind("=== HypDB report ===", 0), 0u) << report;
+  EXPECT_NE(report.find("\nservice: {\"ticket\":1,"), std::string::npos);
+  EXPECT_EQ(handlers.HandleRepl("   "), "");
 }
 
 TEST(NetTest, ConnectionLimitAnswers503) {

@@ -521,6 +521,44 @@ TEST(SessionWireTest, LineJsonSessionVerbsWork) {
   EXPECT_TRUE(closed->Find("closed")->bool_value());
 }
 
+// A context must be an int the session can index: 4294967296 used to
+// narrow to context 0 and answer its explanation with 200.
+TEST(SessionWireTest, OutOfRangeContextIsInvalidArgumentOnEverySurface) {
+  WireHarness harness({.num_workers = 2});
+  harness.service.RegisterTable("b", Berkeley());
+  net::HttpClient client = harness.Client();
+  auto created =
+      client.Post("/v1/sessions", AnalyzeBody("b", kBerkeleyContextSql));
+  ASSERT_TRUE(created.ok()) << created.status();
+  const int64_t id = created->Find("session")->int_value();
+
+  auto http = client.Request("POST",
+                             "/v1/sessions/" + std::to_string(id) + "/explain",
+                             R"({"context":4294967296})");
+  ASSERT_TRUE(http.ok());
+  EXPECT_EQ(http->status, 400);
+  EXPECT_NE(http->body.find("invalid_argument"), std::string::npos);
+
+  net::LineClient line("127.0.0.1", harness.server.port());
+  auto stepped = line.CallRaw(R"({"cmd":"step","session":)" +
+                              std::to_string(id) +
+                              R"(,"stage":"explain","context":4294967296})");
+  ASSERT_TRUE(stepped.ok());
+  EXPECT_NE(stepped->find(R"("ok":false)"), std::string::npos);
+  EXPECT_NE(stepped->find("invalid_argument"), std::string::npos);
+
+  for (const char* context : {"4294967296", "-1", "abc"}) {
+    const std::string repl = harness.handlers.HandleRepl(
+        "step " + std::to_string(id) + " explain " + context);
+    EXPECT_EQ(repl.rfind("error: ", 0), 0u) << repl;
+    EXPECT_NE(repl.find("invalid_argument"), std::string::npos) << repl;
+  }
+  // In range, the same step still answers.
+  EXPECT_TRUE(harness.handlers
+                  .HandleRepl("step " + std::to_string(id) + " explain 0")
+                  .starts_with("{"));
+}
+
 TEST(SessionServiceTest, LruCapEvictsTheLongestIdleSession) {
   HypDbServiceOptions options;
   options.num_workers = 1;
