@@ -100,10 +100,9 @@ int main(int argc, char** argv) {
   const int64_t static_epoch = static_registry->Register("d", table);
   const int64_t adaptive_epoch = adaptive_registry->Register("d", table);
 
-  auto static_engine =
-      static_registry->ShardEngine("d", static_epoch, "", view);
+  auto static_engine = static_registry->ShardEngine("d", static_epoch, "");
   auto adaptive_engine =
-      adaptive_registry->ShardEngine("d", adaptive_epoch, "", view);
+      adaptive_registry->ShardEngine("d", adaptive_epoch, "");
   if (!static_engine.ok() || !adaptive_engine.ok()) {
     std::printf("shard engine construction failed\n");
     return 1;
@@ -178,9 +177,6 @@ int main(int argc, char** argv) {
       MaterializationMode::kAdaptive;
   service_options.analysis.engine.max_cached_cells = kBudget;
   service_options.advisor_interval_seconds = 0;  // manual passes below
-  // Recompute discovery every request: the CI test stream is the demand
-  // signal the advisor watches, and a cached discovery would hide it.
-  service_options.share_discovery = false;
   HypDbService service(service_options);
   service.RegisterTable("b", berkeley);
 

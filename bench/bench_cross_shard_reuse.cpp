@@ -9,8 +9,11 @@
 // set).
 //
 // Workload: one dataset (Berkeley admissions), >= 4 equality
-// subpopulations (one per department), analyzed twice through
-// HypDbService — cross_shard_slicing off (the isolated baseline) and on.
+// subpopulations (one per department), analyzed twice: through isolated
+// shards (the baseline — one private scanner-plus-cache engine per
+// subpopulation signature, handed to HypDb::Analyze through
+// SessionHooks the way the service hands out its shards) and through
+// HypDbService's slicing shard pool.
 // Assertions (exits non-zero on violation):
 //  * every report digests identical to a cold serial HypDb::Analyze;
 //  * per-query p-values agree to 1e-9 between the two modes;
@@ -19,11 +22,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/hypdb.h"
+#include "core/sql_parser.h"
 #include "datagen/berkeley_data.h"
 #include "service/hypdb_service.h"
 #include "service/report_digest.h"
@@ -49,12 +54,73 @@ struct ModeResult {
   int64_t errors = 0;
 };
 
-ModeResult RunMode(const TablePtr& table,
-                   const std::vector<std::string>& queries,
-                   bool cross_shard_slicing, int reps) {
+void Record(const HypDbReport& report, int rep, ModeResult* result) {
+  if (rep > 0) return;
+  result->digests.push_back(CanonicalReportDigest(report));
+  result->p_values.push_back(PValuesOf(report));
+}
+
+// The isolated baseline: every subpopulation signature — a query's WHERE
+// and each context's C ∧ X = x_i — gets its own private engine over its
+// rows, shared by every query that names the signature, and each
+// discovery is computed once per query as the service's discovery cache
+// would.
+ModeResult RunIsolated(const TablePtr& table,
+                       const std::vector<std::string>& queries, int reps) {
+  const HypDbOptions options;
+  HypDb db(table, options);
+  std::map<std::string, std::shared_ptr<CountEngine>> shards;
+  auto shard = [&](const std::vector<std::pair<
+                       std::string, std::vector<std::string>>>& where,
+                   const TableView& view) {
+    AggQuery subpopulation;
+    subpopulation.where = where;
+    std::shared_ptr<CountEngine>& engine =
+        shards[SubpopulationSignature(subpopulation)];
+    if (engine == nullptr) engine = MakeViewEngine(view, options.engine);
+    return engine;
+  };
+  std::map<std::string, DiscoveryReport> discoveries;
+  ModeResult result;
+  for (int rep = 0; rep < reps; ++rep) {
+    for (const std::string& sql : queries) {
+      StatusOr<HypDbReport> report = [&]() -> StatusOr<HypDbReport> {
+        HYPDB_ASSIGN_OR_RETURN(AggQuery query, ParseAggQuery(sql));
+        HYPDB_ASSIGN_OR_RETURN(BoundQuery bound, BindQuery(table, query));
+        SessionHooks hooks;
+        hooks.population_engine = shard(query.where, bound.population);
+        hooks.context_engine_provider = shard;
+        hooks.discovery_interceptor =
+            [&discoveries, &sql](
+                const std::function<StatusOr<DiscoveryReport>()>& compute)
+            -> StatusOr<DiscoveryReport> {
+          auto hit = discoveries.find(sql);
+          if (hit != discoveries.end()) return hit->second;
+          HYPDB_ASSIGN_OR_RETURN(DiscoveryReport computed, compute());
+          return discoveries.emplace(sql, std::move(computed))
+              .first->second;
+        };
+        return db.Analyze(query, std::move(hooks));
+      }();
+      if (!report.ok()) {
+        std::printf("isolated analyze failed: %s\n",
+                    report.status().ToString().c_str());
+        ++result.errors;
+        continue;
+      }
+      Record(*report, rep, &result);
+    }
+  }
+  for (const auto& [signature, engine] : shards) {
+    result.stats += engine->stats();
+  }
+  return result;
+}
+
+ModeResult RunShared(const TablePtr& table,
+                     const std::vector<std::string>& queries, int reps) {
   HypDbServiceOptions options;
   options.num_workers = 1;  // deterministic scan accounting
-  options.cross_shard_slicing = cross_shard_slicing;
   HypDbService service(options);
   service.RegisterTable("b", table);
   ModeResult result;
@@ -67,10 +133,7 @@ ModeResult RunMode(const TablePtr& table,
         ++result.errors;
         continue;
       }
-      if (rep == 0) {
-        result.digests.push_back(CanonicalReportDigest(report->report));
-        result.p_values.push_back(PValuesOf(report->report));
-      }
+      Record(report->report, rep, &result);
     }
   }
   auto stats = service.engine_stats("b");
@@ -116,8 +179,8 @@ int main(int argc, char** argv) {
     serial_digests.push_back(CanonicalReportDigest(*report));
   }
 
-  ModeResult isolated = RunMode(table, queries, false, reps);
-  ModeResult shared = RunMode(table, queries, true, reps);
+  ModeResult isolated = RunIsolated(table, queries, reps);
+  ModeResult shared = RunShared(table, queries, reps);
 
   const bool digests_ok = isolated.errors == 0 && shared.errors == 0 &&
                           isolated.digests == serial_digests &&

@@ -3,11 +3,20 @@
 // of scanning the data. Sweep 1 varies the input size (Fig. 6d), sweep 2
 // the number of attributes at fixed size (Fig. 8b). Binary attributes,
 // as in the paper's PostgreSQL cube experiment.
+//
+// The cube runs as the static configuration of AdaptiveCubeProvider: a
+// cube over every attribute installed up front over a scanner. Gates
+// (exits 1 on violation), at every sweep point:
+//  * CD over the cube finds the same parent set for every attribute as
+//    CD over scans;
+//  * the cube run's base scanner did 0 scans (every count came from the
+//    lattice).
+// Results land in BENCH_fig6d_cube.json.
 
 #include "bench_util.h"
 #include "causal/cd_algorithm.h"
 #include "causal/ci_oracle.h"
-#include "cube/data_cube.h"
+#include "cube/adaptive_cube_provider.h"
 #include "datagen/random_data.h"
 #include "util/stopwatch.h"
 
@@ -21,6 +30,11 @@ struct CubeRunResult {
   double cube_seconds = 0;
   double cube_build_seconds = 0;
   int64_t cube_cells = 0;
+  int64_t cube_hits = 0;
+  /// Scans by the cube run's base scanner; the gate requires 0.
+  int64_t base_scans = 0;
+  /// CD found the same parent sets over the cube as over scans.
+  bool same_parents = false;
 };
 
 StatusOr<CubeRunResult> RunBoth(const TablePtr& table) {
@@ -32,7 +46,10 @@ StatusOr<CubeRunResult> RunBoth(const TablePtr& table) {
   CiOptions chi2;
   chi2.method = CiMethod::kGTest;
 
-  auto run = [&](std::shared_ptr<CountProvider> provider) -> StatusOr<double> {
+  // CD for every attribute, each count from `provider` (scans when null);
+  // returns the seconds taken and appends each attribute's parents.
+  auto run = [&](std::shared_ptr<CountEngine> provider,
+                 std::vector<std::vector<int>>* parents) -> StatusOr<double> {
     // Fresh engine per run; disable focus materialization so the provider
     // (scan vs cube) is the only difference.
     MiEngineOptions engine_options;
@@ -48,23 +65,30 @@ StatusOr<CubeRunResult> RunBoth(const TablePtr& table) {
       for (int c = 0; c < n; ++c) {
         if (c != target) candidates.push_back(c);
       }
-      HYPDB_RETURN_IF_ERROR(
-          DiscoverParents(oracle, target, candidates).status());
+      HYPDB_ASSIGN_OR_RETURN(CdResult cd,
+                             DiscoverParents(oracle, target, candidates));
+      parents->push_back(std::move(cd.parents));
     }
     return timer.ElapsedSeconds();
   };
 
-  HYPDB_ASSIGN_OR_RETURN(out.no_cube_seconds, run(nullptr));
+  std::vector<std::vector<int>> scan_parents;
+  HYPDB_ASSIGN_OR_RETURN(out.no_cube_seconds, run(nullptr, &scan_parents));
 
   Stopwatch build_timer;
   HYPDB_ASSIGN_OR_RETURN(DataCube cube,
                          DataCube::Build(TableView(table), all));
   out.cube_build_seconds = build_timer.ElapsedSeconds();
   out.cube_cells = cube.TotalCells();
-  auto cube_ptr = std::make_shared<const DataCube>(std::move(cube));
-  HYPDB_ASSIGN_OR_RETURN(
-      out.cube_seconds,
-      run(std::make_shared<CubeCountProvider>(cube_ptr)));
+  auto base = std::make_shared<ViewCountProvider>(TableView(table));
+  auto provider = std::make_shared<AdaptiveCubeProvider>(base);
+  provider->InstallCube(std::make_shared<const DataCube>(std::move(cube)),
+                        base->PopulationVersion());
+  std::vector<std::vector<int>> cube_parents;
+  HYPDB_ASSIGN_OR_RETURN(out.cube_seconds, run(provider, &cube_parents));
+  out.cube_hits = provider->stats().cube_hits;
+  out.base_scans = base->num_scans();
+  out.same_parents = cube_parents == scan_parents;
   return out;
 }
 
@@ -87,42 +111,79 @@ int main(int argc, char** argv) {
   Header("bench_fig6d_cube",
          "Fig. 6(d) + Fig. 8(b) — CD with vs without a pre-computed cube");
   Rng rng(68);
+  net::JsonValue points = net::JsonValue::MakeArray();
+  bool pass = true;
 
-  std::printf("\nsweep 1 (Fig. 6d): 10 binary attributes, varying rows\n");
-  Row({"rows", "no cube[s]", "cube[s]", "speedup", "build[s]", "cells"}, 12);
-  for (int64_t rows : {100000, 400000, 1600000}) {
-    auto table = BinaryDataset(10, static_cast<int64_t>(rows * scale), rng);
-    if (!table.ok()) return 1;
+  // One sweep point: runs both configurations, prints the row, records
+  // it and applies the gates. False when the point could not run.
+  auto point = [&](const char* sweep, int attrs, int64_t rows) {
+    auto table = BinaryDataset(attrs, rows, rng);
+    if (!table.ok()) return false;
     auto result = RunBoth(*table);
-    if (!result.ok()) return 1;
-    Row({std::to_string(static_cast<int64_t>(rows * scale)),
+    if (!result.ok()) {
+      std::printf("run failed: %s\n", result.status().ToString().c_str());
+      return false;
+    }
+    Row({std::to_string(std::string(sweep) == "rows" ? rows : attrs),
          Fmt("%.3f", result->no_cube_seconds),
          Fmt("%.3f", result->cube_seconds),
          Fmt("%.1fx", result->no_cube_seconds /
                           std::max(result->cube_seconds, 1e-9)),
          Fmt("%.3f", result->cube_build_seconds),
-         std::to_string(result->cube_cells)},
+         std::to_string(result->cube_cells),
+         result->same_parents ? "same" : "DIFFER",
+         std::to_string(result->base_scans)},
         12);
+    pass &= result->same_parents && result->base_scans == 0;
+    net::JsonValue p = net::JsonValue::MakeObject();
+    p.Set("sweep", net::JsonValue::Str(sweep));
+    p.Set("rows", net::JsonValue::Int(rows));
+    p.Set("attrs", net::JsonValue::Int(attrs));
+    p.Set("no_cube_seconds",
+          net::JsonValue::Double(result->no_cube_seconds));
+    p.Set("cube_seconds", net::JsonValue::Double(result->cube_seconds));
+    p.Set("build_seconds",
+          net::JsonValue::Double(result->cube_build_seconds));
+    p.Set("cube_cells", net::JsonValue::Int(result->cube_cells));
+    p.Set("cube_hits", net::JsonValue::Int(result->cube_hits));
+    p.Set("base_scans", net::JsonValue::Int(result->base_scans));
+    p.Set("same_parents", net::JsonValue::Bool(result->same_parents));
+    points.Append(std::move(p));
+    return true;
+  };
+  const std::vector<std::string> columns = {
+      "no cube[s]", "cube[s]", "speedup", "build[s]",
+      "cells",      "parents", "base scans"};
+  auto header = [&](const char* first) {
+    std::vector<std::string> row = {first};
+    row.insert(row.end(), columns.begin(), columns.end());
+    Row(row, 12);
+  };
+
+  std::printf("\nsweep 1 (Fig. 6d): 10 binary attributes, varying rows\n");
+  header("rows");
+  for (int64_t rows : {100000, 400000, 1600000}) {
+    if (!point("rows", 10, static_cast<int64_t>(rows * scale))) return 1;
   }
 
   std::printf("\nsweep 2 (Fig. 8b): 400k rows, varying attribute count\n");
-  Row({"attrs", "no cube[s]", "cube[s]", "speedup", "build[s]", "cells"}, 12);
+  header("attrs");
   for (int attrs : {8, 10, 12}) {
-    auto table =
-        BinaryDataset(attrs, static_cast<int64_t>(400000 * scale), rng);
-    if (!table.ok()) return 1;
-    auto result = RunBoth(*table);
-    if (!result.ok()) return 1;
-    Row({std::to_string(attrs), Fmt("%.3f", result->no_cube_seconds),
-         Fmt("%.3f", result->cube_seconds),
-         Fmt("%.1fx", result->no_cube_seconds /
-                          std::max(result->cube_seconds, 1e-9)),
-         Fmt("%.3f", result->cube_build_seconds),
-         std::to_string(result->cube_cells)},
-        12);
+    if (!point("attrs", attrs, static_cast<int64_t>(400000 * scale))) {
+      return 1;
+    }
   }
   std::printf("\n(expected shape: cube time ~flat in rows — all answers\n"
               " come from the lattice; the no-cube column grows linearly;\n"
               " dramatic speedups, bigger at larger inputs)\n");
-  return 0;
+
+  net::JsonValue results = net::JsonValue::MakeObject();
+  results.Set("scale", net::JsonValue::Double(scale));
+  results.Set("points", std::move(points));
+  results.Set("pass", net::JsonValue::Bool(pass));
+  WriteBenchJson("fig6d_cube", std::move(results));
+  std::printf(pass ? "PASS: CD over the cube finds the parents CD over "
+                     "scans finds, without a base scan\n"
+                   : "FAIL: see the parents and base scans columns\n");
+  return pass ? 0 : 1;
 }

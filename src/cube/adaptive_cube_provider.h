@@ -1,14 +1,16 @@
-// AdaptiveCubeProvider: a hot-swappable cube layer for growing datasets.
+// AdaptiveCubeProvider: the cube layer of the count stack.
 //
-// CubeCountProvider (Fig. 6d) is a static configuration: build the cube
-// up front, answer from it forever. This provider makes the cube a
-// *runtime decision*: it wraps a live base engine (the registry's
-// ChunkedCountProvider) and holds an optional DataCube installed by the
-// dataset registry's advisor. A query over a subset of the cube's
-// dimensions is answered from the lattice — no scan at all — when the
-// cube is current (built at the base's present population version);
-// anything else (uncovered columns, stale cube, no cube) delegates to
-// the base untouched.
+// It wraps a base engine and holds an optional DataCube. A query over a
+// subset of the cube's dimensions is answered from the lattice — no scan
+// at all — when the cube is current (built at the base's present
+// population version); anything else (uncovered columns, stale cube, no
+// cube) delegates to the base untouched. Two configurations use it:
+//  * the dataset registry's parent stack, where the advisor installs a
+//    cube over the live ChunkedCountProvider once a column set runs hot
+//    (a *runtime decision*);
+//  * Fig. 6(d)/8(b), a static configuration: a cube over every attribute
+//    installed up front over a ViewCountProvider, so every query is a
+//    cube hit and the base never scans.
 //
 // Staleness is handled by construction, not invalidation: the installed
 // cube carries the watermark it was built at, and every query compares

@@ -35,7 +35,6 @@ StatusOr<DataCube> DataCube::Build(const TableView& view,
 
   DataCube cube;
   cube.dims_ = dims;
-  cube.num_rows_ = view.NumRows();
   const int k = static_cast<int>(dims.size());
   const uint32_t full = k == 32 ? ~0u : (1u << k) - 1;
 
@@ -88,37 +87,6 @@ int64_t DataCube::CellsFor(const std::vector<int>& cols) const {
     mask |= 1u << (it - dims_.begin());
   }
   return cells_.at(mask).NumGroups();
-}
-
-StatusOr<GroupCounts> CubeCountProvider::Counts(
-    const std::vector<int>& cols) {
-  ++stats_.queries;
-  StatusOr<GroupCounts> from_cube = cube_->Counts(cols);
-  if (from_cube.ok()) {
-    ++stats_.cube_hits;
-    return from_cube;
-  }
-  if (fallback_ != nullptr) {
-    ++stats_.fallback_calls;
-    return fallback_->Counts(cols);
-  }
-  return from_cube.status();
-}
-
-CountEngineStats CubeCountProvider::stats() const {
-  CountEngineStats total = stats_;
-  if (fallback_ != nullptr) {
-    total += fallback_->stats();
-    // Fallback calls were issued by this adapter for the same external
-    // queries; only count each query once.
-    total.queries = stats_.queries;
-  }
-  return total;
-}
-
-void CubeCountProvider::ResetStats() {
-  stats_ = {};
-  if (fallback_ != nullptr) fallback_->ResetStats();
 }
 
 }  // namespace hypdb

@@ -14,12 +14,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "dataframe/group_by.h"
 #include "dataframe/view.h"
-#include "engine/count_engine.h"
 #include "util/statusor.h"
 
 namespace hypdb {
@@ -42,7 +40,6 @@ class DataCube {
   int64_t CellsFor(const std::vector<int>& cols) const;
 
   const std::vector<int>& dims() const { return dims_; }
-  int64_t NumRows() const { return num_rows_; }
 
   /// Total materialized cells across the lattice (memory proxy).
   int64_t TotalCells() const { return total_cells_; }
@@ -54,34 +51,7 @@ class DataCube {
 
   std::vector<int> dims_;                  // sorted
   std::map<uint32_t, GroupCounts> cells_;  // mask over dims_ -> counts
-  int64_t num_rows_ = 0;
   int64_t total_cells_ = 0;
-};
-
-/// CountEngine view of a cube. Queries outside the cube's dimension set
-/// fail unless a fallback engine is supplied.
-class CubeCountProvider : public CountEngine {
- public:
-  explicit CubeCountProvider(
-      std::shared_ptr<const DataCube> cube,
-      std::shared_ptr<CountEngine> fallback = nullptr)
-      : cube_(std::move(cube)), fallback_(std::move(fallback)) {}
-
-  StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override;
-
-  int64_t NumRows() const override { return cube_->NumRows(); }
-
-  /// This adapter's counters plus the fallback engine's (if any).
-  CountEngineStats stats() const override;
-  void ResetStats() override;
-
-  int64_t cube_hits() const { return stats_.cube_hits; }
-  int64_t fallback_calls() const { return stats_.fallback_calls; }
-
- private:
-  std::shared_ptr<const DataCube> cube_;
-  std::shared_ptr<CountEngine> fallback_;
-  CountEngineStats stats_;
 };
 
 }  // namespace hypdb

@@ -70,18 +70,16 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
         ++stats_.cache_hits;
         ++exact->second.uses;
       }
-    } else if (options_.marginalize_supersets) {
-      auto best = BestSupersetLocked(sorted);
-      if (best != cache_.end()) {
-        source = best->second.counts;
-        source_key = best->first;
-        source_version = best->second.version;
-        derive = true;
-        stale = source_version != version_now;
-        if (!stale) {
-          ++stats_.marginalizations;
-          RecordUseLocked(source_key);
-        }
+    } else if (auto best = BestSupersetLocked(sorted);
+               best != cache_.end()) {
+      source = best->second.counts;
+      source_key = best->first;
+      source_version = best->second.version;
+      derive = true;
+      stale = source_version != version_now;
+      if (!stale) {
+        ++stats_.marginalizations;
+        RecordUseLocked(source_key);
       }
     }
   }
@@ -279,7 +277,6 @@ std::vector<int> CachingCountEngine::MarginalizationSource(
   // so they never marginalize anything.
   if (sorted.size() != cols.size()) return {};
   std::lock_guard<std::mutex> lock(mu_);
-  if (!options_.marginalize_supersets) return {};
   if (cache_.find(sorted) != cache_.end()) return {};
   auto best = BestSupersetLocked(sorted);
   return best == cache_.end() ? std::vector<int>{} : best->first;

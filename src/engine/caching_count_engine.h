@@ -46,8 +46,6 @@
 namespace hypdb {
 
 struct CachingCountEngineOptions {
-  /// Derive counts for S from a cached superset instead of delegating.
-  bool marginalize_supersets = true;
   /// Budget on the total number of cached groups across *unpinned*
   /// entries; unpinned entries are evicted in policy order when
   /// exceeded. Pinned (prefetched) entries are exempt — see the header

@@ -6,8 +6,11 @@
 // counts flow through; implementations form a small hierarchy:
 //  * ViewCountProvider   — scans a TableView with the packed-tuple kernel
 //                          (optionally multi-threaded); the ground truth.
-//  * CubeCountProvider   — answers from a pre-computed OLAP data cube
-//                          (src/cube), the Fig. 6(d)/8(b) configuration.
+//  * AdaptiveCubeProvider — answers covered queries from an installed
+//                          OLAP data cube and delegates the rest to its
+//                          base engine (src/cube), the Fig. 6(d)/8(b)
+//                          configuration when the cube is installed up
+//                          front.
 //  * CachingCountEngine  — wraps any engine with a subset-keyed cache plus
 //                          marginalization: counts for S ⊆ S' derive from
 //                          a cached S' summary instead of re-scanning
@@ -184,10 +187,6 @@ class CountEngine {
   virtual CountEngineStats stats() const { return {}; }
   virtual void ResetStats() {}
 };
-
-/// Legacy name from before the engine unification; the cube adapter and
-/// older call sites still use it.
-using CountProvider = CountEngine;
 
 /// Scans a TableView via the packed-tuple kernel (the default engine).
 /// Concurrent Counts() calls are safe: the scan reads immutable column

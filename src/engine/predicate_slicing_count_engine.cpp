@@ -9,21 +9,20 @@ namespace hypdb {
 
 PredicateSlicingCountEngine::PredicateSlicingCountEngine(
     std::shared_ptr<CountEngine> parent,
-    std::vector<SlicePredicate> predicates, TableView filtered_view,
-    GroupByKernelOptions fallback_kernel, int64_t parent_cache_budget,
-    std::shared_ptr<CountEngine> population,
-    std::shared_ptr<const CachePolicy> policy)
+    std::vector<SlicePredicate> predicates,
+    std::shared_ptr<CountEngine> population, const Table& schema,
+    int64_t parent_cache_budget, std::shared_ptr<const CachePolicy> policy)
     : parent_(std::move(parent)),
       predicates_(std::move(predicates)),
-      view_(std::move(filtered_view)),
       population_(std::move(population)),
-      fallback_(population_ ? population_
-                            : std::make_shared<ViewCountProvider>(
-                                  view_, fallback_kernel)),
       parent_cache_budget_(parent_cache_budget),
       policy_(policy != nullptr
                   ? std::move(policy)
                   : MakeCachePolicy(MaterializationMode::kStatic)) {
+  cardinalities_.reserve(schema.NumColumns());
+  for (int c = 0; c < schema.NumColumns(); ++c) {
+    cardinalities_.push_back(schema.column(c).Cardinality());
+  }
   std::sort(predicates_.begin(), predicates_.end(),
             [](const SlicePredicate& a, const SlicePredicate& b) {
               return a.col < b.col;
@@ -57,8 +56,7 @@ GroupCounts PredicateSlicingCountEngine::Slice(
   // Project the *parent's* codec (cols ⊆ superset, so this cannot
   // overflow): its cardinalities are current as of the parent's
   // population version, which keeps sliced keys bit-identical to a cold
-  // scan even after appends grow the dictionaries — the frozen view's
-  // codec would go stale.
+  // scan even after appends grow the dictionaries.
   out.codec = parent_counts.codec.Project(keep);
   std::vector<int32_t> codes(keep.size());
   for (size_t g = 0; g < parent_counts.keys.size(); ++g) {
@@ -100,7 +98,7 @@ bool PredicateSlicingCountEngine::OverParentBudget(
   // *observed* cell bound (a cached superset entry or an installed cube
   // lattice) when one exists, admitting sparse supersets the bound would
   // refuse.
-  StatusOr<TupleCodec> codec = TupleCodec::Create(view_.table(), superset);
+  StatusOr<TupleCodec> codec = TupleCodec::Create(cardinalities_, superset);
   const uint64_t bound =
       codec.ok() ? std::min<uint64_t>(
                        codec->Domain(),
@@ -126,24 +124,24 @@ StatusOr<GroupCounts> PredicateSlicingCountEngine::Counts(
   std::vector<int> sorted = SortedUniqueColumns(cols);
   if (sorted.size() != cols.size()) {
     // Duplicate columns — never issued by the stats layer; scan the
-    // filtered view rather than reason about repeated digits.
+    // population rather than reason about repeated digits.
     TraceInstant(TraceEventKind::kSliceFallback, 1, cols.size());
-    return fallback_->Counts(cols);
+    return population_->Counts(cols);
   }
   const std::vector<int> superset = SupersetFor(sorted);
   if (OverParentBudget(superset)) {
     TraceInstant(TraceEventKind::kSliceFallback, 1, cols.size(),
                  superset.size());
-    return fallback_->Counts(cols);
+    return population_->Counts(cols);
   }
   StatusOr<GroupCounts> parent_counts = parent_->Counts(superset);
   if (!parent_counts.ok()) {
     // Typically domain overflow on S ∪ P over the full table; the plain
-    // S scan of the filtered view may still fit (or report its own
+    // S scan of the population may still fit (or report its own
     // error, exactly as the isolated stack would).
     TraceInstant(TraceEventKind::kSliceFallback, 1, cols.size(),
                  superset.size());
-    return fallback_->Counts(cols);
+    return population_->Counts(cols);
   }
   GroupCounts sliced = Slice(*parent_counts, cols);
   TraceInstant(TraceEventKind::kSliceServe, 1, cols.size(),
@@ -167,7 +165,7 @@ Status PredicateSlicingCountEngine::Prefetch(const std::vector<int>& cols) {
 CountEngineStats PredicateSlicingCountEngine::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   CountEngineStats total = stats_;
-  total += fallback_->stats();
+  total += population_->stats();
   // Fallback calls were issued on behalf of the same external queries.
   total.queries = stats_.queries;
   return total;
@@ -176,7 +174,7 @@ CountEngineStats PredicateSlicingCountEngine::stats() const {
 void PredicateSlicingCountEngine::ResetStats() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_ = {};
-  fallback_->ResetStats();
+  population_->ResetStats();
   // The shared parent is deliberately left alone — it serves other
   // shards whose accounting must survive this one's reset.
 }

@@ -24,24 +24,24 @@
 // Confounding Bias" (2022).
 //
 // Fallback rules (the engine is *always* bit-identical to a direct scan
-// of the filtered view):
+// of the subpopulation):
 //  * non-equality predicates (multi-value IN terms, values absent from
 //    the dictionary) never reach this engine — DatasetRegistry builds the
-//    classic isolated stack for those signatures;
+//    isolated stack for those signatures;
 //  * a query with duplicate columns, or one the parent cannot answer
 //    (e.g. the full-table S ∪ P codec would overflow while the filtered
-//    scan still fits), falls back to a private ViewCountProvider scan of
-//    the filtered view.
+//    scan still fits), is answered by the population engine, which
+//    aggregates exactly the matching rows.
 //
 // Stats: `predicate_slices` counts queries answered by slicing. stats()
-// reports this layer plus its private fallback scanner only — the parent
-// is shared across shards, so its work is accounted once by whoever owns
-// it (DatasetRegistry::EngineStats), never summed into each shard.
+// reports this layer plus its population engine only — the parent is
+// shared across shards, so its work is accounted once by whoever owns it
+// (DatasetRegistry::EngineStats), never summed into each shard.
 //
 // Thread safety: all public methods may be called concurrently. The
-// parent and fallback engines are thread-safe, the view and predicates
-// are immutable, and the slicing computation is pure; only the counters
-// take this engine's mutex.
+// parent and population engines are thread-safe, the predicates and
+// cardinalities are immutable, and the slicing computation is pure; only
+// the counters take this engine's mutex.
 
 #ifndef HYPDB_ENGINE_PREDICATE_SLICING_COUNT_ENGINE_H_
 #define HYPDB_ENGINE_PREDICATE_SLICING_COUNT_ENGINE_H_
@@ -64,12 +64,15 @@ class PredicateSlicingCountEngine : public CountEngine {
  public:
   /// `parent` answers full-table counts (shared across shards);
   /// `predicates` is the non-empty equality conjunction defining the
-  /// subpopulation; `filtered_view` is the matching row subset (used for
-  /// NumRows and fallback scans, and to name the table for codecs).
-  /// `fallback_kernel` configures the private fallback scanner.
+  /// subpopulation; `population` aggregates exactly its rows and answers
+  /// NumRows(), fallback scans and the delta protocol (PopulationVersion
+  /// / CountsDelta) — in the registry a live FilteredPopulationProvider,
+  /// so the shard tracks appends and the shared parent's patched
+  /// summaries slice to current answers. `schema` is the full table; its
+  /// column cardinalities bound the size of an S ∪ P summary.
   /// `parent_cache_budget` is the parent's cached-cell budget when known
   /// (0 = unlimited): a query whose S ∪ P summary the admission policy
-  /// refuses under that budget is answered by the fallback scanner
+  /// refuses under that budget is answered by the population engine
   /// instead, because an over-budget summary is evicted on insert and
   /// every slice would re-scan the full table, strictly worse than the
   /// isolated stack this engine replaces. Admission goes through
@@ -80,20 +83,11 @@ class PredicateSlicingCountEngine : public CountEngine {
   /// while the adaptive policy charges the parent's *observed* cell
   /// bound (ObservedCellBound: a cached superset entry or an installed
   /// cube lattice) whenever one exists.
-  ///
-  /// `population`, when set, is a *live* source for the subpopulation
-  /// over growing storage (a FilteredPopulationProvider): it replaces
-  /// the frozen view for NumRows() and fallback scans, carries the
-  /// delta protocol (PopulationVersion / CountsDelta), and keeps this
-  /// shard current as the dataset ingests — the shared parent's patched
-  /// summaries then slice to current answers automatically. Without it
-  /// the engine behaves exactly as before over the fixed view.
   PredicateSlicingCountEngine(
       std::shared_ptr<CountEngine> parent,
-      std::vector<SlicePredicate> predicates, TableView filtered_view,
-      GroupByKernelOptions fallback_kernel = {},
+      std::vector<SlicePredicate> predicates,
+      std::shared_ptr<CountEngine> population, const Table& schema,
       int64_t parent_cache_budget = 0,
-      std::shared_ptr<CountEngine> population = nullptr,
       std::shared_ptr<const CachePolicy> policy = nullptr);
 
   StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override;
@@ -105,30 +99,25 @@ class PredicateSlicingCountEngine : public CountEngine {
   /// slicer would refuse to use is not materialized (no-op, Ok).
   Status Prefetch(const std::vector<int>& cols) override;
 
-  int64_t NumRows() const override {
-    return population_ ? population_->NumRows() : view_.NumRows();
-  }
+  int64_t NumRows() const override { return population_->NumRows(); }
 
-  /// With a live population: the storage watermark, so caching layers
-  /// above this shard can version their entries. Frozen shards keep the
-  /// default (their population never changes).
+  /// The population's version (the storage watermark for a live
+  /// population), so caching layers above this shard can version their
+  /// entries.
   int64_t PopulationVersion() const override {
-    return population_ ? population_->PopulationVersion() : NumRows();
+    return population_->PopulationVersion();
   }
 
-  /// Forwarded to the live population (the delta is a plain filtered
-  /// scan of the appended suffix); Unimplemented for frozen shards.
+  /// Forwarded to the population (for a live one, a plain filtered scan
+  /// of the appended suffix).
   StatusOr<GroupCounts> CountsDelta(const std::vector<int>& cols,
                                     int64_t from_version,
                                     int64_t to_version) override {
-    if (!population_) {
-      return Status::Unimplemented("frozen shard has no delta source");
-    }
     return population_->CountsDelta(cols, from_version, to_version);
   }
 
-  /// This layer plus the private fallback scanner. Deliberately excludes
-  /// the shared parent — see the header comment.
+  /// This layer plus the population engine. Deliberately excludes the
+  /// shared parent — see the header comment.
   CountEngineStats stats() const override;
   void ResetStats() override;
 
@@ -151,10 +140,9 @@ class PredicateSlicingCountEngine : public CountEngine {
 
   std::shared_ptr<CountEngine> parent_;
   std::vector<SlicePredicate> predicates_;  // sorted by col, unique
-  TableView view_;
-  std::shared_ptr<CountEngine> population_;  // live source; null = frozen
-  std::shared_ptr<CountEngine> fallback_;
-  int64_t parent_cache_budget_ = 0;          // 0 = unlimited
+  std::shared_ptr<CountEngine> population_;
+  std::vector<int32_t> cardinalities_;  // the full table's, per column
+  int64_t parent_cache_budget_ = 0;     // 0 = unlimited
   std::shared_ptr<const CachePolicy> policy_;  // never null
 
   mutable std::mutex mu_;

@@ -1,5 +1,6 @@
 #include "net/json.h"
 
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 
@@ -1092,14 +1093,24 @@ Status ExpectObject(const JsonValue& v, const char* what) {
   return Status::Ok();
 }
 
+/// InvalidArgument naming the option and its valid `range`.
+Status OptionOutOfRange(const std::string& key, const char* range) {
+  return Status::InvalidArgument("analysis option \"" + key +
+                                 "\" must lie in " + range);
+}
+
 /// Applies the "options" override object onto `options`. Strict: unknown
-/// keys and wrong types are errors, never silently dropped.
+/// keys, wrong types and values outside the ranges hypdb_cli accepts for
+/// the same flags are errors, never silently dropped or narrowed.
 Status ApplyOptionOverrides(const JsonValue& overrides,
                             HypDbOptions* options) {
   HYPDB_RETURN_IF_ERROR(ExpectObject(overrides, "\"options\""));
   for (const auto& [key, value] : overrides.members()) {
     if (key == "alpha" && value.is_number()) {
       options->alpha = value.number_value();
+      if (!(options->alpha >= 0.0 && options->alpha <= 1.0)) {
+        return OptionOutOfRange(key, "[0, 1]");
+      }
     } else if (key == "discover_mediators" && value.is_bool()) {
       options->discover_mediators = value.bool_value();
     } else if (key == "compute_significance" && value.is_bool()) {
@@ -1109,8 +1120,12 @@ Status ApplyOptionOverrides(const JsonValue& overrides,
     } else if (key == "seed" && value.is_int()) {
       options->seed = static_cast<uint64_t>(value.int_value());
     } else if (key == "scan_threads" && value.is_int()) {
+      if (value.int_value() < 0 || value.int_value() > INT_MAX) {
+        return OptionOutOfRange(key, "[0, 2147483647]");
+      }
       options->engine.scan_threads = static_cast<int>(value.int_value());
     } else if (key == "scan_morsel_rows" && value.is_int()) {
+      if (value.int_value() < 1) return OptionOutOfRange(key, "[1, 2^63)");
       options->engine.scan_morsel_rows = value.int_value();
     } else if (key == "scan_simd" && value.is_bool()) {
       options->engine.scan_simd = value.bool_value();

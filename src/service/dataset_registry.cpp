@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 #include <utility>
 
 #include "dataframe/csv.h"
@@ -14,21 +15,18 @@
 namespace hypdb {
 namespace {
 
-/// Resolves `signature` into the equality conjunction it denotes against
-/// `table`, or false when it is not sliceable: not a well-formed
-/// signature, a term with more (or fewer) than one value, an unknown
-/// attribute, a value absent from the column dictionary (such a term
-/// matches no row *today*, but the label may arrive with a later append,
-/// so the shard must track the store — the live filtered stack does), or
-/// a repeated attribute (distinct conjuncts on one column intersect; not
-/// worth slicing machinery).
-bool ResolveSlicePredicates(const Table& table, const std::string& signature,
+/// Resolves a parsed signature into the equality conjunction it denotes
+/// against `table`, or false when it is not sliceable: a term with more
+/// (or fewer) than one value, an unknown attribute, a value absent from
+/// the column dictionary (such a term matches no row *today*, but the
+/// label may arrive with a later append, so the shard must track the
+/// store — the live filtered stack does), or a repeated attribute
+/// (distinct conjuncts on one column intersect; not worth slicing
+/// machinery).
+bool ResolveSlicePredicates(const Table& table,
+                            const std::vector<SubpopulationTerm>& terms,
                             std::vector<SlicePredicate>* out) {
-  StatusOr<std::vector<SubpopulationTerm>> terms =
-      ParseSubpopulationSignature(signature);
-  if (!terms.ok() || terms->empty()) return false;
-  out->clear();
-  for (const SubpopulationTerm& term : *terms) {
+  for (const SubpopulationTerm& term : terms) {
     if (term.values.size() != 1) return false;
     StatusOr<int> col = table.ColumnIndex(term.attribute);
     if (!col.ok()) return false;
@@ -165,7 +163,6 @@ int64_t DatasetRegistry::Register(const std::string& name, TablePtr table) {
   ds.advisor_refused_dims.clear();
   ds.shards.clear();
   ds.shard_age.clear();
-  ds.frozen.clear();
   ds.retired_slices = 0;  // the parent's counters went with it
   return ds.epoch;
 }
@@ -195,32 +192,9 @@ StatusOr<int64_t> DatasetRegistry::AppendRows(
     store = it->second.store;
     lease = it->second.lease;
   }
-  int64_t watermark = 0;
-  {
-    std::unique_lock<std::shared_mutex> write(*lease);
-    HYPDB_RETURN_IF_ERROR(store->Append(rows));
-    watermark = store->Watermark();
-  }
-  // Frozen shards were built over a caller's materialized view; the view
-  // no longer covers the population, so drop them (they rebuild live on
-  // next use). Skip if the dataset was re-registered concurrently — the
-  // replacement already dropped everything.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = datasets_.find(name);
-    if (it != datasets_.end() && it->second.store == store) {
-      Dataset& ds = it->second;
-      for (const std::string& sig : ds.frozen) {
-        auto shard = ds.shards.find(sig);
-        if (shard != ds.shards.end()) {
-          ds.shards.erase(shard);
-          ds.shard_age.remove(sig);
-        }
-      }
-      ds.frozen.clear();
-    }
-  }
-  return watermark;
+  std::unique_lock<std::shared_mutex> write(*lease);
+  HYPDB_RETURN_IF_ERROR(store->Append(rows));
+  return store->Watermark();
 }
 
 StatusOr<DatasetLease> DatasetRegistry::ReadLease(
@@ -328,23 +302,22 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
 
 StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
     const std::string& name, int64_t epoch, const std::string& signature,
-    const TableView& population, int64_t watermark) {
+    int64_t watermark) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = datasets_.find(name);
-  if (it == datasets_.end()) {
+  if (it == datasets_.end() || it->second.store == nullptr) {
     return Status::NotFound("dataset not registered: " + name);
   }
   Dataset& ds = it->second;
   if (ds.epoch != epoch) {
-    // The caller's snapshot predates a re-registration; its population
-    // view aggregates the replaced table and must not seed this pool.
+    // The caller's snapshot predates a re-registration: it bound against
+    // the replaced table, so this epoch's shards do not answer for it.
     return Status::FailedPrecondition(
         "dataset " + name + " re-registered (snapshot epoch " +
         std::to_string(epoch) + ", current " + std::to_string(ds.epoch) +
         ")");
   }
-  if (watermark >= 0 && ds.store != nullptr &&
-      ds.store->Watermark() != watermark) {
+  if (watermark >= 0 && ds.store->Watermark() != watermark) {
     // The caller bound against an older watermark (a session created
     // before an append, or a rare snapshot/append race outside the read
     // lease). The live shared engines answer at the current watermark,
@@ -362,8 +335,8 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
   auto shard = ds.shards.find(signature);
   if (shard != ds.shards.end()) return shard->second;
 
-  std::shared_ptr<CountEngine> engine =
-      BuildShardLocked(ds, signature, population);
+  HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<CountEngine> engine,
+                         BuildShardLocked(ds, signature));
   ds.shards.emplace(signature, engine);
   ds.shard_age.push_back(signature);
   while (static_cast<int>(ds.shards.size()) >
@@ -375,7 +348,6 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
       // engine may still add a few — the accounting is best-effort under
       // that race, exact otherwise).
       ds.retired_slices += oldest->second->stats().predicate_slices;
-      ds.frozen.erase(oldest->first);
       ds.shards.erase(oldest);
     }
     ds.shard_age.pop_front();
@@ -401,7 +373,7 @@ std::shared_ptr<CountEngine> DatasetRegistry::WrapCache(
 
 std::shared_ptr<CountEngine> DatasetRegistry::ParentEngineLocked(
     Dataset& ds) {
-  if (ds.parent == nullptr && ds.store != nullptr) {
+  if (ds.parent == nullptr) {
     std::shared_ptr<CountEngine> base =
         std::make_shared<ChunkedCountProvider>(ds.store, KernelOptions());
     if (Adaptive()) {
@@ -424,62 +396,47 @@ std::shared_ptr<CountEngine> DatasetRegistry::ParentEngineLocked(
   return ds.parent;
 }
 
-std::shared_ptr<CountEngine> DatasetRegistry::BuildShardLocked(
-    Dataset& ds, const std::string& signature,
-    const TableView& population) {
-  // A live filtered-population scanner whenever the signature resolves
-  // against the store's schema: it tracks appends (its row set extends
-  // lazily) and carries the delta protocol, so the caching layer above
-  // patches instead of invalidating.
-  std::shared_ptr<CountEngine> live;
-  if (ds.store != nullptr) {
-    StatusOr<std::vector<SubpopulationTerm>> terms =
-        ParseSubpopulationSignature(signature);
-    if (terms.ok() && !terms->empty()) {
-      std::vector<FilteredPopulationProvider::Term> filter;
-      filter.reserve(terms->size());
-      for (SubpopulationTerm& term : *terms) {
-        filter.push_back(FilteredPopulationProvider::Term{
-            std::move(term.attribute), std::move(term.values)});
-      }
-      StatusOr<std::shared_ptr<FilteredPopulationProvider>> provider =
-          FilteredPopulationProvider::Create(ds.store, std::move(filter),
-                                             KernelOptions());
-      if (provider.ok()) live = std::move(*provider);
-    }
+StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::BuildShardLocked(
+    Dataset& ds, const std::string& signature) {
+  // A live filtered-population scanner: it tracks appends (its row set
+  // extends lazily) and carries the delta protocol, so the caching layer
+  // above patches instead of invalidating.
+  HYPDB_ASSIGN_OR_RETURN(std::vector<SubpopulationTerm> terms,
+                         ParseSubpopulationSignature(signature));
+  std::vector<FilteredPopulationProvider::Term> filter;
+  filter.reserve(terms.size());
+  for (const SubpopulationTerm& term : terms) {
+    filter.push_back(
+        FilteredPopulationProvider::Term{term.attribute, term.values});
   }
-  std::vector<SlicePredicate> predicates;
+  HYPDB_ASSIGN_OR_RETURN(
+      std::shared_ptr<CountEngine> live,
+      FilteredPopulationProvider::Create(ds.store, std::move(filter),
+                                         KernelOptions()));
   // Slicing needs a parent that actually caches: with materialization
   // off OR a zero cell budget (cache nothing), every slice would re-scan
   // the full table, strictly worse than scanning the filtered view. (A
   // zero budget means "unlimited" to the slicer's guard but "cache
   // nothing" to CachingCountEngine — never forward that configuration.)
-  if (live != nullptr && options_.cross_shard_slicing &&
-      options_.engine.materialize_focus &&
-      options_.engine.max_cached_cells > 0 &&
-      ResolveSlicePredicates(*ds.store->Materialized(), signature,
-                             &predicates)) {
-    // A shard-local cache over the slicer: exact repeats and shard-level
-    // marginalizations short-circuit before reaching the parent. The
-    // preference order per query is therefore shard hit > shard
-    // marginalization > parent slice (hit/marginalize/scan inside the
-    // parent) > private fallback scan. The live population keeps
-    // NumRows/fallbacks/deltas current across appends.
-    return WrapCache(std::make_shared<PredicateSlicingCountEngine>(
-        ParentEngineLocked(ds), std::move(predicates), population,
-        KernelOptions(), options_.engine.max_cached_cells, live,
-        MakeCachePolicy(options_.engine.materialization)));
+  std::vector<SlicePredicate> predicates;
+  if (options_.engine.materialize_focus &&
+      options_.engine.max_cached_cells > 0) {
+    TablePtr table = ds.store->Materialized();
+    if (ResolveSlicePredicates(*table, terms, &predicates)) {
+      // A shard-local cache over the slicer: exact repeats and
+      // shard-level marginalizations short-circuit before reaching the
+      // parent. The preference order per query is therefore shard hit >
+      // shard marginalization > parent slice (hit/marginalize/scan
+      // inside the parent) > fallback scan of the live population.
+      return WrapCache(std::make_shared<PredicateSlicingCountEngine>(
+          ParentEngineLocked(ds), std::move(predicates), std::move(live),
+          *table, options_.engine.max_cached_cells,
+          MakeCachePolicy(options_.engine.materialization)));
+    }
   }
-  if (live != nullptr) {
-    // Live isolated stack: the filtered-population scanner plus the
-    // cache (delta-patched across appends, no cross-shard sharing).
-    return WrapCache(std::move(live));
-  }
-  // Frozen stack: scanner over the caller's view, plus the cache. The
-  // view stops covering the population at the next append, so remember
-  // the signature for drop-on-append.
-  ds.frozen.insert(signature);
-  return MakeViewEngine(population, options_.engine);
+  // Live isolated stack: the filtered-population scanner plus the cache
+  // (delta-patched across appends, no cross-shard sharing).
+  return WrapCache(std::move(live));
 }
 
 StatusOr<PooledEngines> DatasetRegistry::Pool(const std::string& name,
@@ -491,7 +448,7 @@ StatusOr<PooledEngines> DatasetRegistry::Pool(const std::string& name,
   const int64_t watermark = snapshot.watermark;
   const MiEngineOptions engine = options_.engine;
   StatusOr<std::shared_ptr<CountEngine>> shard =
-      ShardEngine(name, epoch, signature, population, watermark);
+      ShardEngine(name, epoch, signature, watermark);
   if (shard.ok()) {
     out.population = std::make_shared<WatermarkGuardEngine>(
         std::move(*shard), watermark, population, engine);
@@ -505,7 +462,7 @@ StatusOr<PooledEngines> DatasetRegistry::Pool(const std::string& name,
     AggQuery context_query;
     context_query.where = where;
     StatusOr<std::shared_ptr<CountEngine>> shard = ShardEngine(
-        name, epoch, SubpopulationSignature(context_query), view, watermark);
+        name, epoch, SubpopulationSignature(context_query), watermark);
     // Stale epoch or advanced watermark: the caller's private fallback.
     if (!shard.ok()) return nullptr;
     return std::make_shared<WatermarkGuardEngine>(std::move(*shard),

@@ -28,9 +28,9 @@
 // shards carry a live FilteredPopulationProvider so they track appends.
 // Signatures with multi-value IN terms or values absent from the
 // dictionary get a live isolated stack (cache over a filtered-population
-// scanner). Only signatures the parser cannot resolve at all (unknown
-// attributes) keep the classic frozen stack over the caller's view —
-// those are dropped on the next append, since their view goes stale.
+// scanner). A shard is a function of (dataset, epoch, signature) alone:
+// the store builds it, never a caller's view, so a signature that does
+// not resolve against the store gets no shard at all.
 //
 // Concurrency: readers take the dataset's shared lease (ReadLease) for a
 // request's whole lifetime, so the watermark cannot advance mid-request;
@@ -46,7 +46,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -69,13 +68,6 @@ struct DatasetRegistryOptions {
   /// Filtered shard engines kept per dataset (the full-table parent is
   /// exempt); oldest-first eviction beyond this.
   int max_shards_per_dataset = 32;
-  /// Serve equality-conjunction shards by slicing the dataset's shared
-  /// parent engine (cross-shard reuse). Off, every shard scans its own
-  /// filtered view in isolation — the pre-slicing behavior benches use
-  /// as the baseline. Requires engine.materialize_focus (an uncached
-  /// parent would re-scan the full table per slice, strictly worse than
-  /// scanning the filtered view).
-  bool cross_shard_slicing = true;
   /// Rows per storage chunk (delta-scan granularity for appends).
   int64_t chunk_rows = ChunkedTable::kDefaultChunkRows;
 
@@ -183,9 +175,9 @@ class DatasetRegistry {
   /// Appends rows (one label per column, schema order) to `name`'s
   /// store. Serialized against readers via the dataset's lease; does NOT
   /// bump the epoch — shards, sessions and discovery entries survive and
-  /// are delta-patched. Frozen shards (stale-view stacks) are dropped.
-  /// Returns the new watermark. NotFound for an unknown dataset,
-  /// InvalidArgument on arity mismatch (the store is left unchanged).
+  /// are delta-patched. Returns the new watermark. NotFound for an
+  /// unknown dataset, InvalidArgument on arity mismatch (the store is
+  /// left unchanged).
   StatusOr<int64_t> AppendRows(
       const std::string& name,
       const std::vector<std::vector<std::string>>& rows);
@@ -213,18 +205,17 @@ class DatasetRegistry {
   };
   StatusOr<Snapshot> GetSnapshot(const std::string& name) const;
 
-  /// The shared count engine of shard (`name`, `signature`), created over
-  /// `population` on first use. Callers pass the bound WHERE view of
-  /// their snapshot table; equal signatures select equal row sets by
-  /// construction, so later callers may pass their own (content-
-  /// identical) view. `epoch` must match the dataset's current epoch —
-  /// FailedPrecondition otherwise (the dataset was re-registered since
-  /// the caller's snapshot; a stale population must not seed the new
-  /// epoch's pool). `watermark`, when >= 0, must match the store's
-  /// current watermark — FailedPrecondition otherwise (the caller bound
-  /// against a row count the live shared engines no longer answer for;
-  /// callers degrade to a private engine over their pinned view). The
-  /// empty signature names the dataset's full-table parent engine;
+  /// The shared count engine of shard (`name`, `signature`), built from
+  /// the dataset's store on first use. `signature` is a canonical
+  /// subpopulation signature (service/request.h): InvalidArgument when it
+  /// does not parse, NotFound when it names a column the dataset lacks.
+  /// `epoch` must match the dataset's current epoch — FailedPrecondition
+  /// otherwise (the dataset was re-registered since the caller's
+  /// snapshot). `watermark`, when >= 0, must match the store's current
+  /// watermark — FailedPrecondition otherwise (the caller bound against a
+  /// row count the live shared engines no longer answer for; callers
+  /// degrade to a private engine over their pinned view). The empty
+  /// signature names the dataset's full-table parent engine;
   /// equality-conjunction signatures get slicing shards backed by that
   /// parent (see the header comment). Oldest filtered shards are dropped
   /// beyond max_shards_per_dataset; an evicted parent reference held by
@@ -232,7 +223,7 @@ class DatasetRegistry {
   /// handed out.
   StatusOr<std::shared_ptr<CountEngine>> ShardEngine(
       const std::string& name, int64_t epoch, const std::string& signature,
-      const TableView& population, int64_t watermark = -1);
+      int64_t watermark = -1);
 
   /// The engines of one request or session bound at `snapshot`, whose
   /// WHERE has canonical `signature` and selects `population`: the one
@@ -295,10 +286,6 @@ class DatasetRegistry {
     std::vector<int> advisor_refused_dims;
     std::map<std::string, std::shared_ptr<CountEngine>> shards;
     std::list<std::string> shard_age;  // creation order, oldest first
-    /// Signatures whose shard is a frozen stack over the caller's view
-    /// (the signature did not resolve against the store). Appends drop
-    /// these — their view no longer covers the population.
-    std::set<std::string> frozen;
     /// Slices performed by since-evicted shards: each one was an internal
     /// query on the parent, and EngineStats must keep subtracting them
     /// after the shard (and its predicate_slices counter) is gone.
@@ -320,15 +307,13 @@ class DatasetRegistry {
   /// ds.parent, created over the chunked store if absent. Requires mu_.
   std::shared_ptr<CountEngine> ParentEngineLocked(Dataset& ds);
 
-  /// A new engine for `signature` over `population`: a slicing stack
+  /// A new engine for `signature` over the store: a slicing stack
   /// through the shared parent when the signature is a pure equality
-  /// conjunction (and slicing is enabled), a live isolated stack over a
-  /// FilteredPopulationProvider when the signature resolves against the
-  /// store, the frozen scanner+cache stack otherwise (recorded in
-  /// ds.frozen for drop-on-append). Requires mu_.
-  std::shared_ptr<CountEngine> BuildShardLocked(
-      Dataset& ds, const std::string& signature,
-      const TableView& population);
+  /// conjunction, a live isolated stack over a FilteredPopulationProvider
+  /// otherwise. InvalidArgument/NotFound for a signature that does not
+  /// resolve (see ShardEngine). Requires mu_.
+  StatusOr<std::shared_ptr<CountEngine>> BuildShardLocked(
+      Dataset& ds, const std::string& signature);
 
   /// True when every caching layer runs the adaptive policy (and the
   /// advisor is worth running at all).

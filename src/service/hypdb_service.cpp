@@ -12,7 +12,6 @@ DatasetRegistryOptions RegistryOptions(const HypDbServiceOptions& o) {
   DatasetRegistryOptions out;
   out.engine = o.analysis.engine;
   out.max_shards_per_dataset = o.max_shards_per_dataset;
-  out.cross_shard_slicing = o.cross_shard_slicing;
   out.chunk_rows = o.chunk_rows;
   out.advisor_interval_seconds = o.advisor_interval_seconds;
   return out;
@@ -29,8 +28,6 @@ QuerySchedulerOptions SchedulerOptions(const HypDbServiceOptions& o) {
   QuerySchedulerOptions out;
   out.num_workers = o.num_workers;
   out.batch_max = o.batch_max;
-  out.share_engines = o.share_engines;
-  out.share_discovery = o.share_discovery;
   // Batch union planning rides the adaptive-materialization knob: the
   // cost model that admits observed-size supersets is what keeps the
   // planned unions cache-resident long enough to pay off.
@@ -512,44 +509,38 @@ StatusOr<SessionInfo> HypDbService::CreateSession(
     TraceSpanScope bind_span(TraceEventKind::kStage, 1,
                              static_cast<uint64_t>(TraceStage::kBind));
     HYPDB_ASSIGN_OR_RETURN(bound, BindQuery(snapshot.table, query));
-    if (options_.share_engines) {
-      // The population shard and per-context shards, exactly as the
-      // analyze path wires them. The session outlives this call, so the
-      // pins matter here: appends between its stages must not leak new
-      // rows into the bind-time population (staged digest invariant).
-      HYPDB_ASSIGN_OR_RETURN(
-          PooledEngines pooled,
-          registry_.Pool(dataset, snapshot, SubpopulationSignature(query),
-                         bound.population));
-      hooks.population_engine = std::move(pooled.population);
-      hooks.context_engine_provider = std::move(pooled.contexts);
-    }
+    // The population shard and per-context shards, exactly as the analyze
+    // path wires them. The session outlives this call, so the pins
+    // matter here: appends between its stages must not leak new rows
+    // into the bind-time population (staged digest invariant).
+    HYPDB_ASSIGN_OR_RETURN(
+        PooledEngines pooled,
+        registry_.Pool(dataset, snapshot, SubpopulationSignature(query),
+                       bound.population));
+    hooks.population_engine = std::move(pooled.population);
+    hooks.context_engine_provider = std::move(pooled.contexts);
   }
   // The interceptor closure is built before the session's Entry exists;
   // both share ownership of the flags object, so there is no post-
   // publication pointer patching a concurrent stage job could race.
   auto flags = std::make_shared<SessionDiscoveryFlags>();
-  if (options_.share_discovery) {
-    DiscoveryCache* cache = &discovery_;
-    const std::string key = DiscoveryKey(dataset, epoch, query, analysis);
-    // The session discovers over its pinned bind-time table, so the
-    // staleness check runs against the bind watermark: an entry computed
-    // at (or after) it serves; an older one refreshes — over this
-    // session's pinned rows.
-    const int64_t bind_watermark = snapshot.watermark;
-    hooks.discovery_interceptor =
-        [cache, key, flags, bind_watermark](
-            const std::function<StatusOr<DiscoveryReport>()>& compute)
-        -> StatusOr<DiscoveryReport> {
-      bool reused = false;
-      bool coalesced = false;
-      StatusOr<DiscoveryReport> report = cache->LookupOrCompute(
-          key, compute, &reused, &coalesced, bind_watermark);
-      flags->reused.store(reused);
-      flags->coalesced.store(coalesced);
-      return report;
-    };
-  }
+  // The session discovers over its pinned bind-time table, so the
+  // staleness check runs against the bind watermark: an entry computed at
+  // (or after) it serves; an older one refreshes — over this session's
+  // pinned rows.
+  hooks.discovery_interceptor =
+      [cache = &discovery_, flags, bind_watermark = snapshot.watermark,
+       key = DiscoveryKey(dataset, epoch, query, analysis)](
+          const std::function<StatusOr<DiscoveryReport>()>& compute)
+      -> StatusOr<DiscoveryReport> {
+    bool reused = false;
+    bool coalesced = false;
+    StatusOr<DiscoveryReport> report = cache->LookupOrCompute(
+        key, compute, &reused, &coalesced, bind_watermark);
+    flags->reused.store(reused);
+    flags->coalesced.store(coalesced);
+    return report;
+  };
 
   HYPDB_ASSIGN_OR_RETURN(
       std::unique_ptr<AnalysisSession> session,

@@ -60,13 +60,6 @@ struct HypDbServiceOptions {
   int64_t max_discovery_entries = 256;
   /// Same-batch-key requests a worker drains per pickup.
   int batch_max = 8;
-  /// Feature toggles (all on in production; tests and benches ablate
-  /// them). `cross_shard_slicing` lets equality-conjunction shards derive
-  /// counts from the dataset's shared parent engine instead of scanning
-  /// their filtered view in isolation (DatasetRegistryOptions).
-  bool share_engines = true;
-  bool share_discovery = true;
-  bool cross_shard_slicing = true;
   /// Rows per storage chunk (DatasetRegistryOptions::chunk_rows): the
   /// granularity of delta scans after appends.
   int64_t chunk_rows = ChunkedTable::kDefaultChunkRows;

@@ -206,9 +206,7 @@ void QueryScheduler::WorkerLoop(int worker_id) {
     }
     if (batch.size() > 1) {
       metrics_.batched_twins.Add(static_cast<int64_t>(batch.size()) - 1);
-      if (options_.union_planning && options_.share_engines) {
-        PlanBatchPrefetch(&batch);
-      }
+      if (options_.union_planning) PlanBatchPrefetch(&batch);
     }
     for (Job& job : batch) RunJob(std::move(job), worker_id);
   }
@@ -230,16 +228,12 @@ void QueryScheduler::PlanBatchPrefetch(std::vector<Job>* batch) {
   StatusOr<DatasetRegistry::Snapshot> snapshot =
       registry_->GetSnapshot(dataset);
   if (!snapshot.ok()) return;
-  // One bind suffices: batch-key equality means every job shares the
-  // WHERE clause (and the treatment), so they all resolve to the same
-  // shard engine.
-  StatusOr<BoundQuery> bound =
-      BindQuery(snapshot->table, jobs.front()->query);
-  if (!bound.ok()) return;
+  // Batch-key equality means every job shares the WHERE clause (and the
+  // treatment), so they all resolve to the same shard engine.
   StatusOr<std::shared_ptr<CountEngine>> shard = registry_->ShardEngine(
       dataset, snapshot->epoch, SubpopulationSignature(jobs.front()->query),
-      bound->population, snapshot->watermark);
-  if (!shard.ok() || *shard == nullptr) return;
+      snapshot->watermark);
+  if (!shard.ok()) return;
 
   const Table& table = *snapshot->table;
   std::vector<int64_t> cardinalities(table.NumColumns());
@@ -393,36 +387,31 @@ StatusOr<ServiceReport> QueryScheduler::Execute(const Job& job,
     TraceSpanScope bind_span(TraceEventKind::kStage, 1,
                              static_cast<uint64_t>(TraceStage::kBind));
     HYPDB_ASSIGN_OR_RETURN(bound, BindQuery(snapshot.table, job.query));
-    if (options_.share_engines) {
-      // The same provider sessions use: the population shard serves the
-      // answers and discovery, per-context shards serve detection,
-      // explanation and the rewrite. A null population means the dataset
-      // was re-registered after our snapshot; the request then runs
-      // unshared over the snapshot table — still correct, just not
-      // pooled — and its discovery caches under the (now stale,
-      // unreachable) snapshot epoch.
-      HYPDB_ASSIGN_OR_RETURN(
-          PooledEngines pooled,
-          registry_->Pool(job.request.dataset, snapshot,
-                          SubpopulationSignature(job.query),
-                          bound.population));
-      engine = pooled.population;
-      if (engine != nullptr) engine_before = engine->stats();
-      hooks.population_engine = std::move(pooled.population);
-      hooks.context_engine_provider = std::move(pooled.contexts);
-    }
+    // The same provider sessions use: the population shard serves the
+    // answers and discovery, per-context shards serve detection,
+    // explanation and the rewrite. A null population means the dataset
+    // was re-registered after our snapshot; the request then runs
+    // unshared over the snapshot table — still correct, just not pooled
+    // — and its discovery caches under the (now stale, unreachable)
+    // snapshot epoch.
+    HYPDB_ASSIGN_OR_RETURN(
+        PooledEngines pooled,
+        registry_->Pool(job.request.dataset, snapshot,
+                        SubpopulationSignature(job.query), bound.population));
+    engine = pooled.population;
+    if (engine != nullptr) engine_before = engine->stats();
+    hooks.population_engine = std::move(pooled.population);
+    hooks.context_engine_provider = std::move(pooled.contexts);
   }
-  if (options_.share_discovery) {
-    hooks.discovery_interceptor =
-        [this, stats, &snapshot,
-         key = DiscoveryKey(job.request.dataset, snapshot.epoch, job.query,
-                            options)](
-            const std::function<StatusOr<DiscoveryReport>()>& compute) {
-          return discovery_->LookupOrCompute(
-              key, compute, &stats->discovery_reused,
-              &stats->discovery_coalesced, snapshot.watermark);
-        };
-  }
+  hooks.discovery_interceptor =
+      [this, stats, &snapshot,
+       key = DiscoveryKey(job.request.dataset, snapshot.epoch, job.query,
+                          options)](
+          const std::function<StatusOr<DiscoveryReport>()>& compute) {
+        return discovery_->LookupOrCompute(
+            key, compute, &stats->discovery_reused,
+            &stats->discovery_coalesced, snapshot.watermark);
+      };
 
   HYPDB_ASSIGN_OR_RETURN(
       std::unique_ptr<AnalysisSession> session,

@@ -69,18 +69,13 @@ struct QuerySchedulerOptions {
   /// dropped (their tickets then Wait() as not-found). Bounds the memory
   /// of fire-and-forget submitters that never collect.
   int64_t max_retained_results = 1024;
-  /// Route discovery counts through the registry's shared shard engines.
-  bool share_engines = true;
-  /// Reuse/coalesce discovery via the DiscoveryCache.
-  bool share_discovery = true;
   /// Batch union planning: before running a drained multi-request batch,
   /// compute the cheapest superset cover of the attribute sets the batch
   /// needs (service/union_planner.h) and Prefetch each multi-request bin
   /// once on the shared shard engine — covered requests then answer by
-  /// marginalization instead of scanning. Requires share_engines (the
-  /// warm-up must land in the cache the requests read). The service
-  /// enables this under adaptive materialization. Results stay
-  /// bit-identical: prefetching only moves counts into the cache.
+  /// marginalization instead of scanning. The service enables this
+  /// under adaptive materialization. Results stay bit-identical:
+  /// prefetching only moves counts into the cache.
   bool union_planning = false;
   /// Analysis options for requests that do not carry their own.
   HypDbOptions defaults;

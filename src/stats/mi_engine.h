@@ -85,7 +85,7 @@ class MiEngine {
   /// Engine over `view` with the default scan-based count engine.
   explicit MiEngine(TableView view, MiEngineOptions options = {});
 
-  /// Engine with a custom count source (e.g. CubeCountProvider). `view`
+  /// Engine with a custom count source (e.g. AdaptiveCubeProvider). `view`
   /// must describe the same population the source aggregates. The source
   /// is wrapped in a CachingCountEngine unless materialization is off or
   /// `wrap_provider` is false — pass false for a provider that already

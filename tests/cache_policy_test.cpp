@@ -282,7 +282,7 @@ TEST(CubeAdvisorTest, PromotesPersistentlyHotSetsAndServesFromCube) {
   DatasetRegistry registry(options);
   TablePtr t = FixedCardTable(5, 1200, 4, 21);
   const int64_t epoch = registry.Register("d", t);
-  auto engine = registry.ShardEngine("d", epoch, "", TableView(t));
+  auto engine = registry.ShardEngine("d", epoch, "");
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   // Two passes of repeated demand for {0,1} and {1,2} make both hot
@@ -325,7 +325,7 @@ TEST(CubeAdvisorTest, AppendDemotesTheStaleCube) {
   DatasetRegistry registry(options);
   TablePtr t = FixedCardTable(4, 600, 3, 31);
   const int64_t epoch = registry.Register("d", t);
-  auto engine = registry.ShardEngine("d", epoch, "", TableView(t));
+  auto engine = registry.ShardEngine("d", epoch, "");
   ASSERT_TRUE(engine.ok());
 
   for (int pass = 0; pass < 2; ++pass) {
@@ -350,9 +350,8 @@ TEST(CubeAdvisorTest, AppendDemotesTheStaleCube) {
   // Post-demotion answers still exact against the appended population.
   auto snapshot = registry.GetSnapshot("d");
   ASSERT_TRUE(snapshot.ok());
-  auto fresh = registry.ShardEngine("d", snapshot->epoch, "",
-                                    TableView(snapshot->table),
-                                    snapshot->watermark);
+  auto fresh =
+      registry.ShardEngine("d", snapshot->epoch, "", snapshot->watermark);
   ASSERT_TRUE(fresh.ok());
   auto counts = (*fresh)->Counts({0, 1});
   ASSERT_TRUE(counts.ok());

@@ -1,7 +1,8 @@
-// Tests for the OLAP data cube and its CountProvider adapter.
+// Tests for the OLAP data cube and its count-engine adapter.
 
 #include <gtest/gtest.h>
 
+#include "cube/adaptive_cube_provider.h"
 #include "cube/data_cube.h"
 #include "stats/mi_engine.h"
 #include "util/rng.h"
@@ -60,13 +61,17 @@ TEST(DataCubeTest, UnknownColumnIsError) {
   EXPECT_FALSE(cube->Counts({2}).ok());
 }
 
-TEST(CubeCountProviderTest, ServesEngineQueries) {
+// The Fig. 6(d) configuration: a cube installed up front over a scanner
+// serves every entropy query of an MiEngine without a scan.
+TEST(CubeProviderTest, InstalledCubeServesEngineQueries) {
   TablePtr t = RandomTable(3, 2000, 13);
   TableView view(t);
   auto cube = DataCube::Build(view, {0, 1, 2});
   ASSERT_TRUE(cube.ok());
-  auto cube_ptr = std::make_shared<const DataCube>(std::move(*cube));
-  auto provider = std::make_shared<CubeCountProvider>(cube_ptr);
+  auto base = std::make_shared<ViewCountProvider>(view);
+  auto provider = std::make_shared<AdaptiveCubeProvider>(base);
+  provider->InstallCube(std::make_shared<const DataCube>(std::move(*cube)),
+                        base->PopulationVersion());
 
   MiEngine from_cube(view, provider,
                      MiEngineOptions{.cache_entropies = false});
@@ -75,27 +80,9 @@ TEST(CubeCountProviderTest, ServesEngineQueries) {
        std::vector<std::vector<int>>{{0}, {1}, {0, 2}, {0, 1, 2}}) {
     EXPECT_NEAR(*from_cube.Entropy(cols), *from_scan.Entropy(cols), 1e-12);
   }
-  EXPECT_GT(provider->cube_hits(), 0);
-  EXPECT_EQ(provider->fallback_calls(), 0);
-}
-
-TEST(CubeCountProviderTest, FallsBackWhenConfigured) {
-  TablePtr t = RandomTable(3, 500, 15);
-  TableView view(t);
-  auto cube = DataCube::Build(view, {0, 1});
-  ASSERT_TRUE(cube.ok());
-  auto cube_ptr = std::make_shared<const DataCube>(std::move(*cube));
-
-  // Without fallback: out-of-cube query fails.
-  CubeCountProvider strict(cube_ptr);
-  EXPECT_FALSE(strict.Counts({2}).ok());
-
-  // With fallback: succeeds and is counted.
-  CubeCountProvider lenient(cube_ptr,
-                            std::make_shared<ViewCountProvider>(view));
-  auto counts = lenient.Counts({2});
-  ASSERT_TRUE(counts.ok());
-  EXPECT_EQ(lenient.fallback_calls(), 1);
+  EXPECT_GT(provider->stats().cube_hits, 0);
+  EXPECT_EQ(provider->stats().fallback_calls, 0);
+  EXPECT_EQ(base->num_scans(), 0);
 }
 
 TEST(DataCubeTest, TotalCellsAccountsLattice) {

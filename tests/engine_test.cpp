@@ -446,6 +446,11 @@ TableView EqualityView(const TablePtr& t,
   return TableView(t).WithRows(std::move(rows));
 }
 
+// The population engine of a slicing engine over `view`.
+std::shared_ptr<CountEngine> Scanner(const TableView& view) {
+  return std::make_shared<ViewCountProvider>(view);
+}
+
 // The tentpole property: for random tables, random equality predicates,
 // and random column subsets, counts sliced from the shared full-table
 // parent are bit-identical to a direct scan of the filtered view —
@@ -472,7 +477,7 @@ TEST(PredicateSlicingCountEngineTest, SlicedCountsMatchDirectScan) {
 
     auto parent = std::make_shared<CachingCountEngine>(
         std::make_shared<ViewCountProvider>(TableView(t)));
-    PredicateSlicingCountEngine engine(parent, preds, view);
+    PredicateSlicingCountEngine engine(parent, preds, Scanner(view), *t);
     EXPECT_EQ(engine.NumRows(), view.NumRows());
 
     for (int trial = 0; trial < 12; ++trial) {
@@ -509,7 +514,7 @@ TEST(PredicateSlicingCountEngineTest, StackAttributesExactlyOnePerQuery) {
   auto parent = std::make_shared<CachingCountEngine>(
       std::make_shared<ViewCountProvider>(TableView(t)));
   CachingCountEngine shard(std::make_shared<PredicateSlicingCountEngine>(
-      parent, preds, view));
+      parent, preds, Scanner(view), *t));
 
   ASSERT_TRUE(shard.Counts({0, 1, 2}).ok());  // predicate slice
   ASSERT_TRUE(shard.Counts({0, 1, 2}).ok());  // shard cache hit
@@ -534,7 +539,7 @@ TEST(PredicateSlicingCountEngineTest, StackAttributesExactlyOnePerQuery) {
   const int32_t other = (preds[0].code + 1) % t->column(4).Cardinality();
   std::vector<SlicePredicate> preds2 = {SlicePredicate{4, other}};
   TableView view2 = EqualityView(t, preds2);
-  PredicateSlicingCountEngine sibling(parent, preds2, view2);
+  PredicateSlicingCountEngine sibling(parent, preds2, Scanner(view2), *t);
   auto sibling_counts = sibling.Counts({0, 1, 2});
   ASSERT_TRUE(sibling_counts.ok());
   auto sibling_direct = CountBy(view2, {0, 1, 2});
@@ -568,7 +573,7 @@ TEST(PredicateSlicingCountEngineTest, ParentFailureFallsBackToViewScan) {
   TableView view = EqualityView(t, preds);
   auto parent = std::make_shared<CachingCountEngine>(
       std::make_shared<ViewCountProvider>(TableView(t)));
-  PredicateSlicingCountEngine engine(parent, preds, view);
+  PredicateSlicingCountEngine engine(parent, preds, Scanner(view), *t);
 
   auto counts = engine.Counts({0, 1, 2});
   ASSERT_TRUE(counts.ok());
@@ -597,7 +602,7 @@ TEST(PredicateSlicingCountEngineTest, StackPrefetchPinsSharedSuperset) {
   auto parent = std::make_shared<CachingCountEngine>(
       std::make_shared<ViewCountProvider>(TableView(t)));
   CachingCountEngine shard(std::make_shared<PredicateSlicingCountEngine>(
-      parent, preds, view));
+      parent, preds, Scanner(view), *t));
 
   ASSERT_TRUE(shard.Prefetch({0, 1, 2}).ok());
   // One full-table scan materialized (and pinned) {0,1,2,3} in the
@@ -611,7 +616,7 @@ TEST(PredicateSlicingCountEngineTest, StackPrefetchPinsSharedSuperset) {
   std::vector<SlicePredicate> preds2 = {SlicePredicate{3, other}};
   TableView view2 = EqualityView(t, preds2);
   CachingCountEngine sibling(std::make_shared<PredicateSlicingCountEngine>(
-      parent, preds2, view2));
+      parent, preds2, Scanner(view2), *t));
   ASSERT_TRUE(sibling.Prefetch({0, 1, 2}).ok());
   p = parent->stats();
   EXPECT_EQ(p.scans, 1);  // no second scan
@@ -634,7 +639,7 @@ TEST(PredicateSlicingCountEngineTest, UncacheableSupersetScansTheView) {
   tiny.max_cached_cells = 2;  // nothing real fits
   auto parent = std::make_shared<CachingCountEngine>(
       std::make_shared<ViewCountProvider>(TableView(t)), tiny);
-  PredicateSlicingCountEngine engine(parent, preds, view, {},
+  PredicateSlicingCountEngine engine(parent, preds, Scanner(view), *t,
                                      tiny.max_cached_cells);
 
   auto counts = engine.Counts({0, 1});
@@ -642,7 +647,7 @@ TEST(PredicateSlicingCountEngineTest, UncacheableSupersetScansTheView) {
   ExpectSameCounts(*counts, *CountBy(view, {0, 1}));
   CountEngineStats s = engine.stats();
   EXPECT_EQ(s.predicate_slices, 0);
-  EXPECT_EQ(s.scans, 1);           // the private filtered-view scan
+  EXPECT_EQ(s.scans, 1);           // the population's scan
   EXPECT_EQ(parent->stats().queries, 0);  // the parent was never asked
 
   // Prefetch refuses the same superset: nothing is materialized (let
@@ -652,7 +657,7 @@ TEST(PredicateSlicingCountEngineTest, UncacheableSupersetScansTheView) {
   EXPECT_EQ(parent->num_entries(), 0);
 
   // With the budget unknown (0), the slice goes through as usual.
-  PredicateSlicingCountEngine unguarded(parent, preds, view);
+  PredicateSlicingCountEngine unguarded(parent, preds, Scanner(view), *t);
   auto sliced = unguarded.Counts({0, 1});
   ASSERT_TRUE(sliced.ok());
   ExpectSameCounts(*sliced, *CountBy(view, {0, 1}));

@@ -230,6 +230,41 @@ TEST(JsonCodecTest, AnalyzeRequestParsing) {
   }
 }
 
+// Per-request options are held to the ranges hypdb_cli enforces on the
+// same flags: a value outside them is rejected, never accepted or
+// narrowed, and the ends of each range are accepted.
+TEST(JsonCodecTest, AnalyzeRequestRejectsOutOfRangeOptions) {
+  HypDbOptions base;
+  auto request = [](const std::string& options) {
+    return ParseJson(R"({"dataset": "b", "sql": "q", "options": )" +
+                     options + "}");
+  };
+  for (const char* bad : {
+           R"({"alpha": 2.5})",
+           R"({"alpha": -1})",
+           R"({"scan_threads": -3})",
+           R"({"scan_threads": 4294967297})",
+           R"({"scan_morsel_rows": 0})",
+       }) {
+    auto parsed = request(bad);
+    ASSERT_TRUE(parsed.ok()) << bad;
+    EXPECT_EQ(AnalyzeRequestFromJson(*parsed, base).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  auto ends = request(
+      R"({"alpha": 1, "scan_threads": 2147483647, "scan_morsel_rows": 1})");
+  ASSERT_TRUE(ends.ok());
+  auto wire = AnalyzeRequestFromJson(*ends, base);
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  EXPECT_EQ(wire->request.options->alpha, 1.0);
+  EXPECT_EQ(wire->request.options->engine.scan_threads, 2147483647);
+  EXPECT_EQ(wire->request.options->engine.scan_morsel_rows, 1);
+  auto zero = request(R"({"alpha": 0, "scan_threads": 0})");
+  ASSERT_TRUE(zero.ok());
+  EXPECT_TRUE(AnalyzeRequestFromJson(*zero, base).ok());
+}
+
 TEST(JsonCodecTest, RegisterCommandParsing) {
   auto csv = ParseJson(R"({"name": "d", "csv": "/tmp/d.csv"})");
   ASSERT_TRUE(csv.ok());

@@ -281,6 +281,13 @@ TEST(NetTest, MaterializationKnobOnTheWire) {
   bad.Set("options", std::move(bad_options));
   EXPECT_EQ(client.Post("/v1/analyze", bad).status().code(),
             StatusCode::kInvalidArgument);
+  // So is a value outside the range hypdb_cli accepts for the same flag.
+  JsonValue far = AnalyzeBody("b", sql);
+  JsonValue far_options = JsonValue::MakeObject();
+  far_options.Set("alpha", JsonValue::Double(2.5));
+  far.Set("options", std::move(far_options));
+  EXPECT_EQ(client.Post("/v1/analyze", far).status().code(),
+            StatusCode::kInvalidArgument);
 
   // /healthz names the service-wide policy and reports per-dataset cache
   // occupancy.

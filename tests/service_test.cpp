@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/hypdb.h"
@@ -25,6 +27,7 @@
 #include "service/hypdb_service.h"
 #include "service/report_digest.h"
 #include "service/request.h"
+#include "util/rng.h"
 
 namespace hypdb {
 namespace {
@@ -224,9 +227,9 @@ TEST(DatasetRegistryTest, RegisterGetEpochAndReplacement) {
   EXPECT_EQ(*registry.Epoch("b"), 1);
 
   // Shards are created on demand and dropped on re-registration.
-  auto engine = registry.ShardEngine("b", 1, "", TableView(*table));
+  auto engine = registry.ShardEngine("b", 1, "");
   ASSERT_TRUE(engine.ok());
-  auto again = registry.ShardEngine("b", 1, "", TableView(*table));
+  auto again = registry.ShardEngine("b", 1, "");
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(engine->get(), again->get());
   EXPECT_EQ(registry.List()[0].shards, 1);
@@ -234,9 +237,9 @@ TEST(DatasetRegistryTest, RegisterGetEpochAndReplacement) {
   EXPECT_EQ(registry.Register("b", Berkeley()), 2);
   EXPECT_EQ(registry.List()[0].shards, 0);
 
-  // A snapshot taken before the re-registration must not seed the new
-  // pool: its view aggregates the replaced table.
-  auto stale = registry.ShardEngine("b", 1, "", TableView(*table));
+  // A caller bound before the re-registration gets no shard of the new
+  // epoch: its population aggregates the replaced table.
+  auto stale = registry.ShardEngine("b", 1, "");
   EXPECT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(registry.List()[0].shards, 0);
@@ -244,23 +247,19 @@ TEST(DatasetRegistryTest, RegisterGetEpochAndReplacement) {
   auto snapshot = registry.GetSnapshot("b");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot->epoch, 2);
-  EXPECT_TRUE(registry
-                  .ShardEngine("b", snapshot->epoch, "",
-                               TableView(snapshot->table))
-                  .ok());
+  EXPECT_TRUE(registry.ShardEngine("b", snapshot->epoch, "").ok());
 }
 
 TEST(DatasetRegistryTest, ShardEnginesShareCountsPerSignature) {
   DatasetRegistry registry;
   registry.Register("b", Berkeley());
-  TablePtr table = *registry.Get("b");
-  auto engine = *registry.ShardEngine("b", 1, "", TableView(table));
+  auto engine = *registry.ShardEngine("b", 1, "");
   ASSERT_TRUE((*engine).Counts({0, 1}).ok());
   // The same shard answers the repeat from cache; a different signature
   // gets an independent engine.
   ASSERT_TRUE((*engine).Counts({0, 1}).ok());
   EXPECT_EQ(engine->stats().cache_hits, 1);
-  auto other = *registry.ShardEngine("b", 1, "x", TableView(table));
+  auto other = *registry.ShardEngine("b", 1, "Department=A");
   EXPECT_NE(engine.get(), other.get());
   EXPECT_EQ(other->stats().queries, 0);
 }
@@ -270,70 +269,168 @@ TEST(DatasetRegistryTest, ShardEnginesShareCountsPerSignature) {
 // multi-subpopulation workload scans the data far fewer times than
 // isolated shards would — with bit-identical counts.
 TEST(DatasetRegistryTest, EqualityShardsSliceFromSharedParent) {
-  DatasetRegistry shared;   // cross_shard_slicing on (default)
-  DatasetRegistryOptions isolated_options;
-  isolated_options.cross_shard_slicing = false;
-  DatasetRegistry isolated(isolated_options);
-
+  DatasetRegistry shared;
+  shared.Register("b", Berkeley());
+  TablePtr table = *shared.Get("b");
+  const int gender = *table->ColumnIndex("Gender");
+  const int accepted = *table->ColumnIndex("Accepted");
   const std::vector<std::string> departments = {"A", "B", "C", "D"};
-  auto run = [&](DatasetRegistry& registry) -> CountEngineStats {
-    registry.Register("b", Berkeley());
-    TablePtr table = *registry.Get("b");
-    const int gender = *table->ColumnIndex("Gender");
-    const int accepted = *table->ColumnIndex("Accepted");
-    for (const std::string& dept : departments) {
-      AggQuery q;
-      q.where = {{"Department", {dept}}};
-      auto pred = Predicate::FromInLists(*table, q.where);
-      EXPECT_TRUE(pred.ok());
-      TableView view = TableView(table).Filter(*pred);
-      auto shard = registry.ShardEngine("b", 1, SubpopulationSignature(q),
-                                        view);
-      EXPECT_TRUE(shard.ok());
-      for (const std::vector<int>& cols :
-           std::vector<std::vector<int>>{{gender}, {gender, accepted}}) {
-        auto counts = (*shard)->Counts(cols);
-        auto direct = CountBy(view, cols);
-        EXPECT_TRUE(counts.ok());
-        EXPECT_TRUE(direct.ok());
-        if (!counts.ok() || !direct.ok()) continue;
-        EXPECT_EQ(counts->keys, direct->keys);
-        EXPECT_EQ(counts->counts, direct->counts);
-        EXPECT_EQ(counts->total, direct->total);
-      }
+  for (const std::string& dept : departments) {
+    AggQuery q;
+    q.where = {{"Department", {dept}}};
+    auto pred = Predicate::FromInLists(*table, q.where);
+    ASSERT_TRUE(pred.ok());
+    TableView view = TableView(table).Filter(*pred);
+    auto shard = shared.ShardEngine("b", 1, SubpopulationSignature(q));
+    ASSERT_TRUE(shard.ok());
+    for (const std::vector<int>& cols :
+         std::vector<std::vector<int>>{{gender}, {gender, accepted}}) {
+      auto counts = (*shard)->Counts(cols);
+      auto direct = CountBy(view, cols);
+      ASSERT_TRUE(counts.ok());
+      ASSERT_TRUE(direct.ok());
+      EXPECT_EQ(counts->keys, direct->keys);
+      EXPECT_EQ(counts->counts, direct->counts);
+      EXPECT_EQ(counts->total, direct->total);
     }
-    return *registry.EngineStats("b");
-  };
-
-  CountEngineStats with_slicing = run(shared);
-  CountEngineStats without = run(isolated);
-  // Isolated: every department scans its own view per distinct column
-  // set. Shared: the parent scans once per distinct superset and every
-  // department slices it.
-  EXPECT_EQ(without.scans,
-            static_cast<int64_t>(2 * departments.size()));
-  EXPECT_EQ(without.predicate_slices, 0);
+  }
+  // Isolated shards would scan each department's rows once per distinct
+  // column set. Here the parent scans once per distinct superset and
+  // every department slices it.
+  CountEngineStats with_slicing = *shared.EngineStats("b");
   EXPECT_EQ(with_slicing.predicate_slices,
             static_cast<int64_t>(2 * departments.size()));
-  EXPECT_LT(with_slicing.scans, without.scans);
+  EXPECT_LT(with_slicing.scans,
+            static_cast<int64_t>(2 * departments.size()));
 
   // Multi-value IN terms are not equality conjunctions: they keep the
-  // isolated stack and scan their own view.
-  TablePtr table = *shared.Get("b");
+  // isolated stack and scan their own rows.
   AggQuery multi;
   multi.where = {{"Department", {"A", "B"}}};
-  auto pred = Predicate::FromInLists(*table, multi.where);
-  ASSERT_TRUE(pred.ok());
-  TableView view = TableView(table).Filter(*pred);
-  auto shard =
-      shared.ShardEngine("b", 1, SubpopulationSignature(multi), view);
+  auto shard = shared.ShardEngine("b", 1, SubpopulationSignature(multi));
   ASSERT_TRUE(shard.ok());
-  const int gender = *table->ColumnIndex("Gender");
   CountEngineStats before = *shared.EngineStats("b");
   ASSERT_TRUE((*shard)->Counts({gender}).ok());
   CountEngineStats after = *shared.EngineStats("b");
   EXPECT_EQ(after.predicate_slices, before.predicate_slices);
   EXPECT_EQ(after.scans, before.scans + 1);
+}
+
+// A shard is built from the store alone, so the shard a request's
+// signature names must aggregate exactly the rows of its bound WHERE
+// view. Seeded property over random tables whose labels (and column
+// names) carry the signature grammar's structure characters and the
+// empty string, random Listing-1 WHERE clauses with repeated terms and
+// values, and each query's context WHEREs C ∧ X = x_i: every signature
+// parses back to its canonical terms, and its shard counts what CountBy
+// counts over the bound view.
+TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
+  const std::vector<std::string> labels = {
+      "", "\\", "=", ",", "&", "\x1f", "a=b", "c,d&", "\\=", "x"};
+  const std::vector<std::string> names = {"A", "B=", "C,&", "D\\\x1f"};
+  const std::vector<std::vector<int>> col_sets = {
+      {0}, {1, 2}, {3, 0}, {0, 1, 2, 3}};
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed * 7919);
+    Table data;
+    for (const std::string& name : names) {
+      // Each column draws from its own 2-5 label subset.
+      std::vector<std::string> domain = labels;
+      rng.Shuffle(&domain);
+      domain.resize(2 + rng.NextBounded(4));
+      ColumnBuilder column(name);
+      for (int64_t r = 0; r < 120 + static_cast<int64_t>(seed) * 17; ++r) {
+        column.Append(domain[rng.NextBounded(domain.size())]);
+      }
+      ASSERT_TRUE(data.AddColumn(column.Finish()).ok());
+    }
+    DatasetRegistryOptions options;
+    options.chunk_rows = 64;  // several chunks per table
+    DatasetRegistry registry(options);
+    const int64_t epoch = registry.Register("d", MakeTable(std::move(data)));
+    TablePtr table = *registry.Get("d");
+
+    // A random value of column `c`, now and then one absent from its
+    // dictionary (it matches no row, and the shard must agree).
+    auto value_of = [&](int c) -> std::string {
+      if (rng.NextBounded(8) == 0) return "absent";
+      const Dictionary& dict = table->column(c).dict();
+      return dict.Label(static_cast<int32_t>(rng.NextBounded(dict.size())));
+    };
+    using Where =
+        std::vector<std::pair<std::string, std::vector<std::string>>>;
+    auto check = [&](const Where& where) {
+      AggQuery q;
+      q.where = where;
+      const std::string signature = SubpopulationSignature(q);
+      SCOPED_TRACE(signature);
+      // Canonical terms: values sorted and deduped, identical terms once.
+      std::vector<std::pair<std::string, std::vector<std::string>>> want;
+      for (auto [attr, values] : where) {
+        std::sort(values.begin(), values.end());
+        values.erase(std::unique(values.begin(), values.end()), values.end());
+        want.emplace_back(attr, values);
+      }
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+      auto parsed = ParseSubpopulationSignature(signature);
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      std::vector<std::pair<std::string, std::vector<std::string>>> got;
+      for (const SubpopulationTerm& term : *parsed) {
+        got.emplace_back(term.attribute, term.values);
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want);
+
+      auto pred = Predicate::FromInLists(*table, where);
+      ASSERT_TRUE(pred.ok());
+      TableView view = TableView(table).Filter(*pred);
+      auto shard = registry.ShardEngine("d", epoch, signature);
+      ASSERT_TRUE(shard.ok()) << shard.status();
+      EXPECT_EQ((*shard)->NumRows(), view.NumRows());
+      for (const std::vector<int>& cols : col_sets) {
+        auto counts = (*shard)->Counts(cols);
+        auto direct = CountBy(view, cols);
+        ASSERT_TRUE(counts.ok()) << counts.status();
+        ASSERT_TRUE(direct.ok());
+        EXPECT_EQ(counts->keys, direct->keys);
+        EXPECT_EQ(counts->counts, direct->counts);
+        EXPECT_EQ(counts->total, direct->total);
+      }
+    };
+
+    for (int query = 0; query < 6; ++query) {
+      Where where;
+      const int terms = 1 + static_cast<int>(rng.NextBounded(3));
+      for (int t = 0; t < terms; ++t) {
+        // Repeated terms: sometimes a copy of an earlier one.
+        if (!where.empty() && rng.NextBounded(4) == 0) {
+          where.push_back(where[rng.NextBounded(where.size())]);
+          continue;
+        }
+        const int c = static_cast<int>(rng.NextBounded(names.size()));
+        std::vector<std::string> values;
+        const int n = 1 + static_cast<int>(rng.NextBounded(3));
+        for (int v = 0; v < n; ++v) values.push_back(value_of(c));
+        where.emplace_back(names[c], std::move(values));
+      }
+      check(where);
+      // The query's contexts: C ∧ X = x_i for each label x_i of the
+      // grouping attribute X.
+      const int x = static_cast<int>(rng.NextBounded(names.size()));
+      const Dictionary& dict = table->column(x).dict();
+      for (int32_t code = 0; code < dict.size(); ++code) {
+        Where context = where;
+        context.push_back({names[x], {dict.Label(code)}});
+        check(context);
+      }
+    }
+    EXPECT_EQ(registry.ShardEngine("d", epoch, "x").status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(registry.ShardEngine("d", epoch, "nope=1").status().code(),
+              StatusCode::kNotFound);
+  }
 }
 
 TEST(DiscoveryCacheTest, HitsMissesAndEviction) {
@@ -697,29 +794,6 @@ TEST(HypDbServiceTest, ConcurrentMixedQueriesBitIdenticalToSerial) {
             static_cast<int64_t>(kClientThreads * kRounds *
                                      workloads.size() -
                                  distinct_keys.size()));
-}
-
-// Ablation: the invariant holds with sharing disabled too (pure pool).
-TEST(HypDbServiceTest, SharingDisabledStillCorrect) {
-  TablePtr table = Berkeley();
-  const std::string sql =
-      "SELECT Gender, avg(Accepted) FROM b GROUP BY Gender";
-  HypDb direct(table, HypDbOptions{});
-  auto expected = direct.AnalyzeSql(sql);
-  ASSERT_TRUE(expected.ok());
-
-  HypDbServiceOptions options;
-  options.num_workers = 2;
-  options.share_engines = false;
-  options.share_discovery = false;
-  HypDbService service(options);
-  service.RegisterTable("b", table);
-  auto got = service.AnalyzeSql("b", sql);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(CanonicalReportDigest(got->report),
-            CanonicalReportDigest(*expected));
-  EXPECT_FALSE(got->stats.discovery_reused);
-  EXPECT_EQ(service.discovery_stats().misses, 0);
 }
 
 }  // namespace
