@@ -4,8 +4,8 @@
 // the number of attributes at fixed size (Fig. 8b). Binary attributes,
 // as in the paper's PostgreSQL cube experiment.
 //
-// The cube runs as the static configuration of AdaptiveCubeProvider: a
-// cube over every attribute installed up front over a scanner. Gates
+// The cube runs in a CubeCountProvider: a cube over every attribute,
+// built up front, in front of a scanner. Gates
 // (exits 1 on violation), at every sweep point:
 //  * CD over the cube finds the same parent set for every attribute as
 //    CD over scans;
@@ -16,7 +16,7 @@
 #include "bench_util.h"
 #include "causal/cd_algorithm.h"
 #include "causal/ci_oracle.h"
-#include "cube/adaptive_cube_provider.h"
+#include "cube/data_cube.h"
 #include "datagen/random_data.h"
 #include "util/stopwatch.h"
 
@@ -81,9 +81,9 @@ StatusOr<CubeRunResult> RunBoth(const TablePtr& table) {
   out.cube_build_seconds = build_timer.ElapsedSeconds();
   out.cube_cells = cube.TotalCells();
   auto base = std::make_shared<ViewCountProvider>(TableView(table));
-  auto provider = std::make_shared<AdaptiveCubeProvider>(base);
-  provider->InstallCube(std::make_shared<const DataCube>(std::move(cube)),
-                        base->PopulationVersion());
+  auto provider = std::make_shared<CubeCountProvider>(
+      base, std::make_shared<const DataCube>(std::move(cube)),
+      base->PopulationVersion());
   std::vector<std::vector<int>> cube_parents;
   HYPDB_ASSIGN_OR_RETURN(out.cube_seconds, run(provider, &cube_parents));
   out.cube_hits = provider->stats().cube_hits;

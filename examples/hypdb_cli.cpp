@@ -14,13 +14,6 @@
 //   --morsel=N          rows per scan morsel (work unit handed to a
 //                       scan worker; results identical for any value)
 //   --no-simd           force the scalar scan kernels (bit-identical)
-//   --materialization=static|adaptive
-//                       cache policy for every counting layer: static
-//                       (oldest-first eviction, domain-bound admission)
-//                       or adaptive (benefit-per-cell retention,
-//                       observed-cell admission; in service modes also
-//                       the background cube advisor and batch union
-//                       planning). Results are bit-identical either way.
 //
 // Service mode (REPL) — a long-lived HypDbService driven line-by-line
 // from stdin, sharing discovery results and contingency caches across
@@ -231,14 +224,6 @@ int main(int argc, char** argv) {
       }
     } else if (flag == "--no-simd") {
       options.engine.scan_simd = false;
-    } else if (flag.rfind("--materialization=", 0) == 0) {
-      StatusOr<MaterializationMode> mode =
-          ParseMaterializationMode(flag.c_str() + 18);
-      if (!mode.ok()) {
-        std::fprintf(stderr, "%s\n", mode.status().message().c_str());
-        return 1;
-      }
-      options.engine.materialization = *mode;
     } else if (flag.rfind("--workers=", 0) == 0) {
       if (!ParseFlagValue(flag, 0, INT_MAX, &workers)) return 1;
     } else if (flag == "--serve") {
@@ -374,13 +359,12 @@ int main(int argc, char** argv) {
   if (positional.size() < 2) {
     std::printf("usage: %s <data.csv> \"<SELECT ...>\" [--alpha=A] "
                 "[--no-mediators] [--bounds] [--threads=N] [--morsel=N] "
-                "[--no-simd] [--materialization=static|adaptive]\n"
+                "[--no-simd]\n"
                 "       %s --serve [--workers=N] [--threads=N] [--alpha=A] "
-                "[--materialization=static|adaptive] [--stats-log=PATH] "
-                "[--trace=0|1|2] [--slow-query-log=PATH,SECONDS]\n"
+                "[--stats-log=PATH] [--trace=0|1|2] "
+                "[--slow-query-log=PATH,SECONDS]\n"
                 "       %s --listen=PORT [--host=ADDR] [--workers=N] "
-                "[--threads=N] [--alpha=A] "
-                "[--materialization=static|adaptive] [--stats-log=PATH] "
+                "[--threads=N] [--alpha=A] [--stats-log=PATH] "
                 "[--trace=0|1|2] [--slow-query-log=PATH,SECONDS]\n"
                 "\n",
                 argv[0], argv[0], argv[0]);

@@ -79,14 +79,44 @@ StatusOr<GroupCounts> DataCube::Counts(const std::vector<int>& cols) const {
   return ProjectOnto(cells_.at(mask), cols);
 }
 
-int64_t DataCube::CellsFor(const std::vector<int>& cols) const {
-  uint32_t mask = 0;
-  for (int c : cols) {
-    auto it = std::lower_bound(dims_.begin(), dims_.end(), c);
-    if (it == dims_.end() || *it != c) return -1;
-    mask |= 1u << (it - dims_.begin());
+StatusOr<GroupCounts> CubeCountProvider::Counts(
+    const std::vector<int>& cols) {
+  // The lattice serves only while it is current: the base still at the
+  // watermark the cube was built at. Repeated columns bypass, like every
+  // cache layer.
+  if (base_->PopulationVersion() == watermark_ &&
+      SortedUniqueColumns(cols).size() == cols.size()) {
+    StatusOr<GroupCounts> from_cube = cube_->Counts(cols);
+    if (from_cube.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.queries;
+      ++stats_.cube_hits;
+      return from_cube;
+    }
   }
-  return cells_.at(mask).NumGroups();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.queries;
+    ++stats_.fallback_calls;
+  }
+  return base_->Counts(cols);
+}
+
+CountEngineStats CubeCountProvider::stats() const {
+  CountEngineStats total = base_->stats();
+  std::lock_guard<std::mutex> lock(mu_);
+  total += stats_;
+  // Base calls were issued on behalf of the same external queries.
+  total.queries = stats_.queries;
+  return total;
+}
+
+void CubeCountProvider::ResetStats() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_ = {};
+  }
+  base_->ResetStats();
 }
 
 }  // namespace hypdb

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/stopwatch.h"
 #include "util/trace.h"
 
 namespace hypdb {
@@ -21,13 +20,15 @@ bool IsSubset(const std::vector<int>& sub, const std::vector<int>& super) {
 
 }  // namespace
 
+std::shared_ptr<const CachePolicy> MakeCachePolicy(MaterializationMode) {
+  static const std::shared_ptr<const CachePolicy> kPolicy =
+      std::make_shared<const CachePolicy>();
+  return kPolicy;
+}
+
 CachingCountEngine::CachingCountEngine(std::shared_ptr<CountEngine> base,
                                        CachingCountEngineOptions options)
-    : base_(std::move(base)),
-      options_(std::move(options)),
-      policy_(options_.policy != nullptr
-                  ? options_.policy
-                  : MakeCachePolicy(MaterializationMode::kStatic)) {}
+    : base_(std::move(base)), options_(std::move(options)) {}
 
 StatusOr<GroupCounts> CachingCountEngine::Counts(
     const std::vector<int>& cols) {
@@ -58,7 +59,6 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.queries;
-    if (options_.track_demand) ++demand_[sorted];
 
     auto exact = cache_.find(sorted);
     if (exact != cache_.end()) {
@@ -66,10 +66,7 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
       source_key = sorted;
       source_version = exact->second.version;
       stale = source_version != version_now;
-      if (!stale) {
-        ++stats_.cache_hits;
-        ++exact->second.uses;
-      }
+      if (!stale) ++stats_.cache_hits;
     } else if (auto best = BestSupersetLocked(sorted);
                best != cache_.end()) {
       source = best->second.counts;
@@ -77,10 +74,7 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
       source_version = best->second.version;
       derive = true;
       stale = source_version != version_now;
-      if (!stale) {
-        ++stats_.marginalizations;
-        RecordUseLocked(source_key);
-      }
+      if (!stale) ++stats_.marginalizations;
     }
   }
 
@@ -94,7 +88,6 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
       } else {
         ++stats_.cache_hits;
       }
-      RecordUseLocked(source_key);
     } else {
       derive = false;  // patch impossible — recompute cold below
     }
@@ -106,16 +99,12 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
     TraceInstant(derive ? TraceEventKind::kCacheMarginalize
                         : TraceEventKind::kCacheHit,
                  1, cols.size(), source->NumGroups());
-    Stopwatch project;
     GroupCounts result = ProjectOnto(*source, cols);
     if (derive) {
-      // A derived entry's rebuild cost is the projection, not a scan —
-      // the policy correctly values it below its source.
-      const double build_seconds = project.ElapsedSeconds();
       std::lock_guard<std::mutex> lock(mu_);
       Insert(std::move(sorted),
              std::make_shared<const GroupCounts>(result),
-             /*pinned=*/false, version_now, build_seconds);
+             /*pinned=*/false, version_now);
     }
     return result;
   }
@@ -124,12 +113,10 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
   // parallel. A racing thread may insert the same key meanwhile; Insert
   // reconciles the duplicate (counts are identical either way).
   TraceInstant(TraceEventKind::kCacheMiss, 1, cols.size());
-  Stopwatch build;
   HYPDB_ASSIGN_OR_RETURN(GroupCounts fresh, base_->Counts(cols));
-  const double build_seconds = build.ElapsedSeconds();
   std::lock_guard<std::mutex> lock(mu_);
   Insert(std::move(sorted), std::make_shared<const GroupCounts>(fresh),
-         /*pinned=*/false, version_now, build_seconds);
+         /*pinned=*/false, version_now);
   return fresh;
 }
 
@@ -140,7 +127,6 @@ std::shared_ptr<const GroupCounts> CachingCountEngine::PatchEntry(
   TraceSpanScope span(TraceEventKind::kDeltaPatch, 1,
                       static_cast<uint64_t>(version_now - entry_version),
                       key.size());
-  Stopwatch patch;
   StatusOr<GroupCounts> delta =
       base_->CountsDelta(key, entry_version, version_now);
   if (!delta.ok()) {
@@ -163,12 +149,9 @@ std::shared_ptr<const GroupCounts> CachingCountEngine::PatchEntry(
   // a cold scan of the grown population.
   auto patched = std::make_shared<const GroupCounts>(
       MergeGroupCounts(*stale_counts, *delta, delta->codec));
-  const double patch_seconds = patch.ElapsedSeconds();
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.delta_patches;
-  // Insert keeps max(existing rebuild, patch time): the patch kept the
-  // entry alive, but evicting it would still cost the original scan.
-  Insert(key, patched, /*pinned=*/false, version_now, patch_seconds);
+  Insert(key, patched, /*pinned=*/false, version_now);
   return patched;
 }
 
@@ -232,9 +215,7 @@ Status CachingCountEngine::Prefetch(const std::vector<int>& cols) {
   // error here is a missed optimization only; Counts() still answers
   // (e.g. via the slicer's filtered-view fallback on codec overflow).
   (void)base_->Prefetch(sorted);
-  Stopwatch build;
   HYPDB_ASSIGN_OR_RETURN(GroupCounts counts, base_->Counts(sorted));
-  const double build_seconds = build.ElapsedSeconds();
   std::lock_guard<std::mutex> lock(mu_);
   // A concurrent Prefetch may have repointed the focus while we scanned;
   // only pin if this key is still the focus.
@@ -243,7 +224,7 @@ Status CachingCountEngine::Prefetch(const std::vector<int>& cols) {
                still_focus ? 1 : 0);
   Insert(std::move(sorted),
          std::make_shared<const GroupCounts>(std::move(counts)),
-         /*pinned=*/still_focus, version_now, build_seconds);
+         /*pinned=*/still_focus, version_now);
   return Status::Ok();
 }
 
@@ -282,29 +263,6 @@ std::vector<int> CachingCountEngine::MarginalizationSource(
   return best == cache_.end() ? std::vector<int>{} : best->first;
 }
 
-int64_t CachingCountEngine::ObservedCellBound(
-    const std::vector<int>& cols) const {
-  std::vector<int> sorted = SortedUniqueColumns(cols);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto exact = cache_.find(sorted);
-    if (exact != cache_.end()) return exact->second.counts->NumGroups();
-    // Any cached superset's cell count bounds the subset's: projecting
-    // can only merge groups. Take the tightest.
-    int64_t best = -1;
-    for (const auto& [key, entry] : cache_) {
-      if (key.size() < sorted.size() || !IsSubset(sorted, key)) continue;
-      const int64_t cells = entry.counts->NumGroups();
-      if (best < 0 || cells < best) best = cells;
-    }
-    if (best >= 0) return best;
-  }
-  // Nothing cached here — maybe the base has observed it (an installed
-  // cube lattice knows every covered subset's cells). Outside mu_: the
-  // lock order is this-cache → base, but there is no reason to hold it.
-  return base_->ObservedCellBound(sorted);
-}
-
 CacheOccupancy CachingCountEngine::CacheUse() const {
   CacheOccupancy use;
   {
@@ -318,39 +276,20 @@ CacheOccupancy CachingCountEngine::CacheUse() const {
   return use;
 }
 
-std::map<std::vector<int>, int64_t> CachingCountEngine::TakeDemandProfile() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::vector<int>, int64_t> out;
-  out.swap(demand_);
-  return out;
-}
-
-void CachingCountEngine::RecordUseLocked(const std::vector<int>& key) {
-  auto it = cache_.find(key);
-  if (it != cache_.end()) ++it->second.uses;
-}
-
 void CachingCountEngine::Insert(std::vector<int> sorted,
                                 std::shared_ptr<const GroupCounts> counts,
-                                bool pinned, int64_t version,
-                                double build_seconds) {
-  int64_t uses = 0;
-  double rebuild_seconds = build_seconds;
+                                bool pinned, int64_t version) {
   uint64_t sequence = next_sequence_;
   auto existing = cache_.find(sorted);
   if (existing != cache_.end()) {
     // Concurrent double-miss (or Prefetch racing Counts, or a delta
     // patch): replace the payload, fix the accounting, and never drop an
-    // existing pin. The entry keeps its identity for the policy — use
-    // count, admission sequence, and the larger of the rebuild costs.
+    // existing pin. The entry keeps its admission sequence.
     cached_cells_ -= existing->second.counts->NumGroups();
     if (existing->second.pinned) {
       pinned_cells_ -= existing->second.counts->NumGroups();
       pinned = true;
     }
-    uses = existing->second.uses;
-    rebuild_seconds = std::max(existing->second.rebuild_seconds,
-                               build_seconds);
     sequence = existing->second.sequence;
   } else {
     ++next_sequence_;
@@ -361,8 +300,6 @@ void CachingCountEngine::Insert(std::vector<int> sorted,
   entry.counts = std::move(counts);
   entry.pinned = pinned;
   entry.version = version;
-  entry.uses = uses;
-  entry.rebuild_seconds = rebuild_seconds;
   entry.sequence = sequence;
   cache_.insert_or_assign(std::move(sorted), std::move(entry));
   EvictToBudget();
@@ -373,38 +310,18 @@ void CachingCountEngine::EvictToBudget() {
   // large pinned focus cannot starve every derived summary out of the
   // cache (it used to — see the eviction regression test).
   if (cached_cells_ - pinned_cells_ <= options_.max_cached_cells) return;
-  // Rank the unpinned entries by the policy: lowest retention score goes
-  // first, admission sequence breaks ties deterministically. Under the
-  // static policy the score IS the sequence, so this is exactly the
-  // historical oldest-first walk.
-  struct Candidate {
-    double score;
-    uint64_t sequence;
-    const std::vector<int>* key;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(cache_.size());
+  // Oldest-first: walk the unpinned entries in admission order.
+  std::vector<std::pair<uint64_t, const std::vector<int>*>> victims;
+  victims.reserve(cache_.size());
   for (const auto& [key, entry] : cache_) {
-    if (entry.pinned) continue;
-    CacheEntryView view;
-    view.cells = entry.counts->NumGroups();
-    view.uses = entry.uses;
-    view.rebuild_seconds = entry.rebuild_seconds;
-    view.sequence = entry.sequence;
-    view.pinned = false;
-    candidates.push_back(
-        Candidate{policy_->RetentionScore(view), entry.sequence, &key});
+    if (!entry.pinned) victims.emplace_back(entry.sequence, &key);
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.score != b.score) return a.score < b.score;
-              return a.sequence < b.sequence;
-            });
+  std::sort(victims.begin(), victims.end());
   int64_t evicted_entries = 0;
   int64_t evicted_cells = 0;
-  for (const Candidate& victim : candidates) {
+  for (const auto& [sequence, key] : victims) {
     if (cached_cells_ - pinned_cells_ <= options_.max_cached_cells) break;
-    auto found = cache_.find(*victim.key);
+    auto found = cache_.find(*key);
     cached_cells_ -= found->second.counts->NumGroups();
     evicted_cells += found->second.counts->NumGroups();
     ++evicted_entries;

@@ -16,11 +16,7 @@
 // Prefetch(S') materializes a superset summary once and pins it, which is
 // exactly the paper's "materializing contingency tables" optimization.
 // Cached cells are bounded; when the unpinned set exceeds the budget,
-// entries are evicted in ascending CachePolicy::RetentionScore order
-// (ties: lowest admission sequence). The default OldestFirstCachePolicy
-// makes that exactly the historical oldest-first behavior; the adaptive
-// CostBenefitCachePolicy ranks by benefit-per-cell instead, using the
-// per-entry use counts and measured rebuild times this engine tracks.
+// unpinned entries are evicted oldest-first by admission sequence.
 // Pinned cells live outside the budget: the focus summary is the working
 // set every marginalization derives from, so it must never force the
 // derived entries out.
@@ -40,24 +36,32 @@
 #include <mutex>
 #include <vector>
 
-#include "engine/cache_policy.h"
 #include "engine/count_engine.h"
 
 namespace hypdb {
 
+// MaterializationMode, CachePolicy, MakeCachePolicy and
+// CachingCountEngineOptions::policy name no choice: the cache has one
+// policy (the header comment). They survive only because perfbench's
+// one-shot workload spells them, and go with the next change to that
+// benchmark.
+
+/// The one materialization mode (MiEngineOptions::materialization).
+enum class MaterializationMode { kStatic };
+
+/// The one cache policy. It has no state and no options.
+class CachePolicy {};
+
+/// The shared instance of the one policy.
+std::shared_ptr<const CachePolicy> MakeCachePolicy(MaterializationMode mode);
+
 struct CachingCountEngineOptions {
   /// Budget on the total number of cached groups across *unpinned*
-  /// entries; unpinned entries are evicted in policy order when
-  /// exceeded. Pinned (prefetched) entries are exempt — see the header
-  /// comment.
+  /// entries; the oldest unpinned entries are evicted when exceeded.
+  /// Pinned (prefetched) entries are exempt — see the header comment.
   int64_t max_cached_cells = int64_t{1} << 22;
-  /// Eviction/retention policy; null selects the static
-  /// OldestFirstCachePolicy (the historical behavior).
+  /// Ignored (see MakeCachePolicy).
   std::shared_ptr<const CachePolicy> policy;
-  /// Record per-key query demand for TakeDemandProfile() — what the
-  /// registry's cube advisor harvests. Off by default (no map growth on
-  /// stacks nobody advises).
-  bool track_demand = false;
 };
 
 class CachingCountEngine : public CountEngine {
@@ -86,12 +90,6 @@ class CachingCountEngine : public CountEngine {
     return base_->CountsDelta(cols, from_version, to_version);
   }
 
-  /// The exact cells of a cached entry over `cols`, the smallest cached
-  /// superset's cells (a true upper bound), or whatever the base stack
-  /// has observed (an installed cube lattice knows every subset's cells).
-  /// -1 when nothing here or below has observed `cols`.
-  int64_t ObservedCellBound(const std::vector<int>& cols) const override;
-
   /// This cache's residency plus any caching layer below it.
   CacheOccupancy CacheUse() const override;
 
@@ -105,19 +103,11 @@ class CachingCountEngine : public CountEngine {
   /// tests pinning the deterministic tie-break; does not touch stats.
   std::vector<int> MarginalizationSource(const std::vector<int>& cols) const;
 
-  /// Per-key external query counts since the last call, cleared on
-  /// return (empty unless options.track_demand). The cube advisor's
-  /// input: which column sets this engine is being asked for, how often.
-  std::map<std::vector<int>, int64_t> TakeDemandProfile();
-
   /// Cells currently held (memory proxy), and entry count.
   int64_t cached_cells() const;
   /// Cells held by pinned entries (exempt from the eviction budget).
   int64_t pinned_cells() const;
   int num_entries() const;
-
-  /// The active policy (never null; defaults to oldest-first).
-  const CachePolicy& policy() const { return *policy_; }
 
   CountEngine& base() { return *base_; }
 
@@ -136,16 +126,8 @@ class CachingCountEngine : public CountEngine {
     /// watermark). A query at a newer version patches the entry via
     /// base CountsDelta instead of invalidating it.
     int64_t version = 0;
-    /// Times this entry answered a query (hit, marginalization source,
-    /// post-patch serve) — the policy's reuse signal.
-    int64_t uses = 0;
-    /// Measured seconds the summary took to build (base scan or superset
-    /// projection); replacement keeps the max, so a cheap delta patch
-    /// never erases the original scan cost eviction would re-incur.
-    double rebuild_seconds = 0.0;
     /// Monotone admission order; assigned at first insertion, preserved
-    /// across in-place replacement — the deterministic eviction
-    /// tie-break (and the whole order, under the static policy).
+    /// across in-place replacement — the eviction order.
     uint64_t sequence = 0;
   };
 
@@ -157,11 +139,11 @@ class CachingCountEngine : public CountEngine {
 
   /// Inserts under the sorted key, then evicts to budget. Reconciles a
   /// pre-existing entry under the same key (concurrent double-miss):
-  /// accounting is adjusted and an existing pin, use count and sequence
-  /// are preserved. Requires mu_ held.
+  /// accounting is adjusted and an existing pin and sequence are
+  /// preserved. Requires mu_ held.
   void Insert(std::vector<int> sorted,
               std::shared_ptr<const GroupCounts> counts, bool pinned,
-              int64_t version, double build_seconds);
+              int64_t version);
   void EvictToBudget();
 
   /// Brings a stale entry (grabbed under the lock) current by merging a
@@ -175,18 +157,12 @@ class CachingCountEngine : public CountEngine {
       std::shared_ptr<const GroupCounts> stale_counts, int64_t entry_version,
       int64_t version_now);
 
-  /// Bumps the use counter of the entry at `key` if it is still cached
-  /// with the expected payload-compatible version. Requires mu_ held.
-  void RecordUseLocked(const std::vector<int>& key);
-
   std::shared_ptr<CountEngine> base_;
   CachingCountEngineOptions options_;
-  std::shared_ptr<const CachePolicy> policy_;  // never null
 
   mutable std::mutex mu_;
   std::map<std::vector<int>, Entry> cache_;
   std::vector<int> pinned_key_;  // the single pinned focus (sorted)
-  std::map<std::vector<int>, int64_t> demand_;  // when track_demand
   int64_t cached_cells_ = 0;
   int64_t pinned_cells_ = 0;
   uint64_t next_sequence_ = 0;

@@ -6,11 +6,10 @@
 // counts flow through; implementations form a small hierarchy:
 //  * ViewCountProvider   — scans a TableView with the packed-tuple kernel
 //                          (optionally multi-threaded); the ground truth.
-//  * AdaptiveCubeProvider — answers covered queries from an installed
+//  * CubeCountProvider   — answers covered queries from a pre-computed
 //                          OLAP data cube and delegates the rest to its
 //                          base engine (src/cube), the Fig. 6(d)/8(b)
-//                          configuration when the cube is installed up
-//                          front.
+//                          configuration.
 //  * CachingCountEngine  — wraps any engine with a subset-keyed cache plus
 //                          marginalization: counts for S ⊆ S' derive from
 //                          a cached S' summary instead of re-scanning
@@ -32,7 +31,6 @@
 
 #include "dataframe/group_by.h"
 #include "dataframe/view.h"
-#include "engine/cache_policy.h"
 #include "engine/groupby_kernel.h"
 #include "util/statusor.h"
 
@@ -115,6 +113,25 @@ struct CountEngineStats {
   }
 };
 
+/// Cache residency snapshot of an engine stack (per-dataset aggregation
+/// feeds /healthz, the REPL `datasets` command and the hypdb_cache_*
+/// metric family).
+struct CacheOccupancy {
+  int64_t cached_cells = 0;
+  int64_t pinned_cells = 0;
+  /// Sum of the cell budgets of the stacked caches reporting above.
+  int64_t budget_cells = 0;
+  int64_t entries = 0;
+
+  CacheOccupancy& operator+=(const CacheOccupancy& o) {
+    cached_cells += o.cached_cells;
+    pinned_cells += o.pinned_cells;
+    budget_cells += o.budget_cells;
+    entries += o.entries;
+    return *this;
+  }
+};
+
 /// Canonical cache/superset key for a column list: sorted ascending,
 /// duplicates removed. Every engine layer that keys on column *sets*
 /// (caching, slicing) must canonicalize the same way.
@@ -167,13 +184,9 @@ class CountEngine {
     return Status::Unimplemented("engine does not support delta counts");
   }
 
-  /// An upper bound on the number of groups a summary over `cols` would
-  /// actually have, when something in this stack has OBSERVED the data
-  /// well enough to know one — a caching layer holding `cols` (or a
-  /// superset of it), or an installed cube lattice covering it. -1 when
-  /// nothing has; callers then fall back to the blind min(domain, rows)
-  /// bound. Feeds CachePolicy::AdmitMaterialization, which is how the
-  /// adaptive policy admits sparse supersets whose domain product lies.
+  /// Always -1. Nothing in src/ overrides or calls this: it survives
+  /// only because perfbench's one-shot TimedEngine overrides it, and it
+  /// goes with the next change to that benchmark.
   virtual int64_t ObservedCellBound(const std::vector<int>& cols) const {
     (void)cols;
     return -1;

@@ -1,7 +1,6 @@
 #include "engine/predicate_slicing_count_engine.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/trace.h"
 
@@ -11,14 +10,11 @@ PredicateSlicingCountEngine::PredicateSlicingCountEngine(
     std::shared_ptr<CountEngine> parent,
     std::vector<SlicePredicate> predicates,
     std::shared_ptr<CountEngine> population, const Table& schema,
-    int64_t parent_cache_budget, std::shared_ptr<const CachePolicy> policy)
+    int64_t parent_cache_budget)
     : parent_(std::move(parent)),
       predicates_(std::move(predicates)),
       population_(std::move(population)),
-      parent_cache_budget_(parent_cache_budget),
-      policy_(policy != nullptr
-                  ? std::move(policy)
-                  : MakeCachePolicy(MaterializationMode::kStatic)) {
+      parent_cache_budget_(parent_cache_budget) {
   cardinalities_.reserve(schema.NumColumns());
   for (int c = 0; c < schema.NumColumns(); ++c) {
     cardinalities_.push_back(schema.column(c).Cardinality());
@@ -93,24 +89,12 @@ bool PredicateSlicingCountEngine::OverParentBudget(
   // refusal prevents is the pathological inverse: a summary certain to
   // blow the parent's budget is evicted on insert and re-scanned from
   // the full table per query, strictly worse than scanning the filtered
-  // view. The admission policy decides what to charge: the static policy
-  // only sees this blind bound, the adaptive policy prefers the parent's
-  // *observed* cell bound (a cached superset entry or an installed cube
-  // lattice) when one exists, admitting sparse supersets the bound would
-  // refuse.
+  // view.
   StatusOr<TupleCodec> codec = TupleCodec::Create(cardinalities_, superset);
-  const uint64_t bound =
-      codec.ok() ? std::min<uint64_t>(
-                       codec->Domain(),
-                       static_cast<uint64_t>(parent_->NumRows()))
-                 : std::numeric_limits<uint64_t>::max();
-  const int64_t bound_cells =
-      bound > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())
-          ? std::numeric_limits<int64_t>::max()
-          : static_cast<int64_t>(bound);
-  const int64_t observed = parent_->ObservedCellBound(superset);
-  return !policy_->AdmitMaterialization(bound_cells, observed,
-                                        parent_cache_budget_);
+  if (!codec.ok()) return true;
+  const uint64_t bound = std::min<uint64_t>(
+      codec->Domain(), static_cast<uint64_t>(parent_->NumRows()));
+  return bound > static_cast<uint64_t>(parent_cache_budget_);
 }
 
 StatusOr<GroupCounts> PredicateSlicingCountEngine::Counts(

@@ -71,24 +71,18 @@ class PredicateSlicingCountEngine : public CountEngine {
   /// summaries slice to current answers. `schema` is the full table; its
   /// column cardinalities bound the size of an S ∪ P summary.
   /// `parent_cache_budget` is the parent's cached-cell budget when known
-  /// (0 = unlimited): a query whose S ∪ P summary the admission policy
-  /// refuses under that budget is answered by the population engine
-  /// instead, because an over-budget summary is evicted on insert and
-  /// every slice would re-scan the full table, strictly worse than the
-  /// isolated stack this engine replaces. Admission goes through
-  /// `policy` (CachePolicy::AdmitMaterialization; null = the static
-  /// policy): the static policy charges the conservative
-  /// min(domain, full-table rows) bound — it cannot see sparsity, so
-  /// sparse supersets whose actual summary would fit are refused too —
-  /// while the adaptive policy charges the parent's *observed* cell
-  /// bound (ObservedCellBound: a cached superset entry or an installed
-  /// cube lattice) whenever one exists.
+  /// (0 = unlimited): a query whose S ∪ P summary may not fit that
+  /// budget — its min(domain, full-table rows) bound exceeds it — is
+  /// answered by the population engine instead, because an over-budget
+  /// summary is evicted on insert and every slice would re-scan the full
+  /// table, strictly worse than the isolated stack this engine replaces.
+  /// The bound cannot see sparsity, so a sparse superset whose actual
+  /// summary would fit is refused too.
   PredicateSlicingCountEngine(
       std::shared_ptr<CountEngine> parent,
       std::vector<SlicePredicate> predicates,
       std::shared_ptr<CountEngine> population, const Table& schema,
-      int64_t parent_cache_budget = 0,
-      std::shared_ptr<const CachePolicy> policy = nullptr);
+      int64_t parent_cache_budget = 0);
 
   StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override;
 
@@ -126,9 +120,8 @@ class PredicateSlicingCountEngine : public CountEngine {
   /// predicate columns.
   std::vector<int> SupersetFor(const std::vector<int>& sorted) const;
 
-  /// True when the admission policy refuses to materialize `superset` in
-  /// the parent's cache (see the constructor comment; always false when
-  /// the budget is unknown).
+  /// True when `superset`'s summary may not fit the parent's cache (see
+  /// the constructor comment; always false when the budget is unknown).
   bool OverParentBudget(const std::vector<int>& superset) const;
 
   /// Selects the P = v groups of `parent_counts` (a summary over
@@ -143,7 +136,6 @@ class PredicateSlicingCountEngine : public CountEngine {
   std::shared_ptr<CountEngine> population_;
   std::vector<int32_t> cardinalities_;  // the full table's, per column
   int64_t parent_cache_budget_ = 0;     // 0 = unlimited
-  std::shared_ptr<const CachePolicy> policy_;  // never null
 
   mutable std::mutex mu_;
   CountEngineStats stats_;

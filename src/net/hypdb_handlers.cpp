@@ -211,9 +211,6 @@ Reply HypDbHandlers::Health(const JsonValue&) {
   out.Set("sessions", JsonValue::Int(service_->num_sessions()));
   out.Set("simd",
           JsonValue::Str(GroupByKernelSimdActive() ? "avx2" : "scalar"));
-  out.Set("materialization",
-          JsonValue::Str(MaterializationModeName(
-              service_->options().analysis.engine.materialization)));
   // Build identity, mirroring the hypdb_build_info metric: lets a probe
   // (or an operator's curl) confirm which binary is actually serving.
   out.Set("version", JsonValue::Str(BuildVersion()));
@@ -222,8 +219,7 @@ Reply HypDbHandlers::Health(const JsonValue&) {
   // Per-dataset storage shape: a probe watching an ingest pipeline reads
   // row/chunk/watermark progression here without the full dataset list.
   // Cache occupancy rides along so an operator sees pool pressure
-  // (cells/budget, hit ratio, evictions) and advisor cube residency from
-  // one readiness probe.
+  // (cells/budget, hit ratio, evictions) from one readiness probe.
   JsonValue storage = JsonValue::MakeObject();
   for (const DatasetInfo& info : service_->Datasets()) {
     JsonValue shape = JsonValue::MakeObject();
@@ -231,7 +227,6 @@ Reply HypDbHandlers::Health(const JsonValue&) {
     shape.Set("chunks", JsonValue::Int(info.chunks));
     shape.Set("watermark", JsonValue::Int(info.watermark));
     shape.Set("cache", ToJson(info.cache));
-    shape.Set("cube_cells", JsonValue::Int(info.cube_cells));
     shape.Set("cache_hit_ratio", JsonValue::Double(info.cache_hit_ratio));
     shape.Set("evictions", JsonValue::Int(info.evictions));
     storage.Set(info.name, std::move(shape));
@@ -376,6 +371,10 @@ Reply HypDbHandlers::SessionStep(const JsonValue& params) {
       }
       context = static_cast<int>(value.int_value());
     } else if (key == "deadline_seconds" && value.is_number()) {
+      if (value.number_value() < 0.0) {
+        return Status::InvalidArgument(
+            "\"deadline_seconds\" must be >= 0 (0 = no deadline)");
+      }
       submit.deadline_seconds = value.number_value();
     } else {
       return Status::InvalidArgument(

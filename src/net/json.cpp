@@ -667,11 +667,6 @@ JsonValue ToJson(const RequestStats& stats) {
           JsonValue::Str(stats.discovery_coalesced ? "coalesced"
                          : stats.discovery_reused  ? "cached"
                                                    : "computed"));
-  // Only when a batch union prefetch actually covered this request —
-  // absent otherwise, so the un-planned wire format stays byte-stable.
-  if (stats.union_prefetched) {
-    out.Set("union_prefetched", JsonValue::Bool(true));
-  }
   out.Set("engine_delta", ToJson(stats.engine_delta));
   // Trace timeline: where the latency went, spans in execution order on
   // the submit-relative axis. Serialization cannot be a span in its own
@@ -744,7 +739,6 @@ JsonValue ToJson(const DatasetInfo& info) {
   out.Set("chunks", JsonValue::Int(info.chunks));
   out.Set("watermark", JsonValue::Int(info.watermark));
   out.Set("cache", ToJson(info.cache));
-  out.Set("cube_cells", JsonValue::Int(info.cube_cells));
   out.Set("cache_hit_ratio", JsonValue::Double(info.cache_hit_ratio));
   out.Set("evictions", JsonValue::Int(info.evictions));
   return out;
@@ -1131,10 +1125,6 @@ Status ApplyOptionOverrides(const JsonValue& overrides,
       options->engine.scan_simd = value.bool_value();
     } else if (key == "direct_reference" && value.is_string()) {
       options->direct_reference = value.string_value();
-    } else if (key == "materialization" && value.is_string()) {
-      HYPDB_ASSIGN_OR_RETURN(
-          options->engine.materialization,
-          ParseMaterializationMode(value.string_value()));
     } else {
       return Status::InvalidArgument(
           "unknown or mistyped analysis option \"" + key + "\"");
@@ -1164,6 +1154,10 @@ StatusOr<WireAnalyzeRequest> AnalyzeRequestFromJson(
       HYPDB_RETURN_IF_ERROR(ApplyOptionOverrides(value, &options));
       out.request.options = options;
     } else if (key == "deadline_seconds" && value.is_number()) {
+      if (value.number_value() < 0.0) {
+        return Status::InvalidArgument(
+            "\"deadline_seconds\" must be >= 0 (0 = no deadline)");
+      }
       out.submit.deadline_seconds = value.number_value();
     } else if (key == "trace_level" && value.is_int()) {
       const int64_t level = value.int_value();

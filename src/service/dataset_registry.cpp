@@ -1,8 +1,6 @@
 #include "service/dataset_registry.h"
 
 #include <algorithm>
-#include <chrono>
-#include <set>
 #include <utility>
 
 #include "dataframe/csv.h"
@@ -106,37 +104,7 @@ class WatermarkGuardEngine : public CountEngine {
 }  // namespace
 
 DatasetRegistry::DatasetRegistry(DatasetRegistryOptions options)
-    : options_(std::move(options)) {
-  if (Adaptive() && options_.advisor_interval_seconds > 0) {
-    advisor_thread_ = std::thread([this] { AdvisorLoop(); });
-  }
-}
-
-DatasetRegistry::~DatasetRegistry() {
-  {
-    std::lock_guard<std::mutex> lock(advisor_mu_);
-    advisor_stop_ = true;
-  }
-  advisor_cv_.notify_all();
-  if (advisor_thread_.joinable()) advisor_thread_.join();
-}
-
-void DatasetRegistry::AdvisorLoop() {
-  const auto interval =
-      std::chrono::duration<double>(options_.advisor_interval_seconds);
-  std::unique_lock<std::mutex> lock(advisor_mu_);
-  while (!advisor_stop_) {
-    if (advisor_cv_.wait_for(lock, interval,
-                             [this] { return advisor_stop_; })) {
-      break;
-    }
-    // Pass outside advisor_mu_: stop requests must never wait on a cube
-    // build.
-    lock.unlock();
-    AdvisorPass();
-    lock.lock();
-  }
-}
+    : options_(std::move(options)) {}
 
 int64_t DatasetRegistry::Register(const std::string& name, TablePtr table) {
   ChunkedTablePtr store;
@@ -157,10 +125,6 @@ int64_t DatasetRegistry::Register(const std::string& name, TablePtr table) {
   // held by in-flight queries stay valid for the old store (shared_ptr),
   // they just stop being handed out.
   ds.parent.reset();
-  ds.parent_cache.reset();
-  ds.cube_host.reset();
-  ds.advisor_streak.clear();
-  ds.advisor_refused_dims.clear();
   ds.shards.clear();
   ds.shard_age.clear();
   ds.retired_slices = 0;  // the parent's counters went with it
@@ -285,7 +249,6 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
     for (const auto& [sig, engine] : ds.shards) {
       info.cache += engine->CacheUse();
     }
-    if (ds.cube_host != nullptr) info.cube_cells = ds.cube_host->CubeCells();
     if (ds.parent != nullptr || !ds.shards.empty()) {
       const CountEngineStats stats = EngineStatsLocked(ds);
       info.evictions = stats.evictions;
@@ -362,36 +325,18 @@ GroupByKernelOptions DatasetRegistry::KernelOptions() const {
 }
 
 std::shared_ptr<CountEngine> DatasetRegistry::WrapCache(
-    std::shared_ptr<CountEngine> base, bool track_demand) const {
+    std::shared_ptr<CountEngine> base) const {
   if (!options_.engine.materialize_focus) return base;
   CachingCountEngineOptions caching;
   caching.max_cached_cells = options_.engine.max_cached_cells;
-  caching.policy = MakeCachePolicy(options_.engine.materialization);
-  caching.track_demand = track_demand;
   return std::make_shared<CachingCountEngine>(std::move(base), caching);
 }
 
 std::shared_ptr<CountEngine> DatasetRegistry::ParentEngineLocked(
     Dataset& ds) {
   if (ds.parent == nullptr) {
-    std::shared_ptr<CountEngine> base =
-        std::make_shared<ChunkedCountProvider>(ds.store, KernelOptions());
-    if (Adaptive()) {
-      // Adaptive stack: cache → cube host → chunked scanner. The cube
-      // host sits below the cache so a promoted lattice serves cache
-      // misses (and observed-cell admission checks); the cache above it
-      // keeps hit/marginalization semantics — and bit-identity —
-      // unchanged.
-      ds.cube_host = std::make_shared<AdaptiveCubeProvider>(std::move(base));
-      base = ds.cube_host;
-      ds.parent = WrapCache(base, /*track_demand=*/true);
-      if (ds.parent != base) {
-        ds.parent_cache =
-            std::static_pointer_cast<CachingCountEngine>(ds.parent);
-      }
-    } else {
-      ds.parent = WrapCache(std::move(base));
-    }
+    ds.parent = WrapCache(
+        std::make_shared<ChunkedCountProvider>(ds.store, KernelOptions()));
   }
   return ds.parent;
 }
@@ -430,8 +375,7 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::BuildShardLocked(
       // inside the parent) > fallback scan of the live population.
       return WrapCache(std::make_shared<PredicateSlicingCountEngine>(
           ParentEngineLocked(ds), std::move(predicates), std::move(live),
-          *table, options_.engine.max_cached_cells,
-          MakeCachePolicy(options_.engine.materialization)));
+          *table, options_.engine.max_cached_cells));
     }
   }
   // Live isolated stack: the filtered-population scanner plus the cache
@@ -506,146 +450,6 @@ CountEngineStats DatasetRegistry::EngineStatsLocked(const Dataset& ds) const {
   // RequestStats documents), but never negative.
   total.queries = std::max<int64_t>(total.queries, 0);
   return total;
-}
-
-CubeAdvisorStats DatasetRegistry::advisor_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return advisor_;
-}
-
-void DatasetRegistry::AdvisorPass() {
-  if (!Adaptive()) return;
-  // Snapshot the per-dataset handles under mu_, then work lease-free and
-  // lock-free: the store, cube host and parent cache are all shared_ptrs
-  // that stay valid across a concurrent re-registration (which merely
-  // stops handing them out — exactly the signal the epoch check below
-  // catches before any advisor state is written back).
-  struct Work {
-    std::string name;
-    int64_t epoch = 0;
-    ChunkedTablePtr store;
-    std::shared_ptr<AdaptiveCubeProvider> host;
-    std::shared_ptr<CachingCountEngine> cache;
-  };
-  std::vector<Work> work;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++advisor_.passes;
-    for (auto& [name, ds] : datasets_) {
-      if (ds.store != nullptr && ds.cube_host != nullptr &&
-          ds.parent_cache != nullptr) {
-        work.push_back(
-            Work{name, ds.epoch, ds.store, ds.cube_host, ds.parent_cache});
-      }
-    }
-  }
-
-  for (Work& w : work) {
-    // Demotion: an append moved the watermark past the installed cube,
-    // so every query already falls through it (bit-identity was never at
-    // risk); drop it so its cells stop counting against occupancy. A
-    // fresh build below may re-promote at the new watermark.
-    if (w.host->HasCube() &&
-        w.host->CubeWatermark() != w.store->Watermark()) {
-      w.host->DropCube();
-      std::lock_guard<std::mutex> lock(mu_);
-      ++advisor_.demotions;
-    }
-
-    // Harvest this pass's demand profile and advance hot streaks. A
-    // column set is demanded when the parent cache saw >= min_demand
-    // queries for it since the last pass; a streak of hot_passes
-    // consecutive demanded passes makes it hot.
-    std::map<std::vector<int>, int64_t> demand = w.cache->TakeDemandProfile();
-    std::vector<int> target;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = datasets_.find(w.name);
-      if (it == datasets_.end() || it->second.epoch != w.epoch) continue;
-      Dataset& ds = it->second;
-      for (auto s = ds.advisor_streak.begin();
-           s != ds.advisor_streak.end();) {
-        auto d = demand.find(s->first);
-        if (d == demand.end() || d->second < options_.advisor_min_demand) {
-          s = ds.advisor_streak.erase(s);  // went cold: streak resets
-        } else {
-          ++s;
-        }
-      }
-      for (const auto& [key, n] : demand) {
-        if (n >= options_.advisor_min_demand) ++ds.advisor_streak[key];
-      }
-      // Greedy union of hot sets, hottest first (deterministic tie-break
-      // on the column set itself), skipping any set that would push the
-      // cube past the dimension cap.
-      std::vector<std::pair<int64_t, const std::vector<int>*>> hot;
-      for (const auto& [key, streak] : ds.advisor_streak) {
-        if (streak >= options_.advisor_hot_passes) {
-          hot.emplace_back(demand.find(key)->second, &key);
-        }
-      }
-      std::sort(hot.begin(), hot.end(),
-                [](const std::pair<int64_t, const std::vector<int>*>& a,
-                   const std::pair<int64_t, const std::vector<int>*>& b) {
-                  return a.first != b.first ? a.first > b.first
-                                            : *a.second < *b.second;
-                });
-      std::set<int> dims;
-      for (const auto& [n, key] : hot) {
-        std::set<int> merged = dims;
-        merged.insert(key->begin(), key->end());
-        if (static_cast<int>(merged.size()) > options_.advisor_max_cube_dims) {
-          continue;
-        }
-        dims = std::move(merged);
-      }
-      target.assign(dims.begin(), dims.end());
-      if (target.empty()) continue;  // nothing persistently hot
-      if (target == ds.advisor_refused_dims) continue;  // known over budget
-    }
-
-    // Already serving this hot set? (Current cube at the live watermark
-    // covering every target dimension.) Then the build would be pure
-    // waste.
-    const std::vector<int> current = w.host->CubeDims();
-    if (w.host->HasCube() &&
-        w.host->CubeWatermark() == w.store->Watermark() &&
-        std::includes(current.begin(), current.end(), target.begin(),
-                      target.end())) {
-      continue;
-    }
-
-    // Promotion: build the lattice outside every registry lock (one
-    // full-table scan plus in-memory marginalizations), then install iff
-    // it fits the engine cell budget. The cube is built over a
-    // materialized snapshot; its watermark is that snapshot's row count,
-    // so a racing append simply leaves it inert until the next pass.
-    TablePtr table = w.store->Materialized();
-    const int64_t built_at = table->NumRows();
-    StatusOr<DataCube> cube = DataCube::Build(
-        TableView(table), target, options_.advisor_max_cube_dims);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++advisor_.build_scans;
-    }
-    if (!cube.ok() ||
-        cube->TotalCells() > options_.engine.max_cached_cells) {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = datasets_.find(w.name);
-      if (it != datasets_.end() && it->second.epoch == w.epoch) {
-        it->second.advisor_refused_dims = std::move(target);
-      }
-      continue;
-    }
-    w.host->InstallCube(std::make_shared<const DataCube>(std::move(*cube)),
-                        built_at);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++advisor_.promotions;
-    auto it = datasets_.find(w.name);
-    if (it != datasets_.end() && it->second.epoch == w.epoch) {
-      it->second.advisor_refused_dims.clear();
-    }
-  }
 }
 
 }  // namespace hypdb

@@ -40,7 +40,6 @@
 #ifndef HYPDB_SERVICE_DATASET_REGISTRY_H_
 #define HYPDB_SERVICE_DATASET_REGISTRY_H_
 
-#include <condition_variable>
 #include <functional>
 #include <list>
 #include <map>
@@ -48,12 +47,9 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "cube/adaptive_cube_provider.h"
-#include "engine/caching_count_engine.h"
 #include "engine/count_engine.h"
 #include "stats/mi_engine.h"
 #include "storage/chunked_table.h"
@@ -63,27 +59,13 @@ namespace hypdb {
 
 struct DatasetRegistryOptions {
   /// Count-engine configuration for shard engines (kernel threads, cache
-  /// budget, materialization toggle).
+  /// budget, caching toggle).
   MiEngineOptions engine;
   /// Filtered shard engines kept per dataset (the full-table parent is
   /// exempt); oldest-first eviction beyond this.
   int max_shards_per_dataset = 32;
   /// Rows per storage chunk (delta-scan granularity for appends).
   int64_t chunk_rows = ChunkedTable::kDefaultChunkRows;
-
-  /// --- cube advisor (active only under engine.materialization ==
-  /// kAdaptive; all ignored under kStatic) ---
-  /// Seconds between background advisor passes. <= 0 starts no thread;
-  /// AdvisorPass() can still be driven manually (tests and benches do).
-  double advisor_interval_seconds = 0.0;
-  /// Queries a column set must draw within one pass to count as demanded.
-  int64_t advisor_min_demand = 2;
-  /// Consecutive demanded passes before a column set is hot (promotion
-  /// candidate).
-  int advisor_hot_passes = 2;
-  /// Cap on promoted cube dimensionality (a k-dim cube holds 2^k
-  /// cuboids).
-  int advisor_max_cube_dims = 8;
 };
 
 /// One row of List(): a registered dataset's shape and pool state.
@@ -101,27 +83,11 @@ struct DatasetInfo {
   /// Cache occupancy summed over the dataset's engine pool (parent +
   /// live shards).
   CacheOccupancy cache;
-  /// Lattice cells of the advisor-installed cube (0 when none).
-  int64_t cube_cells = 0;
   /// Fraction of external count queries the pool answered without a
   /// table scan, 0 when idle.
   double cache_hit_ratio = 0.0;
-  /// Cache evictions across the pool (policy-ranked under kAdaptive,
-  /// oldest-first under kStatic).
+  /// Cache evictions across the pool.
   int64_t evictions = 0;
-};
-
-/// Cube-advisor activity counters (monotonic since construction).
-struct CubeAdvisorStats {
-  /// Completed AdvisorPass() sweeps (manual or background).
-  int64_t passes = 0;
-  /// Cubes installed (first promotion or hot-set rebuild).
-  int64_t promotions = 0;
-  /// Installed cubes dropped after going stale on watermark/epoch churn.
-  int64_t demotions = 0;
-  /// Full-table scans spent building candidate cubes (includes refused
-  /// builds).
-  int64_t build_scans = 0;
 };
 
 /// Maps a context's WHERE conjunction and row view to a count engine —
@@ -156,11 +122,7 @@ struct DatasetLease {
 /// Thread-safe. All methods may be called concurrently with each other.
 class DatasetRegistry {
  public:
-  /// Starts the background advisor thread when the options say adaptive
-  /// materialization with a positive advisor interval.
   explicit DatasetRegistry(DatasetRegistryOptions options = {});
-  /// Stops and joins the advisor thread (if any).
-  ~DatasetRegistry();
   DatasetRegistry(const DatasetRegistry&) = delete;
   DatasetRegistry& operator=(const DatasetRegistry&) = delete;
 
@@ -244,20 +206,6 @@ class DatasetRegistry {
   /// never the shared parent they draw from.
   StatusOr<CountEngineStats> EngineStats(const std::string& name) const;
 
-  /// One advisor sweep over every dataset (no-op under kStatic
-  /// materialization): harvests the parent cache's demand profile,
-  /// advances per-column-set hot streaks, drops cubes stranded by
-  /// watermark churn (demotion), and builds + installs a cube over the
-  /// union of persistently hot column sets (promotion) when its lattice
-  /// fits the engine cell budget. Cube builds scan the store OUTSIDE the
-  /// registry mutex; concurrent queries are never blocked by a build.
-  /// The background thread calls exactly this; tests and benches drive
-  /// it manually for determinism.
-  void AdvisorPass();
-
-  /// Advisor activity counters (all zero under kStatic).
-  CubeAdvisorStats advisor_stats() const;
-
  private:
   struct Dataset {
     /// The chunked store (append target; all reads derive from it).
@@ -273,17 +221,6 @@ class DatasetRegistry {
     /// from), dropped on re-registration — but NOT on append (it reads
     /// the live store and patches its cache by delta).
     std::shared_ptr<CountEngine> parent;
-    /// Under kAdaptive the parent stack is cache → cube host → chunked
-    /// scanner; these alias the two wrapper layers so the advisor can
-    /// harvest demand (parent_cache) and hot-swap cubes (cube_host).
-    /// Null under kStatic or before first parent use.
-    std::shared_ptr<CachingCountEngine> parent_cache;
-    std::shared_ptr<AdaptiveCubeProvider> cube_host;
-    /// Advisor state: consecutive passes each demanded column set stayed
-    /// hot, and the last hot-set the advisor refused to build (lattice
-    /// over budget) — retried only when the hot-set changes.
-    std::map<std::vector<int>, int> advisor_streak;
-    std::vector<int> advisor_refused_dims;
     std::map<std::string, std::shared_ptr<CountEngine>> shards;
     std::list<std::string> shard_age;  // creation order, oldest first
     /// Slices performed by since-evicted shards: each one was an internal
@@ -294,15 +231,12 @@ class DatasetRegistry {
 
   /// The options_.engine kernel configuration for scanners.
   GroupByKernelOptions KernelOptions() const;
-  /// Wraps `base` in a CachingCountEngine under the options_ budget (and
-  /// the options_ materialization policy), or returns it unchanged when
-  /// materialization is disabled. Every engine stack the registry builds
-  /// goes through this one function, so parent and shards can never
-  /// diverge in cache configuration. `track_demand` turns on the per-key
-  /// demand profile the cube advisor harvests (parent engines only — a
-  /// shard's demand is not cube-promotable).
-  std::shared_ptr<CountEngine> WrapCache(std::shared_ptr<CountEngine> base,
-                                         bool track_demand = false) const;
+  /// Wraps `base` in a CachingCountEngine under the options_ budget, or
+  /// returns it unchanged when materialization is disabled. Every engine
+  /// stack the registry builds goes through this one function, so parent
+  /// and shards can never diverge in cache configuration.
+  std::shared_ptr<CountEngine> WrapCache(
+      std::shared_ptr<CountEngine> base) const;
 
   /// ds.parent, created over the chunked store if absent. Requires mu_.
   std::shared_ptr<CountEngine> ParentEngineLocked(Dataset& ds);
@@ -315,28 +249,12 @@ class DatasetRegistry {
   StatusOr<std::shared_ptr<CountEngine>> BuildShardLocked(
       Dataset& ds, const std::string& signature);
 
-  /// True when every caching layer runs the adaptive policy (and the
-  /// advisor is worth running at all).
-  bool Adaptive() const {
-    return options_.engine.materialization == MaterializationMode::kAdaptive;
-  }
-
   /// EngineStats body without the lookup/lock. Requires mu_.
   CountEngineStats EngineStatsLocked(const Dataset& ds) const;
-
-  /// Background advisor: AdvisorPass every advisor_interval_seconds
-  /// until destruction.
-  void AdvisorLoop();
 
   mutable std::mutex mu_;
   DatasetRegistryOptions options_;
   std::map<std::string, Dataset> datasets_;
-  CubeAdvisorStats advisor_;  // guarded by mu_
-
-  std::mutex advisor_mu_;
-  std::condition_variable advisor_cv_;
-  bool advisor_stop_ = false;  // guarded by advisor_mu_
-  std::thread advisor_thread_;
 };
 
 }  // namespace hypdb

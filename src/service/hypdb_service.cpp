@@ -13,7 +13,6 @@ DatasetRegistryOptions RegistryOptions(const HypDbServiceOptions& o) {
   out.engine = o.analysis.engine;
   out.max_shards_per_dataset = o.max_shards_per_dataset;
   out.chunk_rows = o.chunk_rows;
-  out.advisor_interval_seconds = o.advisor_interval_seconds;
   return out;
 }
 
@@ -28,11 +27,6 @@ QuerySchedulerOptions SchedulerOptions(const HypDbServiceOptions& o) {
   QuerySchedulerOptions out;
   out.num_workers = o.num_workers;
   out.batch_max = o.batch_max;
-  // Batch union planning rides the adaptive-materialization knob: the
-  // cost model that admits observed-size supersets is what keeps the
-  // planned unions cache-resident long enough to pay off.
-  out.union_planning =
-      o.analysis.engine.materialization == MaterializationMode::kAdaptive;
   out.defaults = o.analysis;
   out.default_trace_level = o.trace_level;
   out.on_complete = o.on_complete;
@@ -146,10 +140,6 @@ void HypDbService::RegisterMetrics() {
   metrics_.RegisterHistogram("hypdb_scheduler_run_seconds",
                              "Seconds a worker spent executing a request.",
                              {}, &sched.run_time);
-  metrics_.RegisterCounter("hypdb_scheduler_union_prefetches_total",
-                           "Superset prefetches executed by batch union "
-                           "planning (multi-request bins).",
-                           {}, &sched.union_prefetches);
 
   // DiscoveryCache: its stats struct is mutex-guarded inside the cache,
   // so the registry reads it through callbacks instead of raw pointers.
@@ -242,10 +232,9 @@ void HypDbService::RegisterMetrics() {
       "Morsels dispatched by parallel group-by scans (process-wide).", {},
       [] { return static_cast<double>(GroupByMorselsDispatched()); });
 
-  // Cache occupancy + adaptive materialization. Occupancy gauges sum
-  // DatasetInfo over every registered dataset at scrape time (List()
-  // reads each engine's CacheUse under the registry mutex); the advisor
-  // counters come off the registry's CubeAdvisorStats.
+  // Cache occupancy. The gauges sum DatasetInfo over every registered
+  // dataset at scrape time (List() reads each engine's CacheUse under
+  // the registry mutex).
   auto cache_gauge = [this](int64_t CacheOccupancy::* member) {
     return [this, member] {
       int64_t total = 0;
@@ -268,44 +257,11 @@ void HypDbService::RegisterMetrics() {
                            "Cached summaries resident across every "
                            "dataset's engine pool.",
                            {}, cache_gauge(&CacheOccupancy::entries));
-  metrics_.RegisterGaugeFn(
-      "hypdb_cache_cube_cells",
-      "Lattice cells held by advisor-installed cubes.", {}, [this] {
-        int64_t total = 0;
-        for (const DatasetInfo& info : registry_.List()) {
-          total += info.cube_cells;
-        }
-        return static_cast<double>(total);
-      });
   metrics_.RegisterCounterFn(
       "hypdb_cache_evictions_total",
-      "Cached summaries evicted to keep pools under their cell budgets "
-      "(policy-ranked under adaptive materialization).",
+      "Cached summaries evicted (oldest first) to keep pools under their "
+      "cell budgets.",
       {}, engine_stat(&CountEngineStats::evictions));
-  metrics_.RegisterCounterFn(
-      "hypdb_cache_cube_hits_total",
-      "Count queries answered from a pre-built cube lattice.", {},
-      engine_stat(&CountEngineStats::cube_hits));
-  auto advisor_stat = [this](int64_t CubeAdvisorStats::* member) {
-    return [this, member] {
-      return static_cast<double>(registry_.advisor_stats().*member);
-    };
-  };
-  metrics_.RegisterCounterFn("hypdb_cache_advisor_passes_total",
-                             "Cube-advisor sweeps completed.", {},
-                             advisor_stat(&CubeAdvisorStats::passes));
-  metrics_.RegisterCounterFn(
-      "hypdb_cache_advisor_promotions_total",
-      "Cubes installed over persistently hot attribute sets.", {},
-      advisor_stat(&CubeAdvisorStats::promotions));
-  metrics_.RegisterCounterFn(
-      "hypdb_cache_advisor_demotions_total",
-      "Installed cubes dropped after going stale on watermark churn.", {},
-      advisor_stat(&CubeAdvisorStats::demotions));
-  metrics_.RegisterCounterFn(
-      "hypdb_cache_advisor_build_scans_total",
-      "Full-table scans spent building candidate cubes.", {},
-      advisor_stat(&CubeAdvisorStats::build_scans));
 
   // Ingest: the append path (rows/batches, bumped by AppendRows) plus
   // the delta-maintenance work it causes, aggregated over every

@@ -63,14 +63,6 @@ struct HypDbServiceOptions {
   /// Rows per storage chunk (DatasetRegistryOptions::chunk_rows): the
   /// granularity of delta scans after appends.
   int64_t chunk_rows = ChunkedTable::kDefaultChunkRows;
-  /// Background cube-advisor cadence under adaptive materialization
-  /// (analysis.engine.materialization == kAdaptive; inert under
-  /// kStatic): seconds between passes promoting persistently hot
-  /// attribute sets into a pre-built cube lattice and demoting stale
-  /// ones. <= 0 disables the thread (the registry's AdvisorPass() can
-  /// still be driven manually). Forwarded to
-  /// DatasetRegistryOptions::advisor_interval_seconds.
-  double advisor_interval_seconds = 0.25;
   /// Discovery staleness bound under appends
   /// (DiscoveryCacheOptions::refresh_rows_fraction): a cached discovery
   /// computed at watermark W is recomputed at the next lookup once the
@@ -186,12 +178,9 @@ class HypDbService {
   StatusOr<CountEngineStats> engine_stats(const std::string& dataset) const {
     return registry_.EngineStats(dataset);
   }
-  /// Cube-advisor activity (all zero under static materialization).
-  CubeAdvisorStats advisor_stats() const { return registry_.advisor_stats(); }
-  /// The dataset registry (shared engines, cube advisor). For benches,
-  /// tests and operational tooling that drive AdvisorPass() manually or
-  /// inspect shard engines directly; ordinary clients use the request
-  /// API.
+  /// The dataset registry (shared engines, chunked stores). For benches,
+  /// tests and operational tooling that inspect stores or shard engines
+  /// directly; ordinary clients use the request API.
   DatasetRegistry& registry() { return registry_; }
   int num_workers() const { return scheduler_->num_workers(); }
   const HypDbServiceOptions& options() const { return options_; }

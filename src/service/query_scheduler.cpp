@@ -4,7 +4,6 @@
 
 #include "core/analysis_session.h"
 #include "core/sql_parser.h"
-#include "service/union_planner.h"
 #include "util/string_util.h"
 
 namespace hypdb {
@@ -206,82 +205,8 @@ void QueryScheduler::WorkerLoop(int worker_id) {
     }
     if (batch.size() > 1) {
       metrics_.batched_twins.Add(static_cast<int64_t>(batch.size()) - 1);
-      if (options_.union_planning) PlanBatchPrefetch(&batch);
     }
     for (Job& job : batch) RunJob(std::move(job), worker_id);
-  }
-}
-
-void QueryScheduler::PlanBatchPrefetch(std::vector<Job>* batch) {
-  // Analyze jobs only: session stage jobs (job.run) schedule their own
-  // engine work inside the session.
-  std::vector<Job*> jobs;
-  for (Job& job : *batch) {
-    if (!job.run) jobs.push_back(&job);
-  }
-  if (jobs.size() < 2) return;
-  const std::string& dataset = jobs.front()->request.dataset;
-  // Same lease/snapshot discipline as Execute(): the prefetched summary
-  // must aggregate the watermark the shared shard engine answers at.
-  StatusOr<DatasetLease> lease = registry_->ReadLease(dataset);
-  if (!lease.ok()) return;
-  StatusOr<DatasetRegistry::Snapshot> snapshot =
-      registry_->GetSnapshot(dataset);
-  if (!snapshot.ok()) return;
-  // Batch-key equality means every job shares the WHERE clause (and the
-  // treatment), so they all resolve to the same shard engine.
-  StatusOr<std::shared_ptr<CountEngine>> shard = registry_->ShardEngine(
-      dataset, snapshot->epoch, SubpopulationSignature(jobs.front()->query),
-      snapshot->watermark);
-  if (!shard.ok()) return;
-
-  const Table& table = *snapshot->table;
-  std::vector<int64_t> cardinalities(table.NumColumns());
-  for (int c = 0; c < table.NumColumns(); ++c) {
-    cardinalities[c] = table.column(c).Cardinality();
-  }
-  // The attribute set each job is about to demand: treatment, contexts,
-  // outcomes. (Discovery probes more sets, but these are the ones every
-  // job materializes as its focus.)
-  std::vector<std::vector<int>> needs;
-  std::vector<Job*> need_jobs;
-  for (Job* job : jobs) {
-    std::vector<int> cols;
-    bool resolved = true;
-    auto add = [&](const std::string& name) {
-      StatusOr<int> idx = table.ColumnIndex(name);
-      if (idx.ok()) {
-        cols.push_back(*idx);
-      } else {
-        resolved = false;
-      }
-    };
-    add(job->query.treatment);
-    for (const std::string& name : job->query.grouping) add(name);
-    for (const std::string& name : job->query.outcomes) add(name);
-    if (!resolved || cols.empty()) continue;
-    std::sort(cols.begin(), cols.end());
-    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-    needs.push_back(std::move(cols));
-    need_jobs.push_back(job);
-  }
-  if (needs.size() < 2) return;
-
-  // Per-request options may override the engine budget, but the shared
-  // shard engine was built from the scheduler defaults — plan against
-  // the budget that engine actually enforces.
-  const int64_t budget = options_.defaults.engine.max_cached_cells;
-  for (const UnionPlanBin& bin :
-       PlanUnionPrefetch(needs, cardinalities, budget)) {
-    if (bin.covered < 2) continue;
-    if (!(*shard)->Prefetch(bin.cols).ok()) continue;
-    metrics_.union_prefetches.Add();
-    for (size_t i = 0; i < needs.size(); ++i) {
-      if (std::includes(bin.cols.begin(), bin.cols.end(), needs[i].begin(),
-                        needs[i].end())) {
-        need_jobs[i]->union_planned = true;
-      }
-    }
   }
 }
 
@@ -289,7 +214,6 @@ void QueryScheduler::RunJob(Job job, int worker_id) {
   RequestStats stats;
   stats.ticket = job.ticket;
   stats.worker_id = worker_id;
-  stats.union_prefetched = job.union_planned;
   stats.queue_seconds = job.queued.ElapsedSeconds();
   stats.trace.push_back({"queue", 0.0, stats.queue_seconds});
   // Deadline check at pickup — it also covers batched twins, whose wait

@@ -53,9 +53,6 @@ struct SchedulerMetrics {
   Counter cancelled;          // kCancelled (queued or cooperative)
   Counter deadline_exceeded;  // kDeadlineExceeded at pickup
   Counter batched_twins;      // jobs drained as same-batch-key followers
-  /// Superset prefetches executed by batch union planning (one per
-  /// multi-request bin — see service/union_planner.h).
-  Counter union_prefetches;
   LatencyHistogram queue_wait;  // submit -> pickup (or cancel/deadline)
   LatencyHistogram run_time;    // pickup -> completion, jobs that ran
 };
@@ -69,14 +66,6 @@ struct QuerySchedulerOptions {
   /// dropped (their tickets then Wait() as not-found). Bounds the memory
   /// of fire-and-forget submitters that never collect.
   int64_t max_retained_results = 1024;
-  /// Batch union planning: before running a drained multi-request batch,
-  /// compute the cheapest superset cover of the attribute sets the batch
-  /// needs (service/union_planner.h) and Prefetch each multi-request bin
-  /// once on the shared shard engine — covered requests then answer by
-  /// marginalization instead of scanning. The service enables this
-  /// under adaptive materialization. Results stay bit-identical:
-  /// prefetching only moves counts into the cache.
-  bool union_planning = false;
   /// Analysis options for requests that do not carry their own.
   HypDbOptions defaults;
   /// Trace sampling level for requests that do not carry their own
@@ -173,9 +162,6 @@ class QueryScheduler {
     std::function<StatusOr<ServiceReport>(RequestStats*)> run;
     /// Cooperative-cancel handle of a SubmitTask job (may be null).
     std::shared_ptr<std::atomic<bool>> cancel_flag;
-    /// A batch union prefetch covered this job's attribute set
-    /// (stamped into RequestStats::union_prefetched).
-    bool union_planned = false;
   };
 
   struct Slot {
@@ -184,13 +170,6 @@ class QueryScheduler {
   };
 
   void WorkerLoop(int worker_id);
-  /// Batch union planning (options_.union_planning): plans a superset
-  /// cover of the batch's analyze jobs and prefetches each multi-request
-  /// bin on the shared shard engine. Best-effort — any failure (unknown
-  /// dataset, stale epoch, bind error) just skips the warm-up; the jobs
-  /// run unchanged. Call WITHOUT mu_ held (takes the dataset lease, then
-  /// the registry mutex — the standing lock order).
-  void PlanBatchPrefetch(std::vector<Job>* batch);
   void RunJob(Job job, int worker_id);
   StatusOr<ServiceReport> Execute(const Job& job, int worker_id,
                                   RequestStats* stats);

@@ -68,11 +68,6 @@ struct RequestStats {
   /// once, shared by both — the scheduler's same-(table,treatment)
   /// batching).
   bool discovery_coalesced = false;
-  /// A batch union prefetch covered this request's attribute set before
-  /// it ran (scheduler union planning — service/union_planner.h), so its
-  /// focus was served from the warmed shared cache. Rendered on the wire
-  /// only when true, keeping the non-planned format byte-stable.
-  bool union_prefetched = false;
   /// Shared shard-engine work observed during this request (scan/hit
   /// deltas). Attribution is approximate under concurrency: overlapping
   /// requests on the same shard see each other's work.

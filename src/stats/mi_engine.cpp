@@ -24,7 +24,6 @@ std::shared_ptr<CountEngine> WrapEngine(std::shared_ptr<CountEngine> base,
   if (!options.materialize_focus) return base;
   CachingCountEngineOptions caching;
   caching.max_cached_cells = options.max_cached_cells;
-  caching.policy = MakeCachePolicy(options.materialization);
   return std::make_shared<CachingCountEngine>(std::move(base), caching);
 }
 

@@ -49,13 +49,8 @@ struct MiEngineOptions {
   bool scan_simd = true;
   /// Budget for the count cache, in total cached groups.
   int64_t max_cached_cells = int64_t{1} << 22;
-  /// Materialization policy for every caching layer this configuration
-  /// builds (MiEngine's private cache, the registry's parent and shard
-  /// caches, the slicer's admission guard): kStatic is the historical
-  /// oldest-first / domain-bound behavior, kAdaptive ranks retention by
-  /// benefit-per-cell, admits on observed cells, and (at the service
-  /// layer) enables the cube advisor and batch union planning. Wire key
-  /// `materialization`, CLI `--materialization=static|adaptive`.
+  /// Names no choice: there is one cache policy. Kept only because
+  /// perfbench's one-shot workload reads it (see MakeCachePolicy).
   MaterializationMode materialization = MaterializationMode::kStatic;
 };
 
@@ -73,9 +68,9 @@ inline GroupByKernelOptions ScanKernelOptions(const MiEngineOptions& options) {
 
 /// The default count stack over `view`: a kernel scanner
 /// (ScanKernelOptions) wrapped in a CachingCountEngine under `options`'
-/// cell budget and materialization policy, or the bare scanner when
-/// materialization is off. MiEngine's own engine, session-private context
-/// engines and the service's pinned fallbacks are all this stack.
+/// cell budget, or the bare scanner when materialization is off.
+/// MiEngine's own engine, session-private context engines and the
+/// service's pinned fallbacks are all this stack.
 std::shared_ptr<CountEngine> MakeViewEngine(const TableView& view,
                                             const MiEngineOptions& options);
 
@@ -85,7 +80,7 @@ class MiEngine {
   /// Engine over `view` with the default scan-based count engine.
   explicit MiEngine(TableView view, MiEngineOptions options = {});
 
-  /// Engine with a custom count source (e.g. AdaptiveCubeProvider). `view`
+  /// Engine with a custom count source (e.g. CubeCountProvider). `view`
   /// must describe the same population the source aggregates. The source
   /// is wrapped in a CachingCountEngine unless materialization is off or
   /// `wrap_provider` is false — pass false for a provider that already

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cube/adaptive_cube_provider.h"
 #include "cube/data_cube.h"
+#include "engine/groupby_kernel.h"
 #include "stats/mi_engine.h"
 #include "util/rng.h"
 
@@ -22,6 +22,16 @@ TablePtr RandomTable(int cols, int64_t rows, uint64_t seed) {
     EXPECT_TRUE(table.AddColumn(b.Finish()).ok());
   }
   return MakeTable(std::move(table));
+}
+
+void ExpectSameCounts(const GroupCounts& a, const GroupCounts& b) {
+  ASSERT_EQ(a.NumGroups(), b.NumGroups());
+  EXPECT_EQ(a.total, b.total);
+  ASSERT_EQ(a.codec.cols(), b.codec.cols());
+  for (int g = 0; g < a.NumGroups(); ++g) {
+    EXPECT_EQ(a.keys[g], b.keys[g]) << "group " << g;
+    EXPECT_EQ(a.counts[g], b.counts[g]) << "group " << g;
+  }
 }
 
 TEST(DataCubeTest, AllSubsetsMatchDirectCounts) {
@@ -69,9 +79,9 @@ TEST(CubeProviderTest, InstalledCubeServesEngineQueries) {
   auto cube = DataCube::Build(view, {0, 1, 2});
   ASSERT_TRUE(cube.ok());
   auto base = std::make_shared<ViewCountProvider>(view);
-  auto provider = std::make_shared<AdaptiveCubeProvider>(base);
-  provider->InstallCube(std::make_shared<const DataCube>(std::move(*cube)),
-                        base->PopulationVersion());
+  auto provider = std::make_shared<CubeCountProvider>(
+      base, std::make_shared<const DataCube>(std::move(*cube)),
+      base->PopulationVersion());
 
   MiEngine from_cube(view, provider,
                      MiEngineOptions{.cache_entropies = false});
@@ -83,6 +93,60 @@ TEST(CubeProviderTest, InstalledCubeServesEngineQueries) {
   EXPECT_GT(provider->stats().cube_hits, 0);
   EXPECT_EQ(provider->stats().fallback_calls, 0);
   EXPECT_EQ(base->num_scans(), 0);
+}
+
+TEST(CubeProviderTest, ServesCoveredSubsetsFromCurrentCube) {
+  TablePtr t = RandomTable(4, 1500, 9);
+  TableView view(t);
+  auto base = std::make_shared<ViewCountProvider>(view);
+  auto cube = DataCube::Build(view, {0, 1, 2});
+  ASSERT_TRUE(cube.ok()) << cube.status();
+  CubeCountProvider provider(
+      base, std::make_shared<const DataCube>(std::move(*cube)),
+      base->PopulationVersion());
+
+  // Covered subsets, in any column order, answer from the lattice — no
+  // base scan at all — and are bit-identical to a direct scan.
+  for (const std::vector<int>& cols :
+       std::vector<std::vector<int>>{{0}, {2, 1}, {0, 1, 2}, {}}) {
+    auto from_cube = provider.Counts(cols);
+    ASSERT_TRUE(from_cube.ok());
+    auto direct = ScanCounts(view, cols);
+    ASSERT_TRUE(direct.ok());
+    ExpectSameCounts(*from_cube, *direct);
+  }
+  EXPECT_EQ(base->stats().scans, 0);
+  EXPECT_EQ(provider.stats().cube_hits, 4);
+
+  // Uncovered columns delegate.
+  auto uncovered = provider.Counts({0, 3});
+  ASSERT_TRUE(uncovered.ok());
+  auto direct03 = ScanCounts(view, {0, 3});
+  ASSERT_TRUE(direct03.ok());
+  ExpectSameCounts(*uncovered, *direct03);
+  EXPECT_EQ(base->stats().scans, 1);
+  EXPECT_EQ(provider.stats().fallback_calls, 1);
+  EXPECT_EQ(provider.stats().queries, 5);
+}
+
+TEST(CubeProviderTest, StaleCubeIsSilentlyInert) {
+  TablePtr t = RandomTable(3, 800, 13);
+  TableView view(t);
+  auto base = std::make_shared<ViewCountProvider>(view);
+  auto cube = DataCube::Build(view, {0, 1});
+  ASSERT_TRUE(cube.ok());
+  // Built at a watermark the base has moved past: never served.
+  CubeCountProvider provider(
+      base, std::make_shared<const DataCube>(std::move(*cube)),
+      base->PopulationVersion() + 1);
+
+  auto counts = provider.Counts({0, 1});
+  ASSERT_TRUE(counts.ok());
+  auto direct = ScanCounts(view, {0, 1});
+  ASSERT_TRUE(direct.ok());
+  ExpectSameCounts(*counts, *direct);
+  EXPECT_EQ(provider.stats().cube_hits, 0);
+  EXPECT_EQ(base->stats().scans, 1);  // the query fell through to a scan
 }
 
 TEST(DataCubeTest, TotalCellsAccountsLattice) {

@@ -1,7 +1,9 @@
 // Tests for the CountEngine subsystem: the packed-tuple scan kernel, the
 // caching engine's subset marginalization (counts derived from a cached
 // superset must exactly match a direct scan — the Fig. 6c correctness
-// requirement), cache-hit instrumentation, and eviction.
+// requirement), cache-hit instrumentation, the cache policy (oldest-first
+// eviction, min(domain, rows) slice admission) and a property sweep over
+// random access sequences x budgets.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,22 @@ TablePtr RandomTable(int cols, int64_t rows, uint64_t seed,
   for (int c = 0; c < cols; ++c) {
     ColumnBuilder b("c" + std::to_string(c));
     int card = 2 + static_cast<int>(rng.NextBounded(max_card - 1));
+    for (int64_t r = 0; r < rows; ++r) {
+      b.Append(std::to_string(rng.NextBounded(card)));
+    }
+    EXPECT_TRUE(table.AddColumn(b.Finish()).ok());
+  }
+  return MakeTable(std::move(table));
+}
+
+// A table where every column has exactly `card` labels, so every pair of
+// columns with enough rows materializes to exactly card^2 cells —
+// deterministic eviction pressure.
+TablePtr FixedCardTable(int cols, int64_t rows, int card, uint64_t seed) {
+  Rng rng(seed);
+  Table table;
+  for (int c = 0; c < cols; ++c) {
+    ColumnBuilder b("c" + std::to_string(c));
     for (int64_t r = 0; r < rows; ++r) {
       b.Append(std::to_string(rng.NextBounded(card)));
     }
@@ -662,6 +680,120 @@ TEST(PredicateSlicingCountEngineTest, UncacheableSupersetScansTheView) {
   ASSERT_TRUE(sliced.ok());
   ExpectSameCounts(*sliced, *CountBy(view, {0, 1}));
   EXPECT_EQ(unguarded.stats().predicate_slices, 1);
+}
+
+// ---- the cache policy ----
+
+// The one policy: eviction is oldest-first by admission sequence, however
+// often an entry was reused, and a slice's S ∪ P summary is admitted by
+// its min(domain, rows) bound alone, even when its actual cells would fit.
+TEST(CachePolicyTest, OldestFirstEvictionAndBoundAdmission) {
+  TablePtr t = FixedCardTable(6, 2000, 4, 17);
+  TableView view(t);
+  CachingCountEngineOptions options;
+  options.max_cached_cells = 40;  // holds two 16-cell pairs, not three
+  CachingCountEngine engine(std::make_shared<ViewCountProvider>(view),
+                            options);
+  // {0,1} is the oldest entry and by far the most reused one.
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(engine.Counts({0, 1}).ok());
+  ASSERT_TRUE(engine.Counts({2, 3}).ok());
+  ASSERT_TRUE(engine.Counts({4, 5}).ok());  // over budget: evicts {0,1}
+  EXPECT_EQ(engine.stats().evictions, 1);
+  const int64_t scans_before = engine.stats().scans;
+  ASSERT_TRUE(engine.Counts({2, 3}).ok());  // still resident
+  EXPECT_EQ(engine.stats().scans, scans_before);
+  auto again = engine.Counts({0, 1});  // evicted: re-scanned
+  ASSERT_TRUE(again.ok());
+  ExpectSameCounts(*again, *ScanCounts(view, {0, 1}));
+  EXPECT_EQ(engine.stats().scans, scans_before + 1);
+
+  // Admission. Column 1 copies column 0, so the summary over {0, 1, 2}
+  // has at most 8 * 2 cells while its domain bound is 8 * 8 * 2 = 128.
+  Table sparse;
+  Rng rng(5);
+  ColumnBuilder c0("c0"), c1("c1"), c2("c2");
+  for (int r = 0; r < 1000; ++r) {
+    const std::string label = std::to_string(rng.NextBounded(8));
+    c0.Append(label);
+    c1.Append(label);
+    c2.Append(std::to_string(rng.NextBounded(2)));
+  }
+  ASSERT_TRUE(sparse.AddColumn(c0.Finish()).ok());
+  ASSERT_TRUE(sparse.AddColumn(c1.Finish()).ok());
+  ASSERT_TRUE(sparse.AddColumn(c2.Finish()).ok());
+  TablePtr st = MakeTable(std::move(sparse));
+  ASSERT_EQ(st->column(0).Cardinality(), 8);
+  ASSERT_EQ(st->column(2).Cardinality(), 2);
+  const std::vector<SlicePredicate> preds = {
+      SlicePredicate{2, st->column(2).CodeAt(0)}};
+  TableView slice = EqualityView(st, preds);
+  auto parent = std::make_shared<CachingCountEngine>(
+      std::make_shared<ViewCountProvider>(TableView(st)));
+  ASSERT_TRUE(parent->Counts({0, 1, 2}).ok());  // the superset is cached
+  ASSERT_LE(parent->cached_cells(), 16);
+  for (const auto& [budget, slices] :
+       std::vector<std::pair<int64_t, int64_t>>{{127, 0}, {128, 1}}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    PredicateSlicingCountEngine slicer(parent, preds, Scanner(slice), *st,
+                                       budget);
+    auto counts = slicer.Counts({0, 1});
+    ASSERT_TRUE(counts.ok());
+    ExpectSameCounts(*counts, *CountBy(slice, {0, 1}));
+    EXPECT_EQ(slicer.stats().predicate_slices, slices);
+  }
+}
+
+// Random interleavings of Counts and Prefetch over a range of budgets
+// must (a) never evict the pinned focus, (b) never hold more unpinned
+// cells than the budget, and (c) produce answers bit-identical to an
+// uncached engine.
+TEST(CachePolicySweepTest, RandomAccessSequencesMatchUncachedEngine) {
+  TablePtr t = FixedCardTable(5, 600, 4, 77);
+  TableView view(t);
+
+  for (int64_t budget : {int64_t{8}, int64_t{128}, int64_t{1} << 20}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    Rng rng(1000 + static_cast<uint64_t>(budget));
+    CachingCountEngineOptions options;
+    options.max_cached_cells = budget;
+    CachingCountEngine engine(std::make_shared<ViewCountProvider>(view),
+                              options);
+
+    std::vector<int> pinned_focus;
+    int64_t pinned_focus_cells = 0;
+    for (int op = 0; op < 120; ++op) {
+      std::vector<int> cols;
+      const int size = 1 + static_cast<int>(rng.NextBounded(3));
+      while (static_cast<int>(cols.size()) < size) {
+        const int c = static_cast<int>(rng.NextBounded(5));
+        if (std::find(cols.begin(), cols.end(), c) == cols.end()) {
+          cols.push_back(c);
+        }
+      }
+      std::sort(cols.begin(), cols.end());
+
+      if (rng.Bernoulli(0.15)) {
+        ASSERT_TRUE(engine.Prefetch(cols).ok());
+        auto direct = ScanCounts(view, cols);
+        ASSERT_TRUE(direct.ok());
+        pinned_focus = cols;
+        pinned_focus_cells = direct->NumGroups();
+      } else {
+        auto counts = engine.Counts(cols);
+        ASSERT_TRUE(counts.ok());
+        auto direct = ScanCounts(view, cols);
+        ASSERT_TRUE(direct.ok());
+        ExpectSameCounts(*counts, *direct);
+      }
+
+      // Budget invariant: unpinned residency never exceeds the budget.
+      EXPECT_LE(engine.cached_cells() - engine.pinned_cells(), budget);
+      // Pin invariant: the focus summary is always fully resident.
+      if (!pinned_focus.empty()) {
+        EXPECT_EQ(engine.pinned_cells(), pinned_focus_cells);
+      }
+    }
+  }
 }
 
 TEST(MiEngineCountStatsTest, MaterializationOffScansEveryTime) {

@@ -265,6 +265,23 @@ TEST(JsonCodecTest, AnalyzeRequestRejectsOutOfRangeOptions) {
   EXPECT_TRUE(AnalyzeRequestFromJson(*zero, base).ok());
 }
 
+// A negative deadline is rejected rather than read as "no deadline"; 0
+// still means no deadline.
+TEST(JsonCodecTest, AnalyzeRequestRejectsNegativeDeadline) {
+  HypDbOptions base;
+  auto negative =
+      ParseJson(R"({"dataset": "b", "sql": "q", "deadline_seconds": -0.5})");
+  ASSERT_TRUE(negative.ok());
+  EXPECT_EQ(AnalyzeRequestFromJson(*negative, base).status().code(),
+            StatusCode::kInvalidArgument);
+  auto zero =
+      ParseJson(R"({"dataset": "b", "sql": "q", "deadline_seconds": 0})");
+  ASSERT_TRUE(zero.ok());
+  auto wire = AnalyzeRequestFromJson(*zero, base);
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  EXPECT_EQ(wire->submit.deadline_seconds, 0.0);
+}
+
 TEST(JsonCodecTest, RegisterCommandParsing) {
   auto csv = ParseJson(R"({"name": "d", "csv": "/tmp/d.csv"})");
   ASSERT_TRUE(csv.ok());

@@ -254,7 +254,11 @@ TEST(NetTest, PerRequestOptionsChangeTheAnalysis) {
             CanonicalReportDigest(*expected));
 }
 
-TEST(NetTest, MaterializationKnobOnTheWire) {
+// /healthz reports each dataset's storage shape and cache occupancy, and
+// a request member outside its range (or an unknown option) is a 400
+// invalid_argument on HTTP and line-JSON alike, on every verb that reads
+// it.
+TEST(NetTest, HealthzCacheOccupancyAndRejectedRequestMembers) {
   TablePtr berkeley = Berkeley();
   const std::string sql =
       "SELECT Gender, avg(Accepted) FROM b GROUP BY Gender";
@@ -262,52 +266,94 @@ TEST(NetTest, MaterializationKnobOnTheWire) {
   Harness harness({.num_workers = 2});
   harness.service.RegisterTable("b", berkeley);
   HttpClient client = harness.Client();
+  LineClient line("127.0.0.1", harness.server.port());
+  auto analyzed = client.Post("/v1/analyze", AnalyzeBody("b", sql));
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
 
-  // A per-request adaptive override is accepted and — the standing
-  // invariant — changes nothing about the answer.
-  JsonValue body = AnalyzeBody("b", sql);
-  JsonValue options = JsonValue::MakeObject();
-  options.Set("materialization", JsonValue::Str("adaptive"));
-  body.Set("options", std::move(options));
-  auto adaptive = client.Post("/v1/analyze", body);
-  ASSERT_TRUE(adaptive.ok()) << adaptive.status();
-  EXPECT_EQ(adaptive->Find("digest")->string_value(),
-            SerialDigest(berkeley, sql));
-
-  // An unknown policy name is a clean 400, not a silent default.
-  JsonValue bad = AnalyzeBody("b", sql);
-  JsonValue bad_options = JsonValue::MakeObject();
-  bad_options.Set("materialization", JsonValue::Str("bogus"));
-  bad.Set("options", std::move(bad_options));
-  EXPECT_EQ(client.Post("/v1/analyze", bad).status().code(),
-            StatusCode::kInvalidArgument);
-  // So is a value outside the range hypdb_cli accepts for the same flag.
-  JsonValue far = AnalyzeBody("b", sql);
-  JsonValue far_options = JsonValue::MakeObject();
-  far_options.Set("alpha", JsonValue::Double(2.5));
-  far.Set("options", std::move(far_options));
-  EXPECT_EQ(client.Post("/v1/analyze", far).status().code(),
-            StatusCode::kInvalidArgument);
-
-  // /healthz names the service-wide policy and reports per-dataset cache
-  // occupancy.
   auto health = client.Get("/healthz");
   ASSERT_TRUE(health.ok());
-  ASSERT_NE(health->Find("materialization"), nullptr);
-  EXPECT_EQ(health->Find("materialization")->string_value(), "static");
+  EXPECT_EQ(health->Find("materialization"), nullptr);
   const JsonValue* storage = health->Find("storage");
   ASSERT_NE(storage, nullptr);
-  const JsonValue* shape_ptr = storage->Find("b");
-  ASSERT_NE(shape_ptr, nullptr);
-  const JsonValue& shape = *shape_ptr;
-  const JsonValue* cache = shape.Find("cache");
+  const JsonValue* shape = storage->Find("b");
+  ASSERT_NE(shape, nullptr);
+  for (const char* member :
+       {"rows", "chunks", "watermark", "cache_hit_ratio", "evictions"}) {
+    EXPECT_NE(shape->Find(member), nullptr) << member;
+  }
+  EXPECT_EQ(shape->Find("cube_cells"), nullptr);
+  const JsonValue* cache = shape->Find("cache");
   ASSERT_NE(cache, nullptr);
-  ASSERT_NE(cache->Find("cached_cells"), nullptr);
-  ASSERT_NE(cache->Find("budget_cells"), nullptr);
+  for (const char* member :
+       {"cached_cells", "pinned_cells", "budget_cells", "entries"}) {
+    ASSERT_NE(cache->Find(member), nullptr) << member;
+  }
+  EXPECT_GT(cache->Find("cached_cells")->int_value(), 0);
   EXPECT_GT(cache->Find("budget_cells")->int_value(), 0);
-  ASSERT_NE(shape.Find("cube_cells"), nullptr);
-  ASSERT_NE(shape.Find("cache_hit_ratio"), nullptr);
-  ASSERT_NE(shape.Find("evictions"), nullptr);
+
+  // One session for the step bodies.
+  auto session = client.Post("/v1/sessions", AnalyzeBody("b", sql));
+  ASSERT_TRUE(session.ok()) << session.status();
+  const JsonValue id = *session->Find("session");
+  const std::string step_path =
+      "/v1/sessions/" + std::to_string(id.int_value()) + "/detect";
+
+  auto with = [](JsonValue body, const char* key, JsonValue value) {
+    body.Set(key, std::move(value));
+    return body;
+  };
+  auto options = [](const char* key, JsonValue value) {
+    JsonValue out = JsonValue::MakeObject();
+    out.Set(key, std::move(value));
+    return out;
+  };
+  JsonValue step = JsonValue::MakeObject();
+  step.Set("session", id);
+  step.Set("stage", JsonValue::Str("detect"));
+  const JsonValue negative = JsonValue::Double(-1.0);
+  struct Bad {
+    std::string verb, path;
+    JsonValue body;
+  };
+  const std::vector<Bad> bad = {
+      {"analyze", "/v1/analyze",
+       with(AnalyzeBody("b", sql), "options",
+            options("materialization", JsonValue::Str("static")))},
+      {"analyze", "/v1/analyze",
+       with(AnalyzeBody("b", sql), "options",
+            options("alpha", JsonValue::Double(2.5)))},
+      {"analyze", "/v1/analyze",
+       with(AnalyzeBody("b", sql), "deadline_seconds", negative)},
+      {"submit", "/v1/submit",
+       with(AnalyzeBody("b", sql), "deadline_seconds", negative)},
+      {"step", step_path, with(step, "deadline_seconds", negative)},
+  };
+  for (const Bad& b : bad) {
+    SCOPED_TRACE(SerializeJson(b.body));
+    JsonValue http_body = b.body;
+    if (b.verb == "step") {  // the path carries the session and stage
+      http_body = JsonValue::MakeObject();
+      http_body.Set("deadline_seconds", negative);
+    }
+    auto http = client.Request("POST", b.path, SerializeJson(http_body));
+    ASSERT_TRUE(http.ok()) << http.status();
+    EXPECT_EQ(http->status, 400);
+    EXPECT_NE(http->body.find("invalid_argument"), std::string::npos);
+    EXPECT_EQ(line.Call(with(b.body, "cmd", JsonValue::Str(b.verb)))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  // A zero deadline still means "no deadline".
+  JsonValue zero = JsonValue::MakeObject();
+  zero.Set("deadline_seconds", JsonValue::Int(0));
+  EXPECT_TRUE(client.Post(step_path, zero).ok());
+  EXPECT_TRUE(
+      client.Post("/v1/analyze",
+                  with(AnalyzeBody("b", sql), "deadline_seconds",
+                       JsonValue::Int(0)))
+          .ok());
 }
 
 TEST(NetTest, AsyncSubmitPollWaitCancelAndDeadline) {
