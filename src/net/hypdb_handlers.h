@@ -5,9 +5,9 @@
 // object to (HTTP status, JSON body). HTTP, line-JSON and the
 // hypdb_cli REPL only decode a request into params and encode the
 // reply, so the three surfaces cannot drift. Every handler maps
-// one-to-one onto a DatasetRegistry, QueryScheduler or SessionManager
-// call, so the sharding, discovery coalescing, and same-key batching
-// built for in-process callers apply unchanged to remote traffic.
+// one-to-one onto a HypDbService call, so the shard pools and discovery
+// coalescing built for in-process callers apply unchanged to remote
+// traffic.
 // README.md "API" renders the table with each verb's body.
 //
 // Errors are ErrorToJson bodies ({"code","message"}) with the HTTP

@@ -1,6 +1,5 @@
 #include "net/json.h"
 
-#include <climits>
 #include <cmath>
 #include <cstdlib>
 
@@ -1087,12 +1086,6 @@ Status ExpectObject(const JsonValue& v, const char* what) {
   return Status::Ok();
 }
 
-/// InvalidArgument naming the option and its valid `range`.
-Status OptionOutOfRange(const std::string& key, const char* range) {
-  return Status::InvalidArgument("analysis option \"" + key +
-                                 "\" must lie in " + range);
-}
-
 /// Applies the "options" override object onto `options`. Strict: unknown
 /// keys, wrong types and values outside the ranges hypdb_cli accepts for
 /// the same flags are errors, never silently dropped or narrowed.
@@ -1103,7 +1096,8 @@ Status ApplyOptionOverrides(const JsonValue& overrides,
     if (key == "alpha" && value.is_number()) {
       options->alpha = value.number_value();
       if (!(options->alpha >= 0.0 && options->alpha <= 1.0)) {
-        return OptionOutOfRange(key, "[0, 1]");
+        return Status::InvalidArgument(
+            "analysis option \"alpha\" must lie in [0, 1]");
       }
     } else if (key == "discover_mediators" && value.is_bool()) {
       options->discover_mediators = value.bool_value();
@@ -1113,16 +1107,6 @@ Status ApplyOptionOverrides(const JsonValue& overrides,
       options->apply_fd_filter = value.bool_value();
     } else if (key == "seed" && value.is_int()) {
       options->seed = static_cast<uint64_t>(value.int_value());
-    } else if (key == "scan_threads" && value.is_int()) {
-      if (value.int_value() < 0 || value.int_value() > INT_MAX) {
-        return OptionOutOfRange(key, "[0, 2147483647]");
-      }
-      options->engine.scan_threads = static_cast<int>(value.int_value());
-    } else if (key == "scan_morsel_rows" && value.is_int()) {
-      if (value.int_value() < 1) return OptionOutOfRange(key, "[1, 2^63)");
-      options->engine.scan_morsel_rows = value.int_value();
-    } else if (key == "scan_simd" && value.is_bool()) {
-      options->engine.scan_simd = value.bool_value();
     } else if (key == "direct_reference" && value.is_string()) {
       options->direct_reference = value.string_value();
     } else {

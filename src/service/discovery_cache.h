@@ -8,10 +8,10 @@
 // distinct discovery once:
 //  * completed results are cached (bounded, oldest-first eviction);
 //  * concurrent requests for the same key are *coalesced*: the first
-//    caller computes while the rest block on its result — the multi-query
-//    batching for same-(table, treatment) requests. Errors propagate to
-//    every coalesced waiter but are not cached (transient failures should
-//    not stick).
+//    caller computes while the rest block on its result. This is where
+//    related analyze requests share work (the scheduler is a plain FIFO
+//    pool and never groups them). Errors propagate to every coalesced
+//    waiter but are not cached (transient failures should not stick).
 // Invalidation: keys embed the dataset epoch, so re-registration makes
 // stale entries unreachable; InvalidatePrefix() additionally frees them.
 //

@@ -26,8 +26,6 @@ DiscoveryCacheOptions DiscoveryOptions(const HypDbServiceOptions& o) {
 QuerySchedulerOptions SchedulerOptions(const HypDbServiceOptions& o) {
   QuerySchedulerOptions out;
   out.num_workers = o.num_workers;
-  out.batch_max = o.batch_max;
-  out.defaults = o.analysis;
   out.default_trace_level = o.trace_level;
   out.on_complete = o.on_complete;
   return out;
@@ -57,8 +55,7 @@ HypDbService::HypDbService(HypDbServiceOptions options)
     traces_.Record(stats);
     if (options_.on_complete) options_.on_complete(stats, status);
   };
-  scheduler_ = std::make_unique<QueryScheduler>(&registry_, &discovery_,
-                                                std::move(sched));
+  scheduler_ = std::make_unique<QueryScheduler>(std::move(sched));
   RegisterMetrics();
 }
 
@@ -125,10 +122,6 @@ void HypDbService::RegisterMetrics() {
                            "Requests rejected at pickup because their "
                            "queue wait exceeded the deadline.",
                            {}, &sched.deadline_exceeded);
-  metrics_.RegisterCounter("hypdb_scheduler_batched_twins_total",
-                           "Requests drained as same-batch-key followers "
-                           "of another pickup.",
-                           {}, &sched.batched_twins);
   metrics_.RegisterGaugeFn(
       "hypdb_scheduler_queue_depth",
       "Requests queued but not yet picked up by a worker.", {},
@@ -431,7 +424,14 @@ StatusOr<ServiceReport> HypDbService::AnalyzeSql(const std::string& dataset,
 }
 
 uint64_t HypDbService::Submit(AnalyzeRequest request, SubmitOptions submit) {
-  return scheduler_->Submit(std::move(request), submit);
+  StatusOr<AggQuery> query = ParseAggQuery(request.sql);
+  if (!query.ok()) return scheduler_->Reject(query.status());
+  return scheduler_->Submit(
+      [this, request = std::move(request),
+       query = std::move(*query)](RequestStats* stats) {
+        return RunAnalyze(request, query, stats);
+      },
+      submit);
 }
 
 bool HypDbService::Cancel(uint64_t ticket) {
@@ -446,65 +446,115 @@ StatusOr<ServiceReport> HypDbService::Wait(uint64_t ticket) {
   return scheduler_->Wait(ticket);
 }
 
-StatusOr<SessionInfo> HypDbService::CreateSession(
-    const AnalyzeRequest& request) {
+StatusOr<HypDbService::Binding> HypDbService::Bind(
+    const AnalyzeRequest& request, const AggQuery& query) {
+  Binding out;
+  HYPDB_ASSIGN_OR_RETURN(out.lease, registry_.ReadLease(request.dataset));
+  // One snapshot for the whole request: table, epoch and watermark are
+  // read atomically, and every later step (binding, shard lookup,
+  // discovery key) uses this triple, so a concurrent re-registration can
+  // neither mix old counts into the new epoch's pool nor cache old-table
+  // discovery under a new-epoch key.
   HYPDB_ASSIGN_OR_RETURN(DatasetRegistry::Snapshot snapshot,
                          registry_.GetSnapshot(request.dataset));
-  HYPDB_ASSIGN_OR_RETURN(AggQuery query, ParseAggQuery(request.sql));
-  const HypDbOptions& analysis =
+  out.epoch = snapshot.epoch;
+  const HypDbOptions& options =
       request.options.has_value() ? *request.options : options_.analysis;
 
-  // One bind for the session: it picks the population shard, and the
-  // session reuses it. The bind span keeps this setup work nested under
-  // a stage in the trace.
+  // One bind per request: it materializes the WHERE view the population
+  // shard aggregates, and the session reuses it. The bind span covers
+  // this setup work so every traced kernel event has a stage parent.
   BoundQuery bound;
   SessionHooks hooks;
-  const std::string dataset = request.dataset;
-  const int64_t epoch = snapshot.epoch;
   {
     TraceSpanScope bind_span(TraceEventKind::kStage, 1,
                              static_cast<uint64_t>(TraceStage::kBind));
     HYPDB_ASSIGN_OR_RETURN(bound, BindQuery(snapshot.table, query));
-    // The population shard and per-context shards, exactly as the analyze
-    // path wires them. The session outlives this call, so the pins
-    // matter here: appends between its stages must not leak new rows
-    // into the bind-time population (staged digest invariant).
+    // The population shard serves the answers and discovery, per-context
+    // shards serve detection, explanation and the rewrite. Every engine
+    // is pinned to the bind watermark, so appends after a session's bind
+    // cannot leak new rows into its population (staged digest
+    // invariant). A null population means the dataset was re-registered
+    // after the snapshot: the request then runs unshared over the
+    // snapshot table, and its discovery caches under the (now stale,
+    // unreachable) snapshot epoch.
     HYPDB_ASSIGN_OR_RETURN(
         PooledEngines pooled,
-        registry_.Pool(dataset, snapshot, SubpopulationSignature(query),
-                       bound.population));
+        registry_.Pool(request.dataset, snapshot,
+                       SubpopulationSignature(query), bound.population));
+    out.population = pooled.population;
     hooks.population_engine = std::move(pooled.population);
     hooks.context_engine_provider = std::move(pooled.contexts);
   }
-  // The interceptor closure is built before the session's Entry exists;
-  // both share ownership of the flags object, so there is no post-
-  // publication pointer patching a concurrent stage job could race.
-  auto flags = std::make_shared<SessionDiscoveryFlags>();
-  // The session discovers over its pinned bind-time table, so the
-  // staleness check runs against the bind watermark: an entry computed at
-  // (or after) it serves; an older one refreshes — over this session's
-  // pinned rows.
+  // Discovery runs over the snapshot table, so the staleness check runs
+  // against the bind watermark: an entry computed at (or after) it
+  // serves; an older one refreshes over these rows.
+  out.discovery = std::make_shared<DiscoveryFlags>();
   hooks.discovery_interceptor =
-      [cache = &discovery_, flags, bind_watermark = snapshot.watermark,
-       key = DiscoveryKey(dataset, epoch, query, analysis)](
+      [cache = &discovery_, flags = out.discovery,
+       watermark = snapshot.watermark,
+       key = DiscoveryKey(request.dataset, snapshot.epoch, query, options)](
           const std::function<StatusOr<DiscoveryReport>()>& compute)
       -> StatusOr<DiscoveryReport> {
     bool reused = false;
     bool coalesced = false;
-    StatusOr<DiscoveryReport> report = cache->LookupOrCompute(
-        key, compute, &reused, &coalesced, bind_watermark);
+    StatusOr<DiscoveryReport> report =
+        cache->LookupOrCompute(key, compute, &reused, &coalesced, watermark);
     flags->reused.store(reused);
     flags->coalesced.store(coalesced);
     return report;
   };
-
   HYPDB_ASSIGN_OR_RETURN(
-      std::unique_ptr<AnalysisSession> session,
+      out.session,
       AnalysisSession::Create(snapshot.table, query, std::move(bound),
-                              analysis, std::move(hooks)));
+                              options, std::move(hooks)));
+  return out;
+}
+
+StatusOr<ServiceReport> HypDbService::RunAnalyze(const AnalyzeRequest& request,
+                                                 const AggQuery& query,
+                                                 RequestStats* stats) {
+  // The binding holds the read lease until this returns: appends
+  // serialize behind the whole request, so the shared engines and the
+  // snapshot table agree on the population throughout.
+  HYPDB_ASSIGN_OR_RETURN(Binding binding, Bind(request, query));
+  CountEngineStats engine_before;
+  if (binding.population != nullptr) {
+    engine_before = binding.population->stats();
+  }
+  AnalysisSession& session = *binding.session;
+  ServiceReport out;
+  HYPDB_ASSIGN_OR_RETURN(out.report, session.Report());
+  // Trace cursor: spans are laid out on the submit-relative axis after
+  // the scheduler's queue span. The discovery span is the wall time THIS
+  // request spent in the stage (near-zero on a cache hit, the full
+  // compute when it was the single flight) — not the cached report's
+  // original compute time.
+  double cursor = stats->queue_seconds;
+  const double discovery_span =
+      session.stage_state(AnalysisStage::kDiscover).seconds;
+  stats->trace.push_back({"discovery", cursor, discovery_span});
+  cursor += discovery_span;
+  stats->trace.push_back({"detect", cursor, out.report.detect_seconds});
+  cursor += out.report.detect_seconds;
+  stats->trace.push_back({"explain", cursor, out.report.explain_seconds});
+  cursor += out.report.explain_seconds;
+  stats->trace.push_back({"rewrite", cursor, out.report.resolve_seconds});
+  stats->discovery_reused = binding.discovery->reused.load();
+  stats->discovery_coalesced = binding.discovery->coalesced.load();
+  if (binding.population != nullptr) {
+    stats->engine_delta = binding.population->stats() - engine_before;
+  }
+  return out;
+}
+
+StatusOr<SessionInfo> HypDbService::CreateSession(
+    const AnalyzeRequest& request) {
+  HYPDB_ASSIGN_OR_RETURN(AggQuery query, ParseAggQuery(request.sql));
+  HYPDB_ASSIGN_OR_RETURN(Binding binding, Bind(request, query));
   std::shared_ptr<SessionManager::Entry> entry = sessions_.Insert(
-      dataset, epoch, request.sql, query, BatchKey(dataset, query),
-      std::move(session), std::move(flags));
+      request.dataset, binding.epoch, request.sql, std::move(binding.session),
+      std::move(binding.discovery));
   return sessions_.Info(entry);
 }
 
@@ -513,17 +563,7 @@ uint64_t HypDbService::SubmitSessionStage(uint64_t session_id,
                                           std::optional<int> context,
                                           SubmitOptions submit) {
   auto cancel_flag = std::make_shared<std::atomic<bool>>(false);
-  // Batch with analyze twins of the same (dataset, treatment,
-  // subpopulation) when the session is alive; an unknown/expired id
-  // keeps an empty batch key and the job itself reports the error.
-  std::string batch_key;
-  if (StatusOr<std::shared_ptr<SessionManager::Entry>> entry =
-          sessions_.Get(session_id);
-      entry.ok()) {
-    batch_key = (*entry)->batch_key;
-  }
-  return scheduler_->SubmitTask(
-      std::move(batch_key),
+  return scheduler_->Submit(
       [this, session_id, stage = std::move(stage), context, cancel_flag](
           RequestStats* stats) {
         return RunSessionStage(session_id, stage, context, cancel_flag,
@@ -607,8 +647,8 @@ StatusOr<ServiceReport> HypDbService::RunSessionStage(
   stats->stage = stage;
   stats->stage_reused = runs_after == runs_before;
   stats->session_complete = session.complete();
-  stats->discovery_reused = entry->discovery_flags->reused.load();
-  stats->discovery_coalesced = entry->discovery_flags->coalesced.load();
+  stats->discovery_reused = entry->discovery->reused.load();
+  stats->discovery_coalesced = entry->discovery->coalesced.load();
   out.report = session.Snapshot();
   return out;
 }

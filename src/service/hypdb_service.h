@@ -18,8 +18,14 @@
 //  * DiscoveryCache  — covariate/mediator discovery computed once per
 //    DiscoveryKey, with coalescing of concurrent twins and invalidation
 //    on dataset re-registration;
-//  * QueryScheduler  — the worker pool, with same-(dataset, treatment,
-//    subpopulation) batching.
+//  * SessionManager  — the lifecycle of staged analysis sessions;
+//  * QueryScheduler  — a FIFO worker pool of closures behind tickets.
+// One request path: an analyze and a new session both go through Bind(),
+// which takes the dataset snapshot under its read lease, binds the
+// query, draws the engines from the registry's shard pool and routes
+// discovery through the cache. An analyze then runs every stage in one
+// scheduler task; a session keeps its bound state and runs one stage per
+// task.
 // Reports come back as ServiceReport: the ordinary HypDbReport plus
 // RequestStats (queue wait, cache reuse, shared-engine work deltas).
 // Reports are bit-identical to cold serial execution by construction —
@@ -58,8 +64,6 @@ struct HypDbServiceOptions {
   int max_shards_per_dataset = 32;
   /// Cached discovery reports kept.
   int64_t max_discovery_entries = 256;
-  /// Same-batch-key requests a worker drains per pickup.
-  int batch_max = 8;
   /// Rows per storage chunk (DatasetRegistryOptions::chunk_rows): the
   /// granularity of delta scans after appends.
   int64_t chunk_rows = ChunkedTable::kDefaultChunkRows;
@@ -125,6 +129,8 @@ class HypDbService {
   /// claims the result (one Wait per ticket); Cancel drops still-queued
   /// requests, and for in-flight *session stage* jobs requests
   /// cooperative cancellation (kCancelled at the next stage boundary).
+  /// Submit parses the SQL first: malformed SQL gets a ticket that is
+  /// already done with the parser's error.
   uint64_t Submit(AnalyzeRequest request, SubmitOptions submit = {});
   bool Done(uint64_t ticket) const;
   StatusOr<ServiceReport> Wait(uint64_t ticket);
@@ -136,11 +142,12 @@ class HypDbService {
   /// wired into the shared infrastructure: its discovery goes through
   /// the DiscoveryCache, its population and per-context counts through
   /// the registry's shard engines, and each stage runs as a scheduler
-  /// job (batching, deadlines and cancellation apply).
+  /// job (deadlines and cancellation apply).
 
-  /// Creates a session for `request` (binding the query now, so
-  /// malformed queries fail here). The session dies with the dataset
-  /// epoch: re-registration invalidates it (kGone afterwards).
+  /// Creates a session for `request` (binding the query now, through the
+  /// same Bind() as an analyze, so malformed queries fail here). The
+  /// session dies with the dataset epoch: re-registration invalidates it
+  /// (kGone afterwards).
   StatusOr<SessionInfo> CreateSession(const AnalyzeRequest& request);
   /// Runs one stage — "answers", "discover", "detect", "explain",
   /// "rewrite" (the latter two optionally for one `context`), or
@@ -207,6 +214,32 @@ class HypDbService {
   /// of *this (or of subsystems *this owns), and metrics_ is declared
   /// first so it is destroyed last — nothing scrapes during teardown.
   void RegisterMetrics();
+
+  /// A request bound to the shared pool.
+  struct Binding {
+    /// The dataset read lease, declared first so it is released last.
+    /// While held, appends wait, so the bind watermark stays the store's:
+    /// an analyze holds it for its whole body, a session only while it
+    /// binds (its engines are pinned to the bind watermark instead).
+    DatasetLease lease;
+    int64_t epoch = 0;
+    std::unique_ptr<AnalysisSession> session;
+    /// The population shard; null when the dataset was re-registered
+    /// since the snapshot (the session then counts privately).
+    std::shared_ptr<CountEngine> population;
+    std::shared_ptr<DiscoveryFlags> discovery;
+  };
+  /// The one bind of analyze and sessions: takes the read lease and a
+  /// snapshot of `request.dataset`, binds `query`, draws the population
+  /// and per-context engines from DatasetRegistry::Pool, and routes the
+  /// session's discovery through the DiscoveryCache, reporting reuse into
+  /// Binding::discovery.
+  StatusOr<Binding> Bind(const AnalyzeRequest& request,
+                         const AggQuery& query);
+  /// The body of an analyze job (runs on a scheduler worker).
+  StatusOr<ServiceReport> RunAnalyze(const AnalyzeRequest& request,
+                                     const AggQuery& query,
+                                     RequestStats* stats);
   /// The body of a session stage job (runs on a scheduler worker).
   StatusOr<ServiceReport> RunSessionStage(
       uint64_t session_id, const std::string& stage,

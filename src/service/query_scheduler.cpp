@@ -2,17 +2,12 @@
 
 #include <algorithm>
 
-#include "core/analysis_session.h"
-#include "core/sql_parser.h"
 #include "util/string_util.h"
 
 namespace hypdb {
 
-QueryScheduler::QueryScheduler(DatasetRegistry* registry,
-                               DiscoveryCache* discovery,
-                               QuerySchedulerOptions options)
-    : registry_(registry), discovery_(discovery),
-      options_(std::move(options)) {
+QueryScheduler::QueryScheduler(QuerySchedulerOptions options)
+    : options_(std::move(options)) {
   int workers = options_.num_workers;
   if (workers <= 0) {
     workers = static_cast<int>(
@@ -46,50 +41,11 @@ QueryScheduler::~QueryScheduler() {
   for (std::thread& w : workers_) w.join();
 }
 
-uint64_t QueryScheduler::Submit(AnalyzeRequest request,
-                                SubmitOptions submit) {
-  Job job;
-  job.request = std::move(request);
-  job.submit = submit;
-
-  metrics_.submitted.Add();
-  StatusOr<AggQuery> parsed = ParseAggQuery(job.request.sql);
-  std::unique_lock<std::mutex> lock(mu_);
-  const uint64_t ticket = next_ticket_++;
-  job.ticket = ticket;
-  slots_.emplace(ticket, std::make_shared<Slot>());
-  if (!parsed.ok()) {
-    // Malformed SQL never reaches a worker; the ticket completes
-    // immediately with the parser error — through the same accounting as
-    // worker completions, so it counts against the retention bound.
-    // Observe() runs first (and outside mu_, it fires on_complete): the
-    // counters must land before the completion is publishable, so a
-    // returned Wait() always sees them.
-    lock.unlock();
-    RequestStats stats;
-    stats.ticket = ticket;
-    Observe(stats, parsed.status(), /*queued=*/false, /*ran=*/false);
-    lock.lock();
-    CompleteLocked(ticket, StatusOr<ServiceReport>(parsed.status()));
-    lock.unlock();
-    done_cv_.notify_all();
-    return ticket;
-  }
-  job.query = std::move(*parsed);
-  job.batch_key = BatchKey(job.request.dataset, job.query);
-  queue_.push_back(std::move(job));
-  lock.unlock();
-  queue_cv_.notify_one();
-  return ticket;
-}
-
-uint64_t QueryScheduler::SubmitTask(
-    std::string batch_key,
-    std::function<StatusOr<ServiceReport>(RequestStats*)> run,
-    SubmitOptions submit, std::shared_ptr<std::atomic<bool>> cancel_flag) {
+uint64_t QueryScheduler::Submit(
+    Task run, SubmitOptions submit,
+    std::shared_ptr<std::atomic<bool>> cancel_flag) {
   Job job;
   job.submit = submit;
-  job.batch_key = std::move(batch_key);
   job.run = std::move(run);
   job.cancel_flag = std::move(cancel_flag);
   metrics_.submitted.Add();
@@ -100,6 +56,26 @@ uint64_t QueryScheduler::SubmitTask(
   queue_.push_back(std::move(job));
   lock.unlock();
   queue_cv_.notify_one();
+  return ticket;
+}
+
+uint64_t QueryScheduler::Reject(Status error) {
+  metrics_.submitted.Add();
+  uint64_t ticket = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ticket = next_ticket_++;
+    slots_.emplace(ticket, std::make_shared<Slot>());
+  }
+  // The ticket completes through the same accounting as worker
+  // completions, so it counts against the retention bound. Observe()
+  // runs first (and outside mu_, it fires on_complete): the counters
+  // must land before the completion is publishable, so a returned Wait()
+  // always sees them.
+  RequestStats stats;
+  stats.ticket = ticket;
+  Observe(stats, error, /*queued=*/false, /*ran=*/false);
+  Complete(ticket, StatusOr<ServiceReport>(std::move(error)));
   return ticket;
 }
 
@@ -180,33 +156,15 @@ bool QueryScheduler::Cancel(uint64_t ticket) {
 
 void QueryScheduler::WorkerLoop(int worker_id) {
   for (;;) {
-    std::vector<Job> batch;
+    Job job;
     {
       std::unique_lock<std::mutex> lock(mu_);
       queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
       if (stopping_) return;
-      batch.push_back(std::move(queue_.front()));
+      job = std::move(queue_.front());
       queue_.pop_front();
-      // Batching: drain queued twins of this request (same dataset,
-      // treatment, subpopulation) and run them back-to-back — the first
-      // run leaves the discovery cache and count shards warm for them.
-      // Copied, not referenced: push_back below reallocates `batch`.
-      const std::string key = batch.front().batch_key;
-      for (auto it = queue_.begin();
-           it != queue_.end() &&
-           static_cast<int>(batch.size()) < std::max(1, options_.batch_max);) {
-        if (it->batch_key == key) {
-          batch.push_back(std::move(*it));
-          it = queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
     }
-    if (batch.size() > 1) {
-      metrics_.batched_twins.Add(static_cast<int64_t>(batch.size()) - 1);
-    }
-    for (Job& job : batch) RunJob(std::move(job), worker_id);
+    RunJob(std::move(job), worker_id);
   }
 }
 
@@ -216,8 +174,6 @@ void QueryScheduler::RunJob(Job job, int worker_id) {
   stats.worker_id = worker_id;
   stats.queue_seconds = job.queued.ElapsedSeconds();
   stats.trace.push_back({"queue", 0.0, stats.queue_seconds});
-  // Deadline check at pickup — it also covers batched twins, whose wait
-  // keeps growing while earlier batch members run.
   if (job.submit.deadline_seconds > 0.0 &&
       stats.queue_seconds > job.submit.deadline_seconds) {
     const Status status = Status::DeadlineExceeded(StrFormat(
@@ -245,7 +201,7 @@ void QueryScheduler::RunJob(Job job, int worker_id) {
   Stopwatch run;
   StatusOr<ServiceReport> result = [&] {
     TraceContextScope trace_scope(trace_ctx);
-    return Execute(job, worker_id, &stats);
+    return job.run(&stats);
   }();
   stats.run_seconds = run.ElapsedSeconds();
   if (trace_ctx.level > 0) {
@@ -257,10 +213,9 @@ void QueryScheduler::RunJob(Job job, int worker_id) {
     std::lock_guard<std::mutex> lock(mu_);
     running_cancels_.erase(job.ticket);
   }
-  if (job.run) {
-    // Custom work (session stage jobs): one span covering the stage the
-    // closure reported it ran. The analyze pipeline gets finer-grained
-    // spans inside Execute().
+  if (stats.trace.size() == 1) {
+    // The task laid out no spans of its own (a session stage job, or a
+    // failure before the first stage): one span covers its run.
     stats.trace.push_back({stats.stage.empty() ? "run" : stats.stage,
                            stats.queue_seconds, stats.run_seconds});
   }
@@ -272,98 +227,6 @@ void QueryScheduler::RunJob(Job job, int worker_id) {
   if (result.ok()) result->stats = stats;
   Observe(stats, status, /*queued=*/true, /*ran=*/true);
   Complete(job.ticket, std::move(result));
-}
-
-StatusOr<ServiceReport> QueryScheduler::Execute(const Job& job,
-                                                int worker_id,
-                                                RequestStats* stats) {
-  (void)worker_id;
-  // Custom work (session stage jobs) — the closure owns its own
-  // sharing/validation; ticket/batching/deadline handling above applies
-  // unchanged.
-  if (job.run) return job.run(stats);
-  // Reader lease for the whole request body: appends serialize behind it,
-  // so the storage watermark the snapshot below is materialized at stays
-  // the watermark until this request completes — the live shared engines
-  // and the snapshot table always agree on the population.
-  HYPDB_ASSIGN_OR_RETURN(DatasetLease lease,
-                         registry_->ReadLease(job.request.dataset));
-  (void)lease;
-  // One snapshot for the whole request: table, epoch and watermark are
-  // read atomically, every later step (binding, shard lookup, discovery
-  // key) uses this triple, so a concurrent re-registration can neither
-  // mix old counts into the new epoch's pool nor cache old-table
-  // discovery under a new-epoch key.
-  HYPDB_ASSIGN_OR_RETURN(DatasetRegistry::Snapshot snapshot,
-                         registry_->GetSnapshot(job.request.dataset));
-  const HypDbOptions& options = job.request.options.has_value()
-                                    ? *job.request.options
-                                    : options_.defaults;
-
-  // One bind per request: it materializes the WHERE view the population
-  // shard aggregates, and the session reuses it. The bind span covers
-  // this setup work so every traced kernel event has a stage parent.
-  BoundQuery bound;
-  SessionHooks hooks;
-  std::shared_ptr<CountEngine> engine;
-  CountEngineStats engine_before;
-  {
-    TraceSpanScope bind_span(TraceEventKind::kStage, 1,
-                             static_cast<uint64_t>(TraceStage::kBind));
-    HYPDB_ASSIGN_OR_RETURN(bound, BindQuery(snapshot.table, job.query));
-    // The same provider sessions use: the population shard serves the
-    // answers and discovery, per-context shards serve detection,
-    // explanation and the rewrite. A null population means the dataset
-    // was re-registered after our snapshot; the request then runs
-    // unshared over the snapshot table — still correct, just not pooled
-    // — and its discovery caches under the (now stale, unreachable)
-    // snapshot epoch.
-    HYPDB_ASSIGN_OR_RETURN(
-        PooledEngines pooled,
-        registry_->Pool(job.request.dataset, snapshot,
-                        SubpopulationSignature(job.query), bound.population));
-    engine = pooled.population;
-    if (engine != nullptr) engine_before = engine->stats();
-    hooks.population_engine = std::move(pooled.population);
-    hooks.context_engine_provider = std::move(pooled.contexts);
-  }
-  hooks.discovery_interceptor =
-      [this, stats, &snapshot,
-       key = DiscoveryKey(job.request.dataset, snapshot.epoch, job.query,
-                          options)](
-          const std::function<StatusOr<DiscoveryReport>()>& compute) {
-        return discovery_->LookupOrCompute(
-            key, compute, &stats->discovery_reused,
-            &stats->discovery_coalesced, snapshot.watermark);
-      };
-
-  HYPDB_ASSIGN_OR_RETURN(
-      std::unique_ptr<AnalysisSession> session,
-      AnalysisSession::Create(snapshot.table, job.query, std::move(bound),
-                              options, std::move(hooks)));
-  ServiceReport out;
-  HYPDB_ASSIGN_OR_RETURN(out.report, session->Report());
-  // Trace cursor: spans are laid out on the submit-relative axis, the
-  // queue span (already recorded by RunJob) ends at queue_seconds. The
-  // discovery span is the wall time THIS request spent in the stage
-  // (near-zero on a cache hit, the full compute when it was the single
-  // flight) — not the cached report's original compute time.
-  double cursor = stats->queue_seconds;
-  const double discovery_span =
-      session->stage_state(AnalysisStage::kDiscover).seconds;
-  stats->trace.push_back({"discovery", cursor, discovery_span});
-  cursor += discovery_span;
-  stats->trace.push_back({"detect", cursor, out.report.detect_seconds});
-  cursor += out.report.detect_seconds;
-  stats->trace.push_back({"explain", cursor, out.report.explain_seconds});
-  cursor += out.report.explain_seconds;
-  stats->trace.push_back({"rewrite", cursor, out.report.resolve_seconds});
-  // RunJob stamps the finished stats (including this delta) onto the
-  // report after timing completes.
-  if (engine != nullptr) {
-    stats->engine_delta = engine->stats() - engine_before;
-  }
-  return out;
 }
 
 int64_t QueryScheduler::queue_depth() const {

@@ -1,22 +1,14 @@
-// QueryScheduler: worker pool executing AnalyzeRequests with batching.
+// QueryScheduler: a FIFO pool of worker threads running closures behind
+// tickets.
 //
-// Submit() parses and enqueues a request and returns a ticket; a pool of
-// worker threads drains the queue. Two mechanisms share work between
-// requests on the same data:
-//  * Batching — a worker that picks up a request also drains (up to
-//    batch_max) queued requests with the same batch key (dataset,
-//    treatment, subpopulation) and runs them back-to-back, so the first
-//    one's discovery and contingency summaries are warm for the rest.
-//  * Coalescing — requests with equal discovery keys that are *already
-//    running* on other workers block on the in-flight computation via
-//    DiscoveryCache::LookupOrCompute instead of recomputing.
-// Per-request RequestStats record queue wait, run time, reuse flags and
-// the shared shard-engine work delta.
-//
-// Results are bit-identical to serial execution: counts are exact
-// integers whatever the cache state, permutation tests are seeded from
-// the request options, and a reused discovery is the verbatim report the
-// equivalent computation produces (service tests assert digest equality).
+// Submit() enqueues a task and returns a ticket; each free worker takes
+// the oldest queued task. The scheduler knows nothing of analyses: the
+// service binds a request to its shared engines inside the task it
+// submits (HypDbService), and requests on the same data share work
+// through the DiscoveryCache and the registry's shard engines, not
+// through the queue. What the pool owns is the request lifecycle:
+// tickets, deadlines at pickup, cancellation, bounded result retention,
+// the per-request trace context, and the SchedulerMetrics family.
 
 #ifndef HYPDB_SERVICE_QUERY_SCHEDULER_H_
 #define HYPDB_SERVICE_QUERY_SCHEDULER_H_
@@ -29,12 +21,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "service/dataset_registry.h"
-#include "service/discovery_cache.h"
 #include "service/request.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
@@ -52,7 +41,6 @@ struct SchedulerMetrics {
   Counter failed;             // errors other than cancel/deadline
   Counter cancelled;          // kCancelled (queued or cooperative)
   Counter deadline_exceeded;  // kDeadlineExceeded at pickup
-  Counter batched_twins;      // jobs drained as same-batch-key followers
   LatencyHistogram queue_wait;  // submit -> pickup (or cancel/deadline)
   LatencyHistogram run_time;    // pickup -> completion, jobs that ran
 };
@@ -60,14 +48,10 @@ struct SchedulerMetrics {
 struct QuerySchedulerOptions {
   /// Worker threads; 0 resolves to hardware_concurrency.
   int num_workers = 0;
-  /// Same-batch-key requests a worker drains per pickup (1 = no batching).
-  int batch_max = 8;
   /// Completed-but-unclaimed results retained; beyond this the oldest are
   /// dropped (their tickets then Wait() as not-found). Bounds the memory
   /// of fire-and-forget submitters that never collect.
   int64_t max_retained_results = 1024;
-  /// Analysis options for requests that do not carry their own.
-  HypDbOptions defaults;
   /// Trace sampling level for requests that do not carry their own
   /// (SubmitOptions::trace_level < 0). Level 1 — stage spans, kernel
   /// scans, cache decisions — is cheap enough to be the default (the
@@ -101,28 +85,32 @@ struct SubmitOptions {
 /// requests that no worker has picked up.
 class QueryScheduler {
  public:
-  QueryScheduler(DatasetRegistry* registry, DiscoveryCache* discovery,
-                 QuerySchedulerOptions options = {});
+  /// One unit of work. It runs on a worker thread with the request's
+  /// trace context installed, may fill request-level stats, and may add
+  /// trace spans after the "queue" span the scheduler records at pickup;
+  /// a task that adds none gets one span covering its run, named after
+  /// `stats->stage` ("run" when empty). The scheduler stamps the timing
+  /// fields and, on success, copies the final stats into the report.
+  using Task = std::function<StatusOr<ServiceReport>(RequestStats*)>;
+
+  explicit QueryScheduler(QuerySchedulerOptions options = {});
   ~QueryScheduler();
 
-  /// Enqueues `request`; returns the ticket to Wait()/Done() on.
-  uint64_t Submit(AnalyzeRequest request, SubmitOptions submit = {});
-
-  /// Enqueues an arbitrary unit of work (a session stage job) behind the
-  /// same ticket machinery: it queues with `batch_key` (so it drains
-  /// together with analyze twins of the same dataset/treatment/
-  /// subpopulation), honors SubmitOptions::deadline_seconds at pickup,
-  /// and can be Cancel()ed while queued. When `cancel_flag` is non-null
-  /// the job is additionally *cooperatively* cancellable while running:
-  /// Cancel(ticket) sets the flag and the job observes it at its next
+  /// Enqueues `run`; returns the ticket to Wait()/Done() on. The task
+  /// honors SubmitOptions::deadline_seconds at pickup and can be
+  /// Cancel()ed while queued. When `cancel_flag` is non-null the task is
+  /// additionally *cooperatively* cancellable while running:
+  /// Cancel(ticket) sets the flag and the task observes it at its next
   /// stage boundary, completing with kCancelled (or normally, if no
-  /// boundary remained). `run` executes on a worker thread and may fill
-  /// request-level stats; the scheduler stamps timing fields afterwards.
-  uint64_t SubmitTask(
-      std::string batch_key,
-      std::function<StatusOr<ServiceReport>(RequestStats*)> run,
-      SubmitOptions submit = {},
-      std::shared_ptr<std::atomic<bool>> cancel_flag = nullptr);
+  /// boundary remained).
+  uint64_t Submit(Task run, SubmitOptions submit = {},
+                  std::shared_ptr<std::atomic<bool>> cancel_flag = nullptr);
+
+  /// Issues a ticket that is already complete with `error` — a request
+  /// that failed before it could be queued (malformed SQL). It counts as
+  /// submitted, completed and failed and fires on_complete, but never
+  /// queues or runs, so neither latency histogram observes it.
+  uint64_t Reject(Status error);
 
   /// Blocks until the ticket completes; a ticket can be waited on once.
   StatusOr<ServiceReport> Wait(uint64_t ticket);
@@ -152,15 +140,10 @@ class QueryScheduler {
  private:
   struct Job {
     uint64_t ticket = 0;
-    AnalyzeRequest request;
     SubmitOptions submit;
-    AggQuery query;         // parsed at Submit
-    std::string batch_key;  // dataset + treatment + subpopulation
-    Stopwatch queued;       // started at Submit; read at pickup
-    /// Custom work (SubmitTask); when set, Execute() runs this instead
-    /// of the analyze pipeline.
-    std::function<StatusOr<ServiceReport>(RequestStats*)> run;
-    /// Cooperative-cancel handle of a SubmitTask job (may be null).
+    Stopwatch queued;  // started at Submit; read at pickup
+    Task run;
+    /// Cooperative-cancel handle (may be null).
     std::shared_ptr<std::atomic<bool>> cancel_flag;
   };
 
@@ -171,21 +154,17 @@ class QueryScheduler {
 
   void WorkerLoop(int worker_id);
   void RunJob(Job job, int worker_id);
-  StatusOr<ServiceReport> Execute(const Job& job, int worker_id,
-                                  RequestStats* stats);
   void Complete(uint64_t ticket, StatusOr<ServiceReport> result);
   /// Marks the ticket done and bounds retained unclaimed results.
   /// Requires mu_ held; caller notifies done_cv_ after unlocking.
   void CompleteLocked(uint64_t ticket, StatusOr<ServiceReport> result);
   /// Records one terminal outcome into metrics_ and fires on_complete.
-  /// `queued`/`ran` gate the wait/run histograms (a parse failure never
-  /// queued; a deadline rejection never ran). Call WITHOUT mu_ held —
-  /// on_complete is user code.
+  /// `queued`/`ran` gate the wait/run histograms (a rejected request
+  /// never queued; a deadline rejection never ran). Call WITHOUT mu_
+  /// held — on_complete is user code.
   void Observe(const RequestStats& stats, const Status& status, bool queued,
                bool ran);
 
-  DatasetRegistry* registry_;
-  DiscoveryCache* discovery_;
   QuerySchedulerOptions options_;
   mutable SchedulerMetrics metrics_;
 

@@ -148,9 +148,4 @@ std::string DiscoveryKey(const std::string& dataset, int64_t epoch,
   return key;
 }
 
-std::string BatchKey(const std::string& dataset, const AggQuery& query) {
-  return DatasetKeyPrefix(dataset) + EscapeValue(query.treatment) + kSep +
-         SubpopulationSignature(query);
-}
-
 }  // namespace hypdb

@@ -18,6 +18,7 @@
 #ifndef HYPDB_SERVICE_REQUEST_H_
 #define HYPDB_SERVICE_REQUEST_H_
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -64,9 +65,8 @@ struct RequestStats {
   /// Discovery was served from the DiscoveryCache (a prior request
   /// computed it).
   bool discovery_reused = false;
-  /// Discovery was coalesced with an in-flight twin request (computed
-  /// once, shared by both — the scheduler's same-(table,treatment)
-  /// batching).
+  /// Discovery was coalesced with an in-flight twin request: the
+  /// DiscoveryCache computed it once, for both.
   bool discovery_coalesced = false;
   /// Shared shard-engine work observed during this request (scan/hit
   /// deltas). Attribution is approximate under concurrency: overlapping
@@ -99,6 +99,15 @@ struct RequestStats {
   /// Every stage of the session is now complete; the report snapshot's
   /// digest is comparable to a one-shot analysis.
   bool session_complete = false;
+};
+
+/// How a bound request's discovery was served. The discovery interceptor
+/// HypDbService wires at bind sets it; the analyze task and every session
+/// stage job read it into RequestStats. Shared-owned, because a session's
+/// stages outlive its bind.
+struct DiscoveryFlags {
+  std::atomic<bool> reused{false};
+  std::atomic<bool> coalesced{false};
 };
 
 /// What HypDbService hands back: the full report plus service stats.
@@ -143,11 +152,6 @@ std::string DatasetKeyPrefix(const std::string& dataset);
 /// change the discovered covariates/mediators.
 std::string DiscoveryKey(const std::string& dataset, int64_t epoch,
                          const AggQuery& query, const HypDbOptions& options);
-
-/// Batch key of the scheduler: requests sharing (dataset, treatment,
-/// subpopulation) are drained together so the first one's discovery warms
-/// the cache for the rest.
-std::string BatchKey(const std::string& dataset, const AggQuery& query);
 
 }  // namespace hypdb
 

@@ -20,19 +20,15 @@ void SessionManager::SweepLocked() {
 }
 
 std::shared_ptr<SessionManager::Entry> SessionManager::Insert(
-    std::string dataset, int64_t epoch, std::string sql, AggQuery query,
-    std::string batch_key, std::unique_ptr<AnalysisSession> session,
-    std::shared_ptr<SessionDiscoveryFlags> discovery_flags) {
+    std::string dataset, int64_t epoch, std::string sql,
+    std::unique_ptr<AnalysisSession> session,
+    std::shared_ptr<DiscoveryFlags> discovery) {
   auto entry = std::make_shared<Entry>();
   entry->dataset = std::move(dataset);
   entry->epoch = epoch;
   entry->sql = std::move(sql);
-  entry->query = std::move(query);
-  entry->batch_key = std::move(batch_key);
   entry->session = std::move(session);
-  entry->discovery_flags = discovery_flags != nullptr
-                               ? std::move(discovery_flags)
-                               : std::make_shared<SessionDiscoveryFlags>();
+  entry->discovery = std::move(discovery);
 
   std::lock_guard<std::mutex> lock(mu_);
   SweepLocked();

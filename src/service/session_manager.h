@@ -23,7 +23,6 @@
 #ifndef HYPDB_SERVICE_SESSION_MANAGER_H_
 #define HYPDB_SERVICE_SESSION_MANAGER_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "core/analysis_session.h"
+#include "service/request.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
 
@@ -77,16 +77,6 @@ struct SessionInfo {
   std::vector<SessionStageInfo> stages;
 };
 
-/// Reuse flags the service's discovery interceptor stamps during the
-/// last discovery computation (RequestStats reporting). Shared-owned:
-/// the interceptor closure is built before the session's Entry exists,
-/// so both hold the same object instead of patching raw pointers after
-/// the entry is published.
-struct SessionDiscoveryFlags {
-  std::atomic<bool> reused{false};
-  std::atomic<bool> coalesced{false};
-};
-
 /// Thread-safe (all methods); stage execution against an entry's session
 /// additionally requires that entry's mu.
 class SessionManager {
@@ -96,12 +86,11 @@ class SessionManager {
     std::string dataset;
     int64_t epoch = 0;
     std::string sql;
-    AggQuery query;
-    std::string batch_key;
     /// Serializes stage execution (AnalysisSession is not thread-safe).
     std::mutex mu;
     std::unique_ptr<AnalysisSession> session;
-    std::shared_ptr<SessionDiscoveryFlags> discovery_flags;
+    /// Set by the session's discovery interceptor (see DiscoveryFlags).
+    std::shared_ptr<DiscoveryFlags> discovery;
     Stopwatch created;
     Stopwatch touched;  // guarded by the manager lock
   };
@@ -109,12 +98,11 @@ class SessionManager {
   explicit SessionManager(SessionManagerOptions options = {});
 
   /// Registers a new session and assigns its id; evicts expired entries
-  /// and, beyond max_sessions, the longest-idle one. `discovery_flags`
-  /// may be null (a fresh object is created).
-  std::shared_ptr<Entry> Insert(
-      std::string dataset, int64_t epoch, std::string sql, AggQuery query,
-      std::string batch_key, std::unique_ptr<AnalysisSession> session,
-      std::shared_ptr<SessionDiscoveryFlags> discovery_flags = nullptr);
+  /// and, beyond max_sessions, the longest-idle one.
+  std::shared_ptr<Entry> Insert(std::string dataset, int64_t epoch,
+                                std::string sql,
+                                std::unique_ptr<AnalysisSession> session,
+                                std::shared_ptr<DiscoveryFlags> discovery);
 
   /// Looks the session up and refreshes its idle clock. kNotFound for
   /// ids never issued, kGone for ids that existed but were expired,

@@ -220,6 +220,10 @@ TEST(JsonCodecTest, AnalyzeRequestParsing) {
            R"({"dataset": "b"})",                         // missing sql
            R"({"dataset": "b", "sql": "q", "typo": 1})",  // unknown member
            R"({"dataset": "b", "sql": "q", "options": {"alphaa": 0.1}})",
+           // Scan settings are service-wide, not per-request options.
+           R"({"dataset": "b", "sql": "q", "options": {"scan_threads": 2}})",
+           R"({"dataset": "b", "sql": "q", "options": {"scan_morsel_rows": 64}})",
+           R"({"dataset": "b", "sql": "q", "options": {"scan_simd": false}})",
            R"({"dataset": "b", "sql": "q", "options": {"alpha": "x"}})",
            R"({"dataset": 3, "sql": "q"})",
            R"([1])",
@@ -242,9 +246,6 @@ TEST(JsonCodecTest, AnalyzeRequestRejectsOutOfRangeOptions) {
   for (const char* bad : {
            R"({"alpha": 2.5})",
            R"({"alpha": -1})",
-           R"({"scan_threads": -3})",
-           R"({"scan_threads": 4294967297})",
-           R"({"scan_morsel_rows": 0})",
        }) {
     auto parsed = request(bad);
     ASSERT_TRUE(parsed.ok()) << bad;
@@ -252,15 +253,12 @@ TEST(JsonCodecTest, AnalyzeRequestRejectsOutOfRangeOptions) {
               StatusCode::kInvalidArgument)
         << bad;
   }
-  auto ends = request(
-      R"({"alpha": 1, "scan_threads": 2147483647, "scan_morsel_rows": 1})");
+  auto ends = request(R"({"alpha": 1})");
   ASSERT_TRUE(ends.ok());
   auto wire = AnalyzeRequestFromJson(*ends, base);
   ASSERT_TRUE(wire.ok()) << wire.status();
   EXPECT_EQ(wire->request.options->alpha, 1.0);
-  EXPECT_EQ(wire->request.options->engine.scan_threads, 2147483647);
-  EXPECT_EQ(wire->request.options->engine.scan_morsel_rows, 1);
-  auto zero = request(R"({"alpha": 0, "scan_threads": 0})");
+  auto zero = request(R"({"alpha": 0})");
   ASSERT_TRUE(zero.ok());
   EXPECT_TRUE(AnalyzeRequestFromJson(*zero, base).ok());
 }

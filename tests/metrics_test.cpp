@@ -309,24 +309,21 @@ struct CompletionLog {
 };
 
 TEST(SchedulerStatsTest, DeadlineExceededPathPopulatesStats) {
-  DatasetRegistry registry;
-  DiscoveryCache discovery;
   CompletionLog log;
   QuerySchedulerOptions options;
   options.num_workers = 1;
   options.on_complete = log.Hook();
-  QueryScheduler scheduler(&registry, &discovery, options);
+  QueryScheduler scheduler(options);
 
   // Occupy the single worker long enough for the second job's queue
   // wait to blow its deadline at pickup.
-  uint64_t blocker = scheduler.SubmitTask("blocker", [](RequestStats*) {
+  uint64_t blocker = scheduler.Submit([](RequestStats*) {
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     return StatusOr<ServiceReport>(ServiceReport{});
   });
   SubmitOptions deadline;
   deadline.deadline_seconds = 0.05;
-  uint64_t doomed = scheduler.SubmitTask(
-      "doomed",
+  uint64_t doomed = scheduler.Submit(
       [](RequestStats*) { return StatusOr<ServiceReport>(ServiceReport{}); },
       deadline);
 
@@ -356,19 +353,17 @@ TEST(SchedulerStatsTest, DeadlineExceededPathPopulatesStats) {
 }
 
 TEST(SchedulerStatsTest, CancelledPathPopulatesStats) {
-  DatasetRegistry registry;
-  DiscoveryCache discovery;
   CompletionLog log;
   QuerySchedulerOptions options;
   options.num_workers = 1;
   options.on_complete = log.Hook();
-  QueryScheduler scheduler(&registry, &discovery, options);
+  QueryScheduler scheduler(options);
 
-  uint64_t blocker = scheduler.SubmitTask("blocker", [](RequestStats*) {
+  uint64_t blocker = scheduler.Submit([](RequestStats*) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     return StatusOr<ServiceReport>(ServiceReport{});
   });
-  uint64_t victim = scheduler.SubmitTask("victim", [](RequestStats*) {
+  uint64_t victim = scheduler.Submit([](RequestStats*) {
     return StatusOr<ServiceReport>(ServiceReport{});
   });
   EXPECT_TRUE(scheduler.Cancel(victim));
@@ -391,6 +386,40 @@ TEST(SchedulerStatsTest, CancelledPathPopulatesStats) {
   EXPECT_GE(cancelled->stats.queue_seconds, 0.0);
   ASSERT_FALSE(cancelled->stats.trace.empty());
   EXPECT_EQ(cancelled->stats.trace[0].name, "queue");
+}
+
+// Malformed SQL never reaches a worker: the ticket is done at once with
+// the parser's error, counted as submitted, completed and failed, with
+// no queue wait or run time observed and exactly one on_complete call.
+TEST(SchedulerStatsTest, MalformedSqlCompletesAtOnceWithoutQueueing) {
+  CompletionLog log;
+  HypDbServiceOptions options;
+  options.num_workers = 1;
+  options.on_complete = log.Hook();
+  HypDbService service(options);
+  service.RegisterTable("b", Berkeley());
+  const SchedulerMetrics& metrics = service.scheduler_metrics();
+  const int64_t submitted = metrics.submitted.value();
+  const int64_t completed = metrics.completed.value();
+  const int64_t failed = metrics.failed.value();
+  const int64_t waits = metrics.queue_wait.Snapshot().count;
+  const int64_t runs = metrics.run_time.Snapshot().count;
+
+  const uint64_t ticket = service.Submit({"b", "SELECT nonsense", {}});
+  EXPECT_TRUE(service.Done(ticket));
+  auto result = service.Wait(ticket);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(metrics.submitted.value(), submitted + 1);
+  EXPECT_EQ(metrics.completed.value(), completed + 1);
+  EXPECT_EQ(metrics.failed.value(), failed + 1);
+  EXPECT_EQ(metrics.queue_wait.Snapshot().count, waits);
+  EXPECT_EQ(metrics.run_time.Snapshot().count, runs);
+  std::lock_guard<std::mutex> lock(log.mu);
+  ASSERT_EQ(log.entries.size(), 1u);
+  EXPECT_EQ(log.entries[0].stats.ticket, ticket);
+  EXPECT_EQ(log.entries[0].code, StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------ trace timeline
@@ -482,26 +511,23 @@ TEST(TraceTilingPropertyTest, HoldsAcrossCompletionPaths) {
 
   // Cancelled and deadline-exceeded paths, via a raw scheduler (the same
   // RunJob/Observe code the service uses).
-  DatasetRegistry registry;
-  DiscoveryCache discovery;
   CompletionLog log;
   QuerySchedulerOptions options;
   options.num_workers = 1;
   options.on_complete = log.Hook();
-  QueryScheduler scheduler(&registry, &discovery, options);
+  QueryScheduler scheduler(options);
 
-  uint64_t blocker = scheduler.SubmitTask("blocker", [](RequestStats*) {
+  uint64_t blocker = scheduler.Submit([](RequestStats*) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     return StatusOr<ServiceReport>(ServiceReport{});
   });
-  uint64_t victim = scheduler.SubmitTask("victim", [](RequestStats*) {
+  uint64_t victim = scheduler.Submit([](RequestStats*) {
     return StatusOr<ServiceReport>(ServiceReport{});
   });
   EXPECT_TRUE(scheduler.Cancel(victim));
   SubmitOptions deadline;
   deadline.deadline_seconds = 0.02;
-  uint64_t doomed = scheduler.SubmitTask(
-      "doomed",
+  uint64_t doomed = scheduler.Submit(
       [](RequestStats*) { return StatusOr<ServiceReport>(ServiceReport{}); },
       deadline);
 

@@ -1,7 +1,7 @@
 // Network front-end tests. The load-bearing invariant: responses served
 // over a real TCP socket are bit-identical (per report_digest.h) to
 // cold serial HypDb::Analyze(), under >= 4 concurrent clients including
-// coalesced/batched twin requests. Plus: malformed HTTP and JSON earn
+// coalesced twin requests. Plus: malformed HTTP and JSON earn
 // 4xx responses without crashing the server, the async wire flow
 // (submit/poll/wait/cancel/deadline) works end to end, and the raw
 // line-JSON mode serves the same payloads on the same port.
@@ -198,7 +198,7 @@ TEST(NetTest, ConcurrentClientsBitIdenticalToSerial) {
       for (int round = 0; round < kRounds; ++round) {
         for (size_t i = 0; i < workloads.size(); ++i) {
           // Staggered start indices put twin requests in flight
-          // concurrently, exercising coalescing and batching.
+          // concurrently, exercising discovery coalescing.
           const Workload& w = workloads[(i + t) % workloads.size()];
           auto report =
               client.Post("/v1/analyze", AnalyzeBody(w.dataset, w.sql));
@@ -321,6 +321,9 @@ TEST(NetTest, HealthzCacheOccupancyAndRejectedRequestMembers) {
             options("materialization", JsonValue::Str("static")))},
       {"analyze", "/v1/analyze",
        with(AnalyzeBody("b", sql), "options",
+            options("scan_threads", JsonValue::Int(2)))},
+      {"analyze", "/v1/analyze",
+       with(AnalyzeBody("b", sql), "options",
             options("alpha", JsonValue::Double(2.5)))},
       {"analyze", "/v1/analyze",
        with(AnalyzeBody("b", sql), "deadline_seconds", negative)},
@@ -374,8 +377,7 @@ TEST(NetTest, AsyncSubmitPollWaitCancelAndDeadline) {
   ASSERT_TRUE(slow.ok()) << slow.status();
   const int64_t slow_ticket = slow->Find("ticket")->int_value();
 
-  // Victim 1: queued behind the slow request (different batch key, so
-  // batching cannot pull it forward); cancellable.
+  // Victim 1: queued behind the slow request; cancellable.
   auto victim = client.Post("/v1/submit", AnalyzeBody("b", fast_sql));
   ASSERT_TRUE(victim.ok());
   const int64_t victim_ticket = victim->Find("ticket")->int_value();

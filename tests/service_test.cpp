@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "service/dataset_registry.h"
 #include "service/discovery_cache.h"
 #include "service/hypdb_service.h"
+#include "service/query_scheduler.h"
 #include "service/report_digest.h"
 #include "service/request.h"
 #include "util/rng.h"
@@ -522,6 +525,57 @@ TEST(DiscoveryCacheTest, InvalidatePrefixDropsOnlyThatDataset) {
   EXPECT_TRUE(reused);
 }
 
+// The pool is FIFO: every free worker takes the next queued task. Two
+// tasks queued behind two blockers must run at the same time once the
+// blockers finish; each waits (bounded) until both are running, so a
+// worker that took both tasks would time the first one out.
+TEST(QuerySchedulerTest, QueuedTasksRunOnEveryFreeWorker) {
+  QuerySchedulerOptions options;
+  options.num_workers = 2;
+  QueryScheduler scheduler(options);
+  std::mutex mu;
+  std::condition_variable cv;
+  int blockers_running = 0;
+  bool release = false;
+  int tasks_running = 0;
+  auto blocker = [&](RequestStats*) -> StatusOr<ServiceReport> {
+    std::unique_lock<std::mutex> lock(mu);
+    ++blockers_running;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    return ServiceReport{};
+  };
+  auto task = [&](RequestStats*) -> StatusOr<ServiceReport> {
+    std::unique_lock<std::mutex> lock(mu);
+    ++tasks_running;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return tasks_running == 2; })) {
+      return Status::DeadlineExceeded("the other task never ran alongside");
+    }
+    return ServiceReport{};
+  };
+  const uint64_t b1 = scheduler.Submit(blocker);
+  const uint64_t b2 = scheduler.Submit(blocker);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blockers_running == 2; });
+  }
+  const uint64_t t1 = scheduler.Submit(task);
+  const uint64_t t2 = scheduler.Submit(task);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_TRUE(scheduler.Wait(b1).ok());
+  EXPECT_TRUE(scheduler.Wait(b2).ok());
+  auto r1 = scheduler.Wait(t1);
+  auto r2 = scheduler.Wait(t2);
+  EXPECT_TRUE(r1.ok()) << r1.status();
+  EXPECT_TRUE(r2.ok()) << r2.status();
+}
+
 TEST(HypDbServiceTest, SyncAnalyzeMatchesDirectHypDb) {
   TablePtr table = Berkeley();
   const std::string sql =
@@ -633,8 +687,7 @@ TEST(HypDbServiceTest, CancelDropsQueuedRequestsOnly) {
   service.RegisterTable("b", Berkeley());
   service.RegisterTable("c", Cancer(20000));
 
-  // The slow request occupies the lone worker; the victim (a different
-  // batch key, so batching cannot drain it alongside) stays queued.
+  // The slow request occupies the lone worker; the victim stays queued.
   const uint64_t slow = service.Submit(
       {"c",
        "SELECT Lung_Cancer, avg(Car_Accident) FROM c GROUP BY Lung_Cancer",

@@ -243,7 +243,7 @@ TEST(SessionServiceTest, StagedDigestsMatchColdSerialUnderMixedLoad) {
 
   // Distinct stage orderings per thread; every thread also fires a
   // one-shot analyze of the same query, so staged and monolithic twins
-  // share shards, discovery entries and scheduler batches concurrently.
+  // share shards and discovery entries concurrently.
   const std::vector<std::vector<std::string>> orderings = {
       {"answers", "discover", "detect", "explain", "rewrite"},
       {"rewrite", "detect", "answers", "explain"},
