@@ -4,6 +4,13 @@
 // large factor, the sampled variant and HyMIT in between. For scale, a
 // permutation test by physically shuffling the data (what MIT replaces)
 // is also measured.
+//
+// Gate (exits 1 on violation): at the largest row count, MIT(sampling)
+// must be faster than MIT and MIT faster than the shuffle baseline.
+// MIT's cost does not grow with the rows while the baseline's does, so
+// small scales narrow the second margin (CI runs scale 0.25, where the
+// largest row count is 10k). Results land in
+// BENCH_fig6b_test_runtime.json.
 
 #include "bench_util.h"
 #include "stats/ci_test.h"
@@ -83,14 +90,18 @@ int main(int argc, char** argv) {
   Header("bench_fig6b_test_runtime",
          "Fig. 6(b) — per-test runtime of the independence tests (ms)");
   std::printf("(m = %d permutations; 144 strata)\n\n", permutations);
-  Row({"rows", "chi2", "HyMIT", "MIT(sampling)", "MIT", "shuffle-base"},
-      15);
+  const char* names[] = {"chi2", "HyMIT", "MIT(sampling)", "MIT",
+                         "shuffle-base"};
+  Row({"rows", names[0], names[1], names[2], names[3], names[4]}, 15);
 
+  net::JsonValue points = net::JsonValue::MakeArray();
+  double ms[5] = {};  // per method, at the latest (largest) row count
   for (int64_t rows : {5000, 10000, 20000, 40000}) {
     int64_t n = static_cast<int64_t>(rows * scale);
     TablePtr data = MakeData(n, 99 + rows);
     std::vector<std::string> row = {std::to_string(n)};
 
+    int col = 0;
     for (CiMethod method : {CiMethod::kGTest, CiMethod::kHybrid,
                             CiMethod::kMitSampled, CiMethod::kMit}) {
       MiEngine engine(TableView(data),
@@ -105,15 +116,37 @@ int main(int argc, char** argv) {
         auto result = tester.Test(0, 1, {2, 3});
         if (!result.ok()) return 1;
       }
-      row.push_back(Fmt("%.2f", timer.ElapsedMillis() / reps));
+      ms[col] = timer.ElapsedMillis() / reps;
+      row.push_back(Fmt("%.2f", ms[col++]));
     }
 
     Rng rng(7);
-    row.push_back(Fmt("%.1f", ShuffleBaselineMs(data, permutations, rng)));
+    ms[col] = ShuffleBaselineMs(data, permutations, rng);
+    row.push_back(Fmt("%.1f", ms[col]));
     Row(row, 15);
+    net::JsonValue point = net::JsonValue::MakeObject();
+    point.Set("rows", net::JsonValue::Int(n));
+    net::JsonValue per_test = net::JsonValue::MakeObject();
+    for (int i = 0; i < 5; ++i) {
+      per_test.Set(names[i], net::JsonValue::Double(ms[i]));
+    }
+    point.Set("ms_per_test", std::move(per_test));
+    points.Append(std::move(point));
   }
   std::printf("\n(expected shape: chi2 < HyMIT ~ MIT(sampling) << MIT <<\n"
               " shuffle baseline; MIT's cost is independent of row count,\n"
               " the shuffle baseline grows linearly)\n");
-  return 0;
+
+  const bool pass = ms[2] < ms[3] && ms[3] < ms[4];
+  net::JsonValue results = net::JsonValue::MakeObject();
+  results.Set("scale", net::JsonValue::Double(scale));
+  results.Set("permutations", net::JsonValue::Int(permutations));
+  results.Set("points", std::move(points));
+  results.Set("pass", net::JsonValue::Bool(pass));
+  WriteBenchJson("fig6b_test_runtime", std::move(results));
+  std::printf(pass ? "PASS: MIT(sampling) < MIT < shuffle-base at the "
+                     "largest row count\n"
+                   : "FAIL: expected MIT(sampling) < MIT < shuffle-base at "
+                     "the largest row count\n");
+  return pass ? 0 : 1;
 }

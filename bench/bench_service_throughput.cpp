@@ -14,6 +14,8 @@
 //     process can actually use >= 4 cores (affinity/cgroup-aware — see
 //     bench_util.h), 4 workers must reach >= 2x the 1-worker rate (best
 //     of 3 attempts, tolerating CI noise) or the binary exits non-zero.
+//     The attempts interleave the worker counts (1, 4, 1, 4, 1, 4), so a
+//     slow stretch of the host cannot land on one side of the ratio only.
 //     On smaller machines the speedup assertion is skipped — the cores
 //     to demonstrate it do not exist — and a note is printed.
 //
@@ -161,25 +163,33 @@ int main(int argc, char** argv) {
   const int requests = static_cast<int>(24 * scale);
   Row({"workers", "requests", "seconds", "qps", "reused", "identical"}, 11);
 
-  // Phase 2+3: the same mix at increasing worker counts. Best-of-3 for
-  // the two rates the gate compares, to damp scheduler noise.
+  // Phase 2+3: the same mix at increasing worker counts, best of 3 per
+  // count to damp scheduler noise. Each round runs every count once, so
+  // the attempts interleave; a count whose run diverged stops there.
   const int attempts = 3;
   double best_qps_1 = 0.0;
   double best_qps_4 = 0.0;
   bool all_identical = true;
   std::vector<int> worker_counts = {1, 4};
   if (cores > 4) worker_counts.push_back(static_cast<int>(cores));
-  net::JsonValue runs = net::JsonValue::MakeArray();
-  for (int workers : worker_counts) {
-    RunResult best;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      RunResult run = RunService(table, workloads, workers, requests);
+  std::vector<RunResult> bests(worker_counts.size());
+  std::vector<bool> diverged(worker_counts.size(), false);
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    for (size_t k = 0; k < worker_counts.size(); ++k) {
+      if (diverged[k]) continue;
+      RunResult run = RunService(table, workloads, worker_counts[k], requests);
       if (run.digest_mismatches > 0 || run.errors > 0) {
-        best = run;
-        break;
+        bests[k] = run;
+        diverged[k] = true;
+      } else if (run.qps > bests[k].qps) {
+        bests[k] = run;
       }
-      if (run.qps > best.qps) best = run;
     }
+  }
+  net::JsonValue runs = net::JsonValue::MakeArray();
+  for (size_t k = 0; k < worker_counts.size(); ++k) {
+    const int workers = worker_counts[k];
+    const RunResult& best = bests[k];
     const bool identical = best.digest_mismatches == 0 && best.errors == 0;
     all_identical = all_identical && identical;
     if (workers == 1) best_qps_1 = best.qps;

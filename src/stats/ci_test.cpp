@@ -238,9 +238,15 @@ CiResult CiTester::MitOnStrata(const StratifiedTable& table,
   // Permutation replicates: per stratum, draw m tables with the observed
   // margins (Alg. 2 lines 2-5), then aggregate s_i = Σ_z Pr(z)·Î_Ci
   // (lines 7-10).
-  std::vector<double> log_fact = LogFactorialTable(max_stratum_total);
+  ExtendLogFactorialTable(max_stratum_total, &log_fact_);
+  for (int64_t c = static_cast<int64_t>(log_.size()); c <= max_stratum_total;
+       ++c) {
+    log_.push_back(std::log(static_cast<double>(c)));
+  }
+  const auto log_of = [this](int64_t c) { return log_[c]; };
   std::vector<double> replicate(m, 0.0);
-  Table2D sample;
+  std::vector<int64_t> cells;
+  std::vector<int64_t> jwork;
   for (int i : strata_idx) {
     const Table2D& t = table.strata[i].table;
     double pr_z = static_cast<double>(t.total()) /
@@ -252,11 +258,21 @@ CiResult CiTester::MitOnStrata(const StratifiedTable& table,
     for (int64_t v : t.row_margins()) nonzero_rows += v > 0 ? 1 : 0;
     for (int64_t v : t.col_margins()) nonzero_cols += v > 0 ? 1 : 0;
     if (nonzero_rows <= 1 || nonzero_cols <= 1) continue;
+    // Every draw keeps the stratum's margins, so H(row) + H(col) is fixed;
+    // a replicate's Î is that minus its joint entropy, with
+    // Table2D::MutualInformation's clamp.
+    const double h_margins = t.RowEntropy(est) + t.ColEntropy(est);
+    cells.resize(t.cells().size());
     for (int rep = 0; rep < m; ++rep) {
-      Status st = SampleTableWithMargins(t.row_margins(), t.col_margins(),
-                                         log_fact, rng_, &sample);
-      if (!st.ok()) continue;  // underflow: skip this replicate's stratum
-      replicate[rep] += pr_z * sample.MutualInformation(est);
+      if (!DrawTableWithMargins(t.row_margins(), t.col_margins(), t.total(),
+                                log_fact_.data(), rng_, cells.data(),
+                                &jwork)) {
+        continue;  // underflow: skip this replicate's stratum
+      }
+      const double mi =
+          h_margins - EntropyFromCountsWith(cells.data(), cells.size(),
+                                            t.total(), est, log_of);
+      replicate[rep] += pr_z * (mi < 0.0 ? 0.0 : mi);
     }
   }
 

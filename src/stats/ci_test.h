@@ -118,6 +118,11 @@ class CiTester {
   CiOptions options_;
   Rng rng_;
   int64_t num_tests_ = 0;
+  // Grow-only memos up to the largest stratum total MIT has seen:
+  // log_fact_[k] = ln k! for the Patefield draws, log_[c] = ln c for the
+  // replicates' joint entropies.
+  std::vector<double> log_fact_;
+  std::vector<double> log_;
 };
 
 }  // namespace hypdb

@@ -111,9 +111,10 @@ StratifiedTable BuildStratifiedFromCounts(const GroupCounts& counts,
   // stratum tables are small even when the domain is large.
   std::unordered_map<uint64_t, int> t_map;
   std::unordered_map<uint64_t, int> y_map;
+  std::vector<int32_t> codes;  // one decode buffer for every key
   auto extract = [&](uint64_t key, const std::vector<int>& positions,
                      const TupleCodec& codec) {
-    std::vector<int32_t> codes(positions.size());
+    codes.resize(positions.size());
     for (size_t i = 0; i < positions.size(); ++i) {
       codes[i] = counts.codec.DecodeAt(key, positions[i]);
     }

@@ -6,22 +6,9 @@ namespace hypdb {
 
 double EntropyFromCounts(const std::vector<int64_t>& counts, int64_t total,
                          EntropyEstimator estimator) {
-  if (total <= 0) return 0.0;
-  const double n = static_cast<double>(total);
-  const double log_n = std::log(n);
-  double h = 0.0;
-  int64_t support = 0;
-  for (int64_t c : counts) {
-    if (c <= 0) continue;
-    ++support;
-    const double dc = static_cast<double>(c);
-    h -= dc * (std::log(dc) - log_n);
-  }
-  h /= n;
-  if (estimator == EntropyEstimator::kMillerMadow && support > 0) {
-    h += static_cast<double>(support - 1) / (2.0 * n);
-  }
-  return h < 0.0 ? 0.0 : h;
+  return EntropyFromCountsWith(
+      counts.data(), counts.size(), total, estimator,
+      [](int64_t c) { return std::log(static_cast<double>(c)); });
 }
 
 double EntropyOf(const GroupCounts& counts, EntropyEstimator estimator) {

@@ -8,6 +8,7 @@
 #ifndef HYPDB_STATS_ENTROPY_H_
 #define HYPDB_STATS_ENTROPY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +26,33 @@ enum class EntropyEstimator {
 /// strictly-positive cells. Returns 0 for total <= 0.
 double EntropyFromCounts(const std::vector<int64_t>& counts, int64_t total,
                          EntropyEstimator estimator);
+
+/// EntropyFromCounts over `size` counts with ln(c) taken from `log_of(c)`
+/// (called for `total` and for every positive count). It is the one loop
+/// behind EntropyFromCounts, so a `log_of` that returns std::log(c), or a
+/// memo of it, gives the same entropy bit for bit.
+template <typename LogOf>
+double EntropyFromCountsWith(const int64_t* counts, size_t size,
+                             int64_t total, EntropyEstimator estimator,
+                             LogOf&& log_of) {
+  if (total <= 0) return 0.0;
+  const double n = static_cast<double>(total);
+  const double log_n = log_of(total);
+  double h = 0.0;
+  int64_t support = 0;
+  for (size_t i = 0; i < size; ++i) {
+    const int64_t c = counts[i];
+    if (c <= 0) continue;
+    ++support;
+    const double dc = static_cast<double>(c);
+    h -= dc * (log_of(c) - log_n);
+  }
+  h /= n;
+  if (estimator == EntropyEstimator::kMillerMadow && support > 0) {
+    h += static_cast<double>(support - 1) / (2.0 * n);
+  }
+  return h < 0.0 ? 0.0 : h;
+}
 
 /// Entropy of a GroupCounts summary (one group = one support point).
 double EntropyOf(const GroupCounts& counts, EntropyEstimator estimator);

@@ -7,40 +7,13 @@
 
 namespace hypdb {
 
-Status SampleTableWithMargins(const std::vector<int64_t>& row_totals,
-                              const std::vector<int64_t>& col_totals,
-                              const std::vector<double>& log_fact, Rng& rng,
-                              Table2D* out) {
+bool DrawTableWithMargins(const std::vector<int64_t>& row_totals,
+                          const std::vector<int64_t>& col_totals,
+                          int64_t total, const double* log_fact, Rng& rng,
+                          int64_t* cells, std::vector<int64_t>* jwork) {
   const int nr = static_cast<int>(row_totals.size());
   const int nc = static_cast<int>(col_totals.size());
-  if (nr == 0 || nc == 0) {
-    return Status::InvalidArgument("empty margins");
-  }
-  const int64_t ntotal =
-      std::accumulate(row_totals.begin(), row_totals.end(), int64_t{0});
-
-  *out = Table2D(nr, nc);
-
-  // Degenerate shapes are fully determined by their margins.
-  if (nr == 1) {
-    for (int m = 0; m < nc; ++m) out->Set(0, m, col_totals[m]);
-    out->RebuildMargins();
-    return Status::Ok();
-  }
-  if (nc == 1) {
-    for (int l = 0; l < nr; ++l) out->Set(l, 0, row_totals[l]);
-    out->RebuildMargins();
-    return Status::Ok();
-  }
-  if (ntotal == 0) {
-    out->RebuildMargins();
-    return Status::Ok();
-  }
-  if (static_cast<int64_t>(log_fact.size()) <= ntotal) {
-    return Status::InvalidArgument(
-        "log-factorial table too small for total " + std::to_string(ntotal));
-  }
-  const double* lf = log_fact.data();
+  const double* lf = log_fact;
 
   // Port of AS 159 as implemented in R's rcont2. Cells are filled row by
   // row, left to right; each cell is drawn from its conditional
@@ -48,21 +21,24 @@ Status SampleTableWithMargins(const std::vector<int64_t>& row_totals,
   // outward from the conditional mode. Variable names follow the
   // reference: ia = remaining count of the current row, ie = remaining
   // grand total before this cell's column, ib/ic/id/ii are the 2x2
-  // collapse of the not-yet-filled region.
-  std::vector<int64_t> jwork(col_totals.begin(), col_totals.end() - 1);
-  int64_t jc = ntotal;
+  // collapse of the not-yet-filled region. Degenerate shapes (one row,
+  // one column, a zero total) fall through without a random draw.
+  jwork->assign(col_totals.begin(), col_totals.end() - 1);
+  int64_t* jw = jwork->data();
+  int64_t jc = total;
   for (int l = 0; l < nr - 1; ++l) {
+    int64_t* row = cells + static_cast<size_t>(l) * nc;
     int64_t ia = row_totals[l];
     int64_t ic = jc;
     jc -= ia;
     for (int m = 0; m < nc - 1; ++m) {
-      const int64_t id = jwork[m];
+      const int64_t id = jw[m];
       const int64_t ie = ic;
       ic -= id;
       const int64_t ib = ie - ia;
       const int64_t ii = ib - id;
       if (ie == 0) {
-        for (int j = m; j < nc - 1; ++j) out->Set(l, j, 0);
+        for (int j = m; j < nc - 1; ++j) row[j] = 0;
         ia = 0;
         break;
       }
@@ -78,9 +54,7 @@ Status SampleTableWithMargins(const std::vector<int64_t>& row_totals,
                             lf[nlm] - lf[id - nlm] - lf[ia - nlm] -
                             lf[ii + nlm]);
         if (x >= dummy) break;
-        if (x == 0.0) {
-          return Status::Internal("patefield: probability underflow");
-        }
+        if (x == 0.0) return false;  // probability underflow
         double sumprb = x;
         double y = x;
         int64_t nll = nlm;
@@ -119,19 +93,45 @@ Status SampleTableWithMargins(const std::vector<int64_t>& row_totals,
         dummy = sumprb * rng.UniformDouble();
       }
     kFound:
-      out->Set(l, m, nlm);
+      row[m] = nlm;
       ia -= nlm;
-      jwork[m] -= nlm;
+      jw[m] -= nlm;
     }
-    out->Set(l, nc - 1, ia);  // row remainder
+    row[nc - 1] = ia;  // row remainder
   }
   // Last row: column remainders.
+  int64_t* row = cells + static_cast<size_t>(nr - 1) * nc;
   int64_t last = row_totals[nr - 1];
   for (int m = 0; m < nc - 1; ++m) {
-    out->Set(nr - 1, m, jwork[m]);
-    last -= jwork[m];
+    row[m] = jw[m];
+    last -= jw[m];
   }
-  out->Set(nr - 1, nc - 1, last);
+  row[nc - 1] = last;
+  return true;
+}
+
+Status SampleTableWithMargins(const std::vector<int64_t>& row_totals,
+                              const std::vector<int64_t>& col_totals,
+                              const std::vector<double>& log_fact, Rng& rng,
+                              Table2D* out) {
+  const int nr = static_cast<int>(row_totals.size());
+  const int nc = static_cast<int>(col_totals.size());
+  if (nr == 0 || nc == 0) {
+    return Status::InvalidArgument("empty margins");
+  }
+  const int64_t ntotal =
+      std::accumulate(row_totals.begin(), row_totals.end(), int64_t{0});
+  if (nr > 1 && nc > 1 && ntotal > 0 &&
+      static_cast<int64_t>(log_fact.size()) <= ntotal) {
+    return Status::InvalidArgument(
+        "log-factorial table too small for total " + std::to_string(ntotal));
+  }
+  *out = Table2D(nr, nc);
+  std::vector<int64_t> jwork;
+  if (!DrawTableWithMargins(row_totals, col_totals, ntotal, log_fact.data(),
+                            rng, out->mutable_cells()->data(), &jwork)) {
+    return Status::Internal("patefield: probability underflow");
+  }
   out->RebuildMargins();
   return Status::Ok();
 }

@@ -19,6 +19,18 @@
 
 namespace hypdb {
 
+/// The one AS 159 draw: fills the row-major r×c `cells` (r, c the margin
+/// lengths) with a random table whose margins are `row_totals` and
+/// `col_totals`, both summing to `total`. `jwork` is scratch that callers
+/// reuse across draws. Nothing is validated: margins must be non-empty,
+/// non-negative and agree on their sum, and `log_fact[k]` must hold ln(k!)
+/// for every k ≤ `total` (only read when r, c > 1 and `total` > 0).
+/// Returns false on probability underflow, leaving `cells` partly drawn.
+bool DrawTableWithMargins(const std::vector<int64_t>& row_totals,
+                          const std::vector<int64_t>& col_totals,
+                          int64_t total, const double* log_fact, Rng& rng,
+                          int64_t* cells, std::vector<int64_t>* jwork);
+
 /// Draws one random table with the given margins into `*out` (resized and
 /// margins rebuilt). `log_fact[k]` must hold ln(k!) for all k up to the
 /// grand total (see LogFactorialTable). Margins must be non-negative and

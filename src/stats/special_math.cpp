@@ -1,5 +1,6 @@
 #include "stats/special_math.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace hypdb {
@@ -60,11 +61,18 @@ double LogFactorial(int64_t n) {
 }
 
 std::vector<double> LogFactorialTable(int64_t n) {
-  std::vector<double> table(n + 1, 0.0);
-  for (int64_t i = 2; i <= n; ++i) {
-    table[i] = table[i - 1] + std::log(static_cast<double>(i));
-  }
+  std::vector<double> table;
+  ExtendLogFactorialTable(n, &table);
   return table;
+}
+
+void ExtendLogFactorialTable(int64_t n, std::vector<double>* table) {
+  int64_t i = static_cast<int64_t>(table->size());
+  if (i > n) return;
+  table->resize(n + 1, 0.0);
+  for (i = std::max<int64_t>(i, 2); i <= n; ++i) {
+    (*table)[i] = (*table)[i - 1] + std::log(static_cast<double>(i));
+  }
 }
 
 double RegularizedGammaP(double a, double x) {

@@ -23,6 +23,11 @@ double LogFactorial(int64_t n);
 /// log-factorials for every integer up to the table total.
 std::vector<double> LogFactorialTable(int64_t n);
 
+/// Grows `table` in place to ln(0!), ..., ln(n!) by LogFactorialTable's
+/// recurrence, keeping the entries it already has (a no-op when it is
+/// long enough), so a grow-only memo matches a fresh table bit for bit.
+void ExtendLogFactorialTable(int64_t n, std::vector<double>* table);
+
 /// Regularized lower incomplete gamma P(a, x) = γ(a,x)/Γ(a), a > 0, x ≥ 0.
 double RegularizedGammaP(double a, double x);
 

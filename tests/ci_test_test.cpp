@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "stats/ci_test.h"
 #include "stats/mi_engine.h"
@@ -238,6 +241,227 @@ TEST(CiTesterTest, SetVersionDetectsCompoundDependence) {
   auto r = tester.TestSets({0}, {1, 2}, {});
   ASSERT_TRUE(r.ok());
   EXPECT_LE(r->p_value, 0.01);
+}
+
+// ---- MIT results pinned bit for bit ---------------------------------------
+
+// A random (t, y, z, zc) table: t and y take `t_card` and `y_card` values,
+// z takes `strata` values and zc = z / 8 groups them coarsely. y copies t
+// (mod y_card) with probability `lean` and is uniform otherwise. Strata
+// with z % 3 == 1 restrict t to two values and strata with z % 4 == 2
+// restrict y, leaving zero rows and columns inside those strata; strata
+// with z % 7 == 5 fix t, so MIT skips them as degenerate.
+TablePtr PinTable(uint64_t seed, int t_card, int y_card, int strata,
+                  int64_t rows, double lean) {
+  Rng rng(seed);
+  ColumnBuilder t("t"), y("y"), z("z"), zc("zc");
+  for (int64_t i = 0; i < rows; ++i) {
+    const int zi = static_cast<int>(rng.NextBounded(strata));
+    int ti = static_cast<int>(rng.NextBounded(t_card));
+    if (zi % 3 == 1) ti %= 2;
+    if (zi % 7 == 5) ti = 0;
+    int yi = rng.Bernoulli(lean) ? ti % y_card
+                                : static_cast<int>(rng.NextBounded(y_card));
+    if (zi % 4 == 2) yi %= 2;
+    t.Append(std::to_string(ti));
+    y.Append(std::to_string(yi));
+    z.Append(std::to_string(zi));
+    zc.Append(std::to_string(zi / 8));
+  }
+  Table table;
+  EXPECT_TRUE(table.AddColumn(t.Finish()).ok());
+  EXPECT_TRUE(table.AddColumn(y.Finish()).ok());
+  EXPECT_TRUE(table.AddColumn(z.Finish()).ok());
+  EXPECT_TRUE(table.AddColumn(zc.Finish()).ok());
+  return MakeTable(std::move(table));
+}
+
+struct PinnedMit {
+  double statistic;
+  double p_value;
+  double p_low;
+  double p_high;
+};
+
+// Every MIT statistic and p-value below was recorded from a build whose
+// replicate loop drew a fresh Table2D per replicate and recomputed all
+// three entropies per draw. The checks are exact: a change to the RNG
+// stream, the AS 159 draw or the floating-point order of the statistic
+// shows as an inequality. Each tester runs three tests with growing
+// stratum totals (z, then zc, then no conditioning), so the tester's log
+// memos grow between tests.
+TEST(CiTesterTest, MitResultsArePinnedBitForBit) {
+  struct Case {
+    uint64_t seed;
+    int t_card;
+    int y_card;
+    int strata;
+    int64_t rows;
+    double lean;
+  };
+  const Case kCases[] = {
+      {11, 2, 2, 96, 3000, 0.0},  {12, 6, 6, 40, 20000, 0.01},
+      {13, 3, 5, 1, 800, 0.05},   {14, 5, 2, 17, 9000, 0.0},
+      {15, 4, 3, 64, 6000, 0.03},
+  };
+  const PinnedMit kPinned[] = {
+      // Case seed 11: MIT then MIT(sampling), each Miller-Madow then
+      // plug-in, each conditioning on z, zc, nothing.
+      {0x1.759560ad3be66p-8, 0x1.a3d70a3d70a3dp-1,
+       0x1.889406351cfcp-1, 0x1.bf1a0e45c44bap-1},
+      {0x1.1c70c84a839f1p-13, 0x1.dc28f5c28f5c3p-1,
+       0x1.ca0e0c48e3bb2p-1, 0x1.ee43df3c3afd4p-1},
+      {0x0p+0, 0x1.4e147ae147ae1p-1,
+       0x1.2c4a6dda7570ep-1, 0x1.6fde87e819eb4p-1},
+      {0x1.a02f2cbf9bf5fp-7, 0x1.970a3d70a3d71p-1,
+       0x1.7a64bc9523956p-1, 0x1.b3afbe4c2418cp-1},
+      {0x1.2618cf8acf97ap-10, 0x1.b333333333333p-1,
+       0x1.99dcc3c1b8ffep-1, 0x1.cc89a2a4ad668p-1},
+      {0x1.58a4ef4934p-14, 0x1.f5c28f5c28f5cp-2,
+       0x1.aed08a84d2cc9p-2, 0x1.1e5a4a19bf8f8p-1},
+      {0x1.3c859a638f5c3p-7, 0x1.eb851eb851eb8p-3,
+       0x1.724c252eb9d1ep-3, 0x1.325f0c20f5029p-2},
+      {0x1.ef5ac489a6622p-14, 0x1.b70a3d70a3d71p-1,
+       0x1.9e3c36cf90a88p-1, 0x1.cfd84411b705ap-1},
+      {0x0p+0, 0x1.428f5c28f5c29p-1,
+       0x1.204ce79e39d2fp-1, 0x1.64d1d0b3b1b23p-1},
+      {0x1.2c04446c4358p-6, 0x1.b851eb851eb85p-3,
+       0x1.43b67f0a1598cp-3, 0x1.1676ac0013ebfp-2},
+      {0x1.e5db45e8e4872p-11, 0x1.b0a3d70a3d70ap-1,
+       0x1.96f59af5e2788p-1, 0x1.ca52131e9868cp-1},
+      {0x1.58a4ef4934p-14, 0x1.c51eb851eb852p-2,
+       0x1.7ea19677f582bp-2, 0x1.05cded15f0c3cp-1},
+      // Case seed 12.
+      {0x1.404ba035798fep-10, 0x1.970a3d70a3d71p-1,
+       0x1.7a64bc9523956p-1, 0x1.b3afbe4c2418cp-1},
+      {0x1.89f585e43b036p-7, 0x0p+0,
+       0x0p+0, 0x0p+0},
+      {0x0p+0, 0x1.7851eb851eb85p-1,
+       0x1.5900d079d1772p-1, 0x1.97a306906bf98p-1},
+      {0x1.94f1c9c5db23p-7, 0x1.4p-1,
+       0x1.1da597626ad37p-1, 0x1.625a689d952c9p-1},
+      {0x1.f05bec4aa1672p-7, 0x0p+0,
+       0x0p+0, 0x0p+0},
+      {0x1.3d10854296p-11, 0x1.0cccccccccccdp-1,
+       0x1.d2baab3b19a6dp-2, 0x1.303c43fc0cc63p-1},
+      {0x1.6b410bffbe1b2p-10, 0x1.70a3d70a3d70ap-1,
+       0x1.50c77b77f869bp-1, 0x1.9080329c82779p-1},
+      {0x1.d85f8374218b8p-7, 0x0p+0,
+       0x0p+0, 0x0p+0},
+      {0x0p+0, 0x1.747ae147ae148p-1,
+       0x1.54e2b37759337p-1, 0x1.94130f1802f59p-1},
+      {0x1.37592296a5cddp-6, 0x1.451eb851eb852p-1,
+       0x1.22f53a1f1322ep-1, 0x1.67483684c3e76p-1},
+      {0x1.1f63c6a7b65b8p-6, 0x0p+0,
+       0x0p+0, 0x0p+0},
+      {0x1.3d10854296p-11, 0x1.f5c28f5c28f5cp-2,
+       0x1.aed08a84d2cc9p-2, 0x1.1e5a4a19bf8f8p-1},
+      // Case seed 13.
+      {0x1.f2298ba1e38p-8, 0x1.47ae147ae147bp-8,
+       0x0p+0, 0x1.e4299eb59b904p-7},
+      {0x1.f2298ba1e38p-8, 0x1.47ae147ae147bp-8,
+       0x0p+0, 0x1.e4299eb59b904p-7},
+      {0x1.f2298ba1e38p-8, 0x1.47ae147ae147bp-7,
+       0x0p+0, 0x1.85c5bf39b4f1p-6},
+      {0x1.9cebd00e627p-7, 0x1.47ae147ae147bp-8,
+       0x0p+0, 0x1.e4299eb59b904p-7},
+      {0x1.9cebd00e627p-7, 0x1.47ae147ae147bp-8,
+       0x0p+0, 0x1.e4299eb59b904p-7},
+      {0x1.9cebd00e627p-7, 0x1.47ae147ae147bp-7,
+       0x0p+0, 0x1.85c5bf39b4f1p-6},
+      {0x1.f2298ba1e38p-8, 0x1.47ae147ae147bp-8,
+       0x0p+0, 0x1.e4299eb59b904p-7},
+      {0x1.f2298ba1e38p-8, 0x1.47ae147ae147bp-7,
+       0x0p+0, 0x1.85c5bf39b4f1p-6},
+      {0x1.f2298ba1e38p-8, 0x1.47ae147ae147bp-7,
+       0x0p+0, 0x1.85c5bf39b4f1p-6},
+      {0x1.9cebd00e627p-7, 0x1.47ae147ae147bp-8,
+       0x0p+0, 0x1.e4299eb59b904p-7},
+      {0x1.9cebd00e627p-7, 0x1.47ae147ae147bp-7,
+       0x0p+0, 0x1.85c5bf39b4f1p-6},
+      {0x1.9cebd00e627p-7, 0x1.47ae147ae147bp-7,
+       0x0p+0, 0x1.85c5bf39b4f1p-6},
+      // Case seed 14.
+      {0x1.1eccf7014af34p-13, 0x1.f333333333333p-1,
+       0x1.e81f16a32c81p-1, 0x1.fe474fc339e56p-1},
+      {0x1.596caf959efcap-17, 0x1.70a3d70a3d70ap-1,
+       0x1.50c77b77f869bp-1, 0x1.9080329c82779p-1},
+      {0x0p+0, 0x1.5eb851eb851ecp-1,
+       0x1.3dc21606d3ffcp-1, 0x1.7fae8dd0363dcp-1},
+      {0x1.a0a9bfd010469p-10, 0x1.f0a3d70a3d70ap-1,
+       0x1.e4890307bf498p-1, 0x1.fcbeab0cbb97cp-1},
+      {0x1.4b2357371ad76p-13, 0x1.f851eb851eb85p-1,
+       0x1.efb1d71e10013p-1, 0x1p+0},
+      {0x1.0f440c433p-14, 0x1.cp-1,
+       0x1.a888467154288p-1, 0x1.d777b98eabd78p-1},
+      {0x1.45afed67ce1b6p-12, 0x1.6e147ae147ae1p-1,
+       0x1.4e0c3dfbe638bp-1, 0x1.8e1cb7c6a9237p-1},
+      {0x1.596caf959efcap-17, 0x1.9851eb851eb85p-1,
+       0x1.7bcdd1b44b227p-1, 0x1.b4d60555f24e3p-1},
+      {0x0p+0, 0x1.7333333333333p-1,
+       0x1.5383fa12481aep-1, 0x1.92e26c541e4b8p-1},
+      {0x1.bccda5709f34cp-10, 0x1.999999999999ap-1,
+       0x1.7d3756cb34295p-1, 0x1.b5fbdc67ff09fp-1},
+      {0x1.4b2357371ad76p-13, 0x1.f5c28f5c28f5cp-1,
+       0x1.ebd35e60b8a81p-1, 0x1.ffb1c05799437p-1},
+      {0x1.0f440c433p-14, 0x1.ccccccccccccdp-1,
+       0x1.b7831ab200b8ap-1, 0x1.e2167ee798e1p-1},
+      // Case seed 15.
+      {0x1.a64c4d6229e28p-8, 0x1.051eb851eb852p-2,
+       0x1.8e86a067a7d6cp-3, 0x1.42fa2070031eep-2},
+      {0x1.b7d55903878a2p-9, 0x0p+0,
+       0x0p+0, 0x0p+0},
+      {0x1.22a7fe420dp-11, 0x1.70a3d70a3d70ap-5,
+       0x1.0a8d9c55a3ecap-6, 0x1.2e006ff4d4758p-4},
+      {0x1.588b2b45f267ep-6, 0x1.d70a3d70a3d71p-3,
+       0x1.5f9773a51dccfp-3, 0x1.273e839e14f09p-2},
+      {0x1.ddaff878e4601p-8, 0x0p+0,
+       0x0p+0, 0x0p+0},
+      {0x1.14666db893p-10, 0x1.70a3d70a3d70ap-5,
+       0x1.0a8d9c55a3ecap-6, 0x1.2e006ff4d4758p-4},
+      {0x1.41e1fa339fa3fp-7, 0x1.c28f5c28f5c29p-4,
+       0x1.10f09664c5d0ep-4, 0x1.3a1710f692da2p-3},
+      {0x1.2a6aa59ca22a8p-8, 0x1.47ae147ae147bp-8,
+       0x0p+0, 0x1.e4299eb59b904p-7},
+      {0x1.22a7fe420dp-11, 0x1.70a3d70a3d70ap-5,
+       0x1.0a8d9c55a3ecap-6, 0x1.2e006ff4d4758p-4},
+      {0x1.b84ec88b055b5p-6, 0x1.47ae147ae147bp-4,
+       0x1.5b58ac3384893p-5, 0x1.e1afd2dc004acp-4},
+      {0x1.13f86a27b8c05p-7, 0x1.47ae147ae147bp-8,
+       0x0p+0, 0x1.e4299eb59b904p-7},
+      {0x1.14666db893p-10, 0x1.70a3d70a3d70ap-5,
+       0x1.0a8d9c55a3ecap-6, 0x1.2e006ff4d4758p-4},
+  };
+  const std::vector<int> kConditioning[] = {{2}, {3}, {}};
+  size_t next = 0;
+  for (const Case& c : kCases) {
+    TablePtr data =
+        PinTable(c.seed, c.t_card, c.y_card, c.strata, c.rows, c.lean);
+    for (CiMethod method : {CiMethod::kMit, CiMethod::kMitSampled}) {
+      for (EntropyEstimator estimator :
+           {EntropyEstimator::kMillerMadow, EntropyEstimator::kPlugin}) {
+        MiEngine engine{TableView(data)};
+        CiOptions options = WithMethod(method, 200);
+        options.mit_estimator = estimator;
+        CiTester tester(&engine, options, c.seed * 31 + 7);
+        for (const std::vector<int>& z : kConditioning) {
+          auto r = tester.Test(0, 1, z);
+          ASSERT_TRUE(r.ok());
+          ASSERT_LT(next, std::size(kPinned));
+          const PinnedMit& want = kPinned[next++];
+          const std::string where = "case seed " + std::to_string(c.seed) +
+                                    " " + CiMethodName(method) +
+                                    " result " + std::to_string(next - 1);
+          EXPECT_EQ(r->method_used, method) << where;
+          EXPECT_EQ(r->statistic, want.statistic) << where;
+          EXPECT_EQ(r->p_value, want.p_value) << where;
+          EXPECT_EQ(r->p_low, want.p_low) << where;
+          EXPECT_EQ(r->p_high, want.p_high) << where;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(next, std::size(kPinned));
 }
 
 TEST(CiMethodNameTest, AllNamed) {
