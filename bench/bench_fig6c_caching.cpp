@@ -4,6 +4,8 @@
 // Part 1 (timings): the CD algorithm runs with each optimization toggled;
 // "warm" repeats the run with the caches already populated (the paper's
 // "precomputed entropies" floor). Scan counts come from the engine stats.
+// The entropy memo is toggled by the decorators of entropy_ablation.h:
+// src/ keeps exactly one, on the caching engine's entries.
 //
 // Part 2 (equivalence): the same fixed CI-test workload runs once against
 // a bare scan engine and once against the caching engine. The caching
@@ -18,6 +20,7 @@
 #include "causal/cd_algorithm.h"
 #include "causal/ci_oracle.h"
 #include "datagen/random_data.h"
+#include "entropy_ablation.h"
 #include "stats/ci_test.h"
 #include "util/stopwatch.h"
 
@@ -31,12 +34,23 @@ struct CdRun {
   int64_t scans = 0;
 };
 
+// One CD run with the entropy memo (`cache`) and count materialization
+// toggled independently.
 CdRun RunCd(const TablePtr& table, int target, bool cache,
             bool materialize) {
+  const TableView view(table);
   MiEngineOptions engine_options;
-  engine_options.cache_entropies = cache;
   engine_options.materialize_focus = materialize;
-  MiEngine engine(TableView(table), engine_options);
+  // The caching stack when materializing, else the bare scanner.
+  std::shared_ptr<CountEngine> counts = MakeViewEngine(view, engine_options);
+  std::shared_ptr<CountEngine> decorated;
+  if (cache) {
+    decorated = std::make_shared<EntropyMemoEngine>(std::move(counts));
+  } else {
+    decorated = std::make_shared<CountsOnlyEngine>(std::move(counts));
+  }
+  MiEngine engine(view, std::move(decorated), engine_options,
+                  /*wrap_provider=*/false);
   CiOptions chi2;
   chi2.method = CiMethod::kGTest;
   CiTester tester(&engine, chi2, 11);
@@ -143,9 +157,9 @@ int main(int argc, char** argv) {
   if (!eq_ds.ok()) return 1;
   TablePtr eq_table = std::make_shared<const Table>(std::move(eq_ds->table));
 
+  // The bare scanner: every entropy is recomputed from a fresh scan.
   MiEngine scan_engine(TableView(eq_table),
-                       MiEngineOptions{.cache_entropies = false,
-                                       .materialize_focus = false});
+                       MiEngineOptions{.materialize_focus = false});
   MiEngine cached_engine(TableView(eq_table), MiEngineOptions{});
   std::vector<double> p_scan;
   std::vector<double> p_cached;

@@ -1,7 +1,9 @@
 // E2 — Table 1: runtime (seconds) of detection, explanation and
 // resolution on the five evaluation datasets, at the paper's sizes.
 // Discovery (the CD algorithm, reported inside "Det." by the paper) is
-// shown separately for transparency.
+// shown separately for transparency. Prints and records only (no gate):
+// BENCH_table1_runtime.json holds each dataset's columns, rows and
+// Disc/Det/Exp/Res seconds.
 
 #include "bench_util.h"
 #include "core/hypdb.h"
@@ -16,8 +18,10 @@ using namespace hypdb::bench;
 
 namespace {
 
+// Analyzes `sql` over `table`, prints its Table 1 row and appends the
+// same fields to `datasets`.
 void Report(const char* name, const StatusOr<Table>& table,
-            const std::string& sql) {
+            const std::string& sql, net::JsonValue* datasets) {
   if (!table.ok()) {
     std::printf("%-14s generation failed: %s\n", name,
                 table.status().ToString().c_str());
@@ -38,6 +42,15 @@ void Report(const char* name, const StatusOr<Table>& table,
        Fmt("%.2f", report->explain_seconds),
        Fmt("%.2f", report->resolve_seconds)},
       13);
+  net::JsonValue row = net::JsonValue::MakeObject();
+  row.Set("dataset", net::JsonValue::Str(name));
+  row.Set("columns", net::JsonValue::Int(data->NumColumns()));
+  row.Set("rows", net::JsonValue::Int(data->NumRows()));
+  row.Set("disc_s", net::JsonValue::Double(report->discovery.seconds));
+  row.Set("det_s", net::JsonValue::Double(report->detect_seconds));
+  row.Set("exp_s", net::JsonValue::Double(report->explain_seconds));
+  row.Set("res_s", net::JsonValue::Double(report->resolve_seconds));
+  datasets->Append(std::move(row));
 }
 
 }  // namespace
@@ -51,25 +64,36 @@ int main(int argc, char** argv) {
               scale);
   Row({"Dataset", "Cols", "Rows", "Disc[s]", "Det[s]", "Exp[s]", "Res[s]"},
       13);
+  net::JsonValue datasets = net::JsonValue::MakeArray();
 
   Report("AdultData",
          GenerateAdultData({.num_rows = static_cast<int64_t>(48842 * scale)}),
-         "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender");
+         "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender",
+         &datasets);
   Report("StaplesData",
          GenerateStaplesData(
              {.num_rows = static_cast<int64_t>(988871 * scale)}),
-         "SELECT Income, avg(Price) FROM StaplesData GROUP BY Income");
+         "SELECT Income, avg(Price) FROM StaplesData GROUP BY Income",
+         &datasets);
   Report("BerkeleyData", GenerateBerkeleyData(),
-         "SELECT Gender, avg(Accepted) FROM BerkeleyData GROUP BY Gender");
+         "SELECT Gender, avg(Accepted) FROM BerkeleyData GROUP BY Gender",
+         &datasets);
   Report("CancerData",
          GenerateCancerData({.num_rows = static_cast<int64_t>(2000 * scale)}),
          "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData "
-         "GROUP BY Lung_Cancer");
+         "GROUP BY Lung_Cancer",
+         &datasets);
   Report("FlightData",
          GenerateFlightData(
              {.num_rows = static_cast<int64_t>(43853 * scale)}),
          "SELECT Carrier, avg(Delayed) FROM FlightData "
          "WHERE Carrier IN ('AA','UA') AND "
-         "Airport IN ('COS','MFE','MTJ','ROC') GROUP BY Carrier");
+         "Airport IN ('COS','MFE','MTJ','ROC') GROUP BY Carrier",
+         &datasets);
+
+  net::JsonValue results = net::JsonValue::MakeObject();
+  results.Set("scale", net::JsonValue::Double(scale));
+  results.Set("datasets", std::move(datasets));
+  WriteBenchJson("table1_runtime", std::move(results));
   return 0;
 }

@@ -78,7 +78,6 @@ StatusOr<FdFilterReport> FilterLogicalDependencies(
   // H(X) ≈ H(Y) ≈ H(XY); prefilter on the (cheap) marginal entropies so
   // only plausible pairs pay for a joint count.
   MiEngine engine(view, MiEngineOptions{
-                            .cache_entropies = true,
                             .materialize_focus = false,
                             .estimator = EntropyEstimator::kPlugin});
   std::vector<double> h(survivors.size());

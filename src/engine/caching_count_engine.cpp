@@ -1,6 +1,7 @@
 #include "engine/caching_count_engine.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/trace.h"
 
@@ -43,7 +44,52 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
     }
     return base_->Counts(cols);
   }
+  std::shared_ptr<const GroupCounts> payload;
+  HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<const GroupCounts> counts,
+                         Serve(cols, std::move(sorted), &payload));
+  return *counts;
+}
 
+StatusOr<SetEntropy> CachingCountEngine::Entropy(
+    const std::vector<int>& sorted) {
+  if (std::adjacent_find(sorted.begin(), sorted.end(),
+                         std::greater_equal<int>()) != sorted.end()) {
+    return Status::InvalidArgument("Entropy() takes a sorted column set");
+  }
+  const int64_t version_now = base_->PopulationVersion();
+  std::optional<SetEntropy> memo;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = cache_.find(sorted);
+    if (it != cache_.end() && it->second.version == version_now &&
+        it->second.entropy.has_value()) {
+      ++stats_.queries;
+      ++stats_.cache_hits;
+      memo = it->second.entropy;
+    }
+  }
+  if (memo.has_value()) {
+    TraceInstant(TraceEventKind::kCacheHit, 1, sorted.size(),
+                 static_cast<uint64_t>(memo->support));
+    return *memo;
+  }
+  std::shared_ptr<const GroupCounts> payload;
+  HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<const GroupCounts> counts,
+                         Serve(sorted, sorted, &payload));
+  const SetEntropy entropy = SetEntropyOf(*counts);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = cache_.find(sorted);
+  // Kept only on the payload it was computed from: a patch or
+  // replacement meanwhile installed another.
+  if (it != cache_.end() && it->second.counts == payload) {
+    it->second.entropy = entropy;
+  }
+  return entropy;
+}
+
+StatusOr<std::shared_ptr<const GroupCounts>> CachingCountEngine::Serve(
+    const std::vector<int>& cols, std::vector<int> sorted,
+    std::shared_ptr<const GroupCounts>* payload) {
   // A summary is reusable only at the population version it was computed
   // at; entries behind `version_now` are patched (never served stale).
   const int64_t version_now = base_->PopulationVersion();
@@ -56,6 +102,7 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
   bool stale = false;
   int64_t source_version = 0;
   std::vector<int> source_key;
+  std::shared_ptr<const GroupCounts> kept;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.queries;
@@ -66,7 +113,10 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
       source_key = sorted;
       source_version = exact->second.version;
       stale = source_version != version_now;
-      if (!stale) ++stats_.cache_hits;
+      if (!stale) {
+        ++stats_.cache_hits;
+        kept = OrderOf(exact->second, cols);
+      }
     } else if (auto best = BestSupersetLocked(sorted);
                best != cache_.end()) {
       source = best->second.counts;
@@ -76,6 +126,14 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
       stale = source_version != version_now;
       if (!stale) ++stats_.marginalizations;
     }
+  }
+
+  if (kept != nullptr) {
+    // The hot path of a warm request: the entry already holds the order.
+    TraceInstant(TraceEventKind::kCacheHit, 1, cols.size(),
+                 kept->NumGroups());
+    *payload = std::move(source);
+    return kept;
   }
 
   if (source != nullptr && stale) {
@@ -99,13 +157,15 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
     TraceInstant(derive ? TraceEventKind::kCacheMarginalize
                         : TraceEventKind::kCacheHit,
                  1, cols.size(), source->NumGroups());
-    GroupCounts result = ProjectOnto(*source, cols);
-    if (derive) {
-      std::lock_guard<std::mutex> lock(mu_);
-      Insert(std::move(sorted),
-             std::make_shared<const GroupCounts>(result),
-             /*pinned=*/false, version_now);
+    if (!derive) {
+      *payload = source;
+      return InOrder(cols, sorted, std::move(source));
     }
+    auto result =
+        std::make_shared<const GroupCounts>(ProjectOnto(*source, cols));
+    std::lock_guard<std::mutex> lock(mu_);
+    Insert(std::move(sorted), result, /*pinned=*/false, version_now);
+    *payload = result;
     return result;
   }
 
@@ -114,10 +174,46 @@ StatusOr<GroupCounts> CachingCountEngine::Counts(
   // reconciles the duplicate (counts are identical either way).
   TraceInstant(TraceEventKind::kCacheMiss, 1, cols.size());
   HYPDB_ASSIGN_OR_RETURN(GroupCounts fresh, base_->Counts(cols));
+  // A scan's vectors may hold spare capacity (the kernel reserves by
+  // domain); a cached summary keeps only its cells.
+  fresh.keys.shrink_to_fit();
+  fresh.counts.shrink_to_fit();
+  auto result = std::make_shared<const GroupCounts>(std::move(fresh));
   std::lock_guard<std::mutex> lock(mu_);
-  Insert(std::move(sorted), std::make_shared<const GroupCounts>(fresh),
-         /*pinned=*/false, version_now);
-  return fresh;
+  Insert(std::move(sorted), result, /*pinned=*/false, version_now);
+  *payload = result;
+  return result;
+}
+
+std::shared_ptr<const GroupCounts> CachingCountEngine::OrderOf(
+    const Entry& entry, const std::vector<int>& cols) {
+  if (entry.counts->codec.cols() == cols) return entry.counts;
+  for (const auto& order : entry.orders) {
+    if (order->codec.cols() == cols) return order;
+  }
+  return nullptr;
+}
+
+std::shared_ptr<const GroupCounts> CachingCountEngine::InOrder(
+    const std::vector<int>& cols, const std::vector<int>& sorted,
+    std::shared_ptr<const GroupCounts> payload) {
+  if (payload->codec.cols() == cols) return payload;
+  // Built outside the lock, like every other derivation. Two readers
+  // racing for the same order both build it; the first one kept wins.
+  auto projected =
+      std::make_shared<const GroupCounts>(ProjectOnto(*payload, cols));
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = cache_.find(sorted);
+  // The entry was patched, replaced or evicted meanwhile: serve the
+  // projection without keeping it.
+  if (it == cache_.end() || it->second.counts != payload) return projected;
+  std::shared_ptr<const GroupCounts> kept = OrderOf(it->second, cols);
+  if (kept != nullptr) return kept;
+  it->second.orders.push_back(projected);
+  cached_cells_ += projected->NumGroups();
+  if (it->second.pinned) pinned_cells_ += projected->NumGroups();
+  EvictToBudget();
+  return projected;
 }
 
 std::shared_ptr<const GroupCounts> CachingCountEngine::PatchEntry(
@@ -127,8 +223,11 @@ std::shared_ptr<const GroupCounts> CachingCountEngine::PatchEntry(
   TraceSpanScope span(TraceEventKind::kDeltaPatch, 1,
                       static_cast<uint64_t>(version_now - entry_version),
                       key.size());
-  StatusOr<GroupCounts> delta =
-      base_->CountsDelta(key, entry_version, version_now);
+  // The delta is grouped in the stale payload's own column order (which
+  // need not be the sorted key), because the merge pairs digits by
+  // position.
+  StatusOr<GroupCounts> delta = base_->CountsDelta(
+      stale_counts->codec.cols(), entry_version, version_now);
   if (!delta.ok()) {
     // No delta source (static base — Unimplemented) or the suffix scan
     // failed: the stale summary is useless, drop it so the recompute's
@@ -136,17 +235,16 @@ std::shared_ptr<const GroupCounts> CachingCountEngine::PatchEntry(
     std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(key);
     if (it != cache_.end() && it->second.version == entry_version) {
-      cached_cells_ -= it->second.counts->NumGroups();
-      if (it->second.pinned) {
-        pinned_cells_ -= it->second.counts->NumGroups();
-      }
+      cached_cells_ -= it->second.Cells();
+      if (it->second.pinned) pinned_cells_ -= it->second.Cells();
       cache_.erase(it);
     }
     return nullptr;
   }
   // The delta's codec carries the current dictionary cardinalities, so
   // merging onto it re-keys the older summary exactly — bit-identical to
-  // a cold scan of the grown population.
+  // a cold scan of the grown population. The patched entry starts with
+  // no other orders and no entropy.
   auto patched = std::make_shared<const GroupCounts>(
       MergeGroupCounts(*stale_counts, *delta, delta->codec));
   std::lock_guard<std::mutex> lock(mu_);
@@ -169,7 +267,7 @@ Status CachingCountEngine::Prefetch(const std::vector<int>& cols) {
       auto prev = cache_.find(pinned_key_);
       if (prev != cache_.end() && prev->second.pinned) {
         prev->second.pinned = false;
-        pinned_cells_ -= prev->second.counts->NumGroups();
+        pinned_cells_ -= prev->second.Cells();
       }
     }
     pinned_key_ = sorted;
@@ -178,7 +276,7 @@ Status CachingCountEngine::Prefetch(const std::vector<int>& cols) {
       if (it->second.version == version_now) {
         if (!it->second.pinned) {
           it->second.pinned = true;
-          pinned_cells_ += it->second.counts->NumGroups();
+          pinned_cells_ += it->second.Cells();
         }
         EvictToBudget();  // the focus just left the budgeted set
         return Status::Ok();
@@ -200,7 +298,7 @@ Status CachingCountEngine::Prefetch(const std::vector<int>& cols) {
       if (it != cache_.end() && pinned_key_ == sorted &&
           !it->second.pinned) {
         it->second.pinned = true;
-        pinned_cells_ += it->second.counts->NumGroups();
+        pinned_cells_ += it->second.Cells();
       }
       EvictToBudget();
       return Status::Ok();
@@ -285,9 +383,9 @@ void CachingCountEngine::Insert(std::vector<int> sorted,
     // Concurrent double-miss (or Prefetch racing Counts, or a delta
     // patch): replace the payload, fix the accounting, and never drop an
     // existing pin. The entry keeps its admission sequence.
-    cached_cells_ -= existing->second.counts->NumGroups();
+    cached_cells_ -= existing->second.Cells();
     if (existing->second.pinned) {
-      pinned_cells_ -= existing->second.counts->NumGroups();
+      pinned_cells_ -= existing->second.Cells();
       pinned = true;
     }
     sequence = existing->second.sequence;
@@ -322,8 +420,8 @@ void CachingCountEngine::EvictToBudget() {
   for (const auto& [sequence, key] : victims) {
     if (cached_cells_ - pinned_cells_ <= options_.max_cached_cells) break;
     auto found = cache_.find(*key);
-    cached_cells_ -= found->second.counts->NumGroups();
-    evicted_cells += found->second.counts->NumGroups();
+    cached_cells_ -= found->second.Cells();
+    evicted_cells += found->second.Cells();
     ++evicted_entries;
     cache_.erase(found);
     ++stats_.evictions;

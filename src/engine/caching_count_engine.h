@@ -13,6 +13,13 @@
 //     digest trail is reproducible (see MarginalizationSource);
 //  3. delegating to the wrapped engine (a scan or a cube lookup) and
 //     caching the result.
+// An entry keeps what its readers derive from it, so a warm repeat
+// re-keys no summary and recomputes no entropy: the summary in every
+// column order asked of it (each built once with ProjectOnto) and the
+// plug-in entropy and support of its sorted-order summary (Entropy()).
+// Both share the entry's version, pin, admission sequence and eviction,
+// a delta patch or replacement drops them, and every order's cells count
+// against the budget.
 // Prefetch(S') materializes a superset summary once and pins it, which is
 // exactly the paper's "materializing contingency tables" optimization.
 // Cached cells are bounded; when the unpinned set exceeds the budget,
@@ -34,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "engine/count_engine.h"
@@ -70,6 +78,12 @@ class CachingCountEngine : public CountEngine {
                               CachingCountEngineOptions options = {});
 
   StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override;
+
+  /// Memoized on the entry for `sorted`: computed once per entry and
+  /// watermark over the sorted-order summary, which Counts(sorted) would
+  /// serve. Counted like Counts(sorted): one query, and a memo hit is a
+  /// cache hit.
+  StatusOr<SetEntropy> Entropy(const std::vector<int>& sorted) override;
 
   /// Materializes (and pins) the summary over `cols` so subsequent subset
   /// queries marginalize it. Propagates base-engine errors (e.g. domain
@@ -117,8 +131,17 @@ class CachingCountEngine : public CountEngine {
   /// shared_ptr grabbed under it — a cache hit holds mu_ for a map
   /// lookup, not for copying a multi-million-cell summary.
   struct Entry {
-    std::shared_ptr<const GroupCounts> counts;  // codec order: any
-                                                // permutation of the key
+    /// In the column order of the request that built the entry (any
+    /// permutation of the key). Its pointer identifies the entry's
+    /// payload: a patch or replacement installs a new one.
+    std::shared_ptr<const GroupCounts> counts;
+    /// The same summary in each other column order asked of the entry.
+    /// A permutation keeps every group, so each holds counts->NumGroups()
+    /// cells.
+    std::vector<std::shared_ptr<const GroupCounts>> orders;
+    /// Plug-in entropy and support of the sorted-order summary, once
+    /// asked.
+    std::optional<SetEntropy> entropy;
     bool pinned = false;
     /// Base PopulationVersion the summary includes rows through. Kept
     /// explicitly — GroupCounts::total is NOT a valid watermark for
@@ -129,7 +152,33 @@ class CachingCountEngine : public CountEngine {
     /// Monotone admission order; assigned at first insertion, preserved
     /// across in-place replacement — the eviction order.
     uint64_t sequence = 0;
+
+    /// Cells held across `counts` and `orders`.
+    int64_t Cells() const {
+      return static_cast<int64_t>(counts->NumGroups()) *
+             static_cast<int64_t>(1 + orders.size());
+    }
   };
+
+  /// Counts() without the copy: the summary over `cols` in exactly that
+  /// order, shared with the cache entry that holds it. `sorted` is
+  /// SortedUniqueColumns(cols), of the same size. `*payload` receives
+  /// the serving entry's `counts` pointer (the entry the entropy memo
+  /// belongs to).
+  StatusOr<std::shared_ptr<const GroupCounts>> Serve(
+      const std::vector<int>& cols, std::vector<int> sorted,
+      std::shared_ptr<const GroupCounts>* payload);
+
+  /// The summary `entry` holds in column order `cols`, or null.
+  static std::shared_ptr<const GroupCounts> OrderOf(
+      const Entry& entry, const std::vector<int>& cols);
+
+  /// `payload` in the column order `cols`: the payload itself, an order
+  /// its entry already holds, or a projection built now and kept on the
+  /// entry if the entry still holds `payload`.
+  std::shared_ptr<const GroupCounts> InOrder(
+      const std::vector<int>& cols, const std::vector<int>& sorted,
+      std::shared_ptr<const GroupCounts> payload);
 
   /// The best cached strict superset of `sorted` to marginalize from
   /// under the deterministic order (fewest groups, fewest columns,

@@ -12,8 +12,10 @@
 //                          configuration.
 //  * CachingCountEngine  — wraps any engine with a subset-keyed cache plus
 //                          marginalization: counts for S ⊆ S' derive from
-//                          a cached S' summary instead of re-scanning
-//                          (src/engine/caching_count_engine.h).
+//                          a cached S' summary instead of re-scanning;
+//                          each entry also keeps its summary in every
+//                          column order asked of it and its memoized
+//                          entropy (src/engine/caching_count_engine.h).
 //  * PredicateSlicingCountEngine — answers counts over a conjunctive
 //                          equality subpopulation by slicing a shared
 //                          full-table engine's S ∪ P summary at P = v
@@ -32,6 +34,7 @@
 #include "dataframe/group_by.h"
 #include "dataframe/view.h"
 #include "engine/groupby_kernel.h"
+#include "util/entropy_from_counts.h"
 #include "util/statusor.h"
 
 namespace hypdb {
@@ -46,11 +49,13 @@ namespace hypdb {
 /// exception — wrappers report their own count (each external query
 /// once), not the sum.
 struct CountEngineStats {
-  /// External Counts() calls answered by the reporting engine.
+  /// External Counts() and Entropy() calls answered by the reporting
+  /// engine.
   int64_t queries = 0;
   /// Full data scans performed (the Fig. 6c cost driver).
   int64_t scans = 0;
-  /// Queries answered from an exact cached entry.
+  /// Queries answered from an exact cached entry (its counts in any
+  /// column order, or its memoized entropy).
   int64_t cache_hits = 0;
   /// Queries derived by marginalizing a cached superset summary.
   int64_t marginalizations = 0;
@@ -141,6 +146,21 @@ inline std::vector<int> SortedUniqueColumns(std::vector<int> cols) {
   return cols;
 }
 
+/// The plug-in entropy of a count(*) GROUP BY summary and its support
+/// (the number of groups, |Π_cols(D)|). The Miller-Madow estimate and a
+/// CI test's degrees of freedom both derive from this pair.
+struct SetEntropy {
+  double plugin = 0.0;
+  int64_t support = 0;
+};
+
+/// The SetEntropy of `counts`, summing its cells in key order.
+inline SetEntropy SetEntropyOf(const GroupCounts& counts) {
+  return SetEntropy{EntropyFromCounts(counts.counts, counts.total,
+                                      EntropyEstimator::kPlugin),
+                    counts.NumGroups()};
+}
+
 /// Source of group-by counts over a fixed row population.
 class CountEngine {
  public:
@@ -153,6 +173,17 @@ class CountEngine {
 
   /// Number of rows in the population.
   virtual int64_t NumRows() const = 0;
+
+  /// Plug-in entropy and support of count(*) GROUP BY `sorted`, a sorted
+  /// column set without duplicates (SortedUniqueColumns). The entropy
+  /// sums the summary's cells in the key order of that sorted column
+  /// list. This default computes both from Counts(sorted) on every call;
+  /// a caching engine memoizes them on its cache entry (the paper's
+  /// "caching entropy", Sec. 6).
+  virtual StatusOr<SetEntropy> Entropy(const std::vector<int>& sorted) {
+    HYPDB_ASSIGN_OR_RETURN(GroupCounts counts, Counts(sorted));
+    return SetEntropyOf(counts);
+  }
 
   /// Hints that upcoming queries touch only subsets of `cols`; caching
   /// engines respond by materializing the superset summary once (the

@@ -63,6 +63,17 @@ class WatermarkGuardEngine : public CountEngine {
     return Pinned()->Counts(cols);
   }
 
+  /// The same re-check as Counts(): a memo the shared engine serves while
+  /// its version equals the bind watermark throughout was computed from
+  /// the summary at that watermark.
+  StatusOr<SetEntropy> Entropy(const std::vector<int>& sorted) override {
+    if (shared_->PopulationVersion() == bind_) {
+      StatusOr<SetEntropy> entropy = shared_->Entropy(sorted);
+      if (shared_->PopulationVersion() == bind_) return entropy;
+    }
+    return Pinned()->Entropy(sorted);
+  }
+
   Status Prefetch(const std::vector<int>& cols) override {
     // A hint: no post-validation needed (a summary prefetched at the
     // wrong watermark is never *served* — Counts() re-validates).

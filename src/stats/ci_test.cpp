@@ -30,7 +30,8 @@ CiTester::CiTester(MiEngine* engine, CiOptions options, uint64_t seed)
 
 StatusOr<StratifiedTable> CiTester::Stratify(const std::vector<int>& xs,
                                              const std::vector<int>& ys,
-                                             const std::vector<int>& z) {
+                                             const std::vector<int>& z,
+                                             bool cells) {
   // Counts come from the engine's CountEngine, so stratified summaries
   // share the cache / cube with the entropy path instead of re-scanning.
   std::vector<int> all = z;
@@ -39,7 +40,7 @@ StatusOr<StratifiedTable> CiTester::Stratify(const std::vector<int>& xs,
   HYPDB_ASSIGN_OR_RETURN(GroupCounts counts, engine_->CountsFor(all));
   return BuildStratifiedFromCounts(counts, static_cast<int>(z.size()),
                                    static_cast<int>(xs.size()),
-                                   static_cast<int>(ys.size()));
+                                   static_cast<int>(ys.size()), cells);
 }
 
 StatusOr<CiResult> CiTester::Test(int x, int y, const std::vector<int>& z) {
@@ -145,7 +146,8 @@ StatusOr<CiResult> CiTester::RunGTest(const std::vector<int>& xs,
 StatusOr<CiResult> CiTester::RunPearson(const std::vector<int>& xs,
                                         const std::vector<int>& ys,
                                         const std::vector<int>& z) {
-  HYPDB_ASSIGN_OR_RETURN(StratifiedTable table, Stratify(xs, ys, z));
+  HYPDB_ASSIGN_OR_RETURN(StratifiedTable table,
+                         Stratify(xs, ys, z, /*cells=*/true));
   CiResult result;
   result.method_used = CiMethod::kPearson;
   result.statistic = table.PearsonStatistic();
@@ -159,7 +161,10 @@ StatusOr<CiResult> CiTester::RunPearson(const std::vector<int>& xs,
 StatusOr<CiResult> CiTester::RunMit(const std::vector<int>& xs,
                                     const std::vector<int>& ys,
                                     const std::vector<int>& z, bool sampled) {
-  HYPDB_ASSIGN_OR_RETURN(StratifiedTable table, Stratify(xs, ys, z));
+  // Sampling reads every stratum's margins but the cells of only the
+  // strata it draws.
+  HYPDB_ASSIGN_OR_RETURN(StratifiedTable table,
+                         Stratify(xs, ys, z, /*cells=*/!sampled));
   const int num_strata = table.NumStrata();
 
   std::vector<int> chosen(num_strata);
@@ -200,6 +205,7 @@ StatusOr<CiResult> CiTester::RunMit(const std::vector<int>& xs,
       w[idx] = 0.0;
     }
     std::sort(chosen.begin(), chosen.end());
+    table.FillCells(chosen);
   }
 
   return MitOnStrata(table, chosen, sampled);

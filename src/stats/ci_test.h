@@ -98,10 +98,11 @@ class CiTester {
   const CiOptions& options() const { return options_; }
 
  private:
-  /// Stratified (X, Y | Z) summary built from engine-served counts.
+  /// Stratified (X, Y | Z) summary built from engine-served counts,
+  /// with every stratum's cells or (`cells` false) margins only.
   StatusOr<StratifiedTable> Stratify(const std::vector<int>& xs,
                                      const std::vector<int>& ys,
-                                     const std::vector<int>& z);
+                                     const std::vector<int>& z, bool cells);
   StatusOr<CiResult> RunGTest(const std::vector<int>& xs,
                               const std::vector<int>& ys,
                               const std::vector<int>& z);

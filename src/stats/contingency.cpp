@@ -22,6 +22,15 @@ void Table2D::RebuildMargins() {
   }
 }
 
+Table2D Table2D::MarginsOnly(int num_rows, int num_cols) {
+  Table2D table;
+  table.num_rows_ = num_rows;
+  table.num_cols_ = num_cols;
+  table.row_margins_.assign(num_rows, 0);
+  table.col_margins_.assign(num_cols, 0);
+  return table;
+}
+
 double Table2D::MutualInformation(EntropyEstimator estimator) const {
   if (total_ <= 0) return 0.0;
   double h_rows = EntropyFromCounts(row_margins_, total_, estimator);
@@ -96,7 +105,7 @@ StatusOr<StratifiedTable> BuildStratifiedSets(
 
 StratifiedTable BuildStratifiedFromCounts(const GroupCounts& counts,
                                           int z_count, int t_count,
-                                          int y_count) {
+                                          int y_count, bool cells) {
   std::vector<int> t_positions(t_count);
   for (int i = 0; i < t_count; ++i) t_positions[i] = z_count + i;
   std::vector<int> y_positions(y_count);
@@ -141,23 +150,45 @@ StratifiedTable BuildStratifiedFromCounts(const GroupCounts& counts,
   out.num_t_values = num_t;
   out.num_y_values = num_y;
 
-  std::unordered_map<uint64_t, size_t> stratum_of;
-  for (size_t g = 0; g < counts.keys.size(); ++g) {
-    auto [it, inserted] = stratum_of.emplace(z_of[g], out.strata.size());
-    if (inserted) {
-      Stratum s;
-      s.z_key = z_of[g];
-      s.table = Table2D(num_t, num_y);
-      out.strata.push_back(std::move(s));
-    }
-    out.strata[it->second].table.Add(t_of[g], y_of[g], counts.counts[g]);
+  // One stratum per distinct Z key, ascending. Every stratum gets its
+  // margins and total; the cells wait in `unfilled`.
+  std::vector<uint64_t> z_keys = z_of;
+  std::sort(z_keys.begin(), z_keys.end());
+  z_keys.erase(std::unique(z_keys.begin(), z_keys.end()), z_keys.end());
+  out.strata.resize(z_keys.size());
+  for (size_t i = 0; i < z_keys.size(); ++i) {
+    out.strata[i].z_key = z_keys[i];
+    out.strata[i].table = Table2D::MarginsOnly(num_t, num_y);
   }
-  for (auto& s : out.strata) s.table.RebuildMargins();
-  std::sort(out.strata.begin(), out.strata.end(),
-            [](const Stratum& a, const Stratum& b) {
-              return a.z_key < b.z_key;
-            });
+  out.unfilled.resize(counts.keys.size());
+  for (size_t g = 0; g < counts.keys.size(); ++g) {
+    const int stratum = static_cast<int>(
+        std::lower_bound(z_keys.begin(), z_keys.end(), z_of[g]) -
+        z_keys.begin());
+    out.strata[stratum].table.AddToMargins(t_of[g], y_of[g],
+                                           counts.counts[g]);
+    out.unfilled[g] = {stratum, t_of[g], y_of[g], counts.counts[g]};
+  }
+  if (cells) {
+    std::vector<int> all(out.strata.size());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+    out.FillCells(all);
+  }
   return out;
+}
+
+void StratifiedTable::FillCells(const std::vector<int>& which) {
+  std::vector<bool> fill(strata.size(), false);
+  for (int i : which) {
+    fill[i] = true;
+    strata[i].table.AllocateCells();
+  }
+  for (const Cell& cell : unfilled) {
+    if (fill[cell.stratum]) {
+      strata[cell.stratum].table.Add(cell.row, cell.col, cell.count);
+    }
+  }
+  unfilled.clear();
 }
 
 StatusOr<StratifiedTable> BuildStratified(const TableView& view, int t_col,

@@ -39,6 +39,20 @@ class Table2D {
   /// Recomputes margins and total from the cells. Call after edits.
   void RebuildMargins();
 
+  /// Margins-first building, for stratified summaries that read the
+  /// cells of only some strata: a MarginsOnly table has zero margins and
+  /// no cells. AddToMargins adds a count to its row, column and total;
+  /// AllocateCells then gives it zero cells for Add.
+  static Table2D MarginsOnly(int num_rows, int num_cols);
+  void AddToMargins(int r, int c, int64_t v) {
+    row_margins_[r] += v;
+    col_margins_[c] += v;
+    total_ += v;
+  }
+  void AllocateCells() {
+    cells_.assign(static_cast<size_t>(num_rows_) * num_cols_, 0);
+  }
+
   const std::vector<int64_t>& row_margins() const { return row_margins_; }
   const std::vector<int64_t>& col_margins() const { return col_margins_; }
   const std::vector<int64_t>& cells() const { return cells_; }
@@ -74,12 +88,29 @@ struct Stratum {
 
 /// The full stratified summary of (T, Y) given Z over a view.
 struct StratifiedTable {
+  /// One group of the source summary: its stratum (index into `strata`),
+  /// row, column and count.
+  struct Cell {
+    int stratum = 0;
+    int row = 0;
+    int col = 0;
+    int64_t count = 0;
+  };
+
   std::vector<Stratum> strata;
   int64_t total = 0;
   int num_t_values = 0;  // distinct T codes observed in the view
   int num_y_values = 0;  // distinct Y codes observed in the view
+  /// The source groups in their summary order, kept by a build without
+  /// cells until FillCells adds them.
+  std::vector<Cell> unfilled;
 
   int NumStrata() const { return static_cast<int>(strata.size()); }
+
+  /// Builds the cells of strata `which` (indices into `strata`) of a
+  /// table built without cells, adding the source groups in summary
+  /// order — the order a build with cells adds them in.
+  void FillCells(const std::vector<int>& which);
 
   /// Î(T;Y|Z) = Σ_z Pr(z)·Î_z(T;Y).
   double CmiStatistic(EntropyEstimator estimator) const;
@@ -101,9 +132,12 @@ StatusOr<StratifiedTable> BuildStratified(const TableView& view, int t_col,
 /// Builds the stratified summary from an existing count(*) GROUP BY whose
 /// codec columns are exactly (z..., t..., y...) in that order — the path
 /// CI tests use to reuse CountEngine summaries instead of re-scanning.
+/// With `cells` false every stratum gets its margins and total only, and
+/// the groups wait in `unfilled` for FillCells: MIT over sampled strata
+/// reads the cells of only the strata it draws.
 StratifiedTable BuildStratifiedFromCounts(const GroupCounts& counts,
                                           int z_count, int t_count,
-                                          int y_count);
+                                          int y_count, bool cells = true);
 
 /// Set version: the "row variable" is the compound of t_cols and the
 /// "column variable" the compound of y_cols (used by bias detection,

@@ -6,17 +6,11 @@
 namespace hypdb {
 namespace {
 
-std::vector<int> Normalize(std::vector<int> cols) {
-  std::sort(cols.begin(), cols.end());
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-  return cols;
-}
-
 std::vector<int> SortedUnion(const std::vector<int>& a,
                              const std::vector<int>& b) {
   std::vector<int> out = a;
   out.insert(out.end(), b.begin(), b.end());
-  return Normalize(std::move(out));
+  return SortedUniqueColumns(std::move(out));
 }
 
 std::shared_ptr<CountEngine> WrapEngine(std::shared_ptr<CountEngine> base,
@@ -48,42 +42,22 @@ MiEngine::MiEngine(TableView view, std::shared_ptr<CountEngine> provider,
 
 Status MiEngine::SetFocus(const std::vector<int>& cols) {
   if (!options_.materialize_focus) return Status::Ok();
-  return engine_->Prefetch(Normalize(cols));
+  return engine_->Prefetch(SortedUniqueColumns(cols));
 }
 
 StatusOr<GroupCounts> MiEngine::CountsFor(const std::vector<int>& cols) {
-  ++provider_calls_;
   return engine_->Counts(cols);
 }
 
-StatusOr<MiEngine::Entry> MiEngine::Lookup(std::vector<int> sorted_cols) {
-  ++entropy_evals_;
-  if (options_.cache_entropies) {
-    auto it = cache_.find(sorted_cols);
-    if (it != cache_.end()) {
-      ++cache_hits_;
-      return it->second;
-    }
-  }
-
-  ++provider_calls_;
-  HYPDB_ASSIGN_OR_RETURN(GroupCounts counts, engine_->Counts(sorted_cols));
-  Entry entry;
-  entry.plugin_entropy = EntropyOf(counts, EntropyEstimator::kPlugin);
-  entry.support = counts.NumGroups();
-
-  if (options_.cache_entropies) cache_.emplace(std::move(sorted_cols), entry);
-  return entry;
-}
-
-double MiEngine::Derive(const Entry& e, EntropyEstimator estimator) const {
+double MiEngine::Derive(const SetEntropy& e,
+                        EntropyEstimator estimator) const {
   if (estimator == EntropyEstimator::kMillerMadow && e.support > 0 &&
       NumRows() > 0) {
-    return e.plugin_entropy +
+    return e.plugin +
            static_cast<double>(e.support - 1) /
                (2.0 * static_cast<double>(NumRows()));
   }
-  return e.plugin_entropy;
+  return e.plugin;
 }
 
 StatusOr<double> MiEngine::Entropy(const std::vector<int>& cols) {
@@ -92,12 +66,12 @@ StatusOr<double> MiEngine::Entropy(const std::vector<int>& cols) {
 
 StatusOr<double> MiEngine::Entropy(const std::vector<int>& cols,
                                    EntropyEstimator estimator) {
-  HYPDB_ASSIGN_OR_RETURN(Entry e, Lookup(Normalize(cols)));
+  HYPDB_ASSIGN_OR_RETURN(SetEntropy e, engine_->Entropy(SortedUniqueColumns(cols)));
   return Derive(e, estimator);
 }
 
 StatusOr<int64_t> MiEngine::Support(const std::vector<int>& cols) {
-  HYPDB_ASSIGN_OR_RETURN(Entry e, Lookup(Normalize(cols)));
+  HYPDB_ASSIGN_OR_RETURN(SetEntropy e, engine_->Entropy(SortedUniqueColumns(cols)));
   return e.support;
 }
 

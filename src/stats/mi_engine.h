@@ -1,25 +1,25 @@
-// MiEngine: cached entropy / (conditional) mutual-information estimation.
+// MiEngine: entropy / (conditional) mutual-information estimation.
 //
-// Implements the paper's Sec. 6 optimizations on top of the CountEngine
+// Implements the paper's Sec. 6 optimizations through the CountEngine
 // subsystem (src/engine):
-//  * "Caching entropy"      — per attribute set the engine memoizes the
-//    plugin entropy together with the support size (# distinct tuples);
-//    the Miller-Madow correction and test degrees-of-freedom derive from
-//    the same entry. The many CMI statements issued by the CD algorithm
-//    share most of their entropies (e.g. H(T), H(TZ) appear in both
-//    I(T;Y|Z) and I(T;W|Z)).
+//  * "Caching entropy"      — per attribute set the count engine
+//    memoizes the plugin entropy together with the support size
+//    (# distinct tuples) on its cache entry (CountEngine::Entropy); the
+//    Miller-Madow correction and test degrees-of-freedom derive from the
+//    same pair. The many CMI statements issued by the CD algorithm share
+//    most of their entropies (e.g. H(T), H(TZ) appear in both I(T;Y|Z)
+//    and I(T;W|Z)), and a shard's memo serves every request on it.
 //  * "Materializing contingency tables" — counts flow through a
 //    CachingCountEngine: SetFocus() prefetches one count(*) GROUP BY over
 //    a focus attribute set, and any subset query marginalizes a cached
 //    summary instead of re-scanning the data.
-// Both optimizations are individually toggleable for the Fig. 6(c)
-// ablation. The base engine is swappable, so a pre-computed OLAP cube can
-// replace data scans entirely (Fig. 6(d)).
+// The Fig. 6(c) ablation toggles them with bench-local engine decorators
+// (bench/entropy_ablation.h). The base engine is swappable, so a
+// pre-computed OLAP cube can replace data scans entirely (Fig. 6(d)).
 
 #ifndef HYPDB_STATS_MI_ENGINE_H_
 #define HYPDB_STATS_MI_ENGINE_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -31,7 +31,6 @@
 namespace hypdb {
 
 struct MiEngineOptions {
-  bool cache_entropies = true;
   /// Count caching + superset marginalization (CachingCountEngine layer).
   bool materialize_focus = true;
   EntropyEstimator estimator = EntropyEstimator::kMillerMadow;
@@ -128,32 +127,17 @@ class MiEngine {
   const MiEngineOptions& options() const { return options_; }
   int64_t NumRows() const { return engine_->NumRows(); }
 
-  /// The count engine answering this estimator's queries.
+  /// The count engine answering this estimator's queries (its stats()
+  /// are the instrumentation of Fig. 6(c)).
   CountEngine& count_engine() { return *engine_; }
   const CountEngine& count_engine() const { return *engine_; }
 
-  /// --- instrumentation (Fig. 6a / 6c) ---
-  int64_t entropy_evals() const { return entropy_evals_; }
-  int64_t cache_hits() const { return cache_hits_; }
-  int64_t provider_calls() const { return provider_calls_; }
-  void ResetStats() { entropy_evals_ = cache_hits_ = provider_calls_ = 0; }
-
  private:
-  struct Entry {
-    double plugin_entropy = 0.0;
-    int64_t support = 0;
-  };
-
-  StatusOr<Entry> Lookup(std::vector<int> sorted_cols);
-  double Derive(const Entry& e, EntropyEstimator estimator) const;
+  double Derive(const SetEntropy& e, EntropyEstimator estimator) const;
 
   TableView view_;
   std::shared_ptr<CountEngine> engine_;
   MiEngineOptions options_;
-  std::map<std::vector<int>, Entry> cache_;
-  int64_t entropy_evals_ = 0;
-  int64_t cache_hits_ = 0;
-  int64_t provider_calls_ = 0;
 };
 
 }  // namespace hypdb

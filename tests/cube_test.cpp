@@ -83,9 +83,8 @@ TEST(CubeProviderTest, InstalledCubeServesEngineQueries) {
       base, std::make_shared<const DataCube>(std::move(*cube)),
       base->PopulationVersion());
 
-  MiEngine from_cube(view, provider,
-                     MiEngineOptions{.cache_entropies = false});
-  MiEngine from_scan(view, MiEngineOptions{.cache_entropies = false});
+  MiEngine from_cube(view, provider);
+  MiEngine from_scan(view);
   for (const std::vector<int>& cols :
        std::vector<std::vector<int>>{{0}, {1}, {0, 2}, {0, 1, 2}}) {
     EXPECT_NEAR(*from_cube.Entropy(cols), *from_scan.Entropy(cols), 1e-12);

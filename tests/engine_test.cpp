@@ -15,7 +15,10 @@
 #include "engine/count_engine.h"
 #include "engine/groupby_kernel.h"
 #include "engine/predicate_slicing_count_engine.h"
+#include "stats/entropy.h"
 #include "stats/mi_engine.h"
+#include "storage/chunked_count_provider.h"
+#include "storage/chunked_table.h"
 #include "util/rng.h"
 
 namespace hypdb {
@@ -377,8 +380,7 @@ TEST(MiEngineCountStatsTest, ZeroScanThreadsWorksThroughTheStack) {
 // configuration answers every subsequent entropy from summaries.
 TEST(MiEngineCountStatsTest, EntropiesAfterFocusNeverScan) {
   TablePtr t = RandomTable(4, 3000, 61);
-  MiEngine engine(TableView(t),
-                  MiEngineOptions{.cache_entropies = false});
+  MiEngine engine{TableView(t)};
   ASSERT_TRUE(engine.SetFocus({0, 1, 2, 3}).ok());
   for (const std::vector<int>& cols :
        std::vector<std::vector<int>>{{0}, {1}, {0, 2}, {1, 2, 3}, {3}}) {
@@ -799,11 +801,195 @@ TEST(CachePolicySweepTest, RandomAccessSequencesMatchUncachedEngine) {
 TEST(MiEngineCountStatsTest, MaterializationOffScansEveryTime) {
   TablePtr t = RandomTable(3, 1000, 71);
   MiEngine engine(TableView(t),
-                  MiEngineOptions{.cache_entropies = false,
-                                  .materialize_focus = false});
+                  MiEngineOptions{.materialize_focus = false});
   ASSERT_TRUE(engine.Entropy({0, 1}).ok());
   ASSERT_TRUE(engine.Entropy({0, 1}).ok());
   EXPECT_EQ(engine.count_engine().stats().scans, 2);
+}
+
+// ---- column orders and entropies kept on the cache entry ----
+
+void ExpectSameSummary(const GroupCounts& got, const GroupCounts& want) {
+  EXPECT_EQ(got.codec.cols(), want.codec.cols());
+  EXPECT_EQ(got.keys, want.keys);
+  EXPECT_EQ(got.counts, want.counts);
+  EXPECT_EQ(got.total, want.total);
+}
+
+// One set asked in two column orders: each answer is the cold scan
+// projected onto that order, and a repeat in either order adds no cell.
+TEST(CachingCountEngineTest, EntryKeepsEveryRequestedOrder) {
+  TablePtr t = RandomTable(4, 2000, 91);
+  const TableView view(t);
+  CachingCountEngine cache(std::make_shared<ViewCountProvider>(view));
+  auto cold = CountBy(view, {0, 1, 2});
+  ASSERT_TRUE(cold.ok());
+  const int64_t groups = cold->NumGroups();
+  for (const std::vector<int>& order :
+       {std::vector<int>{2, 0, 1}, std::vector<int>{1, 2, 0}}) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const int64_t cells_before = cache.cached_cells();
+      auto got = cache.Counts(order);
+      ASSERT_TRUE(got.ok());
+      ExpectSameSummary(*got, ProjectOnto(*cold, order));
+      if (repeat == 1) EXPECT_EQ(cache.cached_cells(), cells_before);
+    }
+  }
+  // One entry holding the scanned order and the kept one.
+  EXPECT_EQ(cache.num_entries(), 1);
+  EXPECT_EQ(cache.cached_cells(), 2 * groups);
+  EXPECT_EQ(cache.CacheUse().cached_cells, 2 * groups);
+  EXPECT_EQ(cache.stats().scans, 1);
+  EXPECT_EQ(cache.stats().cache_hits, 3);
+}
+
+// The memo is EntropyOf over the sorted-order summary, bit for bit, even
+// when the entry was built in another order; a repeat is a cache hit
+// that derives nothing.
+TEST(CachingCountEngineTest, EntropyMemoMatchesSortedCountsBitForBit) {
+  TablePtr t = RandomTable(4, 3000, 93);
+  const TableView view(t);
+  CachingCountEngine cache(std::make_shared<ViewCountProvider>(view));
+  ASSERT_TRUE(cache.Counts({3, 1, 0}).ok());
+  for (const std::vector<int>& sorted :
+       {std::vector<int>{0, 1, 3}, std::vector<int>{1, 3},
+        std::vector<int>{2}}) {
+    auto cold = CountBy(view, sorted);
+    ASSERT_TRUE(cold.ok());
+    auto got = cache.Entropy(sorted);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->plugin, EntropyOf(*cold, EntropyEstimator::kPlugin));
+    EXPECT_EQ(got->support, cold->NumGroups());
+  }
+  const CountEngineStats before = cache.stats();
+  const int64_t cells = cache.cached_cells();
+  ASSERT_TRUE(cache.Entropy({0, 1, 3}).ok());
+  EXPECT_EQ(cache.stats().queries, before.queries + 1);
+  EXPECT_EQ(cache.stats().cache_hits, before.cache_hits + 1);
+  EXPECT_EQ(cache.stats().marginalizations, before.marginalizations);
+  EXPECT_EQ(cache.cached_cells(), cells);
+  EXPECT_FALSE(cache.Entropy({1, 0}).ok());  // not a sorted set
+}
+
+// An append makes the entry stale: the next request patches it (in the
+// payload's own column order), drops its kept orders and entropy, and
+// answers like a cold scan of the grown population.
+TEST(CachingCountEngineTest, AppendPatchDropsOrdersAndEntropy) {
+  Rng rng(17);
+  auto rows = [&rng](int64_t n, int card) {
+    std::vector<std::vector<std::string>> out(n);
+    for (auto& row : out) {
+      for (int c = 0; c < 3; ++c) {
+        row.push_back("v" + std::to_string(rng.NextBounded(card)));
+      }
+    }
+    return out;
+  };
+  auto seed = ChunkedTable::FromTable(RandomTable(3, 400, 19), 64);
+  ASSERT_TRUE(seed.ok());
+  ChunkedTablePtr table = *seed;
+  CachingCountEngine cache(std::make_shared<ChunkedCountProvider>(table));
+  ASSERT_TRUE(cache.Counts({2, 0}).ok());  // the payload's order
+  ASSERT_TRUE(cache.Counts({0, 2}).ok());  // a kept order
+  ASSERT_TRUE(cache.Entropy({0, 2}).ok());
+  ASSERT_TRUE(table->Append(rows(150, 6)).ok());  // new labels too
+
+  const TableView grown(table->Materialized());
+  auto cold = CountBy(grown, {0, 2});
+  ASSERT_TRUE(cold.ok());
+  auto patched = cache.Counts({0, 2});
+  ASSERT_TRUE(patched.ok());
+  ExpectSameSummary(*patched, *cold);
+  EXPECT_EQ(cache.stats().delta_patches, 1);
+  // The stale order went with the patch; the one just asked is rebuilt.
+  EXPECT_EQ(cache.num_entries(), 1);
+  EXPECT_EQ(cache.cached_cells(), 2 * cold->NumGroups());
+  auto reversed = cache.Counts({2, 0});
+  ASSERT_TRUE(reversed.ok());
+  ExpectSameSummary(*reversed, ProjectOnto(*cold, {2, 0}));
+  auto entropy = cache.Entropy({0, 2});
+  ASSERT_TRUE(entropy.ok());
+  EXPECT_EQ(entropy->plugin, EntropyOf(*cold, EntropyEstimator::kPlugin));
+  EXPECT_EQ(entropy->support, cold->NumGroups());
+  // The first build and the one delta pass; nothing rescanned.
+  EXPECT_EQ(cache.stats().scans, 2);
+}
+
+// Kept orders share their entry's eviction, pin and budget.
+TEST(CachingCountEngineTest, EvictionDropsAnEntrysOrders) {
+  TablePtr t = FixedCardTable(6, 4000, 4, 95);  // every pair: 16 cells
+  CachingCountEngineOptions options;
+  options.max_cached_cells = 40;
+  CachingCountEngine cache(
+      std::make_shared<ViewCountProvider>(TableView(t)), options);
+  ASSERT_TRUE(cache.Counts({1, 0}).ok());
+  ASSERT_TRUE(cache.Counts({0, 1}).ok());
+  EXPECT_EQ(cache.cached_cells(), 32);
+  ASSERT_TRUE(cache.Counts({2, 3}).ok());  // 48 > 40: the oldest goes
+  EXPECT_EQ(cache.num_entries(), 1);
+  EXPECT_EQ(cache.cached_cells(), 16);
+  EXPECT_EQ(cache.stats().evictions, 1);
+
+  // Random orders over a pinned focus: the unpinned cells stay within
+  // the budget after every call.
+  ASSERT_TRUE(cache.Prefetch({4, 5}).ok());
+  Rng rng(23);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<int> cols = {static_cast<int>(rng.NextBounded(6))};
+    int other = static_cast<int>(rng.NextBounded(6));
+    if (other != cols[0]) cols.push_back(other);
+    ASSERT_TRUE(cache.Counts(cols).ok());
+    if (trial % 3 == 0) {
+      ASSERT_TRUE(cache.Entropy(SortedUniqueColumns(cols)).ok());
+    }
+    EXPECT_LE(cache.cached_cells() - cache.pinned_cells(), 40);
+  }
+  EXPECT_GE(cache.pinned_cells(), 16);
+}
+
+// Concurrent readers of one entry in every column order and its entropy
+// (run under ThreadSanitizer in CI): every answer is the cold scan's,
+// and the entry ends up holding each order once.
+TEST(CachingCountEngineTest, ConcurrentReadersOfOneEntryInSeveralOrders) {
+  TablePtr t = RandomTable(4, 5000, 97);
+  const TableView view(t);
+  auto cache = std::make_shared<CachingCountEngine>(
+      std::make_shared<ViewCountProvider>(view));
+  std::vector<std::vector<int>> orders = {{0, 1, 2}, {0, 2, 1}, {1, 0, 2},
+                                          {1, 2, 0}, {2, 0, 1}, {2, 1, 0}};
+  std::vector<GroupCounts> want;
+  for (const auto& order : orders) {
+    auto cold = CountBy(view, order);
+    ASSERT_TRUE(cold.ok());
+    want.push_back(std::move(*cold));
+  }
+  const double want_entropy = EntropyOf(want[0], EntropyEstimator::kPlugin);
+
+  constexpr int kThreads = 4;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int trial = 0; trial < 30; ++trial) {
+        const size_t o = (trial + w) % orders.size();
+        auto got = cache->Counts(orders[o]);
+        if (!got.ok() || got->keys != want[o].keys ||
+            got->counts != want[o].counts) {
+          ++failures;
+        }
+        auto entropy = cache->Entropy({0, 1, 2});
+        if (!entropy.ok() || entropy->plugin != want_entropy) ++failures;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  // A racing duplicate insert may have dropped orders; one more pass
+  // restores them, after which the entry holds each order exactly once.
+  for (const auto& order : orders) ASSERT_TRUE(cache->Counts(order).ok());
+  EXPECT_EQ(cache->num_entries(), 1);
+  EXPECT_EQ(cache->cached_cells(),
+            static_cast<int64_t>(orders.size()) * want[0].NumGroups());
 }
 
 }  // namespace

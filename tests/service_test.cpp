@@ -21,6 +21,7 @@
 #include "core/sql_parser.h"
 #include "dataframe/group_by.h"
 #include "dataframe/predicate.h"
+#include "datagen/adult_data.h"
 #include "datagen/berkeley_data.h"
 #include "datagen/cancer_data.h"
 #include "datagen/staples_data.h"
@@ -30,6 +31,7 @@
 #include "service/query_scheduler.h"
 #include "service/report_digest.h"
 #include "service/request.h"
+#include "stats/entropy.h"
 #include "util/rng.h"
 
 namespace hypdb {
@@ -265,6 +267,45 @@ TEST(DatasetRegistryTest, ShardEnginesShareCountsPerSignature) {
   auto other = *registry.ShardEngine("b", 1, "Department=A");
   EXPECT_NE(engine.get(), other.get());
   EXPECT_EQ(other->stats().queries, 0);
+}
+
+// A pooled engine forwards Entropy() with the watermark check Counts()
+// makes: the shared shard's memo serves it at the bind watermark, and
+// once an append moves the shard on, the caller's private stack over the
+// pinned bind-time view answers, with the same entropy as before.
+TEST(DatasetRegistryTest, PooledEntropyFollowsTheBindWatermark) {
+  DatasetRegistry registry;
+  registry.Register("b", Berkeley());
+  auto snapshot = registry.GetSnapshot("b");
+  ASSERT_TRUE(snapshot.ok());
+  const TableView population(snapshot->table);
+  auto pooled = registry.Pool("b", *snapshot, "", population);
+  ASSERT_TRUE(pooled.ok() && pooled->population != nullptr);
+  auto shard = *registry.ShardEngine("b", snapshot->epoch, "");
+  auto cold = CountBy(population, {0, 2});
+  ASSERT_TRUE(cold.ok());
+  const double want = EntropyOf(*cold, EntropyEstimator::kPlugin);
+
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    auto at_bind = pooled->population->Entropy({0, 2});
+    ASSERT_TRUE(at_bind.ok());
+    EXPECT_EQ(at_bind->plugin, want);
+    EXPECT_EQ(at_bind->support, cold->NumGroups());
+  }
+  // The shard scanned once and answered the repeat from its memo.
+  EXPECT_EQ(shard->stats().queries, 2);
+  EXPECT_EQ(shard->stats().cache_hits, 1);
+  EXPECT_EQ(shard->stats().scans, 1);
+
+  ASSERT_TRUE(
+      registry.AppendRows("b", {{"Male", "A", "1"}, {"Female", "B", "0"}})
+          .ok());
+  auto after = pooled->population->Entropy({0, 2});
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->plugin, want);
+  EXPECT_EQ(after->support, cold->NumGroups());
+  EXPECT_EQ(shard->stats().queries, 2);  // the moved-on shard: not asked
+  EXPECT_EQ(pooled->population->stats().scans, 1);  // the pinned view
 }
 
 // The cross-shard tentpole: equality-conjunction shards of one dataset
@@ -629,6 +670,52 @@ TEST(HypDbServiceTest, SyncAnalyzeMatchesDirectHypDb) {
     }
   }
   EXPECT_TRUE(shared_column) << "no mediator is also a covariate";
+}
+
+// The paper's headline query on Adult in the four WHERE shapes of the
+// warm wire benchmark: every entry holds the orders and entropies its
+// readers ask for, so a second warm repeat adds no cached cell and no
+// entry anywhere in the dataset's pool, and every digest equals cold
+// serial HypDb::Analyze.
+TEST(HypDbServiceTest, WarmGenderRepeatsAddNoCachedCells) {
+  auto generated = GenerateAdultData({.num_rows = 6000});
+  ASSERT_TRUE(generated.ok());
+  TablePtr table = MakeTable(std::move(*generated));
+  HypDbServiceOptions options;
+  options.num_workers = 2;
+  HypDbService service(options);
+  service.RegisterTable("adult", table);
+  auto occupancy = [&service] {
+    for (const DatasetInfo& info : service.Datasets()) {
+      if (info.name == "adult") return info.cache;
+    }
+    return CacheOccupancy{};
+  };
+  for (const char* where :
+       {"", " WHERE NativeCountry IN ('US')", " WHERE CapitalLoss IN ('none')",
+        " WHERE Workclass IN ('Private')"}) {
+    const std::string sql = std::string("SELECT Gender, avg(Income) FROM "
+                                        "adult") +
+                            where + " GROUP BY Gender";
+    SCOPED_TRACE(sql);
+    HypDb direct(table, HypDbOptions{});
+    auto cold = direct.AnalyzeSql(sql);
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    const std::string digest = CanonicalReportDigest(*cold);
+    // The first run, a first warm repeat, then the second one.
+    for (int run = 0; run < 3; ++run) {
+      const CacheOccupancy before = occupancy();
+      auto report = service.AnalyzeSql("adult", sql);
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_EQ(CanonicalReportDigest(report->report), digest);
+      if (run == 2) {
+        const CacheOccupancy after = occupancy();
+        EXPECT_EQ(after.cached_cells, before.cached_cells);
+        EXPECT_EQ(after.entries, before.entries);
+        EXPECT_EQ(report->stats.engine_delta.scans, 0);
+      }
+    }
+  }
 }
 
 TEST(HypDbServiceTest, ReregistrationInvalidatesDiscovery) {

@@ -246,31 +246,37 @@ TEST(MiEngineTest, MiIdentity) {
   EXPECT_NEAR(*engine.Mi(1, 0, {2}), *engine.Mi(0, 1, {2}), 1e-12);
 }
 
-TEST(MiEngineTest, CachingCountsHits) {
+// Entropies are memoized on the count engine's cache entries: each of a
+// repeat's four entropies is one query answered by a memo hit, with no
+// scan and no marginalization.
+TEST(MiEngineTest, EngineMemoAnswersRepeatedEntropies) {
   TablePtr t = XorTable(25);
   MiEngine engine{TableView(t)};
   ASSERT_TRUE(engine.Mi(0, 1, {2}).ok());
-  int64_t evals = engine.entropy_evals();
-  int64_t calls = engine.provider_calls();
-  ASSERT_TRUE(engine.Mi(0, 1, {2}).ok());  // fully cached
-  EXPECT_EQ(engine.provider_calls(), calls);
-  EXPECT_EQ(engine.entropy_evals(), evals + 4);
-  EXPECT_GE(engine.cache_hits(), 4);
+  const CountEngineStats before = engine.count_engine().stats();
+  ASSERT_TRUE(engine.Mi(0, 1, {2}).ok());  // fully memoized
+  const CountEngineStats after = engine.count_engine().stats();
+  EXPECT_EQ(after.queries, before.queries + 4);
+  EXPECT_EQ(after.cache_hits, before.cache_hits + 4);
+  EXPECT_EQ(after.marginalizations, before.marginalizations);
+  EXPECT_EQ(after.scans, before.scans);
 }
 
-TEST(MiEngineTest, CachingCanBeDisabled) {
+// Over an engine that caches nothing, every entropy is computed from a
+// fresh scan: I(0;1|2) needs four.
+TEST(MiEngineTest, UncachedEngineRecountsEveryEntropy) {
   TablePtr t = XorTable(25);
-  MiEngine engine(TableView(t), MiEngineOptions{.cache_entropies = false});
+  MiEngine engine(TableView(t), MiEngineOptions{.materialize_focus = false});
   ASSERT_TRUE(engine.Mi(0, 1, {2}).ok());
-  int64_t calls = engine.provider_calls();
+  const int64_t scans = engine.count_engine().stats().scans;
   ASSERT_TRUE(engine.Mi(0, 1, {2}).ok());
-  EXPECT_GT(engine.provider_calls(), calls);
+  EXPECT_EQ(engine.count_engine().stats().scans, scans + 4);
 }
 
 TEST(MiEngineTest, FocusMarginalizationMatchesScan) {
   TablePtr t = XorTable(25);
-  MiEngine scan(TableView(t), MiEngineOptions{.cache_entropies = false});
-  MiEngine focused(TableView(t), MiEngineOptions{.cache_entropies = false});
+  MiEngine scan{TableView(t)};
+  MiEngine focused{TableView(t)};
   ASSERT_TRUE(focused.SetFocus({0, 1, 2}).ok());
   int64_t scans_after_focus = focused.count_engine().stats().scans;
   EXPECT_EQ(scans_after_focus, 1);  // the one materializing scan
