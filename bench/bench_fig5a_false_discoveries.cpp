@@ -18,6 +18,7 @@
 #include "core/query.h"
 #include "core/rewriter.h"
 #include "datagen/flight_data.h"
+#include "stats/mi_engine.h"
 #include "util/rng.h"
 
 using namespace hypdb;
@@ -79,13 +80,20 @@ int main(int argc, char** argv) {
 
     auto bound = BindQuery(data, q);
     if (!bound.ok() || bound->treatment_labels.size() != 2) continue;
-    auto plain = EvaluatePlainQuery(data, q);
+    // No grouping: the population is the query's one context, and one
+    // engine serves the plain answers and the rewrite.
+    std::shared_ptr<CountEngine> population =
+        MakeViewEngine(bound->population, MiEngineOptions{});
+    auto plain = EvaluateBoundQuery(data, q, *bound, *population);
     if (!plain.ok()) continue;
-    rw_options.seed = 0xF1A5 + qi;
-    auto rewrites =
-        RewriteAndEstimate(data, *bound, covariates, {}, rw_options);
-    if (!rewrites.ok() || rewrites->empty()) continue;
-    const ContextRewrite& rw = (*rewrites)[0];
+    auto treatments = TreatmentsIn(bound->population, bound->treatment);
+    if (!treatments.ok()) continue;
+    const uint64_t seed = 0xF1A5 + qi;
+    auto rewrite = RewriteContextAndEstimate(
+        data, *bound, Context{{}, bound->population}, *treatments,
+        covariates, {}, rw_options, seed, population);
+    if (!rewrite.ok()) continue;
+    const ContextRewrite& rw = *rewrite;
     if (rw.total.size() != 2 || rw.plain_sig.empty()) continue;
 
     const std::string& t1 = bound->treatment_labels[1];

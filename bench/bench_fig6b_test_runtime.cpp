@@ -108,10 +108,8 @@ int main(int argc, char** argv) {
       // Counts stay cached, but every entropy is recomputed from them:
       // the timing covers a test's full entropy work on each repeat.
       const TableView view(data);
-      MiEngine engine(view,
-                      std::make_shared<CountsOnlyEngine>(
-                          MakeViewEngine(view, MiEngineOptions{})),
-                      MiEngineOptions{}, /*wrap_provider=*/false);
+      MiEngine engine(std::make_shared<CountsOnlyEngine>(
+          MakeViewEngine(view, MiEngineOptions{})));
       CiOptions options;
       options.method = method;
       options.permutations = permutations;

@@ -39,18 +39,17 @@ struct CdRun {
 CdRun RunCd(const TablePtr& table, int target, bool cache,
             bool materialize) {
   const TableView view(table);
-  MiEngineOptions engine_options;
-  engine_options.materialize_focus = materialize;
   // The caching stack when materializing, else the bare scanner.
-  std::shared_ptr<CountEngine> counts = MakeViewEngine(view, engine_options);
+  std::shared_ptr<CountEngine> counts =
+      materialize ? MakeViewEngine(view, MiEngineOptions{})
+                  : std::make_shared<ViewCountProvider>(view);
   std::shared_ptr<CountEngine> decorated;
   if (cache) {
     decorated = std::make_shared<EntropyMemoEngine>(std::move(counts));
   } else {
     decorated = std::make_shared<CountsOnlyEngine>(std::move(counts));
   }
-  MiEngine engine(view, std::move(decorated), engine_options,
-                  /*wrap_provider=*/false);
+  MiEngine engine(std::move(decorated));
   CiOptions chi2;
   chi2.method = CiMethod::kGTest;
   CiTester tester(&engine, chi2, 11);
@@ -158,8 +157,8 @@ int main(int argc, char** argv) {
   TablePtr eq_table = std::make_shared<const Table>(std::move(eq_ds->table));
 
   // The bare scanner: every entropy is recomputed from a fresh scan.
-  MiEngine scan_engine(TableView(eq_table),
-                       MiEngineOptions{.materialize_focus = false});
+  MiEngine scan_engine(
+      std::make_shared<ViewCountProvider>(TableView(eq_table)));
   MiEngine cached_engine(TableView(eq_table), MiEngineOptions{});
   std::vector<double> p_scan;
   std::vector<double> p_cached;

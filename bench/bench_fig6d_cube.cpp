@@ -50,13 +50,11 @@ StatusOr<CubeRunResult> RunBoth(const TablePtr& table) {
   // returns the seconds taken and appends each attribute's parents.
   auto run = [&](std::shared_ptr<CountEngine> provider,
                  std::vector<std::vector<int>>* parents) -> StatusOr<double> {
-    // Fresh engine per run; disable focus materialization so the provider
-    // (scan vs cube) is the only difference.
-    MiEngineOptions engine_options;
-    engine_options.materialize_focus = false;
-    MiEngine engine =
-        provider ? MiEngine(TableView(table), provider, engine_options)
-                 : MiEngine(TableView(table), engine_options);
+    // Fresh engine per run, with no cache above it, so the provider (scan
+    // vs cube) is the only difference.
+    MiEngine engine(provider ? std::move(provider)
+                             : std::make_shared<ViewCountProvider>(
+                                   TableView(table)));
     CiTester tester(&engine, chi2, 13);
     DataCiOracle oracle(&tester, 0.01);
     Stopwatch timer;

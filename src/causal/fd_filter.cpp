@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "stats/entropy.h"
-#include "stats/mi_engine.h"
 
 namespace hypdb {
 namespace {
@@ -43,8 +42,9 @@ double Slope(const std::vector<double>& x, const std::vector<double>& y) {
 }  // namespace
 
 StatusOr<FdFilterReport> FilterLogicalDependencies(
-    const TableView& view, const std::vector<int>& candidates,
-    const FdFilterOptions& options, Rng& rng) {
+    const TableView& view, CountEngine& engine,
+    const std::vector<int>& candidates, const FdFilterOptions& options,
+    Rng& rng) {
   FdFilterReport report;
   const int64_t n = view.NumRows();
   if (n == 0) {
@@ -76,13 +76,11 @@ StatusOr<FdFilterReport> FilterLogicalDependencies(
 
   // --- Approximate two-way FDs among the survivors. Bijective pairs have
   // H(X) ≈ H(Y) ≈ H(XY); prefilter on the (cheap) marginal entropies so
-  // only plausible pairs pay for a joint count.
-  MiEngine engine(view, MiEngineOptions{
-                            .materialize_focus = false,
-                            .estimator = EntropyEstimator::kPlugin});
+  // only plausible pairs pay for a joint count. Plug-in estimates.
   std::vector<double> h(survivors.size());
   for (size_t i = 0; i < survivors.size(); ++i) {
-    HYPDB_ASSIGN_OR_RETURN(h[i], engine.Entropy({survivors[i]}));
+    HYPDB_ASSIGN_OR_RETURN(SetEntropy e, engine.Entropy({survivors[i]}));
+    h[i] = e.plugin;
   }
 
   std::vector<bool> dropped(survivors.size(), false);
@@ -92,9 +90,10 @@ StatusOr<FdFilterReport> FilterLogicalDependencies(
       if (dropped[j]) continue;
       if (std::fabs(h[i] - h[j]) > 2.0 * options.fd_epsilon) continue;
       HYPDB_ASSIGN_OR_RETURN(
-          double h_joint, engine.Entropy({survivors[i], survivors[j]}));
-      double h_i_given_j = h_joint - h[j];
-      double h_j_given_i = h_joint - h[i];
+          SetEntropy joint,
+          engine.Entropy(SortedUniqueColumns({survivors[i], survivors[j]})));
+      double h_i_given_j = joint.plugin - h[j];
+      double h_j_given_i = joint.plugin - h[i];
       if (h_i_given_j <= options.fd_epsilon &&
           h_j_given_i <= options.fd_epsilon) {
         dropped[j] = true;

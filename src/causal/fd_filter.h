@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "dataframe/view.h"
+#include "engine/count_engine.h"
 #include "util/rng.h"
 #include "util/statusor.h"
 
@@ -49,10 +50,15 @@ struct FdFilterReport {
   std::vector<int> dropped_keys;
 };
 
-/// Filters `candidates` (column indices into `view`).
+/// Filters `candidates` (column indices into `view`). The key-like ladder
+/// subsamples `view`'s rows; the marginal and pairwise entropies of the
+/// FD test count through `engine`, which must aggregate exactly `view`'s
+/// rows (an analysis hands it its population engine, so the counts land
+/// in the cache discovery reads next).
 StatusOr<FdFilterReport> FilterLogicalDependencies(
-    const TableView& view, const std::vector<int>& candidates,
-    const FdFilterOptions& options, Rng& rng);
+    const TableView& view, CountEngine& engine,
+    const std::vector<int>& candidates, const FdFilterOptions& options,
+    Rng& rng);
 
 }  // namespace hypdb
 

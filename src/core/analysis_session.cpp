@@ -81,6 +81,11 @@ StatusOr<std::unique_ptr<AnalysisSession>> AnalysisSession::Create(
       std::move(table), std::move(query), std::move(options),
       std::move(hooks)));
   session->bound_ = std::move(bound);
+  session->population_engine_ =
+      session->hooks_.population_engine != nullptr
+          ? session->hooks_.population_engine
+          : MakeViewEngine(session->bound_.population,
+                           session->options_.engine);
   session->direct_reference_ =
       ResolveDirectReference(session->options_, session->bound_);
   session->sql_plain_ = session->query_.ToSql();
@@ -120,9 +125,8 @@ Status AnalysisSession::EnsureContexts() {
   }
 
   // Treatment inventories, and from them the rewrite significance-seed
-  // assignment: the batch rewriter hands seed (base + i) to the i-th
-  // context that has >= 2 treatments, so a per-context Rewrite must
-  // reproduce that exact numbering whatever order contexts run in.
+  // assignment: the i-th context that has >= 2 treatments draws from seed
+  // (base + i), whatever order contexts are rewritten in.
   context_treatments_.reserve(n);
   rewrite_seeds_.reserve(n);
   uint64_t seed = options_.seed ^ 0x9E50;
@@ -182,18 +186,14 @@ StatusOr<const QueryAnswers*> AnalysisSession::Answers() {
   Stopwatch timer;
   TraceSpanScope span(TraceEventKind::kStage, 1,
                       static_cast<uint64_t>(TraceStage::kAnswers));
-  // The averages derive from count(*) GROUP BY (T, X..., Y): the shared
-  // population engine serves them from cache once warm; without one, a
-  // throwaway scanner counts the population once per outcome.
-  std::shared_ptr<CountEngine> engine = hooks_.population_engine;
-  if (engine == nullptr) {
-    engine = std::make_shared<ViewCountProvider>(
-        bound_.population, ScanKernelOptions(options_.engine));
-  }
-  const CountEngineStats stats_before = engine->stats();
+  // The averages derive from count(*) GROUP BY (T, X..., Y), which the
+  // population engine keeps for discovery; a shared one serves them from
+  // cache once warm.
+  CountEngine& engine = *population_engine_;
+  const CountEngineStats stats_before = engine.stats();
   HYPDB_ASSIGN_OR_RETURN(answers_,
-                         EvaluateBoundQuery(table_, query_, bound_, *engine));
-  pipeline_stats_ += engine->stats() - stats_before;
+                         EvaluateBoundQuery(table_, query_, bound_, engine));
+  pipeline_stats_ += engine.stats() - stats_before;
   st.done = true;
   ++st.runs;
   st.seconds += timer.ElapsedSeconds();
@@ -203,6 +203,14 @@ StatusOr<const QueryAnswers*> AnalysisSession::Answers() {
 StatusOr<DiscoveryReport> AnalysisSession::ComputeDiscovery() {
   Stopwatch timer;
   DiscoveryReport report;
+  // The FD filter and both discovery runs (PA_T and PA_Y) count through
+  // the population engine: their statistics overlap heavily, and the
+  // answers' summaries are already there. Its stats are reported as a
+  // delta over this call. The delta excludes work done before the call
+  // but NOT work other queries do concurrently on a shared engine during
+  // it — approximate attribution, never part of the bit-identity
+  // invariant (report digests exclude count_stats for this reason).
+  const CountEngineStats stats_before = population_engine_->stats();
 
   // Candidate attributes: everything except the treatment, minus logical
   // dependencies (Sec. 4). The treatment is pinned first so bijection
@@ -217,8 +225,8 @@ StatusOr<DiscoveryReport> AnalysisSession::ComputeDiscovery() {
       Rng rng(options_.seed ^ 0xFD);
       HYPDB_ASSIGN_OR_RETURN(
           FdFilterReport fd,
-          FilterLogicalDependencies(bound_.population, pool, options_.fd,
-                                    rng));
+          FilterLogicalDependencies(bound_.population, *population_engine_,
+                                    pool, options_.fd, rng));
       filtered = fd.kept;
       for (const auto& [dropped, partner] : fd.dropped_fd) {
         report.dropped_fd.push_back(table_->column(dropped).name());
@@ -242,21 +250,7 @@ StatusOr<DiscoveryReport> AnalysisSession::ComputeDiscovery() {
     if (c != bound_.treatment) candidates.push_back(c);
   }
 
-  // One count engine serves both discovery runs (PA_T and PA_Y): their
-  // CI tests overlap heavily on the shared population. A service-provided
-  // engine is used as-is (it already caches and may be shared across
-  // concurrent queries); its stats are reported as a delta over this
-  // call. The delta excludes work done before the call but NOT work other
-  // queries do concurrently during it — with a shared engine the counters
-  // are approximate attribution, never part of the bit-identity
-  // invariant (report digests exclude count_stats for this reason).
-  const bool external = hooks_.population_engine != nullptr;
-  MiEngine engine =
-      external ? MiEngine(bound_.population, hooks_.population_engine,
-                          options_.engine, /*wrap_provider=*/false)
-               : MiEngine(bound_.population, options_.engine);
-  const CountEngineStats stats_before =
-      external ? engine.count_engine().stats() : CountEngineStats{};
+  MiEngine engine(population_engine_, options_.engine);
   CiTester tester(&engine, options_.ci, options_.seed);
   DataCiOracle oracle(&tester, options_.alpha);
 
@@ -293,7 +287,7 @@ StatusOr<DiscoveryReport> AnalysisSession::ComputeDiscovery() {
   report.covariates = Names(table_, report.covariate_cols);
   report.mediators = Names(table_, report.mediator_cols);
   report.tests_used = oracle.num_tests();
-  report.count_stats = engine.count_engine().stats() - stats_before;
+  report.count_stats = population_engine_->stats() - stats_before;
   report.seconds = timer.ElapsedSeconds();
   discovery_computed_ = true;
   return report;
@@ -355,13 +349,13 @@ StatusOr<const std::vector<ContextBias>*> AnalysisSession::Detect() {
   det.ci = options_.ci;
   det.alpha = options_.alpha;
   det.seed = options_.seed ^ 0xDE7EC7;
-  det.engine = options_.engine;
+  det.estimator = options_.engine.estimator;
   const std::vector<int>* mediators =
       options_.discover_mediators ? &discovery_.mediator_cols : nullptr;
   HYPDB_ASSIGN_OR_RETURN(
       bias_, DetectBias(table_, bound_, contexts_,
                         discovery_.covariate_cols, mediators, det,
-                        &context_engines_, &pipeline_stats_));
+                        context_engines_, &pipeline_stats_));
   st.done = true;
   ++st.runs;
   st.seconds += timer.ElapsedSeconds();
@@ -381,7 +375,7 @@ Status AnalysisSession::ExplainOne(int i) {
   }
   std::sort(v.begin(), v.end());
   ExplainerOptions explain = options_.explain;
-  explain.engine = options_.engine;
+  explain.estimator = options_.engine.estimator;
   HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<CountEngine> engine,
                          ContextEngine(i));
   HYPDB_ASSIGN_OR_RETURN(
@@ -434,11 +428,10 @@ Status AnalysisSession::RewriteOne(int i) {
                       static_cast<uint64_t>(i));
   RewriterOptions rw;
   rw.ci = options_.ci;
-  rw.seed = options_.seed ^ 0x9E50;
   rw.compute_direct = options_.discover_mediators;
   rw.direct_reference = direct_reference_;
   rw.compute_significance = options_.compute_significance;
-  rw.engine = options_.engine;
+  rw.estimator = options_.engine.estimator;
   HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<CountEngine> engine,
                          ContextEngine(i));
   HYPDB_ASSIGN_OR_RETURN(

@@ -92,6 +92,13 @@ class AnalysisSession {
 
   const AggQuery& query() const { return query_; }
   const BoundQuery& bound() const { return bound_; }
+  /// The engine every population-wide count goes through — the plain
+  /// answers, the FD filter and discovery: hooks.population_engine when
+  /// set, else the default stack over bound().population, fixed at
+  /// Create.
+  const std::shared_ptr<CountEngine>& population_engine() const {
+    return population_engine_;
+  }
   const HypDbOptions& options() const { return options_; }
   /// The reference group of the mediator formula, resolved once at bind
   /// time (options.direct_reference, or the lexicographically largest
@@ -164,6 +171,7 @@ class AnalysisSession {
 
   // Bound-query state (Create).
   BoundQuery bound_;
+  std::shared_ptr<CountEngine> population_engine_;
   std::string direct_reference_;
   std::string sql_plain_;
 

@@ -40,21 +40,14 @@ StatusOr<BalanceTest> TestBalance(const TablePtr& table, CiTester& tester,
 
 StatusOr<std::vector<ContextBias>> DetectBias(
     const TablePtr& table, const BoundQuery& bound,
-    const std::vector<int>& covariates, const std::vector<int>* mediators,
-    const DetectorOptions& options, CountEngineStats* count_stats) {
-  HYPDB_ASSIGN_OR_RETURN(std::vector<Context> contexts,
-                         SplitContexts(table, bound));
-  return DetectBias(table, bound, contexts, covariates, mediators, options,
-                    nullptr, count_stats);
-}
-
-StatusOr<std::vector<ContextBias>> DetectBias(
-    const TablePtr& table, const BoundQuery& bound,
     const std::vector<Context>& contexts,
     const std::vector<int>& covariates, const std::vector<int>* mediators,
     const DetectorOptions& options,
-    const std::vector<std::shared_ptr<CountEngine>>* context_engines,
+    const std::vector<std::shared_ptr<CountEngine>>& context_engines,
     CountEngineStats* count_stats) {
+  if (context_engines.size() != contexts.size()) {
+    return Status::InvalidArgument("DetectBias needs one engine per context");
+  }
   std::vector<ContextBias> out;
   out.reserve(contexts.size());
   uint64_t seed = options.seed;
@@ -65,16 +58,9 @@ StatusOr<std::vector<ContextBias>> DetectBias(
     bias.rows = ctx.view.NumRows();
 
     // One count engine per context: the balance tests for total and
-    // direct effect share most of their counts. A caller-provided engine
-    // is used as-is (it already caches and may persist across stages).
-    const std::shared_ptr<CountEngine> shared =
-        context_engines != nullptr && c < context_engines->size()
-            ? (*context_engines)[c]
-            : nullptr;
-    MiEngine engine = shared != nullptr
-                          ? MiEngine(ctx.view, shared, options.engine,
-                                     /*wrap_provider=*/false)
-                          : MiEngine(ctx.view, options.engine);
+    // direct effect share most of their counts.
+    MiEngine engine(context_engines[c],
+                    MiEngineOptions{.estimator = options.estimator});
     const CountEngineStats stats_before = engine.count_engine().stats();
     CiTester tester(&engine, options.ci, seed++);
     HYPDB_ASSIGN_OR_RETURN(

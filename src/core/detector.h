@@ -49,32 +49,24 @@ struct DetectorOptions {
   CiOptions ci;
   double alpha = 0.01;
   uint64_t seed = 0xB1A5;
-  /// Count-engine configuration for the per-context estimators.
-  MiEngineOptions engine;
+  /// Estimator of the balance tests' entropies.
+  EntropyEstimator estimator = EntropyEstimator::kMillerMadow;
 };
 
 /// Tests balance of the bound query w.r.t. covariates (and, when
-/// `mediators` is non-null, covariates ∪ mediators) in every context.
-/// When `count_stats` is non-null, the count-engine work of all contexts
-/// is accumulated into it (Fig. 6c accounting).
-StatusOr<std::vector<ContextBias>> DetectBias(
-    const TablePtr& table, const BoundQuery& bound,
-    const std::vector<int>& covariates, const std::vector<int>* mediators,
-    const DetectorOptions& options, CountEngineStats* count_stats = nullptr);
-
-/// Same, over pre-split contexts (`contexts` must be SplitContexts of
-/// `bound`). When `context_engines` is non-null it is aligned with
-/// `contexts`; a non-null entry routes that context's counts through the
-/// shared engine (which must aggregate exactly that context's rows)
-/// instead of a private one, and only the stats delta of the call is
-/// accumulated. Detection is one whole-query stage — the FDR adjustment
-/// spans every context — which is why there is no per-context variant.
+/// `mediators` is non-null, covariates ∪ mediators) in every context
+/// (`contexts` must be SplitContexts of `bound`). `context_engines` is
+/// aligned with `contexts`: entry i counts exactly context i's rows and
+/// serves both of its tests. When `count_stats` is non-null, the stats
+/// delta of the call is accumulated into it (Fig. 6c accounting).
+/// Detection is one whole-query stage — the FDR adjustment spans every
+/// context — which is why there is no per-context variant.
 StatusOr<std::vector<ContextBias>> DetectBias(
     const TablePtr& table, const BoundQuery& bound,
     const std::vector<Context>& contexts,
     const std::vector<int>& covariates, const std::vector<int>* mediators,
     const DetectorOptions& options,
-    const std::vector<std::shared_ptr<CountEngine>>* context_engines,
+    const std::vector<std::shared_ptr<CountEngine>>& context_engines,
     CountEngineStats* count_stats = nullptr);
 
 }  // namespace hypdb

@@ -9,10 +9,11 @@
 
 namespace hypdb {
 
-StatusOr<EffectBounds> BoundTotalEffect(const TablePtr& table,
-                                        const BoundQuery& bound,
-                                        const std::vector<int>& candidates,
-                                        const EffectBoundsOptions& options) {
+StatusOr<EffectBounds> BoundTotalEffect(
+    const TablePtr& table, const BoundQuery& bound,
+    const std::vector<int>& candidates,
+    const std::shared_ptr<CountEngine>& population,
+    const EffectBoundsOptions& options) {
   if (bound.treatment_labels.size() != 2) {
     return Status::FailedPrecondition(
         "effect bounds require a binary treatment in the population");
@@ -37,8 +38,9 @@ StatusOr<EffectBounds> BoundTotalEffect(const TablePtr& table,
 
   // The rewriter operates per context; bounds are computed over the full
   // population (one anonymous context).
-  BoundQuery flat = bound;
-  flat.grouping.clear();
+  const Context whole{{}, bound.population};
+  HYPDB_ASSIGN_OR_RETURN(auto treatments,
+                         TreatmentsIn(bound.population, bound.treatment));
 
   RewriterOptions rewrite_options;
   rewrite_options.compute_direct = false;
@@ -56,21 +58,21 @@ StatusOr<EffectBounds> BoundTotalEffect(const TablePtr& table,
             }
             ++evaluated;
             HYPDB_ASSIGN_OR_RETURN(
-                std::vector<ContextRewrite> rewrites,
-                RewriteAndEstimate(table, flat, subset, {},
-                                   rewrite_options));
-            if (rewrites.empty() || rewrites[0].total.size() != 2) {
+                ContextRewrite rewrite,
+                RewriteContextAndEstimate(table, bound, whole, treatments,
+                                          subset, {}, rewrite_options,
+                                          /*sig_seed=*/0, population));
+            if (rewrite.total.size() != 2) {
               return false;  // overlap failed entirely; skip
             }
             SubsetEffect effect;
             for (int col : subset) {
               effect.adjustment_set.push_back(table->column(col).name());
             }
-            effect.blocks_used = rewrites[0].blocks_used;
+            effect.blocks_used = rewrite.blocks_used;
             if (effect.blocks_used == 0) return false;  // nothing matched
             for (int o = 0; o < num_outcomes; ++o) {
-              double diff =
-                  rewrites[0].Difference(bounds.t1, bounds.t0, o, true);
+              double diff = rewrite.Difference(bounds.t1, bounds.t0, o, true);
               if (std::isnan(diff)) return false;
               effect.diffs.push_back(diff);
               bounds.lower[o] = std::min(bounds.lower[o], diff);

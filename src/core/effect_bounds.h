@@ -14,6 +14,7 @@
 #ifndef HYPDB_CORE_EFFECT_BOUNDS_H_
 #define HYPDB_CORE_EFFECT_BOUNDS_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,10 +57,14 @@ struct EffectBounds {
 
 /// Evaluates the adjustment formula under every subset of `candidates`
 /// (column indices; typically MB(T) minus the outcomes) over the bound
-/// query's population. The treatment must be binary in the population.
+/// query's population, ignoring its grouping. The treatment must be
+/// binary in the population. Every subset counts through `population`,
+/// which must aggregate exactly bound.population, so a caching engine
+/// scans each distinct column set at most once.
 StatusOr<EffectBounds> BoundTotalEffect(
     const TablePtr& table, const BoundQuery& bound,
     const std::vector<int>& candidates,
+    const std::shared_ptr<CountEngine>& population,
     const EffectBoundsOptions& options = {});
 
 }  // namespace hypdb

@@ -110,19 +110,10 @@ StatusOr<std::vector<ExplanationTriple>> FineGrainedExplanations(
   return out;
 }
 
-StatusOr<std::vector<ExplanationTriple>> FineGrainedExplanations(
-    const TableView& view, int t_col, int y_col, int z_col, int top_k) {
-  // Caching wrapper so the pairwise marginals derive from the (T, Y, Z)
-  // summary: one scan instead of three.
-  CachingCountEngine engine(std::make_shared<ViewCountProvider>(view));
-  return FineGrainedExplanations(engine, view.table(), t_col, y_col,
-                                 z_col, top_k);
-}
-
 StatusOr<ContextExplanation> ExplainContext(
     const TablePtr& table, const BoundQuery& bound, const Context& ctx,
     const std::vector<int>& variables, const ExplainerOptions& options,
-    const std::shared_ptr<CountEngine>& engine_in,
+    const std::shared_ptr<CountEngine>& engine,
     CountEngineStats* count_stats) {
   if (options.outcome_index < 0 ||
       options.outcome_index >= static_cast<int>(bound.outcomes.size())) {
@@ -134,21 +125,17 @@ StatusOr<ContextExplanation> ExplainContext(
   expl.context_labels = ctx.labels;
 
   // Coarse-grained responsibilities (Eq. 4). The same count engine
-  // serves the fine-grained triples below. A caller-provided engine is
-  // used as-is (it already caches and may persist across stages).
-  MiEngine engine = engine_in != nullptr
-                        ? MiEngine(ctx.view, engine_in, options.engine,
-                                   /*wrap_provider=*/false)
-                        : MiEngine(ctx.view, options.engine);
-  const CountEngineStats stats_before = engine.count_engine().stats();
+  // serves the fine-grained triples below.
+  MiEngine mi(engine, MiEngineOptions{.estimator = options.estimator});
+  const CountEngineStats stats_before = mi.count_engine().stats();
   std::vector<double> numerators(variables.size(), 0.0);
   HYPDB_ASSIGN_OR_RETURN(double i_full,
-                         engine.MiSets({bound.treatment}, variables, {}));
+                         mi.MiSets({bound.treatment}, variables, {}));
   double denom = 0.0;
   for (size_t i = 0; i < variables.size(); ++i) {
     HYPDB_ASSIGN_OR_RETURN(
         double i_given,
-        engine.MiSets({bound.treatment}, variables, {variables[i]}));
+        mi.MiSets({bound.treatment}, variables, {variables[i]}));
     numerators[i] = std::max(0.0, i_full - i_given);
     denom += numerators[i];
   }
@@ -175,36 +162,15 @@ StatusOr<ContextExplanation> ExplainContext(
     fine.column = expl.coarse[i].column;
     HYPDB_ASSIGN_OR_RETURN(
         fine.top,
-        FineGrainedExplanations(engine.count_engine(), *table,
+        FineGrainedExplanations(mi.count_engine(), *table,
                                 bound.treatment, y_col, fine.column,
                                 options.top_k));
     expl.fine.push_back(std::move(fine));
   }
   if (count_stats != nullptr) {
-    *count_stats += engine.count_engine().stats() - stats_before;
+    *count_stats += mi.count_engine().stats() - stats_before;
   }
   return expl;
-}
-
-StatusOr<std::vector<ContextExplanation>> ExplainBias(
-    const TablePtr& table, const BoundQuery& bound,
-    const std::vector<int>& variables, const ExplainerOptions& options,
-    CountEngineStats* count_stats) {
-  HYPDB_ASSIGN_OR_RETURN(std::vector<Context> contexts,
-                         SplitContexts(table, bound));
-  if (options.outcome_index < 0 ||
-      options.outcome_index >= static_cast<int>(bound.outcomes.size())) {
-    return Status::OutOfRange("outcome_index out of range");
-  }
-  std::vector<ContextExplanation> out;
-  for (const Context& ctx : contexts) {
-    HYPDB_ASSIGN_OR_RETURN(
-        ContextExplanation expl,
-        ExplainContext(table, bound, ctx, variables, options, nullptr,
-                       count_stats));
-    out.push_back(std::move(expl));
-  }
-  return out;
 }
 
 }  // namespace hypdb

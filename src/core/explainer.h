@@ -65,28 +65,20 @@ struct ExplainerOptions {
   int fine_covariates = 2;
   /// Outcome used for the Y side of fine-grained triples.
   int outcome_index = 0;
-  /// Count-engine configuration for the per-context estimators.
-  MiEngineOptions engine;
+  /// Estimator of the responsibilities' entropies.
+  EntropyEstimator estimator = EntropyEstimator::kMillerMadow;
 };
 
 /// Explains the bias of the bound query w.r.t. V = covariates ∪ mediators
-/// in every context. When `count_stats` is non-null, the count-engine
-/// work of all contexts is accumulated into it.
-StatusOr<std::vector<ContextExplanation>> ExplainBias(
-    const TablePtr& table, const BoundQuery& bound,
-    const std::vector<int>& variables, const ExplainerOptions& options,
-    CountEngineStats* count_stats = nullptr);
-
-/// One context of ExplainBias, independently invokable (explanations are
-/// deterministic and context-local, so any subset/order of contexts
-/// reproduces the batch results bit-identically). When `engine` is
-/// non-null the estimators route counts through it (it must aggregate
-/// exactly ctx.view's rows) instead of a private engine; only the stats
-/// delta over the call is accumulated.
+/// in one context. Explanations are deterministic and context-local, so
+/// any subset and order of contexts gives the same results. Every count
+/// goes through `engine`, which must aggregate exactly ctx.view's rows;
+/// when `count_stats` is non-null, the stats delta of the call is
+/// accumulated into it.
 StatusOr<ContextExplanation> ExplainContext(
     const TablePtr& table, const BoundQuery& bound, const Context& ctx,
     const std::vector<int>& variables, const ExplainerOptions& options,
-    const std::shared_ptr<CountEngine>& engine = nullptr,
+    const std::shared_ptr<CountEngine>& engine,
     CountEngineStats* count_stats = nullptr);
 
 /// Alg. 3 over engine-served counts: top-k triples for covariate `z_col`.
@@ -95,10 +87,6 @@ StatusOr<ContextExplanation> ExplainContext(
 StatusOr<std::vector<ExplanationTriple>> FineGrainedExplanations(
     CountEngine& engine, const Table& table, int t_col, int y_col,
     int z_col, int top_k);
-
-/// Alg. 3 on one view (scan-backed convenience wrapper).
-StatusOr<std::vector<ExplanationTriple>> FineGrainedExplanations(
-    const TableView& view, int t_col, int y_col, int z_col, int top_k);
 
 }  // namespace hypdb
 

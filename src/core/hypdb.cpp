@@ -26,13 +26,17 @@ bool HypDbReport::AnyBias() const {
 HypDb::HypDb(TablePtr table, HypDbOptions options)
     : table_(std::move(table)), options_(std::move(options)) {}
 
+// Answers, Discover and BoundEffects each run on a throwaway session, so
+// they share its stages and its choice of count engine.
+
 StatusOr<QueryAnswers> HypDb::Answers(const AggQuery& query) const {
-  return EvaluatePlainQuery(table_, query);
+  HYPDB_ASSIGN_OR_RETURN(std::unique_ptr<AnalysisSession> session,
+                         AnalysisSession::Create(table_, query, options_));
+  HYPDB_ASSIGN_OR_RETURN(const QueryAnswers* answers, session->Answers());
+  return *answers;
 }
 
 StatusOr<DiscoveryReport> HypDb::Discover(const AggQuery& query) const {
-  // One implementation: the session's discovery stage (the FD filter +
-  // two CD runs) over a throwaway session.
   HYPDB_ASSIGN_OR_RETURN(std::unique_ptr<AnalysisSession> session,
                          AnalysisSession::Create(table_, query, options_));
   HYPDB_ASSIGN_OR_RETURN(const DiscoveryReport* report, session->Discover());
@@ -41,13 +45,17 @@ StatusOr<DiscoveryReport> HypDb::Discover(const AggQuery& query) const {
 
 StatusOr<EffectBounds> HypDb::BoundEffects(
     const AggQuery& query, const EffectBoundsOptions& options) const {
-  HYPDB_ASSIGN_OR_RETURN(BoundQuery bound, BindQuery(table_, query));
-  HYPDB_ASSIGN_OR_RETURN(DiscoveryReport discovery, Discover(query));
+  HYPDB_ASSIGN_OR_RETURN(std::unique_ptr<AnalysisSession> session,
+                         AnalysisSession::Create(table_, query, options_));
+  HYPDB_ASSIGN_OR_RETURN(const DiscoveryReport* discovery,
+                         session->Discover());
+  const BoundQuery& bound = session->bound();
   std::vector<int> candidates;
-  for (int c : discovery.treatment_blanket_cols) {
+  for (int c : discovery->treatment_blanket_cols) {
     if (!Contains(bound.outcomes, c)) candidates.push_back(c);
   }
-  return BoundTotalEffect(table_, bound, candidates, options);
+  return BoundTotalEffect(table_, bound, candidates,
+                          session->population_engine(), options);
 }
 
 StatusOr<HypDbReport> HypDb::Analyze(const AggQuery& query,

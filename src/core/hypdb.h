@@ -78,11 +78,11 @@ struct DiscoveryReport {
 /// one-shot behavior.
 struct SessionHooks {
   /// Count engine aggregating exactly the bound WHERE population. When
-  /// set, the plain answers and discovery read their counts from it
-  /// instead of private engines, so concurrent queries on the same
-  /// subpopulation share cached contingency summaries. Must be
-  /// thread-safe when shared (CachingCountEngine over ViewCountProvider
-  /// is).
+  /// set, the plain answers, the FD filter and discovery count through
+  /// it instead of the session's default stack (MakeViewEngine), so
+  /// concurrent queries on the same subpopulation share cached
+  /// contingency summaries. Must be thread-safe when shared
+  /// (CachingCountEngine over ViewCountProvider is).
   std::shared_ptr<CountEngine> population_engine;
   /// When set, the discovery stage routes its computation through this
   /// wrapper (the DiscoveryCache lookup-or-compute path; `compute` runs
@@ -97,9 +97,9 @@ struct SessionHooks {
   /// Γ_i = C ∧ X = x_i) and its row view to a shared count engine; the
   /// service renders the terms with its canonical signature and serves
   /// the registry's per-context shard. A null return (or unset hook)
-  /// falls back to a session-private engine. Either way the engine
-  /// persists in the session and serves detection, explanation and
-  /// resolution for that context.
+  /// falls back to the session's default stack over the context. Either
+  /// way the engine persists in the session and serves detection,
+  /// explanation and resolution for that context.
   std::function<std::shared_ptr<CountEngine>(
       const std::vector<std::pair<std::string, std::vector<std::string>>>&
           context_where,

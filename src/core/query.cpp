@@ -119,13 +119,6 @@ StatusOr<std::vector<Context>> SplitContexts(const TablePtr& table,
   return contexts;
 }
 
-StatusOr<QueryAnswers> EvaluatePlainQuery(const TablePtr& table,
-                                          const AggQuery& query) {
-  HYPDB_ASSIGN_OR_RETURN(BoundQuery bound, BindQuery(table, query));
-  ViewCountProvider population(bound.population);
-  return EvaluateBoundQuery(table, query, bound, population);
-}
-
 StatusOr<QueryAnswers> EvaluateBoundQuery(const TablePtr& table,
                                           const AggQuery& query,
                                           const BoundQuery& bound,

@@ -101,11 +101,6 @@ StatusOr<QueryAnswers> EvaluateBoundQuery(const TablePtr& table,
                                           const BoundQuery& bound,
                                           CountEngine& population);
 
-/// Binds `query`, then evaluates it over the population's own kernel
-/// counts.
-StatusOr<QueryAnswers> EvaluatePlainQuery(const TablePtr& table,
-                                          const AggQuery& query);
-
 }  // namespace hypdb
 
 #endif  // HYPDB_CORE_QUERY_H_

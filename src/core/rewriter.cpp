@@ -294,10 +294,7 @@ StatusOr<ContextRewrite> RewriteContextAndEstimate(
 
   // One count engine serves both formulas and the significance tests:
   // the blocks' (T, Z, Y) counts are exactly what I(T;Y|Z) needs.
-  MiEngine mi = engine != nullptr ? MiEngine(ctx.view, engine, options.engine,
-                                             /*wrap_provider=*/false)
-                                  : MiEngine(ctx.view, options.engine);
-  CountEngine& counts = mi.count_engine();
+  CountEngine& counts = *engine;
   const CountEngineStats stats_before = counts.stats();
   HYPDB_RETURN_IF_ERROR(ComputeTotal(counts, *table, bound.treatment,
                                      covariates, bound.outcomes, treatments,
@@ -319,6 +316,7 @@ StatusOr<ContextRewrite> RewriteContextAndEstimate(
   }
 
   if (options.compute_significance) {
+    MiEngine mi(engine, MiEngineOptions{.estimator = options.estimator});
     CiTester tester(&mi, options.ci, sig_seed);
     for (int y : bound.outcomes) {
       std::vector<int> z_total;
@@ -350,32 +348,6 @@ StatusOr<ContextRewrite> RewriteContextAndEstimate(
   }
   if (count_stats != nullptr) *count_stats += counts.stats() - stats_before;
   return rewrite;
-}
-
-StatusOr<std::vector<ContextRewrite>> RewriteAndEstimate(
-    const TablePtr& table, const BoundQuery& bound,
-    const std::vector<int>& covariates, const std::vector<int>& mediators,
-    const RewriterOptions& options, CountEngineStats* count_stats) {
-  HYPDB_ASSIGN_OR_RETURN(std::vector<Context> contexts,
-                         SplitContexts(table, bound));
-  std::vector<ContextRewrite> out;
-  // Seed bookkeeping: only contexts with something to compare construct a
-  // significance tester, so only they consume a seed — RewriteContext-
-  // AndEstimate callers must hand each context the same value.
-  uint64_t seed = options.seed;
-  for (const Context& ctx : contexts) {
-    HYPDB_ASSIGN_OR_RETURN(auto treatments,
-                           TreatmentsIn(ctx.view, bound.treatment));
-    const uint64_t ctx_seed = seed;
-    if (treatments.size() >= 2) ++seed;
-    HYPDB_ASSIGN_OR_RETURN(
-        ContextRewrite rewrite,
-        RewriteContextAndEstimate(table, bound, ctx, treatments, covariates,
-                                  mediators, options, ctx_seed, nullptr,
-                                  count_stats));
-    out.push_back(std::move(rewrite));
-  }
-  return out;
 }
 
 }  // namespace hypdb

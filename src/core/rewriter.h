@@ -72,48 +72,34 @@ struct ContextRewrite {
 
 struct RewriterOptions {
   CiOptions ci;
-  uint64_t seed = 0x5EED;
   bool compute_direct = true;
   /// Reference group for the mediator formula; empty = the
   /// lexicographically largest treatment label.
   std::string direct_reference;
   bool compute_significance = true;
-  /// Count-engine configuration for the significance tests.
-  MiEngineOptions engine;
+  /// Estimator of the significance tests' entropies.
+  EntropyEstimator estimator = EntropyEstimator::kMillerMadow;
 };
-
-/// Rewrites the bound query w.r.t. `covariates` (total effect) and
-/// `mediators` (direct effect) and evaluates it per context. When
-/// `count_stats` is non-null, the rewrite's count-engine work (both
-/// formulas and the significance tests) is accumulated into it.
-StatusOr<std::vector<ContextRewrite>> RewriteAndEstimate(
-    const TablePtr& table, const BoundQuery& bound,
-    const std::vector<int>& covariates, const std::vector<int>& mediators,
-    const RewriterOptions& options, CountEngineStats* count_stats = nullptr);
 
 /// Observed treatment (code, label) pairs in a view, sorted by label —
 /// the per-context treatment inventory the rewrite formulas compare.
-/// Exposed so stage-at-a-time callers (core/analysis_session.h) can
-/// reproduce the rewrite seed bookkeeping exactly: within one query, the
-/// i-th context with >= 2 treatments consumes significance seed
-/// options.seed + i.
 StatusOr<std::vector<std::pair<int32_t, std::string>>> TreatmentsIn(
     const TableView& view, int treatment);
 
-/// One context of RewriteAndEstimate, independently invokable.
-/// `treatments` must be TreatmentsIn(ctx.view) and `sig_seed` the seed
-/// the whole-query loop would hand this context (see TreatmentsIn) —
-/// given those, the result is bit-identical to the batch path. When
-/// `engine` is non-null the formulas' averages and joint counts and the
-/// significance tests all route their counts through it (it must
-/// aggregate exactly ctx.view's rows) instead of a private engine; only
-/// the stats delta over the call is accumulated.
+/// Rewrites the bound query w.r.t. `covariates` (total effect) and
+/// `mediators` (direct effect) and evaluates it in one context.
+/// `treatments` must be TreatmentsIn(ctx.view). The significance tests
+/// draw from `sig_seed` (AnalysisSession numbers the seeds of a query's
+/// contexts). Both formulas' averages and joint counts and the
+/// significance tests count through `engine`, which must aggregate
+/// exactly ctx.view's rows; when `count_stats` is non-null, the stats
+/// delta of the call is accumulated into it.
 StatusOr<ContextRewrite> RewriteContextAndEstimate(
     const TablePtr& table, const BoundQuery& bound, const Context& ctx,
     const std::vector<std::pair<int32_t, std::string>>& treatments,
     const std::vector<int>& covariates, const std::vector<int>& mediators,
     const RewriterOptions& options, uint64_t sig_seed,
-    const std::shared_ptr<CountEngine>& engine = nullptr,
+    const std::shared_ptr<CountEngine>& engine,
     CountEngineStats* count_stats = nullptr);
 
 }  // namespace hypdb

@@ -1,5 +1,7 @@
 #include "core/sql_printer.h"
 
+#include <algorithm>
+
 #include "util/string_util.h"
 
 namespace hypdb {
@@ -16,6 +18,16 @@ std::string WhereClause(const AggQuery& query) {
   return "  WHERE " + Join(terms, " AND ") + "\n";
 }
 
+// `a` then the members of `b` not already listed: each column named once,
+// at its first occurrence.
+std::vector<std::string> Union(std::vector<std::string> a,
+                               const std::vector<std::string>& b) {
+  for (const auto& x : b) {
+    if (std::find(a.begin(), a.end(), x) == a.end()) a.push_back(x);
+  }
+  return a;
+}
+
 std::vector<std::string> AvgAliases(const AggQuery& query) {
   std::vector<std::string> aliases;
   for (size_t i = 0; i < query.outcomes.size(); ++i) {
@@ -30,9 +42,9 @@ std::vector<std::string> AvgAliases(const AggQuery& query) {
 std::string RewrittenTotalSql(const AggQuery& query,
                               const std::vector<std::string>& covariates) {
   // Grouping attributes X ride along with Z (Listing 2 groups Blocks by
-  // T, Z, X and Weights by Z, X).
-  std::vector<std::string> zx = covariates;
-  zx.insert(zx.end(), query.grouping.begin(), query.grouping.end());
+  // T, Z, X and Weights by Z, X); a covariate that is also a grouping
+  // attribute is named once.
+  const std::vector<std::string> zx = Union(covariates, query.grouping);
   std::string zx_list = Join(zx, ", ");
   std::vector<std::string> select_blocks = {query.treatment};
   if (!zx.empty()) select_blocks.push_back(zx_list);
@@ -87,6 +99,13 @@ std::string RewrittenDirectSql(const AggQuery& query,
                                const std::string& reference) {
   std::string m_list = Join(mediators, ", ");
   std::string z_list = Join(covariates, ", ");
+  // A column that is both mediator and covariate is named once, among
+  // the mediators (ComputeDirect counts it once too).
+  const std::vector<std::string> mz = Union(mediators, covariates);
+  const std::vector<std::string> z_rest(mz.begin() + mediators.size(),
+                                        mz.end());
+  std::string given = Join(z_rest, ", ");
+  std::string mz_list = Join(mz, ", ");
   std::vector<std::string> sums;
   for (size_t i = 0; i < query.outcomes.size(); ++i) {
     sums.push_back("sum(Avg" + std::to_string(i + 1) + " * W)");
@@ -105,20 +124,14 @@ std::string RewrittenDirectSql(const AggQuery& query,
   sql += "),\nMWeights AS (\n";
   sql += "  -- W = Pr(" + (mediators.empty() ? "()" : m_list) + " | " +
          query.treatment + " = '" + reference + "', " +
-         (covariates.empty() ? "()" : z_list) + ") * Pr(" +
+         (z_rest.empty() ? "()" : given) + ") * Pr(" +
          (covariates.empty() ? "()" : z_list) + ")\n";
-  sql += "  SELECT " + Join(mediators, ", ") +
-         (mediators.empty() || covariates.empty() ? "" : ", ") + z_list +
-         ", count(*) * 1.0 /\n";
+  sql += "  SELECT " + mz_list + ", count(*) * 1.0 /\n";
   sql += "         (SELECT count(*) FROM " + query.table_name + " WHERE " +
          query.treatment + " = '" + reference + "') AS W\n";
   sql += "  FROM " + query.table_name + "\n";
   sql += "  WHERE " + query.treatment + " = '" + reference + "'\n";
-  if (!mediators.empty() || !covariates.empty()) {
-    sql += "  GROUP BY " + m_list +
-           (mediators.empty() || covariates.empty() ? "" : ", ") + z_list +
-           "\n";
-  }
+  if (!mz.empty()) sql += "  GROUP BY " + mz_list + "\n";
   sql += ")\n";
   sql += "SELECT MBlocks." + query.treatment + ", " + Join(sums, ", ") + "\n";
   sql += "FROM MBlocks, MWeights\n";

@@ -337,7 +337,6 @@ GroupByKernelOptions DatasetRegistry::KernelOptions() const {
 
 std::shared_ptr<CountEngine> DatasetRegistry::WrapCache(
     std::shared_ptr<CountEngine> base) const {
-  if (!options_.engine.materialize_focus) return base;
   CachingCountEngineOptions caching;
   caching.max_cached_cells = options_.engine.max_cached_cells;
   return std::make_shared<CachingCountEngine>(std::move(base), caching);
@@ -369,14 +368,13 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::BuildShardLocked(
       std::shared_ptr<CountEngine> live,
       FilteredPopulationProvider::Create(ds.store, std::move(filter),
                                          KernelOptions()));
-  // Slicing needs a parent that actually caches: with materialization
-  // off OR a zero cell budget (cache nothing), every slice would re-scan
-  // the full table, strictly worse than scanning the filtered view. (A
-  // zero budget means "unlimited" to the slicer's guard but "cache
-  // nothing" to CachingCountEngine — never forward that configuration.)
+  // Slicing needs a parent that actually caches: with a zero cell budget
+  // (cache nothing), every slice would re-scan the full table, strictly
+  // worse than scanning the filtered view. (A zero budget means
+  // "unlimited" to the slicer's guard but "cache nothing" to
+  // CachingCountEngine — never forward that configuration.)
   std::vector<SlicePredicate> predicates;
-  if (options_.engine.materialize_focus &&
-      options_.engine.max_cached_cells > 0) {
+  if (options_.engine.max_cached_cells > 0) {
     TablePtr table = ds.store->Materialized();
     if (ResolveSlicePredicates(*table, terms, &predicates)) {
       // A shard-local cache over the slicer: exact repeats and

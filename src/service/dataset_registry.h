@@ -231,10 +231,10 @@ class DatasetRegistry {
 
   /// The options_.engine kernel configuration for scanners.
   GroupByKernelOptions KernelOptions() const;
-  /// Wraps `base` in a CachingCountEngine under the options_ budget, or
-  /// returns it unchanged when materialization is disabled. Every engine
-  /// stack the registry builds goes through this one function, so parent
-  /// and shards can never diverge in cache configuration.
+  /// Wraps `base` in a CachingCountEngine under the options_ budget.
+  /// Every engine stack the registry builds goes through this one
+  /// function, so parent and shards can never diverge in cache
+  /// configuration.
   std::shared_ptr<CountEngine> WrapCache(
       std::shared_ptr<CountEngine> base) const;
 

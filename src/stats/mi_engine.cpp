@@ -13,35 +13,25 @@ std::vector<int> SortedUnion(const std::vector<int>& a,
   return SortedUniqueColumns(std::move(out));
 }
 
-std::shared_ptr<CountEngine> WrapEngine(std::shared_ptr<CountEngine> base,
-                                        const MiEngineOptions& options) {
-  if (!options.materialize_focus) return base;
-  CachingCountEngineOptions caching;
-  caching.max_cached_cells = options.max_cached_cells;
-  return std::make_shared<CachingCountEngine>(std::move(base), caching);
-}
-
 }  // namespace
 
 std::shared_ptr<CountEngine> MakeViewEngine(const TableView& view,
                                             const MiEngineOptions& options) {
-  return WrapEngine(
+  CachingCountEngineOptions caching;
+  caching.max_cached_cells = options.max_cached_cells;
+  return std::make_shared<CachingCountEngine>(
       std::make_shared<ViewCountProvider>(view, ScanKernelOptions(options)),
-      options);
+      caching);
 }
 
-MiEngine::MiEngine(TableView view, MiEngineOptions options)
-    : view_(view), engine_(MakeViewEngine(view, options)), options_(options) {}
+MiEngine::MiEngine(const TableView& view, MiEngineOptions options)
+    : engine_(MakeViewEngine(view, options)), options_(options) {}
 
-MiEngine::MiEngine(TableView view, std::shared_ptr<CountEngine> provider,
-                   MiEngineOptions options, bool wrap_provider)
-    : view_(std::move(view)),
-      engine_(wrap_provider ? WrapEngine(std::move(provider), options)
-                            : std::move(provider)),
-      options_(options) {}
+MiEngine::MiEngine(std::shared_ptr<CountEngine> engine,
+                   MiEngineOptions options)
+    : engine_(std::move(engine)), options_(options) {}
 
 Status MiEngine::SetFocus(const std::vector<int>& cols) {
-  if (!options_.materialize_focus) return Status::Ok();
   return engine_->Prefetch(SortedUniqueColumns(cols));
 }
 

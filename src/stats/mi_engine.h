@@ -13,9 +13,10 @@
 //    CachingCountEngine: SetFocus() prefetches one count(*) GROUP BY over
 //    a focus attribute set, and any subset query marginalizes a cached
 //    summary instead of re-scanning the data.
-// The Fig. 6(c) ablation toggles them with bench-local engine decorators
-// (bench/entropy_ablation.h). The base engine is swappable, so a
-// pre-computed OLAP cube can replace data scans entirely (Fig. 6(d)).
+// The Fig. 6(c) ablation toggles them by the engine it hands MiEngine: a
+// bare ViewCountProvider or the caching stack, each under the bench-local
+// entropy decorators (bench/entropy_ablation.h). The engine is swappable,
+// so a pre-computed OLAP cube can replace data scans entirely (Fig. 6(d)).
 
 #ifndef HYPDB_STATS_MI_ENGINE_H_
 #define HYPDB_STATS_MI_ENGINE_H_
@@ -31,8 +32,6 @@
 namespace hypdb {
 
 struct MiEngineOptions {
-  /// Count caching + superset marginalization (CachingCountEngine layer).
-  bool materialize_focus = true;
   EntropyEstimator estimator = EntropyEstimator::kMillerMadow;
   /// Worker threads for data scans (ViewCountProvider kernel). 0 resolves
   /// to std::thread::hardware_concurrency() — the production setting the
@@ -54,9 +53,8 @@ struct MiEngineOptions {
 };
 
 /// The scan-kernel configuration a MiEngineOptions implies. The single
-/// translation every layer uses (MiEngine's private engines, session
-/// per-context engines, the dataset registry's shard pools), so the
-/// whole stack rides the same kernel path.
+/// translation every layer uses (MakeViewEngine, the dataset registry's
+/// shard pools), so the whole stack rides the same kernel path.
 inline GroupByKernelOptions ScanKernelOptions(const MiEngineOptions& options) {
   GroupByKernelOptions kernel;
   kernel.num_threads = options.scan_threads;
@@ -67,26 +65,24 @@ inline GroupByKernelOptions ScanKernelOptions(const MiEngineOptions& options) {
 
 /// The default count stack over `view`: a kernel scanner
 /// (ScanKernelOptions) wrapped in a CachingCountEngine under `options`'
-/// cell budget, or the bare scanner when materialization is off.
-/// MiEngine's own engine, session-private context engines and the
-/// service's pinned fallbacks are all this stack.
+/// cell budget. A session's population and context engines, the
+/// service's pinned fallbacks and MiEngine's view constructor all build
+/// this stack; a caller that wants the bare scanner builds a
+/// ViewCountProvider itself.
 std::shared_ptr<CountEngine> MakeViewEngine(const TableView& view,
                                             const MiEngineOptions& options);
 
 /// Estimates entropies and conditional mutual information over one view.
 class MiEngine {
  public:
-  /// Engine over `view` with the default scan-based count engine.
-  explicit MiEngine(TableView view, MiEngineOptions options = {});
+  /// Engine over `view` with the default count stack (MakeViewEngine).
+  explicit MiEngine(const TableView& view, MiEngineOptions options = {});
 
-  /// Engine with a custom count source (e.g. CubeCountProvider). `view`
-  /// must describe the same population the source aggregates. The source
-  /// is wrapped in a CachingCountEngine unless materialization is off or
-  /// `wrap_provider` is false — pass false for a provider that already
-  /// caches (the service layer's shared per-subpopulation engines), so a
-  /// private cache does not shadow the shared one.
-  MiEngine(TableView view, std::shared_ptr<CountEngine> provider,
-           MiEngineOptions options = {}, bool wrap_provider = true);
+  /// Engine that counts through `engine` as given (a session's shared
+  /// stack, a CubeCountProvider, a bare ViewCountProvider, ...). Only
+  /// `options.estimator` is read.
+  explicit MiEngine(std::shared_ptr<CountEngine> engine,
+                    MiEngineOptions options = {});
 
   /// Ĥ(cols) with the engine's default estimator.
   StatusOr<double> Entropy(const std::vector<int>& cols);
@@ -120,11 +116,9 @@ class MiEngine {
 
   /// Prefetches counts over `cols`; subsequent queries over subsets of
   /// `cols` marginalize the cached summary instead of scanning. No-op
-  /// when materialization is disabled.
+  /// over an engine that caches nothing.
   Status SetFocus(const std::vector<int>& cols);
 
-  const TableView& view() const { return view_; }
-  const MiEngineOptions& options() const { return options_; }
   int64_t NumRows() const { return engine_->NumRows(); }
 
   /// The count engine answering this estimator's queries (its stats()
@@ -135,7 +129,6 @@ class MiEngine {
  private:
   double Derive(const SetEntropy& e, EntropyEstimator estimator) const;
 
-  TableView view_;
   std::shared_ptr<CountEngine> engine_;
   MiEngineOptions options_;
 };

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "causal/cd_algorithm.h"
 #include "causal/ci_oracle.h"
@@ -17,6 +18,7 @@
 #include "datagen/cancer_data.h"
 #include "datagen/random_data.h"
 #include "graph/random_dag.h"
+#include "recording_engine.h"
 #include "stats/mi_engine.h"
 #include "util/rng.h"
 
@@ -408,14 +410,59 @@ TEST(FdFilterTest, DropsBijectionsAndKeys) {
   TablePtr t = MakeTable(std::move(table));
 
   Rng rng(17);
-  auto report =
-      FilterLogicalDependencies(TableView(t), {0, 1, 2, 3}, {}, rng);
+  ViewCountProvider scanner{TableView(t)};
+  auto report = FilterLogicalDependencies(TableView(t), scanner,
+                                          {0, 1, 2, 3}, {}, rng);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->kept, (std::vector<int>{0, 2}));
   ASSERT_EQ(report->dropped_fd.size(), 1u);
   EXPECT_EQ(report->dropped_fd[0].first, 1);
   EXPECT_EQ(report->dropped_fd[0].second, 0);
   EXPECT_EQ(report->dropped_keys, (std::vector<int>{3}));
+}
+
+// The FD test's marginal and pairwise entropies count through the engine
+// the filter is handed, so an analysis's population cache holds them; a
+// caching stack and a bare scanner give the same report.
+TEST(FdFilterTest, CountsThroughTheEngineItIsHanded) {
+  Rng gen(3);
+  ColumnBuilder a("a"), a_copy("a_wac"), b("b"), key("key");
+  for (int i = 0; i < 3000; ++i) {
+    int av = static_cast<int>(gen.NextBounded(5));
+    a.Append("v" + std::to_string(av));
+    a_copy.Append("w" + std::to_string(av));
+    b.Append(std::to_string(gen.NextBounded(3)));
+    key.Append(std::to_string(i));
+  }
+  Table table;
+  ASSERT_TRUE(table.AddColumn(a.Finish()).ok());
+  ASSERT_TRUE(table.AddColumn(a_copy.Finish()).ok());
+  ASSERT_TRUE(table.AddColumn(b.Finish()).ok());
+  ASSERT_TRUE(table.AddColumn(key.Finish()).ok());
+  TablePtr t = MakeTable(std::move(table));
+  const TableView view(t);
+
+  RecordingEngine caching(MakeViewEngine(view, MiEngineOptions{}));
+  Rng rng(17);
+  auto cached =
+      FilterLogicalDependencies(view, caching, {0, 1, 2, 3}, {}, rng);
+  ASSERT_TRUE(cached.ok());
+  // Each survivor's marginal, and the joint of the one plausible pair;
+  // the key-like column is dropped before any count.
+  EXPECT_EQ(caching.seen(), (std::set<std::vector<int>>{
+                                {0}, {1}, {2}, {0, 1}}));
+  EXPECT_GT(caching.stats().queries, 0);
+
+  RecordingEngine bare(std::make_shared<ViewCountProvider>(view));
+  Rng same_rng(17);
+  auto scanned =
+      FilterLogicalDependencies(view, bare, {0, 1, 2, 3}, {}, same_rng);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(bare.seen(), caching.seen());
+  EXPECT_EQ(scanned->kept, cached->kept);
+  EXPECT_EQ(scanned->dropped_fd, cached->dropped_fd);
+  EXPECT_EQ(scanned->dropped_keys, cached->dropped_keys);
+  EXPECT_EQ(cached->kept, (std::vector<int>{0, 2}));
 }
 
 TEST(FdFilterTest, KeepsOrdinaryAttributes) {
@@ -430,8 +477,9 @@ TEST(FdFilterTest, KeepsOrdinaryAttributes) {
   }
   TablePtr t = MakeTable(std::move(table));
   Rng rng(19);
-  auto report = FilterLogicalDependencies(TableView(t), {0, 1, 2, 3}, {},
-                                          rng);
+  ViewCountProvider scanner{TableView(t)};
+  auto report = FilterLogicalDependencies(TableView(t), scanner,
+                                          {0, 1, 2, 3}, {}, rng);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->kept, (std::vector<int>{0, 1, 2, 3}));
 }

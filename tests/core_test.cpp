@@ -9,6 +9,7 @@
 
 #include "core/detector.h"
 #include "core/explainer.h"
+#include "core/hypdb.h"
 #include "core/query.h"
 #include "core/rewriter.h"
 #include "dataframe/group_by.h"
@@ -72,12 +73,63 @@ AggQuery BasicQuery() {
   return q;
 }
 
+// Every query here has no grouping, so its one context is the whole
+// population; the stage functions count it through the default stack, as
+// a session does without service hooks.
+Context Whole(const BoundQuery& bound) { return Context{{}, bound.population}; }
+
+std::shared_ptr<CountEngine> Engine(const BoundQuery& bound) {
+  return MakeViewEngine(bound.population, MiEngineOptions{});
+}
+
+StatusOr<std::vector<ContextBias>> Detect(const TablePtr& table,
+                                          const BoundQuery& bound,
+                                          const std::vector<int>& covariates,
+                                          const std::vector<int>* mediators) {
+  return DetectBias(table, bound, {Whole(bound)}, covariates, mediators,
+                    DetectorOptions{}, {Engine(bound)});
+}
+
+StatusOr<std::vector<ContextExplanation>> Explain(
+    const TablePtr& table, const BoundQuery& bound,
+    const std::vector<int>& variables) {
+  HYPDB_ASSIGN_OR_RETURN(
+      ContextExplanation expl,
+      ExplainContext(table, bound, Whole(bound), variables,
+                     ExplainerOptions{}, Engine(bound)));
+  return std::vector<ContextExplanation>{std::move(expl)};
+}
+
+StatusOr<std::vector<ContextRewrite>> Rewrite(
+    const TablePtr& table, const BoundQuery& bound,
+    const std::vector<int>& covariates, const std::vector<int>& mediators,
+    const RewriterOptions& options) {
+  HYPDB_ASSIGN_OR_RETURN(auto treatments,
+                         TreatmentsIn(bound.population, bound.treatment));
+  HYPDB_ASSIGN_OR_RETURN(
+      ContextRewrite rewrite,
+      RewriteContextAndEstimate(table, bound, Whole(bound), treatments,
+                                covariates, mediators, options,
+                                /*sig_seed=*/0x5EED, Engine(bound)));
+  return std::vector<ContextRewrite>{std::move(rewrite)};
+}
+
+// Alg. 3 over one view's default stack.
+StatusOr<std::vector<ExplanationTriple>> FineGrained(const TablePtr& table,
+                                                     int t_col, int y_col,
+                                                     int z_col, int top_k) {
+  std::shared_ptr<CountEngine> engine =
+      MakeViewEngine(TableView(table), MiEngineOptions{});
+  return FineGrainedExplanations(*engine, *table, t_col, y_col, z_col,
+                                 top_k);
+}
+
 TEST(DetectorTest, FlagsConfoundedQuery) {
   TablePtr data = Confounded(6000, false, 1);
   auto bound = BindQuery(data, BasicQuery());
   ASSERT_TRUE(bound.ok());
   int z = *data->ColumnIndex("z");
-  auto bias = DetectBias(data, *bound, {z}, nullptr, DetectorOptions{});
+  auto bias = Detect(data, *bound, {z}, nullptr);
   ASSERT_TRUE(bias.ok());
   ASSERT_EQ(bias->size(), 1u);
   EXPECT_TRUE((*bias)[0].total.biased);
@@ -91,7 +143,7 @@ TEST(DetectorTest, PassesRandomizedQuery) {
   auto bound = BindQuery(data, BasicQuery());
   ASSERT_TRUE(bound.ok());
   int z = *data->ColumnIndex("z");
-  auto bias = DetectBias(data, *bound, {z}, nullptr, DetectorOptions{});
+  auto bias = Detect(data, *bound, {z}, nullptr);
   ASSERT_TRUE(bias.ok());
   EXPECT_FALSE((*bias)[0].total.biased);
 }
@@ -100,7 +152,7 @@ TEST(DetectorTest, EmptyCovariatesNeverBiased) {
   TablePtr data = Confounded(2000, false, 3);
   auto bound = BindQuery(data, BasicQuery());
   ASSERT_TRUE(bound.ok());
-  auto bias = DetectBias(data, *bound, {}, nullptr, DetectorOptions{});
+  auto bias = Detect(data, *bound, {}, nullptr);
   ASSERT_TRUE(bias.ok());
   EXPECT_FALSE((*bias)[0].total.biased);
 }
@@ -112,7 +164,7 @@ TEST(DetectorTest, DirectSetIncludesMediators) {
   int z = *data->ColumnIndex("z");
   std::vector<int> mediators = {*data->ColumnIndex("noise")};
   auto bias =
-      DetectBias(data, *bound, {z}, &mediators, DetectorOptions{});
+      Detect(data, *bound, {z}, &mediators);
   ASSERT_TRUE(bias.ok());
   EXPECT_TRUE((*bias)[0].has_direct);
   EXPECT_EQ((*bias)[0].direct.variables.size(), 2u);
@@ -124,7 +176,7 @@ TEST(ExplainerTest, ResponsibilitiesSumToOneAndRankConfounder) {
   ASSERT_TRUE(bound.ok());
   int z = *data->ColumnIndex("z");
   int noise = *data->ColumnIndex("noise");
-  auto expl = ExplainBias(data, *bound, {z, noise}, ExplainerOptions{});
+  auto expl = Explain(data, *bound, {z, noise});
   ASSERT_TRUE(expl.ok());
   ASSERT_EQ(expl->size(), 1u);
   const ContextExplanation& e = (*expl)[0];
@@ -158,7 +210,7 @@ TEST(ExplainerTest, FineGrainedFindsDominantTriple) {
   ASSERT_TRUE(table.AddColumn(z.Finish()).ok());
   TablePtr data = MakeTable(std::move(table));
 
-  auto triples = FineGrainedExplanations(TableView(data), 0, 1, 2, 4);
+  auto triples = FineGrained(data, 0, 1, 2, 4);
   ASSERT_TRUE(triples.ok());
   ASSERT_GE(triples->size(), 2u);
   // Top triples must be the aligned ones: (T1, 1, Zhigh) / (T0, 0, Zlow).
@@ -186,7 +238,7 @@ TEST(ExplainerTest, KappaSumsToMutualInformation) {
   double mi = *engine.Mi(0, 2, {});
   // Sum κ from the fine-grained machinery over a y-agnostic query: use
   // all triples with top_k large and aggregate unique (t,z) pairs.
-  auto triples = FineGrainedExplanations(TableView(data), 0, 1, 2, 1000);
+  auto triples = FineGrained(data, 0, 1, 2, 1000);
   ASSERT_TRUE(triples.ok());
   std::map<std::pair<std::string, std::string>, double> kappa;
   for (const auto& tr : *triples) {
@@ -229,7 +281,7 @@ TEST(RewriterTest, AdjustmentMatchesClosedForm) {
   RewriterOptions opt;
   opt.compute_direct = false;
   opt.compute_significance = false;
-  auto rw = RewriteAndEstimate(data, *bound, {*data->ColumnIndex("z")}, {},
+  auto rw = Rewrite(data, *bound, {*data->ColumnIndex("z")}, {},
                                opt);
   ASSERT_TRUE(rw.ok());
   ASSERT_EQ(rw->size(), 1u);
@@ -250,12 +302,12 @@ TEST(RewriterTest, EmptyCovariatesIsNoOp) {
   TablePtr data = Confounded(3000, true, 8);
   auto bound = BindQuery(data, BasicQuery());
   ASSERT_TRUE(bound.ok());
-  auto plain = EvaluatePlainQuery(data, BasicQuery());
+  auto plain = HypDb(data).Answers(BasicQuery());
   ASSERT_TRUE(plain.ok());
   RewriterOptions opt;
   opt.compute_direct = false;
   opt.compute_significance = false;
-  auto rw = RewriteAndEstimate(data, *bound, {}, {}, opt);
+  auto rw = Rewrite(data, *bound, {}, {}, opt);
   ASSERT_TRUE(rw.ok());
   const ContextRewrite& r = (*rw)[0];
   for (size_t g = 0; g < r.total.size(); ++g) {
@@ -288,7 +340,7 @@ TEST(RewriterTest, ExactMatchingPrunesSingletonBlocks) {
   RewriterOptions opt;
   opt.compute_direct = false;
   opt.compute_significance = false;
-  auto rw = RewriteAndEstimate(data, *bound, {*data->ColumnIndex("z")}, {},
+  auto rw = Rewrite(data, *bound, {*data->ColumnIndex("z")}, {},
                                opt);
   ASSERT_TRUE(rw.ok());
   const ContextRewrite& r = (*rw)[0];
@@ -304,7 +356,7 @@ TEST(RewriterTest, TotalEffectRemovesConfounding) {
   TablePtr data = Confounded(30000, false, 9);
   auto bound = BindQuery(data, BasicQuery());
   ASSERT_TRUE(bound.ok());
-  auto plain = EvaluatePlainQuery(data, BasicQuery());
+  auto plain = HypDb(data).Answers(BasicQuery());
   ASSERT_TRUE(plain.ok());
   double plain_diff =
       plain->contexts[0].Difference("treat", "control", 0);
@@ -312,7 +364,7 @@ TEST(RewriterTest, TotalEffectRemovesConfounding) {
 
   RewriterOptions opt;
   opt.compute_direct = false;
-  auto rw = RewriteAndEstimate(data, *bound, {*data->ColumnIndex("z")}, {},
+  auto rw = Rewrite(data, *bound, {*data->ColumnIndex("z")}, {},
                                opt);
   ASSERT_TRUE(rw.ok());
   const ContextRewrite& r = (*rw)[0];
@@ -348,7 +400,7 @@ TEST(RewriterTest, DirectEffectNullOnPureMediation) {
   auto bound = BindQuery(data, q);
   ASSERT_TRUE(bound.ok());
   RewriterOptions opt;
-  auto rw = RewriteAndEstimate(data, *bound, {},
+  auto rw = Rewrite(data, *bound, {},
                                {*data->ColumnIndex("m")}, opt);
   ASSERT_TRUE(rw.ok());
   const ContextRewrite& r = (*rw)[0];
@@ -369,7 +421,7 @@ TEST(RewriterTest, DirectReferenceSelectsGroup) {
   RewriterOptions opt;
   opt.direct_reference = "control";
   opt.compute_significance = false;
-  auto rw = RewriteAndEstimate(data, *bound, {*data->ColumnIndex("z")},
+  auto rw = Rewrite(data, *bound, {*data->ColumnIndex("z")},
                                {*data->ColumnIndex("noise")}, opt);
   ASSERT_TRUE(rw.ok());
   EXPECT_EQ((*rw)[0].direct_reference, "control");
@@ -390,7 +442,7 @@ TEST(RewriterTest, SingleTreatmentContextYieldsNoComparison) {
   q.outcomes = {"y"};
   auto bound = BindQuery(data, q);
   ASSERT_TRUE(bound.ok());
-  auto rw = RewriteAndEstimate(data, *bound, {}, {}, RewriterOptions{});
+  auto rw = Rewrite(data, *bound, {}, {}, RewriterOptions{});
   ASSERT_TRUE(rw.ok());
   EXPECT_TRUE((*rw)[0].total.empty());
   EXPECT_FALSE((*rw)[0].has_direct);

@@ -83,7 +83,7 @@ TEST(CubeProviderTest, InstalledCubeServesEngineQueries) {
       base, std::make_shared<const DataCube>(std::move(*cube)),
       base->PopulationVersion());
 
-  MiEngine from_cube(view, provider);
+  MiEngine from_cube(std::make_shared<CachingCountEngine>(provider));
   MiEngine from_scan(view);
   for (const std::vector<int>& cols :
        std::vector<std::vector<int>>{{0}, {1}, {0, 2}, {0, 1, 2}}) {

@@ -800,8 +800,7 @@ TEST(CachePolicySweepTest, RandomAccessSequencesMatchUncachedEngine) {
 
 TEST(MiEngineCountStatsTest, MaterializationOffScansEveryTime) {
   TablePtr t = RandomTable(3, 1000, 71);
-  MiEngine engine(TableView(t),
-                  MiEngineOptions{.materialize_focus = false});
+  MiEngine engine(std::make_shared<ViewCountProvider>(TableView(t)));
   ASSERT_TRUE(engine.Entropy({0, 1}).ok());
   ASSERT_TRUE(engine.Entropy({0, 1}).ok());
   EXPECT_EQ(engine.count_engine().stats().scans, 2);

@@ -10,6 +10,7 @@
 #include "core/effect_bounds.h"
 #include "core/hypdb.h"
 #include "datagen/berkeley_data.h"
+#include "stats/mi_engine.h"
 #include "stats/multiple_testing.h"
 #include "util/rng.h"
 
@@ -68,7 +69,14 @@ TEST(DetectorFdrTest, AdjustedFlagsAreMoreConservative) {
   auto bound = BindQuery(data, q);
   ASSERT_TRUE(bound.ok());
   int dept = *data->ColumnIndex("Department");
-  auto bias = DetectBias(data, *bound, {dept}, nullptr, DetectorOptions{});
+  auto contexts = SplitContexts(data, *bound);
+  ASSERT_TRUE(contexts.ok());
+  std::vector<std::shared_ptr<CountEngine>> engines;
+  for (const Context& ctx : *contexts) {
+    engines.push_back(MakeViewEngine(ctx.view, MiEngineOptions{}));
+  }
+  auto bias = DetectBias(data, *bound, *contexts, {dept}, nullptr,
+                         DetectorOptions{}, engines);
   ASSERT_TRUE(bias.ok());
   ASSERT_EQ(bias->size(), 6u);
   for (const auto& b : *bias) {
@@ -101,6 +109,11 @@ TablePtr SingleParentData(int64_t n, uint64_t seed) {
   return MakeTable(std::move(table));
 }
 
+// The default count stack over the bound population.
+std::shared_ptr<CountEngine> PopulationEngine(const BoundQuery& bound) {
+  return MakeViewEngine(bound.population, MiEngineOptions{});
+}
+
 TEST(EffectBoundsTest, IntervalCoversEverySubsetEstimate) {
   TablePtr data = SingleParentData(20000, 9);
   AggQuery q;
@@ -110,7 +123,8 @@ TEST(EffectBoundsTest, IntervalCoversEverySubsetEstimate) {
   ASSERT_TRUE(bound.ok());
   auto bounds = BoundTotalEffect(data, *bound,
                                  {*data->ColumnIndex("z"),
-                                  *data->ColumnIndex("w")});
+                                  *data->ColumnIndex("w")},
+                                 PopulationEngine(*bound));
   ASSERT_TRUE(bounds.ok());
   // 4 subsets: {}, {z}, {w}, {z,w}.
   EXPECT_EQ(bounds->subsets.size(), 4u);
@@ -139,7 +153,7 @@ TEST(EffectBoundsTest, SubsetSizeCapAndTruncation) {
   auto bounds = BoundTotalEffect(data, *bound,
                                  {*data->ColumnIndex("z"),
                                   *data->ColumnIndex("w")},
-                                 options);
+                                 PopulationEngine(*bound), options);
   ASSERT_TRUE(bounds.ok());
   EXPECT_EQ(bounds->subsets.size(), 3u);  // {}, {z}, {w}
 
@@ -148,7 +162,7 @@ TEST(EffectBoundsTest, SubsetSizeCapAndTruncation) {
   bounds = BoundTotalEffect(data, *bound,
                             {*data->ColumnIndex("z"),
                              *data->ColumnIndex("w")},
-                            options);
+                            PopulationEngine(*bound), options);
   ASSERT_TRUE(bounds.ok());
   EXPECT_TRUE(bounds->truncated);
   EXPECT_EQ(bounds->subsets.size(), 2u);
@@ -162,10 +176,41 @@ TEST(EffectBoundsTest, ValidatesInputs) {
   auto bound = BindQuery(data, q);
   ASSERT_TRUE(bound.ok());
   // Treatment or outcome in the candidate set is rejected.
-  EXPECT_FALSE(
-      BoundTotalEffect(data, *bound, {*data->ColumnIndex("t")}).ok());
-  EXPECT_FALSE(
-      BoundTotalEffect(data, *bound, {*data->ColumnIndex("y")}).ok());
+  EXPECT_FALSE(BoundTotalEffect(data, *bound, {*data->ColumnIndex("t")},
+                                PopulationEngine(*bound))
+                   .ok());
+  EXPECT_FALSE(BoundTotalEffect(data, *bound, {*data->ColumnIndex("y")},
+                                PopulationEngine(*bound))
+                   .ok());
+}
+
+// The enumeration counts every subset through the one engine it is
+// handed: over a caching stack each distinct column set (T, Z', Y) is
+// scanned at most once, and a repeat of the whole enumeration scans
+// nothing.
+TEST(EffectBoundsTest, EnumerationScansEachColumnSetAtMostOnce) {
+  TablePtr data = SingleParentData(8000, 17);
+  AggQuery q;
+  q.treatment = "t";
+  q.outcomes = {"y"};
+  auto bound = BindQuery(data, q);
+  ASSERT_TRUE(bound.ok());
+  std::shared_ptr<CountEngine> engine = PopulationEngine(*bound);
+  const std::vector<int> candidates = {*data->ColumnIndex("z"),
+                                       *data->ColumnIndex("w")};
+  auto bounds = BoundTotalEffect(data, *bound, candidates, engine);
+  ASSERT_TRUE(bounds.ok()) << bounds.status();
+  ASSERT_EQ(bounds->subsets.size(), 4u);  // {}, {z}, {w}, {z,w}
+  const CountEngineStats first = engine->stats();
+  EXPECT_GT(first.scans, 0);
+  EXPECT_LE(first.scans, 4);  // one column set per subset
+
+  auto again = BoundTotalEffect(data, *bound, candidates, engine);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(engine->stats().scans, first.scans);
+  EXPECT_GT(engine->stats().queries, first.queries);
+  EXPECT_EQ(again->lower, bounds->lower);
+  EXPECT_EQ(again->upper, bounds->upper);
 }
 
 TEST(EffectBoundsTest, FacadeEndToEnd) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "core/hypdb.h"
 #include "core/query.h"
 #include "core/sql_parser.h"
 #include "core/sql_printer.h"
@@ -88,7 +89,7 @@ TEST(BindQueryTest, RejectsBadQueries) {
 
 TEST(PlainQueryTest, AveragesPerTreatment) {
   TablePtr t = ToyFlights();
-  auto answers = EvaluatePlainQuery(t, ToyQuery());
+  auto answers = HypDb(t).Answers(ToyQuery());
   ASSERT_TRUE(answers.ok());
   ASSERT_EQ(answers->contexts.size(), 1u);
   const ContextAnswer& ctx = answers->contexts[0];
@@ -105,7 +106,7 @@ TEST(PlainQueryTest, GroupingFormsContexts) {
   TablePtr t = ToyFlights();
   AggQuery q = ToyQuery();
   q.grouping = {"Airport"};
-  auto answers = EvaluatePlainQuery(t, q);
+  auto answers = HypDb(t).Answers(q);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(answers->contexts.size(), 2u);
   for (const auto& ctx : answers->contexts) {
@@ -122,7 +123,7 @@ TEST(PlainQueryTest, WhereRestrictsPopulation) {
   TablePtr t = ToyFlights();
   AggQuery q = ToyQuery();
   q.where = {{"Airport", {"HIGH"}}};
-  auto answers = EvaluatePlainQuery(t, q);
+  auto answers = HypDb(t).Answers(q);
   ASSERT_TRUE(answers.ok());
   const ContextAnswer& ctx = answers->contexts[0];
   // At HIGH: AA 2/2, UA 5/8.
@@ -221,6 +222,52 @@ TEST(SqlPrinterTest, TotalRewriteHasListing2Shape) {
             std::string::npos);
   EXPECT_NE(sql.find("sum(Avg1 * W)"), std::string::npos);
   EXPECT_NE(sql.find("Blocks.Airport = Weights.Airport"),
+            std::string::npos);
+}
+
+size_t Occurrences(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// A covariate that is also a grouping attribute is named once in Z ∪ X.
+TEST(SqlPrinterTest, TotalRewriteNamesAGroupingCovariateOnce) {
+  AggQuery q = ToyQuery();
+  q.grouping = {"Airport"};
+  std::string sql = RewrittenTotalSql(q, {"Airport", "Year"});
+  EXPECT_NE(sql.find("  SELECT Carrier, Airport, Year,\n"),
+            std::string::npos);
+  EXPECT_NE(sql.find("  GROUP BY Carrier, Airport, Year\n"),
+            std::string::npos);
+  EXPECT_NE(sql.find("  SELECT Airport, Year, count(*)"), std::string::npos);
+  EXPECT_NE(sql.find("  GROUP BY Airport, Year\n"), std::string::npos);
+  EXPECT_EQ(Occurrences(sql, "Blocks.Airport = Weights.Airport"), 1u);
+  EXPECT_EQ(sql.find("Airport, Airport"), std::string::npos);
+  EXPECT_EQ(sql.find("Year, Airport"), std::string::npos);
+}
+
+// A column that is both mediator and covariate is named once in M ∪ Z.
+TEST(SqlPrinterTest, DirectRewriteNamesAMediatingCovariateOnce) {
+  AggQuery q = ToyQuery();
+  std::string sql = RewrittenDirectSql(q, {"Airport", "Year"},
+                                       {"DepTime", "Airport"}, "UA");
+  EXPECT_NE(sql.find("  SELECT DepTime, Airport, Year, count(*)"),
+            std::string::npos);
+  EXPECT_NE(sql.find("  GROUP BY DepTime, Airport, Year\n"),
+            std::string::npos);
+  EXPECT_NE(sql.find("Pr(DepTime, Airport | Carrier = 'UA', Year)"),
+            std::string::npos);
+  EXPECT_EQ(sql.find("Airport, Airport"), std::string::npos);
+  EXPECT_EQ(sql.find("Year, Airport"), std::string::npos);
+
+  // Every covariate a mediator: nothing is left to condition on.
+  std::string same = RewrittenDirectSql(q, {"Airport"}, {"Airport"}, "UA");
+  EXPECT_NE(same.find("  GROUP BY Airport\n"), std::string::npos);
+  EXPECT_NE(same.find("Pr(Airport | Carrier = 'UA', ()) * Pr(Airport)"),
             std::string::npos);
 }
 

@@ -201,7 +201,7 @@ TEST(DiscoveryKeyTest, SeparatesOptionsDatasetsAndEpochs) {
   // how counts are produced, never what discovery concludes.
   HypDbOptions exec = o;
   exec.engine.scan_threads = 7;
-  exec.engine.materialize_focus = false;
+  exec.engine.max_cached_cells = 1000;
   EXPECT_EQ(base, DiscoveryKey("berkeley", 1, q, exec));
 
   // Outcome ORDER splits the key: mediators are discovered for

@@ -25,8 +25,11 @@
 #include "net/http_server.h"
 #include "net/hypdb_handlers.h"
 #include "net/json.h"
+#include "recording_engine.h"
 #include "service/hypdb_service.h"
 #include "service/report_digest.h"
+#include "stats/mi_engine.h"
+#include "util/rng.h"
 
 namespace hypdb {
 namespace {
@@ -188,6 +191,48 @@ TEST(AnalysisSessionTest, RepeatedStagesAreNoOpsWithReuseCounters) {
   ASSERT_TRUE(session->Rewrite().ok());
   EXPECT_EQ(session->stage_state(AnalysisStage::kDiscover).runs, 1);
   EXPECT_GE(session->stage_state(AnalysisStage::kDiscover).reuses, 2);
+}
+
+// ---- in-process: one population engine --------------------------------
+
+// The session fixes one population engine at Create: the plain answers,
+// the FD filter and discovery all count through it. Over a table with a
+// bijective pair (a, a2), the hook sees the FD filter's marginal of a2
+// and its joint with a, although the filter drops a2 before discovery.
+TEST(AnalysisSessionTest, FdFilterCountsThroughThePopulationEngine) {
+  Rng gen(5);
+  ColumnBuilder t("t"), y("y"), a("a"), a2("a2");
+  for (int i = 0; i < 3000; ++i) {
+    const int av = static_cast<int>(gen.NextBounded(4));
+    const int tv = gen.Bernoulli(av >= 2 ? 0.7 : 0.3) ? 1 : 0;
+    const int yv = gen.Bernoulli(0.2 + 0.2 * tv + 0.1 * av) ? 1 : 0;
+    t.Append(tv ? "on" : "off");
+    y.Append(std::to_string(yv));
+    a.Append("v" + std::to_string(av));
+    a2.Append("w" + std::to_string(av));  // bijection of a
+  }
+  Table built;
+  ASSERT_TRUE(built.AddColumn(t.Finish()).ok());
+  ASSERT_TRUE(built.AddColumn(y.Finish()).ok());
+  ASSERT_TRUE(built.AddColumn(a.Finish()).ok());
+  ASSERT_TRUE(built.AddColumn(a2.Finish()).ok());
+  TablePtr table = MakeTable(std::move(built));
+  const std::string sql = "SELECT t, avg(y) FROM x GROUP BY t";
+
+  auto recording = std::make_shared<RecordingEngine>(
+      MakeViewEngine(TableView(table), MiEngineOptions{}));
+  SessionHooks hooks;
+  hooks.population_engine = recording;
+  auto session =
+      AnalysisSession::Create(table, Parse(sql), HypDbOptions{}, hooks);
+  ASSERT_TRUE(session.ok()) << session.status();
+  EXPECT_EQ((*session)->population_engine(), recording);
+  auto report = (*session)->Report();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->discovery.dropped_fd, (std::vector<std::string>{"a2"}));
+  EXPECT_TRUE(recording->Saw({3}));
+  EXPECT_TRUE(recording->Saw({2, 3}));
+  EXPECT_EQ(CanonicalReportDigest(*report), OneShotDigest(table, sql));
 }
 
 // ---- in-process: cooperative cancellation ------------------------------

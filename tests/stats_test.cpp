@@ -266,7 +266,7 @@ TEST(MiEngineTest, EngineMemoAnswersRepeatedEntropies) {
 // fresh scan: I(0;1|2) needs four.
 TEST(MiEngineTest, UncachedEngineRecountsEveryEntropy) {
   TablePtr t = XorTable(25);
-  MiEngine engine(TableView(t), MiEngineOptions{.materialize_focus = false});
+  MiEngine engine(std::make_shared<ViewCountProvider>(TableView(t)));
   ASSERT_TRUE(engine.Mi(0, 1, {2}).ok());
   const int64_t scans = engine.count_engine().stats().scans;
   ASSERT_TRUE(engine.Mi(0, 1, {2}).ok());
