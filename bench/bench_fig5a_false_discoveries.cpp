@@ -79,15 +79,16 @@ int main(int argc, char** argv) {
     }
 
     auto bound = BindQuery(data, q);
-    if (!bound.ok() || bound->treatment_labels.size() != 2) continue;
+    if (!bound.ok()) continue;
     // No grouping: the population is the query's one context, and one
-    // engine serves the plain answers and the rewrite.
+    // engine serves the treatment census, the plain answers and the
+    // rewrite.
     std::shared_ptr<CountEngine> population =
         MakeViewEngine(bound->population, MiEngineOptions{});
+    auto treatments = TreatmentsIn(*population, *data, bound->treatment);
+    if (!treatments.ok() || treatments->size() != 2) continue;
     auto plain = EvaluateBoundQuery(data, q, *bound, *population);
     if (!plain.ok()) continue;
-    auto treatments = TreatmentsIn(bound->population, bound->treatment);
-    if (!treatments.ok()) continue;
     const uint64_t seed = 0xF1A5 + qi;
     auto rewrite = RewriteContextAndEstimate(
         data, *bound, Context{{}, bound->population}, *treatments,
@@ -96,8 +97,8 @@ int main(int argc, char** argv) {
     const ContextRewrite& rw = *rewrite;
     if (rw.total.size() != 2 || rw.plain_sig.empty()) continue;
 
-    const std::string& t1 = bound->treatment_labels[1];
-    const std::string& t0 = bound->treatment_labels[0];
+    const std::string& t1 = (*treatments)[1].second;
+    const std::string& t0 = (*treatments)[0].second;
     double plain_diff = plain->contexts[0].Difference(t1, t0, 0);
     double total_diff = rw.Difference(t1, t0, 0);
     if (std::isnan(plain_diff) || std::isnan(total_diff)) continue;

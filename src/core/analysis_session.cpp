@@ -47,13 +47,6 @@ StatusOr<AnalysisStage> ParseAnalysisStage(const std::string& name) {
       "' (expected answers|discover|detect|explain|rewrite)");
 }
 
-std::string ResolveDirectReference(const HypDbOptions& options,
-                                   const BoundQuery& bound) {
-  if (!options.direct_reference.empty()) return options.direct_reference;
-  if (!bound.treatment_labels.empty()) return bound.treatment_labels.back();
-  return "";
-}
-
 AnalysisSession::AnalysisSession(TablePtr table, AggQuery query,
                                  HypDbOptions options, SessionHooks hooks)
     : table_(std::move(table)), query_(std::move(query)),
@@ -64,8 +57,8 @@ StatusOr<std::unique_ptr<AnalysisSession>> AnalysisSession::Create(
     SessionHooks hooks) {
   BoundQuery bound;
   {
-    // Binding scans (treatment-label enumeration) are engine work too;
-    // the kBind span keeps them nested under a stage in the trace.
+    // Applying the WHERE reads rows; the kBind span gives that work a
+    // stage parent in the trace.
     TraceSpanScope span(TraceEventKind::kStage, 1,
                         static_cast<uint64_t>(TraceStage::kBind));
     HYPDB_ASSIGN_OR_RETURN(bound, BindQuery(table, query));
@@ -80,16 +73,58 @@ StatusOr<std::unique_ptr<AnalysisSession>> AnalysisSession::Create(
   std::unique_ptr<AnalysisSession> session(new AnalysisSession(
       std::move(table), std::move(query), std::move(options),
       std::move(hooks)));
-  session->bound_ = std::move(bound);
-  session->population_engine_ =
-      session->hooks_.population_engine != nullptr
-          ? session->hooks_.population_engine
-          : MakeViewEngine(session->bound_.population,
-                           session->options_.engine);
-  session->direct_reference_ =
-      ResolveDirectReference(session->options_, session->bound_);
-  session->sql_plain_ = session->query_.ToSql();
+  AnalysisSession& s = *session;
+  s.bound_ = std::move(bound);
+  s.population_engine_ =
+      s.hooks_.population_engine != nullptr
+          ? s.hooks_.population_engine
+          : MakeViewEngine(s.bound_.population, s.options_.engine);
+  s.bind_version_ = s.population_engine_->PopulationVersion();
+  // The reference group of the mediator formula: the option, or the
+  // largest treatment label of the population's census.
+  s.direct_reference_ = s.options_.direct_reference;
+  if (s.direct_reference_.empty()) {
+    TraceSpanScope span(TraceEventKind::kStage, 1,
+                        static_cast<uint64_t>(TraceStage::kBind));
+    HYPDB_ASSIGN_OR_RETURN(auto census, s.Census(*s.population_engine_));
+    if (!census.empty()) s.direct_reference_ = census.back().second;
+  }
+  s.sql_plain_ = s.query_.ToSql();
   return session;
+}
+
+StatusOr<std::vector<std::pair<int32_t, std::string>>>
+AnalysisSession::Census(CountEngine& engine) {
+  const CountEngineStats before = engine.stats();
+  auto census = TreatmentsIn(engine, *table_, bound_.treatment);
+  pipeline_stats_ += engine.stats() - before;
+  return census;
+}
+
+void AnalysisSession::PinPopulation() {
+  if (population_engine_->PopulationVersion() == bind_version_) return;
+  // Rows were appended since Create: the hooked engines now answer for a
+  // population this session did not bind. From here on it counts
+  // privately over the views it bound (the discovery interceptor stays).
+  hooks_.context_engine_provider = nullptr;
+  population_engine_ = MakeViewEngine(bound_.population, options_.engine);
+  bind_version_ = population_engine_->PopulationVersion();
+  for (size_t i = 0; i < context_engines_.size(); ++i) {
+    context_engines_[i] = MakeContextEngine(i);
+  }
+}
+
+std::shared_ptr<CountEngine> AnalysisSession::MakeContextEngine(size_t i) {
+  // An ungrouped query's one context is the population: one engine.
+  if (bound_.grouping.empty()) return population_engine_;
+  std::shared_ptr<CountEngine> engine;
+  if (hooks_.context_engine_provider) {
+    engine = hooks_.context_engine_provider(context_wheres_[i],
+                                            contexts_[i].view);
+  }
+  return engine != nullptr ? engine
+                           : MakeViewEngine(contexts_[i].view,
+                                            options_.engine);
 }
 
 Status AnalysisSession::CheckCancel(const char* stage) {
@@ -101,9 +136,10 @@ Status AnalysisSession::CheckCancel(const char* stage) {
 }
 
 Status AnalysisSession::EnsureContexts() {
+  PinPopulation();
   if (contexts_split_) return Status::Ok();
   // Context splitting runs ahead of whichever stage needed it, outside
-  // that stage's span; the treatment-inventory scans below are engine
+  // that stage's span; the treatment-inventory counts below are engine
   // work, so the bind span gives them a stage parent in the trace.
   TraceSpanScope span(TraceEventKind::kStage, 1,
                       static_cast<uint64_t>(TraceStage::kBind));
@@ -113,7 +149,7 @@ Status AnalysisSession::EnsureContexts() {
   // Per-context WHERE conjunction: the query's WHERE plus one IN-term
   // per grouping attribute — the handle the service renders into its
   // canonical shard signature.
-  context_wheres_.reserve(n);
+  context_wheres_.clear();
   for (const Context& ctx : contexts_) {
     auto where = query_.where;
     for (size_t g = 0; g < query_.grouping.size() && g < ctx.labels.size();
@@ -124,41 +160,28 @@ Status AnalysisSession::EnsureContexts() {
     context_wheres_.push_back(std::move(where));
   }
 
-  // Treatment inventories, and from them the rewrite significance-seed
-  // assignment: the i-th context that has >= 2 treatments draws from seed
-  // (base + i), whatever order contexts are rewritten in.
-  context_treatments_.reserve(n);
-  rewrite_seeds_.reserve(n);
+  // Engines and treatment inventories, each counted through its
+  // context's engine, and from them the rewrite significance-seed
+  // assignment: the i-th context that has >= 2 treatments draws from
+  // seed (base + i), whatever order contexts are rewritten in.
+  context_engines_.clear();
+  context_treatments_.clear();
+  rewrite_seeds_.clear();
   uint64_t seed = options_.seed ^ 0x9E50;
-  for (const Context& ctx : contexts_) {
-    HYPDB_ASSIGN_OR_RETURN(auto treatments,
-                           TreatmentsIn(ctx.view, bound_.treatment));
+  for (size_t i = 0; i < n; ++i) {
+    context_engines_.push_back(MakeContextEngine(i));
+    HYPDB_ASSIGN_OR_RETURN(auto treatments, Census(*context_engines_[i]));
     rewrite_seeds_.push_back(seed);
     if (treatments.size() >= 2) ++seed;
     context_treatments_.push_back(std::move(treatments));
   }
 
-  context_engines_.assign(n, nullptr);
   explanations_.assign(n, ContextExplanation{});
   explain_done_.assign(n, 0);
   rewrites_.assign(n, ContextRewrite{});
   rewrite_done_.assign(n, 0);
   contexts_split_ = true;
   return Status::Ok();
-}
-
-StatusOr<std::shared_ptr<CountEngine>> AnalysisSession::ContextEngine(int i) {
-  HYPDB_RETURN_IF_ERROR(EnsureContexts());
-  std::shared_ptr<CountEngine>& engine = context_engines_[i];
-  if (engine != nullptr) return engine;
-  if (hooks_.context_engine_provider) {
-    engine = hooks_.context_engine_provider(context_wheres_[i],
-                                            contexts_[i].view);
-  }
-  if (engine == nullptr) {
-    engine = MakeViewEngine(contexts_[i].view, options_.engine);
-  }
-  return engine;
 }
 
 StatusOr<int> AnalysisSession::NumContexts() {
@@ -183,6 +206,7 @@ StatusOr<const QueryAnswers*> AnalysisSession::Answers() {
     return &answers_;
   }
   HYPDB_RETURN_IF_ERROR(CheckCancel("answers"));
+  PinPopulation();
   Stopwatch timer;
   TraceSpanScope span(TraceEventKind::kStage, 1,
                       static_cast<uint64_t>(TraceStage::kAnswers));
@@ -201,6 +225,7 @@ StatusOr<const QueryAnswers*> AnalysisSession::Answers() {
 }
 
 StatusOr<DiscoveryReport> AnalysisSession::ComputeDiscovery() {
+  PinPopulation();
   Stopwatch timer;
   DiscoveryReport report;
   // The FD filter and both discovery runs (PA_T and PA_Y) count through
@@ -342,9 +367,6 @@ StatusOr<const std::vector<ContextBias>*> AnalysisSession::Detect() {
   TraceSpanScope span(TraceEventKind::kStage, 1,
                       static_cast<uint64_t>(TraceStage::kDetect),
                       contexts_.size());
-  for (size_t i = 0; i < contexts_.size(); ++i) {
-    HYPDB_RETURN_IF_ERROR(ContextEngine(static_cast<int>(i)).status());
-  }
   DetectorOptions det;
   det.ci = options_.ci;
   det.alpha = options_.alpha;
@@ -376,12 +398,10 @@ Status AnalysisSession::ExplainOne(int i) {
   std::sort(v.begin(), v.end());
   ExplainerOptions explain = options_.explain;
   explain.estimator = options_.engine.estimator;
-  HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<CountEngine> engine,
-                         ContextEngine(i));
   HYPDB_ASSIGN_OR_RETURN(
       explanations_[i],
-      ExplainContext(table_, bound_, contexts_[i], v, explain, engine,
-                     &pipeline_stats_));
+      ExplainContext(table_, bound_, contexts_[i], v, explain,
+                     context_engines_[i], &pipeline_stats_));
   explain_done_[i] = 1;
   ++st.runs;
   st.seconds += timer.ElapsedSeconds();
@@ -432,15 +452,13 @@ Status AnalysisSession::RewriteOne(int i) {
   rw.direct_reference = direct_reference_;
   rw.compute_significance = options_.compute_significance;
   rw.estimator = options_.engine.estimator;
-  HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<CountEngine> engine,
-                         ContextEngine(i));
   HYPDB_ASSIGN_OR_RETURN(
       rewrites_[i],
       RewriteContextAndEstimate(table_, bound_, contexts_[i],
                                 context_treatments_[i],
                                 discovery_.covariate_cols,
                                 discovery_.mediator_cols, rw,
-                                rewrite_seeds_[i], engine,
+                                rewrite_seeds_[i], context_engines_[i],
                                 &pipeline_stats_));
   rewrite_done_[i] = 1;
   ++st.runs;

@@ -79,7 +79,8 @@ class AnalysisSession {
  public:
   /// Binds `query` against `table` (errors surface here, not at the
   /// first stage) and resolves the direct-effect reference group once
-  /// for the whole session.
+  /// for the whole session, from the treatment census it counts through
+  /// the population engine.
   static StatusOr<std::unique_ptr<AnalysisSession>> Create(
       TablePtr table, AggQuery query, HypDbOptions options = {},
       SessionHooks hooks = {});
@@ -92,17 +93,20 @@ class AnalysisSession {
 
   const AggQuery& query() const { return query_; }
   const BoundQuery& bound() const { return bound_; }
-  /// The engine every population-wide count goes through — the plain
-  /// answers, the FD filter and discovery: hooks.population_engine when
-  /// set, else the default stack over bound().population, fixed at
-  /// Create.
+  /// The engine every population-wide count goes through — the census,
+  /// the plain answers, the FD filter, discovery and the one context of
+  /// an ungrouped query: hooks.population_engine when set, else the
+  /// default stack over bound().population. It changes only when an
+  /// append moves a hooked engine between stages (see SessionHooks).
   const std::shared_ptr<CountEngine>& population_engine() const {
     return population_engine_;
   }
   const HypDbOptions& options() const { return options_; }
   /// The reference group of the mediator formula, resolved once at bind
   /// time (options.direct_reference, or the lexicographically largest
-  /// treatment label) so the staged and one-shot paths cannot disagree.
+  /// treatment label of the population) so the staged and one-shot paths
+  /// cannot disagree; it also names the group in the rewritten
+  /// direct-effect SQL.
   const std::string& direct_reference() const { return direct_reference_; }
 
   // ---- stages ----------------------------------------------------------
@@ -155,10 +159,20 @@ class AnalysisSession {
                   SessionHooks hooks);
 
   Status CheckCancel(const char* stage);
+  /// Runs before any stage counts: when the population engine's version
+  /// moved off bind_version_, drops the hooked engines for private stacks
+  /// over the bound views.
+  void PinPopulation();
+  /// The treatment census of `engine`'s population (TreatmentsIn); its
+  /// count is pipeline work.
+  StatusOr<std::vector<std::pair<int32_t, std::string>>> Census(
+      CountEngine& engine);
+  /// Splits the contexts and gives each its engine and treatment
+  /// inventory.
   Status EnsureContexts();
-  /// The persisted count engine of context `i` (provider-shared or
-  /// session-private), created on first use.
-  StatusOr<std::shared_ptr<CountEngine>> ContextEngine(int i);
+  /// The engine of context `i`: the population engine for an ungrouped
+  /// query, else the provider's, else a private stack over its view.
+  std::shared_ptr<CountEngine> MakeContextEngine(size_t i);
   StatusOr<DiscoveryReport> ComputeDiscovery();
   Status ExplainOne(int i);
   Status RewriteOne(int i);
@@ -172,6 +186,8 @@ class AnalysisSession {
   // Bound-query state (Create).
   BoundQuery bound_;
   std::shared_ptr<CountEngine> population_engine_;
+  /// population_engine_->PopulationVersion() when the session bound.
+  int64_t bind_version_ = 0;
   std::string direct_reference_;
   std::string sql_plain_;
 
@@ -208,13 +224,6 @@ class AnalysisSession {
 
   std::function<bool()> cancel_check_;
 };
-
-/// The session-wide reference-group resolution rule (also used for the
-/// rewritten direct-effect SQL): `options.direct_reference` when set,
-/// otherwise the lexicographically largest treatment label of the bound
-/// population (empty when there are none).
-std::string ResolveDirectReference(const HypDbOptions& options,
-                                   const BoundQuery& bound);
 
 }  // namespace hypdb
 

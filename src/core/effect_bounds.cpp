@@ -14,7 +14,10 @@ StatusOr<EffectBounds> BoundTotalEffect(
     const std::vector<int>& candidates,
     const std::shared_ptr<CountEngine>& population,
     const EffectBoundsOptions& options) {
-  if (bound.treatment_labels.size() != 2) {
+  // The treatment census, counted through the engine every subset uses.
+  HYPDB_ASSIGN_OR_RETURN(auto treatments,
+                         TreatmentsIn(*population, *table, bound.treatment));
+  if (treatments.size() != 2) {
     return Status::FailedPrecondition(
         "effect bounds require a binary treatment in the population");
   }
@@ -29,8 +32,8 @@ StatusOr<EffectBounds> BoundTotalEffect(
   }
 
   EffectBounds bounds;
-  bounds.t0 = bound.treatment_labels[0];
-  bounds.t1 = bound.treatment_labels[1];
+  bounds.t0 = treatments[0].second;
+  bounds.t1 = treatments[1].second;
   const int num_outcomes = static_cast<int>(bound.outcomes.size());
   bounds.lower.assign(num_outcomes, std::numeric_limits<double>::infinity());
   bounds.upper.assign(num_outcomes,
@@ -39,8 +42,6 @@ StatusOr<EffectBounds> BoundTotalEffect(
   // The rewriter operates per context; bounds are computed over the full
   // population (one anonymous context).
   const Context whole{{}, bound.population};
-  HYPDB_ASSIGN_OR_RETURN(auto treatments,
-                         TreatmentsIn(bound.population, bound.treatment));
 
   RewriterOptions rewrite_options;
   rewrite_options.compute_direct = false;

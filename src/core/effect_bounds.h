@@ -58,9 +58,10 @@ struct EffectBounds {
 /// Evaluates the adjustment formula under every subset of `candidates`
 /// (column indices; typically MB(T) minus the outcomes) over the bound
 /// query's population, ignoring its grouping. The treatment must be
-/// binary in the population. Every subset counts through `population`,
-/// which must aggregate exactly bound.population, so a caching engine
-/// scans each distinct column set at most once.
+/// binary in the population. The treatment census and every subset
+/// count through `population`, which must aggregate exactly
+/// bound.population, so a caching engine scans each distinct column set
+/// at most once.
 StatusOr<EffectBounds> BoundTotalEffect(
     const TablePtr& table, const BoundQuery& bound,
     const std::vector<int>& candidates,

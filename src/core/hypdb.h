@@ -72,13 +72,28 @@ struct DiscoveryReport {
   double seconds = 0.0;
 };
 
+/// Maps a context's WHERE conjunction (the query's WHERE plus one
+/// `attr IN {label}` term per grouping attribute — the subpopulation
+/// Γ_i = C ∧ X = x_i) and its row view to a count engine aggregating
+/// exactly that view's rows. A null return means "no shared engine"; the
+/// session builds its default stack over the view instead.
+using ContextEngineProvider = std::function<std::shared_ptr<CountEngine>(
+    const std::vector<std::pair<std::string, std::vector<std::string>>>&
+        context_where,
+    const TableView& view)>;
+
 /// Hooks the service layer threads into an analysis (HypDb::Analyze or an
 /// AnalysisSession) to share work across concurrent queries. All members
 /// optional; default-constructed hooks reproduce the self-contained
-/// one-shot behavior.
+/// one-shot behavior. The hooked engines may aggregate a growing store:
+/// the session records the population engine's PopulationVersion() at
+/// Create, and when a stage finds it moved, drops both engine hooks for
+/// private stacks over the views it bound. The caller keeps the version
+/// still while a stage runs (the service holds the dataset's read lease).
 struct SessionHooks {
   /// Count engine aggregating exactly the bound WHERE population. When
-  /// set, the plain answers, the FD filter and discovery count through
+  /// set, the treatment census, the plain answers, the FD filter,
+  /// discovery and the one context of an ungrouped query count through
   /// it instead of the session's default stack (MakeViewEngine), so
   /// concurrent queries on the same subpopulation share cached
   /// contingency summaries. Must be thread-safe when shared
@@ -92,19 +107,11 @@ struct SessionHooks {
   std::function<StatusOr<DiscoveryReport>(
       const std::function<StatusOr<DiscoveryReport>()>& compute)>
       discovery_interceptor;
-  /// Maps a context's WHERE conjunction (the query's WHERE plus one
-  /// `attr IN {label}` term per grouping attribute — the subpopulation
-  /// Γ_i = C ∧ X = x_i) and its row view to a shared count engine; the
-  /// service renders the terms with its canonical signature and serves
-  /// the registry's per-context shard. A null return (or unset hook)
-  /// falls back to the session's default stack over the context. Either
-  /// way the engine persists in the session and serves detection,
-  /// explanation and resolution for that context.
-  std::function<std::shared_ptr<CountEngine>(
-      const std::vector<std::pair<std::string, std::vector<std::string>>>&
-          context_where,
-      const TableView& view)>
-      context_engine_provider;
+  /// The engine of each context of a grouped query (never asked for an
+  /// ungrouped one, whose one context is the population); the service
+  /// serves the registry's per-context shard. It counts the context's
+  /// treatment inventory, detection, explanation and resolution.
+  ContextEngineProvider context_engine_provider;
 };
 
 /// Everything HypDB has to say about one query (Fig. 1/3/4 reports).

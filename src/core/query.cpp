@@ -83,16 +83,6 @@ StatusOr<BoundQuery> BindQuery(const TablePtr& table, const AggQuery& query) {
   if (bound.population.NumRows() == 0) {
     return Status::FailedPrecondition("WHERE clause selects no rows");
   }
-
-  // Treatment values present in the population.
-  HYPDB_ASSIGN_OR_RETURN(GroupCounts t_counts,
-                         CountBy(bound.population, {bound.treatment}));
-  const Column& t_col = table->column(bound.treatment);
-  for (uint64_t key : t_counts.keys) {
-    bound.treatment_labels.push_back(
-        t_col.dict().Label(static_cast<int32_t>(key)));
-  }
-  std::sort(bound.treatment_labels.begin(), bound.treatment_labels.end());
   return bound;
 }
 

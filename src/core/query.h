@@ -72,12 +72,11 @@ struct BoundQuery {
   std::vector<int> grouping;
   std::vector<int> outcomes;
   TableView population;  // WHERE-filtered view over the full table
-
-  /// Labels of the treatment values present in the population, sorted.
-  std::vector<std::string> treatment_labels;
 };
 
-/// Validates `query` against `table` and applies the WHERE clause.
+/// Validates `query` against `table` and applies the WHERE clause. It
+/// counts nothing: the treatment census is a count through the engine
+/// of the population (TreatmentsIn, core/rewriter.h).
 StatusOr<BoundQuery> BindQuery(const TablePtr& table, const AggQuery& query);
 
 /// One context Γ_i = C ∧ (X = x_i): its labels and its rows.

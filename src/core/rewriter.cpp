@@ -10,11 +10,10 @@
 
 namespace hypdb {
 
-// Observed treatment codes in a view, with their labels, sorted by label.
 StatusOr<std::vector<std::pair<int32_t, std::string>>> TreatmentsIn(
-    const TableView& view, int treatment) {
-  HYPDB_ASSIGN_OR_RETURN(GroupCounts counts, CountBy(view, {treatment}));
-  const Column& col = view.table().column(treatment);
+    CountEngine& engine, const Table& table, int treatment) {
+  HYPDB_ASSIGN_OR_RETURN(GroupCounts counts, engine.Counts({treatment}));
+  const Column& col = table.column(treatment);
   std::vector<std::pair<int32_t, std::string>> out;
   for (uint64_t key : counts.keys) {
     int32_t code = static_cast<int32_t>(key);

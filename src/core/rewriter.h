@@ -81,14 +81,16 @@ struct RewriterOptions {
   EntropyEstimator estimator = EntropyEstimator::kMillerMadow;
 };
 
-/// Observed treatment (code, label) pairs in a view, sorted by label —
-/// the per-context treatment inventory the rewrite formulas compare.
+/// Observed treatment (code, label) pairs in `engine`'s population,
+/// sorted by label — the treatment census: a population's labels, or a
+/// context's inventory the rewrite formulas compare. One count(*) GROUP
+/// BY T through `engine`; `table` supplies the labels.
 StatusOr<std::vector<std::pair<int32_t, std::string>>> TreatmentsIn(
-    const TableView& view, int treatment);
+    CountEngine& engine, const Table& table, int treatment);
 
 /// Rewrites the bound query w.r.t. `covariates` (total effect) and
 /// `mediators` (direct effect) and evaluates it in one context.
-/// `treatments` must be TreatmentsIn(ctx.view). The significance tests
+/// `treatments` must be TreatmentsIn(*engine). The significance tests
 /// draw from `sig_seed` (AnalysisSession numbers the seeds of a query's
 /// contexts). Both formulas' averages and joint counts and the
 /// significance tests count through `engine`, which must aggregate

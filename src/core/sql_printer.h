@@ -16,13 +16,16 @@
 
 namespace hypdb {
 
-/// Listing-2 rewriting of `query` w.r.t. covariate names `covariates`.
+/// Listing-2 rewriting of `query` w.r.t. covariate names `covariates`:
+/// run over the table, it returns the total effects the rewriter
+/// computes (RewriteContextAndEstimate), per treatment and context.
 std::string RewrittenTotalSql(const AggQuery& query,
                               const std::vector<std::string>& covariates);
 
 /// Mediator-formula (Eq. 3) rewriting w.r.t. covariates and mediators;
 /// `reference` is the treatment value whose mediator distribution is held
-/// fixed.
+/// fixed. Run over the table, it returns the rewriter's direct effects
+/// per treatment and context.
 std::string RewrittenDirectSql(const AggQuery& query,
                                const std::vector<std::string>& covariates,
                                const std::vector<std::string>& mediators,

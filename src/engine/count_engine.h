@@ -3,9 +3,16 @@
 // Every statistic in HypDB reduces to count(*) GROUP BY over a column
 // subset (paper Sec. 6), and the thousands of CI tests issued by the CD
 // algorithm share most of their counts. CountEngine is the interface those
-// counts flow through; implementations form a small hierarchy:
+// counts flow through; its six implementations form a small hierarchy:
 //  * ViewCountProvider   — scans a TableView with the packed-tuple kernel
 //                          (optionally multi-threaded); the ground truth.
+//  * ChunkedCountProvider — scans a growing chunked store; its version is
+//                          the store's row watermark, and it counts the
+//                          appended suffix alone (CountsDelta)
+//                          (src/storage/chunked_count_provider.h).
+//  * FilteredPopulationProvider — the same over a WHERE subpopulation of
+//                          the store, its matching rows extended as rows
+//                          arrive (src/storage/filtered_population.h).
 //  * CubeCountProvider   — answers covered queries from a pre-computed
 //                          OLAP data cube and delegates the rest to its
 //                          base engine (src/cube), the Fig. 6(d)/8(b)

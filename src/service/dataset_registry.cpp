@@ -38,80 +38,6 @@ bool ResolveSlicePredicates(const Table& table,
   return true;
 }
 
-/// Pins a shared shard engine to a caller's bind-time watermark. The
-/// registry's shared engines are *live* — they answer at the store's
-/// current watermark — but a caller's population is fixed when its
-/// query binds; an append between session stages must not leak new rows
-/// into its counts (the staged digest invariant). Each call validates the
-/// shared engine's version before AND after delegating: the watermark is
-/// monotone, so matching twice means it was the bind watermark throughout
-/// the call. Once the store advances, calls permanently degrade to a
-/// lazily-built private stack over the pinned bind-time view.
-class WatermarkGuardEngine : public CountEngine {
- public:
-  WatermarkGuardEngine(std::shared_ptr<CountEngine> shared,
-                       int64_t bind_watermark, TableView pinned,
-                       MiEngineOptions engine)
-      : shared_(std::move(shared)), bind_(bind_watermark),
-        pinned_(std::move(pinned)), engine_(engine) {}
-
-  StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override {
-    if (shared_->PopulationVersion() == bind_) {
-      StatusOr<GroupCounts> counts = shared_->Counts(cols);
-      if (shared_->PopulationVersion() == bind_) return counts;
-    }
-    return Pinned()->Counts(cols);
-  }
-
-  /// The same re-check as Counts(): a memo the shared engine serves while
-  /// its version equals the bind watermark throughout was computed from
-  /// the summary at that watermark.
-  StatusOr<SetEntropy> Entropy(const std::vector<int>& sorted) override {
-    if (shared_->PopulationVersion() == bind_) {
-      StatusOr<SetEntropy> entropy = shared_->Entropy(sorted);
-      if (shared_->PopulationVersion() == bind_) return entropy;
-    }
-    return Pinned()->Entropy(sorted);
-  }
-
-  Status Prefetch(const std::vector<int>& cols) override {
-    // A hint: no post-validation needed (a summary prefetched at the
-    // wrong watermark is never *served* — Counts() re-validates).
-    if (shared_->PopulationVersion() == bind_) {
-      return shared_->Prefetch(cols);
-    }
-    return Pinned()->Prefetch(cols);
-  }
-
-  int64_t NumRows() const override { return pinned_.NumRows(); }
-  int64_t PopulationVersion() const override { return bind_; }
-
-  CountEngineStats stats() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return private_ != nullptr ? private_->stats() : shared_->stats();
-  }
-  void ResetStats() override {
-    // The shared engine serves other sessions/requests — never reset it
-    // from here.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (private_ != nullptr) private_->ResetStats();
-  }
-
- private:
-  std::shared_ptr<CountEngine> Pinned() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (private_ == nullptr) private_ = MakeViewEngine(pinned_, engine_);
-    return private_;
-  }
-
-  std::shared_ptr<CountEngine> shared_;
-  const int64_t bind_;
-  TableView pinned_;
-  MiEngineOptions engine_;
-  mutable std::mutex mu_;
-  std::shared_ptr<CountEngine> private_;
-};
-
 }  // namespace
 
 DatasetRegistry::DatasetRegistry(DatasetRegistryOptions options)
@@ -275,8 +201,7 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
 }
 
 StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
-    const std::string& name, int64_t epoch, const std::string& signature,
-    int64_t watermark) {
+    const std::string& name, int64_t epoch, const std::string& signature) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = datasets_.find(name);
   if (it == datasets_.end() || it->second.store == nullptr) {
@@ -290,17 +215,6 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
         "dataset " + name + " re-registered (snapshot epoch " +
         std::to_string(epoch) + ", current " + std::to_string(ds.epoch) +
         ")");
-  }
-  if (watermark >= 0 && ds.store->Watermark() != watermark) {
-    // The caller bound against an older watermark (a session created
-    // before an append, or a rare snapshot/append race outside the read
-    // lease). The live shared engines answer at the current watermark,
-    // which would change the caller's pinned population; callers degrade
-    // to a private engine over their own view instead.
-    return Status::FailedPrecondition(
-        "dataset " + name + " advanced past the caller's watermark (bound " +
-        std::to_string(watermark) + ", current " +
-        std::to_string(ds.store->Watermark()) + ")");
   }
   // The empty signature selects the whole table: that IS the parent
   // engine, so full-table queries and the slicing shards share one cache.
@@ -392,34 +306,28 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::BuildShardLocked(
   return WrapCache(std::move(live));
 }
 
-StatusOr<PooledEngines> DatasetRegistry::Pool(const std::string& name,
-                                              const Snapshot& snapshot,
-                                              const std::string& signature,
-                                              const TableView& population) {
-  PooledEngines out;
+StatusOr<SessionHooks> DatasetRegistry::Pool(const std::string& name,
+                                             const Snapshot& snapshot,
+                                             const std::string& signature) {
+  SessionHooks out;
   const int64_t epoch = snapshot.epoch;
-  const int64_t watermark = snapshot.watermark;
-  const MiEngineOptions engine = options_.engine;
   StatusOr<std::shared_ptr<CountEngine>> shard =
-      ShardEngine(name, epoch, signature, watermark);
+      ShardEngine(name, epoch, signature);
   if (shard.ok()) {
-    out.population = std::make_shared<WatermarkGuardEngine>(
-        std::move(*shard), watermark, population, engine);
+    out.population_engine = std::move(*shard);
   } else if (shard.status().code() != StatusCode::kFailedPrecondition) {
     return shard.status();
   }
-  out.contexts = [this, name, epoch, watermark, engine](
+  out.context_engine_provider = [this, name, epoch](
                      const std::vector<std::pair<
                          std::string, std::vector<std::string>>>& where,
-                     const TableView& view) -> std::shared_ptr<CountEngine> {
+                     const TableView&) -> std::shared_ptr<CountEngine> {
     AggQuery context_query;
     context_query.where = where;
-    StatusOr<std::shared_ptr<CountEngine>> shard = ShardEngine(
-        name, epoch, SubpopulationSignature(context_query), watermark);
-    // Stale epoch or advanced watermark: the caller's private fallback.
-    if (!shard.ok()) return nullptr;
-    return std::make_shared<WatermarkGuardEngine>(std::move(*shard),
-                                                  watermark, view, engine);
+    StatusOr<std::shared_ptr<CountEngine>> shard =
+        ShardEngine(name, epoch, SubpopulationSignature(context_query));
+    // A stale epoch: the caller's private fallback.
+    return shard.ok() ? std::move(*shard) : nullptr;
   };
   return out;
 }

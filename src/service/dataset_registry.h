@@ -33,14 +33,15 @@
 // not resolve against the store gets no shard at all.
 //
 // Concurrency: readers take the dataset's shared lease (ReadLease) for a
-// request's whole lifetime, so the watermark cannot advance mid-request;
-// AppendRows takes the same lease exclusively. Lock order is always
-// lease → registry mutex → store mutex.
+// request's whole lifetime — an analyze for its whole body, a session
+// while it binds and while each stage runs — so the watermark cannot
+// advance while anything counts through the live shards; AppendRows
+// takes the same lease exclusively. Lock order is always lease →
+// registry mutex → store mutex (and lease → session stage lock).
 
 #ifndef HYPDB_SERVICE_DATASET_REGISTRY_H_
 #define HYPDB_SERVICE_DATASET_REGISTRY_H_
 
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -50,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/hypdb.h"
 #include "engine/count_engine.h"
 #include "stats/mi_engine.h"
 #include "storage/chunked_table.h"
@@ -58,8 +60,8 @@
 namespace hypdb {
 
 struct DatasetRegistryOptions {
-  /// Count-engine configuration for shard engines (kernel threads, cache
-  /// budget, caching toggle).
+  /// Count-engine configuration for shard engines (kernel threads and
+  /// cache budget).
   MiEngineOptions engine;
   /// Filtered shard engines kept per dataset (the full-table parent is
   /// exempt); oldest-first eviction beyond this.
@@ -88,25 +90,6 @@ struct DatasetInfo {
   double cache_hit_ratio = 0.0;
   /// Cache evictions across the pool.
   int64_t evictions = 0;
-};
-
-/// Maps a context's WHERE conjunction and row view to a count engine —
-/// the shape of SessionHooks::context_engine_provider (core/hypdb.h). A
-/// null return means "no shared engine"; the caller builds a private one.
-using ContextEngineProvider = std::function<std::shared_ptr<CountEngine>(
-    const std::vector<std::pair<std::string, std::vector<std::string>>>&
-        where,
-    const TableView& view)>;
-
-/// The shard engines a request or session draws its counts from.
-struct PooledEngines {
-  /// Shard of the bound WHERE population; null when the dataset was
-  /// re-registered since the caller's snapshot (the caller runs unshared
-  /// over its snapshot table).
-  std::shared_ptr<CountEngine> population;
-  /// Per-context shards: context Γ_i = C ∧ X = x_i gets the shard of its
-  /// WHERE conjunction's canonical signature.
-  ContextEngineProvider contexts;
 };
 
 /// A held shared (reader) lease on one dataset: while alive, AppendRows
@@ -173,32 +156,29 @@ class DatasetRegistry {
   /// does not parse, NotFound when it names a column the dataset lacks.
   /// `epoch` must match the dataset's current epoch — FailedPrecondition
   /// otherwise (the dataset was re-registered since the caller's
-  /// snapshot). `watermark`, when >= 0, must match the store's current
-  /// watermark — FailedPrecondition otherwise (the caller bound against a
-  /// row count the live shared engines no longer answer for; callers
-  /// degrade to a private engine over their pinned view). The empty
-  /// signature names the dataset's full-table parent engine;
+  /// snapshot). The empty signature names the dataset's full-table
+  /// parent engine;
   /// equality-conjunction signatures get slicing shards backed by that
   /// parent (see the header comment). Oldest filtered shards are dropped
   /// beyond max_shards_per_dataset; an evicted parent reference held by
   /// live slicing shards stays valid (shared_ptr), it just stops being
   /// handed out.
   StatusOr<std::shared_ptr<CountEngine>> ShardEngine(
-      const std::string& name, int64_t epoch, const std::string& signature,
-      int64_t watermark = -1);
+      const std::string& name, int64_t epoch, const std::string& signature);
 
-  /// The engines of one request or session bound at `snapshot`, whose
-  /// WHERE has canonical `signature` and selects `population`: the one
-  /// provider the analyze path and staged sessions share. Every engine
-  /// is pinned to snapshot.watermark — the shared shards answer at the
-  /// store's live watermark, so a call made after an append degrades to
-  /// a private cached scan of the pinned bind-time view (bit-identical
-  /// counts, just no pooling). Requests hold the read lease and never
-  /// see that; sessions outlive it.
-  StatusOr<PooledEngines> Pool(const std::string& name,
-                               const Snapshot& snapshot,
-                               const std::string& signature,
-                               const TableView& population);
+  /// The shards of one request or session bound at `snapshot`, whose
+  /// WHERE has canonical `signature`, as the engine hooks of its session
+  /// — the one provider the analyze path and staged sessions share.
+  /// population_engine is the population's shard, or null when the
+  /// dataset was re-registered since the snapshot (the caller then runs
+  /// unshared over its snapshot table); context_engine_provider maps a
+  /// context's WHERE conjunction to the shard of its canonical signature
+  /// (null after a re-registration). The shards are live: the caller
+  /// holds the read lease while anything counts through them, and the
+  /// session pins its population by version (see SessionHooks).
+  StatusOr<SessionHooks> Pool(const std::string& name,
+                              const Snapshot& snapshot,
+                              const std::string& signature);
 
   /// Aggregate count-engine stats across a dataset's live shards plus
   /// its parent engine. Well-defined without double counting: slicing

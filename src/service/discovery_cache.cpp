@@ -18,6 +18,11 @@ bool DiscoveryCache::StaleLocked(int64_t entry_watermark,
                      static_cast<double>(entry_watermark);
 }
 
+bool DiscoveryCache::Newer(int64_t entry_watermark, int64_t watermark) {
+  return entry_watermark >= 0 && watermark >= 0 &&
+         entry_watermark > watermark;
+}
+
 StatusOr<DiscoveryReport> DiscoveryCache::LookupOrCompute(
     const std::string& key,
     const std::function<StatusOr<DiscoveryReport>()>& compute, bool* reused,
@@ -27,7 +32,9 @@ StatusOr<DiscoveryReport> DiscoveryCache::LookupOrCompute(
 
   std::unique_lock<std::mutex> lock(mu_);
   auto hit = cache_.find(key);
-  if (hit != cache_.end()) {
+  // An entry computed over rows this lookup did not bind never serves it
+  // (and is kept: it serves lookups at its own watermark).
+  if (hit != cache_.end() && !Newer(hit->second.watermark, watermark)) {
     if (!StaleLocked(hit->second.watermark, watermark)) {
       ++stats_.hits;
       if (reused != nullptr) *reused = true;
@@ -42,7 +49,9 @@ StatusOr<DiscoveryReport> DiscoveryCache::LookupOrCompute(
     age_.remove(key);
   }
 
-  auto flight = inflight_.find(key);
+  // Only a computation over the same rows is this discovery.
+  const std::pair<std::string, int64_t> flight_key(key, watermark);
+  auto flight = inflight_.find(flight_key);
   if (flight != inflight_.end()) {
     // Coalesce: another worker is computing this exact discovery right
     // now. Wait for it instead of duplicating the work — this is the
@@ -64,18 +73,22 @@ StatusOr<DiscoveryReport> DiscoveryCache::LookupOrCompute(
   ++stats_.misses;
   TraceInstant(TraceEventKind::kDiscoveryCompute, 1);
   auto state = std::make_shared<InFlight>();
-  inflight_.emplace(key, state);
+  inflight_.emplace(flight_key, state);
   lock.unlock();
 
   StatusOr<DiscoveryReport> result = compute();
 
   lock.lock();
-  inflight_.erase(key);
+  inflight_.erase(flight_key);
   state->done = true;
   if (result.ok()) {
     state->report = *result;
-    if (cache_.emplace(key, Entry{*result, watermark}).second) {
+    // The newest discovery of a key is the one kept.
+    auto [it, inserted] = cache_.try_emplace(key, Entry{*result, watermark});
+    if (inserted) {
       age_.push_back(key);
+    } else if (Newer(watermark, it->second.watermark)) {
+      it->second = Entry{*result, watermark};
     }
     while (static_cast<int64_t>(cache_.size()) >
                std::max<int64_t>(1, options_.max_entries) &&

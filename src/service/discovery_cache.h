@@ -20,7 +20,9 @@
 // (refresh_rows_fraction) decides when enough rows have arrived that the
 // discovery is recomputed — lazily, at the next lookup. The entry
 // survives the append event itself; only a lookup observing a watermark
-// past the bound pays the recompute (counted as stale_refreshes).
+// past the bound pays the recompute (counted as stale_refreshes). A
+// lookup bound before an entry's watermark (a session that outlived an
+// append) never takes it: it computes over its own rows.
 
 #ifndef HYPDB_SERVICE_DISCOVERY_CACHE_H_
 #define HYPDB_SERVICE_DISCOVERY_CACHE_H_
@@ -33,6 +35,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "core/hypdb.h"
 
@@ -70,9 +73,12 @@ class DiscoveryCache {
   /// result. `reused` (optional) reports whether this caller skipped the
   /// computation; `coalesced` whether it waited on an in-flight twin.
   /// `compute` runs without the cache lock held. `watermark` is the
-  /// caller's current storage watermark: an entry computed at an older
-  /// watermark past the staleness bound is recomputed instead of served
-  /// (-1 disables staleness tracking — the entry never goes stale).
+  /// storage watermark the caller bound: an entry serves only lookups at
+  /// or after the watermark it was computed at, and an older one past the
+  /// staleness bound is recomputed instead of served. A lookup coalesces
+  /// only onto a computation at its own watermark, and its result never
+  /// displaces an entry computed at a later one. -1 disables watermark
+  /// tracking — such an entry serves every lookup.
   StatusOr<DiscoveryReport> LookupOrCompute(
       const std::string& key,
       const std::function<StatusOr<DiscoveryReport>()>& compute,
@@ -104,12 +110,17 @@ class DiscoveryCache {
   /// True when an entry computed at `entry_watermark` must be recomputed
   /// for a lookup at `watermark` (see refresh_rows_fraction).
   bool StaleLocked(int64_t entry_watermark, int64_t watermark) const;
+  /// True when both watermarks are tracked and `entry_watermark` is past
+  /// `watermark`: that entry counted rows the lookup did not bind.
+  static bool Newer(int64_t entry_watermark, int64_t watermark);
 
   mutable std::mutex mu_;
   DiscoveryCacheOptions options_;
   std::map<std::string, Entry> cache_;
   std::list<std::string> age_;  // insertion order, oldest first
-  std::map<std::string, std::shared_ptr<InFlight>> inflight_;
+  /// Computations in flight, by key and the watermark they count at.
+  std::map<std::pair<std::string, int64_t>, std::shared_ptr<InFlight>>
+      inflight_;
   DiscoveryCacheStats stats_;
 };
 

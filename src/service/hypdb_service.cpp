@@ -470,25 +470,23 @@ StatusOr<HypDbService::Binding> HypDbService::Bind(
     TraceSpanScope bind_span(TraceEventKind::kStage, 1,
                              static_cast<uint64_t>(TraceStage::kBind));
     HYPDB_ASSIGN_OR_RETURN(bound, BindQuery(snapshot.table, query));
-    // The population shard serves the answers and discovery, per-context
-    // shards serve detection, explanation and the rewrite. Every engine
-    // is pinned to the bind watermark, so appends after a session's bind
-    // cannot leak new rows into its population (staged digest
-    // invariant). A null population means the dataset was re-registered
-    // after the snapshot: the request then runs unshared over the
-    // snapshot table, and its discovery caches under the (now stale,
-    // unreachable) snapshot epoch.
-    HYPDB_ASSIGN_OR_RETURN(
-        PooledEngines pooled,
-        registry_.Pool(request.dataset, snapshot,
-                       SubpopulationSignature(query), bound.population));
-    out.population = pooled.population;
-    hooks.population_engine = std::move(pooled.population);
-    hooks.context_engine_provider = std::move(pooled.contexts);
+    // The population shard serves the census, the answers and discovery
+    // (and an ungrouped query's one context); per-context shards serve
+    // the rest of a grouped query. The session pins them by version: an
+    // append between its stages moves it to private engines over the
+    // views bound here (staged digest invariant). A null population
+    // means the dataset was re-registered after the snapshot: the request
+    // then runs unshared over the snapshot table, and its discovery
+    // caches under the (now stale, unreachable) snapshot epoch.
+    HYPDB_ASSIGN_OR_RETURN(hooks,
+                           registry_.Pool(request.dataset, snapshot,
+                                          SubpopulationSignature(query)));
+    out.population = hooks.population_engine;
   }
-  // Discovery runs over the snapshot table, so the staleness check runs
-  // against the bind watermark: an entry computed at (or after) it
-  // serves; an older one refreshes over these rows.
+  // Discovery runs over the snapshot table, so the lookup runs at the
+  // bind watermark: an entry computed at it (or, within the staleness
+  // bound, before it) serves; an entry computed over later rows never
+  // does.
   out.discovery = std::make_shared<DiscoveryFlags>();
   hooks.discovery_interceptor =
       [cache = &discovery_, flags = out.discovery,
@@ -586,6 +584,14 @@ StatusOr<ServiceReport> HypDbService::RunSessionStage(
     RequestStats* stats) {
   HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<SessionManager::Entry> entry,
                          sessions_.Get(session_id));
+  // The stage holds the read lease as an analyze does, so appends wait
+  // behind it and the session's version check at the stage's start holds
+  // for the whole stage. Lease, then stage lock, as CreateSession takes
+  // them: a stage holding the stage lock while it waits for the lease
+  // behind a queued append could block a lease holder that waits for
+  // this session.
+  HYPDB_ASSIGN_OR_RETURN(DatasetLease lease,
+                         registry_.ReadLease(entry->dataset));
   std::lock_guard<std::mutex> stage_lock(entry->mu);
   AnalysisSession& session = *entry->session;
   session.SetCancelCheck(

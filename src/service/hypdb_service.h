@@ -113,7 +113,8 @@ class HypDbService {
   /// sessions, shard caches and cached discoveries survive — cached
   /// summaries are delta-patched by scanning only the appended chunks,
   /// and discoveries refresh lazily under refresh_rows_fraction. Appends
-  /// serialize behind in-flight requests (the dataset read lease).
+  /// serialize behind in-flight analyses and running session stages (the
+  /// dataset read lease).
   /// Returns the new watermark; NotFound for unknown datasets,
   /// InvalidArgument on arity mismatch (nothing is appended).
   StatusOr<int64_t> AppendRows(
@@ -142,7 +143,9 @@ class HypDbService {
   /// wired into the shared infrastructure: its discovery goes through
   /// the DiscoveryCache, its population and per-context counts through
   /// the registry's shard engines, and each stage runs as a scheduler
-  /// job (deadlines and cancellation apply).
+  /// job (deadlines and cancellation apply) holding the dataset's read
+  /// lease. A session that outlives an append answers for the rows it
+  /// bound: its later stages count privately over its bound views.
 
   /// Creates a session for `request` (binding the query now, through the
   /// same Bind() as an analyze, so malformed queries fail here). The
@@ -219,8 +222,8 @@ class HypDbService {
   struct Binding {
     /// The dataset read lease, declared first so it is released last.
     /// While held, appends wait, so the bind watermark stays the store's:
-    /// an analyze holds it for its whole body, a session only while it
-    /// binds (its engines are pinned to the bind watermark instead).
+    /// an analyze holds it for its whole body, a session while it binds
+    /// (each stage job takes it again).
     DatasetLease lease;
     int64_t epoch = 0;
     std::unique_ptr<AnalysisSession> session;

@@ -104,13 +104,14 @@ StatusOr<std::vector<ContextRewrite>> Rewrite(
     const TablePtr& table, const BoundQuery& bound,
     const std::vector<int>& covariates, const std::vector<int>& mediators,
     const RewriterOptions& options) {
+  std::shared_ptr<CountEngine> engine = Engine(bound);
   HYPDB_ASSIGN_OR_RETURN(auto treatments,
-                         TreatmentsIn(bound.population, bound.treatment));
+                         TreatmentsIn(*engine, *table, bound.treatment));
   HYPDB_ASSIGN_OR_RETURN(
       ContextRewrite rewrite,
       RewriteContextAndEstimate(table, bound, Whole(bound), treatments,
                                 covariates, mediators, options,
-                                /*sig_seed=*/0x5EED, Engine(bound)));
+                                /*sig_seed=*/0x5EED, engine));
   return std::vector<ContextRewrite>{std::move(rewrite)};
 }
 

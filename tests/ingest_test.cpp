@@ -10,12 +10,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/hypdb.h"
+#include "datagen/adult_data.h"
 #include "net/hypdb_handlers.h"
 #include "net/json.h"
 #include "service/hypdb_service.h"
@@ -166,6 +169,35 @@ TEST(IngestTest, SessionsSurviveAppendPinnedAtTheirWatermark) {
   // a cold analysis of the PRE-append table.
   auto report = service.AdvanceSession(session->id, "report");
   ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(CanonicalReportDigest(report->report), ColdDigest(rows));
+}
+
+// A discovery computed over appended rows never serves a session bound
+// before them: an analyze after a large append recomputes discovery at
+// the new watermark, and the session still reports the discovery of the
+// rows it bound.
+TEST(IngestTest, SessionNeverTakesADiscoveryOverRowsItDidNotBind) {
+  Rng rng(21);
+  Rows rows = SyntheticRows(400, &rng);
+  HypDbServiceOptions options;
+  options.num_workers = 2;
+  options.chunk_rows = 64;
+  HypDbService service(options);
+  service.RegisterTable("d", TableFromRows(rows));
+
+  AnalyzeRequest request;
+  request.dataset = "d";
+  request.sql = kSql;
+  auto session = service.CreateSession(request);
+  ASSERT_TRUE(session.ok()) << session.status();
+  ASSERT_TRUE(service.AppendRows("d", SyntheticRows(4000, &rng, 0.05)).ok());
+  auto grown = service.AnalyzeSql("d", kSql);
+  ASSERT_TRUE(grown.ok()) << grown.status();
+  EXPECT_FALSE(grown->stats.discovery_reused);
+
+  auto report = service.AdvanceSession(session->id, "report");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_FALSE(report->stats.discovery_reused);
   EXPECT_EQ(CanonicalReportDigest(report->report), ColdDigest(rows));
 }
 
@@ -360,6 +392,142 @@ TEST(IngestTest, ConcurrentAppendAndAnalyzeBitIdentity) {
   ASSERT_TRUE(final_report.ok());
   EXPECT_EQ(CanonicalReportDigest(final_report->report),
             ColdDigest(prefix));
+}
+
+// The rows a finished session bound: its plain answers cover the whole
+// population of kSql, which has no WHERE.
+int64_t BoundRows(const HypDbReport& report) {
+  int64_t rows = 0;
+  for (const ContextAnswer& context : report.plain.contexts) {
+    for (const GroupAnswer& group : context.groups) rows += group.count;
+  }
+  return rows;
+}
+
+// Appends beside staged sessions: one thread appends batches while two
+// create sessions and advance them stage by stage. Stages hold the read
+// lease, so no stage counts across an append, and a session that
+// outlives one counts privately over the rows it bound: every finished
+// session's digest equals cold serial at its bind watermark.
+TEST(IngestTest, ConcurrentAppendAndStagedSessionsAnswerAtBind) {
+  Rng rng(17);
+  constexpr int kBatches = 4;
+  Rows seed = SyntheticRows(300, &rng);
+  std::vector<Rows> batches;
+  for (int b = 0; b < kBatches; ++b) {
+    batches.push_back(SyntheticRows(90 + 30 * b, &rng, 0.2));
+  }
+  std::map<int64_t, std::string> expected;  // bind rows -> cold digest
+  Rows prefix = seed;
+  expected[static_cast<int64_t>(prefix.size())] = ColdDigest(prefix);
+  for (const Rows& batch : batches) {
+    prefix.insert(prefix.end(), batch.begin(), batch.end());
+    expected[static_cast<int64_t>(prefix.size())] = ColdDigest(prefix);
+  }
+
+  HypDbServiceOptions options;
+  options.num_workers = 3;
+  options.chunk_rows = 100;
+  HypDbService service(options);
+  service.RegisterTable("d", TableFromRows(seed));
+
+  const std::vector<std::vector<std::string>> orderings = {
+      {"answers", "discover", "detect", "explain", "rewrite"},
+      {"detect", "rewrite", "answers", "explain"},
+  };
+  std::atomic<bool> done{false};
+  std::mutex mu;
+  std::vector<std::string> failures;
+  std::set<int64_t> bound_at;
+  std::vector<std::thread> analysts;
+  for (int t = 0; t < 2; ++t) {
+    analysts.emplace_back([&, t] {
+      AnalyzeRequest request;
+      request.dataset = "d";
+      request.sql = kSql;
+      while (!done.load()) {
+        auto session = service.CreateSession(request);
+        Status status = session.status();
+        for (const std::string& stage : orderings[t]) {
+          if (!status.ok()) break;
+          status = service.AdvanceSession(session->id, stage).status();
+        }
+        auto snapshot = status.ok() ? service.SessionSnapshot(session->id)
+                                    : StatusOr<ServiceReport>(status);
+        std::lock_guard<std::mutex> lock(mu);
+        if (!snapshot.ok() || !snapshot->stats.session_complete) {
+          failures.push_back(snapshot.ok() ? "session incomplete"
+                                           : snapshot.status().ToString());
+          continue;
+        }
+        const int64_t rows = BoundRows(snapshot->report);
+        bound_at.insert(rows);
+        auto want = expected.find(rows);
+        if (want == expected.end() ||
+            CanonicalReportDigest(snapshot->report) != want->second) {
+          failures.push_back("digest differs from cold serial at bind (" +
+                             std::to_string(rows) + " rows)");
+        }
+        (void)service.CloseSession(session->id);
+      }
+    });
+  }
+  for (const Rows& batch : batches) {
+    ASSERT_TRUE(service.AppendRows("d", batch).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  }
+  done.store(true);
+  for (auto& a : analysts) a.join();
+  EXPECT_TRUE(failures.empty()) << failures.front();
+  EXPECT_FALSE(bound_at.empty());
+}
+
+// An append issued while a session stage runs waits for that stage: once
+// the stage counts, it holds the dataset's read lease until it ends, so
+// when the append returns the stage is over and counts nothing more.
+TEST(IngestTest, AppendWaitsBehindARunningSessionStage) {
+  auto generated = GenerateAdultData({.num_rows = 3000});
+  ASSERT_TRUE(generated.ok());
+  TablePtr table = MakeTable(std::move(*generated));
+  const std::string sql =
+      "SELECT Gender, avg(Income) FROM adult GROUP BY Gender";
+  HypDb direct(table, HypDbOptions{});
+  auto cold = direct.AnalyzeSql(sql);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+
+  HypDbServiceOptions options;
+  options.num_workers = 2;
+  HypDbService service(options);
+  service.RegisterTable("adult", table);
+  AnalyzeRequest request;
+  request.dataset = "adult";
+  request.sql = sql;
+  auto session = service.CreateSession(request);
+  ASSERT_TRUE(session.ok()) << session.status();
+  const int64_t at_create = service.engine_stats("adult")->queries;
+
+  std::thread stage([&] {
+    auto report = service.AdvanceSession(session->id, "report");
+    EXPECT_TRUE(report.ok()) << report.status();
+  });
+  // The stage counts through the dataset's shards only while it holds
+  // the lease.
+  while (service.engine_stats("adult")->queries == at_create) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  std::vector<std::string> row(table->NumColumns());
+  for (int c = 0; c < table->NumColumns(); ++c) {
+    row[c] = table->column(c).dict().Label(0);
+  }
+  ASSERT_TRUE(service.AppendRows("adult", {row}).ok());
+  const int64_t at_append = service.engine_stats("adult")->queries;
+  stage.join();
+  EXPECT_EQ(service.engine_stats("adult")->queries, at_append);
+  auto snapshot = service.SessionSnapshot(session->id);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_TRUE(snapshot->stats.session_complete);
+  EXPECT_EQ(CanonicalReportDigest(snapshot->report),
+            CanonicalReportDigest(*cold));
 }
 
 }  // namespace

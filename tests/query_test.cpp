@@ -9,6 +9,7 @@
 #include "core/query.h"
 #include "core/sql_parser.h"
 #include "core/sql_printer.h"
+#include "stats/mi_engine.h"
 
 namespace hypdb {
 namespace {
@@ -60,8 +61,15 @@ TEST(BindQueryTest, ResolvesColumns) {
   EXPECT_EQ(bound->treatment, 0);
   EXPECT_EQ(bound->outcomes, (std::vector<int>{2}));
   EXPECT_EQ(bound->population.NumRows(), 20);
-  EXPECT_EQ(bound->treatment_labels,
-            (std::vector<std::string>{"AA", "UA"}));
+  // Binding counts nothing: the treatment census is one count through
+  // the population's engine.
+  auto engine = MakeViewEngine(bound->population, MiEngineOptions{});
+  auto census = TreatmentsIn(*engine, *t, bound->treatment);
+  ASSERT_TRUE(census.ok());
+  ASSERT_EQ(census->size(), 2u);
+  EXPECT_EQ((*census)[0].second, "AA");
+  EXPECT_EQ((*census)[1].second, "UA");
+  EXPECT_EQ(engine->stats().queries, 1);
 }
 
 TEST(BindQueryTest, RejectsBadQueries) {
@@ -211,20 +219,6 @@ TEST(SqlParserTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseAggQuery("SELECT y FROM t GROUP BY y").ok());
 }
 
-TEST(SqlPrinterTest, TotalRewriteHasListing2Shape) {
-  AggQuery q = ToyQuery();
-  q.where = {{"Carrier", {"AA", "UA"}}};
-  std::string sql = RewrittenTotalSql(q, {"Airport", "Year"});
-  EXPECT_NE(sql.find("WITH Blocks AS ("), std::string::npos);
-  EXPECT_NE(sql.find("Weights AS ("), std::string::npos);
-  EXPECT_NE(sql.find("GROUP BY Carrier, Airport, Year"), std::string::npos);
-  EXPECT_NE(sql.find("HAVING count(DISTINCT Carrier) = 2"),
-            std::string::npos);
-  EXPECT_NE(sql.find("sum(Avg1 * W)"), std::string::npos);
-  EXPECT_NE(sql.find("Blocks.Airport = Weights.Airport"),
-            std::string::npos);
-}
-
 size_t Occurrences(const std::string& text, const std::string& needle) {
   size_t n = 0;
   for (size_t at = text.find(needle); at != std::string::npos;
@@ -232,6 +226,29 @@ size_t Occurrences(const std::string& text, const std::string& needle) {
     ++n;
   }
   return n;
+}
+
+TEST(SqlPrinterTest, TotalRewriteHasListing2Shape) {
+  AggQuery q = ToyQuery();
+  q.where = {{"Carrier", {"AA", "UA"}}};
+  std::string sql = RewrittenTotalSql(q, {"Airport", "Year"});
+  EXPECT_NE(sql.find("WITH Blocks AS ("), std::string::npos);
+  EXPECT_NE(sql.find("Weights AS ("), std::string::npos);
+  EXPECT_NE(sql.find("GROUP BY Carrier, Airport, Year"), std::string::npos);
+  // Blocks are matched against their context's own treatment count, and
+  // every subquery applies the WHERE.
+  EXPECT_NE(sql.find("Contexts AS (\n  SELECT count(DISTINCT Carrier) AS "
+                     "NumTreatments\n  FROM Flights\n"),
+            std::string::npos);
+  EXPECT_NE(sql.find("  FROM Flights, Contexts\n"), std::string::npos);
+  EXPECT_NE(sql.find("HAVING count(DISTINCT Carrier) = NumTreatments"),
+            std::string::npos);
+  EXPECT_EQ(Occurrences(sql, "WHERE Carrier IN ('AA', 'UA')"), 3u);
+  EXPECT_NE(sql.find("count(*) * 1.0 / sum(count(*)) OVER () AS W"),
+            std::string::npos);
+  EXPECT_NE(sql.find("sum(Avg1 * W)"), std::string::npos);
+  EXPECT_NE(sql.find("Blocks.Airport = Weights.Airport"),
+            std::string::npos);
 }
 
 // A covariate that is also a grouping attribute is named once in Z ∪ X.
@@ -244,7 +261,10 @@ TEST(SqlPrinterTest, TotalRewriteNamesAGroupingCovariateOnce) {
   EXPECT_NE(sql.find("  GROUP BY Carrier, Airport, Year\n"),
             std::string::npos);
   EXPECT_NE(sql.find("  SELECT Airport, Year, count(*)"), std::string::npos);
-  EXPECT_NE(sql.find("  GROUP BY Airport, Year\n"), std::string::npos);
+  EXPECT_NE(sql.find("  FROM Flights JOIN Contexts USING (Airport)\n"),
+            std::string::npos);
+  EXPECT_NE(sql.find("  GROUP BY Airport, Year, NumTreatments\n"),
+            std::string::npos);
   EXPECT_EQ(Occurrences(sql, "Blocks.Airport = Weights.Airport"), 1u);
   EXPECT_EQ(sql.find("Airport, Airport"), std::string::npos);
   EXPECT_EQ(sql.find("Year, Airport"), std::string::npos);

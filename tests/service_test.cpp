@@ -269,45 +269,6 @@ TEST(DatasetRegistryTest, ShardEnginesShareCountsPerSignature) {
   EXPECT_EQ(other->stats().queries, 0);
 }
 
-// A pooled engine forwards Entropy() with the watermark check Counts()
-// makes: the shared shard's memo serves it at the bind watermark, and
-// once an append moves the shard on, the caller's private stack over the
-// pinned bind-time view answers, with the same entropy as before.
-TEST(DatasetRegistryTest, PooledEntropyFollowsTheBindWatermark) {
-  DatasetRegistry registry;
-  registry.Register("b", Berkeley());
-  auto snapshot = registry.GetSnapshot("b");
-  ASSERT_TRUE(snapshot.ok());
-  const TableView population(snapshot->table);
-  auto pooled = registry.Pool("b", *snapshot, "", population);
-  ASSERT_TRUE(pooled.ok() && pooled->population != nullptr);
-  auto shard = *registry.ShardEngine("b", snapshot->epoch, "");
-  auto cold = CountBy(population, {0, 2});
-  ASSERT_TRUE(cold.ok());
-  const double want = EntropyOf(*cold, EntropyEstimator::kPlugin);
-
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    auto at_bind = pooled->population->Entropy({0, 2});
-    ASSERT_TRUE(at_bind.ok());
-    EXPECT_EQ(at_bind->plugin, want);
-    EXPECT_EQ(at_bind->support, cold->NumGroups());
-  }
-  // The shard scanned once and answered the repeat from its memo.
-  EXPECT_EQ(shard->stats().queries, 2);
-  EXPECT_EQ(shard->stats().cache_hits, 1);
-  EXPECT_EQ(shard->stats().scans, 1);
-
-  ASSERT_TRUE(
-      registry.AppendRows("b", {{"Male", "A", "1"}, {"Female", "B", "0"}})
-          .ok());
-  auto after = pooled->population->Entropy({0, 2});
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->plugin, want);
-  EXPECT_EQ(after->support, cold->NumGroups());
-  EXPECT_EQ(shard->stats().queries, 2);  // the moved-on shard: not asked
-  EXPECT_EQ(pooled->population->stats().scans, 1);  // the pinned view
-}
-
 // The cross-shard tentpole: equality-conjunction shards of one dataset
 // derive their counts by slicing the shared full-table parent, so a
 // multi-subpopulation workload scans the data far fewer times than
@@ -506,6 +467,37 @@ TEST(DiscoveryCacheTest, HitsMissesAndEviction) {
   EXPECT_FALSE(reused);
   EXPECT_EQ(cache.stats().evictions, 2);
   EXPECT_EQ(cache.stats().hits, 1);
+}
+
+// An entry serves only lookups at or after the watermark it was
+// computed at: a lookup bound before it (a session that outlived an
+// append) computes over its own rows, and its result does not displace
+// the newer entry.
+TEST(DiscoveryCacheTest, NewerEntryDoesNotServeAnOlderLookup) {
+  DiscoveryCache cache;
+  int computes = 0;
+  auto compute = [&]() -> StatusOr<DiscoveryReport> {
+    DiscoveryReport r;
+    r.tests_used = ++computes;
+    return r;
+  };
+  bool reused = true;
+  auto at_200 = cache.LookupOrCompute("k", compute, &reused, nullptr, 200);
+  ASSERT_TRUE(at_200.ok());
+  EXPECT_FALSE(reused);
+
+  auto at_100 = cache.LookupOrCompute("k", compute, &reused, nullptr, 100);
+  ASSERT_TRUE(at_100.ok());
+  EXPECT_FALSE(reused);
+  EXPECT_EQ(at_100->tests_used, 2);
+  EXPECT_EQ(cache.stats().stale_refreshes, 0);
+
+  // The entry at 200 is still the one a lookup at 200 gets.
+  auto again = cache.LookupOrCompute("k", compute, &reused, nullptr, 200);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(reused);
+  EXPECT_EQ(again->tests_used, 1);
+  EXPECT_EQ(computes, 2);
 }
 
 TEST(DiscoveryCacheTest, ErrorsPropagateButAreNotCached) {
@@ -734,6 +726,44 @@ TEST(HypDbServiceTest, ReregistrationInvalidatesDiscovery) {
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(after->stats.discovery_reused);
   EXPECT_EQ(service.discovery_stats().misses, 2);
+}
+
+// A session pins its population by version. Its stages count through
+// the shared shard while the store stays at the bind watermark; once an
+// append moves the shard on, the session counts privately over the views
+// it bound: it answers as at bind, and the moved shard is not asked.
+TEST(HypDbServiceTest, SessionAnswersAsAtBindAfterAnAppend) {
+  TablePtr table = Berkeley();
+  const std::string sql =
+      "SELECT Gender, avg(Accepted) FROM b GROUP BY Gender";
+  HypDb direct(table, HypDbOptions{});
+  auto cold = direct.AnalyzeSql(sql);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+
+  HypDbServiceOptions options;
+  options.num_workers = 1;
+  HypDbService service(options);
+  service.RegisterTable("b", table);
+  AnalyzeRequest request;
+  request.dataset = "b";
+  request.sql = sql;
+  auto session = service.CreateSession(request);
+  ASSERT_TRUE(session.ok()) << session.status();
+  ASSERT_TRUE(service.AdvanceSession(session->id, "answers").ok());
+  auto shard = *service.registry().ShardEngine("b", session->epoch, "");
+  // The census and the answers counted through the shard.
+  const CountEngineStats at_bind = shard->stats();
+  EXPECT_GE(at_bind.queries, 2);
+  EXPECT_GE(at_bind.scans, 1);
+
+  ASSERT_TRUE(
+      service.AppendRows("b", {{"Male", "A", "1"}, {"Female", "B", "0"}})
+          .ok());
+  auto report = service.AdvanceSession(session->id, "report");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(CanonicalReportDigest(report->report),
+            CanonicalReportDigest(*cold));
+  EXPECT_EQ(shard->stats().queries, at_bind.queries);  // not asked
 }
 
 TEST(HypDbServiceTest, AsyncSubmitPollWait) {

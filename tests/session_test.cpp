@@ -235,6 +235,58 @@ TEST(AnalysisSessionTest, FdFilterCountsThroughThePopulationEngine) {
   EXPECT_EQ(CanonicalReportDigest(*report), OneShotDigest(table, sql));
 }
 
+// One engine per population: an ungrouped query's one context is the
+// population, so the context provider is never asked and every count,
+// the treatment census {T} included, reaches the population engine. A
+// grouped query asks the provider once per context, and each context's
+// treatment inventory is counted through that context's engine.
+TEST(AnalysisSessionTest, UngroupedContextCountsThroughThePopulationEngine) {
+  TablePtr table = Berkeley();
+  const int gender = *table->ColumnIndex("Gender");
+  std::vector<std::shared_ptr<RecordingEngine>> asked;
+  auto hooks_over = [&](std::shared_ptr<RecordingEngine> population) {
+    SessionHooks hooks;
+    hooks.population_engine = std::move(population);
+    hooks.context_engine_provider =
+        [&asked](const std::vector<std::pair<
+                     std::string, std::vector<std::string>>>&,
+                 const TableView& view) -> std::shared_ptr<CountEngine> {
+      asked.push_back(std::make_shared<RecordingEngine>(
+          MakeViewEngine(view, MiEngineOptions{})));
+      return asked.back();
+    };
+    return hooks;
+  };
+
+  auto population = std::make_shared<RecordingEngine>(
+      MakeViewEngine(TableView(table), MiEngineOptions{}));
+  auto session = AnalysisSession::Create(table, Parse(kBerkeleySql),
+                                         HypDbOptions{},
+                                         hooks_over(population));
+  ASSERT_TRUE(session.ok()) << session.status();
+  EXPECT_TRUE(population->Saw({gender}));  // the census, at Create
+  auto report = (*session)->Report();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(asked.empty());
+  EXPECT_EQ(CanonicalReportDigest(*report),
+            OneShotDigest(table, kBerkeleySql));
+
+  auto grouped = AnalysisSession::Create(
+      table, Parse(kBerkeleyContextSql), HypDbOptions{},
+      hooks_over(std::make_shared<RecordingEngine>(
+          MakeViewEngine(TableView(table), MiEngineOptions{}))));
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  auto contexts = (*grouped)->NumContexts();
+  ASSERT_TRUE(contexts.ok());
+  ASSERT_EQ(static_cast<int>(asked.size()), *contexts);
+  for (const auto& context : asked) EXPECT_TRUE(context->Saw({gender}));
+  auto grouped_report = (*grouped)->Report();
+  ASSERT_TRUE(grouped_report.ok()) << grouped_report.status();
+  EXPECT_EQ(static_cast<int>(asked.size()), *contexts);
+  EXPECT_EQ(CanonicalReportDigest(*grouped_report),
+            OneShotDigest(table, kBerkeleyContextSql));
+}
+
 // ---- in-process: cooperative cancellation ------------------------------
 
 TEST(AnalysisSessionTest, CancellationStopsAtStageBoundariesAndResumes) {
