@@ -1,5 +1,5 @@
 // Tracing overhead gate: queries/sec of HypDbService with engine-deep
-// tracing at level 1 (the default: stage/kernel/cache/slice/discovery
+// tracing at level 1 (the default: stage/kernel/cache/discovery
 // events) versus level 0 (compiled in, every record call early-returns).
 //
 // The tracer's contract is "cheap enough to leave on": per event it does

@@ -226,10 +226,6 @@ std::string RenderReport(const HypDbReport& report) {
   out += StrFormat(", %lld cache hits, %lld marginalized",
                    static_cast<long long>(cs.cache_hits),
                    static_cast<long long>(cs.marginalizations));
-  if (cs.predicate_slices > 0) {
-    out += StrFormat(", %lld sliced",
-                     static_cast<long long>(cs.predicate_slices));
-  }
   if (cs.cube_hits > 0) {
     out += StrFormat(", %lld cube hits",
                      static_cast<long long>(cs.cube_hits));

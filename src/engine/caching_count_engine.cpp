@@ -305,14 +305,6 @@ Status CachingCountEngine::Prefetch(const std::vector<int>& cols) {
     }
     // Patch impossible — fall through to the cold path.
   }
-  // Pass the hint down the stack first (best-effort): a slicing base
-  // forwards it to the *shared parent*, which materializes-and-pins the
-  // S ∪ P superset once for every sibling shard — the Counts() below
-  // then slices a parent cache hit instead of triggering its own scan.
-  // For scanner/cube bases Prefetch is a no-op and nothing changes. An
-  // error here is a missed optimization only; Counts() still answers
-  // (e.g. via the slicer's filtered-view fallback on codec overflow).
-  (void)base_->Prefetch(sorted);
   HYPDB_ASSIGN_OR_RETURN(GroupCounts counts, base_->Counts(sorted));
   std::lock_guard<std::mutex> lock(mu_);
   // A concurrent Prefetch may have repointed the focus while we scanned;

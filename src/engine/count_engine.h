@@ -3,7 +3,7 @@
 // Every statistic in HypDB reduces to count(*) GROUP BY over a column
 // subset (paper Sec. 6), and the thousands of CI tests issued by the CD
 // algorithm share most of their counts. CountEngine is the interface those
-// counts flow through; its six implementations form a small hierarchy:
+// counts flow through; its five implementations form a small hierarchy:
 //  * ViewCountProvider   — scans a TableView with the packed-tuple kernel
 //                          (optionally multi-threaded); the ground truth.
 //  * ChunkedCountProvider — scans a growing chunked store; its version is
@@ -23,10 +23,6 @@
 //                          each entry also keeps its summary in every
 //                          column order asked of it and its memoized
 //                          entropy (src/engine/caching_count_engine.h).
-//  * PredicateSlicingCountEngine — answers counts over a conjunctive
-//                          equality subpopulation by slicing a shared
-//                          full-table engine's S ∪ P summary at P = v
-//                          (src/engine/predicate_slicing_count_engine.h).
 // Instrumentation (scans, cache hits, marginalizations) flows up the stack
 // into DiscoveryReport / HypDbReport — the Fig. 6(c) metrics.
 
@@ -51,10 +47,8 @@ namespace hypdb {
 /// because each work field is incremented by exactly one layer kind:
 /// `scans` by view scanners, `cube_hits`/`fallback_calls` by cube
 /// adapters, `cache_hits`/`marginalizations`/`evictions` by caching
-/// layers, `predicate_slices` by predicate-slicing layers
-/// (src/engine/predicate_slicing_count_engine.h). `queries` is the
-/// exception — wrappers report their own count (each external query
-/// once), not the sum.
+/// layers. `queries` is the exception — wrappers report their own count
+/// (each external query once), not the sum.
 struct CountEngineStats {
   /// External Counts() and Entropy() calls answered by the reporting
   /// engine.
@@ -66,11 +60,6 @@ struct CountEngineStats {
   int64_t cache_hits = 0;
   /// Queries derived by marginalizing a cached superset summary.
   int64_t marginalizations = 0;
-  /// Queries over a filtered subpopulation answered by slicing a shared
-  /// full-table superset summary at the subpopulation's predicate values
-  /// (cross-shard reuse — the contingency-table sharing of Sec. 6 applied
-  /// across WHERE clauses).
-  int64_t predicate_slices = 0;
   /// Queries answered by cube-cell lookup.
   int64_t cube_hits = 0;
   /// Cube misses delegated to a fallback provider.
@@ -96,7 +85,6 @@ struct CountEngineStats {
     scans += o.scans;
     cache_hits += o.cache_hits;
     marginalizations += o.marginalizations;
-    predicate_slices += o.predicate_slices;
     cube_hits += o.cube_hits;
     fallback_calls += o.fallback_calls;
     evictions += o.evictions;
@@ -113,7 +101,6 @@ struct CountEngineStats {
     d.scans -= o.scans;
     d.cache_hits -= o.cache_hits;
     d.marginalizations -= o.marginalizations;
-    d.predicate_slices -= o.predicate_slices;
     d.cube_hits -= o.cube_hits;
     d.fallback_calls -= o.fallback_calls;
     d.evictions -= o.evictions;
@@ -145,8 +132,7 @@ struct CacheOccupancy {
 };
 
 /// Canonical cache/superset key for a column list: sorted ascending,
-/// duplicates removed. Every engine layer that keys on column *sets*
-/// (caching, slicing) must canonicalize the same way.
+/// duplicates removed. Every key on a column *set* is built this way.
 inline std::vector<int> SortedUniqueColumns(std::vector<int> cols) {
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());

@@ -507,7 +507,6 @@ JsonValue ToJson(const CountEngineStats& stats) {
   out.Set("scans", JsonValue::Int(stats.scans));
   out.Set("cache_hits", JsonValue::Int(stats.cache_hits));
   out.Set("marginalizations", JsonValue::Int(stats.marginalizations));
-  out.Set("predicate_slices", JsonValue::Int(stats.predicate_slices));
   out.Set("cube_hits", JsonValue::Int(stats.cube_hits));
   out.Set("fallback_calls", JsonValue::Int(stats.fallback_calls));
   out.Set("evictions", JsonValue::Int(stats.evictions));
@@ -536,8 +535,6 @@ const char* TraceEventCategory(TraceEventKind kind) {
     case TraceEventKind::kCacheMarginalize:
     case TraceEventKind::kCacheEvict:
     case TraceEventKind::kCachePrefetch: return "cache";
-    case TraceEventKind::kSliceServe:
-    case TraceEventKind::kSliceFallback: return "slice";
     case TraceEventKind::kIngestAppend:
     case TraceEventKind::kDeltaPatch:
     case TraceEventKind::kChunkScan: return "ingest";

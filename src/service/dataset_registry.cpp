@@ -5,40 +5,11 @@
 
 #include "dataframe/csv.h"
 #include "engine/caching_count_engine.h"
-#include "engine/predicate_slicing_count_engine.h"
 #include "service/request.h"
 #include "storage/chunked_count_provider.h"
 #include "storage/filtered_population.h"
 
 namespace hypdb {
-namespace {
-
-/// Resolves a parsed signature into the equality conjunction it denotes
-/// against `table`, or false when it is not sliceable: a term with more
-/// (or fewer) than one value, an unknown attribute, a value absent from
-/// the column dictionary (such a term matches no row *today*, but the
-/// label may arrive with a later append, so the shard must track the
-/// store — the live filtered stack does), or a repeated attribute
-/// (distinct conjuncts on one column intersect; not worth slicing
-/// machinery).
-bool ResolveSlicePredicates(const Table& table,
-                            const std::vector<SubpopulationTerm>& terms,
-                            std::vector<SlicePredicate>* out) {
-  for (const SubpopulationTerm& term : terms) {
-    if (term.values.size() != 1) return false;
-    StatusOr<int> col = table.ColumnIndex(term.attribute);
-    if (!col.ok()) return false;
-    const int32_t code = table.column(*col).dict().Find(term.values[0]);
-    if (code < 0) return false;
-    for (const SlicePredicate& prev : *out) {
-      if (prev.col == *col) return false;
-    }
-    out->push_back(SlicePredicate{*col, code});
-  }
-  return true;
-}
-
-}  // namespace
 
 DatasetRegistry::DatasetRegistry(DatasetRegistryOptions options)
     : options_(std::move(options)) {}
@@ -57,14 +28,13 @@ int64_t DatasetRegistry::Register(const std::string& name, TablePtr table) {
   // The lease outlives re-registration: requests holding the old epoch's
   // read lease must keep excluding writers until they drain.
   if (ds.lease == nullptr) ds.lease = std::make_shared<std::shared_mutex>();
-  // New data invalidates every cached summary: shards (and the parent
-  // they slice from) aggregate rows of the replaced table. Live engines
-  // held by in-flight queries stay valid for the old store (shared_ptr),
-  // they just stop being handed out.
-  ds.parent.reset();
+  // New data invalidates every cached summary: shards aggregate rows of
+  // the replaced table. Live engines held by in-flight queries stay valid
+  // for the old store (shared_ptr), they just stop being handed out. The
+  // pool's counters start again with the new table.
   ds.shards.clear();
   ds.shard_age.clear();
-  ds.retired_slices = 0;  // the parent's counters went with it
+  ds.retired = {};
   return ds.epoch;
 }
 
@@ -177,23 +147,17 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
       info.chunks = ds.store->NumChunks();
       info.watermark = ds.store->Watermark();
     }
-    info.shards =
-        static_cast<int>(ds.shards.size()) + (ds.parent != nullptr ? 1 : 0);
-    // Cache occupancy over the pool. Slicing shards report only their
-    // own layer (their CacheUse does not recurse into the shared
-    // parent), so the sum never double counts.
-    if (ds.parent != nullptr) info.cache += ds.parent->CacheUse();
+    info.shards = static_cast<int>(ds.shards.size());
+    // Shards share no engine, so occupancy and counters simply add.
     for (const auto& [sig, engine] : ds.shards) {
       info.cache += engine->CacheUse();
     }
-    if (ds.parent != nullptr || !ds.shards.empty()) {
-      const CountEngineStats stats = EngineStatsLocked(ds);
-      info.evictions = stats.evictions;
-      if (stats.queries > 0) {
-        const double miss = static_cast<double>(stats.scans) /
-                            static_cast<double>(stats.queries);
-        info.cache_hit_ratio = std::min(1.0, std::max(0.0, 1.0 - miss));
-      }
+    const CountEngineStats stats = EngineStatsLocked(ds);
+    info.evictions = stats.evictions;
+    if (stats.queries > 0) {
+      const double miss = static_cast<double>(stats.scans) /
+                          static_cast<double>(stats.queries);
+      info.cache_hit_ratio = std::min(1.0, std::max(0.0, 1.0 - miss));
     }
     out.push_back(std::move(info));
   }
@@ -216,10 +180,6 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
         std::to_string(epoch) + ", current " + std::to_string(ds.epoch) +
         ")");
   }
-  // The empty signature selects the whole table: that IS the parent
-  // engine, so full-table queries and the slicing shards share one cache.
-  if (signature.empty()) return ParentEngineLocked(ds);
-
   auto shard = ds.shards.find(signature);
   if (shard != ds.shards.end()) return shard->second;
 
@@ -231,11 +191,10 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
          std::max(1, options_.max_shards_per_dataset)) {
     auto oldest = ds.shards.find(ds.shard_age.front());
     if (oldest != ds.shards.end()) {
-      // Remember the evicted shard's slice count: the internal parent
-      // queries it caused outlive it (in-flight holders of the evicted
-      // engine may still add a few — the accounting is best-effort under
-      // that race, exact otherwise).
-      ds.retired_slices += oldest->second->stats().predicate_slices;
+      // Keep the evicted shard's counters, so the pool's never go
+      // backwards. What in-flight holders of the evicted engine count
+      // after this point is not counted.
+      ds.retired += oldest->second->stats();
       ds.shards.erase(oldest);
     }
     ds.shard_age.pop_front();
@@ -243,67 +202,34 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
   return engine;
 }
 
-GroupByKernelOptions DatasetRegistry::KernelOptions() const {
-  // One translation for the whole stack: the same mapping MiEngine and
-  // session per-context engines use (stats/mi_engine.h).
-  return ScanKernelOptions(options_.engine);
-}
-
-std::shared_ptr<CountEngine> DatasetRegistry::WrapCache(
-    std::shared_ptr<CountEngine> base) const {
+StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::BuildShardLocked(
+    const Dataset& ds, const std::string& signature) const {
+  // Both scanners read the live store: their version is its watermark
+  // and they count an appended suffix alone, so the cache above patches
+  // its summaries instead of invalidating them. The kernel options are
+  // the mapping MiEngine and private session engines use.
+  const GroupByKernelOptions kernel = ScanKernelOptions(options_.engine);
+  std::shared_ptr<CountEngine> scanner;
+  if (signature.empty()) {
+    scanner = std::make_shared<ChunkedCountProvider>(ds.store, kernel);
+  } else {
+    HYPDB_ASSIGN_OR_RETURN(std::vector<SubpopulationTerm> terms,
+                           ParseSubpopulationSignature(signature));
+    std::vector<FilteredPopulationProvider::Term> filter;
+    filter.reserve(terms.size());
+    for (SubpopulationTerm& term : terms) {
+      filter.push_back(FilteredPopulationProvider::Term{
+          std::move(term.attribute), std::move(term.values)});
+    }
+    HYPDB_ASSIGN_OR_RETURN(
+        scanner,
+        FilteredPopulationProvider::Create(ds.store, std::move(filter),
+                                           kernel));
+  }
   CachingCountEngineOptions caching;
   caching.max_cached_cells = options_.engine.max_cached_cells;
-  return std::make_shared<CachingCountEngine>(std::move(base), caching);
-}
-
-std::shared_ptr<CountEngine> DatasetRegistry::ParentEngineLocked(
-    Dataset& ds) {
-  if (ds.parent == nullptr) {
-    ds.parent = WrapCache(
-        std::make_shared<ChunkedCountProvider>(ds.store, KernelOptions()));
-  }
-  return ds.parent;
-}
-
-StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::BuildShardLocked(
-    Dataset& ds, const std::string& signature) {
-  // A live filtered-population scanner: it tracks appends (its row set
-  // extends lazily) and carries the delta protocol, so the caching layer
-  // above patches instead of invalidating.
-  HYPDB_ASSIGN_OR_RETURN(std::vector<SubpopulationTerm> terms,
-                         ParseSubpopulationSignature(signature));
-  std::vector<FilteredPopulationProvider::Term> filter;
-  filter.reserve(terms.size());
-  for (const SubpopulationTerm& term : terms) {
-    filter.push_back(
-        FilteredPopulationProvider::Term{term.attribute, term.values});
-  }
-  HYPDB_ASSIGN_OR_RETURN(
-      std::shared_ptr<CountEngine> live,
-      FilteredPopulationProvider::Create(ds.store, std::move(filter),
-                                         KernelOptions()));
-  // Slicing needs a parent that actually caches: with a zero cell budget
-  // (cache nothing), every slice would re-scan the full table, strictly
-  // worse than scanning the filtered view. (A zero budget means
-  // "unlimited" to the slicer's guard but "cache nothing" to
-  // CachingCountEngine — never forward that configuration.)
-  std::vector<SlicePredicate> predicates;
-  if (options_.engine.max_cached_cells > 0) {
-    TablePtr table = ds.store->Materialized();
-    if (ResolveSlicePredicates(*table, terms, &predicates)) {
-      // A shard-local cache over the slicer: exact repeats and
-      // shard-level marginalizations short-circuit before reaching the
-      // parent. The preference order per query is therefore shard hit >
-      // shard marginalization > parent slice (hit/marginalize/scan
-      // inside the parent) > fallback scan of the live population.
-      return WrapCache(std::make_shared<PredicateSlicingCountEngine>(
-          ParentEngineLocked(ds), std::move(predicates), std::move(live),
-          *table, options_.engine.max_cached_cells));
-    }
-  }
-  // Live isolated stack: the filtered-population scanner plus the cache
-  // (delta-patched across appends, no cross-shard sharing).
-  return WrapCache(std::move(live));
+  return std::shared_ptr<CountEngine>(
+      std::make_shared<CachingCountEngine>(std::move(scanner), caching));
 }
 
 StatusOr<SessionHooks> DatasetRegistry::Pool(const std::string& name,
@@ -343,29 +269,8 @@ StatusOr<CountEngineStats> DatasetRegistry::EngineStats(
 }
 
 CountEngineStats DatasetRegistry::EngineStatsLocked(const Dataset& ds) const {
-  CountEngineStats total;
-  // Parent first, shards after. Work counters never double count:
-  // slicing shards report their own layer + private fallback only, never
-  // the shared parent. `queries` needs one correction — each successful
-  // slice issued exactly one internal Counts() on the parent (counted in
-  // the parent's queries), so subtract the slice count to keep the
-  // aggregate at "each external query once". A parent call that *failed*
-  // (S ∪ P codec overflow, answered by the shard's fallback instead)
-  // still counts once extra — rare and conservative.
-  if (ds.parent != nullptr) total += ds.parent->stats();
-  for (const auto& [sig, engine] : ds.shards) {
-    const CountEngineStats shard = engine->stats();
-    total += shard;
-    total.queries -= shard.predicate_slices;
-  }
-  // Slices by since-evicted shards still sit in the parent's queries.
-  total.queries -= ds.retired_slices;
-  // Parent and shard counters are read under their own mutexes, not one
-  // atomic snapshot: a worker mid-slice can land its predicate_slices
-  // increment between our two reads, transiently over-subtracting.
-  // Clamp — the counters are approximate under concurrency (as
-  // RequestStats documents), but never negative.
-  total.queries = std::max<int64_t>(total.queries, 0);
+  CountEngineStats total = ds.retired;
+  for (const auto& [sig, engine] : ds.shards) total += engine->stats();
   return total;
 }
 

@@ -18,19 +18,15 @@
 // still replaces the store wholesale, bumps the epoch and drops every
 // shard; appending never does.
 //
-// Shards of one dataset also share *across* subpopulations: every dataset
-// owns one parent CachingCountEngine over the chunked store (the engine
-// the empty signature gets), and a shard whose signature parses to a pure
-// equality conjunction P = v is built as a CachingCountEngine over a
-// PredicateSlicingCountEngine — its counts over S are derived by slicing
-// the parent's shared S ∪ P summary at P = v instead of scanning the
-// filtered view (src/engine/predicate_slicing_count_engine.h). Such
-// shards carry a live FilteredPopulationProvider so they track appends.
-// Signatures with multi-value IN terms or values absent from the
-// dictionary get a live isolated stack (cache over a filtered-population
-// scanner). A shard is a function of (dataset, epoch, signature) alone:
+// Every shard is a count cache over its own rows: the empty signature's
+// is a CachingCountEngine over the chunked store (ChunkedCountProvider),
+// any other a CachingCountEngine over its live filtered population
+// (FilteredPopulationProvider), so both track appends. Shards share no
+// engine. A shard is a function of (dataset, epoch, signature) alone:
 // the store builds it, never a caller's view, so a signature that does
-// not resolve against the store gets no shard at all.
+// not resolve against the store gets no shard at all. At most
+// max_shards_per_dataset shards live per dataset, the full table's
+// included; the oldest goes first, and the pool keeps its counters.
 //
 // Concurrency: readers take the dataset's shared lease (ReadLease) for a
 // request's whole lifetime — an analyze for its whole body, a session
@@ -63,8 +59,8 @@ struct DatasetRegistryOptions {
   /// Count-engine configuration for shard engines (kernel threads and
   /// cache budget).
   MiEngineOptions engine;
-  /// Filtered shard engines kept per dataset (the full-table parent is
-  /// exempt); oldest-first eviction beyond this.
+  /// Shard engines kept per dataset, the full-table shard included;
+  /// oldest-first eviction beyond this.
   int max_shards_per_dataset = 32;
   /// Rows per storage chunk (delta-scan granularity for appends).
   int64_t chunk_rows = ChunkedTable::kDefaultChunkRows;
@@ -82,13 +78,12 @@ struct DatasetInfo {
   /// the storage-level value, not a derived one).
   int64_t chunks = 0;
   int64_t watermark = 0;
-  /// Cache occupancy summed over the dataset's engine pool (parent +
-  /// live shards).
+  /// Cache occupancy summed over the dataset's live shards.
   CacheOccupancy cache;
   /// Fraction of external count queries the pool answered without a
-  /// table scan, 0 when idle.
+  /// table scan since the dataset was registered, 0 when idle.
   double cache_hit_ratio = 0.0;
-  /// Cache evictions across the pool.
+  /// Cache evictions across the pool since the dataset was registered.
   int64_t evictions = 0;
 };
 
@@ -156,34 +151,32 @@ class DatasetRegistry {
   /// does not parse, NotFound when it names a column the dataset lacks.
   /// `epoch` must match the dataset's current epoch — FailedPrecondition
   /// otherwise (the dataset was re-registered since the caller's
-  /// snapshot). The empty signature names the dataset's full-table
-  /// parent engine;
-  /// equality-conjunction signatures get slicing shards backed by that
-  /// parent (see the header comment). Oldest filtered shards are dropped
-  /// beyond max_shards_per_dataset; an evicted parent reference held by
-  /// live slicing shards stays valid (shared_ptr), it just stops being
+  /// snapshot). The empty signature names the full table. The oldest
+  /// shards are dropped beyond max_shards_per_dataset; an evicted engine
+  /// held by a caller stays valid (shared_ptr), it just stops being
   /// handed out.
   StatusOr<std::shared_ptr<CountEngine>> ShardEngine(
       const std::string& name, int64_t epoch, const std::string& signature);
 
   /// The shards of one request or session bound at `snapshot`, whose
   /// WHERE has canonical `signature`, as the engine hooks of its session
-  /// — the one provider the analyze path and staged sessions share.
-  /// population_engine is the population's shard, or null when the
-  /// dataset was re-registered since the snapshot (the caller then runs
-  /// unshared over its snapshot table); context_engine_provider maps a
-  /// context's WHERE conjunction to the shard of its canonical signature
-  /// (null after a re-registration). The shards are live: the caller
-  /// holds the read lease while anything counts through them, and the
-  /// session pins its population by version (see SessionHooks).
+  /// — the one provider the analyze path and staged sessions share. Each
+  /// shard counts its own rows: a context's shard never reads the
+  /// population's. population_engine is the population's shard, or null
+  /// when the dataset was re-registered since the snapshot (the caller
+  /// then runs unshared over its snapshot table); context_engine_provider
+  /// maps a context's WHERE conjunction to the shard of its canonical
+  /// signature (null after a re-registration). The shards are live: the
+  /// caller holds the read lease while anything counts through them, and
+  /// the session pins its population by version (see SessionHooks).
   StatusOr<SessionHooks> Pool(const std::string& name,
                               const Snapshot& snapshot,
                               const std::string& signature);
 
-  /// Aggregate count-engine stats across a dataset's live shards plus
-  /// its parent engine. Well-defined without double counting: slicing
-  /// shards report only their own layer and private fallback scanner,
-  /// never the shared parent they draw from.
+  /// The dataset's count-engine stats since it was registered: its live
+  /// shards' plus those of the shards evicted since. Shards share
+  /// nothing, so their counters simply add, and none goes backwards
+  /// until the dataset is registered again.
   StatusOr<CountEngineStats> EngineStats(const std::string& name) const;
 
  private:
@@ -195,39 +188,22 @@ class DatasetRegistry {
     /// requests. Created at first registration and NEVER replaced —
     /// leases held across a re-registration must keep excluding writers.
     std::shared_ptr<std::shared_mutex> lease;
-    /// Full-table engine: serves empty-signature queries directly and
-    /// superset summaries to the slicing shards. Created on first use,
-    /// never LRU-evicted (it is the working set every slice derives
-    /// from), dropped on re-registration — but NOT on append (it reads
-    /// the live store and patches its cache by delta).
-    std::shared_ptr<CountEngine> parent;
+    /// Shard engines by canonical signature, the full table's ("")
+    /// among them. Created on first use, dropped on re-registration but
+    /// NOT on append (they read the live store and patch by delta).
     std::map<std::string, std::shared_ptr<CountEngine>> shards;
     std::list<std::string> shard_age;  // creation order, oldest first
-    /// Slices performed by since-evicted shards: each one was an internal
-    /// query on the parent, and EngineStats must keep subtracting them
-    /// after the shard (and its predicate_slices counter) is gone.
-    int64_t retired_slices = 0;
+    /// The summed counters of the shards evicted since registration.
+    CountEngineStats retired;
   };
 
-  /// The options_.engine kernel configuration for scanners.
-  GroupByKernelOptions KernelOptions() const;
-  /// Wraps `base` in a CachingCountEngine under the options_ budget.
-  /// Every engine stack the registry builds goes through this one
-  /// function, so parent and shards can never diverge in cache
-  /// configuration.
-  std::shared_ptr<CountEngine> WrapCache(
-      std::shared_ptr<CountEngine> base) const;
-
-  /// ds.parent, created over the chunked store if absent. Requires mu_.
-  std::shared_ptr<CountEngine> ParentEngineLocked(Dataset& ds);
-
-  /// A new engine for `signature` over the store: a slicing stack
-  /// through the shared parent when the signature is a pure equality
-  /// conjunction, a live isolated stack over a FilteredPopulationProvider
-  /// otherwise. InvalidArgument/NotFound for a signature that does not
-  /// resolve (see ShardEngine). Requires mu_.
+  /// A new engine for `signature` over the store: a cache over a
+  /// ChunkedCountProvider for the empty signature, over a
+  /// FilteredPopulationProvider for any other. InvalidArgument/NotFound
+  /// for a signature that does not resolve (see ShardEngine). Requires
+  /// mu_.
   StatusOr<std::shared_ptr<CountEngine>> BuildShardLocked(
-      Dataset& ds, const std::string& signature);
+      const Dataset& ds, const std::string& signature) const;
 
   /// EngineStats body without the lookup/lock. Requires mu_.
   CountEngineStats EngineStatsLocked(const Dataset& ds) const;

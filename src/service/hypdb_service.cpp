@@ -216,11 +216,6 @@ void HypDbService::RegisterMetrics() {
       "Count queries derived by marginalizing a cached superset summary.",
       {}, engine_stat(&CountEngineStats::marginalizations));
   metrics_.RegisterCounterFn(
-      "hypdb_engine_predicate_slices_total",
-      "Count queries answered by slicing a shared full-table summary at "
-      "the shard's predicate values.",
-      {}, engine_stat(&CountEngineStats::predicate_slices));
-  metrics_.RegisterCounterFn(
       "hypdb_engine_morsels_total",
       "Morsels dispatched by parallel group-by scans (process-wide).", {},
       [] { return static_cast<double>(GroupByMorselsDispatched()); });
@@ -292,7 +287,7 @@ void HypDbService::RegisterMetrics() {
 
   // Trace rollups: per-event-family aggregates bumped as ring events are
   // recorded (process-wide, like the morsel counter). They answer "how
-  // often do slices fall back / where do kernel scans land per tier"
+  // often does the cache miss / where do kernel scans land per tier"
   // without fetching any per-request trace.
   TraceRollup& trace = GlobalTraceRollup();
   const struct {
@@ -311,13 +306,6 @@ void HypDbService::RegisterMetrics() {
         "Traced CachingCountEngine decisions by kind.",
         {{"decision", d.decision}}, d.counter);
   }
-  metrics_.RegisterCounter("hypdb_trace_slice_total",
-                           "Traced predicate-slicing outcomes.",
-                           {{"outcome", "slice"}}, &trace.slice_serves);
-  metrics_.RegisterCounter("hypdb_trace_slice_total",
-                           "Traced predicate-slicing outcomes.",
-                           {{"outcome", "fallback"}},
-                           &trace.slice_fallbacks);
   metrics_.RegisterCounter("hypdb_trace_discovery_total",
                            "Traced discovery-cache outcomes.",
                            {{"outcome", "hit"}}, &trace.discovery_hits);

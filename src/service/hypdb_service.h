@@ -60,7 +60,7 @@ struct HypDbServiceOptions {
   /// Analysis options for requests without per-request overrides. Also
   /// configures the shared shard engines (engine member).
   HypDbOptions analysis;
-  /// Shard engines kept per dataset.
+  /// Shard engines kept per dataset, the full-table shard included.
   int max_shards_per_dataset = 32;
   /// Cached discovery reports kept.
   int64_t max_discovery_entries = 256;

@@ -136,10 +136,9 @@ struct SubpopulationTerm {
 
 /// Inverse of SubpopulationSignature: parses the canonical rendering back
 /// into structured terms (attributes and values unescaped, in signature
-/// order). This is how DatasetRegistry decides whether a shard's
-/// subpopulation is a pure equality conjunction it can serve by slicing
-/// the dataset's shared parent engine. InvalidArgument for strings that
-/// are not well-formed signatures.
+/// order). DatasetRegistry builds a shard's filtered population from
+/// these terms. InvalidArgument for strings that are not well-formed
+/// signatures.
 StatusOr<std::vector<SubpopulationTerm>> ParseSubpopulationSignature(
     const std::string& signature);
 

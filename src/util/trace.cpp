@@ -131,8 +131,6 @@ void RollupEvent(TraceEventKind kind, uint64_t arg0, double dur_seconds) {
       break;
     case TraceEventKind::kCacheEvict: r.cache_evictions.Add(); break;
     case TraceEventKind::kCachePrefetch: r.cache_prefetches.Add(); break;
-    case TraceEventKind::kSliceServe: r.slice_serves.Add(); break;
-    case TraceEventKind::kSliceFallback: r.slice_fallbacks.Add(); break;
     case TraceEventKind::kDiscoveryHit: r.discovery_hits.Add(); break;
     case TraceEventKind::kDiscoveryCompute: r.discovery_computes.Add(); break;
     case TraceEventKind::kMorselBatch: r.morsel_batches.Add(); break;
@@ -185,8 +183,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kCacheMarginalize: return "cache_marginalize";
     case TraceEventKind::kCacheEvict: return "cache_evict";
     case TraceEventKind::kCachePrefetch: return "cache_prefetch";
-    case TraceEventKind::kSliceServe: return "slice_serve";
-    case TraceEventKind::kSliceFallback: return "slice_fallback";
     case TraceEventKind::kDiscoveryHit: return "discovery_hit";
     case TraceEventKind::kDiscoveryCompute: return "discovery_compute";
     case TraceEventKind::kMorselBatch: return "morsel_batch";

@@ -26,8 +26,7 @@
 //   0  off — recording compiled in but every call early-returns.
 //   1  default — session stage spans, kernel scan spans (per tier),
 //      cache decision instants (hit/miss/marginalize/evict/prefetch),
-//      predicate-slice outcomes, discovery cache outcomes and
-//      coalescing-wait spans.
+//      discovery cache outcomes and coalescing-wait spans.
 //   2  deep — everything above plus per-CI-test spans and per-morsel
 //      batch instants.
 
@@ -61,8 +60,6 @@ enum class TraceEventKind : uint8_t {
   kCacheMarginalize,  // answered by marginalizing a superset summary
   kCacheEvict,        // LRU eviction to budget; arg0 = cells evicted
   kCachePrefetch,     // prefetch pinned a summary; arg0 = cells
-  kSliceServe,        // cross-shard predicate slice served the counts
-  kSliceFallback,     // slicer fell back to the shard's own scan path
   kDiscoveryHit,      // DiscoveryCache served a cached report
   kDiscoveryCompute,  // this request computed the discovery
   kMorselBatch,       // one morsel dispatched; arg0 = begin, arg1 = rows
@@ -182,15 +179,13 @@ std::vector<TraceEventRecord> HarvestTrace(uint64_t ticket,
 /// Aggregate rollups per event family, bumped as events are recorded
 /// (relaxed atomics; negligible next to the ring write). Registered
 /// into the service MetricsRegistry so /metrics can answer "how often
-/// do slices fall back" without per-request traces.
+/// does the cache miss" without per-request traces.
 struct TraceRollup {
   Counter cache_hits;
   Counter cache_misses;
   Counter cache_marginalizations;
   Counter cache_evictions;
   Counter cache_prefetches;
-  Counter slice_serves;
-  Counter slice_fallbacks;
   Counter discovery_hits;
   Counter discovery_computes;
   Counter ci_tests;

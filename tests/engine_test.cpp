@@ -2,8 +2,7 @@
 // caching engine's subset marginalization (counts derived from a cached
 // superset must exactly match a direct scan — the Fig. 6c correctness
 // requirement), cache-hit instrumentation, the cache policy (oldest-first
-// eviction, min(domain, rows) slice admission) and a property sweep over
-// random access sequences x budgets.
+// eviction) and a property sweep over random access sequences x budgets.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "engine/caching_count_engine.h"
 #include "engine/count_engine.h"
 #include "engine/groupby_kernel.h"
-#include "engine/predicate_slicing_count_engine.h"
 #include "stats/entropy.h"
 #include "stats/mi_engine.h"
 #include "storage/chunked_count_provider.h"
@@ -447,249 +445,11 @@ TEST(CachingCountEngineTest, MarginalizationTieBreakIsPinned) {
   EXPECT_EQ(engine.MarginalizationSource({2, 2}), std::vector<int>{});
 }
 
-// ---- predicate-slicing engine: cross-shard reuse ----
-
-// Rows of `t` matching every (col, code) equality.
-TableView EqualityView(const TablePtr& t,
-                       const std::vector<SlicePredicate>& preds) {
-  std::vector<int64_t> rows;
-  for (int64_t r = 0; r < t->NumRows(); ++r) {
-    bool match = true;
-    for (const SlicePredicate& p : preds) {
-      if (t->column(p.col).CodeAt(r) != p.code) {
-        match = false;
-        break;
-      }
-    }
-    if (match) rows.push_back(r);
-  }
-  return TableView(t).WithRows(std::move(rows));
-}
-
-// The population engine of a slicing engine over `view`.
-std::shared_ptr<CountEngine> Scanner(const TableView& view) {
-  return std::make_shared<ViewCountProvider>(view);
-}
-
-// The tentpole property: for random tables, random equality predicates,
-// and random column subsets, counts sliced from the shared full-table
-// parent are bit-identical to a direct scan of the filtered view —
-// including empty slices and predicate columns inside the query set.
-TEST(PredicateSlicingCountEngineTest, SlicedCountsMatchDirectScan) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    TablePtr t = RandomTable(6, 1200 + 173 * seed, seed);
-    Rng rng(seed * 53);
-
-    std::vector<SlicePredicate> preds;
-    const int num_preds = 1 + static_cast<int>(rng.NextBounded(2));
-    for (int p = 0; p < num_preds; ++p) {
-      int col;
-      do {
-        col = static_cast<int>(rng.NextBounded(6));
-      } while (!preds.empty() && preds[0].col == col);
-      // Occasionally one past the largest code — an empty slice.
-      const int32_t card = t->column(col).Cardinality();
-      const int32_t code =
-          static_cast<int32_t>(rng.NextBounded(card + (p == 0 ? 1 : 0)));
-      preds.push_back(SlicePredicate{col, code});
-    }
-    TableView view = EqualityView(t, preds);
-
-    auto parent = std::make_shared<CachingCountEngine>(
-        std::make_shared<ViewCountProvider>(TableView(t)));
-    PredicateSlicingCountEngine engine(parent, preds, Scanner(view), *t);
-    EXPECT_EQ(engine.NumRows(), view.NumRows());
-
-    for (int trial = 0; trial < 12; ++trial) {
-      std::vector<int> cols;
-      for (int c = 0; c < 6; ++c) {
-        if (rng.Bernoulli(0.4)) cols.push_back(c);
-      }
-      if (cols.empty()) cols.push_back(static_cast<int>(rng.NextBounded(6)));
-      rng.Shuffle(&cols);
-
-      auto sliced = engine.Counts(cols);
-      ASSERT_TRUE(sliced.ok());
-      auto direct = CountBy(view, cols);
-      ASSERT_TRUE(direct.ok());
-      ExpectSameCounts(*sliced, *direct);
-    }
-    // Every query was answered by slicing — the filtered view itself was
-    // never scanned.
-    CountEngineStats s = engine.stats();
-    EXPECT_EQ(s.queries, 12);
-    EXPECT_EQ(s.predicate_slices, 12);
-    EXPECT_EQ(s.scans, 0);
-  }
-}
-
-// Stats attribution through the full shard stack (shard cache over the
-// slicer over a shared parent): every external query is attributed to
-// exactly one of scan / cache_hit / marginalization / predicate_slice.
-TEST(PredicateSlicingCountEngineTest, StackAttributesExactlyOnePerQuery) {
-  TablePtr t = RandomTable(5, 4000, 19);
-  std::vector<SlicePredicate> preds = {
-      SlicePredicate{4, t->column(4).CodeAt(0)}};
-  TableView view = EqualityView(t, preds);
-  auto parent = std::make_shared<CachingCountEngine>(
-      std::make_shared<ViewCountProvider>(TableView(t)));
-  CachingCountEngine shard(std::make_shared<PredicateSlicingCountEngine>(
-      parent, preds, Scanner(view), *t));
-
-  ASSERT_TRUE(shard.Counts({0, 1, 2}).ok());  // predicate slice
-  ASSERT_TRUE(shard.Counts({0, 1, 2}).ok());  // shard cache hit
-  ASSERT_TRUE(shard.Counts({0, 1}).ok());     // shard marginalization
-  ASSERT_TRUE(shard.Counts({3}).ok());        // predicate slice
-  ASSERT_TRUE(shard.Counts({3, 3}).ok());     // dup columns: fallback scan
-  CountEngineStats s = shard.stats();
-  EXPECT_EQ(s.queries, 5);
-  EXPECT_EQ(s.cache_hits, 1);
-  EXPECT_EQ(s.marginalizations, 1);
-  EXPECT_EQ(s.predicate_slices, 2);
-  EXPECT_EQ(s.scans, 1);  // the duplicate-column fallback
-  EXPECT_EQ(s.queries,
-            s.cache_hits + s.marginalizations + s.predicate_slices +
-                s.scans);
-
-  // The shared parent's work is accounted on the parent, not the shard:
-  // both slices hit {0,1,2,4} first (scan) then {3,4} (scan) — and a
-  // second shard over a different value reuses those summaries.
-  CountEngineStats p = parent->stats();
-  EXPECT_EQ(p.scans, 2);
-  const int32_t other = (preds[0].code + 1) % t->column(4).Cardinality();
-  std::vector<SlicePredicate> preds2 = {SlicePredicate{4, other}};
-  TableView view2 = EqualityView(t, preds2);
-  PredicateSlicingCountEngine sibling(parent, preds2, Scanner(view2), *t);
-  auto sibling_counts = sibling.Counts({0, 1, 2});
-  ASSERT_TRUE(sibling_counts.ok());
-  auto sibling_direct = CountBy(view2, {0, 1, 2});
-  ASSERT_TRUE(sibling_direct.ok());
-  ExpectSameCounts(*sibling_counts, *sibling_direct);
-  p = parent->stats();
-  EXPECT_EQ(p.scans, 2);       // no new scan: the superset was shared
-  EXPECT_EQ(p.cache_hits, 1);  // the sibling's slice reused {0,1,2,4}
-}
-
-// A query the parent cannot answer (full-table S ∪ P domain overflow)
-// falls back to scanning the filtered view — same answer, one scan.
-TEST(PredicateSlicingCountEngineTest, ParentFailureFallsBackToViewScan) {
-  // Four 2^16-cardinality columns: the query columns {0,1,2} alone span
-  // 2^48 (representable), but together with the predicate column the
-  // S ∪ P domain is 2^64 > 2^62 — the parent's codec refuses it.
-  constexpr int64_t kRows = 1 << 16;
-  Table wide;
-  for (int c = 0; c < 4; ++c) {
-    ColumnBuilder b("w" + std::to_string(c));
-    for (int64_t r = 0; r < kRows; ++r) {
-      // Odd multipliers are coprime with 2^16, so every column takes all
-      // 2^16 values.
-      b.Append(std::to_string((r * (2 * c + 1)) % kRows));
-    }
-    ASSERT_TRUE(wide.AddColumn(b.Finish()).ok());
-  }
-  TablePtr t = MakeTable(std::move(wide));
-
-  std::vector<SlicePredicate> preds = {SlicePredicate{3, 0}};
-  TableView view = EqualityView(t, preds);
-  auto parent = std::make_shared<CachingCountEngine>(
-      std::make_shared<ViewCountProvider>(TableView(t)));
-  PredicateSlicingCountEngine engine(parent, preds, Scanner(view), *t);
-
-  auto counts = engine.Counts({0, 1, 2});
-  ASSERT_TRUE(counts.ok());
-  auto direct = CountBy(view, {0, 1, 2});
-  ASSERT_TRUE(direct.ok());
-  ExpectSameCounts(*counts, *direct);
-  CountEngineStats s = engine.stats();
-  EXPECT_EQ(s.predicate_slices, 0);
-  EXPECT_EQ(s.scans, 1);
-
-  // A narrow query on the same engine still slices.
-  auto narrow = engine.Counts({0});
-  ASSERT_TRUE(narrow.ok());
-  ExpectSameCounts(*narrow, *CountBy(view, {0}));
-  EXPECT_EQ(engine.stats().predicate_slices, 1);
-}
-
-// Prefetch on the production stack (shard cache over the slicer) flows
-// down to the shared parent and pins S ∪ P there, so one materialization
-// serves the focus queries of every sibling shard.
-TEST(PredicateSlicingCountEngineTest, StackPrefetchPinsSharedSuperset) {
-  TablePtr t = RandomTable(4, 3000, 23);
-  std::vector<SlicePredicate> preds = {
-      SlicePredicate{3, t->column(3).CodeAt(0)}};
-  TableView view = EqualityView(t, preds);
-  auto parent = std::make_shared<CachingCountEngine>(
-      std::make_shared<ViewCountProvider>(TableView(t)));
-  CachingCountEngine shard(std::make_shared<PredicateSlicingCountEngine>(
-      parent, preds, Scanner(view), *t));
-
-  ASSERT_TRUE(shard.Prefetch({0, 1, 2}).ok());
-  // One full-table scan materialized (and pinned) {0,1,2,3} in the
-  // parent; the shard's own focus summary was sliced from it.
-  CountEngineStats p = parent->stats();
-  EXPECT_EQ(p.scans, 1);
-  EXPECT_GT(parent->pinned_cells(), 0);
-
-  // A sibling shard's focus on the same columns is a parent cache hit.
-  const int32_t other = (preds[0].code + 1) % t->column(3).Cardinality();
-  std::vector<SlicePredicate> preds2 = {SlicePredicate{3, other}};
-  TableView view2 = EqualityView(t, preds2);
-  CachingCountEngine sibling(std::make_shared<PredicateSlicingCountEngine>(
-      parent, preds2, Scanner(view2), *t));
-  ASSERT_TRUE(sibling.Prefetch({0, 1, 2}).ok());
-  p = parent->stats();
-  EXPECT_EQ(p.scans, 1);  // no second scan
-  auto counts = sibling.Counts({0, 2});
-  ASSERT_TRUE(counts.ok());
-  ExpectSameCounts(*counts, *CountBy(view2, {0, 2}));
-  EXPECT_EQ(parent->stats().scans, 1);
-}
-
-// A parent whose cache budget provably cannot hold the S ∪ P summary
-// would evict it on insert and re-scan the full table per slice; the
-// slicer must scan its (cheaper) filtered view instead.
-TEST(PredicateSlicingCountEngineTest, UncacheableSupersetScansTheView) {
-  TablePtr t = RandomTable(4, 3000, 29);
-  std::vector<SlicePredicate> preds = {
-      SlicePredicate{3, t->column(3).CodeAt(0)}};
-  TableView view = EqualityView(t, preds);
-
-  CachingCountEngineOptions tiny;
-  tiny.max_cached_cells = 2;  // nothing real fits
-  auto parent = std::make_shared<CachingCountEngine>(
-      std::make_shared<ViewCountProvider>(TableView(t)), tiny);
-  PredicateSlicingCountEngine engine(parent, preds, Scanner(view), *t,
-                                     tiny.max_cached_cells);
-
-  auto counts = engine.Counts({0, 1});
-  ASSERT_TRUE(counts.ok());
-  ExpectSameCounts(*counts, *CountBy(view, {0, 1}));
-  CountEngineStats s = engine.stats();
-  EXPECT_EQ(s.predicate_slices, 0);
-  EXPECT_EQ(s.scans, 1);           // the population's scan
-  EXPECT_EQ(parent->stats().queries, 0);  // the parent was never asked
-
-  // Prefetch refuses the same superset: nothing is materialized (let
-  // alone pinned) in the shared parent for a summary Counts() won't use.
-  ASSERT_TRUE(engine.Prefetch({0, 1}).ok());
-  EXPECT_EQ(parent->stats().queries, 0);
-  EXPECT_EQ(parent->num_entries(), 0);
-
-  // With the budget unknown (0), the slice goes through as usual.
-  PredicateSlicingCountEngine unguarded(parent, preds, Scanner(view), *t);
-  auto sliced = unguarded.Counts({0, 1});
-  ASSERT_TRUE(sliced.ok());
-  ExpectSameCounts(*sliced, *CountBy(view, {0, 1}));
-  EXPECT_EQ(unguarded.stats().predicate_slices, 1);
-}
-
 // ---- the cache policy ----
 
 // The one policy: eviction is oldest-first by admission sequence, however
-// often an entry was reused, and a slice's S ∪ P summary is admitted by
-// its min(domain, rows) bound alone, even when its actual cells would fit.
-TEST(CachePolicyTest, OldestFirstEvictionAndBoundAdmission) {
+// often an entry was reused.
+TEST(CachePolicyTest, OldestFirstEviction) {
   TablePtr t = FixedCardTable(6, 2000, 4, 17);
   TableView view(t);
   CachingCountEngineOptions options;
@@ -708,41 +468,6 @@ TEST(CachePolicyTest, OldestFirstEvictionAndBoundAdmission) {
   ASSERT_TRUE(again.ok());
   ExpectSameCounts(*again, *ScanCounts(view, {0, 1}));
   EXPECT_EQ(engine.stats().scans, scans_before + 1);
-
-  // Admission. Column 1 copies column 0, so the summary over {0, 1, 2}
-  // has at most 8 * 2 cells while its domain bound is 8 * 8 * 2 = 128.
-  Table sparse;
-  Rng rng(5);
-  ColumnBuilder c0("c0"), c1("c1"), c2("c2");
-  for (int r = 0; r < 1000; ++r) {
-    const std::string label = std::to_string(rng.NextBounded(8));
-    c0.Append(label);
-    c1.Append(label);
-    c2.Append(std::to_string(rng.NextBounded(2)));
-  }
-  ASSERT_TRUE(sparse.AddColumn(c0.Finish()).ok());
-  ASSERT_TRUE(sparse.AddColumn(c1.Finish()).ok());
-  ASSERT_TRUE(sparse.AddColumn(c2.Finish()).ok());
-  TablePtr st = MakeTable(std::move(sparse));
-  ASSERT_EQ(st->column(0).Cardinality(), 8);
-  ASSERT_EQ(st->column(2).Cardinality(), 2);
-  const std::vector<SlicePredicate> preds = {
-      SlicePredicate{2, st->column(2).CodeAt(0)}};
-  TableView slice = EqualityView(st, preds);
-  auto parent = std::make_shared<CachingCountEngine>(
-      std::make_shared<ViewCountProvider>(TableView(st)));
-  ASSERT_TRUE(parent->Counts({0, 1, 2}).ok());  // the superset is cached
-  ASSERT_LE(parent->cached_cells(), 16);
-  for (const auto& [budget, slices] :
-       std::vector<std::pair<int64_t, int64_t>>{{127, 0}, {128, 1}}) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    PredicateSlicingCountEngine slicer(parent, preds, Scanner(slice), *st,
-                                       budget);
-    auto counts = slicer.Counts({0, 1});
-    ASSERT_TRUE(counts.ok());
-    ExpectSameCounts(*counts, *CountBy(slice, {0, 1}));
-    EXPECT_EQ(slicer.stats().predicate_slices, slices);
-  }
 }
 
 // Random interleavings of Counts and Prefetch over a range of budgets

@@ -55,6 +55,15 @@ TablePtr Staples(int64_t rows) {
   return MakeTable(std::move(*table));
 }
 
+void ExpectSameCounts(const StatusOr<GroupCounts>& got,
+                      const StatusOr<GroupCounts>& want) {
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_EQ(got->keys, want->keys);
+  EXPECT_EQ(got->counts, want->counts);
+  EXPECT_EQ(got->total, want->total);
+}
+
 // Runs `sql` twice through a fresh service and checks both reports
 // against cold serial HypDb::Analyze. The warm repeat must read no rows:
 // its discovery comes from the cache and every count of answers,
@@ -269,56 +278,88 @@ TEST(DatasetRegistryTest, ShardEnginesShareCountsPerSignature) {
   EXPECT_EQ(other->stats().queries, 0);
 }
 
-// The cross-shard tentpole: equality-conjunction shards of one dataset
-// derive their counts by slicing the shared full-table parent, so a
-// multi-subpopulation workload scans the data far fewer times than
-// isolated shards would — with bit-identical counts.
-TEST(DatasetRegistryTest, EqualityShardsSliceFromSharedParent) {
-  DatasetRegistry shared;
-  shared.Register("b", Berkeley());
-  TablePtr table = *shared.Get("b");
-  const int gender = *table->ColumnIndex("Gender");
-  const int accepted = *table->ColumnIndex("Accepted");
-  const std::vector<std::string> departments = {"A", "B", "C", "D"};
-  for (const std::string& dept : departments) {
+// Every shard counts its own rows, and the full-table shard lives under
+// the same first-in-first-out bound as the others: with room for two, it
+// is the first to go, and the next full-table request builds a new
+// engine that counts the whole table.
+TEST(DatasetRegistryTest, FullTableShardIsBoundedLikeAnyOther) {
+  DatasetRegistryOptions options;
+  options.max_shards_per_dataset = 2;
+  DatasetRegistry registry(options);
+  const int64_t epoch = registry.Register("b", Berkeley());
+  TablePtr table = *registry.Get("b");
+  const std::vector<int> cols = {*table->ColumnIndex("Gender"),
+                                 *table->ColumnIndex("Accepted")};
+  auto full = registry.ShardEngine("b", epoch, "");
+  ASSERT_TRUE(full.ok());
+  ExpectSameCounts((*full)->Counts(cols), CountBy(TableView(table), cols));
+  for (const std::string department : {"A", "B"}) {
     AggQuery q;
-    q.where = {{"Department", {dept}}};
+    q.where = {{"Department", {department}}};
     auto pred = Predicate::FromInLists(*table, q.where);
     ASSERT_TRUE(pred.ok());
-    TableView view = TableView(table).Filter(*pred);
-    auto shard = shared.ShardEngine("b", 1, SubpopulationSignature(q));
+    auto shard = registry.ShardEngine("b", epoch, SubpopulationSignature(q));
     ASSERT_TRUE(shard.ok());
-    for (const std::vector<int>& cols :
-         std::vector<std::vector<int>>{{gender}, {gender, accepted}}) {
-      auto counts = (*shard)->Counts(cols);
-      auto direct = CountBy(view, cols);
-      ASSERT_TRUE(counts.ok());
-      ASSERT_TRUE(direct.ok());
-      EXPECT_EQ(counts->keys, direct->keys);
-      EXPECT_EQ(counts->counts, direct->counts);
-      EXPECT_EQ(counts->total, direct->total);
-    }
+    ExpectSameCounts((*shard)->Counts(cols),
+                     CountBy(TableView(table).Filter(*pred), cols));
   }
-  // Isolated shards would scan each department's rows once per distinct
-  // column set. Here the parent scans once per distinct superset and
-  // every department slices it.
-  CountEngineStats with_slicing = *shared.EngineStats("b");
-  EXPECT_EQ(with_slicing.predicate_slices,
-            static_cast<int64_t>(2 * departments.size()));
-  EXPECT_LT(with_slicing.scans,
-            static_cast<int64_t>(2 * departments.size()));
+  EXPECT_EQ(registry.List()[0].shards, 2);
 
-  // Multi-value IN terms are not equality conjunctions: they keep the
-  // isolated stack and scan their own rows.
-  AggQuery multi;
-  multi.where = {{"Department", {"A", "B"}}};
-  auto shard = shared.ShardEngine("b", 1, SubpopulationSignature(multi));
-  ASSERT_TRUE(shard.ok());
-  CountEngineStats before = *shared.EngineStats("b");
-  ASSERT_TRUE((*shard)->Counts({gender}).ok());
-  CountEngineStats after = *shared.EngineStats("b");
-  EXPECT_EQ(after.predicate_slices, before.predicate_slices);
-  EXPECT_EQ(after.scans, before.scans + 1);
+  auto rebuilt = registry.ShardEngine("b", epoch, "");
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_NE(rebuilt->get(), full->get());
+  EXPECT_EQ((*rebuilt)->stats().queries, 0);
+  ExpectSameCounts((*rebuilt)->Counts(cols),
+                   CountBy(TableView(table), cols));
+  EXPECT_EQ(registry.List()[0].shards, 2);
+}
+
+// The pool's counters cover the dataset since it was registered, evicted
+// shards included, so the /metrics counters summed from them never go
+// backwards when a shard is evicted.
+TEST(DatasetRegistryTest, PoolCountersNeverGoBackwards) {
+  auto generated = GenerateAdultData({.num_rows = 6000});
+  ASSERT_TRUE(generated.ok());
+  DatasetRegistryOptions options;
+  options.max_shards_per_dataset = 2;
+  DatasetRegistry registry(options);
+  const int64_t epoch =
+      registry.Register("a", MakeTable(std::move(*generated)));
+  TablePtr table = *registry.Get("a");
+  const int gender = *table->ColumnIndex("Gender");
+  const int income = *table->ColumnIndex("Income");
+  const std::vector<std::vector<int>> queries = {
+      {gender}, {gender, income}, {gender}};
+  // (signature, count queries asked of its shard)
+  const std::vector<std::pair<std::string, size_t>> steps = {
+      {"", 1},
+      {"Workclass=Private", 3},
+      {"CapitalLoss=none", 1},
+      {"NativeCountry=US", 1}};
+  CountEngineStats last;
+  int64_t asked = 0;
+  for (const auto& [signature, n] : steps) {
+    SCOPED_TRACE(signature);
+    auto shard = registry.ShardEngine("a", epoch, signature);
+    ASSERT_TRUE(shard.ok()) << shard.status();
+    for (size_t q = 0; q < n; ++q) {
+      ASSERT_TRUE((*shard)->Counts(queries[q]).ok());
+    }
+    asked += static_cast<int64_t>(n);
+    auto stats = registry.EngineStats("a");
+    ASSERT_TRUE(stats.ok());
+    const CountEngineStats delta = *stats - last;
+    for (int64_t field :
+         {delta.queries, delta.scans, delta.cache_hits,
+          delta.marginalizations, delta.cube_hits, delta.fallback_calls,
+          delta.evictions, delta.delta_patches, delta.chunk_scans,
+          delta.chunks_skipped, delta.rows_scanned}) {
+      EXPECT_GE(field, 0);
+    }
+    EXPECT_EQ(stats->queries, asked);
+    last = *stats;
+  }
+  EXPECT_EQ(registry.List()[0].shards, 2);
 }
 
 // A shard is built from the store alone, so the shard a request's
@@ -328,11 +369,14 @@ TEST(DatasetRegistryTest, EqualityShardsSliceFromSharedParent) {
 // empty string, random Listing-1 WHERE clauses with repeated terms and
 // values, and each query's context WHEREs C ∧ X = x_i: every signature
 // parses back to its canonical terms, and its shard counts what CountBy
-// counts over the bound view.
+// counts over the bound view — before and after an append that brings
+// rows with a label some WHERE term names but no dictionary held yet.
 TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
   const std::vector<std::string> labels = {
       "", "\\", "=", ",", "&", "\x1f", "a=b", "c,d&", "\\=", "x"};
   const std::vector<std::string> names = {"A", "B=", "C,&", "D\\\x1f"};
+  // The first round asks the first three sets; the second asks all four,
+  // so each shard answers the last as a cache miss over its grown rows.
   const std::vector<std::vector<int>> col_sets = {
       {0}, {1, 2}, {3, 0}, {0, 1, 2, 3}};
   for (uint64_t seed = 1; seed <= 6; ++seed) {
@@ -354,6 +398,7 @@ TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
     options.chunk_rows = 64;  // several chunks per table
     DatasetRegistry registry(options);
     const int64_t epoch = registry.Register("d", MakeTable(std::move(data)));
+    // The bound table; bound afresh after the append.
     TablePtr table = *registry.Get("d");
 
     // A random value of column `c`, now and then one absent from its
@@ -365,7 +410,7 @@ TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
     };
     using Where =
         std::vector<std::pair<std::string, std::vector<std::string>>>;
-    auto check = [&](const Where& where) {
+    auto check = [&](const Where& where, size_t num_col_sets) {
       AggQuery q;
       q.where = where;
       const std::string signature = SubpopulationSignature(q);
@@ -394,17 +439,13 @@ TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
       auto shard = registry.ShardEngine("d", epoch, signature);
       ASSERT_TRUE(shard.ok()) << shard.status();
       EXPECT_EQ((*shard)->NumRows(), view.NumRows());
-      for (const std::vector<int>& cols : col_sets) {
-        auto counts = (*shard)->Counts(cols);
-        auto direct = CountBy(view, cols);
-        ASSERT_TRUE(counts.ok()) << counts.status();
-        ASSERT_TRUE(direct.ok());
-        EXPECT_EQ(counts->keys, direct->keys);
-        EXPECT_EQ(counts->counts, direct->counts);
-        EXPECT_EQ(counts->total, direct->total);
+      for (size_t i = 0; i < num_col_sets; ++i) {
+        ExpectSameCounts((*shard)->Counts(col_sets[i]),
+                         CountBy(view, col_sets[i]));
       }
     };
 
+    std::vector<Where> wheres;
     for (int query = 0; query < 6; ++query) {
       Where where;
       const int terms = 1 + static_cast<int>(rng.NextBounded(3));
@@ -420,7 +461,7 @@ TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
         for (int v = 0; v < n; ++v) values.push_back(value_of(c));
         where.emplace_back(names[c], std::move(values));
       }
-      check(where);
+      wheres.push_back(where);
       // The query's contexts: C ∧ X = x_i for each label x_i of the
       // grouping attribute X.
       const int x = static_cast<int>(rng.NextBounded(names.size()));
@@ -428,9 +469,30 @@ TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
       for (int32_t code = 0; code < dict.size(); ++code) {
         Where context = where;
         context.push_back({names[x], {dict.Label(code)}});
-        check(context);
+        wheres.push_back(std::move(context));
       }
     }
+    // A shard that matches no row yet, until the append below.
+    const int grown = static_cast<int>(seed % names.size());
+    wheres.push_back({{names[grown], {"absent"}}});
+    for (const Where& where : wheres) check(where, col_sets.size() - 1);
+
+    // About a third of the appended labels are "absent", which the
+    // dictionaries lack and some WHERE terms name.
+    std::vector<std::vector<std::string>> rows(100);
+    for (std::vector<std::string>& row : rows) {
+      for (size_t c = 0; c < names.size(); ++c) {
+        const Dictionary& dict = table->column(static_cast<int>(c)).dict();
+        row.push_back(rng.NextBounded(3) == 0
+                          ? "absent"
+                          : dict.Label(static_cast<int32_t>(
+                                rng.NextBounded(dict.size()))));
+      }
+    }
+    ASSERT_TRUE(registry.AppendRows("d", rows).ok());
+    table = *registry.Get("d");
+    ASSERT_GE(table->column(grown).dict().Find("absent"), 0);
+    for (const Where& where : wheres) check(where, col_sets.size());
     EXPECT_EQ(registry.ShardEngine("d", epoch, "x").status().code(),
               StatusCode::kInvalidArgument);
     EXPECT_EQ(registry.ShardEngine("d", epoch, "nope=1").status().code(),

@@ -419,7 +419,7 @@ TEST(ChromeTraceTest, ExportIsWellFormedAndNested) {
   constexpr double kEpsMicros = 100.0;
   for (const net::JsonValue& e : events->array()) {
     const std::string cat = e.Find("cat")->string_value();
-    if (cat != "kernel" && cat != "cache" && cat != "slice") continue;
+    if (cat != "kernel" && cat != "cache") continue;
     const double start = e.Find("ts")->number_value();
     const double end =
         start + (e.Find("dur") != nullptr ? e.Find("dur")->number_value()
