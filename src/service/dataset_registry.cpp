@@ -89,8 +89,9 @@ StatusOr<DatasetLease> DatasetRegistry::ReadLease(
 StatusOr<TablePtr> DatasetRegistry::Get(const std::string& name) const {
   HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<const ChunkedTable> store,
                          Store(name));
-  // Outside mu_: after an append this rebuilds the whole-table copy, and
-  // requests on other datasets must not wait behind it.
+  // Outside mu_: after an append this copies every column's codes (the
+  // snapshot shares the store's dictionaries), and requests on other
+  // datasets must not wait behind it.
   return store->Materialized();
 }
 

@@ -8,15 +8,18 @@
 // can *patch* cached summaries instead of invalidating them.
 //
 // Layout: per column, dictionary codes stored in fixed-capacity row
-// chunks, plus one append-only dictionary per column. Invariants, in
-// order of importance:
+// chunks, plus one append-only dictionary per column, whose labels every
+// snapshot of the table shares. Invariants, in order of importance:
 //  * Published rows are immutable: a row's codes are written once,
 //    before the watermark passes it, and never change. A full chunk is
 //    never written again.
 //  * Dictionaries grow append-only: a label's code never changes, so
 //    codes written yesterday mean the same thing after any number of
 //    appends, and summaries keyed under an older (smaller-cardinality)
-//    codec re-key exactly onto a newer one (MergeGroupCounts).
+//    codec re-key exactly onto a newer one (MergeGroupCounts). A
+//    snapshot's Dictionary is a handle on the same label store sized at
+//    its watermark (dataframe/column.h), so it keeps seeing exactly its
+//    prefix while appends grow the store.
 //  * The watermark is the single publication point: Append() writes
 //    codes first, then release-stores the new row count. A reader that
 //    acquire-loads Watermark() == W may touch any row < W without
@@ -32,7 +35,8 @@
 // Writer concurrency: Append() assumes external serialization (the
 // DatasetRegistry holds the dataset's exclusive ingest lease around it).
 // Readers take the internal mutex only to copy the chunk-pointer list
-// and the dictionary sizes (or, for Materialized(), to build its copy).
+// and the dictionary sizes (or, for Materialized(), to copy the codes and
+// the dictionary handles).
 
 #ifndef HYPDB_STORAGE_CHUNKED_TABLE_H_
 #define HYPDB_STORAGE_CHUNKED_TABLE_H_
@@ -67,8 +71,9 @@ class ChunkedTable {
   static constexpr int64_t kDefaultChunkRows = int64_t{1} << 14;
 
   /// Builds a chunked table from an existing monolithic table (the CSV /
-  /// generator load path): the seed's dictionaries become the initial
-  /// append-only dictionaries and its rows fill the first chunks.
+  /// generator load path): the seed's dictionaries become the table's
+  /// append-only dictionaries (shared, not copied) and its rows fill the
+  /// first chunks.
   /// `chunk_rows` must be positive.
   static StatusOr<std::shared_ptr<ChunkedTable>> FromTable(
       const TablePtr& seed, int64_t chunk_rows = kDefaultChunkRows);
@@ -95,12 +100,14 @@ class ChunkedTable {
   int NumColumns() const { return static_cast<int>(names_.size()); }
   const std::vector<std::string>& ColumnNames() const { return names_; }
 
-  /// The rows [0, watermark) materialized as a plain immutable Table,
-  /// built with the current dictionary snapshot and cached per
-  /// watermark. This bridges the chunked store to everything that wants
-  /// a TablePtr (query binding, views, sessions); count queries should
-  /// go through ScanRange instead. Call at the current watermark (i.e.
-  /// under the dataset read lease) so the dictionary snapshot matches.
+  /// The rows [0, watermark) as a plain immutable Table, cached per
+  /// watermark. Building one copies the codes only: each column's
+  /// Dictionary is a handle on the store's own dictionary at its current
+  /// size, so no label is copied or re-parsed, and later appends leave
+  /// the snapshot's labels, codes and numeric values as they were. This
+  /// bridges the chunked store to everything that wants a TablePtr
+  /// (query binding, views, sessions); count queries should go through
+  /// ScanRange instead.
   TablePtr Materialized() const;
 
   /// count(*) GROUP BY `cols` over rows [from_row, to_row), scanned

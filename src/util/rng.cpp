@@ -22,16 +22,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(&sm);
 }
 
-uint64_t Rng::NextBounded(uint64_t bound) {
-  assert(bound > 0);
-  // Lemire's nearly-divisionless method with rejection for exactness.
-  uint64_t threshold = (~bound + 1) % bound;  // 2^64 mod bound
-  for (;;) {
-    uint64_t r = Next();
-    if (r >= threshold) return r % bound;
-  }
-}
-
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   assert(lo <= hi);
   return lo + static_cast<int64_t>(

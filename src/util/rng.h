@@ -9,6 +9,7 @@
 #ifndef HYPDB_UTIL_RNG_H_
 #define HYPDB_UTIL_RNG_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -41,8 +42,18 @@ class Rng {
     return result;
   }
 
-  /// Uniform integer in [0, bound). `bound` must be > 0.
-  uint64_t NextBounded(uint64_t bound);
+  /// Uniform integer in [0, bound). `bound` must be > 0. Defined here so
+  /// a loop drawing many times under one bound (the FD filter's subsample
+  /// draws) computes the rejection threshold's division once.
+  uint64_t NextBounded(uint64_t bound) {
+    assert(bound > 0);
+    // Rejection below 2^64 mod bound keeps r % bound exactly uniform.
+    const uint64_t threshold = (~bound + 1) % bound;
+    for (;;) {
+      const uint64_t r = Next();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   int64_t UniformInt(int64_t lo, int64_t hi);

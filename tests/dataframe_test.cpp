@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -58,6 +59,80 @@ TEST(DictionaryTest, GetOrAddIsStable) {
   EXPECT_EQ(d.Label(1), "b");
   EXPECT_EQ(d.Find("b"), 1);
   EXPECT_EQ(d.Find("zz"), -1);
+}
+
+// A copy of a dictionary is a handle on the same label store: it sees
+// exactly the prefix it was copied at, whatever the original adds later.
+TEST(DictionaryTest, CopySharesLabelsAndKeepsItsPrefix) {
+  Dictionary d;
+  d.GetOrAdd("0");
+  d.GetOrAdd("1.5");
+  Dictionary copy = d;
+  EXPECT_EQ(&copy.Label(0), &d.Label(0));
+  EXPECT_EQ(&copy.Label(1), &d.Label(1));
+
+  // Enough new labels to allocate further blocks of the store.
+  EXPECT_EQ(d.GetOrAdd("yes"), 2);
+  for (int i = 0; i < 100; ++i) d.GetOrAdd("x" + std::to_string(i));
+  EXPECT_EQ(d.size(), 103);
+  EXPECT_EQ(copy.size(), 2);
+  EXPECT_EQ(&copy.Label(1), &d.Label(1));
+  EXPECT_EQ(copy.Label(1), "1.5");
+
+  EXPECT_EQ(copy.Find("1.5"), 1);
+  EXPECT_EQ(copy.Find("yes"), -1);
+  EXPECT_EQ(copy.Find("x99"), -1);
+  EXPECT_EQ(d.Find("yes"), 2);
+  EXPECT_EQ(d.Find("x99"), 102);
+
+  // The non-numeric "yes" arrived after the copy.
+  EXPECT_TRUE(copy.IsNumericLike());
+  EXPECT_FALSE(d.IsNumericLike());
+  EXPECT_DOUBLE_EQ(copy.NumericValue(0), 0.0);
+  EXPECT_DOUBLE_EQ(copy.NumericValue(1), 1.5);
+  EXPECT_TRUE(std::isnan(d.NumericValue(2)));
+
+  ColumnBuilder b("y");
+  b.Append("0");
+  b.Append("1.5");
+  Column col("y", copy, b.Finish().codes());
+  EXPECT_TRUE(col.IsNumericLike());
+  EXPECT_DOUBLE_EQ(*col.NumericValue(1), 1.5);
+  EXPECT_FALSE(col.NumericValue(2).ok());  // past the prefix
+}
+
+TEST(DictionaryTest, AddingToAStaleCopyForksIt) {
+  Dictionary d;
+  d.GetOrAdd("a");
+  d.GetOrAdd("b");
+  Dictionary stale = d;
+  d.GetOrAdd("c");  // d stays the store's newest handle
+
+  EXPECT_EQ(stale.GetOrAdd("b"), 1);  // in its prefix: no fork
+  EXPECT_EQ(&stale.Label(0), &d.Label(0));
+  EXPECT_EQ(stale.GetOrAdd("d"), 2);  // forks
+  EXPECT_NE(&stale.Label(0), &d.Label(0));
+  EXPECT_EQ(stale.GetOrAdd("c"), 3);
+  EXPECT_EQ(stale.size(), 4);
+  EXPECT_EQ(stale.Label(2), "d");
+  EXPECT_EQ(stale.Label(3), "c");
+
+  // The newer handle is unchanged, and keeps adding to the original store.
+  EXPECT_EQ(d.size(), 3);
+  EXPECT_EQ(d.Label(2), "c");
+  EXPECT_EQ(d.Find("d"), -1);
+  EXPECT_EQ(d.GetOrAdd("e"), 3);
+  EXPECT_EQ(stale.Find("e"), -1);
+
+  // Two copies at the same size: the first to add wins the store, the
+  // second forks.
+  Dictionary twin = d;
+  EXPECT_EQ(d.GetOrAdd("f"), 4);
+  EXPECT_EQ(twin.GetOrAdd("g"), 4);
+  EXPECT_EQ(d.Label(4), "f");
+  EXPECT_EQ(twin.Label(4), "g");
+  EXPECT_EQ(d.Find("g"), -1);
+  EXPECT_EQ(twin.Find("f"), -1);
 }
 
 TEST(ColumnTest, NumericParsing) {

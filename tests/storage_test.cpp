@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dataframe/group_by.h"
@@ -176,6 +179,165 @@ TEST(ChunkedTableTest, ScanRangeEmptyColumnListCountsTheRange) {
   EXPECT_EQ(counts->total, 11);
   EXPECT_EQ(stats.chunk_scans, 4);
   EXPECT_EQ(stats.rows_scanned, 11);
+}
+
+// ---- snapshots share the store's dictionaries --------------------------
+
+TEST(ChunkedTableTest, SnapshotsShareDictionariesAndKeepTheirPrefix) {
+  // "n" is numeric until the append brings "late"; "k" gains labels too.
+  Rows seed = {{"0", "k0"}, {"1", "k1"}, {"0", "k2"}};
+  Rows batch = {{"2", "k3"}, {"late", "k0"}, {"1", "k4"}};
+  auto table = ChunkedTable::FromTable(TableFromRows({"n", "k"}, seed), 2);
+  ASSERT_TRUE(table.ok());
+  TablePtr before = (*table)->Materialized();
+  ChunkedScanStats stats;
+  auto range_before = (*table)->ScanRange({0, 1}, 0, 3, {}, &stats);
+  ASSERT_TRUE(range_before.ok());
+
+  ASSERT_TRUE((*table)->Append(batch).ok());
+  TablePtr after = (*table)->Materialized();
+  auto range_after = (*table)->ScanRange({0, 1}, 0, 6, {}, &stats);
+  ASSERT_TRUE(range_after.ok());
+
+  for (int c = 0; c < 2; ++c) {
+    EXPECT_EQ(&after->column(c).dict().Label(0),
+              &before->column(c).dict().Label(0));
+  }
+  const Column& n_before = before->column(0);
+  const Column& n_after = after->column(0);
+  EXPECT_EQ(n_before.Cardinality(), 2);
+  EXPECT_EQ(n_after.Cardinality(), 4);
+  EXPECT_EQ(before->column(1).Cardinality(), 3);
+  EXPECT_EQ(after->column(1).Cardinality(), 5);
+
+  EXPECT_EQ(n_before.dict().Find("1"), 1);
+  EXPECT_EQ(n_before.dict().Find("2"), -1);
+  EXPECT_EQ(n_before.dict().Find("late"), -1);
+  EXPECT_EQ(n_after.dict().Find("late"), 3);
+  EXPECT_EQ(before->column(1).dict().Find("k4"), -1);
+  EXPECT_EQ(after->column(1).dict().Find("k4"), 4);
+
+  EXPECT_TRUE(n_before.IsNumericLike());
+  EXPECT_FALSE(n_after.IsNumericLike());
+  EXPECT_DOUBLE_EQ(*n_before.NumericValue(1), 1.0);
+  EXPECT_EQ(n_before.NumericValue(2).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_DOUBLE_EQ(*n_after.NumericValue(2), 2.0);
+  EXPECT_FALSE(n_after.NumericValue(3).ok());
+
+  // Each snapshot counts exactly what the store counted at its watermark.
+  auto scan_before = ScanCounts(TableView(before), {0, 1});
+  auto scan_after = ScanCounts(TableView(after), {0, 1});
+  ASSERT_TRUE(scan_before.ok() && scan_after.ok());
+  ExpectSameCounts(*scan_before, *range_before);
+  ExpectSameCounts(*scan_after, *range_after);
+}
+
+TEST(ChunkedTableTest, OlderSnapshotsReadStableWhileAppendsGrowTheStore) {
+  // One writer appends batches whose "key" and "num" labels are all new
+  // (numeric for "num") and whose "mix" column turns non-numeric midway;
+  // readers meanwhile take snapshots and re-read every older one's
+  // labels, codes and numeric values against what they recorded when
+  // they took it. Meant for the thread sanitizer as much as for the
+  // assertions.
+  constexpr int kBatches = 120;
+  constexpr int kBatchRows = 6;
+  constexpr int kReaders = 2;
+  auto table = ChunkedTable::FromTable(
+      TableFromRows({"key", "num", "mix"}, {{"k0", "0", "0"}}), 16);
+  ASSERT_TRUE(table.ok());
+  const ChunkedTablePtr store = *table;
+
+  struct Recorded {
+    TablePtr snapshot;
+    std::vector<std::vector<std::string>> labels;  // [col][code]
+    std::vector<std::vector<double>> values;
+    std::vector<bool> numeric_like;
+  };
+  auto record = [](TablePtr snapshot) {
+    Recorded r;
+    r.snapshot = std::move(snapshot);
+    for (int c = 0; c < r.snapshot->NumColumns(); ++c) {
+      const Dictionary& dict = r.snapshot->column(c).dict();
+      r.labels.emplace_back();
+      r.values.emplace_back();
+      for (int32_t code = 0; code < dict.size(); ++code) {
+        r.labels.back().push_back(dict.Label(code));
+        r.values.back().push_back(dict.NumericValue(code));
+      }
+      r.numeric_like.push_back(dict.IsNumericLike());
+    }
+    return r;
+  };
+  // Returns the number of mismatches, so reader threads only count.
+  auto verify = [](const Recorded& r) {
+    int bad = 0;
+    for (int c = 0; c < r.snapshot->NumColumns(); ++c) {
+      const Column& col = r.snapshot->column(c);
+      const Dictionary& dict = col.dict();
+      const int32_t size = static_cast<int32_t>(r.labels[c].size());
+      bad += dict.size() != size;
+      bad += col.IsNumericLike() != r.numeric_like[c];
+      for (int32_t code = 0; code < size; ++code) {
+        bad += dict.Label(code) != r.labels[c][code];
+        bad += dict.Find(r.labels[c][code]) != code;
+        const double v = dict.NumericValue(code);
+        const double want = r.values[c][code];
+        bad += !(v == want || (std::isnan(v) && std::isnan(want)));
+      }
+    }
+    // Labels arriving later stay invisible to this prefix.
+    const int64_t rows = r.snapshot->NumRows();
+    bad += r.snapshot->column(0).dict().Find("k" + std::to_string(rows)) != -1;
+    bad += r.snapshot->column(2).IsNumericLike() !=
+           (r.snapshot->column(2).dict().Find("late") < 0);
+    return bad;
+  };
+
+  std::atomic<int> started{0};
+  std::atomic<bool> done{false};
+  std::vector<int> mismatches(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      std::vector<Recorded> seen = {record(store->Materialized())};
+      started.fetch_add(1);
+      while (!done.load(std::memory_order_acquire)) {
+        seen.push_back(record(store->Materialized()));
+        for (const Recorded& r : seen) mismatches[t] += verify(r);
+        if (seen.size() > 8) seen.erase(seen.begin() + 1);  // keep the first
+      }
+      for (const Recorded& r : seen) mismatches[t] += verify(r);
+    });
+  }
+  // Every reader holds a snapshot before the store starts growing.
+  while (started.load() < kReaders) std::this_thread::yield();
+  int64_t row = 1;
+  for (int b = 0; b < kBatches; ++b) {
+    Rows batch;
+    for (int i = 0; i < kBatchRows; ++i, ++row) {
+      std::string mix = std::to_string(row % 3);
+      if (i == 0 && b == kBatches / 2) mix = "late";
+      if (i == 0 && b > kBatches / 2) mix = "m" + std::to_string(b);
+      batch.push_back({"k" + std::to_string(row), std::to_string(row), mix});
+    }
+    const bool appended = store->Append(batch).ok();
+    EXPECT_TRUE(appended) << "batch " << b;
+    if (!appended) break;  // still join the readers below
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "reader " << t;
+  }
+  const Recorded last = record(store->Materialized());
+  EXPECT_EQ(last.snapshot->NumRows(), 1 + kBatches * kBatchRows);
+  EXPECT_EQ(static_cast<int64_t>(last.labels[0].size()),
+            last.snapshot->NumRows());
+  EXPECT_FALSE(last.numeric_like[2]);
+  EXPECT_TRUE(last.numeric_like[1]);
+  EXPECT_EQ(verify(last), 0);
 }
 
 // ---- MergeGroupCounts across dictionary growth -------------------------

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/status.h"
@@ -103,6 +104,40 @@ TEST(RngTest, BoundedStaysInRange) {
       EXPECT_LT(rng.NextBounded(bound), bound);
     }
   }
+}
+
+// NextBounded sequences pinned bit for bit: every sampler (FD key-ladder
+// draws, shuffles, Patefield) replays from a seed only while these hold.
+// The Next() after the draws pins how many raw outputs they consumed; at
+// 2^63 + 1 the rejection loop fires 17 times in 12 draws.
+void ExpectBoundedSequence(uint64_t bound,
+                           const std::vector<uint64_t>& expected,
+                           uint64_t next_raw) {
+  Rng rng(2024);
+  for (uint64_t want : expected) EXPECT_EQ(rng.NextBounded(bound), want);
+  EXPECT_EQ(rng.Next(), next_raw);
+}
+
+TEST(RngTest, NextBoundedIsPinnedForBoundTwo) {
+  ExpectBoundedSequence(2, {0, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1},
+                        16269978256057448070ull);
+}
+
+TEST(RngTest, NextBoundedIsPinnedForBound22000) {
+  ExpectBoundedSequence(22000,
+                        {9518, 18693, 15441, 16811, 3463, 3397, 18312, 18556,
+                         21765, 21124, 11376, 18851},
+                        16269978256057448070ull);
+}
+
+TEST(RngTest, NextBoundedIsPinnedWhereRejectionFiresOften) {
+  ExpectBoundedSequence(
+      (uint64_t{1} << 63) + 1,
+      {5203896100300918884ull, 5047958704815999654ull, 1047502983193151956ull,
+       4064644935779353567ull, 7964002611229191042ull, 7046606219202672261ull,
+       5043516837330230542ull, 2817320505095676645ull, 5719482954650854440ull,
+       2752350513272152592ull, 42682020660567096ull, 197312288414536410ull},
+      10794343969740389276ull);
 }
 
 TEST(RngTest, UniformIntCoversRange) {
