@@ -16,13 +16,30 @@
 //    rebuild-per-batch baseline scanned (a second service that
 //    re-registers the grown table each batch, cold-dropping its
 //    caches), strictly.
+//
+// A second phase times appends beside readers, which they must never
+// wait for: two clients loop warm Adult analyses (each alternating
+// GROUP BY Gender with and without WHERE Workclass IN ('Private'), so
+// both share every shard) through a 2-worker service while one thread
+// appends one row every 20 ms for 3 s; then one append lands once a cold
+// Flight analysis (Table 1's 15-column shape) is counting. It asserts
+// the append p99 <= 1 ms, the Flight append <= 1 ms with the analysis
+// still running when it returns, and the settled Adult analyses after
+// the last append == cold serial on the final table.
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/hypdb.h"
+#include "datagen/adult_data.h"
+#include "datagen/flight_data.h"
 #include "service/hypdb_service.h"
 #include "service/report_digest.h"
 #include "util/rng.h"
@@ -74,6 +91,127 @@ std::string ColdDigest(const Rows& rows) {
     std::exit(1);
   }
   return CanonicalReportDigest(*report);
+}
+
+/// The first row of `table`, as labels in schema order.
+std::vector<std::string> FirstRow(const Table& table) {
+  std::vector<std::string> row;
+  for (int c = 0; c < table.NumColumns(); ++c) {
+    row.push_back(table.column(c).dict().Label(table.column(c).CodeAt(0)));
+  }
+  return row;
+}
+
+/// Nearest-rank percentile `q` of `v` (non-empty).
+double Percentile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const size_t rank = static_cast<size_t>(std::ceil(q * v.size()));
+  return v[std::max<size_t>(rank, 1) - 1];
+}
+
+struct AppendWaits {
+  std::vector<double> ms;   // each append beside the Adult readers
+  int64_t analyses = 0;     // Adult analyses the readers completed
+  bool settled_ok = false;  // settled Adult reports == cold serial
+  double flight_ms = 0.0;   // the append during the cold Flight analysis
+  double flight_analysis_seconds = 0.0;
+  bool flight_running_at_append = false;
+};
+
+/// Appends beside readers: see the header comment.
+StatusOr<AppendWaits> MeasureAppendWaits(double scale) {
+  AppendWaits out;
+  HypDbServiceOptions options;
+  options.num_workers = 2;
+  HypDbService service(options);
+  HYPDB_ASSIGN_OR_RETURN(
+      Table adult, GenerateAdultData({.num_rows = std::max<int64_t>(
+                                          100, static_cast<int64_t>(
+                                                   48842 * scale))}));
+  const std::vector<std::string> adult_row = FirstRow(adult);
+  service.RegisterTable("adult", MakeTable(std::move(adult)));
+  const std::vector<std::string> sqls = {
+      "SELECT Gender, avg(Income) FROM adult GROUP BY Gender",
+      "SELECT Gender, avg(Income) FROM adult "
+      "WHERE Workclass IN ('Private') GROUP BY Gender"};
+  for (const std::string& sql : sqls) {  // warm both shapes
+    HYPDB_RETURN_IF_ERROR(service.AnalyzeSql("adult", sql).status());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> analyses{0};
+  std::atomic<int64_t> failures{0};
+  std::vector<std::thread> clients;
+  for (size_t client = 0; client < sqls.size(); ++client) {
+    clients.emplace_back([&, client] {
+      for (size_t i = client; !done.load(); ++i) {
+        if (service.AnalyzeSql("adult", sqls[i % sqls.size()]).ok()) {
+          ++analyses;
+        } else {
+          ++failures;
+        }
+      }
+    });
+  }
+  Status appended = Status::Ok();
+  const auto start = std::chrono::steady_clock::now();
+  for (auto tick = start; tick - start < std::chrono::seconds(3);
+       tick += std::chrono::milliseconds(20)) {
+    std::this_thread::sleep_until(tick);
+    Stopwatch watch;
+    appended = service.AppendRows("adult", {adult_row}).status();
+    out.ms.push_back(watch.ElapsedSeconds() * 1e3);
+    if (!appended.ok()) break;
+  }
+  done.store(true);
+  for (std::thread& client : clients) client.join();
+  HYPDB_RETURN_IF_ERROR(appended);
+  if (failures.load() > 0) return Status::Internal("an Adult analysis failed");
+  out.analyses = analyses.load();
+
+  // Settled: after the last append, the service answers as cold serial
+  // does on the final table.
+  HYPDB_ASSIGN_OR_RETURN(TablePtr final_table, service.Dataset("adult"));
+  out.settled_ok = true;
+  for (const std::string& sql : sqls) {
+    HYPDB_ASSIGN_OR_RETURN(ServiceReport settled,
+                           service.AnalyzeSql("adult", sql));
+    HypDb cold(final_table, HypDbOptions{});
+    HYPDB_ASSIGN_OR_RETURN(HypDbReport expected, cold.AnalyzeSql(sql));
+    out.settled_ok &= CanonicalReportDigest(settled.report) ==
+                      CanonicalReportDigest(expected);
+  }
+
+  // One append while a cold Flight analysis counts: issued as soon as
+  // its shards have answered a query (after at most 60 s of polling).
+  HYPDB_ASSIGN_OR_RETURN(
+      Table flight,
+      GenerateFlightData(
+          {.num_rows = std::max<int64_t>(100, static_cast<int64_t>(
+                                                  43853 * scale)),
+           .num_noise_columns = 0}));
+  const std::vector<std::string> flight_row = FirstRow(flight);
+  service.RegisterTable("flight", MakeTable(std::move(flight)));
+  Stopwatch analysis_watch;
+  const uint64_t ticket =
+      service.Submit({"flight",
+                      "SELECT Carrier, avg(Delayed) FROM flight "
+                      "WHERE Carrier IN ('AA','UA') AND "
+                      "Airport IN ('COS','MFE','MTJ','ROC') GROUP BY Carrier",
+                      {}});
+  Stopwatch poll;
+  while (!service.Done(ticket) && poll.ElapsedSeconds() < 60) {
+    StatusOr<CountEngineStats> counted = service.engine_stats("flight");
+    if (counted.ok() && counted->queries > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Stopwatch append_watch;
+  HYPDB_RETURN_IF_ERROR(service.AppendRows("flight", {flight_row}).status());
+  out.flight_ms = append_watch.ElapsedSeconds() * 1e3;
+  out.flight_running_at_append = !service.Done(ticket);
+  HYPDB_RETURN_IF_ERROR(service.Wait(ticket).status());
+  out.flight_analysis_seconds = analysis_watch.ElapsedSeconds();
+  return out;
 }
 
 }  // namespace
@@ -183,6 +321,17 @@ int main(int argc, char** argv) {
     }
   }
 
+  StatusOr<AppendWaits> waits = MeasureAppendWaits(scale);
+  if (!waits.ok()) {
+    std::printf("append-wait phase failed: %s\n",
+                waits.status().ToString().c_str());
+    return 1;
+  }
+  const double wait_p50 = Percentile(waits->ms, 0.50);
+  const double wait_p90 = Percentile(waits->ms, 0.90);
+  const double wait_p99 = Percentile(waits->ms, 0.99);
+  const double wait_max = Percentile(waits->ms, 1.0);
+
   Row({"metric", "value"}, 24);
   Row({"initial_rows", std::to_string(initial_rows)}, 24);
   Row({"appended_rows", std::to_string(initial_rows * kBatches)}, 24);
@@ -194,6 +343,15 @@ int main(int argc, char** argv) {
   Row({"append_seconds", Fmt("%.4f", append_seconds)}, 24);
   Row({"analyze_seconds", Fmt("%.4f", analyze_seconds)}, 24);
   Row({"rebuild_seconds", Fmt("%.4f", rebuild_seconds)}, 24);
+  Row({"appends_beside_readers", std::to_string(waits->ms.size())}, 24);
+  Row({"reader_analyses", std::to_string(waits->analyses)}, 24);
+  Row({"append_wait_p50_ms", Fmt("%.4f", wait_p50)}, 24);
+  Row({"append_wait_p90_ms", Fmt("%.4f", wait_p90)}, 24);
+  Row({"append_wait_p99_ms", Fmt("%.4f", wait_p99)}, 24);
+  Row({"append_wait_max_ms", Fmt("%.4f", wait_max)}, 24);
+  Row({"flight_append_wait_ms", Fmt("%.4f", waits->flight_ms)}, 24);
+  Row({"flight_analysis_s", Fmt("%.4f", waits->flight_analysis_seconds)},
+      24);
 
   const bool patched = delta_patches > 0;
   const bool skipped = chunks_skipped > 0;
@@ -210,6 +368,18 @@ int main(int argc, char** argv) {
               fewer_rows ? "yes" : "NO",
               static_cast<long long>(rows_scanned),
               static_cast<long long>(rows_cold_equivalent));
+  const bool appends_quick = wait_p99 <= 1.0;
+  const bool flight_quick =
+      waits->flight_ms <= 1.0 && waits->flight_running_at_append;
+  std::printf("append p99 beside readers <= 1 ms:     %s (%.3f ms)\n",
+              appends_quick ? "yes" : "NO", wait_p99);
+  std::printf("append during cold Flight <= 1 ms:     %s (%.3f ms%s)\n",
+              flight_quick ? "yes" : "NO", waits->flight_ms,
+              waits->flight_running_at_append
+                  ? ", analysis still running"
+                  : ", analysis had finished: nothing tested");
+  std::printf("settled reports == cold on final table: %s\n",
+              waits->settled_ok ? "yes" : "NO");
 
   net::JsonValue results = net::JsonValue::MakeObject();
   results.Set("initial_rows", net::JsonValue::Int(initial_rows));
@@ -227,10 +397,24 @@ int main(int argc, char** argv) {
   results.Set("rebuild_seconds", net::JsonValue::Double(rebuild_seconds));
   results.Set("digests_ok", net::JsonValue::Bool(digests_ok));
   results.Set("epoch_stable", net::JsonValue::Bool(epoch_stable));
+  results.Set("appends_beside_readers",
+              net::JsonValue::Int(static_cast<int64_t>(waits->ms.size())));
+  results.Set("reader_analyses", net::JsonValue::Int(waits->analyses));
+  results.Set("append_wait_p50_ms", net::JsonValue::Double(wait_p50));
+  results.Set("append_wait_p90_ms", net::JsonValue::Double(wait_p90));
+  results.Set("append_wait_p99_ms", net::JsonValue::Double(wait_p99));
+  results.Set("append_wait_max_ms", net::JsonValue::Double(wait_max));
+  results.Set("flight_append_wait_ms",
+              net::JsonValue::Double(waits->flight_ms));
+  results.Set("flight_analysis_seconds",
+              net::JsonValue::Double(waits->flight_analysis_seconds));
+  results.Set("flight_running_at_append",
+              net::JsonValue::Bool(waits->flight_running_at_append));
+  results.Set("settled_ok", net::JsonValue::Bool(waits->settled_ok));
   WriteBenchJson("incremental_ingest", std::move(results));
 
   if (!digests_ok || !epoch_stable || !patched || !skipped ||
-      !fewer_rows) {
+      !fewer_rows || !appends_quick || !flight_quick || !waits->settled_ok) {
     std::printf("GATE FAILED\n");
     return 1;
   }

@@ -79,7 +79,6 @@ StatusOr<std::unique_ptr<AnalysisSession>> AnalysisSession::Create(
       s.hooks_.population_engine != nullptr
           ? s.hooks_.population_engine
           : MakeViewEngine(s.bound_.population, s.options_.engine);
-  s.bind_version_ = s.population_engine_->PopulationVersion();
   // The reference group of the mediator formula: the option, or the
   // largest treatment label of the population's census.
   s.direct_reference_ = s.options_.direct_reference;
@@ -99,19 +98,6 @@ AnalysisSession::Census(CountEngine& engine) {
   auto census = TreatmentsIn(engine, *table_, bound_.treatment);
   pipeline_stats_ += engine.stats() - before;
   return census;
-}
-
-void AnalysisSession::PinPopulation() {
-  if (population_engine_->PopulationVersion() == bind_version_) return;
-  // Rows were appended since Create: the hooked engines now answer for a
-  // population this session did not bind. From here on it counts
-  // privately over the views it bound (the discovery interceptor stays).
-  hooks_.context_engine_provider = nullptr;
-  population_engine_ = MakeViewEngine(bound_.population, options_.engine);
-  bind_version_ = population_engine_->PopulationVersion();
-  for (size_t i = 0; i < context_engines_.size(); ++i) {
-    context_engines_[i] = MakeContextEngine(i);
-  }
 }
 
 std::shared_ptr<CountEngine> AnalysisSession::MakeContextEngine(size_t i) {
@@ -136,7 +122,6 @@ Status AnalysisSession::CheckCancel(const char* stage) {
 }
 
 Status AnalysisSession::EnsureContexts() {
-  PinPopulation();
   if (contexts_split_) return Status::Ok();
   // Context splitting runs ahead of whichever stage needed it, outside
   // that stage's span; the treatment-inventory counts below are engine
@@ -206,7 +191,6 @@ StatusOr<const QueryAnswers*> AnalysisSession::Answers() {
     return &answers_;
   }
   HYPDB_RETURN_IF_ERROR(CheckCancel("answers"));
-  PinPopulation();
   Stopwatch timer;
   TraceSpanScope span(TraceEventKind::kStage, 1,
                       static_cast<uint64_t>(TraceStage::kAnswers));
@@ -225,7 +209,6 @@ StatusOr<const QueryAnswers*> AnalysisSession::Answers() {
 }
 
 StatusOr<DiscoveryReport> AnalysisSession::ComputeDiscovery() {
-  PinPopulation();
   Stopwatch timer;
   DiscoveryReport report;
   // The FD filter and both discovery runs (PA_T and PA_Y) count through

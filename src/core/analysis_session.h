@@ -96,8 +96,9 @@ class AnalysisSession {
   /// The engine every population-wide count goes through — the census,
   /// the plain answers, the FD filter, discovery and the one context of
   /// an ungrouped query: hooks.population_engine when set, else the
-  /// default stack over bound().population. It changes only when an
-  /// append moves a hooked engine between stages (see SessionHooks).
+  /// default stack over bound().population. Fixed at Create for the
+  /// session's life; it counts the population the session bound (see
+  /// SessionHooks).
   const std::shared_ptr<CountEngine>& population_engine() const {
     return population_engine_;
   }
@@ -159,10 +160,6 @@ class AnalysisSession {
                   SessionHooks hooks);
 
   Status CheckCancel(const char* stage);
-  /// Runs before any stage counts: when the population engine's version
-  /// moved off bind_version_, drops the hooked engines for private stacks
-  /// over the bound views.
-  void PinPopulation();
   /// The treatment census of `engine`'s population (TreatmentsIn); its
   /// count is pipeline work.
   StatusOr<std::vector<std::pair<int32_t, std::string>>> Census(
@@ -186,8 +183,6 @@ class AnalysisSession {
   // Bound-query state (Create).
   BoundQuery bound_;
   std::shared_ptr<CountEngine> population_engine_;
-  /// population_engine_->PopulationVersion() when the session bound.
-  int64_t bind_version_ = 0;
   std::string direct_reference_;
   std::string sql_plain_;
 

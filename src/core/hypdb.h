@@ -75,8 +75,9 @@ struct DiscoveryReport {
 /// Maps a context's WHERE conjunction (the query's WHERE plus one
 /// `attr IN {label}` term per grouping attribute — the subpopulation
 /// Γ_i = C ∧ X = x_i) and its row view to a count engine aggregating
-/// exactly that view's rows. A null return means "no shared engine"; the
-/// session builds its default stack over the view instead.
+/// exactly that view's rows. A null return means no shared engine counts
+/// those rows (e.g. the service keeps no generation of the shard at or
+/// below the bind watermark); the session builds its default stack.
 using ContextEngineProvider = std::function<std::shared_ptr<CountEngine>(
     const std::vector<std::pair<std::string, std::vector<std::string>>>&
         context_where,
@@ -85,11 +86,10 @@ using ContextEngineProvider = std::function<std::shared_ptr<CountEngine>(
 /// Hooks the service layer threads into an analysis (HypDb::Analyze or an
 /// AnalysisSession) to share work across concurrent queries. All members
 /// optional; default-constructed hooks reproduce the self-contained
-/// one-shot behavior. The hooked engines may aggregate a growing store:
-/// the session records the population engine's PopulationVersion() at
-/// Create, and when a stage finds it moved, drops both engine hooks for
-/// private stacks over the views it bound. The caller keeps the version
-/// still while a stage runs (the service holds the dataset's read lease).
+/// one-shot behavior. The hooked engines must count a fixed population,
+/// the one the session bound, for as long as the session holds them: the
+/// service hands shard generations fixed at the bind watermark, which
+/// appends to the store never move.
 struct SessionHooks {
   /// Count engine aggregating exactly the bound WHERE population. When
   /// set, the treatment census, the plain answers, the FD filter,

@@ -31,6 +31,18 @@ CachingCountEngine::CachingCountEngine(std::shared_ptr<CountEngine> base,
                                        CachingCountEngineOptions options)
     : base_(std::move(base)), options_(std::move(options)) {}
 
+CachingCountEngine::CachingCountEngine(std::shared_ptr<CountEngine> base,
+                                       const CachingCountEngine& predecessor)
+    : base_(std::move(base)), options_(predecessor.options_) {
+  // The copy shares every (immutable) summary.
+  std::lock_guard<std::mutex> lock(predecessor.mu_);
+  cache_ = predecessor.cache_;
+  pinned_key_ = predecessor.pinned_key_;
+  cached_cells_ = predecessor.cached_cells_;
+  pinned_cells_ = predecessor.pinned_cells_;
+  next_sequence_ = predecessor.next_sequence_;
+}
+
 StatusOr<GroupCounts> CachingCountEngine::Counts(
     const std::vector<int>& cols) {
   std::vector<int> sorted = SortedUniqueColumns(cols);

@@ -77,6 +77,14 @@ class CachingCountEngine : public CountEngine {
   explicit CachingCountEngine(std::shared_ptr<CountEngine> base,
                               CachingCountEngineOptions options = {});
 
+  /// The next generation of `predecessor`'s population: a cache over
+  /// `base` (the same population at a later watermark) that starts from
+  /// a copy of the predecessor's entries and options. Each entry keeps
+  /// its version, so its first use patches it (PatchEntry). The counters
+  /// start at zero.
+  CachingCountEngine(std::shared_ptr<CountEngine> base,
+                     const CachingCountEngine& predecessor);
+
   StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override;
 
   /// Memoized on the entry for `sorted`: computed once per entry and

@@ -6,13 +6,12 @@
 // counts flow through; its five implementations form a small hierarchy:
 //  * ViewCountProvider   — scans a TableView with the packed-tuple kernel
 //                          (optionally multi-threaded); the ground truth.
-//  * ChunkedCountProvider — scans a growing chunked store; its version is
-//                          the store's row watermark, and it counts the
-//                          appended suffix alone (CountsDelta)
+//  * ChunkedCountProvider — scans a growing chunked store below a fixed
+//                          watermark, its version, and counts a row range
+//                          alone (CountsDelta)
 //                          (src/storage/chunked_count_provider.h).
 //  * FilteredPopulationProvider — the same over a WHERE subpopulation of
-//                          the store, its matching rows extended as rows
-//                          arrive (src/storage/filtered_population.h).
+//                          the store (src/storage/filtered_population.h).
 //  * CubeCountProvider   — answers covered queries from a pre-computed
 //                          OLAP data cube and delegates the rest to its
 //                          base engine (src/cube), the Fig. 6(d)/8(b)
@@ -186,19 +185,18 @@ class CountEngine {
     return Status::Ok();
   }
 
-  /// Monotone version of this engine's population: a cached summary
-  /// computed at version v stays exact as long as PopulationVersion()
-  /// == v. Engines over growing storage return the underlying row
-  /// watermark; static engines inherit this default (NumRows() never
-  /// changes, so any constant works).
+  /// Version of this engine's population, which never changes. Engines
+  /// over growing storage return the row watermark they count, so a later
+  /// generation of the same population has a larger version; static
+  /// engines inherit this default (any constant works).
   virtual int64_t PopulationVersion() const { return NumRows(); }
 
-  /// count(*) GROUP BY `cols` over only the rows appended between
-  /// population versions `from_version` (exclusive of prior rows) and
-  /// `to_version`. A caching layer patches a stale summary by merging
-  /// this delta instead of rescanning everything. Engines that cannot
-  /// enumerate their suffix return Unimplemented, which callers treat
-  /// as "recompute from scratch".
+  /// count(*) GROUP BY `cols` over only the rows that joined the
+  /// population between versions `from_version` and `to_version` (at
+  /// most PopulationVersion()). A cache seeded from an older generation
+  /// patches a stale summary by merging this delta instead of
+  /// rescanning. Engines that cannot enumerate their suffix return
+  /// Unimplemented, which callers treat as "recompute from scratch".
   virtual StatusOr<GroupCounts> CountsDelta(const std::vector<int>& cols,
                                             int64_t from_version,
                                             int64_t to_version) {

@@ -1,6 +1,7 @@
 #include "service/dataset_registry.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "dataframe/csv.h"
@@ -25,9 +26,6 @@ int64_t DatasetRegistry::Register(const std::string& name, TablePtr table) {
   Dataset& ds = datasets_[name];
   ds.store = std::move(store);
   ++ds.epoch;
-  // The lease outlives re-registration: requests holding the old epoch's
-  // read lease must keep excluding writers until they drain.
-  if (ds.lease == nullptr) ds.lease = std::make_shared<std::shared_mutex>();
   // New data invalidates every cached summary: shards aggregate rows of
   // the replaced table. Live engines held by in-flight queries stay valid
   // for the old store (shared_ptr), they just stop being handed out. The
@@ -47,13 +45,7 @@ StatusOr<int64_t> DatasetRegistry::RegisterCsv(const std::string& name,
 StatusOr<int64_t> DatasetRegistry::AppendRows(
     const std::string& name,
     const std::vector<std::vector<std::string>>& rows) {
-  // Grab the store and lease under the registry mutex, then release it
-  // before taking the lease exclusively: the lock order is lease →
-  // registry mutex, and readers holding the shared lease re-enter the
-  // registry (ShardEngine), so holding mu_ while waiting on the lease
-  // would deadlock.
   ChunkedTablePtr store;
-  std::shared_ptr<std::shared_mutex> lease;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = datasets_.find(name);
@@ -61,29 +53,9 @@ StatusOr<int64_t> DatasetRegistry::AppendRows(
       return Status::NotFound("dataset not registered: " + name);
     }
     store = it->second.store;
-    lease = it->second.lease;
   }
-  std::unique_lock<std::shared_mutex> write(*lease);
-  HYPDB_RETURN_IF_ERROR(store->Append(rows));
-  return store->Watermark();
-}
-
-StatusOr<DatasetLease> DatasetRegistry::ReadLease(
-    const std::string& name) const {
-  std::shared_ptr<std::shared_mutex> lease;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = datasets_.find(name);
-    if (it == datasets_.end() || it->second.store == nullptr) {
-      return Status::NotFound("dataset not registered: " + name);
-    }
-    lease = it->second.lease;
-  }
-  // Acquire outside mu_ (lock order: lease before registry mutex).
-  DatasetLease out;
-  out.mu = std::move(lease);
-  out.lock = std::shared_lock<std::shared_mutex>(*out.mu);
-  return out;
+  // Outside mu_: the store serializes writers itself.
+  return store->Append(rows);
 }
 
 StatusOr<TablePtr> DatasetRegistry::Get(const std::string& name) const {
@@ -127,8 +99,8 @@ StatusOr<DatasetRegistry::Snapshot> DatasetRegistry::GetSnapshot(
     store = it->second.store;
     out.epoch = it->second.epoch;
   }
-  // Materialize outside mu_ (see Get). The caller's read lease keeps the
-  // watermark still in between, so table, epoch and watermark agree.
+  // Materialize outside mu_ (see Get). The store is the epoch's, and the
+  // watermark is read from the table itself, so the three agree.
   out.table = store->Materialized();
   out.watermark = out.table->NumRows();
   return out;
@@ -150,8 +122,8 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
     }
     info.shards = static_cast<int>(ds.shards.size());
     // Shards share no engine, so occupancy and counters simply add.
-    for (const auto& [sig, engine] : ds.shards) {
-      info.cache += engine->CacheUse();
+    for (const auto& [sig, kept] : ds.shards) {
+      for (const auto& [w, engine] : kept) info.cache += engine->CacheUse();
     }
     const CountEngineStats stats = EngineStatsLocked(ds);
     info.evictions = stats.evictions;
@@ -166,53 +138,104 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
 }
 
 StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
-    const std::string& name, int64_t epoch, const std::string& signature) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = datasets_.find(name);
-  if (it == datasets_.end() || it->second.store == nullptr) {
-    return Status::NotFound("dataset not registered: " + name);
-  }
-  Dataset& ds = it->second;
-  if (ds.epoch != epoch) {
-    // The caller's snapshot predates a re-registration: it bound against
-    // the replaced table, so this epoch's shards do not answer for it.
-    return Status::FailedPrecondition(
-        "dataset " + name + " re-registered (snapshot epoch " +
-        std::to_string(epoch) + ", current " + std::to_string(ds.epoch) +
-        ")");
-  }
-  auto shard = ds.shards.find(signature);
-  if (shard != ds.shards.end()) return shard->second;
-
-  HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<CountEngine> engine,
-                         BuildShardLocked(ds, signature));
-  ds.shards.emplace(signature, engine);
-  ds.shard_age.push_back(signature);
-  while (static_cast<int>(ds.shards.size()) >
-         std::max(1, options_.max_shards_per_dataset)) {
-    auto oldest = ds.shards.find(ds.shard_age.front());
-    if (oldest != ds.shards.end()) {
-      // Keep the evicted shard's counters, so the pool's never go
-      // backwards. What in-flight holders of the evicted engine count
-      // after this point is not counted.
-      ds.retired += oldest->second->stats();
-      ds.shards.erase(oldest);
+    const std::string& name, int64_t epoch, const std::string& signature,
+    int64_t watermark) {
+  // Two passes at most: the first finds the kept generation at
+  // `watermark` or the newest kept one below it; the second installs the
+  // generation built in between outside mu_ (a filtered one scans its
+  // predicate over the rows it adds, a successor copies its predecessor's
+  // cache), unless a concurrent caller built one at `watermark` meanwhile.
+  std::shared_ptr<CachingCountEngine> built;
+  for (;;) {
+    ChunkedTablePtr store;
+    // Declared before the lock, so a generation the registry drops is
+    // destroyed (its snapshot freed) after mu_ is released.
+    std::vector<std::shared_ptr<CachingCountEngine>> dropped;
+    std::shared_ptr<CachingCountEngine> predecessor;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = datasets_.find(name);
+      if (it == datasets_.end() || it->second.store == nullptr) {
+        return Status::NotFound("dataset not registered: " + name);
+      }
+      Dataset& ds = it->second;
+      if (ds.epoch != epoch) {
+        // The caller's snapshot predates a re-registration: it bound
+        // against the replaced table, so this epoch's shards do not
+        // answer for it.
+        return Status::FailedPrecondition(
+            "dataset " + name + " re-registered (snapshot epoch " +
+            std::to_string(epoch) + ", current " + std::to_string(ds.epoch) +
+            ")");
+      }
+      if (watermark < 0 || watermark > ds.store->Watermark()) {
+        return Status::OutOfRange("watermark past the dataset's");
+      }
+      auto shard = ds.shards.find(signature);
+      if (shard != ds.shards.end()) {
+        Generations& kept = shard->second;
+        auto at = kept.lower_bound(watermark);
+        if (at != kept.end() && at->first == watermark) {
+          return std::shared_ptr<CountEngine>(at->second);
+        }
+        if (built != nullptr) {
+          // Past kGenerationsKept the oldest goes; the pool keeps its stats.
+          kept.emplace_hint(at, watermark, built);
+          if (kept.size() > kGenerationsKept) {
+            ds.retired += kept.begin()->second->stats();
+            dropped.push_back(std::move(kept.begin()->second));
+            kept.erase(kept.begin());
+          }
+          return std::shared_ptr<CountEngine>(built);
+        }
+        if (at == kept.begin()) {
+          return Status::FailedPrecondition(
+              "every kept generation of the shard counts past the "
+              "caller's watermark");
+        }
+        predecessor = std::prev(at)->second;
+      } else if (built != nullptr) {
+        ds.shards[signature].emplace(watermark, built);
+        ds.shard_age.push_back(signature);
+        while (static_cast<int>(ds.shards.size()) >
+               std::max(1, options_.max_shards_per_dataset)) {
+          auto oldest = ds.shards.find(ds.shard_age.front());
+          if (oldest != ds.shards.end()) {
+            // Keep the evicted shard's counters, so the pool's never go
+            // backwards. What in-flight holders of the evicted engines
+            // count after this point is not counted.
+            for (auto& [w, engine] : oldest->second) {
+              ds.retired += engine->stats();
+              dropped.push_back(std::move(engine));
+            }
+            ds.shards.erase(oldest);
+          }
+          ds.shard_age.pop_front();
+        }
+        return std::shared_ptr<CountEngine>(built);
+      }
+      store = ds.store;
     }
-    ds.shard_age.pop_front();
+    HYPDB_ASSIGN_OR_RETURN(built, BuildGeneration(store, signature, watermark,
+                                                  predecessor.get()));
   }
-  return engine;
 }
 
-StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::BuildShardLocked(
-    const Dataset& ds, const std::string& signature) const {
-  // Both scanners read the live store: their version is its watermark
-  // and they count an appended suffix alone, so the cache above patches
-  // its summaries instead of invalidating them. The kernel options are
-  // the mapping MiEngine and private session engines use.
+StatusOr<std::shared_ptr<CachingCountEngine>> DatasetRegistry::BuildGeneration(
+    const ChunkedTablePtr& store, const std::string& signature,
+    int64_t watermark, CachingCountEngine* predecessor) const {
+  // The kernel options are the mapping MiEngine and private session
+  // engines use.
   const GroupByKernelOptions kernel = ScanKernelOptions(options_.engine);
   std::shared_ptr<CountEngine> scanner;
   if (signature.empty()) {
-    scanner = std::make_shared<ChunkedCountProvider>(ds.store, kernel);
+    scanner = std::make_shared<ChunkedCountProvider>(store, watermark, kernel);
+  } else if (predecessor != nullptr) {
+    // Every filtered shard is a cache over a FilteredPopulationProvider.
+    HYPDB_ASSIGN_OR_RETURN(
+        scanner,
+        static_cast<FilteredPopulationProvider&>(predecessor->base())
+            .Successor(watermark));
   } else {
     HYPDB_ASSIGN_OR_RETURN(std::vector<SubpopulationTerm> terms,
                            ParseSubpopulationSignature(signature));
@@ -223,14 +246,16 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::BuildShardLocked(
           std::move(term.attribute), std::move(term.values)});
     }
     HYPDB_ASSIGN_OR_RETURN(
-        scanner,
-        FilteredPopulationProvider::Create(ds.store, std::move(filter),
-                                           kernel));
+        scanner, FilteredPopulationProvider::Create(store, std::move(filter),
+                                                    watermark, kernel));
+  }
+  if (predecessor != nullptr) {
+    return std::make_shared<CachingCountEngine>(std::move(scanner),
+                                                *predecessor);
   }
   CachingCountEngineOptions caching;
   caching.max_cached_cells = options_.engine.max_cached_cells;
-  return std::shared_ptr<CountEngine>(
-      std::make_shared<CachingCountEngine>(std::move(scanner), caching));
+  return std::make_shared<CachingCountEngine>(std::move(scanner), caching);
 }
 
 StatusOr<SessionHooks> DatasetRegistry::Pool(const std::string& name,
@@ -238,22 +263,24 @@ StatusOr<SessionHooks> DatasetRegistry::Pool(const std::string& name,
                                              const std::string& signature) {
   SessionHooks out;
   const int64_t epoch = snapshot.epoch;
+  const int64_t watermark = snapshot.watermark;
   StatusOr<std::shared_ptr<CountEngine>> shard =
-      ShardEngine(name, epoch, signature);
+      ShardEngine(name, epoch, signature, watermark);
   if (shard.ok()) {
     out.population_engine = std::move(*shard);
   } else if (shard.status().code() != StatusCode::kFailedPrecondition) {
     return shard.status();
   }
-  out.context_engine_provider = [this, name, epoch](
+  out.context_engine_provider = [this, name, epoch, watermark](
                      const std::vector<std::pair<
                          std::string, std::vector<std::string>>>& where,
                      const TableView&) -> std::shared_ptr<CountEngine> {
     AggQuery context_query;
     context_query.where = where;
-    StatusOr<std::shared_ptr<CountEngine>> shard =
-        ShardEngine(name, epoch, SubpopulationSignature(context_query));
-    // A stale epoch: the caller's private fallback.
+    StatusOr<std::shared_ptr<CountEngine>> shard = ShardEngine(
+        name, epoch, SubpopulationSignature(context_query), watermark);
+    // A stale epoch, or a shard whose kept generations all count past
+    // the watermark: the caller's private fallback.
     return shard.ok() ? std::move(*shard) : nullptr;
   };
   return out;
@@ -271,7 +298,9 @@ StatusOr<CountEngineStats> DatasetRegistry::EngineStats(
 
 CountEngineStats DatasetRegistry::EngineStatsLocked(const Dataset& ds) const {
   CountEngineStats total = ds.retired;
-  for (const auto& [sig, engine] : ds.shards) total += engine->stats();
+  for (const auto& [sig, kept] : ds.shards) {
+    for (const auto& [w, engine] : kept) total += engine->stats();
+  }
   return total;
 }
 

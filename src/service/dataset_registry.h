@@ -11,29 +11,26 @@
 //
 // Storage: each dataset is backed by a ChunkedTable (src/storage/) —
 // fixed-size row chunks of dictionary codes behind a published row
-// watermark. AppendRows() ingests new rows WITHOUT bumping the epoch:
-// dictionaries grow append-only so existing codes stay stable, and the
-// caching layers patch their summaries by scanning only the appended
-// chunks (CountsDelta) instead of invalidating. Re-registering a name
-// still replaces the store wholesale, bumps the epoch and drops every
-// shard; appending never does.
+// watermark. AppendRows() ingests new rows WITHOUT bumping the epoch;
+// re-registering a name replaces the store, bumps the epoch and drops
+// every shard.
 //
 // Every shard is a count cache over its own rows: the empty signature's
 // is a CachingCountEngine over the chunked store (ChunkedCountProvider),
-// any other a CachingCountEngine over its live filtered population
-// (FilteredPopulationProvider), so both track appends. Shards share no
-// engine. A shard is a function of (dataset, epoch, signature) alone:
-// the store builds it, never a caller's view, so a signature that does
-// not resolve against the store gets no shard at all. At most
-// max_shards_per_dataset shards live per dataset, the full table's
-// included; the oldest goes first, and the pool keeps its counters.
+// any other one over its filtered population (FilteredPopulationProvider).
+// A shard is a function of (dataset, epoch, signature) alone: the store
+// builds it, never a caller's view. At most max_shards_per_dataset
+// shards live per dataset, the full table's included; the oldest goes
+// first, and the pool keeps its counters.
 //
-// Concurrency: readers take the dataset's shared lease (ReadLease) for a
-// request's whole lifetime — an analyze for its whole body, a session
-// while it binds and while each stage runs — so the watermark cannot
-// advance while anything counts through the live shards; AppendRows
-// takes the same lease exclusively. Lock order is always lease →
-// registry mutex → store mutex (and lease → session stage lock).
+// Generations: a shard counts exactly one watermark, so appends never
+// move what a request or session counts through, and never wait for
+// one. A caller at a new watermark gets a successor of the newest kept
+// generation below it, whose cache entries are each patched by one delta
+// scan of the appended chunks on first use. A shard keeps its two newest
+// generations, so a request bound just before an append still shares
+// after a later one moved the shard on. The registry mutex is never
+// held across an O(rows) step.
 
 #ifndef HYPDB_SERVICE_DATASET_REGISTRY_H_
 #define HYPDB_SERVICE_DATASET_REGISTRY_H_
@@ -42,12 +39,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/hypdb.h"
+#include "engine/caching_count_engine.h"
 #include "engine/count_engine.h"
 #include "stats/mi_engine.h"
 #include "storage/chunked_table.h"
@@ -78,23 +75,13 @@ struct DatasetInfo {
   /// the storage-level value, not a derived one).
   int64_t chunks = 0;
   int64_t watermark = 0;
-  /// Cache occupancy summed over the dataset's live shards.
+  /// Cache occupancy summed over the generations the registry keeps.
   CacheOccupancy cache;
   /// Fraction of external count queries the pool answered without a
   /// table scan since the dataset was registered, 0 when idle.
   double cache_hit_ratio = 0.0;
   /// Cache evictions across the pool since the dataset was registered.
   int64_t evictions = 0;
-};
-
-/// A held shared (reader) lease on one dataset: while alive, AppendRows
-/// on that dataset blocks, so the watermark a request observed stays the
-/// watermark for the request's whole body. Movable; releases on destroy.
-/// Member order matters: the lock must be destroyed before the mutex
-/// reference it holds.
-struct DatasetLease {
-  std::shared_ptr<std::shared_mutex> mu;
-  std::shared_lock<std::shared_mutex> lock;
 };
 
 /// Thread-safe. All methods may be called concurrently with each other.
@@ -113,17 +100,13 @@ class DatasetRegistry {
                                 const std::string& path);
 
   /// Appends rows (one label per column, schema order) to `name`'s
-  /// store. Serialized against readers via the dataset's lease; does NOT
-  /// bump the epoch — shards, sessions and discovery entries survive and
-  /// are delta-patched. Returns the new watermark. NotFound for an
-  /// unknown dataset, InvalidArgument on arity mismatch (the store is
-  /// left unchanged).
+  /// store without waiting for any reader. Does NOT bump the epoch:
+  /// shards, sessions and discovery entries survive. Returns the
+  /// watermark that publishes the rows. NotFound for an unknown dataset,
+  /// InvalidArgument on arity mismatch (the store is left unchanged).
   StatusOr<int64_t> AppendRows(
       const std::string& name,
       const std::vector<std::vector<std::string>>& rows);
-
-  /// The dataset's shared read lease, held for a request's lifetime.
-  StatusOr<DatasetLease> ReadLease(const std::string& name) const;
 
   StatusOr<TablePtr> Get(const std::string& name) const;
   StatusOr<int64_t> Epoch(const std::string& name) const;
@@ -136,8 +119,8 @@ class DatasetRegistry {
   /// A consistent (table, epoch, watermark) triple — the handle a request
   /// works against for its whole lifetime, so a concurrent
   /// re-registration can never mix the old table with the new epoch. The
-  /// table is the store materialized at `watermark`; hold the read lease
-  /// across the request so the watermark stays current.
+  /// table is the store materialized at `watermark`; later appends leave
+  /// it as it is, and Pool hands the shards at the same watermark.
   struct Snapshot {
     TablePtr table;
     int64_t epoch = 0;
@@ -145,65 +128,64 @@ class DatasetRegistry {
   };
   StatusOr<Snapshot> GetSnapshot(const std::string& name) const;
 
-  /// The shared count engine of shard (`name`, `signature`), built from
-  /// the dataset's store on first use. `signature` is a canonical
-  /// subpopulation signature (service/request.h): InvalidArgument when it
-  /// does not parse, NotFound when it names a column the dataset lacks.
-  /// `epoch` must match the dataset's current epoch — FailedPrecondition
-  /// otherwise (the dataset was re-registered since the caller's
-  /// snapshot). The empty signature names the full table. The oldest
-  /// shards are dropped beyond max_shards_per_dataset; an evicted engine
-  /// held by a caller stays valid (shared_ptr), it just stops being
-  /// handed out.
+  /// The generation of shard (`name`, `signature`) that counts the rows
+  /// below `watermark`: the kept one at `watermark`, else a new one that
+  /// the shard keeps, a successor of the newest kept one below it.
+  /// `signature` is a canonical subpopulation signature
+  /// (service/request.h): InvalidArgument when it does not parse,
+  /// NotFound when it names a column the dataset lacks; "" names the full
+  /// table. FailedPrecondition when `epoch` is not the dataset's (it was
+  /// re-registered since the caller's snapshot) or both kept generations
+  /// count past `watermark`; OutOfRange for a watermark past the store's.
+  /// A dropped or evicted engine held by a caller stays valid and keeps
+  /// counting its watermark; it just stops being handed out.
   StatusOr<std::shared_ptr<CountEngine>> ShardEngine(
-      const std::string& name, int64_t epoch, const std::string& signature);
+      const std::string& name, int64_t epoch, const std::string& signature,
+      int64_t watermark);
 
   /// The shards of one request or session bound at `snapshot`, whose
   /// WHERE has canonical `signature`, as the engine hooks of its session
-  /// — the one provider the analyze path and staged sessions share. Each
-  /// shard counts its own rows: a context's shard never reads the
-  /// population's. population_engine is the population's shard, or null
-  /// when the dataset was re-registered since the snapshot (the caller
-  /// then runs unshared over its snapshot table); context_engine_provider
-  /// maps a context's WHERE conjunction to the shard of its canonical
-  /// signature (null after a re-registration). The shards are live: the
-  /// caller holds the read lease while anything counts through them, and
-  /// the session pins its population by version (see SessionHooks).
+  /// — the one provider the analyze path and staged sessions share: the
+  /// population's generation at the snapshot's watermark, and a provider
+  /// of each context's. Either is null where ShardEngine answers
+  /// FailedPrecondition; the session then counts privately over its
+  /// bound views.
   StatusOr<SessionHooks> Pool(const std::string& name,
                               const Snapshot& snapshot,
                               const std::string& signature);
 
-  /// The dataset's count-engine stats since it was registered: its live
-  /// shards' plus those of the shards evicted since. Shards share
-  /// nothing, so their counters simply add, and none goes backwards
+  /// The dataset's count-engine stats since it was registered: its kept
+  /// generations' plus those dropped or evicted since, as they stood when
+  /// dropped (a holder's later counts through one are missing). Shards
+  /// share nothing, so their counters simply add, and none goes backwards
   /// until the dataset is registered again.
   StatusOr<CountEngineStats> EngineStats(const std::string& name) const;
 
  private:
+  /// Generations a shard keeps: the two with the newest watermarks.
+  static constexpr size_t kGenerationsKept = 2;
+  /// One shard's kept generations by the watermark each counts.
+  using Generations = std::map<int64_t, std::shared_ptr<CachingCountEngine>>;
+
   struct Dataset {
     /// The chunked store (append target; all reads derive from it).
     ChunkedTablePtr store;
     int64_t epoch = 0;
-    /// Reader/writer lease serializing appends against in-flight
-    /// requests. Created at first registration and NEVER replaced —
-    /// leases held across a re-registration must keep excluding writers.
-    std::shared_ptr<std::shared_mutex> lease;
-    /// Shard engines by canonical signature, the full table's ("")
-    /// among them. Created on first use, dropped on re-registration but
-    /// NOT on append (they read the live store and patch by delta).
-    std::map<std::string, std::shared_ptr<CountEngine>> shards;
+    /// The kept generations of each shard by canonical signature, the
+    /// full table's ("") among them; dropped on re-registration.
+    std::map<std::string, Generations> shards;
     std::list<std::string> shard_age;  // creation order, oldest first
-    /// The summed counters of the shards evicted since registration.
+    /// The summed counters of the generations dropped or evicted since
+    /// registration, as they stood then.
     CountEngineStats retired;
   };
 
-  /// A new engine for `signature` over the store: a cache over a
-  /// ChunkedCountProvider for the empty signature, over a
-  /// FilteredPopulationProvider for any other. InvalidArgument/NotFound
-  /// for a signature that does not resolve (see ShardEngine). Requires
-  /// mu_.
-  StatusOr<std::shared_ptr<CountEngine>> BuildShardLocked(
-      const Dataset& ds, const std::string& signature) const;
+  /// The generation of `signature` at `watermark` over `store`: a
+  /// successor of `predecessor` (a kept generation below `watermark`)
+  /// when given, else a new shard (errors as ShardEngine's). Without mu_.
+  StatusOr<std::shared_ptr<CachingCountEngine>> BuildGeneration(
+      const ChunkedTablePtr& store, const std::string& signature,
+      int64_t watermark, CachingCountEngine* predecessor) const;
 
   /// EngineStats body without the lookup/lock. Requires mu_.
   CountEngineStats EngineStatsLocked(const Dataset& ds) const;

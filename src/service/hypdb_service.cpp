@@ -437,12 +437,11 @@ StatusOr<ServiceReport> HypDbService::Wait(uint64_t ticket) {
 StatusOr<HypDbService::Binding> HypDbService::Bind(
     const AnalyzeRequest& request, const AggQuery& query) {
   Binding out;
-  HYPDB_ASSIGN_OR_RETURN(out.lease, registry_.ReadLease(request.dataset));
   // One snapshot for the whole request: table, epoch and watermark are
   // read atomically, and every later step (binding, shard lookup,
   // discovery key) uses this triple, so a concurrent re-registration can
   // neither mix old counts into the new epoch's pool nor cache old-table
-  // discovery under a new-epoch key.
+  // discovery under a new-epoch key, and no append reaches the request.
   HYPDB_ASSIGN_OR_RETURN(DatasetRegistry::Snapshot snapshot,
                          registry_.GetSnapshot(request.dataset));
   out.epoch = snapshot.epoch;
@@ -460,12 +459,10 @@ StatusOr<HypDbService::Binding> HypDbService::Bind(
     HYPDB_ASSIGN_OR_RETURN(bound, BindQuery(snapshot.table, query));
     // The population shard serves the census, the answers and discovery
     // (and an ungrouped query's one context); per-context shards serve
-    // the rest of a grouped query. The session pins them by version: an
-    // append between its stages moves it to private engines over the
-    // views bound here (staged digest invariant). A null population
-    // means the dataset was re-registered after the snapshot: the request
-    // then runs unshared over the snapshot table, and its discovery
-    // caches under the (now stale, unreachable) snapshot epoch.
+    // the rest of a grouped query, each the generation at the snapshot's
+    // watermark. A null population (see Pool) means the session counts
+    // privately over the views bound here; after a re-registration its
+    // discovery caches under the (now stale) snapshot epoch.
     HYPDB_ASSIGN_OR_RETURN(hooks,
                            registry_.Pool(request.dataset, snapshot,
                                           SubpopulationSignature(query)));
@@ -500,9 +497,6 @@ StatusOr<HypDbService::Binding> HypDbService::Bind(
 StatusOr<ServiceReport> HypDbService::RunAnalyze(const AnalyzeRequest& request,
                                                  const AggQuery& query,
                                                  RequestStats* stats) {
-  // The binding holds the read lease until this returns: appends
-  // serialize behind the whole request, so the shared engines and the
-  // snapshot table agree on the population throughout.
   HYPDB_ASSIGN_OR_RETURN(Binding binding, Bind(request, query));
   CountEngineStats engine_before;
   if (binding.population != nullptr) {
@@ -572,14 +566,6 @@ StatusOr<ServiceReport> HypDbService::RunSessionStage(
     RequestStats* stats) {
   HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<SessionManager::Entry> entry,
                          sessions_.Get(session_id));
-  // The stage holds the read lease as an analyze does, so appends wait
-  // behind it and the session's version check at the stage's start holds
-  // for the whole stage. Lease, then stage lock, as CreateSession takes
-  // them: a stage holding the stage lock while it waits for the lease
-  // behind a queued append could block a lease holder that waits for
-  // this session.
-  HYPDB_ASSIGN_OR_RETURN(DatasetLease lease,
-                         registry_.ReadLease(entry->dataset));
   std::lock_guard<std::mutex> stage_lock(entry->mu);
   AnalysisSession& session = *entry->session;
   session.SetCancelCheck(

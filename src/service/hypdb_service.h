@@ -21,8 +21,8 @@
 //  * SessionManager  — the lifecycle of staged analysis sessions;
 //  * QueryScheduler  — a FIFO worker pool of closures behind tickets.
 // One request path: an analyze and a new session both go through Bind(),
-// which takes the dataset snapshot under its read lease, binds the
-// query, draws the engines from the registry's shard pool and routes
+// which takes the dataset snapshot, binds the query, draws the engines
+// at the snapshot's watermark from the registry's shard pool and routes
 // discovery through the cache. An analyze then runs every stage in one
 // scheduler task; a session keeps its bound state and runs one stage per
 // task.
@@ -110,11 +110,11 @@ class HypDbService {
 
   /// Appends rows (one label per column, schema order) to a registered
   /// dataset. Unlike re-registration this does NOT bump the epoch:
-  /// sessions, shard caches and cached discoveries survive — cached
-  /// summaries are delta-patched by scanning only the appended chunks,
-  /// and discoveries refresh lazily under refresh_rows_fraction. Appends
-  /// serialize behind in-flight analyses and running session stages (the
-  /// dataset read lease).
+  /// sessions, shard caches and cached discoveries survive — the next
+  /// generation of each shard delta-patches its summaries by scanning
+  /// only the appended chunks, and discoveries refresh lazily under
+  /// refresh_rows_fraction. An append never waits for an analysis or a
+  /// session stage.
   /// Returns the new watermark; NotFound for unknown datasets,
   /// InvalidArgument on arity mismatch (nothing is appended).
   StatusOr<int64_t> AppendRows(
@@ -143,9 +143,9 @@ class HypDbService {
   /// wired into the shared infrastructure: its discovery goes through
   /// the DiscoveryCache, its population and per-context counts through
   /// the registry's shard engines, and each stage runs as a scheduler
-  /// job (deadlines and cancellation apply) holding the dataset's read
-  /// lease. A session that outlives an append answers for the rows it
-  /// bound: its later stages count privately over its bound views.
+  /// job (deadlines and cancellation apply). A session that outlives an
+  /// append answers for the rows it bound: it counts through the shard
+  /// generations at its bind watermark (DatasetRegistry::Pool).
 
   /// Creates a session for `request` (binding the query now, through the
   /// same Bind() as an analyze, so malformed queries fail here). The
@@ -218,25 +218,20 @@ class HypDbService {
   /// first so it is destroyed last — nothing scrapes during teardown.
   void RegisterMetrics();
 
-  /// A request bound to the shared pool.
+  /// A request bound to the shared pool at one watermark.
   struct Binding {
-    /// The dataset read lease, declared first so it is released last.
-    /// While held, appends wait, so the bind watermark stays the store's:
-    /// an analyze holds it for its whole body, a session while it binds
-    /// (each stage job takes it again).
-    DatasetLease lease;
     int64_t epoch = 0;
     std::unique_ptr<AnalysisSession> session;
-    /// The population shard; null when the dataset was re-registered
-    /// since the snapshot (the session then counts privately).
+    /// The population shard's generation at the bind watermark, or null
+    /// (see DatasetRegistry::Pool; the session then counts privately).
     std::shared_ptr<CountEngine> population;
     std::shared_ptr<DiscoveryFlags> discovery;
   };
-  /// The one bind of analyze and sessions: takes the read lease and a
-  /// snapshot of `request.dataset`, binds `query`, draws the population
-  /// and per-context engines from DatasetRegistry::Pool, and routes the
-  /// session's discovery through the DiscoveryCache, reporting reuse into
-  /// Binding::discovery.
+  /// The one bind of analyze and sessions: takes a snapshot of
+  /// `request.dataset`, binds `query`, draws the population and
+  /// per-context engines at the snapshot's watermark from
+  /// DatasetRegistry::Pool, and routes the session's discovery through
+  /// the DiscoveryCache, reporting reuse into Binding::discovery.
   StatusOr<Binding> Bind(const AnalyzeRequest& request,
                          const AggQuery& query);
   /// The body of an analyze job (runs on a scheduler worker).

@@ -2,12 +2,11 @@
 //
 // Where ViewCountProvider scans one immutable view, this provider scans
 // the chunked store chunk-at-a-time (kernel morsels never straddle a
-// chunk) and, crucially, implements the delta protocol: its
-// PopulationVersion() is the store's row watermark and CountsDelta()
-// scans only the chunks holding appended rows. A CachingCountEngine
-// stacked on top therefore patches stale summaries instead of
-// re-scanning — the delta-maintained contingency tables of Sec. 6
-// carried over to a growing dataset.
+// chunk), below a watermark fixed when it is built: PopulationVersion()
+// is that watermark, and CountsDelta() scans only the chunks of a range
+// below it. A CachingCountEngine seeded from an older generation's
+// entries patches them instead of re-scanning — the delta-maintained
+// contingency tables of Sec. 6 carried over to a growing dataset.
 
 #ifndef HYPDB_STORAGE_CHUNKED_COUNT_PROVIDER_H_
 #define HYPDB_STORAGE_CHUNKED_COUNT_PROVIDER_H_
@@ -23,20 +22,25 @@ namespace hypdb {
 
 class ChunkedCountProvider : public CountEngine {
  public:
-  explicit ChunkedCountProvider(std::shared_ptr<const ChunkedTable> table,
-                                GroupByKernelOptions kernel = {})
-      : table_(std::move(table)), kernel_(kernel) {}
+  /// Counts the rows [0, watermark) of `table` (at most its Watermark()).
+  ChunkedCountProvider(std::shared_ptr<const ChunkedTable> table,
+                       int64_t watermark, GroupByKernelOptions kernel = {})
+      : table_(std::move(table)), watermark_(watermark), kernel_(kernel) {}
 
   StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override {
-    return CountRange(cols, 0, table_->Watermark());
+    return CountRange(cols, 0, watermark_);
   }
 
-  int64_t NumRows() const override { return table_->Watermark(); }
-  int64_t PopulationVersion() const override { return table_->Watermark(); }
+  int64_t NumRows() const override { return watermark_; }
+  int64_t PopulationVersion() const override { return watermark_; }
 
+  /// The rows [from_version, to_version); OutOfRange past the watermark.
   StatusOr<GroupCounts> CountsDelta(const std::vector<int>& cols,
                                     int64_t from_version,
                                     int64_t to_version) override {
+    if (to_version > watermark_) {
+      return Status::OutOfRange("delta range exceeds the provider's watermark");
+    }
     return CountRange(cols, from_version, to_version);
   }
 
@@ -48,8 +52,6 @@ class ChunkedCountProvider : public CountEngine {
     std::lock_guard<std::mutex> lock(mu_);
     stats_ = {};
   }
-
-  const std::shared_ptr<const ChunkedTable>& table() const { return table_; }
 
  private:
   StatusOr<GroupCounts> CountRange(const std::vector<int>& cols,
@@ -72,6 +74,7 @@ class ChunkedCountProvider : public CountEngine {
   }
 
   std::shared_ptr<const ChunkedTable> table_;
+  const int64_t watermark_;
   GroupByKernelOptions kernel_;
   mutable std::mutex mu_;
   CountEngineStats stats_;

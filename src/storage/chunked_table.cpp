@@ -44,7 +44,8 @@ StatusOr<std::shared_ptr<ChunkedTable>> ChunkedTable::FromTable(
   return table;
 }
 
-Status ChunkedTable::Append(const std::vector<std::vector<std::string>>& rows) {
+StatusOr<int64_t> ChunkedTable::Append(
+    const std::vector<std::vector<std::string>>& rows) {
   const size_t num_cols = names_.size();
   for (const auto& row : rows) {
     if (row.size() != num_cols) {
@@ -53,7 +54,7 @@ Status ChunkedTable::Append(const std::vector<std::vector<std::string>>& rows) {
           std::to_string(num_cols) + " columns");
     }
   }
-  if (rows.empty()) return Status::Ok();
+  if (rows.empty()) return Watermark();
   TraceSpanScope span(TraceEventKind::kIngestAppend, 1,
                       static_cast<uint64_t>(rows.size()));
   std::lock_guard<std::mutex> lock(mu_);
@@ -73,7 +74,7 @@ Status ChunkedTable::Append(const std::vector<std::vector<std::string>>& rows) {
   }
   span.set_arg1(static_cast<uint64_t>(w));
   watermark_.store(w, std::memory_order_release);
-  return Status::Ok();
+  return w;
 }
 
 int64_t ChunkedTable::NumChunks() const {
@@ -81,24 +82,36 @@ int64_t ChunkedTable::NumChunks() const {
 }
 
 TablePtr ChunkedTable::Materialized() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  // The codes below the watermark never change: only the chunk pointers
+  // and the dictionary handles are taken under the mutex.
+  std::unique_lock<std::mutex> lock(mu_);
   const int64_t w = watermark_.load(std::memory_order_relaxed);
   if (materialized_watermark_ == w && materialized_) return materialized_;
+  const std::vector<std::shared_ptr<Chunk>> chunks(
+      chunks_.begin(), chunks_.begin() + (w + chunk_rows_ - 1) / chunk_rows_);
+  std::vector<Dictionary> dicts = dicts_;
+  lock.unlock();
   Table out;
   for (size_t c = 0; c < names_.size(); ++c) {
     std::vector<int32_t> codes(static_cast<size_t>(w));
-    for (size_t ci = 0; ci * chunk_rows_ < static_cast<size_t>(w); ++ci) {
+    for (size_t ci = 0; ci < chunks.size(); ++ci) {
       const int64_t begin = static_cast<int64_t>(ci) * chunk_rows_;
       const int64_t n = std::min(chunk_rows_, w - begin);
-      std::copy(chunks_[ci]->codes[c].begin(),
-                chunks_[ci]->codes[c].begin() + n, codes.begin() + begin);
+      std::copy(chunks[ci]->codes[c].begin(),
+                chunks[ci]->codes[c].begin() + n, codes.begin() + begin);
     }
-    Status s = out.AddColumn(Column(names_[c], dicts_[c], std::move(codes)));
+    Status s =
+        out.AddColumn(Column(names_[c], std::move(dicts[c]), std::move(codes)));
     (void)s;  // row counts agree by construction
   }
-  materialized_watermark_ = w;
-  materialized_ = MakeTable(std::move(out));
-  return materialized_;
+  TablePtr table = MakeTable(std::move(out));
+  lock.lock();
+  // Two readers may copy concurrently; the cache keeps the newest copy.
+  if (w > materialized_watermark_) {
+    materialized_watermark_ = w;
+    materialized_ = table;
+  }
+  return table;
 }
 
 StatusOr<GroupCounts> ChunkedTable::ScanRange(

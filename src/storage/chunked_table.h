@@ -32,11 +32,9 @@
 //    scan [from, to) skips every chunk entirely below `from` — the whole
 //    point of incremental ingest.
 //
-// Writer concurrency: Append() assumes external serialization (the
-// DatasetRegistry holds the dataset's exclusive ingest lease around it).
-// Readers take the internal mutex only to copy the chunk-pointer list
-// and the dictionary sizes (or, for Materialized(), to copy the codes and
-// the dictionary handles).
+// Writer concurrency: Append() serializes writers on the internal mutex.
+// Readers take it only to copy the chunk-pointer list and the dictionary
+// sizes or handles, and read the codes below the watermark after it.
 
 #ifndef HYPDB_STORAGE_CHUNKED_TABLE_H_
 #define HYPDB_STORAGE_CHUNKED_TABLE_H_
@@ -78,13 +76,13 @@ class ChunkedTable {
   static StatusOr<std::shared_ptr<ChunkedTable>> FromTable(
       const TablePtr& seed, int64_t chunk_rows = kDefaultChunkRows);
 
-  /// Appends rows. Each row carries one label per column in schema
-  /// order; new labels extend the dictionaries append-only. Rows become
-  /// visible atomically: a reader sees either the pre-append or the
-  /// post-append watermark, never a partial batch. Empty batches are
-  /// valid no-ops. Errors (wrong arity) leave the table unchanged.
-  /// Requires external write serialization (the registry's ingest lease).
-  Status Append(const std::vector<std::vector<std::string>>& rows);
+  /// Appends rows and returns the watermark that publishes them. Each
+  /// row carries one label per column in schema order; new labels extend
+  /// the dictionaries append-only. Rows become visible atomically: a
+  /// reader sees either the pre-append or the post-append watermark,
+  /// never a partial batch. Empty batches are valid no-ops. Errors (wrong
+  /// arity) leave the table unchanged.
+  StatusOr<int64_t> Append(const std::vector<std::vector<std::string>>& rows);
 
   /// Published row count — the global watermark (acquire; pairs with
   /// Append's release store, so rows below it are safe to read lock-free).
@@ -104,10 +102,10 @@ class ChunkedTable {
   /// watermark. Building one copies the codes only: each column's
   /// Dictionary is a handle on the store's own dictionary at its current
   /// size, so no label is copied or re-parsed, and later appends leave
-  /// the snapshot's labels, codes and numeric values as they were. This
-  /// bridges the chunked store to everything that wants a TablePtr
-  /// (query binding, views, sessions); count queries should go through
-  /// ScanRange instead.
+  /// the snapshot's labels, codes and numeric values as they were. The
+  /// codes are copied outside the mutex. This bridges the chunked store
+  /// to everything that wants a TablePtr (query binding, views,
+  /// sessions); count queries should go through ScanRange instead.
   TablePtr Materialized() const;
 
   /// count(*) GROUP BY `cols` over rows [from_row, to_row), scanned

@@ -331,8 +331,9 @@ TEST(IngestWireTest, AppendEndpointStatusMapping) {
 
 // Concurrent appends and analyzes: every report must be bit-identical
 // to a cold serial HypDb over SOME batch-boundary prefix of the data —
-// the read lease serializes request bodies against appends, so no
-// request ever observes a partial batch.
+// a request counts through shard generations fixed at its bind
+// watermark, which a batch moves atomically, so no request ever
+// observes a partial batch.
 TEST(IngestTest, ConcurrentAppendAndAnalyzeBitIdentity) {
   Rng rng(13);
   constexpr int kBatches = 4;
@@ -405,10 +406,11 @@ int64_t BoundRows(const HypDbReport& report) {
 }
 
 // Appends beside staged sessions: one thread appends batches while two
-// create sessions and advance them stage by stage. Stages hold the read
-// lease, so no stage counts across an append, and a session that
-// outlives one counts privately over the rows it bound: every finished
-// session's digest equals cold serial at its bind watermark.
+// create sessions and advance them stage by stage. A session counts
+// through the shard generations at its bind watermark, which no append
+// moves (or privately over the rows it bound, when another session has
+// moved a shard past it first): every finished session's digest equals
+// cold serial at its bind watermark.
 TEST(IngestTest, ConcurrentAppendAndStagedSessionsAnswerAtBind) {
   Rng rng(17);
   constexpr int kBatches = 4;
@@ -482,10 +484,11 @@ TEST(IngestTest, ConcurrentAppendAndStagedSessionsAnswerAtBind) {
   EXPECT_FALSE(bound_at.empty());
 }
 
-// An append issued while a session stage runs waits for that stage: once
-// the stage counts, it holds the dataset's read lease until it ends, so
-// when the append returns the stage is over and counts nothing more.
-TEST(IngestTest, AppendWaitsBehindARunningSessionStage) {
+// An append issued while a session stage counts returns at once: the
+// stage counts through the shard generations at its bind watermark,
+// which the append does not move, so the stage goes on counting after
+// the append returns and still reports as at bind.
+TEST(IngestTest, AppendReturnsWhileAStageCounts) {
   auto generated = GenerateAdultData({.num_rows = 3000});
   ASSERT_TRUE(generated.ok());
   TablePtr table = MakeTable(std::move(*generated));
@@ -510,8 +513,7 @@ TEST(IngestTest, AppendWaitsBehindARunningSessionStage) {
     auto report = service.AdvanceSession(session->id, "report");
     EXPECT_TRUE(report.ok()) << report.status();
   });
-  // The stage counts through the dataset's shards only while it holds
-  // the lease.
+  // The stage has started counting through the dataset's shards.
   while (service.engine_stats("adult")->queries == at_create) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
@@ -522,7 +524,7 @@ TEST(IngestTest, AppendWaitsBehindARunningSessionStage) {
   ASSERT_TRUE(service.AppendRows("adult", {row}).ok());
   const int64_t at_append = service.engine_stats("adult")->queries;
   stage.join();
-  EXPECT_EQ(service.engine_stats("adult")->queries, at_append);
+  EXPECT_GT(service.engine_stats("adult")->queries, at_append);
   auto snapshot = service.SessionSnapshot(session->id);
   ASSERT_TRUE(snapshot.ok());
   EXPECT_TRUE(snapshot->stats.session_complete);

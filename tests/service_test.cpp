@@ -241,9 +241,10 @@ TEST(DatasetRegistryTest, RegisterGetEpochAndReplacement) {
   EXPECT_EQ(*registry.Epoch("b"), 1);
 
   // Shards are created on demand and dropped on re-registration.
-  auto engine = registry.ShardEngine("b", 1, "");
+  const int64_t rows = (*table)->NumRows();
+  auto engine = registry.ShardEngine("b", 1, "", rows);
   ASSERT_TRUE(engine.ok());
-  auto again = registry.ShardEngine("b", 1, "");
+  auto again = registry.ShardEngine("b", 1, "", rows);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(engine->get(), again->get());
   EXPECT_EQ(registry.List()[0].shards, 1);
@@ -253,7 +254,7 @@ TEST(DatasetRegistryTest, RegisterGetEpochAndReplacement) {
 
   // A caller bound before the re-registration gets no shard of the new
   // epoch: its population aggregates the replaced table.
-  auto stale = registry.ShardEngine("b", 1, "");
+  auto stale = registry.ShardEngine("b", 1, "", rows);
   EXPECT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(registry.List()[0].shards, 0);
@@ -261,19 +262,22 @@ TEST(DatasetRegistryTest, RegisterGetEpochAndReplacement) {
   auto snapshot = registry.GetSnapshot("b");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot->epoch, 2);
-  EXPECT_TRUE(registry.ShardEngine("b", snapshot->epoch, "").ok());
+  EXPECT_TRUE(
+      registry.ShardEngine("b", snapshot->epoch, "", snapshot->watermark)
+          .ok());
 }
 
 TEST(DatasetRegistryTest, ShardEnginesShareCountsPerSignature) {
   DatasetRegistry registry;
   registry.Register("b", Berkeley());
-  auto engine = *registry.ShardEngine("b", 1, "");
+  const int64_t rows = (*registry.Get("b"))->NumRows();
+  auto engine = *registry.ShardEngine("b", 1, "", rows);
   ASSERT_TRUE((*engine).Counts({0, 1}).ok());
   // The same shard answers the repeat from cache; a different signature
   // gets an independent engine.
   ASSERT_TRUE((*engine).Counts({0, 1}).ok());
   EXPECT_EQ(engine->stats().cache_hits, 1);
-  auto other = *registry.ShardEngine("b", 1, "Department=A");
+  auto other = *registry.ShardEngine("b", 1, "Department=A", rows);
   EXPECT_NE(engine.get(), other.get());
   EXPECT_EQ(other->stats().queries, 0);
 }
@@ -290,7 +294,8 @@ TEST(DatasetRegistryTest, FullTableShardIsBoundedLikeAnyOther) {
   TablePtr table = *registry.Get("b");
   const std::vector<int> cols = {*table->ColumnIndex("Gender"),
                                  *table->ColumnIndex("Accepted")};
-  auto full = registry.ShardEngine("b", epoch, "");
+  const int64_t rows = table->NumRows();
+  auto full = registry.ShardEngine("b", epoch, "", rows);
   ASSERT_TRUE(full.ok());
   ExpectSameCounts((*full)->Counts(cols), CountBy(TableView(table), cols));
   for (const std::string department : {"A", "B"}) {
@@ -298,14 +303,15 @@ TEST(DatasetRegistryTest, FullTableShardIsBoundedLikeAnyOther) {
     q.where = {{"Department", {department}}};
     auto pred = Predicate::FromInLists(*table, q.where);
     ASSERT_TRUE(pred.ok());
-    auto shard = registry.ShardEngine("b", epoch, SubpopulationSignature(q));
+    auto shard =
+        registry.ShardEngine("b", epoch, SubpopulationSignature(q), rows);
     ASSERT_TRUE(shard.ok());
     ExpectSameCounts((*shard)->Counts(cols),
                      CountBy(TableView(table).Filter(*pred), cols));
   }
   EXPECT_EQ(registry.List()[0].shards, 2);
 
-  auto rebuilt = registry.ShardEngine("b", epoch, "");
+  auto rebuilt = registry.ShardEngine("b", epoch, "", rows);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_NE(rebuilt->get(), full->get());
   EXPECT_EQ((*rebuilt)->stats().queries, 0);
@@ -315,8 +321,9 @@ TEST(DatasetRegistryTest, FullTableShardIsBoundedLikeAnyOther) {
 }
 
 // The pool's counters cover the dataset since it was registered, evicted
-// shards included, so the /metrics counters summed from them never go
-// backwards when a shard is evicted.
+// shards and dropped generations included, so the /metrics counters
+// summed from them never go backwards when a shard is evicted or drops
+// its oldest generation after appends.
 TEST(DatasetRegistryTest, PoolCountersNeverGoBackwards) {
   auto generated = GenerateAdultData({.num_rows = 6000});
   ASSERT_TRUE(generated.ok());
@@ -338,9 +345,10 @@ TEST(DatasetRegistryTest, PoolCountersNeverGoBackwards) {
       {"NativeCountry=US", 1}};
   CountEngineStats last;
   int64_t asked = 0;
-  for (const auto& [signature, n] : steps) {
+  auto step = [&](const std::string& signature, size_t n,
+                  int64_t watermark) {
     SCOPED_TRACE(signature);
-    auto shard = registry.ShardEngine("a", epoch, signature);
+    auto shard = registry.ShardEngine("a", epoch, signature, watermark);
     ASSERT_TRUE(shard.ok()) << shard.status();
     for (size_t q = 0; q < n; ++q) {
       ASSERT_TRUE((*shard)->Counts(queries[q]).ok());
@@ -358,8 +366,116 @@ TEST(DatasetRegistryTest, PoolCountersNeverGoBackwards) {
     }
     EXPECT_EQ(stats->queries, asked);
     last = *stats;
+  };
+  for (const auto& [signature, n] : steps) {
+    step(signature, n, table->NumRows());
   }
   EXPECT_EQ(registry.List()[0].shards, 2);
+
+  // Two append rounds: each live shard gains a successor per round, and
+  // the second drops its oldest kept generation.
+  std::vector<std::string> row(table->NumColumns());
+  for (int c = 0; c < table->NumColumns(); ++c) {
+    row[c] = table->column(c).dict().Label(0);
+  }
+  for (int round = 1; round <= 2; ++round) {
+    ASSERT_TRUE(registry.AppendRows("a", {row, row}).ok());
+    for (const auto& [signature, n] : {steps[2], steps[3], steps[2]}) {
+      step(signature, n, table->NumRows() + 2 * round);
+    }
+  }
+  EXPECT_GT(last.delta_patches, 0);
+  EXPECT_EQ(registry.List()[0].shards, 2);
+}
+
+// A shard counts one watermark. Callers at the same watermark share its
+// generation; a caller at a later one gets a successor seeded from it,
+// whose first count of a set the older generation cached is one delta
+// patch over the appended rows. The shard keeps its two newest
+// generations: the replaced one still serves its watermark, a caller
+// between two kept ones gets a successor of the older, and a caller
+// older than both gets none.
+TEST(DatasetRegistryTest, ShardGenerationsCountOneWatermark) {
+  DatasetRegistryOptions options;
+  options.chunk_rows = 64;
+  DatasetRegistry registry(options);
+  const int64_t epoch = registry.Register("b", Berkeley());
+  TablePtr table = *registry.Get("b");
+  const int64_t w = table->NumRows();
+  const std::vector<int> cols = {*table->ColumnIndex("Gender"),
+                                 *table->ColumnIndex("Accepted")};
+  AggQuery department_a;
+  department_a.where = {{"Department", {"A"}}};
+  // The population a signature names in `t`.
+  auto population = [&](const TablePtr& t, const std::string& signature) {
+    if (signature.empty()) return TableView(t);
+    auto pred = Predicate::FromInLists(*t, department_a.where);
+    EXPECT_TRUE(pred.ok());
+    return TableView(t).Filter(*pred);
+  };
+  // (signature, appended rows in its population)
+  const std::vector<std::pair<std::string, int64_t>> shards = {
+      {"", 3}, {SubpopulationSignature(department_a), 2}};
+  std::vector<std::shared_ptr<CountEngine>> at_w;
+  for (const auto& [signature, appended] : shards) {
+    SCOPED_TRACE(signature);
+    auto first = registry.ShardEngine("b", epoch, signature, w);
+    auto again = registry.ShardEngine("b", epoch, signature, w);
+    ASSERT_TRUE(first.ok() && again.ok());
+    EXPECT_EQ(first->get(), again->get());
+    ASSERT_TRUE((*first)->Counts(cols).ok());
+    at_w.push_back(*first);
+  }
+
+  ASSERT_TRUE(registry
+                  .AppendRows("b", {{"Male", "A", "1"},
+                                    {"Female", "A", "0"},
+                                    {"Female", "B", "1"}})
+                  .ok());
+  TablePtr grown = *registry.Get("b");
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const auto& [signature, appended] = shards[i];
+    SCOPED_TRACE(signature);
+    auto next = registry.ShardEngine("b", epoch, signature, w + 3);
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_NE(next->get(), at_w[i].get());
+    ExpectSameCounts((*next)->Counts(cols),
+                     CountBy(population(grown, signature), cols));
+    const CountEngineStats stats = (*next)->stats();
+    EXPECT_EQ(stats.queries, 1);
+    EXPECT_EQ(stats.delta_patches, 1);
+    EXPECT_EQ(stats.scans, 1);
+    EXPECT_EQ(stats.rows_scanned, appended);
+    auto replaced = registry.ShardEngine("b", epoch, signature, w);
+    ASSERT_TRUE(replaced.ok()) << replaced.status();
+    EXPECT_EQ(replaced->get(), at_w[i].get());
+    // The generation at w still counts the rows below w.
+    ExpectSameCounts(at_w[i]->Counts(cols),
+                     CountBy(population(table, signature), cols));
+  }
+
+  // Two more appends; a caller at the last watermark keeps the shard's
+  // generations at w + 3 and w + 5, then a caller at w + 4 replaces the
+  // older with its successor.
+  ASSERT_TRUE(registry.AppendRows("b", {{"Male", "A", "0"}}).ok());
+  TablePtr middle = *registry.Get("b");
+  ASSERT_TRUE(registry.AppendRows("b", {{"Female", "A", "1"}}).ok());
+  for (const auto& [signature, appended] : shards) {
+    SCOPED_TRACE(signature);
+    auto newest = registry.ShardEngine("b", epoch, signature, w + 5);
+    ASSERT_TRUE(newest.ok()) << newest.status();
+    auto between = registry.ShardEngine("b", epoch, signature, w + 4);
+    ASSERT_TRUE(between.ok()) << between.status();
+    EXPECT_NE(between->get(), newest->get());
+    ExpectSameCounts((*between)->Counts(cols),
+                     CountBy(population(middle, signature), cols));
+    EXPECT_EQ((*between)->stats().delta_patches, 1);
+    for (int64_t older : {w, w + 3}) {
+      EXPECT_EQ(
+          registry.ShardEngine("b", epoch, signature, older).status().code(),
+          StatusCode::kFailedPrecondition);
+    }
+  }
 }
 
 // A shard is built from the store alone, so the shard a request's
@@ -436,7 +552,8 @@ TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
       auto pred = Predicate::FromInLists(*table, where);
       ASSERT_TRUE(pred.ok());
       TableView view = TableView(table).Filter(*pred);
-      auto shard = registry.ShardEngine("d", epoch, signature);
+      auto shard =
+          registry.ShardEngine("d", epoch, signature, table->NumRows());
       ASSERT_TRUE(shard.ok()) << shard.status();
       EXPECT_EQ((*shard)->NumRows(), view.NumRows());
       for (size_t i = 0; i < num_col_sets; ++i) {
@@ -493,9 +610,12 @@ TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
     table = *registry.Get("d");
     ASSERT_GE(table->column(grown).dict().Find("absent"), 0);
     for (const Where& where : wheres) check(where, col_sets.size());
-    EXPECT_EQ(registry.ShardEngine("d", epoch, "x").status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(registry.ShardEngine("d", epoch, "nope=1").status().code(),
+    EXPECT_EQ(
+        registry.ShardEngine("d", epoch, "x", table->NumRows()).status().code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(registry.ShardEngine("d", epoch, "nope=1", table->NumRows())
+                  .status()
+                  .code(),
               StatusCode::kNotFound);
   }
 }
@@ -790,10 +910,11 @@ TEST(HypDbServiceTest, ReregistrationInvalidatesDiscovery) {
   EXPECT_EQ(service.discovery_stats().misses, 2);
 }
 
-// A session pins its population by version. Its stages count through
-// the shared shard while the store stays at the bind watermark; once an
-// append moves the shard on, the session counts privately over the views
-// it bound: it answers as at bind, and the moved shard is not asked.
+// A session counts through the shard generations at its bind watermark.
+// An append leaves them as they are: the session's later stages keep
+// counting through the generation it bound and answer as at bind, and
+// the next analyze, bound after the append, gets that shard's successor
+// while the bound generation still serves its watermark.
 TEST(HypDbServiceTest, SessionAnswersAsAtBindAfterAnAppend) {
   TablePtr table = Berkeley();
   const std::string sql =
@@ -812,7 +933,9 @@ TEST(HypDbServiceTest, SessionAnswersAsAtBindAfterAnAppend) {
   auto session = service.CreateSession(request);
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE(service.AdvanceSession(session->id, "answers").ok());
-  auto shard = *service.registry().ShardEngine("b", session->epoch, "");
+  const int64_t bound = table->NumRows();
+  auto shard =
+      *service.registry().ShardEngine("b", session->epoch, "", bound);
   // The census and the answers counted through the shard.
   const CountEngineStats at_bind = shard->stats();
   EXPECT_GE(at_bind.queries, 2);
@@ -825,7 +948,17 @@ TEST(HypDbServiceTest, SessionAnswersAsAtBindAfterAnAppend) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(CanonicalReportDigest(report->report),
             CanonicalReportDigest(*cold));
-  EXPECT_EQ(shard->stats().queries, at_bind.queries);  // not asked
+  EXPECT_GT(shard->stats().queries, at_bind.queries);  // discovery
+
+  ASSERT_TRUE(service.AnalyzeSql("b", sql).ok());
+  auto next =
+      service.registry().ShardEngine("b", session->epoch, "", bound + 2);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_NE(next->get(), shard.get());
+  auto replaced =
+      service.registry().ShardEngine("b", session->epoch, "", bound);
+  ASSERT_TRUE(replaced.ok()) << replaced.status();
+  EXPECT_EQ(replaced->get(), shard.get());
 }
 
 TEST(HypDbServiceTest, AsyncSubmitPollWait) {

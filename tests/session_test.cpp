@@ -417,6 +417,37 @@ TEST(SessionServiceTest, StageReuseIsVisibleInSessionInfo) {
   }
 }
 
+// A staged session counts through the shard generations at its bind
+// watermark, and an append moves none of them: the session's stages after
+// an append reuse what its stages before it cached, so it reports the
+// same scans as the same stages with no append.
+TEST(SessionServiceTest, AnAppendBetweenStagesCostsTheSessionNoScans) {
+  auto scans = [](bool append) -> int64_t {
+    HypDbServiceOptions options;
+    options.num_workers = 1;
+    HypDbService service(options);
+    service.RegisterTable("b", Berkeley());
+    auto info = service.CreateSession({"b", kBerkeleySql, {}});
+    EXPECT_TRUE(info.ok()) << info.status();
+    if (!info.ok()) return -1;
+    EXPECT_TRUE(service.AdvanceSession(info->id, "answers").ok());
+    EXPECT_TRUE(service.AdvanceSession(info->id, "detect").ok());
+    if (append) {
+      EXPECT_TRUE(
+          service.AppendRows("b", {{"Male", "A", "1"}, {"Female", "B", "0"}})
+              .ok());
+    }
+    auto report = service.AdvanceSession(info->id, "report");
+    EXPECT_TRUE(report.ok()) << report.status();
+    if (!report.ok()) return -1;
+    EXPECT_TRUE(report->stats.session_complete);
+    return report->report.count_stats.scans;
+  };
+  const int64_t without = scans(false);
+  EXPECT_GT(without, 0);
+  EXPECT_EQ(scans(true), without);
+}
+
 TEST(SessionServiceTest, CooperativeCancelLeavesSessionResumable) {
   HypDbServiceOptions options;
   options.num_workers = 1;

@@ -462,8 +462,9 @@ TEST(StoragePropertyTest, DeltaScansMatchColdRebuildAcrossConfigs) {
 }
 
 TEST(StoragePropertyTest, CachingEngineDeltaPatchMatchesColdRebuild) {
-  // The end-to-end engine property: a CachingCountEngine over the
-  // chunked provider answers post-append queries by patching its cached
+  // The end-to-end engine property: after each append, the next
+  // generation of a CachingCountEngine over the chunked provider, seeded
+  // from the previous one's cache, answers by patching the cached
   // summaries; results must equal a cold rebuild and the work must be a
   // delta, not a rescan.
   Rng rng(42);
@@ -473,23 +474,27 @@ TEST(StoragePropertyTest, CachingEngineDeltaPatchMatchesColdRebuild) {
   ASSERT_TRUE(table.ok());
 
   auto cache = std::make_shared<CachingCountEngine>(
-      std::make_shared<ChunkedCountProvider>(*table));
+      std::make_shared<ChunkedCountProvider>(*table, (*table)->Watermark()));
   const std::vector<int> cols = {0, 1};
   ASSERT_TRUE(cache->Counts(cols).ok());  // warm the cache
+  CountEngineStats stats = cache->stats();
 
   for (int step = 0; step < 4; ++step) {
     Rows batch = RandomRows(25, 3, 3 + step, &rng);
     all.insert(all.end(), batch.begin(), batch.end());
     ASSERT_TRUE((*table)->Append(batch).ok());
 
+    cache = std::make_shared<CachingCountEngine>(
+        std::make_shared<ChunkedCountProvider>(*table, (*table)->Watermark()),
+        *cache);
     auto patched = cache->Counts(cols);
     auto cold =
         ScanCounts(TableView(TableFromRows({"a", "b", "c"}, all)), cols);
     ASSERT_TRUE(patched.ok() && cold.ok());
     ExpectSameCounts(*patched, *cold);
+    stats += cache->stats();
   }
 
-  const CountEngineStats stats = cache->stats();
   EXPECT_EQ(stats.delta_patches, 4);
   // Patch scans touched only appended chunks: strictly less work than
   // one cold rescan per step would have been.
@@ -507,7 +512,7 @@ TEST(FilteredPopulationTest, GrowsWithAppendsAndMatchesColdFilter) {
   ASSERT_TRUE(table.ok());
 
   auto shard = FilteredPopulationProvider::Create(
-      *table, {{"g", {"x"}}});
+      *table, {{"g", {"x"}}}, (*table)->Watermark());
   ASSERT_TRUE(shard.ok());
   EXPECT_EQ((*shard)->NumRows(), 2);
 
@@ -515,22 +520,31 @@ TEST(FilteredPopulationTest, GrowsWithAppendsAndMatchesColdFilter) {
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->total, 2);
 
-  // Appended matching rows join the population; others don't.
+  // Appended matching rows join the successor's population; others
+  // don't, and the provider itself keeps counting its watermark.
   ASSERT_TRUE(
       (*table)->Append({{"x", "v2"}, {"y", "v2"}, {"x", "v0"}}).ok());
-  EXPECT_EQ((*shard)->NumRows(), 4);
-  auto after = (*shard)->Counts({1});
+  EXPECT_EQ((*shard)->NumRows(), 2);
+  auto grown = (*shard)->Successor((*table)->Watermark());
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ((*grown)->NumRows(), 4);
+  auto after = (*grown)->Counts({1});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->total, 4);
 
   // Delta over the appended range covers exactly the two new matches.
-  auto delta = (*shard)->CountsDelta({1}, 4, 7);
+  auto delta = (*grown)->CountsDelta({1}, 4, 7);
   ASSERT_TRUE(delta.ok());
   EXPECT_EQ(delta->total, 2);
+  // Neither a delta nor a successor reaches past the watermark.
+  EXPECT_EQ((*shard)->CountsDelta({1}, 4, 7).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ((*grown)->Successor(8).status().code(), StatusCode::kOutOfRange);
 
   // Unknown column is a creation-time error.
-  EXPECT_FALSE(
-      FilteredPopulationProvider::Create(*table, {{"nope", {"x"}}}).ok());
+  EXPECT_FALSE(FilteredPopulationProvider::Create(*table, {{"nope", {"x"}}},
+                                                  (*table)->Watermark())
+                   .ok());
 }
 
 TEST(FilteredPopulationTest, LabelArrivingInLaterAppendStartsMatching) {
@@ -540,14 +554,16 @@ TEST(FilteredPopulationTest, LabelArrivingInLaterAppendStartsMatching) {
   ASSERT_TRUE(table.ok());
 
   // "z" doesn't exist yet; the shard is just empty, not an error.
-  auto shard =
-      FilteredPopulationProvider::Create(*table, {{"g", {"z"}}});
+  auto shard = FilteredPopulationProvider::Create(*table, {{"g", {"z"}}},
+                                                  (*table)->Watermark());
   ASSERT_TRUE(shard.ok());
   EXPECT_EQ((*shard)->NumRows(), 0);
 
   ASSERT_TRUE((*table)->Append({{"z", "v0"}, {"x", "v1"}}).ok());
-  EXPECT_EQ((*shard)->NumRows(), 1);
-  auto counts = (*shard)->Counts({1});
+  auto grown = (*shard)->Successor((*table)->Watermark());
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ((*grown)->NumRows(), 1);
+  auto counts = (*grown)->Counts({1});
   ASSERT_TRUE(counts.ok());
   EXPECT_EQ(counts->total, 1);
 }
