@@ -34,7 +34,7 @@ int32_t Dictionary::Store::Lookup(const std::string& label) const {
 int32_t Dictionary::Store::Push(std::string label, double value) {
   const int32_t code = size_;
   const uint32_t pos = static_cast<uint32_t>(code) + kFirstBlock;
-  const int block = std::bit_width(pos) - 1 - kFirstBlockBits;
+  const int block = BlockOf(pos);
   if (blocks_[block] == nullptr) {
     blocks_[block] = static_cast<Slot*>(
         ::operator new(sizeof(Slot) * (size_t{kFirstBlock} << block)));

@@ -88,7 +88,7 @@ class Dictionary {
 
     const Slot& At(int32_t code) const {
       const uint32_t pos = static_cast<uint32_t>(code) + kFirstBlock;
-      const int block = std::bit_width(pos) - 1 - kFirstBlockBits;
+      const int block = BlockOf(pos);
       return blocks_[block][pos - (kFirstBlock << block)];
     }
 
@@ -115,6 +115,14 @@ class Dictionary {
     static constexpr uint32_t kFirstBlock = uint32_t{1} << kFirstBlockBits;
     // Enough blocks for every non-negative int32 code.
     static constexpr int kMaxBlocks = 32 - kFirstBlockBits;
+
+    // The block of slot position `pos` (a code plus kFirstBlock).
+    // `| kFirstBlock` changes nothing for a code >= 0, but it shows the
+    // compiler that the index is never negative (without it g++ warns
+    // -Warray-bounds at -O2 under the sanitizers).
+    static int BlockOf(uint32_t pos) {
+      return std::bit_width(pos | kFirstBlock) - 1 - kFirstBlockBits;
+    }
 
     std::array<Slot*, kMaxBlocks> blocks_{};
     int32_t size_ = 0;
@@ -144,21 +152,6 @@ class Column {
 
   int64_t NumRows() const { return static_cast<int64_t>(codes_.size()); }
   int32_t Cardinality() const { return dict_.size(); }
-
-  /// Bits needed to address the code space [0, Cardinality()): the
-  /// bit-packed width scan kernels fuse multi-column keys with. 0 for a
-  /// constant (cardinality-1) column.
-  int CodeBits() const {
-    int bits = 0;
-    for (uint32_t span = dict_.size() > 0
-                             ? static_cast<uint32_t>(dict_.size()) - 1
-                             : 0;
-         span != 0; span >>= 1) {
-      ++bits;
-    }
-    return bits;
-  }
-
 
   int32_t CodeAt(int64_t row) const { return codes_[row]; }
   const std::string& LabelAt(int64_t row) const {

@@ -13,6 +13,14 @@
 
 namespace hypdb {
 
+/// One named conjunct: column `attribute` IN `values`. A canonical
+/// subpopulation signature parses into these (service/request.h), and the
+/// chunked store selects rows by them (storage/chunked_table.h).
+struct SubpopulationTerm {
+  std::string attribute;
+  std::vector<std::string> values;
+};
+
 /// One conjunct: column `col` must take a code marked true in `allowed`.
 struct PredicateTerm {
   int col = -1;

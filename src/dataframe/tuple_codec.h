@@ -91,7 +91,8 @@ class TupleCodec {
   // keys — a dense accumulator indexed by packed key drains in sorted
   // mixed-radix key order with no extra sort.
 
-  /// Per-column bit widths (Column::CodeBits of each codec column).
+  /// Per-column bit widths: the bits addressing each codec column's
+  /// code space [0, cardinality), 0 for a constant column.
   const std::vector<int>& bit_widths() const { return bit_widths_; }
   /// Per-column left-shift amounts for packed keys.
   const std::vector<int>& shifts() const { return shifts_; }

@@ -60,12 +60,6 @@ class TableView {
                          std::move(rows)));
   }
 
-  /// A stable identity for caching: (table pointer, rows pointer).
-  std::pair<const void*, const void*> CacheKey() const {
-    return {static_cast<const void*>(table_.get()),
-            static_cast<const void*>(rows_.get())};
-  }
-
  private:
   TablePtr table_;
   std::shared_ptr<const std::vector<int64_t>> rows_;  // null = all rows

@@ -131,8 +131,6 @@ class CachingCountEngine : public CountEngine {
   int64_t pinned_cells() const;
   int num_entries() const;
 
-  CountEngine& base() { return *base_; }
-
  private:
   /// Summaries are immutable once cached (replacement swaps the pointer,
   /// never mutates), so readers project/copy OUTSIDE the lock from a

@@ -3,15 +3,14 @@
 // Every statistic in HypDB reduces to count(*) GROUP BY over a column
 // subset (paper Sec. 6), and the thousands of CI tests issued by the CD
 // algorithm share most of their counts. CountEngine is the interface those
-// counts flow through; its five implementations form a small hierarchy:
+// counts flow through; its four implementations form a small hierarchy:
 //  * ViewCountProvider   — scans a TableView with the packed-tuple kernel
 //                          (optionally multi-threaded); the ground truth.
-//  * ChunkedCountProvider — scans a growing chunked store below a fixed
-//                          watermark, its version, and counts a row range
-//                          alone (CountsDelta)
+//  * ChunkedCountProvider — scans a growing chunked store's chunks in
+//                          place below a fixed watermark, its version,
+//                          restricted to the rows its WHERE terms select,
+//                          and counts a row range alone (CountsDelta)
 //                          (src/storage/chunked_count_provider.h).
-//  * FilteredPopulationProvider — the same over a WHERE subpopulation of
-//                          the store (src/storage/filtered_population.h).
 //  * CubeCountProvider   — answers covered queries from a pre-computed
 //                          OLAP data cube and delegates the rest to its
 //                          base engine (src/cube), the Fig. 6(d)/8(b)
@@ -255,8 +254,6 @@ class ViewCountProvider : public CountEngine {
 
   /// Number of data scans performed (instrumentation for Fig. 6c).
   int64_t num_scans() const { return stats().scans; }
-
-  const TableView& view() const { return view_; }
 
  private:
   TableView view_;

@@ -734,9 +734,10 @@ int64_t GroupByMorselsDispatched() {
 }
 
 GroupCounts ScanCodeSpans(const std::vector<const int32_t*>& codes,
-                          int64_t num_rows, const TupleCodec& codec,
+                          const int64_t* row_ids, int64_t num_rows,
+                          const TupleCodec& codec,
                           const GroupByKernelOptions& options) {
-  return PackedScan(codes, /*ids=*/nullptr, num_rows, codec, options);
+  return PackedScan(codes, row_ids, num_rows, codec, options);
 }
 
 StatusOr<GroupCounts> ScanCounts(const TableView& view,

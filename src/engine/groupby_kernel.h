@@ -68,13 +68,15 @@ StatusOr<GroupCounts> ScanCounts(const TableView& view,
                                  const GroupByKernelOptions& options = {});
 
 /// count(*) GROUP BY over code spans that live outside any Table (e.g. a
-/// chunk's code arrays at an in-chunk offset): `codes[j]` points at
-/// `num_rows` contiguous codes of codec column j, each below that
-/// column's cardinality in `codec`. Results are keyed under `codec`, so
-/// spans scanned under one codec merge without re-keying. The same
-/// bit-packed kernels ScanCounts dispatches; `options.mode` is ignored.
+/// chunk's code arrays): `codes[j]` points at the codes of codec column
+/// j, each below that column's cardinality in `codec`, read at the
+/// `num_rows` offsets `row_ids` or, when it is null, at [0, num_rows).
+/// Results are keyed under `codec`, so spans scanned under one codec
+/// merge without re-keying. The same bit-packed kernels ScanCounts
+/// dispatches; `options.mode` is ignored.
 GroupCounts ScanCodeSpans(const std::vector<const int32_t*>& codes,
-                          int64_t num_rows, const TupleCodec& codec,
+                          const int64_t* row_ids, int64_t num_rows,
+                          const TupleCodec& codec,
                           const GroupByKernelOptions& options = {});
 
 /// True when the AVX2 kernels are compiled in AND the running CPU

@@ -7,8 +7,6 @@
 #include "dataframe/csv.h"
 #include "engine/caching_count_engine.h"
 #include "service/request.h"
-#include "storage/chunked_count_provider.h"
-#include "storage/filtered_population.h"
 
 namespace hypdb {
 
@@ -123,7 +121,7 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
     info.shards = static_cast<int>(ds.shards.size());
     // Shards share no engine, so occupancy and counters simply add.
     for (const auto& [sig, kept] : ds.shards) {
-      for (const auto& [w, engine] : kept) info.cache += engine->CacheUse();
+      for (const auto& [w, gen] : kept) info.cache += gen.engine->CacheUse();
     }
     const CountEngineStats stats = EngineStatsLocked(ds);
     info.evictions = stats.evictions;
@@ -142,16 +140,16 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
     int64_t watermark) {
   // Two passes at most: the first finds the kept generation at
   // `watermark` or the newest kept one below it; the second installs the
-  // generation built in between outside mu_ (a filtered one scans its
-  // predicate over the rows it adds, a successor copies its predecessor's
+  // generation built in between outside mu_ (it matches its WHERE terms
+  // over the rows it adds, and a successor copies its predecessor's
   // cache), unless a concurrent caller built one at `watermark` meanwhile.
-  std::shared_ptr<CachingCountEngine> built;
+  Generation built;
   for (;;) {
     ChunkedTablePtr store;
     // Declared before the lock, so a generation the registry drops is
-    // destroyed (its snapshot freed) after mu_ is released.
-    std::vector<std::shared_ptr<CachingCountEngine>> dropped;
-    std::shared_ptr<CachingCountEngine> predecessor;
+    // destroyed (its cache freed) after mu_ is released.
+    std::vector<Generation> dropped;
+    Generation predecessor;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = datasets_.find(name);
@@ -176,17 +174,17 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
         Generations& kept = shard->second;
         auto at = kept.lower_bound(watermark);
         if (at != kept.end() && at->first == watermark) {
-          return std::shared_ptr<CountEngine>(at->second);
+          return std::shared_ptr<CountEngine>(at->second.engine);
         }
-        if (built != nullptr) {
+        if (built.engine != nullptr) {
           // Past kGenerationsKept the oldest goes; the pool keeps its stats.
           kept.emplace_hint(at, watermark, built);
           if (kept.size() > kGenerationsKept) {
-            ds.retired += kept.begin()->second->stats();
+            ds.retired += kept.begin()->second.engine->stats();
             dropped.push_back(std::move(kept.begin()->second));
             kept.erase(kept.begin());
           }
-          return std::shared_ptr<CountEngine>(built);
+          return std::shared_ptr<CountEngine>(built.engine);
         }
         if (at == kept.begin()) {
           return Status::FailedPrecondition(
@@ -194,7 +192,7 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
               "caller's watermark");
         }
         predecessor = std::prev(at)->second;
-      } else if (built != nullptr) {
+      } else if (built.engine != nullptr) {
         ds.shards[signature].emplace(watermark, built);
         ds.shard_age.push_back(signature);
         while (static_cast<int>(ds.shards.size()) >
@@ -204,58 +202,45 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
             // Keep the evicted shard's counters, so the pool's never go
             // backwards. What in-flight holders of the evicted engines
             // count after this point is not counted.
-            for (auto& [w, engine] : oldest->second) {
-              ds.retired += engine->stats();
-              dropped.push_back(std::move(engine));
+            for (auto& [w, gen] : oldest->second) {
+              ds.retired += gen.engine->stats();
+              dropped.push_back(std::move(gen));
             }
             ds.shards.erase(oldest);
           }
           ds.shard_age.pop_front();
         }
-        return std::shared_ptr<CountEngine>(built);
+        return std::shared_ptr<CountEngine>(built.engine);
       }
       store = ds.store;
     }
-    HYPDB_ASSIGN_OR_RETURN(built, BuildGeneration(store, signature, watermark,
-                                                  predecessor.get()));
+    HYPDB_ASSIGN_OR_RETURN(
+        built, BuildGeneration(store, signature, watermark, predecessor));
   }
 }
 
-StatusOr<std::shared_ptr<CachingCountEngine>> DatasetRegistry::BuildGeneration(
+StatusOr<DatasetRegistry::Generation> DatasetRegistry::BuildGeneration(
     const ChunkedTablePtr& store, const std::string& signature,
-    int64_t watermark, CachingCountEngine* predecessor) const {
-  // The kernel options are the mapping MiEngine and private session
-  // engines use.
-  const GroupByKernelOptions kernel = ScanKernelOptions(options_.engine);
-  std::shared_ptr<CountEngine> scanner;
-  if (signature.empty()) {
-    scanner = std::make_shared<ChunkedCountProvider>(store, watermark, kernel);
-  } else if (predecessor != nullptr) {
-    // Every filtered shard is a cache over a FilteredPopulationProvider.
-    HYPDB_ASSIGN_OR_RETURN(
-        scanner,
-        static_cast<FilteredPopulationProvider&>(predecessor->base())
-            .Successor(watermark));
-  } else {
-    HYPDB_ASSIGN_OR_RETURN(std::vector<SubpopulationTerm> terms,
-                           ParseSubpopulationSignature(signature));
-    std::vector<FilteredPopulationProvider::Term> filter;
-    filter.reserve(terms.size());
-    for (SubpopulationTerm& term : terms) {
-      filter.push_back(FilteredPopulationProvider::Term{
-          std::move(term.attribute), std::move(term.values)});
-    }
-    HYPDB_ASSIGN_OR_RETURN(
-        scanner, FilteredPopulationProvider::Create(store, std::move(filter),
-                                                    watermark, kernel));
+    int64_t watermark, const Generation& predecessor) const {
+  Generation out;
+  if (predecessor.rows != nullptr) {
+    HYPDB_ASSIGN_OR_RETURN(out.rows, predecessor.rows->Successor(watermark));
+    out.engine =
+        std::make_shared<CachingCountEngine>(out.rows, *predecessor.engine);
+    return out;
   }
-  if (predecessor != nullptr) {
-    return std::make_shared<CachingCountEngine>(std::move(scanner),
-                                                *predecessor);
-  }
+  // The empty signature parses to no terms: the full table. The kernel
+  // options are the mapping MiEngine and private session engines use.
+  HYPDB_ASSIGN_OR_RETURN(std::vector<SubpopulationTerm> terms,
+                         ParseSubpopulationSignature(signature));
+  HYPDB_ASSIGN_OR_RETURN(
+      out.rows,
+      ChunkedCountProvider::Create(store, std::move(terms), watermark,
+                                   ScanKernelOptions(options_.engine)));
   CachingCountEngineOptions caching;
   caching.max_cached_cells = options_.engine.max_cached_cells;
-  return std::make_shared<CachingCountEngine>(std::move(scanner), caching);
+  out.engine = std::make_shared<CachingCountEngine>(out.rows, caching);
+  return out;
 }
 
 StatusOr<SessionHooks> DatasetRegistry::Pool(const std::string& name,
@@ -299,7 +284,7 @@ StatusOr<CountEngineStats> DatasetRegistry::EngineStats(
 CountEngineStats DatasetRegistry::EngineStatsLocked(const Dataset& ds) const {
   CountEngineStats total = ds.retired;
   for (const auto& [sig, kept] : ds.shards) {
-    for (const auto& [w, engine] : kept) total += engine->stats();
+    for (const auto& [w, gen] : kept) total += gen.engine->stats();
   }
   return total;
 }

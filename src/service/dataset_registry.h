@@ -15,13 +15,13 @@
 // re-registering a name replaces the store, bumps the epoch and drops
 // every shard.
 //
-// Every shard is a count cache over its own rows: the empty signature's
-// is a CachingCountEngine over the chunked store (ChunkedCountProvider),
-// any other one over its filtered population (FilteredPopulationProvider).
-// A shard is a function of (dataset, epoch, signature) alone: the store
-// builds it, never a caller's view. At most max_shards_per_dataset
-// shards live per dataset, the full table's included; the oldest goes
-// first, and the pool keeps its counters.
+// Every shard has one shape: a CachingCountEngine over a
+// ChunkedCountProvider that counts the store's chunks in place, restricted
+// to the rows its signature's WHERE terms select (none for the full
+// table's ""). A shard is a function of (dataset, epoch, signature) alone:
+// the store builds it, never a caller's view. At most
+// max_shards_per_dataset shards live per dataset, the full table's
+// included; the oldest goes first, and the pool keeps its counters.
 //
 // Generations: a shard counts exactly one watermark, so appends never
 // move what a request or session counts through, and never wait for
@@ -47,6 +47,7 @@
 #include "engine/caching_count_engine.h"
 #include "engine/count_engine.h"
 #include "stats/mi_engine.h"
+#include "storage/chunked_count_provider.h"
 #include "storage/chunked_table.h"
 #include "util/statusor.h"
 
@@ -164,8 +165,14 @@ class DatasetRegistry {
  private:
   /// Generations a shard keeps: the two with the newest watermarks.
   static constexpr size_t kGenerationsKept = 2;
+  /// One generation of a shard: the count cache it hands out, and the
+  /// provider under it, whose Successor seeds the next generation.
+  struct Generation {
+    std::shared_ptr<ChunkedCountProvider> rows;
+    std::shared_ptr<CachingCountEngine> engine;
+  };
   /// One shard's kept generations by the watermark each counts.
-  using Generations = std::map<int64_t, std::shared_ptr<CachingCountEngine>>;
+  using Generations = std::map<int64_t, Generation>;
 
   struct Dataset {
     /// The chunked store (append target; all reads derive from it).
@@ -182,10 +189,12 @@ class DatasetRegistry {
 
   /// The generation of `signature` at `watermark` over `store`: a
   /// successor of `predecessor` (a kept generation below `watermark`)
-  /// when given, else a new shard (errors as ShardEngine's). Without mu_.
-  StatusOr<std::shared_ptr<CachingCountEngine>> BuildGeneration(
-      const ChunkedTablePtr& store, const std::string& signature,
-      int64_t watermark, CachingCountEngine* predecessor) const;
+  /// when it holds one, else a new shard (errors as ShardEngine's).
+  /// Without mu_.
+  StatusOr<Generation> BuildGeneration(const ChunkedTablePtr& store,
+                                       const std::string& signature,
+                                       int64_t watermark,
+                                       const Generation& predecessor) const;
 
   /// EngineStats body without the lookup/lock. Requires mu_.
   CountEngineStats EngineStatsLocked(const Dataset& ds) const;

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/hypdb.h"
+#include "dataframe/predicate.h"
 #include "util/trace.h"
 
 namespace hypdb {
@@ -128,16 +129,10 @@ struct ServiceReport {
 /// order, value order, and term/value repetition) share it.
 std::string SubpopulationSignature(const AggQuery& query);
 
-/// One parsed conjunct of a subpopulation signature: attribute IN values.
-struct SubpopulationTerm {
-  std::string attribute;
-  std::vector<std::string> values;
-};
-
 /// Inverse of SubpopulationSignature: parses the canonical rendering back
 /// into structured terms (attributes and values unescaped, in signature
-/// order). DatasetRegistry builds a shard's filtered population from
-/// these terms. InvalidArgument for strings that are not well-formed
+/// order; "" parses to none). DatasetRegistry builds a shard's population
+/// from these terms. InvalidArgument for strings that are not well-formed
 /// signatures.
 StatusOr<std::vector<SubpopulationTerm>> ParseSubpopulationSignature(
     const std::string& signature);

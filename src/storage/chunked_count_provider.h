@@ -1,12 +1,23 @@
 // ChunkedCountProvider: the ground-truth CountEngine over a ChunkedTable.
 //
 // Where ViewCountProvider scans one immutable view, this provider scans
-// the chunked store chunk-at-a-time (kernel morsels never straddle a
-// chunk), below a watermark fixed when it is built: PopulationVersion()
-// is that watermark, and CountsDelta() scans only the chunks of a range
-// below it. A CachingCountEngine seeded from an older generation's
-// entries patches them instead of re-scanning — the delta-maintained
-// contingency tables of Sec. 6 carried over to a growing dataset.
+// the chunked store chunk-at-a-time in place (kernel morsels never
+// straddle a chunk), below a watermark fixed when it is built:
+// PopulationVersion() is that watermark, and CountsDelta() scans only the
+// chunks of a range below it. A CachingCountEngine seeded from an older
+// generation's entries patches them instead of re-scanning — the
+// delta-maintained contingency tables of Sec. 6 carried over to a
+// growing dataset.
+//
+// A provider counts the rows that match its WHERE terms, conjunctive
+// `attr IN {labels}` (the service's canonical subpopulation signature),
+// or every row when it has none (the full table). It holds the matching
+// rows as a ChunkedTable::Selection fixed when it is built, so appends
+// never move what it answers. Successor(w) builds the same population at
+// a later watermark: it shares this one's selection of the chunks it does
+// not touch and matches only the rows appended since. NumRows() is the
+// matching-row count, not the version, which is why caching layers track
+// versions explicitly.
 
 #ifndef HYPDB_STORAGE_CHUNKED_COUNT_PROVIDER_H_
 #define HYPDB_STORAGE_CHUNKED_COUNT_PROVIDER_H_
@@ -22,19 +33,66 @@ namespace hypdb {
 
 class ChunkedCountProvider : public CountEngine {
  public:
-  /// Counts the rows [0, watermark) of `table` (at most its Watermark()).
+  /// Counts every row [0, watermark) of `table` (at most its Watermark()).
   ChunkedCountProvider(std::shared_ptr<const ChunkedTable> table,
                        int64_t watermark, GroupByKernelOptions kernel = {})
-      : table_(std::move(table)), watermark_(watermark), kernel_(kernel) {}
+      : table_(std::move(table)),
+        kernel_(kernel),
+        watermark_(watermark),
+        num_rows_(watermark) {}
+
+  /// The rows of `table` below `watermark` that match every term; with no
+  /// terms, every row. NotFound when a term names a column the schema
+  /// lacks, OutOfRange when `watermark` is negative or past
+  /// table->Watermark(). Labels need not exist yet: they may arrive with
+  /// a later append.
+  static StatusOr<std::shared_ptr<ChunkedCountProvider>> Create(
+      std::shared_ptr<const ChunkedTable> table,
+      std::vector<SubpopulationTerm> terms, int64_t watermark,
+      GroupByKernelOptions kernel = {}) {
+    // The population at watermark 0 has no rows; its successor matches
+    // the terms over every row below `watermark`.
+    ChunkedCountProvider empty(std::move(table), 0, kernel);
+    empty.terms_ = std::move(terms);
+    return empty.Successor(watermark);
+  }
+
+  /// The same population at `watermark`: this provider's rows plus the
+  /// matching rows appended since. OutOfRange below this provider's
+  /// watermark or past the table's.
+  StatusOr<std::shared_ptr<ChunkedCountProvider>> Successor(
+      int64_t watermark) const {
+    if (watermark < watermark_ || watermark > table_->Watermark()) {
+      return Status::OutOfRange(
+          "watermark below the population's or past the table's");
+    }
+    auto next =
+        std::make_shared<ChunkedCountProvider>(table_, watermark, kernel_);
+    next->terms_ = terms_;
+    if (!terms_.empty()) {
+      HYPDB_ASSIGN_OR_RETURN(
+          next->selection_,
+          table_->Select(terms_, selection_, watermark_, watermark));
+      next->num_rows_ = 0;
+      for (const auto& picked : next->selection_) {
+        if (picked != nullptr) {
+          next->num_rows_ += static_cast<int64_t>(picked->size());
+        }
+      }
+    }
+    return next;
+  }
 
   StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override {
     return CountRange(cols, 0, watermark_);
   }
 
-  int64_t NumRows() const override { return watermark_; }
+  /// Matching rows below the watermark.
+  int64_t NumRows() const override { return num_rows_; }
   int64_t PopulationVersion() const override { return watermark_; }
 
-  /// The rows [from_version, to_version); OutOfRange past the watermark.
+  /// The matching rows in [from_version, to_version); OutOfRange past the
+  /// watermark.
   StatusOr<GroupCounts> CountsDelta(const std::vector<int>& cols,
                                     int64_t from_version,
                                     int64_t to_version) override {
@@ -58,7 +116,8 @@ class ChunkedCountProvider : public CountEngine {
                                    int64_t from_row, int64_t to_row) {
     ChunkedScanStats scan;
     StatusOr<GroupCounts> counts =
-        table_->ScanRange(cols, from_row, to_row, kernel_, &scan);
+        table_->ScanRange(cols, from_row, to_row, kernel_, &scan,
+                          terms_.empty() ? nullptr : &selection_);
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.queries;
     if (counts.ok()) {
@@ -74,8 +133,13 @@ class ChunkedCountProvider : public CountEngine {
   }
 
   std::shared_ptr<const ChunkedTable> table_;
-  const int64_t watermark_;
   GroupByKernelOptions kernel_;
+  std::vector<SubpopulationTerm> terms_;
+  int64_t watermark_ = 0;
+  /// The rows below watermark_ that match terms_ (unused without terms),
+  /// and how many there are.
+  ChunkedTable::Selection selection_;
+  int64_t num_rows_ = 0;
   mutable std::mutex mu_;
   CountEngineStats stats_;
 };

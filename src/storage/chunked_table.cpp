@@ -114,21 +114,86 @@ TablePtr ChunkedTable::Materialized() const {
   return table;
 }
 
-StatusOr<GroupCounts> ChunkedTable::ScanRange(
-    const std::vector<int>& cols, int64_t from_row, int64_t to_row,
-    const GroupByKernelOptions& kernel, ChunkedScanStats* stats) const {
+Status ChunkedTable::CheckRange(int64_t from_row, int64_t to_row) const {
   if (from_row < 0 || to_row < from_row) {
     return Status::InvalidArgument("invalid scan range");
   }
   if (to_row > Watermark()) {
     return Status::OutOfRange("scan range exceeds the published watermark");
   }
+  return Status::Ok();
+}
+
+StatusOr<ChunkedTable::Selection> ChunkedTable::Select(
+    const std::vector<SubpopulationTerm>& terms, Selection selection,
+    int64_t from_row, int64_t to_row) const {
+  // Each term as its column and which codes of it match.
+  std::vector<std::pair<int, std::vector<bool>>> masks;
+  for (const SubpopulationTerm& term : terms) {
+    auto it = std::find(names_.begin(), names_.end(), term.attribute);
+    if (it == names_.end()) {
+      return Status::NotFound("unknown column in subpopulation term: " +
+                              term.attribute);
+    }
+    masks.emplace_back(static_cast<int>(it - names_.begin()),
+                       std::vector<bool>());
+  }
+  HYPDB_RETURN_IF_ERROR(CheckRange(from_row, to_row));
+  const int64_t first = from_row / chunk_rows_;
+  const int64_t last = (to_row + chunk_rows_ - 1) / chunk_rows_;
+  std::vector<std::shared_ptr<const Chunk>> chunks;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    chunks.assign(chunks_.begin() + first, chunks_.begin() + last);
+    // Every code below the watermark is below its dictionary's size now.
+    for (size_t t = 0; t < terms.size(); ++t) {
+      const Dictionary& dict = dicts_[masks[t].first];
+      masks[t].second.assign(dict.size(), false);
+      for (const std::string& label : terms[t].values) {
+        const int32_t code = dict.Find(label);
+        if (code >= 0) masks[t].second[code] = true;
+      }
+    }
+  }
+  if (static_cast<int64_t>(selection.size()) < last) selection.resize(last);
+  for (int64_t ci = first; ci < last; ++ci) {
+    const int64_t begin = ci * chunk_rows_;
+    const int64_t lo = std::max(from_row, begin) - begin;
+    const int64_t hi = std::min(to_row, begin + chunk_rows_) - begin;
+    if (hi <= lo) continue;
+    const Chunk& chunk = *chunks[ci - first];
+    std::vector<int64_t> offsets;
+    if (selection[ci] != nullptr) offsets = *selection[ci];
+    for (int64_t r = lo; r < hi; ++r) {
+      bool match = true;
+      for (const auto& [col, mask] : masks) {
+        if (!mask[chunk.codes[col][r]]) {
+          match = false;
+          break;
+        }
+      }
+      if (match) offsets.push_back(r);
+    }
+    selection[ci] =
+        std::make_shared<const std::vector<int64_t>>(std::move(offsets));
+  }
+  return selection;
+}
+
+StatusOr<GroupCounts> ChunkedTable::ScanRange(
+    const std::vector<int>& cols, int64_t from_row, int64_t to_row,
+    const GroupByKernelOptions& kernel, ChunkedScanStats* stats,
+    const Selection* selection) const {
+  HYPDB_RETURN_IF_ERROR(CheckRange(from_row, to_row));
   // Chunks entirely below `from_row` hold the rows delta maintenance
   // never re-reads; only the chunks overlapping [from_row, to_row) are
   // pinned. Rows below the watermark are immutable, so their codes are
   // read in place once the lock is released.
   const int64_t first = from_row / chunk_rows_;
   const int64_t last = (to_row + chunk_rows_ - 1) / chunk_rows_;
+  if (selection != nullptr && static_cast<int64_t>(selection->size()) < last) {
+    return Status::InvalidArgument("selection ends before the scan range");
+  }
   std::vector<std::shared_ptr<const Chunk>> chunks;
   std::vector<int32_t> cardinalities;
   {
@@ -145,26 +210,46 @@ StatusOr<GroupCounts> ChunkedTable::ScanRange(
   GroupCounts result;
   HYPDB_ASSIGN_OR_RETURN(result.codec, TupleCodec::Create(cardinalities, cols));
   if (stats) stats->chunks_skipped += first;
+  bool scanned = false;
   std::vector<const int32_t*> codes(cols.size());
   for (int64_t ci = first; ci < last; ++ci) {
     const int64_t begin = ci * chunk_rows_;
-    const int64_t lo = std::max(from_row, begin);
-    const int64_t hi = std::min(to_row, begin + chunk_rows_);
+    const int64_t lo = std::max(from_row, begin) - begin;
+    const int64_t hi = std::min(to_row, begin + chunk_rows_) - begin;
     if (hi <= lo) continue;
+    // The chunk's rows [lo, hi) as one span, or, under a selection, the
+    // selected offsets among them, read from the chunk's row 0.
+    int64_t offset = lo;
+    int64_t n = hi - lo;
+    const int64_t* ids = nullptr;
+    if (selection != nullptr) {
+      const std::vector<int64_t>* picked = (*selection)[ci].get();
+      offset = 0;
+      n = 0;
+      if (picked != nullptr) {
+        auto a = std::lower_bound(picked->begin(), picked->end(), lo);
+        ids = picked->data() + (a - picked->begin());
+        n = std::lower_bound(a, picked->end(), hi) - a;
+      }
+      if (n == 0) {
+        if (stats) ++stats->chunks_skipped;
+        continue;
+      }
+    }
     TraceSpanScope span(TraceEventKind::kChunkScan, 1,
-                        static_cast<uint64_t>(ci),
-                        static_cast<uint64_t>(hi - lo));
+                        static_cast<uint64_t>(ci), static_cast<uint64_t>(n));
     const Chunk& chunk = *chunks[ci - first];
     for (size_t j = 0; j < cols.size(); ++j) {
-      codes[j] = chunk.codes[cols[j]].data() + (lo - begin);
+      codes[j] = chunk.codes[cols[j]].data() + offset;
     }
     GroupCounts chunk_counts =
-        ScanCodeSpans(codes, hi - lo, result.codec, kernel);
-    result = ci == first ? std::move(chunk_counts)
-                         : MergeGroupCounts(result, chunk_counts, result.codec);
+        ScanCodeSpans(codes, ids, n, result.codec, kernel);
+    result = scanned ? MergeGroupCounts(result, chunk_counts, result.codec)
+                     : std::move(chunk_counts);
+    scanned = true;
     if (stats) {
       ++stats->chunk_scans;
-      stats->rows_scanned += hi - lo;
+      stats->rows_scanned += n;
     }
   }
   return result;

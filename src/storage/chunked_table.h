@@ -25,12 +25,13 @@
 //    acquire-loads Watermark() == W may touch any row < W without
 //    locking; rows at or past W are writer-private.
 //  * Scans read codes where they live: ScanRange() hands each chunk's
-//    code span (at its in-chunk offset) to the group-by kernel under one
-//    codec built from the current dictionary sizes, so kernel morsels
-//    never straddle a chunk boundary and per-chunk summaries merge
-//    without re-keying. No Table, Column or Dictionary is built. A delta
-//    scan [from, to) skips every chunk entirely below `from` — the whole
-//    point of incremental ingest.
+//    code span (at its in-chunk offset, or at the in-chunk offsets a
+//    Selection holds for it) to the group-by kernel under one codec built
+//    from the current dictionary sizes, so kernel morsels never straddle
+//    a chunk boundary and per-chunk summaries merge without re-keying.
+//    No Table, Column or Dictionary is built. A delta scan [from, to)
+//    skips every chunk entirely below `from` — the whole point of
+//    incremental ingest.
 //
 // Writer concurrency: Append() serializes writers on the internal mutex.
 // Readers take it only to copy the chunk-pointer list and the dictionary
@@ -46,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "dataframe/predicate.h"
 #include "dataframe/table.h"
 #include "engine/groupby_kernel.h"
 #include "util/statusor.h"
@@ -104,22 +106,42 @@ class ChunkedTable {
   /// size, so no label is copied or re-parsed, and later appends leave
   /// the snapshot's labels, codes and numeric values as they were. The
   /// codes are copied outside the mutex. This bridges the chunked store
-  /// to everything that wants a TablePtr (query binding, views,
-  /// sessions); count queries should go through ScanRange instead.
+  /// to query binding (DatasetRegistry::GetSnapshot and Get, its only
+  /// callers in the library); count queries go through ScanRange.
   TablePtr Materialized() const;
 
-  /// count(*) GROUP BY `cols` over rows [from_row, to_row), scanned
-  /// chunk-at-a-time in place under a codec with the current dictionary
-  /// cardinalities — bit-identical to a cold kernel scan of
-  /// Materialized() restricted to the same range. Chunks entirely below
-  /// `from_row` are skipped, which is what makes a delta scan cheap: the
-  /// cost is O(rows scanned), independent of dictionary sizes.
-  /// `to_row` must not exceed the watermark; a column index outside the
-  /// schema is OutOfRange.
+  /// Rows picked out of the store, per chunk: the ascending in-chunk
+  /// offsets of the chunk's picked rows. A Selection never changes once
+  /// built; extending one (Select) shares the lists of the chunks it
+  /// does not touch.
+  using Selection = std::vector<std::shared_ptr<const std::vector<int64_t>>>;
+
+  /// `selection`, which holds the rows below `from_row` that match
+  /// `terms`, plus the rows of [from_row, to_row) that match every term
+  /// (`attribute` IN `values`, AND across terms). The list of the chunk
+  /// holding `from_row` is copied before it is extended. Label codes come
+  /// from the store's dictionaries, so a label first appended at row r
+  /// matches from r on, and labels the store never saw match nothing.
+  /// NotFound for a term naming a column the schema lacks; `to_row` must
+  /// not exceed the watermark.
+  StatusOr<Selection> Select(const std::vector<SubpopulationTerm>& terms,
+                             Selection selection, int64_t from_row,
+                             int64_t to_row) const;
+
+  /// count(*) GROUP BY `cols` over rows [from_row, to_row) — only those
+  /// `selection` holds, when given — scanned chunk-at-a-time in place
+  /// under a codec with the current dictionary cardinalities:
+  /// bit-identical to a cold kernel scan of the same rows of
+  /// Materialized(). Chunks entirely below `from_row`, and chunks holding
+  /// no selected row in range, are skipped, which is what makes a delta
+  /// scan cheap: the cost is O(rows scanned), independent of dictionary
+  /// sizes. `to_row` must not exceed the watermark, nor `selection` end
+  /// before it; a column index outside the schema is OutOfRange.
   StatusOr<GroupCounts> ScanRange(const std::vector<int>& cols,
                                   int64_t from_row, int64_t to_row,
                                   const GroupByKernelOptions& kernel,
-                                  ChunkedScanStats* stats) const;
+                                  ChunkedScanStats* stats,
+                                  const Selection* selection = nullptr) const;
 
  private:
   // One fixed-capacity run of rows. Codes are preallocated at
@@ -132,6 +154,10 @@ class ChunkedTable {
 
   ChunkedTable(std::vector<std::string> names, int64_t chunk_rows)
       : names_(std::move(names)), chunk_rows_(chunk_rows) {}
+
+  /// InvalidArgument unless 0 <= from_row <= to_row; OutOfRange past the
+  /// watermark.
+  Status CheckRange(int64_t from_row, int64_t to_row) const;
 
   const std::vector<std::string> names_;
   const int64_t chunk_rows_;

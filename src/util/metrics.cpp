@@ -180,17 +180,6 @@ void MetricsRegistry::RegisterCounterFn(std::string name, std::string help,
   Register(std::move(e));
 }
 
-void MetricsRegistry::RegisterGauge(std::string name, std::string help,
-                                    Labels labels, const Gauge* gauge) {
-  Entry e;
-  e.name = std::move(name);
-  e.help = std::move(help);
-  e.type = MetricType::kGauge;
-  e.labels = std::move(labels);
-  e.gauge = gauge;
-  Register(std::move(e));
-}
-
 void MetricsRegistry::RegisterGaugeFn(std::string name, std::string help,
                                       Labels labels, ValueFn fn) {
   Entry e;
@@ -238,8 +227,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       sample.histogram = entry.histogram->Snapshot();
     } else if (entry.counter != nullptr) {
       sample.value = static_cast<double>(entry.counter->value());
-    } else if (entry.gauge != nullptr) {
-      sample.value = static_cast<double>(entry.gauge->value());
     } else if (entry.fn) {
       sample.value = entry.fn();
     }

@@ -46,19 +46,6 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// An instantaneous level that can go up and down (active connections).
-/// Derived levels (queue depth, live sessions) are better registered as
-/// value callbacks — see MetricsRegistry::RegisterGaugeFn.
-class Gauge {
- public:
-  void Add(int64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  void Sub(int64_t n = 1) { value_.fetch_sub(n, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
 /// Point-in-time copy of a LatencyHistogram with quantile extraction.
 struct HistogramSnapshot {
   /// Inclusive upper bound (seconds) of each bucket; the last is +inf.
@@ -131,8 +118,6 @@ class MetricsRegistry {
   /// monotone for the type to be truthful).
   void RegisterCounterFn(std::string name, std::string help, Labels labels,
                          ValueFn fn);
-  void RegisterGauge(std::string name, std::string help, Labels labels,
-                     const Gauge* gauge);
   void RegisterGaugeFn(std::string name, std::string help, Labels labels,
                        ValueFn fn);
   void RegisterHistogram(std::string name, std::string help, Labels labels,
@@ -149,7 +134,6 @@ class MetricsRegistry {
     MetricType type = MetricType::kCounter;
     Labels labels;
     const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
     const LatencyHistogram* histogram = nullptr;
     ValueFn fn;
   };

@@ -48,7 +48,6 @@ struct Ring {
 
 struct Pool {
   std::atomic<Ring*> rings[kMaxRings] = {};
-  std::atomic<int> allocated{0};
 };
 
 Pool& GlobalPool() {
@@ -85,7 +84,6 @@ Ring* AcquireRing() {
       Ring* fresh = new Ring();
       if (pool.rings[i].compare_exchange_strong(ring, fresh,
                                                 std::memory_order_acq_rel)) {
-        pool.allocated.fetch_add(1, std::memory_order_relaxed);
         ring = fresh;
       } else {
         delete fresh;  // another thread won the slot; try to claim theirs
@@ -214,11 +212,6 @@ const char* TraceKernelTierName(TraceKernelTier tier) {
   return "unknown";
 }
 
-bool TraceKindIsDeep(TraceEventKind kind) {
-  return kind == TraceEventKind::kCiTest ||
-         kind == TraceEventKind::kMorselBatch;
-}
-
 TraceContext CurrentTraceContext() { return t_ctx; }
 
 bool TraceEnabled(int min_level) {
@@ -303,10 +296,6 @@ std::vector<TraceEventRecord> HarvestTrace(uint64_t ticket,
 TraceRollup& GlobalTraceRollup() {
   static TraceRollup* rollup = new TraceRollup();
   return *rollup;
-}
-
-int TraceRingsAllocated() {
-  return GlobalPool().allocated.load(std::memory_order_relaxed);
 }
 
 int TraceRingCapacity() { return kRingCapacity; }

@@ -91,9 +91,6 @@ const char* TraceEventKindName(TraceEventKind kind);
 const char* TraceStageName(TraceStage stage);
 const char* TraceKernelTierName(TraceKernelTier tier);
 
-/// True for kinds recorded only at level >= 2 (per-CI-test, per-morsel).
-bool TraceKindIsDeep(TraceEventKind kind);
-
 /// One harvested event, converted to the request's submit-relative
 /// seconds axis (the same axis as RequestStats::trace), ready for the
 /// JSON codecs. Purely observational — excluded from report digests.
@@ -206,8 +203,7 @@ struct TraceRollup {
 /// service, so registries may point into it).
 TraceRollup& GlobalTraceRollup();
 
-/// Testing hooks: rings allocated from the pool / per-ring capacity.
-int TraceRingsAllocated();
+/// Testing hook: per-ring capacity.
 int TraceRingCapacity();
 
 }  // namespace hypdb

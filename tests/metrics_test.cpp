@@ -59,15 +59,6 @@ TEST(CounterTest, ConcurrentAddsAreExact) {
   EXPECT_EQ(counter.value(), kThreads * kAddsPerThread);
 }
 
-TEST(GaugeTest, AddSub) {
-  Gauge gauge;
-  gauge.Add(5);
-  gauge.Sub(2);
-  EXPECT_EQ(gauge.value(), 3);
-  gauge.Sub(4);
-  EXPECT_EQ(gauge.value(), -1);
-}
-
 TEST(HistogramTest, BucketInvariants) {
   // Bounds are 1us * 2^i and strictly increasing; the last is +inf.
   for (int i = 1; i < LatencyHistogram::kNumBuckets - 1; ++i) {

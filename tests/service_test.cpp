@@ -446,6 +446,10 @@ TEST(DatasetRegistryTest, ShardGenerationsCountOneWatermark) {
     EXPECT_EQ(stats.delta_patches, 1);
     EXPECT_EQ(stats.scans, 1);
     EXPECT_EQ(stats.rows_scanned, appended);
+    // The patch reads the appended rows' chunk in place and skips every
+    // chunk wholly below w.
+    EXPECT_EQ(stats.chunk_scans, 1);
+    EXPECT_EQ(stats.chunks_skipped, w / options.chunk_rows);
     auto replaced = registry.ShardEngine("b", epoch, signature, w);
     ASSERT_TRUE(replaced.ok()) << replaced.status();
     EXPECT_EQ(replaced->get(), at_w[i].get());

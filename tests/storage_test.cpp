@@ -20,7 +20,6 @@
 #include "engine/groupby_kernel.h"
 #include "storage/chunked_count_provider.h"
 #include "storage/chunked_table.h"
-#include "storage/filtered_population.h"
 #include "util/rng.h"
 
 namespace hypdb {
@@ -382,6 +381,9 @@ TEST(StoragePropertyTest, DeltaScansMatchColdRebuildAcrossConfigs) {
   // same rows of the grown table. Batches include empties and grow the
   // dictionaries mid-stream (card 2 -> 7). Chunks of 128 rows put the
   // in-place spans' SIMD bodies and scalar tails at unaligned offsets.
+  // A random IN selection, counted by a chain of successor providers,
+  // must match a cold filter of the grown table the same way; its labels
+  // include ones that arrive only in later batches.
   const std::vector<int64_t> kChunkRows = {1, 3, 7, 64, 128};
   const std::vector<int> kThreads = {1, 4};
   const std::vector<std::vector<int>> kColSets = {{0}, {1, 2}, {0, 1, 2}};
@@ -403,6 +405,26 @@ TEST(StoragePropertyTest, DeltaScansMatchColdRebuildAcrossConfigs) {
             TableFromRows({"a", "b", "c"}, all), chunk_rows);
         ASSERT_TRUE(table.ok());
 
+        // a IN (random labels of v0..v7), and now and then c IN (...).
+        std::vector<SubpopulationTerm> terms;
+        for (const std::string& attr : {"a", "c"}) {
+          if (attr == "c" && rng.NextBounded(2) == 0) continue;
+          SubpopulationTerm term{attr, {}};
+          for (int v = 0; v < 8; ++v) {
+            if (rng.NextBounded(2) == 0) {
+              term.values.push_back("v" + std::to_string(v));
+            }
+          }
+          terms.push_back(std::move(term));
+        }
+        std::vector<std::pair<std::string, std::vector<std::string>>> where;
+        for (const SubpopulationTerm& t : terms) {
+          where.emplace_back(t.attribute, t.values);
+        }
+        auto selected = ChunkedCountProvider::Create(
+            *table, terms, (*table)->Watermark(), kernel);
+        ASSERT_TRUE(selected.ok()) << selected.status();
+
         int64_t last = (*table)->Watermark();
         for (int step = 0; step < 6; ++step) {
           const int card = 2 + step;  // dictionary growth mid-stream
@@ -415,6 +437,13 @@ TEST(StoragePropertyTest, DeltaScansMatchColdRebuildAcrossConfigs) {
                     static_cast<int64_t>(all.size()));
 
           TablePtr cold_table = TableFromRows({"a", "b", "c"}, all);
+          auto pred = Predicate::FromInLists(*cold_table, where);
+          ASSERT_TRUE(pred.ok());
+          const TableView cold_selected = TableView(cold_table).Filter(*pred);
+          auto grown = (*selected)->Successor((*table)->Watermark());
+          ASSERT_TRUE(grown.ok()) << grown.status();
+          selected = std::move(grown);
+          EXPECT_EQ((*selected)->NumRows(), cold_selected.NumRows());
           for (const auto& cols : kColSets) {
             auto cold = ScanCounts(TableView(cold_table), cols, kernel);
             ChunkedScanStats stats;
@@ -453,6 +482,29 @@ TEST(StoragePropertyTest, DeltaScansMatchColdRebuildAcrossConfigs) {
             ASSERT_TRUE(cold_range.ok() && range.ok());
             ExpectSameCounts(*range, *cold_range);
             EXPECT_EQ(range_stats.rows_scanned, to - from);
+
+            // The selection: all of it, and [from, to) alone.
+            auto cold_all = ScanCounts(cold_selected, cols, kernel);
+            CountEngineStats before = (*selected)->stats();
+            auto all_selected = (*selected)->Counts(cols);
+            ASSERT_TRUE(cold_all.ok() && all_selected.ok());
+            ExpectSameCounts(*all_selected, *cold_all);
+            EXPECT_EQ((*selected)->stats().rows_scanned - before.rows_scanned,
+                      cold_selected.NumRows());
+            std::vector<int64_t> picked;
+            for (int64_t r : *cold_selected.row_ids()) {
+              if (r >= from && r < to) picked.push_back(r);
+            }
+            const int64_t num_picked = static_cast<int64_t>(picked.size());
+            auto cold_picked = ScanCounts(
+                TableView(cold_table).WithRows(std::move(picked)), cols,
+                kernel);
+            before = (*selected)->stats();
+            auto delta_selected = (*selected)->CountsDelta(cols, from, to);
+            ASSERT_TRUE(cold_picked.ok() && delta_selected.ok());
+            ExpectSameCounts(*delta_selected, *cold_picked);
+            EXPECT_EQ((*selected)->stats().rows_scanned - before.rows_scanned,
+                      num_picked);
           }
           last = (*table)->Watermark();
         }
@@ -511,8 +563,8 @@ TEST(FilteredPopulationTest, GrowsWithAppendsAndMatchesColdFilter) {
       ChunkedTable::FromTable(TableFromRows({"g", "o"}, seed), 2);
   ASSERT_TRUE(table.ok());
 
-  auto shard = FilteredPopulationProvider::Create(
-      *table, {{"g", {"x"}}}, (*table)->Watermark());
+  auto shard = ChunkedCountProvider::Create(*table, {{"g", {"x"}}},
+                                            (*table)->Watermark());
   ASSERT_TRUE(shard.ok());
   EXPECT_EQ((*shard)->NumRows(), 2);
 
@@ -542,9 +594,11 @@ TEST(FilteredPopulationTest, GrowsWithAppendsAndMatchesColdFilter) {
   EXPECT_EQ((*grown)->Successor(8).status().code(), StatusCode::kOutOfRange);
 
   // Unknown column is a creation-time error.
-  EXPECT_FALSE(FilteredPopulationProvider::Create(*table, {{"nope", {"x"}}},
-                                                  (*table)->Watermark())
-                   .ok());
+  EXPECT_EQ(ChunkedCountProvider::Create(*table, {{"nope", {"x"}}},
+                                         (*table)->Watermark())
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST(FilteredPopulationTest, LabelArrivingInLaterAppendStartsMatching) {
@@ -554,8 +608,8 @@ TEST(FilteredPopulationTest, LabelArrivingInLaterAppendStartsMatching) {
   ASSERT_TRUE(table.ok());
 
   // "z" doesn't exist yet; the shard is just empty, not an error.
-  auto shard = FilteredPopulationProvider::Create(*table, {{"g", {"z"}}},
-                                                  (*table)->Watermark());
+  auto shard = ChunkedCountProvider::Create(*table, {{"g", {"z"}}},
+                                            (*table)->Watermark());
   ASSERT_TRUE(shard.ok());
   EXPECT_EQ((*shard)->NumRows(), 0);
 
