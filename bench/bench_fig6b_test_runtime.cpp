@@ -51,7 +51,8 @@ TablePtr MakeData(int64_t rows, uint64_t seed) {
 // recompute Î(T;Y|Z) from scratch, `permutations` times.
 double ShuffleBaselineMs(const TablePtr& data, int permutations, Rng& rng) {
   // Copy out the columns once.
-  std::vector<int32_t> t = data->column(0).codes();
+  const auto& treatment = data->column(0).codes();
+  std::vector<int32_t> t(treatment.begin(), treatment.end());
   const auto& y = data->column(1).codes();
   const auto& z1 = data->column(2).codes();
   const auto& z2 = data->column(3).codes();

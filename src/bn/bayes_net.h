@@ -29,8 +29,6 @@ struct Cpt {
   int32_t card = 2;                // this node's category count
   std::vector<std::vector<double>> rows;  // rows[config][value]
 
-  int64_t NumConfigs() const { return static_cast<int64_t>(rows.size()); }
-
   /// Row index for the given parent values (aligned with `parents`).
   int64_t ConfigIndex(const std::vector<int32_t>& parent_values) const;
 };

@@ -58,8 +58,7 @@ StatusOr<EffectBounds> HypDb::BoundEffects(
                           session->population_engine(), options);
 }
 
-StatusOr<HypDbReport> HypDb::Analyze(const AggQuery& query,
-                                     SessionHooks hooks) {
+StatusOr<HypDbReport> HypDb::Analyze(const AggQuery& query) {
   // The one-shot pipeline is a composition of the session stages in
   // canonical order — Report() runs answers, discovery, detection,
   // explanation and resolution over one set of persisted intermediate
@@ -67,7 +66,7 @@ StatusOr<HypDbReport> HypDb::Analyze(const AggQuery& query,
   // reports bit-identical by construction.
   HYPDB_ASSIGN_OR_RETURN(
       std::unique_ptr<AnalysisSession> session,
-      AnalysisSession::Create(table_, query, options_, std::move(hooks)));
+      AnalysisSession::Create(table_, query, options_));
   return session->Report();
 }
 

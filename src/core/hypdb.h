@@ -83,8 +83,8 @@ using ContextEngineProvider = std::function<std::shared_ptr<CountEngine>(
         context_where,
     const TableView& view)>;
 
-/// Hooks the service layer threads into an analysis (HypDb::Analyze or an
-/// AnalysisSession) to share work across concurrent queries. All members
+/// Hooks the service layer threads into an AnalysisSession to share work
+/// across concurrent queries. All members
 /// optional; default-constructed hooks reproduce the self-contained
 /// one-shot behavior. The hooked engines must count a fixed population,
 /// the one the session bound, for as long as the session holds them: the
@@ -146,10 +146,8 @@ class HypDb {
   const TablePtr& table() const { return table_; }
   const HypDbOptions& options() const { return options_; }
 
-  /// Full pipeline, optionally with service-layer hooks (shared count
-  /// engines, a discovery cache — see SessionHooks).
-  StatusOr<HypDbReport> Analyze(const AggQuery& query,
-                                SessionHooks hooks = {});
+  /// Full pipeline.
+  StatusOr<HypDbReport> Analyze(const AggQuery& query);
   /// Full pipeline from Listing-1 SQL text.
   StatusOr<HypDbReport> AnalyzeSql(const std::string& sql);
 

@@ -108,9 +108,18 @@ int32_t Dictionary::Find(const std::string& label) const {
 }
 
 Column::Column(std::string name, Dictionary dict, std::vector<int32_t> codes)
+    : name_(std::move(name)), dict_(std::move(dict)) {
+  auto owner = std::make_shared<std::vector<int32_t>>(std::move(codes));
+  num_rows_ = static_cast<int64_t>(owner->size());
+  codes_ = std::shared_ptr<const int32_t[]>(owner, owner->data());
+}
+
+Column::Column(std::string name, Dictionary dict,
+               std::shared_ptr<const int32_t[]> codes, int64_t num_rows)
     : name_(std::move(name)),
       dict_(std::move(dict)),
-      codes_(std::move(codes)) {}
+      codes_(std::move(codes)),
+      num_rows_(num_rows) {}
 
 StatusOr<double> Column::NumericValue(int32_t code) const {
   if (code < 0 || code >= dict_.size()) {

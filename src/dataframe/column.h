@@ -14,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -27,7 +28,7 @@ namespace hypdb {
 /// Bidirectional string <-> code mapping for one column, held as a handle:
 /// a label store shared by every copy plus this handle's size. Copying is
 /// O(1), and a copy sees exactly the prefix [0, size()) it was copied at,
-/// however much the store grows afterwards (the chunked table's appends
+/// however much the store grows afterwards (the column store's appends
 /// grow it while its snapshots keep reading).
 ///
 ///  * Label, NumericValue, IsNumericLike and size take no lock: labels and
@@ -136,21 +137,31 @@ class Dictionary {
   int32_t size_ = 0;
 };
 
-/// A named categorical column: codes + dictionary. Immutable once built,
-/// so concurrent readers (the parallel scan kernel) need no locking.
-/// Copying a column copies its codes and shares its dictionary's labels;
-/// the parsed numeric values live beside the labels in the dictionary,
+/// A named categorical column: a dictionary plus a handle on a shared,
+/// read-only code array and its row count, the way a Dictionary is a
+/// handle on a shared label store. Copying a column shares its codes and
+/// its dictionary's labels, so a snapshot of the column store's columns
+/// copies no code (storage/chunked_table.h). Immutable once built, so
+/// concurrent readers (the parallel scan kernel) need no locking. The
+/// parsed numeric values live beside the labels in the dictionary,
 /// parsed once when each label is added.
 class Column {
  public:
   Column() = default;
+  /// Adopts `codes` without copying them.
   Column(std::string name, Dictionary dict, std::vector<int32_t> codes);
+  /// A handle on the first `num_rows` codes of `codes`, which every copy
+  /// shares and none writes.
+  Column(std::string name, Dictionary dict,
+         std::shared_ptr<const int32_t[]> codes, int64_t num_rows);
 
   const std::string& name() const { return name_; }
   const Dictionary& dict() const { return dict_; }
-  const std::vector<int32_t>& codes() const { return codes_; }
+  std::span<const int32_t> codes() const {
+    return {codes_.get(), static_cast<size_t>(num_rows_)};
+  }
 
-  int64_t NumRows() const { return static_cast<int64_t>(codes_.size()); }
+  int64_t NumRows() const { return num_rows_; }
   int32_t Cardinality() const { return dict_.size(); }
 
   int32_t CodeAt(int64_t row) const { return codes_[row]; }
@@ -169,7 +180,8 @@ class Column {
  private:
   std::string name_;
   Dictionary dict_;
-  std::vector<int32_t> codes_;
+  std::shared_ptr<const int32_t[]> codes_;
+  int64_t num_rows_ = 0;
 };
 
 /// Incrementally builds a column from string values or raw codes.

@@ -100,8 +100,8 @@ void SortCountsByKey(std::vector<uint64_t>* keys,
 /// either input's). Inputs may carry older codecs: append-only
 /// dictionaries keep codes stable, so decoding a key under its own codec
 /// and re-encoding under `target` is exact. This is the delta-maintenance
-/// primitive — merging a chunk-suffix summary into a cached one yields
-/// exactly the summary a cold scan of the grown table produces.
+/// primitive — merging an appended suffix's summary into a cached one
+/// yields exactly the summary a cold scan of the grown table produces.
 GroupCounts MergeGroupCounts(const GroupCounts& a, const GroupCounts& b,
                              const TupleCodec& target);
 

@@ -3,14 +3,12 @@
 // Every statistic in HypDB reduces to count(*) GROUP BY over a column
 // subset (paper Sec. 6), and the thousands of CI tests issued by the CD
 // algorithm share most of their counts. CountEngine is the interface those
-// counts flow through; its four implementations form a small hierarchy:
+// counts flow through; its three implementations form a small hierarchy:
 //  * ViewCountProvider   — scans a TableView with the packed-tuple kernel
 //                          (optionally multi-threaded); the ground truth.
-//  * ChunkedCountProvider — scans a growing chunked store's chunks in
-//                          place below a fixed watermark, its version,
-//                          restricted to the rows its WHERE terms select,
-//                          and counts a row range alone (CountsDelta)
-//                          (src/storage/chunked_count_provider.h).
+//                          Over a snapshot of a growing store it also
+//                          counts a row range alone (CountsDelta), which
+//                          is how every registry shard patches its cache.
 //  * CubeCountProvider   — answers covered queries from a pre-computed
 //                          OLAP data cube and delegates the rest to its
 //                          base engine (src/cube), the Fig. 6(d)/8(b)
@@ -68,14 +66,8 @@ struct CountEngineStats {
   /// over the appended suffix instead of rescanning from scratch
   /// (incremented by caching layers).
   int64_t delta_patches = 0;
-  /// Chunks the chunked store actually scanned (full or partial;
-  /// incremented by chunked scan providers).
-  int64_t chunk_scans = 0;
-  /// Chunks a delta scan skipped because they lie entirely below the
-  /// requested watermark — the rows delta maintenance never re-reads.
-  int64_t chunks_skipped = 0;
-  /// Rows read by chunked scans (full scans and delta suffixes alike);
-  /// with chunks_skipped this quantifies what incremental ingest saves.
+  /// Rows read by view scans (full scans and delta ranges alike), which
+  /// quantifies what incremental ingest saves.
   int64_t rows_scanned = 0;
 
   CountEngineStats& operator+=(const CountEngineStats& o) {
@@ -87,8 +79,6 @@ struct CountEngineStats {
     fallback_calls += o.fallback_calls;
     evictions += o.evictions;
     delta_patches += o.delta_patches;
-    chunk_scans += o.chunk_scans;
-    chunks_skipped += o.chunks_skipped;
     rows_scanned += o.rows_scanned;
     return *this;
   }
@@ -103,8 +93,6 @@ struct CountEngineStats {
     d.fallback_calls -= o.fallback_calls;
     d.evictions -= o.evictions;
     d.delta_patches -= o.delta_patches;
-    d.chunk_scans -= o.chunk_scans;
-    d.chunks_skipped -= o.chunks_skipped;
     d.rows_scanned -= o.rows_scanned;
     return d;
   }
@@ -223,25 +211,61 @@ class CountEngine {
 };
 
 /// Scans a TableView via the packed-tuple kernel (the default engine).
-/// Concurrent Counts() calls are safe: the scan reads immutable column
-/// data and the counters are mutex-guarded (the service layer shares one
-/// provider per subpopulation shard across worker threads).
+/// Concurrent calls are safe: the scan reads immutable column data and
+/// the counters are mutex-guarded (the service layer shares one provider
+/// per subpopulation shard across worker threads).
+///
+/// Its version is its table's row count: over a snapshot of the column
+/// store (ChunkedTable::Materialized), the watermark. CountsDelta counts
+/// the view's rows whose physical id lies in a range, so a cache over the
+/// view of a later snapshot patches what a cache over an earlier one
+/// summarized. Precondition: the view's row ids, when it has any, are
+/// ascending (every view HypDB builds has them so).
 class ViewCountProvider : public CountEngine {
  public:
   explicit ViewCountProvider(TableView view, GroupByKernelOptions kernel = {})
       : view_(std::move(view)), kernel_(kernel) {}
 
   StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override {
-    StatusOr<GroupCounts> counts = ScanCounts(view_, cols, kernel_);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.queries;
-    // Count the scan only when one actually happened — domain overflow
-    // fails in codec construction before any data is read.
-    if (counts.ok()) ++stats_.scans;
-    return counts;
+    return Record(ScanCounts(view_, cols, kernel_), view_.NumRows());
   }
 
   int64_t NumRows() const override { return view_.NumRows(); }
+  int64_t PopulationVersion() const override {
+    return view_.valid() ? view_.table().NumRows() : 0;
+  }
+
+  /// The view's rows with physical ids in [from_version, to_version), in
+  /// one kernel call; OutOfRange past the table's rows.
+  StatusOr<GroupCounts> CountsDelta(const std::vector<int>& cols,
+                                    int64_t from_version,
+                                    int64_t to_version) override {
+    if (from_version < 0 || to_version < from_version) {
+      return Status::InvalidArgument("invalid delta range");
+    }
+    if (to_version > PopulationVersion()) {
+      return Status::OutOfRange("delta range exceeds the view's table");
+    }
+    const Table& table = view_.table();
+    StatusOr<TupleCodec> codec = TupleCodec::Create(table, cols);
+    if (!codec.ok()) return Record(codec.status(), 0);
+    // The range's rows: contiguous without ids, else the run of ascending
+    // ids inside it, read from row 0.
+    int64_t first = from_version;
+    int64_t n = to_version - from_version;
+    const int64_t* ids = nullptr;
+    if (const std::vector<int64_t>* rows = view_.row_ids()) {
+      auto begin = std::lower_bound(rows->begin(), rows->end(), from_version);
+      auto end = std::lower_bound(begin, rows->end(), to_version);
+      first = 0;
+      n = end - begin;
+      ids = rows->data() + (begin - rows->begin());
+    }
+    std::vector<const int32_t*> codes;
+    codes.reserve(cols.size());
+    for (int c : cols) codes.push_back(table.column(c).codes().data() + first);
+    return Record(ScanCodeSpans(codes, ids, n, *codec, kernel_), n);
+  }
 
   CountEngineStats stats() const override {
     std::lock_guard<std::mutex> lock(mu_);
@@ -256,6 +280,19 @@ class ViewCountProvider : public CountEngine {
   int64_t num_scans() const { return stats().scans; }
 
  private:
+  /// Counts one query, and one scan of `rows` rows when it succeeded
+  /// (domain overflow fails in codec construction before any data is
+  /// read).
+  StatusOr<GroupCounts> Record(StatusOr<GroupCounts> counts, int64_t rows) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.queries;
+    if (counts.ok()) {
+      ++stats_.scans;
+      stats_.rows_scanned += rows;
+    }
+    return counts;
+  }
+
   TableView view_;
   GroupByKernelOptions kernel_;
   mutable std::mutex mu_;

@@ -67,10 +67,11 @@ StatusOr<GroupCounts> ScanCounts(const TableView& view,
                                  const std::vector<int>& cols,
                                  const GroupByKernelOptions& options = {});
 
-/// count(*) GROUP BY over code spans that live outside any Table (e.g. a
-/// chunk's code arrays): `codes[j]` points at the codes of codec column
-/// j, each below that column's cardinality in `codec`, read at the
-/// `num_rows` offsets `row_ids` or, when it is null, at [0, num_rows).
+/// count(*) GROUP BY over raw code spans (a range of the column store's
+/// arrays, or a view's columns from a row offset): `codes[j]` points at
+/// the codes of codec column j, each below that column's cardinality in
+/// `codec`, read at the `num_rows` offsets `row_ids` or, when it is
+/// null, at [0, num_rows).
 /// Results are keyed under `codec`, so spans scanned under one codec
 /// merge without re-keying. The same bit-packed kernels ScanCounts
 /// dispatches; `options.mode` is ignored.

@@ -217,14 +217,13 @@ Reply HypDbHandlers::Health(const JsonValue&) {
   out.Set("compiler", JsonValue::Str(BuildCompiler()));
   out.Set("build_type", JsonValue::Str(BuildType()));
   // Per-dataset storage shape: a probe watching an ingest pipeline reads
-  // row/chunk/watermark progression here without the full dataset list.
+  // row/watermark progression here without the full dataset list.
   // Cache occupancy rides along so an operator sees pool pressure
   // (cells/budget, hit ratio, evictions) from one readiness probe.
   JsonValue storage = JsonValue::MakeObject();
   for (const DatasetInfo& info : service_->Datasets()) {
     JsonValue shape = JsonValue::MakeObject();
     shape.Set("rows", JsonValue::Int(info.rows));
-    shape.Set("chunks", JsonValue::Int(info.chunks));
     shape.Set("watermark", JsonValue::Int(info.watermark));
     shape.Set("cache", ToJson(info.cache));
     shape.Set("cache_hit_ratio", JsonValue::Double(info.cache_hit_ratio));

@@ -511,8 +511,6 @@ JsonValue ToJson(const CountEngineStats& stats) {
   out.Set("fallback_calls", JsonValue::Int(stats.fallback_calls));
   out.Set("evictions", JsonValue::Int(stats.evictions));
   out.Set("delta_patches", JsonValue::Int(stats.delta_patches));
-  out.Set("chunk_scans", JsonValue::Int(stats.chunk_scans));
-  out.Set("chunks_skipped", JsonValue::Int(stats.chunks_skipped));
   out.Set("rows_scanned", JsonValue::Int(stats.rows_scanned));
   return out;
 }
@@ -536,8 +534,7 @@ const char* TraceEventCategory(TraceEventKind kind) {
     case TraceEventKind::kCacheEvict:
     case TraceEventKind::kCachePrefetch: return "cache";
     case TraceEventKind::kIngestAppend:
-    case TraceEventKind::kDeltaPatch:
-    case TraceEventKind::kChunkScan: return "ingest";
+    case TraceEventKind::kDeltaPatch: return "ingest";
     case TraceEventKind::kNone: break;
   }
   return "other";
@@ -549,8 +546,7 @@ bool TraceEventIsSpan(TraceEventKind kind) {
          kind == TraceEventKind::kCiTest ||
          kind == TraceEventKind::kDiscoveryWait ||
          kind == TraceEventKind::kIngestAppend ||
-         kind == TraceEventKind::kDeltaPatch ||
-         kind == TraceEventKind::kChunkScan;
+         kind == TraceEventKind::kDeltaPatch;
 }
 
 }  // namespace
@@ -732,7 +728,6 @@ JsonValue ToJson(const DatasetInfo& info) {
   out.Set("rows", JsonValue::Int(info.rows));
   out.Set("columns", JsonValue::Int(info.columns));
   out.Set("shards", JsonValue::Int(info.shards));
-  out.Set("chunks", JsonValue::Int(info.chunks));
   out.Set("watermark", JsonValue::Int(info.watermark));
   out.Set("cache", ToJson(info.cache));
   out.Set("cache_hit_ratio", JsonValue::Double(info.cache_hit_ratio));

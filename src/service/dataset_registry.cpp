@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "dataframe/csv.h"
+#include "dataframe/predicate.h"
 #include "engine/caching_count_engine.h"
 #include "service/request.h"
 
@@ -16,8 +17,7 @@ DatasetRegistry::DatasetRegistry(DatasetRegistryOptions options)
 int64_t DatasetRegistry::Register(const std::string& name, TablePtr table) {
   ChunkedTablePtr store;
   if (table != nullptr) {
-    StatusOr<ChunkedTablePtr> built = ChunkedTable::FromTable(
-        table, std::max<int64_t>(1, options_.chunk_rows));
+    StatusOr<ChunkedTablePtr> built = ChunkedTable::FromTable(table);
     if (built.ok()) store = std::move(*built);
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -59,9 +59,6 @@ StatusOr<int64_t> DatasetRegistry::AppendRows(
 StatusOr<TablePtr> DatasetRegistry::Get(const std::string& name) const {
   HYPDB_ASSIGN_OR_RETURN(std::shared_ptr<const ChunkedTable> store,
                          Store(name));
-  // Outside mu_: after an append this copies every column's codes (the
-  // snapshot shares the store's dictionaries), and requests on other
-  // datasets must not wait behind it.
   return store->Materialized();
 }
 
@@ -97,8 +94,8 @@ StatusOr<DatasetRegistry::Snapshot> DatasetRegistry::GetSnapshot(
     store = it->second.store;
     out.epoch = it->second.epoch;
   }
-  // Materialize outside mu_ (see Get). The store is the epoch's, and the
-  // watermark is read from the table itself, so the three agree.
+  // The store is the epoch's, and the watermark is read from the
+  // snapshot itself, so the three agree.
   out.table = store->Materialized();
   out.watermark = out.table->NumRows();
   return out;
@@ -115,7 +112,6 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
     if (ds.store != nullptr) {
       info.rows = ds.store->NumRows();
       info.columns = ds.store->NumColumns();
-      info.chunks = ds.store->NumChunks();
       info.watermark = ds.store->Watermark();
     }
     info.shards = static_cast<int>(ds.shards.size());
@@ -137,19 +133,21 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
 
 StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
     const std::string& name, int64_t epoch, const std::string& signature,
-    int64_t watermark) {
+    const TablePtr& snapshot) {
   // Two passes at most: the first finds the kept generation at
   // `watermark` or the newest kept one below it; the second installs the
   // generation built in between outside mu_ (it matches its WHERE terms
-  // over the rows it adds, and a successor copies its predecessor's
-  // cache), unless a concurrent caller built one at `watermark` meanwhile.
+  // over the rows it adds, and a successor copies its predecessor's ids
+  // and cache), unless a concurrent caller built one at `watermark`
+  // meanwhile.
+  const int64_t watermark = snapshot->NumRows();
   Generation built;
   for (;;) {
-    ChunkedTablePtr store;
     // Declared before the lock, so a generation the registry drops is
     // destroyed (its cache freed) after mu_ is released.
     std::vector<Generation> dropped;
     Generation predecessor;
+    int64_t from = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = datasets_.find(name);
@@ -192,6 +190,7 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
               "caller's watermark");
         }
         predecessor = std::prev(at)->second;
+        from = std::prev(at)->first;
       } else if (built.engine != nullptr) {
         ds.shards[signature].emplace(watermark, built);
         ds.shard_age.push_back(signature);
@@ -212,34 +211,48 @@ StatusOr<std::shared_ptr<CountEngine>> DatasetRegistry::ShardEngine(
         }
         return std::shared_ptr<CountEngine>(built.engine);
       }
-      store = ds.store;
     }
     HYPDB_ASSIGN_OR_RETURN(
-        built, BuildGeneration(store, signature, watermark, predecessor));
+        built, BuildGeneration(snapshot, signature, predecessor, from));
   }
 }
 
 StatusOr<DatasetRegistry::Generation> DatasetRegistry::BuildGeneration(
-    const ChunkedTablePtr& store, const std::string& signature,
-    int64_t watermark, const Generation& predecessor) const {
-  Generation out;
-  if (predecessor.rows != nullptr) {
-    HYPDB_ASSIGN_OR_RETURN(out.rows, predecessor.rows->Successor(watermark));
-    out.engine =
-        std::make_shared<CachingCountEngine>(out.rows, *predecessor.engine);
-    return out;
-  }
-  // The empty signature parses to no terms: the full table. The kernel
-  // options are the mapping MiEngine and private session engines use.
+    const TablePtr& snapshot, const std::string& signature,
+    const Generation& predecessor, int64_t from) const {
+  // The empty signature parses to no terms: the full table, with no ids.
+  // Label codes come from the snapshot's dictionaries, so a label first
+  // appended at row r matches from r on.
   HYPDB_ASSIGN_OR_RETURN(std::vector<SubpopulationTerm> terms,
                          ParseSubpopulationSignature(signature));
-  HYPDB_ASSIGN_OR_RETURN(
-      out.rows,
-      ChunkedCountProvider::Create(store, std::move(terms), watermark,
-                                   ScanKernelOptions(options_.engine)));
+  std::vector<std::pair<std::string, std::vector<std::string>>> where;
+  for (SubpopulationTerm& term : terms) {
+    where.emplace_back(std::move(term.attribute), std::move(term.values));
+  }
+  HYPDB_ASSIGN_OR_RETURN(Predicate pred,
+                         Predicate::FromInLists(*snapshot, where));
+  Generation out;
+  out.rows = TableView(snapshot);
+  if (!pred.empty()) {
+    std::vector<int64_t> ids;
+    if (predecessor.engine != nullptr) ids = *predecessor.rows.row_ids();
+    for (int64_t r = from; r < snapshot->NumRows(); ++r) {
+      if (pred.Matches(*snapshot, r)) ids.push_back(r);
+    }
+    out.rows = out.rows.WithRows(std::move(ids));
+  }
+  // The kernel options are the mapping MiEngine and private session
+  // engines use.
+  auto provider = std::make_shared<ViewCountProvider>(
+      out.rows, ScanKernelOptions(options_.engine));
+  if (predecessor.engine != nullptr) {
+    out.engine =
+        std::make_shared<CachingCountEngine>(provider, *predecessor.engine);
+    return out;
+  }
   CachingCountEngineOptions caching;
   caching.max_cached_cells = options_.engine.max_cached_cells;
-  out.engine = std::make_shared<CachingCountEngine>(out.rows, caching);
+  out.engine = std::make_shared<CachingCountEngine>(provider, caching);
   return out;
 }
 
@@ -248,22 +261,22 @@ StatusOr<SessionHooks> DatasetRegistry::Pool(const std::string& name,
                                              const std::string& signature) {
   SessionHooks out;
   const int64_t epoch = snapshot.epoch;
-  const int64_t watermark = snapshot.watermark;
+  const TablePtr& table = snapshot.table;
   StatusOr<std::shared_ptr<CountEngine>> shard =
-      ShardEngine(name, epoch, signature, watermark);
+      ShardEngine(name, epoch, signature, table);
   if (shard.ok()) {
     out.population_engine = std::move(*shard);
   } else if (shard.status().code() != StatusCode::kFailedPrecondition) {
     return shard.status();
   }
-  out.context_engine_provider = [this, name, epoch, watermark](
+  out.context_engine_provider = [this, name, epoch, table](
                      const std::vector<std::pair<
                          std::string, std::vector<std::string>>>& where,
                      const TableView&) -> std::shared_ptr<CountEngine> {
     AggQuery context_query;
     context_query.where = where;
     StatusOr<std::shared_ptr<CountEngine>> shard = ShardEngine(
-        name, epoch, SubpopulationSignature(context_query), watermark);
+        name, epoch, SubpopulationSignature(context_query), table);
     // A stale epoch, or a shard whose kept generations all count past
     // the watermark: the caller's private fallback.
     return shard.ok() ? std::move(*shard) : nullptr;

@@ -1,4 +1,4 @@
-// DatasetRegistry: named chunked tables plus their shared, sharded count
+// DatasetRegistry: named column stores plus their shared, sharded count
 // engines and the append/ingest path.
 //
 // The one-shot pipeline re-loads data and re-scans counts per Analyze()
@@ -10,24 +10,25 @@
 // thread-safe contingency cache instead of each owning a private one.
 //
 // Storage: each dataset is backed by a ChunkedTable (src/storage/) —
-// fixed-size row chunks of dictionary codes behind a published row
-// watermark. AppendRows() ingests new rows WITHOUT bumping the epoch;
-// re-registering a name replaces the store, bumps the epoch and drops
-// every shard.
+// one append-only code array per column behind a published row
+// watermark, whose snapshots are handles on those arrays. AppendRows()
+// ingests new rows WITHOUT bumping the epoch; re-registering a name
+// replaces the store, bumps the epoch and drops every shard.
 //
 // Every shard has one shape: a CachingCountEngine over a
-// ChunkedCountProvider that counts the store's chunks in place, restricted
-// to the rows its signature's WHERE terms select (none for the full
-// table's ""). A shard is a function of (dataset, epoch, signature) alone:
-// the store builds it, never a caller's view. At most
+// ViewCountProvider of a view of the caller's snapshot, the rows its
+// signature's WHERE terms select (every row for the full table's "").
+// A shard is a function of (dataset, epoch, signature) alone: its rows
+// come from the signature, never from a caller's bound view. At most
 // max_shards_per_dataset shards live per dataset, the full table's
 // included; the oldest goes first, and the pool keeps its counters.
 //
 // Generations: a shard counts exactly one watermark, so appends never
 // move what a request or session counts through, and never wait for
 // one. A caller at a new watermark gets a successor of the newest kept
-// generation below it, whose cache entries are each patched by one delta
-// scan of the appended chunks on first use. A shard keeps its two newest
+// generation below it: it copies that generation's row ids, adds the
+// matching rows appended since, and patches each cache entry by one
+// delta scan of those rows on first use. A shard keeps its two newest
 // generations, so a request bound just before an append still shares
 // after a later one moved the shard on. The registry mutex is never
 // held across an O(rows) step.
@@ -47,7 +48,6 @@
 #include "engine/caching_count_engine.h"
 #include "engine/count_engine.h"
 #include "stats/mi_engine.h"
-#include "storage/chunked_count_provider.h"
 #include "storage/chunked_table.h"
 #include "util/statusor.h"
 
@@ -60,8 +60,6 @@ struct DatasetRegistryOptions {
   /// Shard engines kept per dataset, the full-table shard included;
   /// oldest-first eviction beyond this.
   int max_shards_per_dataset = 32;
-  /// Rows per storage chunk (delta-scan granularity for appends).
-  int64_t chunk_rows = ChunkedTable::kDefaultChunkRows;
 };
 
 /// One row of List(): a registered dataset's shape and pool state.
@@ -71,10 +69,8 @@ struct DatasetInfo {
   int64_t rows = 0;
   int columns = 0;
   int shards = 0;
-  /// Storage shape: chunks holding published rows, and the published row
-  /// watermark (== rows; reported separately so ingest monitoring reads
-  /// the storage-level value, not a derived one).
-  int64_t chunks = 0;
+  /// The published row watermark (== rows; reported separately so
+  /// ingest monitoring reads the storage-level value, not a derived one).
   int64_t watermark = 0;
   /// Cache occupancy summed over the generations the registry keeps.
   CacheOccupancy cache;
@@ -113,15 +109,16 @@ class DatasetRegistry {
   StatusOr<int64_t> Epoch(const std::string& name) const;
   std::vector<DatasetInfo> List() const;
 
-  /// The dataset's chunked store (for ingest benches and storage tests).
+  /// The dataset's column store (for ingest benches and storage tests).
   StatusOr<std::shared_ptr<const ChunkedTable>> Store(
       const std::string& name) const;
 
   /// A consistent (table, epoch, watermark) triple — the handle a request
   /// works against for its whole lifetime, so a concurrent
   /// re-registration can never mix the old table with the new epoch. The
-  /// table is the store materialized at `watermark`; later appends leave
-  /// it as it is, and Pool hands the shards at the same watermark.
+  /// table is the store's snapshot at `watermark` (handles on its code
+  /// arrays); later appends leave it as it is, and Pool hands the shards
+  /// counting views of it.
   struct Snapshot {
     TablePtr table;
     int64_t epoch = 0;
@@ -130,19 +127,21 @@ class DatasetRegistry {
   StatusOr<Snapshot> GetSnapshot(const std::string& name) const;
 
   /// The generation of shard (`name`, `signature`) that counts the rows
-  /// below `watermark`: the kept one at `watermark`, else a new one that
-  /// the shard keeps, a successor of the newest kept one below it.
-  /// `signature` is a canonical subpopulation signature
-  /// (service/request.h): InvalidArgument when it does not parse,
-  /// NotFound when it names a column the dataset lacks; "" names the full
-  /// table. FailedPrecondition when `epoch` is not the dataset's (it was
-  /// re-registered since the caller's snapshot) or both kept generations
-  /// count past `watermark`; OutOfRange for a watermark past the store's.
-  /// A dropped or evicted engine held by a caller stays valid and keeps
-  /// counting its watermark; it just stops being handed out.
+  /// of `snapshot`, a snapshot of the dataset at `epoch` (GetSnapshot or
+  /// Get), whose row count is its watermark: the kept generation at that
+  /// watermark, else a new one that the shard keeps, a successor of the
+  /// newest kept one below it, over a view of `snapshot`. `signature` is
+  /// a canonical subpopulation signature (service/request.h):
+  /// InvalidArgument when it does not parse, NotFound when it names a
+  /// column the dataset lacks; "" names the full table. FailedPrecondition
+  /// when `epoch` is not the dataset's (it was re-registered since the
+  /// caller's snapshot) or both kept generations count past the
+  /// watermark; OutOfRange for a watermark past the store's. A dropped or
+  /// evicted engine held by a caller stays valid and keeps counting its
+  /// watermark; it just stops being handed out.
   StatusOr<std::shared_ptr<CountEngine>> ShardEngine(
       const std::string& name, int64_t epoch, const std::string& signature,
-      int64_t watermark);
+      const TablePtr& snapshot);
 
   /// The shards of one request or session bound at `snapshot`, whose
   /// WHERE has canonical `signature`, as the engine hooks of its session
@@ -165,17 +164,18 @@ class DatasetRegistry {
  private:
   /// Generations a shard keeps: the two with the newest watermarks.
   static constexpr size_t kGenerationsKept = 2;
-  /// One generation of a shard: the count cache it hands out, and the
-  /// provider under it, whose Successor seeds the next generation.
+  /// One generation of a shard: the rows it counts, a view of a
+  /// snapshot with ascending ids (none for the full table), and the count
+  /// cache over them it hands out.
   struct Generation {
-    std::shared_ptr<ChunkedCountProvider> rows;
+    TableView rows;
     std::shared_ptr<CachingCountEngine> engine;
   };
   /// One shard's kept generations by the watermark each counts.
   using Generations = std::map<int64_t, Generation>;
 
   struct Dataset {
-    /// The chunked store (append target; all reads derive from it).
+    /// The column store (append target; all reads derive from it).
     ChunkedTablePtr store;
     int64_t epoch = 0;
     /// The kept generations of each shard by canonical signature, the
@@ -187,14 +187,14 @@ class DatasetRegistry {
     CountEngineStats retired;
   };
 
-  /// The generation of `signature` at `watermark` over `store`: a
-  /// successor of `predecessor` (a kept generation below `watermark`)
-  /// when it holds one, else a new shard (errors as ShardEngine's).
-  /// Without mu_.
-  StatusOr<Generation> BuildGeneration(const ChunkedTablePtr& store,
+  /// The generation of `signature` over `snapshot`: a successor of
+  /// `predecessor` (a kept generation at watermark `from`, below the
+  /// snapshot's) when it holds one, else a new shard (errors as
+  /// ShardEngine's). Without mu_.
+  StatusOr<Generation> BuildGeneration(const TablePtr& snapshot,
                                        const std::string& signature,
-                                       int64_t watermark,
-                                       const Generation& predecessor) const;
+                                       const Generation& predecessor,
+                                       int64_t from) const;
 
   /// EngineStats body without the lookup/lock. Requires mu_.
   CountEngineStats EngineStatsLocked(const Dataset& ds) const;

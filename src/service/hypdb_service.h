@@ -64,9 +64,6 @@ struct HypDbServiceOptions {
   int max_shards_per_dataset = 32;
   /// Cached discovery reports kept.
   int64_t max_discovery_entries = 256;
-  /// Rows per storage chunk (DatasetRegistryOptions::chunk_rows): the
-  /// granularity of delta scans after appends.
-  int64_t chunk_rows = ChunkedTable::kDefaultChunkRows;
   /// Discovery staleness bound under appends
   /// (DiscoveryCacheOptions::refresh_rows_fraction): a cached discovery
   /// computed at watermark W is recomputed at the next lookup once the
@@ -112,7 +109,7 @@ class HypDbService {
   /// dataset. Unlike re-registration this does NOT bump the epoch:
   /// sessions, shard caches and cached discoveries survive — the next
   /// generation of each shard delta-patches its summaries by scanning
-  /// only the appended chunks, and discoveries refresh lazily under
+  /// only the appended rows, and discoveries refresh lazily under
   /// refresh_rows_fraction. An append never waits for an analysis or a
   /// session stage.
   /// Returns the new watermark; NotFound for unknown datasets,
@@ -188,7 +185,7 @@ class HypDbService {
   StatusOr<CountEngineStats> engine_stats(const std::string& dataset) const {
     return registry_.EngineStats(dataset);
   }
-  /// The dataset registry (shared engines, chunked stores). For benches,
+  /// The dataset registry (shared engines, column stores). For benches,
   /// tests and operational tooling that inspect stores or shard engines
   /// directly; ordinary clients use the request API.
   DatasetRegistry& registry() { return registry_; }
@@ -264,7 +261,7 @@ class HypDbService {
   // First member: registered metric pointers all outlive the registry.
   MetricsRegistry metrics_;
   /// Ingest accounting (hypdb_ingest_*): rows/batches are bumped on the
-  /// append path here; the delta-patch/chunk-scan side is aggregated
+  /// append path here; the delta-patch side is aggregated
   /// from the registry's engine stats at scrape time.
   Counter ingest_rows_;
   Counter ingest_batches_;

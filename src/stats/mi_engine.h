@@ -66,9 +66,11 @@ inline GroupByKernelOptions ScanKernelOptions(const MiEngineOptions& options) {
 /// The default count stack over `view`: a kernel scanner
 /// (ScanKernelOptions) wrapped in a CachingCountEngine under `options`'
 /// cell budget. A session's population and context engines, the
-/// service's pinned fallbacks and MiEngine's view constructor all build
-/// this stack; a caller that wants the bare scanner builds a
-/// ViewCountProvider itself.
+/// service's private fallbacks and MiEngine's view constructor all build
+/// this stack. Every registry shard is the same stack over a view of a
+/// store snapshot, built by the registry itself so that a successor's
+/// cache starts from its predecessor's; a caller that wants the bare
+/// scanner builds a ViewCountProvider itself.
 std::shared_ptr<CountEngine> MakeViewEngine(const TableView& view,
                                             const MiEngineOptions& options);
 

@@ -7,35 +7,42 @@
 // to additive count(*) GROUP BY summaries (paper Sec. 6), appended rows
 // can *patch* cached summaries instead of invalidating them.
 //
-// Layout: per column, dictionary codes stored in fixed-capacity row
-// chunks, plus one append-only dictionary per column, whose labels every
-// snapshot of the table shares. Invariants, in order of importance:
+// Layout: per column, one append-only array of dictionary codes with
+// spare capacity, plus one append-only dictionary, whose labels every
+// snapshot of the table shares. The class keeps its name though it has
+// no chunks, and so do DatasetRegistry::Store(), Watermark(),
+// ChunkedScanStats and the five-argument ScanRange, because the
+// repository benchmark spells them (perfbench/src/wire.cpp). Invariants,
+// in order of importance:
 //  * Published rows are immutable: a row's codes are written once,
-//    before the watermark passes it, and never change. A full chunk is
-//    never written again.
+//    before the watermark passes it, and never change.
+//  * Every code exists once. A snapshot (Materialized) is a Table whose
+//    columns are handles on the store's own arrays at the watermark
+//    (dataframe/column.h), so taking one copies no code.
 //  * Dictionaries grow append-only: a label's code never changes, so
 //    codes written yesterday mean the same thing after any number of
 //    appends, and summaries keyed under an older (smaller-cardinality)
 //    codec re-key exactly onto a newer one (MergeGroupCounts). A
 //    snapshot's Dictionary is a handle on the same label store sized at
-//    its watermark (dataframe/column.h), so it keeps seeing exactly its
-//    prefix while appends grow the store.
+//    its watermark, so it keeps seeing exactly its prefix.
 //  * The watermark is the single publication point: Append() writes
-//    codes first, then release-stores the new row count. A reader that
-//    acquire-loads Watermark() == W may touch any row < W without
-//    locking; rows at or past W are writer-private.
-//  * Scans read codes where they live: ScanRange() hands each chunk's
-//    code span (at its in-chunk offset, or at the in-chunk offsets a
-//    Selection holds for it) to the group-by kernel under one codec built
-//    from the current dictionary sizes, so kernel morsels never straddle
-//    a chunk boundary and per-chunk summaries merge without re-keying.
-//    No Table, Column or Dictionary is built. A delta scan [from, to)
-//    skips every chunk entirely below `from` — the whole point of
-//    incremental ingest.
+//    codes past it first, then release-stores the new row count. A
+//    reader that acquire-loads Watermark() == W may read any row < W
+//    of any array it takes afterwards; rows at or past W are
+//    writer-private.
+//  * Growth never blocks a reader: when an array is full, the appender
+//    allocates one of twice the capacity and copies the published
+//    prefix outside the readers' lock, then swaps the arrays under it
+//    before it publishes the watermark. Snapshots taken before keep the
+//    old arrays, which still hold their rows. FromTable leaves headroom
+//    (twice the seed's rows), so appends after registration copy
+//    nothing until the table doubles.
 //
-// Writer concurrency: Append() serializes writers on the internal mutex.
-// Readers take it only to copy the chunk-pointer list and the dictionary
-// sizes or handles, and read the codes below the watermark after it.
+// Writer concurrency: Append() serializes writers on its own mutex and
+// takes the readers' lock only to swap grown arrays in, encode its batch
+// and publish it. Readers take that lock only to copy array handles and
+// dictionary handles or sizes, and read the codes below the watermark
+// after it.
 
 #ifndef HYPDB_STORAGE_CHUNKED_TABLE_H_
 #define HYPDB_STORAGE_CHUNKED_TABLE_H_
@@ -47,36 +54,26 @@
 #include <string>
 #include <vector>
 
-#include "dataframe/predicate.h"
 #include "dataframe/table.h"
 #include "engine/groupby_kernel.h"
 #include "util/statusor.h"
 
 namespace hypdb {
 
-/// Work accounting for one ScanRange call; the chunked count provider
-/// folds these into CountEngineStats (chunk_scans / chunks_skipped /
-/// rows_scanned).
+/// Work accounting for one ScanRange call.
 struct ChunkedScanStats {
-  int64_t chunk_scans = 0;
-  int64_t chunks_skipped = 0;
   int64_t rows_scanned = 0;
 };
 
 class ChunkedTable {
  public:
-  /// Default rows per chunk. Small enough that an append batch lands in
-  /// O(1) chunks, large enough that a full chunk is a meaningful kernel
-  /// scan (matches the kernel's default morsel size).
-  static constexpr int64_t kDefaultChunkRows = int64_t{1} << 14;
-
-  /// Builds a chunked table from an existing monolithic table (the CSV /
-  /// generator load path): the seed's dictionaries become the table's
-  /// append-only dictionaries (shared, not copied) and its rows fill the
-  /// first chunks.
-  /// `chunk_rows` must be positive.
+  /// Builds the store from an existing monolithic table (the CSV /
+  /// generator load path): the seed's dictionaries become the store's
+  /// append-only dictionaries (shared, not copied), and its codes are
+  /// copied once into arrays with room for as many rows again. The seed
+  /// is not kept.
   static StatusOr<std::shared_ptr<ChunkedTable>> FromTable(
-      const TablePtr& seed, int64_t chunk_rows = kDefaultChunkRows);
+      const TablePtr& seed);
 
   /// Appends rows and returns the watermark that publishes them. Each
   /// row carries one label per column in schema order; new labels extend
@@ -93,85 +90,50 @@ class ChunkedTable {
   }
   int64_t NumRows() const { return Watermark(); }
 
-  /// Chunks holding at least one published row.
-  int64_t NumChunks() const;
-  int64_t chunk_rows() const { return chunk_rows_; }
-
   int NumColumns() const { return static_cast<int>(names_.size()); }
-  const std::vector<std::string>& ColumnNames() const { return names_; }
 
   /// The rows [0, watermark) as a plain immutable Table, cached per
-  /// watermark. Building one copies the codes only: each column's
-  /// Dictionary is a handle on the store's own dictionary at its current
-  /// size, so no label is copied or re-parsed, and later appends leave
-  /// the snapshot's labels, codes and numeric values as they were. The
-  /// codes are copied outside the mutex. This bridges the chunked store
-  /// to query binding (DatasetRegistry::GetSnapshot and Get, its only
-  /// callers in the library); count queries go through ScanRange.
+  /// watermark: each column a handle on the store's code array and its
+  /// dictionary at the watermark, built in O(columns) with no code or
+  /// label copied. Later appends leave the snapshot's labels, codes and
+  /// numeric values as they were. This bridges the store to query
+  /// binding and to the registry's shards (DatasetRegistry::GetSnapshot
+  /// and Get); ScanRange counts the store in place.
   TablePtr Materialized() const;
 
-  /// Rows picked out of the store, per chunk: the ascending in-chunk
-  /// offsets of the chunk's picked rows. A Selection never changes once
-  /// built; extending one (Select) shares the lists of the chunks it
-  /// does not touch.
-  using Selection = std::vector<std::shared_ptr<const std::vector<int64_t>>>;
-
-  /// `selection`, which holds the rows below `from_row` that match
-  /// `terms`, plus the rows of [from_row, to_row) that match every term
-  /// (`attribute` IN `values`, AND across terms). The list of the chunk
-  /// holding `from_row` is copied before it is extended. Label codes come
-  /// from the store's dictionaries, so a label first appended at row r
-  /// matches from r on, and labels the store never saw match nothing.
-  /// NotFound for a term naming a column the schema lacks; `to_row` must
-  /// not exceed the watermark.
-  StatusOr<Selection> Select(const std::vector<SubpopulationTerm>& terms,
-                             Selection selection, int64_t from_row,
-                             int64_t to_row) const;
-
-  /// count(*) GROUP BY `cols` over rows [from_row, to_row) — only those
-  /// `selection` holds, when given — scanned chunk-at-a-time in place
-  /// under a codec with the current dictionary cardinalities:
-  /// bit-identical to a cold kernel scan of the same rows of
-  /// Materialized(). Chunks entirely below `from_row`, and chunks holding
-  /// no selected row in range, are skipped, which is what makes a delta
-  /// scan cheap: the cost is O(rows scanned), independent of dictionary
-  /// sizes. `to_row` must not exceed the watermark, nor `selection` end
-  /// before it; a column index outside the schema is OutOfRange.
+  /// count(*) GROUP BY `cols` over rows [from_row, to_row), one kernel
+  /// call over the code spans in place under a codec with the current
+  /// dictionary cardinalities: bit-identical to a cold kernel scan of the
+  /// same rows of Materialized(). `to_row` must not exceed the
+  /// watermark; a column index outside the schema is OutOfRange.
   StatusOr<GroupCounts> ScanRange(const std::vector<int>& cols,
                                   int64_t from_row, int64_t to_row,
                                   const GroupByKernelOptions& kernel,
-                                  ChunkedScanStats* stats,
-                                  const Selection* selection = nullptr) const;
+                                  ChunkedScanStats* stats) const;
 
  private:
-  // One fixed-capacity run of rows. Codes are preallocated at
-  // construction so readers never race a reallocation; which rows are
-  // filled is told by the global watermark alone.
-  struct Chunk {
-    Chunk(int num_cols, int64_t capacity);
-    std::vector<std::vector<int32_t>> codes;  // [col][row-in-chunk]
-  };
-
-  ChunkedTable(std::vector<std::string> names, int64_t chunk_rows)
-      : names_(std::move(names)), chunk_rows_(chunk_rows) {}
+  explicit ChunkedTable(std::vector<std::string> names)
+      : names_(std::move(names)) {}
 
   /// InvalidArgument unless 0 <= from_row <= to_row; OutOfRange past the
   /// watermark.
   Status CheckRange(int64_t from_row, int64_t to_row) const;
 
   const std::vector<std::string> names_;
-  const int64_t chunk_rows_;
 
-  // Guards chunks_ (the vector itself; code arrays are published via the
-  // watermark), dicts_, and the materialized cache.
+  // Serializes writers; held across a growth copy, which no reader
+  // waits for. Guards capacity_.
+  std::mutex append_mu_;
+  int64_t capacity_ = 0;
+
+  // The readers' lock: guards codes_ (the handles; codes below the
+  // watermark are published by it), dicts_ and the snapshot cache.
   mutable std::mutex mu_;
-  std::vector<std::shared_ptr<Chunk>> chunks_;
+  std::vector<std::shared_ptr<int32_t[]>> codes_;  // [col], capacity_ each
   std::vector<Dictionary> dicts_;
+  mutable TablePtr materialized_;
 
   std::atomic<int64_t> watermark_{0};
-
-  mutable int64_t materialized_watermark_ = -1;
-  mutable TablePtr materialized_;
 };
 
 using ChunkedTablePtr = std::shared_ptr<ChunkedTable>;

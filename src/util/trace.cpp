@@ -9,13 +9,13 @@ namespace {
 // ---------------------------------------------------------------------
 // Slot and ring layout.
 //
-// One slot is one cache line of atomic words. The writer fills it with
-// relaxed stores bracketed by an invalidate + release-fence in front and
-// a release publish of `seq` behind; harvesters acquire-read `seq`,
-// relaxed-read the payload, and re-check `seq` across an acquire fence,
-// skipping slots that changed underneath them. Every access is atomic,
-// so the protocol is race-free (TSan-clean); tearing is detected, not
-// prevented.
+// One slot is one cache line of atomic words. The writer invalidates
+// `seq`, fills the payload with release stores and publishes `seq` with
+// a release store; harvesters acquire-read `seq` and the payload, then
+// validate `seq` with a CAS, skipping slots that changed underneath them.
+// Every access is atomic and no fence is used, so the protocol is
+// race-free and the thread sanitizer checks its ordering; tearing is
+// detected, not prevented.
 
 constexpr uint64_t kSeqEmpty = 0;      // never written
 constexpr uint64_t kSeqWriting = ~0ull;  // mid-write marker
@@ -134,7 +134,6 @@ void RollupEvent(TraceEventKind kind, uint64_t arg0, double dur_seconds) {
     case TraceEventKind::kMorselBatch: r.morsel_batches.Add(); break;
     case TraceEventKind::kIngestAppend: r.ingest_appends.Add(); break;
     case TraceEventKind::kDeltaPatch: r.delta_patches.Add(); break;
-    case TraceEventKind::kChunkScan: r.chunk_scans.Add(); break;
     case TraceEventKind::kNone: break;
   }
 }
@@ -150,19 +149,19 @@ void RecordEvent(TraceEventKind kind, uint64_t start_nanos,
   }
   const uint64_t pos = ring->pos.load(std::memory_order_relaxed);
   Slot& s = ring->slots[pos & (kRingCapacity - 1)];
-  // Seqlock write: invalidate, fence, relaxed payload, release publish.
-  // A harvester that observes any of the new payload cannot re-read the
-  // old sequence number, so it skips the slot as torn.
+  // Seqlock write: invalidate, release payload, release publish. A
+  // harvester whose acquire load observes any of the new payload also
+  // observes the invalidation, so its validating CAS cannot see the old
+  // sequence number and it skips the slot as torn.
   s.seq.store(kSeqWriting, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s.ticket.store(ctx.ticket, std::memory_order_relaxed);
-  s.start_nanos.store(start_nanos, std::memory_order_relaxed);
-  s.dur_nanos.store(dur_nanos, std::memory_order_relaxed);
+  s.ticket.store(ctx.ticket, std::memory_order_release);
+  s.start_nanos.store(start_nanos, std::memory_order_release);
+  s.dur_nanos.store(dur_nanos, std::memory_order_release);
   s.meta.store(static_cast<uint64_t>(kind) |
                    (static_cast<uint64_t>(ThisThreadId()) << 8),
-               std::memory_order_relaxed);
-  s.arg0.store(arg0, std::memory_order_relaxed);
-  s.arg1.store(arg1, std::memory_order_relaxed);
+               std::memory_order_release);
+  s.arg0.store(arg0, std::memory_order_release);
+  s.arg1.store(arg1, std::memory_order_release);
   s.seq.store(pos + 1, std::memory_order_release);
   ring->pos.store(pos + 1, std::memory_order_relaxed);
 }
@@ -186,7 +185,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kMorselBatch: return "morsel_batch";
     case TraceEventKind::kIngestAppend: return "ingest_append";
     case TraceEventKind::kDeltaPatch: return "delta_patch";
-    case TraceEventKind::kChunkScan: return "chunk_scan";
   }
   return "unknown";
 }
@@ -255,14 +253,13 @@ std::vector<TraceEventRecord> HarvestTrace(uint64_t ticket,
       Slot& s = ring->slots[j];
       const uint64_t seq1 = s.seq.load(std::memory_order_acquire);
       if (seq1 == kSeqEmpty || seq1 == kSeqWriting) continue;
-      if (s.ticket.load(std::memory_order_relaxed) != ticket) continue;
+      if (s.ticket.load(std::memory_order_acquire) != ticket) continue;
       TraceEventRecord rec;
-      const uint64_t start = s.start_nanos.load(std::memory_order_relaxed);
-      const uint64_t dur = s.dur_nanos.load(std::memory_order_relaxed);
-      const uint64_t meta = s.meta.load(std::memory_order_relaxed);
-      rec.arg0 = s.arg0.load(std::memory_order_relaxed);
-      rec.arg1 = s.arg1.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+      const uint64_t start = s.start_nanos.load(std::memory_order_acquire);
+      const uint64_t dur = s.dur_nanos.load(std::memory_order_acquire);
+      const uint64_t meta = s.meta.load(std::memory_order_acquire);
+      rec.arg0 = s.arg0.load(std::memory_order_acquire);
+      rec.arg1 = s.arg1.load(std::memory_order_acquire);
       // Validate-and-consume in one step: the CAS fails exactly when the
       // writer started overwriting the slot (a torn read), and on success
       // it empties the slot so a later request that happens to reuse this

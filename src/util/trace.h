@@ -7,10 +7,10 @@
 // Design constraints, in order:
 //  * Hot path: no locks, no allocation, ~2 cache-line writes per event.
 //    Each thread writes into its own fixed-capacity ring of 64-byte
-//    slots; slots are all-atomic words written relaxed and published
-//    with a release store of a per-ring sequence number (a seqlock in
-//    the single-writer direction), so concurrent harvesters are
-//    race-free under TSan and torn reads are detected and skipped.
+//    slots; slots are all-atomic words written with release stores and
+//    published with a release store of a per-slot sequence number (a
+//    seqlock in the single-writer direction), so concurrent harvesters
+//    are race-free under TSan and torn reads are detected and skipped.
 //  * Attribution: a thread_local TraceContext carries the request ticket
 //    and sampling level from the QueryScheduler worker down through
 //    AnalysisSession stages into the engines; code that spawns helper
@@ -53,7 +53,6 @@ enum class TraceEventKind : uint8_t {
   kDiscoveryWait,  // blocked on an in-flight twin discovery (coalesced)
   kIngestAppend,   // one append batch; arg0 = rows, arg1 = new watermark
   kDeltaPatch,     // cached summary patched current; arg0 = stale rows
-  kChunkScan,      // one chunk (or suffix) scanned; arg0 = chunk, arg1 = rows
   // Instants (dur == 0 always).
   kCacheHit,          // CachingCountEngine exact-summary hit
   kCacheMiss,         // CachingCountEngine scan (no reusable summary)
@@ -123,7 +122,7 @@ bool TraceEnabled(int min_level);
 
 /// Installs `ctx` as the calling thread's context for the scope's
 /// lifetime, restoring the previous one on exit. Used by the scheduler
-/// worker around Execute() and by the morsel kernel's helper threads.
+/// worker around RunJob() and by the morsel kernel's helper threads.
 class TraceContextScope {
  public:
   explicit TraceContextScope(const TraceContext& ctx);
@@ -189,7 +188,6 @@ struct TraceRollup {
   Counter morsel_batches;
   Counter ingest_appends;
   Counter delta_patches;
-  Counter chunk_scans;
   /// Events lost because the ring pool was exhausted (more live threads
   /// than kMaxRings) — the only way recording is ever incomplete.
   Counter dropped_events;

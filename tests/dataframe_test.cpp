@@ -95,7 +95,9 @@ TEST(DictionaryTest, CopySharesLabelsAndKeepsItsPrefix) {
   ColumnBuilder b("y");
   b.Append("0");
   b.Append("1.5");
-  Column col("y", copy, b.Finish().codes());
+  const Column built = b.Finish();
+  Column col("y", copy,
+             std::vector<int32_t>(built.codes().begin(), built.codes().end()));
   EXPECT_TRUE(col.IsNumericLike());
   EXPECT_DOUBLE_EQ(*col.NumericValue(1), 1.5);
   EXPECT_FALSE(col.NumericValue(2).ok());  // past the prefix

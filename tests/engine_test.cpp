@@ -15,7 +15,6 @@
 #include "engine/groupby_kernel.h"
 #include "stats/entropy.h"
 #include "stats/mi_engine.h"
-#include "storage/chunked_count_provider.h"
 #include "storage/chunked_table.h"
 #include "util/rng.h"
 
@@ -610,17 +609,17 @@ TEST(CachingCountEngineTest, AppendPatchDropsOrdersAndEntropy) {
     }
     return out;
   };
-  auto seed = ChunkedTable::FromTable(RandomTable(3, 400, 19), 64);
+  auto seed = ChunkedTable::FromTable(RandomTable(3, 400, 19));
   ASSERT_TRUE(seed.ok());
   ChunkedTablePtr table = *seed;
   CachingCountEngine first(
-      std::make_shared<ChunkedCountProvider>(table, table->Watermark()));
+      std::make_shared<ViewCountProvider>(TableView(table->Materialized())));
   ASSERT_TRUE(first.Counts({2, 0}).ok());  // the payload's order
   ASSERT_TRUE(first.Counts({0, 2}).ok());  // a kept order
   ASSERT_TRUE(first.Entropy({0, 2}).ok());
   ASSERT_TRUE(table->Append(rows(150, 6)).ok());  // new labels too
   CachingCountEngine cache(
-      std::make_shared<ChunkedCountProvider>(table, table->Watermark()),
+      std::make_shared<ViewCountProvider>(TableView(table->Materialized())),
       first);
 
   const TableView grown(table->Materialized());

@@ -72,7 +72,6 @@ TEST(IngestTest, AppendNeverBumpsEpochAndPatchesCaches) {
 
   HypDbServiceOptions options;
   options.num_workers = 2;
-  options.chunk_rows = 128;
   HypDbService service(options);
   const int64_t epoch = service.RegisterTable("d", TableFromRows(rows));
 
@@ -91,19 +90,23 @@ TEST(IngestTest, AppendNeverBumpsEpochAndPatchesCaches) {
     EXPECT_EQ(info.epoch, epoch);
     EXPECT_EQ(info.rows, 800);
     EXPECT_EQ(info.watermark, 800);
-    EXPECT_GT(info.chunks, 4);
   }
 
   // Post-append analysis is bit-identical to a cold rebuild on the
   // grown table, and the shard cache answered by delta-patching its
-  // summaries rather than rescanning from scratch.
+  // summaries rather than rescanning from scratch: beside its full scans
+  // of the 800 rows, each patch read at most the 200 appended ones.
+  auto before_stats = service.engine_stats("d");
+  ASSERT_TRUE(before_stats.ok());
   auto after = service.AnalyzeSql("d", kSql);
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_EQ(CanonicalReportDigest(after->report), ColdDigest(rows));
   auto stats = service.engine_stats("d");
   ASSERT_TRUE(stats.ok());
-  EXPECT_GT(stats->delta_patches, 0);
-  EXPECT_GT(stats->chunks_skipped, 0);
+  const CountEngineStats delta = *stats - *before_stats;
+  EXPECT_GT(delta.delta_patches, 0);
+  EXPECT_LE(delta.rows_scanned - (delta.scans - delta.delta_patches) * 800,
+            delta.delta_patches * 200);
 
   // Error paths: unknown dataset, arity mismatch (nothing appended).
   EXPECT_EQ(service.AppendRows("nope", batch).status().code(),
@@ -119,7 +122,6 @@ TEST(IngestTest, SubpopulationShardsSurviveAndGrow) {
   Rows rows = SyntheticRows(400, &rng);
   HypDbServiceOptions options;
   options.num_workers = 2;
-  options.chunk_rows = 64;
   HypDbService service(options);
   service.RegisterTable("d", TableFromRows(rows));
 
@@ -149,7 +151,6 @@ TEST(IngestTest, SessionsSurviveAppendPinnedAtTheirWatermark) {
   Rows rows = SyntheticRows(500, &rng);
   HypDbServiceOptions options;
   options.num_workers = 2;
-  options.chunk_rows = 64;
   HypDbService service(options);
   service.RegisterTable("d", TableFromRows(rows));
 
@@ -181,7 +182,6 @@ TEST(IngestTest, SessionNeverTakesADiscoveryOverRowsItDidNotBind) {
   Rows rows = SyntheticRows(400, &rng);
   HypDbServiceOptions options;
   options.num_workers = 2;
-  options.chunk_rows = 64;
   HypDbService service(options);
   service.RegisterTable("d", TableFromRows(rows));
 
@@ -207,7 +207,6 @@ TEST(IngestTest, DiscoveryRefreshGovernedByStalenessBound) {
 
   HypDbServiceOptions options;
   options.num_workers = 1;
-  options.chunk_rows = 64;
   options.refresh_rows_fraction = 0.5;  // refresh past 50% growth
   HypDbService service(options);
   service.RegisterTable("d", TableFromRows(rows));
@@ -324,7 +323,6 @@ TEST(IngestWireTest, AppendEndpointStatusMapping) {
   ASSERT_NE(shape, nullptr);
   EXPECT_EQ(shape->Find("rows")->int_value(), 53);
   EXPECT_EQ(shape->Find("watermark")->int_value(), 53);
-  EXPECT_GE(shape->Find("chunks")->int_value(), 1);
 }
 
 // ---- concurrency: the TSan target --------------------------------------
@@ -355,7 +353,6 @@ TEST(IngestTest, ConcurrentAppendAndAnalyzeBitIdentity) {
 
   HypDbServiceOptions options;
   options.num_workers = 3;
-  options.chunk_rows = 100;
   HypDbService service(options);
   service.RegisterTable("d", TableFromRows(seed));
 
@@ -429,7 +426,6 @@ TEST(IngestTest, ConcurrentAppendAndStagedSessionsAnswerAtBind) {
 
   HypDbServiceOptions options;
   options.num_workers = 3;
-  options.chunk_rows = 100;
   HypDbService service(options);
   service.RegisterTable("d", TableFromRows(seed));
 

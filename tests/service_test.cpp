@@ -241,10 +241,9 @@ TEST(DatasetRegistryTest, RegisterGetEpochAndReplacement) {
   EXPECT_EQ(*registry.Epoch("b"), 1);
 
   // Shards are created on demand and dropped on re-registration.
-  const int64_t rows = (*table)->NumRows();
-  auto engine = registry.ShardEngine("b", 1, "", rows);
+  auto engine = registry.ShardEngine("b", 1, "", *table);
   ASSERT_TRUE(engine.ok());
-  auto again = registry.ShardEngine("b", 1, "", rows);
+  auto again = registry.ShardEngine("b", 1, "", *table);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(engine->get(), again->get());
   EXPECT_EQ(registry.List()[0].shards, 1);
@@ -254,7 +253,7 @@ TEST(DatasetRegistryTest, RegisterGetEpochAndReplacement) {
 
   // A caller bound before the re-registration gets no shard of the new
   // epoch: its population aggregates the replaced table.
-  auto stale = registry.ShardEngine("b", 1, "", rows);
+  auto stale = registry.ShardEngine("b", 1, "", *table);
   EXPECT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(registry.List()[0].shards, 0);
@@ -263,21 +262,21 @@ TEST(DatasetRegistryTest, RegisterGetEpochAndReplacement) {
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot->epoch, 2);
   EXPECT_TRUE(
-      registry.ShardEngine("b", snapshot->epoch, "", snapshot->watermark)
+      registry.ShardEngine("b", snapshot->epoch, "", snapshot->table)
           .ok());
 }
 
 TEST(DatasetRegistryTest, ShardEnginesShareCountsPerSignature) {
   DatasetRegistry registry;
   registry.Register("b", Berkeley());
-  const int64_t rows = (*registry.Get("b"))->NumRows();
-  auto engine = *registry.ShardEngine("b", 1, "", rows);
+  const TablePtr table = *registry.Get("b");
+  auto engine = *registry.ShardEngine("b", 1, "", table);
   ASSERT_TRUE((*engine).Counts({0, 1}).ok());
   // The same shard answers the repeat from cache; a different signature
   // gets an independent engine.
   ASSERT_TRUE((*engine).Counts({0, 1}).ok());
   EXPECT_EQ(engine->stats().cache_hits, 1);
-  auto other = *registry.ShardEngine("b", 1, "Department=A", rows);
+  auto other = *registry.ShardEngine("b", 1, "Department=A", table);
   EXPECT_NE(engine.get(), other.get());
   EXPECT_EQ(other->stats().queries, 0);
 }
@@ -294,8 +293,7 @@ TEST(DatasetRegistryTest, FullTableShardIsBoundedLikeAnyOther) {
   TablePtr table = *registry.Get("b");
   const std::vector<int> cols = {*table->ColumnIndex("Gender"),
                                  *table->ColumnIndex("Accepted")};
-  const int64_t rows = table->NumRows();
-  auto full = registry.ShardEngine("b", epoch, "", rows);
+  auto full = registry.ShardEngine("b", epoch, "", table);
   ASSERT_TRUE(full.ok());
   ExpectSameCounts((*full)->Counts(cols), CountBy(TableView(table), cols));
   for (const std::string department : {"A", "B"}) {
@@ -304,14 +302,14 @@ TEST(DatasetRegistryTest, FullTableShardIsBoundedLikeAnyOther) {
     auto pred = Predicate::FromInLists(*table, q.where);
     ASSERT_TRUE(pred.ok());
     auto shard =
-        registry.ShardEngine("b", epoch, SubpopulationSignature(q), rows);
+        registry.ShardEngine("b", epoch, SubpopulationSignature(q), table);
     ASSERT_TRUE(shard.ok());
     ExpectSameCounts((*shard)->Counts(cols),
                      CountBy(TableView(table).Filter(*pred), cols));
   }
   EXPECT_EQ(registry.List()[0].shards, 2);
 
-  auto rebuilt = registry.ShardEngine("b", epoch, "", rows);
+  auto rebuilt = registry.ShardEngine("b", epoch, "", table);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_NE(rebuilt->get(), full->get());
   EXPECT_EQ((*rebuilt)->stats().queries, 0);
@@ -346,9 +344,9 @@ TEST(DatasetRegistryTest, PoolCountersNeverGoBackwards) {
   CountEngineStats last;
   int64_t asked = 0;
   auto step = [&](const std::string& signature, size_t n,
-                  int64_t watermark) {
+                  const TablePtr& snapshot) {
     SCOPED_TRACE(signature);
-    auto shard = registry.ShardEngine("a", epoch, signature, watermark);
+    auto shard = registry.ShardEngine("a", epoch, signature, snapshot);
     ASSERT_TRUE(shard.ok()) << shard.status();
     for (size_t q = 0; q < n; ++q) {
       ASSERT_TRUE((*shard)->Counts(queries[q]).ok());
@@ -360,15 +358,14 @@ TEST(DatasetRegistryTest, PoolCountersNeverGoBackwards) {
     for (int64_t field :
          {delta.queries, delta.scans, delta.cache_hits,
           delta.marginalizations, delta.cube_hits, delta.fallback_calls,
-          delta.evictions, delta.delta_patches, delta.chunk_scans,
-          delta.chunks_skipped, delta.rows_scanned}) {
+          delta.evictions, delta.delta_patches, delta.rows_scanned}) {
       EXPECT_GE(field, 0);
     }
     EXPECT_EQ(stats->queries, asked);
     last = *stats;
   };
   for (const auto& [signature, n] : steps) {
-    step(signature, n, table->NumRows());
+    step(signature, n, table);
   }
   EXPECT_EQ(registry.List()[0].shards, 2);
 
@@ -380,8 +377,10 @@ TEST(DatasetRegistryTest, PoolCountersNeverGoBackwards) {
   }
   for (int round = 1; round <= 2; ++round) {
     ASSERT_TRUE(registry.AppendRows("a", {row, row}).ok());
+    const TablePtr grown = *registry.Get("a");
+    ASSERT_EQ(grown->NumRows(), table->NumRows() + 2 * round);
     for (const auto& [signature, n] : {steps[2], steps[3], steps[2]}) {
-      step(signature, n, table->NumRows() + 2 * round);
+      step(signature, n, grown);
     }
   }
   EXPECT_GT(last.delta_patches, 0);
@@ -396,9 +395,7 @@ TEST(DatasetRegistryTest, PoolCountersNeverGoBackwards) {
 // between two kept ones gets a successor of the older, and a caller
 // older than both gets none.
 TEST(DatasetRegistryTest, ShardGenerationsCountOneWatermark) {
-  DatasetRegistryOptions options;
-  options.chunk_rows = 64;
-  DatasetRegistry registry(options);
+  DatasetRegistry registry;
   const int64_t epoch = registry.Register("b", Berkeley());
   TablePtr table = *registry.Get("b");
   const int64_t w = table->NumRows();
@@ -419,8 +416,8 @@ TEST(DatasetRegistryTest, ShardGenerationsCountOneWatermark) {
   std::vector<std::shared_ptr<CountEngine>> at_w;
   for (const auto& [signature, appended] : shards) {
     SCOPED_TRACE(signature);
-    auto first = registry.ShardEngine("b", epoch, signature, w);
-    auto again = registry.ShardEngine("b", epoch, signature, w);
+    auto first = registry.ShardEngine("b", epoch, signature, table);
+    auto again = registry.ShardEngine("b", epoch, signature, table);
     ASSERT_TRUE(first.ok() && again.ok());
     EXPECT_EQ(first->get(), again->get());
     ASSERT_TRUE((*first)->Counts(cols).ok());
@@ -436,7 +433,7 @@ TEST(DatasetRegistryTest, ShardGenerationsCountOneWatermark) {
   for (size_t i = 0; i < shards.size(); ++i) {
     const auto& [signature, appended] = shards[i];
     SCOPED_TRACE(signature);
-    auto next = registry.ShardEngine("b", epoch, signature, w + 3);
+    auto next = registry.ShardEngine("b", epoch, signature, grown);
     ASSERT_TRUE(next.ok()) << next.status();
     EXPECT_NE(next->get(), at_w[i].get());
     ExpectSameCounts((*next)->Counts(cols),
@@ -445,12 +442,9 @@ TEST(DatasetRegistryTest, ShardGenerationsCountOneWatermark) {
     EXPECT_EQ(stats.queries, 1);
     EXPECT_EQ(stats.delta_patches, 1);
     EXPECT_EQ(stats.scans, 1);
+    // The patch reads the appended rows of its population alone.
     EXPECT_EQ(stats.rows_scanned, appended);
-    // The patch reads the appended rows' chunk in place and skips every
-    // chunk wholly below w.
-    EXPECT_EQ(stats.chunk_scans, 1);
-    EXPECT_EQ(stats.chunks_skipped, w / options.chunk_rows);
-    auto replaced = registry.ShardEngine("b", epoch, signature, w);
+    auto replaced = registry.ShardEngine("b", epoch, signature, table);
     ASSERT_TRUE(replaced.ok()) << replaced.status();
     EXPECT_EQ(replaced->get(), at_w[i].get());
     // The generation at w still counts the rows below w.
@@ -464,17 +458,19 @@ TEST(DatasetRegistryTest, ShardGenerationsCountOneWatermark) {
   ASSERT_TRUE(registry.AppendRows("b", {{"Male", "A", "0"}}).ok());
   TablePtr middle = *registry.Get("b");
   ASSERT_TRUE(registry.AppendRows("b", {{"Female", "A", "1"}}).ok());
+  TablePtr last = *registry.Get("b");
+  ASSERT_EQ(last->NumRows(), w + 5);
   for (const auto& [signature, appended] : shards) {
     SCOPED_TRACE(signature);
-    auto newest = registry.ShardEngine("b", epoch, signature, w + 5);
+    auto newest = registry.ShardEngine("b", epoch, signature, last);
     ASSERT_TRUE(newest.ok()) << newest.status();
-    auto between = registry.ShardEngine("b", epoch, signature, w + 4);
+    auto between = registry.ShardEngine("b", epoch, signature, middle);
     ASSERT_TRUE(between.ok()) << between.status();
     EXPECT_NE(between->get(), newest->get());
     ExpectSameCounts((*between)->Counts(cols),
                      CountBy(population(middle, signature), cols));
     EXPECT_EQ((*between)->stats().delta_patches, 1);
-    for (int64_t older : {w, w + 3}) {
+    for (const TablePtr& older : {table, grown}) {
       EXPECT_EQ(
           registry.ShardEngine("b", epoch, signature, older).status().code(),
           StatusCode::kFailedPrecondition);
@@ -514,9 +510,7 @@ TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
       }
       ASSERT_TRUE(data.AddColumn(column.Finish()).ok());
     }
-    DatasetRegistryOptions options;
-    options.chunk_rows = 64;  // several chunks per table
-    DatasetRegistry registry(options);
+    DatasetRegistry registry;
     const int64_t epoch = registry.Register("d", MakeTable(std::move(data)));
     // The bound table; bound afresh after the append.
     TablePtr table = *registry.Get("d");
@@ -556,8 +550,7 @@ TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
       auto pred = Predicate::FromInLists(*table, where);
       ASSERT_TRUE(pred.ok());
       TableView view = TableView(table).Filter(*pred);
-      auto shard =
-          registry.ShardEngine("d", epoch, signature, table->NumRows());
+      auto shard = registry.ShardEngine("d", epoch, signature, table);
       ASSERT_TRUE(shard.ok()) << shard.status();
       EXPECT_EQ((*shard)->NumRows(), view.NumRows());
       for (size_t i = 0; i < num_col_sets; ++i) {
@@ -615,9 +608,9 @@ TEST(DatasetRegistryTest, ShardsOfRandomWhereClausesMatchTheBoundView) {
     ASSERT_GE(table->column(grown).dict().Find("absent"), 0);
     for (const Where& where : wheres) check(where, col_sets.size());
     EXPECT_EQ(
-        registry.ShardEngine("d", epoch, "x", table->NumRows()).status().code(),
+        registry.ShardEngine("d", epoch, "x", table).status().code(),
         StatusCode::kInvalidArgument);
-    EXPECT_EQ(registry.ShardEngine("d", epoch, "nope=1", table->NumRows())
+    EXPECT_EQ(registry.ShardEngine("d", epoch, "nope=1", table)
                   .status()
                   .code(),
               StatusCode::kNotFound);
@@ -937,9 +930,8 @@ TEST(HypDbServiceTest, SessionAnswersAsAtBindAfterAnAppend) {
   auto session = service.CreateSession(request);
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE(service.AdvanceSession(session->id, "answers").ok());
-  const int64_t bound = table->NumRows();
   auto shard =
-      *service.registry().ShardEngine("b", session->epoch, "", bound);
+      *service.registry().ShardEngine("b", session->epoch, "", table);
   // The census and the answers counted through the shard.
   const CountEngineStats at_bind = shard->stats();
   EXPECT_GE(at_bind.queries, 2);
@@ -955,12 +947,14 @@ TEST(HypDbServiceTest, SessionAnswersAsAtBindAfterAnAppend) {
   EXPECT_GT(shard->stats().queries, at_bind.queries);  // discovery
 
   ASSERT_TRUE(service.AnalyzeSql("b", sql).ok());
+  const TablePtr grown = *service.Dataset("b");
+  ASSERT_EQ(grown->NumRows(), table->NumRows() + 2);
   auto next =
-      service.registry().ShardEngine("b", session->epoch, "", bound + 2);
+      service.registry().ShardEngine("b", session->epoch, "", grown);
   ASSERT_TRUE(next.ok()) << next.status();
   EXPECT_NE(next->get(), shard.get());
   auto replaced =
-      service.registry().ShardEngine("b", session->epoch, "", bound);
+      service.registry().ShardEngine("b", session->epoch, "", table);
   ASSERT_TRUE(replaced.ok()) << replaced.status();
   EXPECT_EQ(replaced->get(), shard.get());
 }
