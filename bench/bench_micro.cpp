@@ -1,11 +1,18 @@
 // Microbenchmarks (google-benchmark) for the primitives every HypDB
-// component sits on: group-by counting, entropy estimation, stratified
-// summarization, Patefield sampling, cached CMI.
+// component sits on: CSV parsing and dictionary encoding, group-by
+// counting, entropy estimation, stratified summarization, Patefield
+// sampling, cached CMI.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
+#include "dataframe/column.h"
+#include "dataframe/csv.h"
 #include "dataframe/group_by.h"
 #include "datagen/random_data.h"
+#include "datagen/staples_data.h"
 #include "stats/ci_test.h"
 #include "stats/contingency.h"
 #include "stats/mi_engine.h"
@@ -30,6 +37,59 @@ TablePtr BenchTable(int64_t rows) {
   cache[rows] = table;
   return table;
 }
+
+// A Staples-shaped CSV of 100k rows: five small-domain columns plus the
+// unique SessionId key.
+const std::string& StaplesCsv() {
+  static const std::string text = [] {
+    StaplesDataOptions options;
+    options.num_rows = 100000;
+    return ToCsv(*GenerateStaplesData(options));
+  }();
+  return text;
+}
+
+void BM_ParseCsv(benchmark::State& state) {
+  const std::string& text = StaplesCsv();
+  for (auto _ : state) {
+    auto table = ParseCsv(text);
+    benchmark::DoNotOptimize(table);
+  }
+  state.SetItemsProcessed(state.iterations() * 100000);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseCsv)->Unit(benchmark::kMillisecond);
+
+// Arg 0: hits on a 16-label dictionary. Arg 1: 100k fresh labels into an
+// empty dictionary per iteration.
+void BM_DictionaryGetOrAdd(benchmark::State& state) {
+  const bool fresh = state.range(0) == 1;
+  std::vector<std::string> labels;
+  for (int i = 0; i < (fresh ? 100000 : 16); ++i) {
+    labels.push_back("s" + std::to_string(i));
+  }
+  Dictionary hits;
+  for (const std::string& label : labels) hits.GetOrAdd(label);
+  int64_t calls = 0;
+  for (auto _ : state) {
+    if (fresh) {
+      Dictionary d;
+      for (const std::string& label : labels) d.GetOrAdd(label);
+      benchmark::DoNotOptimize(d.size());
+      calls += static_cast<int64_t>(labels.size());
+    } else {
+      int32_t sum = 0;
+      for (int r = 0; r < 6250; ++r) {
+        for (const std::string& label : labels) sum += hits.GetOrAdd(label);
+      }
+      benchmark::DoNotOptimize(sum);
+      calls += 6250 * 16;
+    }
+  }
+  state.SetItemsProcessed(calls);
+}
+BENCHMARK(BM_DictionaryGetOrAdd)->Arg(0)->Arg(1);
 
 void BM_CountBy(benchmark::State& state) {
   TablePtr table = BenchTable(state.range(0));

@@ -1,7 +1,9 @@
 #include "dataframe/column.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <new>
 #include <utility>
@@ -17,6 +19,13 @@ double ParseNumeric(const std::string& label) {
   return parsed ? v : std::nan("");
 }
 
+// A label's index hash: std::hash folded to 32 bits, so that an index
+// entry (hash, code) takes 8 bytes.
+uint32_t IndexHash(std::string_view label) {
+  const size_t h = std::hash<std::string_view>{}(label);
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
 }  // namespace
 
 Dictionary::Store::~Store() {
@@ -26,12 +35,32 @@ Dictionary::Store::~Store() {
   }
 }
 
-int32_t Dictionary::Store::Lookup(const std::string& label) const {
-  auto it = index_.find(std::string_view(label));
-  return it == index_.end() ? -1 : it->second;
+int32_t Dictionary::Store::Lookup(std::string_view label,
+                                  uint32_t hash) const {
+  if (index_.empty()) return -1;
+  const size_t mask = index_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Entry& e = index_[i];
+    if (e.code < 0) return -1;
+    if (e.hash == hash && At(e.code).label == label) return e.code;
+  }
 }
 
-int32_t Dictionary::Store::Push(std::string label, double value) {
+void Dictionary::Store::GrowIndex() {
+  std::vector<Entry> grown(std::max<size_t>(16, 2 * index_.size()),
+                           Entry{0, -1});
+  const size_t mask = grown.size() - 1;
+  for (const Entry& e : index_) {
+    if (e.code < 0) continue;
+    size_t i = e.hash & mask;
+    while (grown[i].code >= 0) i = (i + 1) & mask;
+    grown[i] = e;
+  }
+  index_ = std::move(grown);
+}
+
+int32_t Dictionary::Store::Push(std::string label, uint32_t hash,
+                                double value) {
   const int32_t code = size_;
   const uint32_t pos = static_cast<uint32_t>(code) + kFirstBlock;
   const int block = BlockOf(pos);
@@ -39,9 +68,13 @@ int32_t Dictionary::Store::Push(std::string label, double value) {
     blocks_[block] = static_cast<Slot*>(
         ::operator new(sizeof(Slot) * (size_t{kFirstBlock} << block)));
   }
-  Slot* slot = new (&blocks_[block][pos - (kFirstBlock << block)])
+  new (&blocks_[block][pos - (kFirstBlock << block)])
       Slot{std::move(label), value};
-  index_.emplace(std::string_view(slot->label), code);
+  if (2 * (static_cast<size_t>(code) + 1) > index_.size()) GrowIndex();
+  const size_t mask = index_.size() - 1;
+  size_t i = hash & mask;
+  while (index_[i].code >= 0) i = (i + 1) & mask;
+  index_[i] = Entry{hash, code};
   if (std::isnan(value) &&
       first_non_numeric.load(std::memory_order_relaxed) > code) {
     first_non_numeric.store(code, std::memory_order_relaxed);
@@ -75,15 +108,18 @@ void Dictionary::MarkShared() const {
   if (store_ != nullptr) store_->shared.store(true, std::memory_order_relaxed);
 }
 
-int32_t Dictionary::GetOrAdd(const std::string& label) {
+int32_t Dictionary::GetOrAdd(std::string_view label) {
   if (store_ == nullptr) store_ = std::make_shared<Store>();
+  const uint32_t hash = IndexHash(label);
   // An unshared store has this one handle, always its newest.
   std::unique_lock<std::shared_mutex> lock(store_->mu, std::defer_lock);
   if (store_->shared.load(std::memory_order_relaxed)) lock.lock();
-  const int32_t code = store_->Lookup(label);
+  const int32_t code = store_->Lookup(label, hash);
   if (code >= 0 && code < size_) return code;
+  std::string owned(label);
+  const double value = ParseNumeric(owned);
   if (size_ == store_->size()) {
-    size_ = store_->Push(label, ParseNumeric(label)) + 1;
+    size_ = store_->Push(std::move(owned), hash, value) + 1;
     return size_ - 1;
   }
   lock.unlock();
@@ -92,18 +128,19 @@ int32_t Dictionary::GetOrAdd(const std::string& label) {
   auto fresh = std::make_shared<Store>();
   for (int32_t c = 0; c < size_; ++c) {
     const Store::Slot& slot = store_->At(c);
-    fresh->Push(slot.label, slot.value);
+    fresh->Push(slot.label, IndexHash(slot.label), slot.value);
   }
   store_ = std::move(fresh);
-  size_ = store_->Push(label, ParseNumeric(label)) + 1;
+  size_ = store_->Push(std::move(owned), hash, value) + 1;
   return size_ - 1;
 }
 
-int32_t Dictionary::Find(const std::string& label) const {
+int32_t Dictionary::Find(std::string_view label) const {
   if (store_ == nullptr) return -1;
+  const uint32_t hash = IndexHash(label);
   std::shared_lock<std::shared_mutex> lock(store_->mu, std::defer_lock);
   if (store_->shared.load(std::memory_order_relaxed)) lock.lock();
-  const int32_t code = store_->Lookup(label);
+  const int32_t code = store_->Lookup(label, hash);
   return code < size_ ? code : -1;
 }
 

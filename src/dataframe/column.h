@@ -17,7 +17,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
@@ -49,11 +48,12 @@ class Dictionary {
   Dictionary(Dictionary&& other) noexcept;
   Dictionary& operator=(Dictionary&& other) noexcept;
 
-  /// Returns the code for `label`, inserting it if new.
-  int32_t GetOrAdd(const std::string& label);
+  /// Returns the code for `label`, inserting it if new. The label is
+  /// copied only when it is new.
+  int32_t GetOrAdd(std::string_view label);
 
   /// Returns the code for `label` or -1 if absent from this prefix.
-  int32_t Find(const std::string& label) const;
+  int32_t Find(std::string_view label) const;
 
   const std::string& Label(int32_t code) const {
     return store_->At(code).label;
@@ -75,6 +75,13 @@ class Dictionary {
   // block b = floor(log2(code / kFirstBlock + 1)), whose capacity is
   // kFirstBlock << b; a block is allocated when its first label arrives
   // and its slots are constructed one by one as labels do.
+  //
+  // The index is one open-addressing table of (hash, code) entries with
+  // linear probing, a power-of-two capacity and a load of at most 1/2. A
+  // caller hashes a label once and hands the 32-bit hash to Lookup and
+  // Push; a probe compares the stored hash first and the label in its
+  // slot only on a match. Growth re-places the entries from their stored
+  // hashes, so no label is read or hashed again.
   class Store {
    public:
     struct Slot {
@@ -93,12 +100,13 @@ class Dictionary {
       return blocks_[block][pos - (kFirstBlock << block)];
     }
 
-    /// Code of `label`, or -1. The caller holds `mu` when `shared`.
-    int32_t Lookup(const std::string& label) const;
+    /// Code of `label`, whose index hash is `hash`, or -1. The caller
+    /// holds `mu` when `shared`.
+    int32_t Lookup(std::string_view label, uint32_t hash) const;
 
-    /// Appends a slot and returns its code. The caller holds `mu`
-    /// exclusively when `shared`.
-    int32_t Push(std::string label, double value);
+    /// Appends a slot for `label`, whose index hash is `hash`, and returns
+    /// its code. The caller holds `mu` exclusively when `shared`.
+    int32_t Push(std::string label, uint32_t hash, double value);
 
     int32_t size() const { return size_; }
 
@@ -125,10 +133,17 @@ class Dictionary {
       return std::bit_width(pos | kFirstBlock) - 1 - kFirstBlockBits;
     }
 
+    struct Entry {
+      uint32_t hash;
+      int32_t code;  // -1 marks an empty entry
+    };
+
+    // Doubles the index and re-places every entry from its stored hash.
+    void GrowIndex();
+
     std::array<Slot*, kMaxBlocks> blocks_{};
     int32_t size_ = 0;
-    // Keys view the labels in blocks_, which never move.
-    std::unordered_map<std::string_view, int32_t> index_;
+    std::vector<Entry> index_;  // empty, or a power of two >= 2 * size_
   };
 
   void MarkShared() const;
@@ -189,7 +204,7 @@ class ColumnBuilder {
  public:
   explicit ColumnBuilder(std::string name) : name_(std::move(name)) {}
 
-  void Append(const std::string& label) {
+  void Append(std::string_view label) {
     codes_.push_back(dict_.GetOrAdd(label));
   }
 
@@ -197,7 +212,7 @@ class ColumnBuilder {
   void AppendCode(int32_t code) { codes_.push_back(code); }
 
   /// Pre-registers a label (useful to pin code order, e.g. "0" -> 0).
-  int32_t RegisterLabel(const std::string& label) {
+  int32_t RegisterLabel(std::string_view label) {
     return dict_.GetOrAdd(label);
   }
 

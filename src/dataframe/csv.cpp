@@ -1,48 +1,64 @@
 #include "dataframe/csv.h"
 
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 
 namespace hypdb {
 namespace {
 
-// Parses one CSV record starting at `pos`; advances `pos` past the record's
-// trailing newline. Handles quoted fields (RFC-4180 style "" escapes).
-std::vector<std::string> ParseRecord(const std::string& text, size_t* pos) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool in_quotes = false;
-  size_t i = *pos;
+// True for the bytes that end an unquoted run: a field separator, a line
+// ending, or a quote.
+bool IsSpecial(char c) {
+  return c == ',' || c == '"' || c == '\n' || c == '\r';
+}
+
+// Reads the field at `*pos` and advances `*pos` past what ends it: a comma,
+// the record's line ending ("\n", "\r\n" or a lone "\r"), or the end of
+// `text`. Sets `*last` unless a comma ended it. A field without a quote is
+// returned as a view into `text`. A field with a quote anywhere in it is
+// unescaped into `*buffer`, which the next call reuses: each quote opens
+// or closes a quoted run, inside which commas and line breaks are literal
+// and "" is one quote (RFC 4180).
+std::string_view NextField(std::string_view text, size_t* pos,
+                           std::string* buffer, bool* last) {
   const size_t n = text.size();
-  for (; i < n; ++i) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < n && text[i + 1] == '"') {
-          field += '"';
+  const size_t start = *pos;
+  size_t i = start;
+  while (i < n && !IsSpecial(text[i])) ++i;
+  std::string_view field = text.substr(start, i - start);
+  if (i < n && text[i] == '"') {
+    buffer->assign(field);
+    bool in_quotes = false;
+    for (; i < n; ++i) {
+      const char c = text[i];
+      if (in_quotes) {
+        if (c != '"') {
+          *buffer += c;
+        } else if (i + 1 < n && text[i + 1] == '"') {
+          *buffer += '"';
           ++i;
         } else {
           in_quotes = false;
         }
+      } else if (c == '"') {
+        in_quotes = true;
+      } else if (IsSpecial(c)) {
+        break;
       } else {
-        field += c;
+        *buffer += c;
       }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else if (c == '\n' || c == '\r') {
-      if (c == '\r' && i + 1 < n && text[i + 1] == '\n') ++i;
-      ++i;
-      break;
-    } else {
-      field += c;
     }
+    field = *buffer;
   }
-  fields.push_back(std::move(field));
+  *last = i == n || text[i] != ',';
+  if (i < n) {
+    if (text[i] == '\r' && i + 1 < n && text[i + 1] == '\n') ++i;
+    ++i;
+  }
   *pos = i;
-  return fields;
+  return field;
 }
 
 bool NeedsQuoting(const std::string& s) {
@@ -67,23 +83,30 @@ void AppendField(const std::string& s, std::string* out) {
 StatusOr<Table> ParseCsv(const std::string& text) {
   if (text.empty()) return Status::InvalidArgument("empty CSV input");
   size_t pos = 0;
-  std::vector<std::string> header = ParseRecord(text, &pos);
+  std::string buffer;
+  bool last = false;
   std::vector<ColumnBuilder> builders;
-  builders.reserve(header.size());
-  for (const auto& name : header) builders.emplace_back(name);
+  while (!last) {
+    builders.emplace_back(std::string(NextField(text, &pos, &buffer, &last)));
+  }
 
   int64_t line = 1;
   while (pos < text.size()) {
     ++line;
-    std::vector<std::string> fields = ParseRecord(text, &pos);
-    if (fields.size() == 1 && fields[0].empty()) continue;  // blank line
-    if (fields.size() != header.size()) {
+    std::string_view field = NextField(text, &pos, &buffer, &last);
+    if (last && field.empty()) continue;  // blank line
+    builders[0].Append(field);
+    size_t fields = 1;
+    for (; !last; ++fields) {
+      field = NextField(text, &pos, &buffer, &last);
+      if (fields < builders.size()) builders[fields].Append(field);
+    }
+    if (fields != builders.size()) {
       return Status::InvalidArgument(
           "CSV record " + std::to_string(line) + " has " +
-          std::to_string(fields.size()) + " fields, header has " +
-          std::to_string(header.size()));
+          std::to_string(fields) + " fields, header has " +
+          std::to_string(builders.size()));
     }
-    for (size_t c = 0; c < fields.size(); ++c) builders[c].Append(fields[c]);
   }
 
   Table table;
@@ -96,9 +119,18 @@ StatusOr<Table> ParseCsv(const std::string& text) {
 StatusOr<Table> ReadCsv(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str());
+  // file_size fails for a directory, where an open stream's size would
+  // read as garbage.
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) {
+    return Status::IoError("cannot size " + path + ": " + error.message());
+  }
+  std::string text(size, '\0');
+  if (!in.read(text.data(), static_cast<std::streamsize>(size))) {
+    return Status::IoError("cannot read " + path);
+  }
+  return ParseCsv(text);
 }
 
 std::string ToCsv(const Table& table) {

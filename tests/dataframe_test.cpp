@@ -5,9 +5,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "dataframe/view.h"
 #include "engine/caching_count_engine.h"
 #include "engine/count_engine.h"
+#include "util/rng.h"
 
 namespace hypdb {
 namespace {
@@ -135,6 +139,75 @@ TEST(DictionaryTest, AddingToAStaleCopyForksIt) {
   EXPECT_EQ(twin.Label(4), "g");
   EXPECT_EQ(d.Find("g"), -1);
   EXPECT_EQ(twin.Find("f"), -1);
+}
+
+// The index under growth: 200k distinct labels double it many times, and
+// with 32-bit index hashes about 4-5 pairs of them are expected to share
+// a hash, which only the label comparison in the slot tells apart. The
+// newest handle and copies taken at several sizes must agree with an
+// unordered_map, each copy hiding the codes added after it, and a copy
+// that went stale across those growths must fork correctly.
+TEST(DictionaryTest, IndexAgreesWithAMapThroughGrowth) {
+  constexpr int kLabels = 200000;
+  const std::set<int> copy_sizes = {0, 1, 15, 16, 1000, 65536, 150001};
+  std::vector<std::string> labels;
+  labels.reserve(kLabels);
+  // 7919 is invertible mod the prime 1000003, so the labels are distinct.
+  for (int64_t i = 0; i < kLabels; ++i) {
+    labels.push_back("k" + std::to_string(i * 7919 % 1000003));
+  }
+  std::unordered_map<std::string, int32_t> oracle;
+  Dictionary newest;
+  std::vector<Dictionary> copies;
+  for (int i = 0; i < kLabels; ++i) {
+    if (copy_sizes.count(i) > 0) copies.push_back(newest);
+    ASSERT_EQ(newest.GetOrAdd(labels[i]), i);
+    oracle.emplace(labels[i], i);
+  }
+  ASSERT_EQ(newest.size(), kLabels);
+  ASSERT_EQ(oracle.size(), static_cast<size_t>(kLabels));
+
+  for (const auto& [label, code] : oracle) {
+    ASSERT_EQ(newest.GetOrAdd(label), code);
+    ASSERT_EQ(newest.Find(label), code);
+    ASSERT_EQ(newest.Label(code), label);
+    for (Dictionary& copy : copies) {
+      if (code < copy.size()) {
+        ASSERT_EQ(copy.Find(label), code);
+        ASSERT_EQ(copy.GetOrAdd(label), code);  // in its prefix: no fork
+      } else {
+        ASSERT_EQ(copy.Find(label), -1) << label << " in a copy of size "
+                                        << copy.size();
+      }
+    }
+  }
+  EXPECT_EQ(newest.size(), kLabels);
+  for (const Dictionary& copy : copies) {
+    EXPECT_EQ(copy_sizes.count(copy.size()), 1u);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(newest.Find("absent" + std::to_string(i)), -1);
+  }
+
+  // The copy taken at 1000 labels, before eight doublings of the index,
+  // forks when it adds a label of its own.
+  Dictionary stale = copies[4];
+  ASSERT_EQ(stale.size(), 1000);
+  EXPECT_EQ(stale.GetOrAdd(labels[5000]), 1000);
+  EXPECT_NE(&stale.Label(0), &newest.Label(0));
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(stale.Find(labels[i]), i);
+  EXPECT_EQ(stale.Find(labels[4999]), -1);
+  // The fork grows its own index through several doublings.
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_EQ(stale.GetOrAdd("s" + std::to_string(i)), 1001 + i);
+  }
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_EQ(stale.Find("s" + std::to_string(i)), 1001 + i);
+    ASSERT_EQ(newest.Find("s" + std::to_string(i)), -1);
+  }
+  EXPECT_EQ(stale.Find(labels[5000]), 1000);
+  EXPECT_EQ(newest.Find(labels[5000]), 5000);
+  EXPECT_EQ(newest.size(), kLabels);
 }
 
 TEST(ColumnTest, NumericParsing) {
@@ -535,7 +608,235 @@ TEST(CsvTest, FileRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->NumRows(), 6);
   std::remove(path.c_str());
-  EXPECT_FALSE(ReadCsv(path + ".missing").ok());
+
+  // A path that does not open and one that opens but cannot be read (a
+  // directory) are both I/O errors that name the path.
+  auto missing = ReadCsv(path + ".missing");
+  EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
+  EXPECT_NE(missing.status().message().find(path + ".missing"),
+            std::string::npos);
+  const std::string dir = testing::TempDir();
+  auto directory = ReadCsv(dir);
+  EXPECT_EQ(directory.status().code(), StatusCode::kIoError);
+  EXPECT_NE(directory.status().message().find(dir), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// ParseCsv against a char-by-char reference.
+
+// The record reader ParseCsv used before it walked the text with one
+// cursor, kept as the reference: a field is built one byte at a time.
+std::vector<std::string> ReferenceRecord(const std::string& text,
+                                         size_t* pos) {
+  std::vector<std::string> fields;
+  std::string field;
+  bool in_quotes = false;
+  size_t i = *pos;
+  const size_t n = text.size();
+  for (; i < n; ++i) {
+    char c = text[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < n && text[i + 1] == '"') {
+          field += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        field += c;
+      }
+    } else if (c == '"') {
+      in_quotes = true;
+    } else if (c == ',') {
+      fields.push_back(std::move(field));
+      field.clear();
+    } else if (c == '\n' || c == '\r') {
+      if (c == '\r' && i + 1 < n && text[i + 1] == '\n') ++i;
+      ++i;
+      break;
+    } else {
+      field += c;
+    }
+  }
+  fields.push_back(std::move(field));
+  *pos = i;
+  return fields;
+}
+
+struct ReferenceColumn {
+  std::string name;
+  std::vector<std::string> labels;  // in code order
+  std::vector<int32_t> codes;
+  bool numeric = true;
+};
+
+// The reference parse: a record of one empty field is a blank line and is
+// skipped, a record of another width fails naming its record number, a
+// label's code is its first appearance (a std::map assigns them), and a
+// column is numeric when strtod reads every label whole and none as NaN.
+StatusOr<std::vector<ReferenceColumn>> ReferenceParse(
+    const std::string& text) {
+  if (text.empty()) return Status::InvalidArgument("empty CSV input");
+  size_t pos = 0;
+  std::vector<ReferenceColumn> columns;
+  for (std::string& name : ReferenceRecord(text, &pos)) {
+    columns.push_back({std::move(name)});
+  }
+  std::vector<std::map<std::string, int32_t>> code_of(columns.size());
+  int64_t line = 1;
+  while (pos < text.size()) {
+    ++line;
+    std::vector<std::string> fields = ReferenceRecord(text, &pos);
+    if (fields.size() == 1 && fields[0].empty()) continue;
+    if (fields.size() != columns.size()) {
+      return Status::InvalidArgument(
+          "CSV record " + std::to_string(line) + " has " +
+          std::to_string(fields.size()) + " fields, header has " +
+          std::to_string(columns.size()));
+    }
+    for (size_t c = 0; c < fields.size(); ++c) {
+      ReferenceColumn& col = columns[c];
+      const auto [it, added] = code_of[c].emplace(
+          fields[c], static_cast<int32_t>(col.labels.size()));
+      if (added) {
+        const char* label = fields[c].c_str();
+        char* end = nullptr;
+        const double v = std::strtod(label, &end);
+        col.numeric = col.numeric && end != label && *end == '\0' &&
+                      !std::isnan(v);
+        col.labels.push_back(fields[c]);
+      }
+      col.codes.push_back(it->second);
+    }
+  }
+  std::set<std::string> names;
+  for (const ReferenceColumn& col : columns) {
+    if (!names.insert(col.name).second) {
+      return Status::InvalidArgument("duplicate column name " + col.name);
+    }
+  }
+  return columns;
+}
+
+// A seeded random CSV: one to four columns and up to twelve records (none
+// for a header-only file). Fields come from a pool with empty fields,
+// numbers, quoted commas, "" escapes, embedded CR and LF, and a quote in
+// mid-field. Each file picks a line ending (LF, CRLF or a lone CR), a
+// record sometimes takes another one or is preceded by a blank line, and a
+// third of the files end without a final line ending.
+std::string RandomCsv(Rng& rng) {
+  static const char* const kFields[] = {
+      "",        "a",          "b",
+      "7",       "-2.5",       "1e3",
+      "nan",     "x y",        "\"x,1\"",
+      "\"\"",  "\"3\"",    "\"say \"\"hi\"\"\"",
+      "\"two\nlines\"",     "\"cr\rlf\r\n\"",
+      "ab\"c,d\"e"};
+  static const char* const kEndings[] = {"\n", "\r\n", "\r"};
+  const int width = 1 + static_cast<int>(rng.NextBounded(4));
+  const int records = static_cast<int>(rng.NextBounded(13));
+  const std::string ending = kEndings[rng.NextBounded(3)];
+  std::string text;
+  for (int c = 0; c < width; ++c) {
+    text += (c > 0 ? ",c" : "c") + std::to_string(c);
+  }
+  for (int r = 0; r < records; ++r) {
+    text += rng.NextBounded(6) == 0 ? kEndings[rng.NextBounded(3)] : ending;
+    if (rng.NextBounded(8) == 0) text += ending;  // a blank line
+    for (int c = 0; c < width; ++c) {
+      if (c > 0) text += ',';
+      text += kFields[rng.NextBounded(std::size(kFields))];
+    }
+  }
+  if (rng.NextBounded(3) != 0) text += ending;
+  return text;
+}
+
+// `text` with one to four random byte edits (insert, overwrite, delete),
+// mostly of the bytes the parser treats specially.
+std::string Mutate(std::string text, Rng& rng) {
+  static const char kBytes[] = {',', '"', '\n', '\r', 'a', '0', '\0', ' '};
+  const int edits = 1 + static_cast<int>(rng.NextBounded(4));
+  for (int e = 0; e < edits; ++e) {
+    const size_t at = rng.NextBounded(text.size() + 1);
+    const char byte = rng.NextBounded(4) == 0
+                          ? static_cast<char>(rng.NextBounded(256))
+                          : kBytes[rng.NextBounded(std::size(kBytes))];
+    const uint64_t kind = rng.NextBounded(3);
+    if (kind == 0) {
+      text.insert(at, 1, byte);
+    } else if (at < text.size()) {
+      if (kind == 1) {
+        text[at] = byte;
+      } else {
+        text.erase(at, 1);
+      }
+    }
+  }
+  return text;
+}
+
+// Checks ParseCsv(text) against the reference: the same columns, labels
+// in the same order, codes and IsNumericLike, or else the same error.
+// Returns whether the text parsed.
+bool ExpectParsesLikeReference(const std::string& text) {
+  std::string shown;
+  for (const char c : text) {
+    shown += c == '\n' ? std::string("\\n")
+             : c == '\r' ? std::string("\\r")
+             : c == '\0' ? std::string("\\0")
+                          : std::string(1, c);
+  }
+  SCOPED_TRACE("CSV text: " + shown);
+  const auto expected = ReferenceParse(text);
+  const auto actual = ParseCsv(text);
+  EXPECT_EQ(actual.status().code(), expected.status().code());
+  EXPECT_EQ(actual.status().message(), expected.status().message());
+  if (!expected.ok() || !actual.ok()) return false;
+  EXPECT_EQ(static_cast<size_t>(actual->NumColumns()), expected->size());
+  if (static_cast<size_t>(actual->NumColumns()) != expected->size()) {
+    return true;
+  }
+  for (size_t c = 0; c < expected->size(); ++c) {
+    const Column& col = actual->column(static_cast<int>(c));
+    const ReferenceColumn& ref = (*expected)[c];
+    EXPECT_EQ(col.name(), ref.name);
+    std::vector<std::string> labels;
+    for (int32_t code = 0; code < col.Cardinality(); ++code) {
+      labels.push_back(col.dict().Label(code));
+    }
+    EXPECT_EQ(labels, ref.labels);
+    EXPECT_EQ(std::vector<int32_t>(col.codes().begin(), col.codes().end()),
+              ref.codes);
+    EXPECT_EQ(col.IsNumericLike(), ref.numeric) << "column " << c;
+  }
+  return true;
+}
+
+TEST(CsvTest, ParseMatchesTheCharByCharReference) {
+  // Fixed cases for the rules the random files rely on.
+  for (const char* text :
+       {"a\n", "a", "a\n\n\n", "a\r\r\n\r", "a\n\"\"\n", "a,b\n,\n",
+        "a,b\r\nx,\"1,2\"\r\n", "a\n\"open", "a,a\n1,2\n",
+        "a,b\nx\n\"y\n\"\n", "\n", ",\n1,2"}) {
+    ExpectParsesLikeReference(text);
+  }
+  Rng rng(29);
+  int parsed = 0;
+  int failed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text = RandomCsv(rng);
+    ASSERT_TRUE(ExpectParsesLikeReference(text));
+    ++parsed;
+    for (int m = 0; m < 4; ++m) {
+      (ExpectParsesLikeReference(Mutate(text, rng)) ? parsed : failed) += 1;
+    }
+    if (HasFailure()) return;
+  }
+  // The mutated copies reach both outcomes often.
+  EXPECT_GT(parsed, 4000);
+  EXPECT_GT(failed, 1000);
 }
 
 }  // namespace
