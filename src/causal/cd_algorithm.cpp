@@ -9,20 +9,12 @@
 namespace hypdb {
 namespace {
 
-StatusOr<std::vector<int>> LearnBlanket(CiOracle& oracle, int target,
-                                        const std::vector<int>& candidates,
-                                        const CdOptions& options) {
-  std::vector<int> mb;
-  if (options.use_iamb) {
-    HYPDB_ASSIGN_OR_RETURN(mb, IambMb(oracle, target, candidates));
-  } else {
-    HYPDB_ASSIGN_OR_RETURN(mb, GrowShrinkMb(oracle, target, candidates));
-  }
-  if (static_cast<int>(mb.size()) > options.max_blanket) {
-    mb.resize(options.max_blanket);
-  }
-  return mb;
-}
+// Alpha scale for the collider-admission test of phase I
+// ((Z ⊮ W | S ∪ {T}) must hold at alpha·scale). Phase I enumerates many
+// (S, W) hypotheses; without the stricter threshold a single chance
+// rejection among dozens of truly-independent pairs admits a non-parent
+// (a multiple-testing guard; 1.0 would be the paper's behavior).
+constexpr double kColliderAlphaScale = 0.05;
 
 bool Contains(const std::vector<int>& v, int x) {
   return std::find(v.begin(), v.end(), x) != v.end();
@@ -32,17 +24,15 @@ bool Contains(const std::vector<int>& v, int x) {
 
 StatusOr<CdResult> DiscoverParents(CiOracle& oracle, int treatment,
                                    const std::vector<int>& candidates,
-                                   const CdOptions& options,
                                    const std::vector<int>& outcomes) {
   if (Contains(candidates, treatment)) {
     return Status::InvalidArgument("candidates must not contain treatment");
   }
   const int64_t tests_before = oracle.num_tests();
-  const CountEngineStats counts_before = oracle.count_stats();
   CdResult result;
 
   HYPDB_ASSIGN_OR_RETURN(result.markov_blanket,
-                         LearnBlanket(oracle, treatment, candidates, options));
+                         LearnBlanket(oracle, treatment, candidates));
   const std::vector<int>& mb_t = result.markov_blanket;
 
   // Blankets of MB(T) members are learned over candidates ∪ {T} − {Z}.
@@ -57,7 +47,7 @@ StatusOr<CdResult> DiscoverParents(CiOracle& oracle, int treatment,
     }
     pool.push_back(treatment);
     HYPDB_ASSIGN_OR_RETURN(std::vector<int> mb,
-                           LearnBlanket(oracle, z, pool, options));
+                           LearnBlanket(oracle, z, pool));
     blanket_cache.emplace(z, mb);
     return mb;
   };
@@ -84,7 +74,7 @@ StatusOr<CdResult> DiscoverParents(CiOracle& oracle, int treatment,
     HYPDB_ASSIGN_OR_RETURN(
         bool found,
         ForEachSubset(
-            pool, options.max_sepset,
+            pool, kMaxSepset,
             [&](const std::vector<int>& s) -> StatusOr<bool> {
               for (int w : mb_t) {
                 if (w == z || Contains(s, w)) continue;
@@ -95,8 +85,7 @@ StatusOr<CdResult> DiscoverParents(CiOracle& oracle, int treatment,
                 s_t.push_back(treatment);
                 HYPDB_ASSIGN_OR_RETURN(
                     bool sep_t,
-                    oracle.IndependentStrict(z, w, s_t,
-                                             options.collider_alpha_scale));
+                    oracle.IndependentStrict(z, w, s_t, kColliderAlphaScale));
                 if (!sep_t) {
                   found_w = w;
                   return true;
@@ -110,7 +99,6 @@ StatusOr<CdResult> DiscoverParents(CiOracle& oracle, int treatment,
     }
   }
   std::sort(collected.begin(), collected.end());
-  result.phase1_candidates = collected;
 
   // ---- Phase II: evict candidates separable from T within MB(T) —
   // those were spouses (parents of children), not parents.
@@ -132,7 +120,7 @@ StatusOr<CdResult> DiscoverParents(CiOracle& oracle, int treatment,
     }
     HYPDB_ASSIGN_OR_RETURN(
         bool separable,
-        ForEachSubset(pool, options.max_sepset,
+        ForEachSubset(pool, kMaxSepset,
                       [&](const std::vector<int>& s) -> StatusOr<bool> {
                         return oracle.Independent(treatment, c, s);
                       }));
@@ -151,7 +139,6 @@ StatusOr<CdResult> DiscoverParents(CiOracle& oracle, int treatment,
   }
   std::sort(result.parents.begin(), result.parents.end());
   result.tests_used = oracle.num_tests() - tests_before;
-  result.count_stats = oracle.count_stats() - counts_before;
   return result;
 }
 

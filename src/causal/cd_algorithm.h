@@ -24,48 +24,25 @@
 
 namespace hypdb {
 
-struct CdOptions {
-  /// Cap on conditioning-set size in both phases (-1 = unlimited). The
-  /// search is exponential in the Markov-boundary size; boundaries in the
-  /// paper's experiments never exceed 8 members.
-  int max_sepset = -1;
-  /// Use IAMB instead of Grow-Shrink for Markov boundaries.
-  bool use_iamb = false;
-  /// Alpha scale for the collider-admission test of phase I
-  /// ((Z ⊮ W | S ∪ {T}) must hold at alpha·scale). Phase I enumerates
-  /// many (S, W) hypotheses; without the stricter threshold a single
-  /// chance rejection among dozens of truly-independent pairs admits a
-  /// non-parent (multiple-testing guard; 1.0 = the paper's behavior).
-  double collider_alpha_scale = 0.05;
-  /// Safety valve: boundaries larger than this are truncated before the
-  /// subset enumeration (keeps worst-case cost bounded).
-  int max_blanket = 16;
-};
-
 struct CdResult {
   /// The discovered covariates Z = PA_T (sorted), or MB(T) − outcomes
   /// when the fallback fired.
   std::vector<int> parents;
   /// MB(T) as learned from the oracle (sorted).
   std::vector<int> markov_blanket;
-  /// Candidates after phase I (parents ∪ spouses) — diagnostic.
-  std::vector<int> phase1_candidates;
   /// True when phase I/II produced nothing and Z fell back to the
   /// Markov boundary minus the outcomes.
   bool fell_back_to_blanket = false;
   /// Independence tests consumed (oracle delta).
   int64_t tests_used = 0;
-  /// Count-engine work consumed (oracle delta): scans vs cache hits vs
-  /// marginalizations — the Fig. 6c accounting for this discovery run.
-  CountEngineStats count_stats;
 };
 
 /// Runs CD for `treatment` over `candidates` (ids the oracle understands;
-/// must not contain the treatment). `outcomes` are excluded from any
-/// fallback covariate set.
+/// must not contain the treatment). Boundaries are learned by Grow-Shrink
+/// (LearnBlanket). `outcomes` are excluded from any fallback covariate
+/// set.
 StatusOr<CdResult> DiscoverParents(CiOracle& oracle, int treatment,
                                    const std::vector<int>& candidates,
-                                   const CdOptions& options = {},
                                    const std::vector<int>& outcomes = {});
 
 }  // namespace hypdb

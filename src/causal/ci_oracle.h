@@ -58,13 +58,8 @@ class CiOracle {
     return Status::Ok();
   }
 
-  /// Count-engine instrumentation backing this oracle (scans, cache hits
-  /// — the Fig. 6c metrics). Exact oracles have none.
-  virtual CountEngineStats count_stats() const { return {}; }
-
   /// Number of independence queries answered — the Fig. 6(a) metric.
   int64_t num_tests() const { return num_tests_; }
-  void ResetStats() { num_tests_ = 0; }
 
  protected:
   int64_t num_tests_ = 0;
@@ -104,10 +99,6 @@ class DataCiOracle : public CiOracle {
     // optimization, not an error.
     (void)tester_->engine()->SetFocus(cols);
     return Status::Ok();
-  }
-
-  CountEngineStats count_stats() const override {
-    return tester_->engine()->count_engine().stats();
   }
 
   double alpha() const { return alpha_; }

@@ -8,6 +8,21 @@
 namespace hypdb {
 namespace {
 
+// Conditional-entropy threshold (nats) for approximate FDs: a bijection
+// leaves H(A|X) and H(X|A) near 0, while a real dependence keeps them
+// well above it.
+constexpr double kFdEpsilon = 0.01;
+// The key-like ladder subsamples kNumSizes sizes kBaseSize, 2·kBaseSize,
+// ... (capped at the view's rows) and averages kReplicates subsample
+// entropies per size: 256 to 4,096 rows span ln(size) by ~2.8, enough to
+// fit a slope, at a cost independent of the table's size.
+constexpr int kNumSizes = 5;
+constexpr int64_t kBaseSize = 256;
+constexpr int kReplicates = 3;
+// Ĥ-vs-ln(size) slope above which an attribute is key-like: a true key
+// has slope 1, an ordinary attribute ≈ 0.
+constexpr double kSlopeThreshold = 0.3;
+
 // Plugin entropy of `col` over a random subsample of `size` view rows.
 double SubsampleEntropy(const TableView& view, int col, int64_t size,
                         Rng& rng) {
@@ -43,8 +58,7 @@ double Slope(const std::vector<double>& x, const std::vector<double>& y) {
 
 StatusOr<FdFilterReport> FilterLogicalDependencies(
     const TableView& view, CountEngine& engine,
-    const std::vector<int>& candidates, const FdFilterOptions& options,
-    Rng& rng) {
+    const std::vector<int>& candidates, Rng& rng) {
   FdFilterReport report;
   const int64_t n = view.NumRows();
   if (n == 0) {
@@ -57,17 +71,17 @@ StatusOr<FdFilterReport> FilterLogicalDependencies(
   for (int col : candidates) {
     std::vector<double> log_sizes;
     std::vector<double> entropies;
-    for (int s = 0; s < options.num_sizes; ++s) {
-      int64_t size = std::min<int64_t>(options.base_size << s, n);
+    for (int s = 0; s < kNumSizes; ++s) {
+      int64_t size = std::min<int64_t>(kBaseSize << s, n);
       double h = 0.0;
-      for (int r = 0; r < options.replicates; ++r) {
+      for (int r = 0; r < kReplicates; ++r) {
         h += SubsampleEntropy(view, col, size, rng);
       }
       log_sizes.push_back(std::log(static_cast<double>(size)));
-      entropies.push_back(h / options.replicates);
+      entropies.push_back(h / kReplicates);
       if (size == n) break;
     }
-    if (Slope(log_sizes, entropies) > options.slope_threshold) {
+    if (Slope(log_sizes, entropies) > kSlopeThreshold) {
       report.dropped_keys.push_back(col);
     } else {
       survivors.push_back(col);
@@ -88,14 +102,13 @@ StatusOr<FdFilterReport> FilterLogicalDependencies(
     if (dropped[i]) continue;
     for (size_t j = i + 1; j < survivors.size(); ++j) {
       if (dropped[j]) continue;
-      if (std::fabs(h[i] - h[j]) > 2.0 * options.fd_epsilon) continue;
+      if (std::fabs(h[i] - h[j]) > 2.0 * kFdEpsilon) continue;
       HYPDB_ASSIGN_OR_RETURN(
           SetEntropy joint,
           engine.Entropy(SortedUniqueColumns({survivors[i], survivors[j]})));
       double h_i_given_j = joint.plugin - h[j];
       double h_j_given_i = joint.plugin - h[i];
-      if (h_i_given_j <= options.fd_epsilon &&
-          h_j_given_i <= options.fd_epsilon) {
+      if (h_i_given_j <= kFdEpsilon && h_j_given_i <= kFdEpsilon) {
         dropped[j] = true;
         report.dropped_fd.emplace_back(survivors[j], survivors[i]);
       }

@@ -29,18 +29,6 @@
 
 namespace hypdb {
 
-struct FdFilterOptions {
-  /// Conditional-entropy threshold (nats) for approximate FDs.
-  double fd_epsilon = 0.01;
-  /// Subsample ladder for key detection: sizes base, 2·base, 4·base, ...
-  int num_sizes = 5;
-  int64_t base_size = 256;
-  /// Replicate subsamples per size (entropies are averaged).
-  int replicates = 3;
-  /// Ĥ-vs-ln(size) slope above which an attribute is key-like.
-  double slope_threshold = 0.3;
-};
-
 struct FdFilterReport {
   /// Surviving candidate columns, in input order.
   std::vector<int> kept;
@@ -57,8 +45,7 @@ struct FdFilterReport {
 /// in the cache discovery reads next).
 StatusOr<FdFilterReport> FilterLogicalDependencies(
     const TableView& view, CountEngine& engine,
-    const std::vector<int>& candidates, const FdFilterOptions& options,
-    Rng& rng);
+    const std::vector<int>& candidates, Rng& rng);
 
 }  // namespace hypdb
 

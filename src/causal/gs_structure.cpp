@@ -82,7 +82,6 @@ StatusOr<GsStructureResult> LearnStructureGs(
     CiOracle& oracle, const std::vector<int>& variables,
     const GsStructureOptions& options) {
   const int64_t tests_before = oracle.num_tests();
-  const CountEngineStats counts_before = oracle.count_stats();
   int max_id = 0;
   for (int v : variables) max_id = std::max(max_id, v);
   GsStructureResult result;
@@ -91,16 +90,9 @@ StatusOr<GsStructureResult> LearnStructureGs(
   // --- Step 1: Markov boundaries.
   std::map<int, std::vector<int>> mb;
   for (int v : variables) {
-    std::vector<int> pool = Minus(variables, {v});
-    std::vector<int> blanket;
-    if (options.use_iamb) {
-      HYPDB_ASSIGN_OR_RETURN(blanket, IambMb(oracle, v, pool));
-    } else {
-      HYPDB_ASSIGN_OR_RETURN(blanket, GrowShrinkMb(oracle, v, pool));
-    }
-    if (static_cast<int>(blanket.size()) > options.max_blanket) {
-      blanket.resize(options.max_blanket);
-    }
+    HYPDB_ASSIGN_OR_RETURN(
+        std::vector<int> blanket,
+        LearnBlanket(oracle, v, Minus(variables, {v}), options.use_iamb));
     mb[v] = blanket;
     result.blankets.push_back(std::move(blanket));
   }
@@ -118,7 +110,7 @@ StatusOr<GsStructureResult> LearnStructureGs(
           pool_x.size() <= pool_y.size() ? pool_x : pool_y;
       HYPDB_ASSIGN_OR_RETURN(
           bool separable,
-          ForEachSubset(pool, options.max_sepset,
+          ForEachSubset(pool, kMaxSepset,
                         [&](const std::vector<int>& s) -> StatusOr<bool> {
                           return oracle.Independent(x, y, s);
                         }));
@@ -145,7 +137,7 @@ StatusOr<GsStructureResult> LearnStructureGs(
         HYPDB_ASSIGN_OR_RETURN(
             bool is_collider,
             ForEachSubset(
-                pool, options.max_sepset,
+                pool, kMaxSepset,
                 [&](const std::vector<int>& s) -> StatusOr<bool> {
                   HYPDB_ASSIGN_OR_RETURN(bool sep,
                                          oracle.Independent(y, z, s));
@@ -168,7 +160,6 @@ StatusOr<GsStructureResult> LearnStructureGs(
   MeekPropagate(&result.pdag, variables);
 
   result.tests_used = oracle.num_tests() - tests_before;
-  result.count_stats = oracle.count_stats() - counts_before;
   return result;
 }
 

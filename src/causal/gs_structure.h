@@ -20,9 +20,8 @@
 namespace hypdb {
 
 struct GsStructureOptions {
-  int max_sepset = -1;   // cap on separating-set size (-1 = unlimited)
-  bool use_iamb = false; // IAMB instead of Grow-Shrink for boundaries
-  int max_blanket = 16;
+  /// IAMB instead of Grow-Shrink for boundaries (LearnBlanket).
+  bool use_iamb = false;
 };
 
 struct GsStructureResult {
@@ -30,8 +29,6 @@ struct GsStructureResult {
   /// Markov boundary learned for each variable (indexed as `variables`).
   std::vector<std::vector<int>> blankets;
   int64_t tests_used = 0;
-  /// Count-engine work consumed (oracle delta, Fig. 6c accounting).
-  CountEngineStats count_stats;
 };
 
 /// Learns the structure over `variables` (oracle ids; the Pdag is sized

@@ -90,4 +90,17 @@ StatusOr<std::vector<int>> IambMb(CiOracle& oracle, int target,
   return blanket;
 }
 
+StatusOr<std::vector<int>> LearnBlanket(CiOracle& oracle, int target,
+                                        const std::vector<int>& candidates,
+                                        bool use_iamb) {
+  std::vector<int> mb;
+  if (use_iamb) {
+    HYPDB_ASSIGN_OR_RETURN(mb, IambMb(oracle, target, candidates));
+  } else {
+    HYPDB_ASSIGN_OR_RETURN(mb, GrowShrinkMb(oracle, target, candidates));
+  }
+  if (static_cast<int>(mb.size()) > kMaxBlanket) mb.resize(kMaxBlanket);
+  return mb;
+}
+
 }  // namespace hypdb

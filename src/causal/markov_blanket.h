@@ -28,6 +28,24 @@ StatusOr<std::vector<int>> GrowShrinkMb(CiOracle& oracle, int target,
 StatusOr<std::vector<int>> IambMb(CiOracle& oracle, int target,
                                   const std::vector<int>& candidates);
 
+/// Boundaries larger than this are truncated before the separating-set
+/// searches of CD and FGS, which are exponential in the boundary size: a
+/// safety valve that bounds the worst case (the boundaries of the paper's
+/// experiments never exceed 8 members).
+inline constexpr int kMaxBlanket = 16;
+
+/// Cap on the size of a conditioning set drawn from a boundary, in
+/// ForEachSubset's terms (-1 = every subset): kMaxBlanket already bounds
+/// the search, and a cap would skip separating sets the paper tests.
+inline constexpr int kMaxSepset = -1;
+
+/// The blanket learner of CD and FGS: MB(target) by Grow-Shrink (IAMB
+/// when `use_iamb`, the Fig. 5 baselines), truncated to kMaxBlanket
+/// members.
+StatusOr<std::vector<int>> LearnBlanket(CiOracle& oracle, int target,
+                                        const std::vector<int>& candidates,
+                                        bool use_iamb = false);
+
 }  // namespace hypdb
 
 #endif  // HYPDB_CAUSAL_MARKOV_BLANKET_H_

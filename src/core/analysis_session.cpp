@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "causal/cd_algorithm.h"
 #include "causal/ci_oracle.h"
+#include "causal/fd_filter.h"
 #include "core/sql_printer.h"
 #include "stats/mi_engine.h"
 #include "util/rng.h"
@@ -234,7 +236,7 @@ StatusOr<DiscoveryReport> AnalysisSession::ComputeDiscovery() {
       HYPDB_ASSIGN_OR_RETURN(
           FdFilterReport fd,
           FilterLogicalDependencies(bound_.population, *population_engine_,
-                                    pool, options_.fd, rng));
+                                    pool, rng));
       filtered = fd.kept;
       for (const auto& [dropped, partner] : fd.dropped_fd) {
         report.dropped_fd.push_back(table_->column(dropped).name());
@@ -265,8 +267,7 @@ StatusOr<DiscoveryReport> AnalysisSession::ComputeDiscovery() {
   // Z = PA_T (Alg. 1); outcomes never enter the covariate set.
   HYPDB_ASSIGN_OR_RETURN(
       CdResult cd_t,
-      DiscoverParents(oracle, bound_.treatment, candidates, options_.cd,
-                      bound_.outcomes));
+      DiscoverParents(oracle, bound_.treatment, candidates, bound_.outcomes));
   report.covariates_fell_back = cd_t.fell_back_to_blanket;
   report.treatment_blanket_cols = cd_t.markov_blanket;
   for (int p : cd_t.parents) {
@@ -282,8 +283,7 @@ StatusOr<DiscoveryReport> AnalysisSession::ComputeDiscovery() {
     }
     HYPDB_ASSIGN_OR_RETURN(
         CdResult cd_y,
-        DiscoverParents(oracle, y, y_candidates, options_.cd,
-                        {bound_.treatment}));
+        DiscoverParents(oracle, y, y_candidates, {bound_.treatment}));
     report.mediators_fell_back = cd_y.fell_back_to_blanket;
     for (int p : cd_y.parents) {
       if (p != bound_.treatment && !Contains(bound_.outcomes, p)) {
@@ -379,12 +379,11 @@ Status AnalysisSession::ExplainOne(int i) {
     if (!Contains(v, m)) v.push_back(m);
   }
   std::sort(v.begin(), v.end());
-  ExplainerOptions explain = options_.explain;
-  explain.estimator = options_.engine.estimator;
   HYPDB_ASSIGN_OR_RETURN(
       explanations_[i],
-      ExplainContext(table_, bound_, contexts_[i], v, explain,
-                     context_engines_[i], &pipeline_stats_));
+      ExplainContext(table_, bound_, contexts_[i], v,
+                     options_.engine.estimator, context_engines_[i],
+                     &pipeline_stats_));
   explain_done_[i] = 1;
   ++st.runs;
   st.seconds += timer.ElapsedSeconds();

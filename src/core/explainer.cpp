@@ -10,6 +10,14 @@
 namespace hypdb {
 namespace {
 
+// Triples reported per explained variable (Alg. 3's k; the paper's
+// figures show top-2/3).
+constexpr int kTopK = 3;
+// Fine-grained triples are produced for this many of the most responsible
+// variables: the explanation an analyst reads, without one Alg. 3 pass
+// per variable.
+constexpr int kFineCovariates = 2;
+
 // κ(x, y) per Eq. 5 for every observed pair of the two codec columns of
 // `counts` (position 0 = X, position 1 = Y).
 std::unordered_map<uint64_t, double> ContributionMap(
@@ -112,21 +120,21 @@ StatusOr<std::vector<ExplanationTriple>> FineGrainedExplanations(
 
 StatusOr<ContextExplanation> ExplainContext(
     const TablePtr& table, const BoundQuery& bound, const Context& ctx,
-    const std::vector<int>& variables, const ExplainerOptions& options,
+    const std::vector<int>& variables, EntropyEstimator estimator,
     const std::shared_ptr<CountEngine>& engine,
     CountEngineStats* count_stats) {
-  if (options.outcome_index < 0 ||
-      options.outcome_index >= static_cast<int>(bound.outcomes.size())) {
-    return Status::OutOfRange("outcome_index out of range");
+  if (bound.outcomes.empty()) {
+    return Status::OutOfRange("the bound query has no outcome");
   }
-  const int y_col = bound.outcomes[options.outcome_index];
+  // The Y side of the fine-grained triples: the primary outcome.
+  const int y_col = bound.outcomes[0];
 
   ContextExplanation expl;
   expl.context_labels = ctx.labels;
 
   // Coarse-grained responsibilities (Eq. 4). The same count engine
   // serves the fine-grained triples below.
-  MiEngine mi(engine, MiEngineOptions{.estimator = options.estimator});
+  MiEngine mi(engine, MiEngineOptions{.estimator = estimator});
   const CountEngineStats stats_before = mi.count_engine().stats();
   std::vector<double> numerators(variables.size(), 0.0);
   HYPDB_ASSIGN_OR_RETURN(double i_full,
@@ -153,7 +161,7 @@ StatusOr<ContextExplanation> ExplainContext(
             });
 
   // Fine-grained for the top covariates.
-  int fine_count = std::min<int>(options.fine_covariates,
+  int fine_count = std::min<int>(kFineCovariates,
                                  static_cast<int>(expl.coarse.size()));
   for (int i = 0; i < fine_count; ++i) {
     if (expl.coarse[i].rho <= 0.0) break;
@@ -164,7 +172,7 @@ StatusOr<ContextExplanation> ExplainContext(
         fine.top,
         FineGrainedExplanations(mi.count_engine(), *table,
                                 bound.treatment, y_col, fine.column,
-                                options.top_k));
+                                kTopK));
     expl.fine.push_back(std::move(fine));
   }
   if (count_stats != nullptr) {

@@ -57,27 +57,18 @@ struct ContextExplanation {
   std::vector<FineGrained> fine;       // for the top covariates
 };
 
-struct ExplainerOptions {
-  /// Number of top triples per covariate (paper figures show top-2/3).
-  int top_k = 3;
-  /// Fine-grained explanations are produced for this many of the
-  /// highest-responsibility variables.
-  int fine_covariates = 2;
-  /// Outcome used for the Y side of fine-grained triples.
-  int outcome_index = 0;
-  /// Estimator of the responsibilities' entropies.
-  EntropyEstimator estimator = EntropyEstimator::kMillerMadow;
-};
-
 /// Explains the bias of the bound query w.r.t. V = covariates ∪ mediators
-/// in one context. Explanations are deterministic and context-local, so
-/// any subset and order of contexts gives the same results. Every count
-/// goes through `engine`, which must aggregate exactly ctx.view's rows;
-/// when `count_stats` is non-null, the stats delta of the call is
-/// accumulated into it.
+/// in one context: the responsibilities (entropies under `estimator`),
+/// then the top-3 triples of the two most responsible variables against
+/// the primary outcome (the paper's figures show top-2/3). A bound query
+/// with no outcome is an error. Explanations are deterministic and
+/// context-local, so any subset and order of contexts gives the same
+/// results. Every count goes through `engine`, which must aggregate
+/// exactly ctx.view's rows; when `count_stats` is non-null, the stats
+/// delta of the call is accumulated into it.
 StatusOr<ContextExplanation> ExplainContext(
     const TablePtr& table, const BoundQuery& bound, const Context& ctx,
-    const std::vector<int>& variables, const ExplainerOptions& options,
+    const std::vector<int>& variables, EntropyEstimator estimator,
     const std::shared_ptr<CountEngine>& engine,
     CountEngineStats* count_stats = nullptr);
 

@@ -20,8 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "causal/cd_algorithm.h"
-#include "causal/fd_filter.h"
 #include "core/detector.h"
 #include "core/explainer.h"
 #include "core/query.h"
@@ -41,12 +39,10 @@ struct HypDbOptions {
   MiEngineOptions engine;
   /// Significance level for all tests (Sec. 7.3 uses 0.01).
   double alpha = 0.01;
-  CdOptions cd;
-  FdFilterOptions fd;
+  /// Drop logical dependencies before discovery (Sec. 4).
   bool apply_fd_filter = true;
   /// Discover PA_Y and compute direct effects.
   bool discover_mediators = true;
-  ExplainerOptions explain;
   /// Reference group for the mediator formula (empty = largest label).
   std::string direct_reference;
   bool compute_significance = true;

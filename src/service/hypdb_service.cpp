@@ -453,7 +453,11 @@ StatusOr<HypDbService::Binding> HypDbService::Bind(
     HYPDB_ASSIGN_OR_RETURN(hooks,
                            registry_.Pool(request.dataset, snapshot,
                                           SubpopulationSignature(query)));
-    out.population = hooks.population_engine;
+    // A null population means Create builds a private engine, whose
+    // stats start at zero.
+    if (hooks.population_engine != nullptr) {
+      out.engine_before = hooks.population_engine->stats();
+    }
   }
   // Discovery runs over the snapshot table, so the lookup runs at the
   // bind watermark: an entry computed at it (or, within the staleness
@@ -485,10 +489,6 @@ StatusOr<ServiceReport> HypDbService::RunAnalyze(const AnalyzeRequest& request,
                                                  const AggQuery& query,
                                                  RequestStats* stats) {
   HYPDB_ASSIGN_OR_RETURN(Binding binding, Bind(request, query));
-  CountEngineStats engine_before;
-  if (binding.population != nullptr) {
-    engine_before = binding.population->stats();
-  }
   AnalysisSession& session = *binding.session;
   ServiceReport out;
   HYPDB_ASSIGN_OR_RETURN(out.report, session.Report());
@@ -509,9 +509,8 @@ StatusOr<ServiceReport> HypDbService::RunAnalyze(const AnalyzeRequest& request,
   stats->trace.push_back({"rewrite", cursor, out.report.resolve_seconds});
   stats->discovery_reused = binding.discovery->reused.load();
   stats->discovery_coalesced = binding.discovery->coalesced.load();
-  if (binding.population != nullptr) {
-    stats->engine_delta = binding.population->stats() - engine_before;
-  }
+  stats->engine_delta =
+      session.population_engine()->stats() - binding.engine_before;
   return out;
 }
 
@@ -562,6 +561,7 @@ StatusOr<ServiceReport> HypDbService::RunSessionStage(
     runs_before +=
         session.stage_state(static_cast<AnalysisStage>(s)).runs;
   }
+  const CountEngineStats engine_before = session.population_engine()->stats();
 
   ServiceReport out;
   Status status = [&]() -> Status {
@@ -616,6 +616,7 @@ StatusOr<ServiceReport> HypDbService::RunSessionStage(
   stats->session_complete = session.complete();
   stats->discovery_reused = entry->discovery->reused.load();
   stats->discovery_coalesced = entry->discovery->coalesced.load();
+  stats->engine_delta = session.population_engine()->stats() - engine_before;
   out.report = session.Snapshot();
   return out;
 }

@@ -219,9 +219,10 @@ class HypDbService {
   struct Binding {
     int64_t epoch = 0;
     std::unique_ptr<AnalysisSession> session;
-    /// The population shard's generation at the bind watermark, or null
-    /// (see DatasetRegistry::Pool; the session then counts privately).
-    std::shared_ptr<CountEngine> population;
+    /// The stats of the session's population engine before the session
+    /// was created, so that an analyze's engine_delta covers the
+    /// treatment census Create counts.
+    CountEngineStats engine_before;
     std::shared_ptr<DiscoveryFlags> discovery;
   };
   /// The one bind of analyze and sessions: takes a snapshot of

@@ -134,16 +134,11 @@ std::string DiscoveryKey(const std::string& dataset, int64_t epoch,
   // significant-digit difference in any threshold is a different test
   // configuration and must not share a cached discovery.
   key += StrFormat(
-      "ci=%d,%d,%.17g,%.17g,%d,%d,%d|a=%.17g|cd=%d,%d,%.17g,%d|"
-      "fd=%.17g,%d,%lld,%d,%.17g|f=%d,%d|est=%d|seed=%llu",
+      "ci=%d,%d,%.17g,%d|a=%.17g|f=%d,%d|est=%d|seed=%llu",
       static_cast<int>(o.ci.method), o.ci.permutations, o.ci.hybrid_beta,
-      o.ci.strata_sample_factor, o.ci.min_sampled_strata,
-      o.ci.sampled_strata_threshold, static_cast<int>(o.ci.mit_estimator),
-      o.alpha, o.cd.max_sepset, o.cd.use_iamb ? 1 : 0,
-      o.cd.collider_alpha_scale, o.cd.max_blanket, o.fd.fd_epsilon,
-      o.fd.num_sizes, static_cast<long long>(o.fd.base_size),
-      o.fd.replicates, o.fd.slope_threshold, o.apply_fd_filter ? 1 : 0,
-      o.discover_mediators ? 1 : 0, static_cast<int>(o.engine.estimator),
+      static_cast<int>(o.ci.mit_estimator), o.alpha,
+      o.apply_fd_filter ? 1 : 0, o.discover_mediators ? 1 : 0,
+      static_cast<int>(o.engine.estimator),
       static_cast<unsigned long long>(o.seed));
   return key;
 }

@@ -69,9 +69,13 @@ struct RequestStats {
   /// Discovery was coalesced with an in-flight twin request: the
   /// DiscoveryCache computed it once, for both.
   bool discovery_coalesced = false;
-  /// Shared shard-engine work observed during this request (scan/hit
-  /// deltas). Attribution is approximate under concurrency: overlapping
-  /// requests on the same shard see each other's work.
+  /// Population-engine work observed during this request (scan/hit
+  /// deltas): an analyze's from before its treatment census to its
+  /// report, a session stage job's over the stage. The engine is the
+  /// population shard (the session's private stack when the pool keeps
+  /// no generation for it). Attribution is approximate under
+  /// concurrency: overlapping requests on the same shard see each
+  /// other's work.
   CountEngineStats engine_delta;
   /// Where the latency went: stage spans in execution order ("queue"
   /// first, then the pipeline stages that actually ran). Populated on

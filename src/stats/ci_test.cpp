@@ -8,6 +8,20 @@
 #include "util/trace.h"
 
 namespace hypdb {
+namespace {
+
+// MIT(sampling) tests max(kMinSampledStrata,
+// ⌈kStrataSampleFactor·ln(1+L)⌉) of a test's L strata, never more than
+// those that can contribute: a logarithmic sample keeps a test's cost
+// nearly flat in L (Sec. 5 "sampling from groups"), and the floor keeps a
+// few-strata test from resting on one stratum.
+constexpr double kStrataSampleFactor = 2.0;
+constexpr int kMinSampledStrata = 3;
+// Within HyMIT, the MIT fallback samples strata when L exceeds this;
+// below it, the full test's per-stratum work is already small.
+constexpr int64_t kSampledStrataThreshold = 64;
+
+}  // namespace
 
 const char* CiMethodName(CiMethod method) {
   switch (method) {
@@ -107,7 +121,7 @@ StatusOr<CiResult> CiTester::TestSets(const std::vector<int>& xs,
       if (static_cast<double>(df) <= n / options_.hybrid_beta) {
         return RunGTest(xs, ys, z);
       }
-      bool sampled = strata > options_.sampled_strata_threshold;
+      bool sampled = strata > kSampledStrataThreshold;
       return RunMit(xs, ys, z, sampled);
     }
   }
@@ -185,8 +199,8 @@ StatusOr<CiResult> CiTester::RunMit(const std::vector<int>& xs,
       if (weights[i] > 0.0) ++positive;
     }
     int k = std::max(
-        options_.min_sampled_strata,
-        static_cast<int>(std::ceil(options_.strata_sample_factor *
+        kMinSampledStrata,
+        static_cast<int>(std::ceil(kStrataSampleFactor *
                                    std::log(1.0 + num_strata))));
     k = std::min(k, positive);
     if (k <= 0) {

@@ -10,10 +10,10 @@
 //                via Patefield's algorithm, never by shuffling rows.
 //  * kMitSampled — MIT restricted to a weighted sample of strata, weights
 //                w_z = Pr(z)·max(Ĥ_z(X), Ĥ_z(Y)) (Sec. 5 "sampling from
-//                groups"); sample size ⌈factor·ln(1+|Π_Z|)⌉.
+//                groups"); sample size max(3, ⌈2·ln(1+|Π_Z|)⌉).
 //  * kHybrid   — HyMIT (Sec. 6): the χ² approximation when the sample is
 //                large relative to the degrees of freedom (df ≤ n/β,
-//                β = 5), MIT otherwise.
+//                β = 5), MIT otherwise (sampled beyond 64 strata).
 
 #ifndef HYPDB_STATS_CI_TEST_H_
 #define HYPDB_STATS_CI_TEST_H_
@@ -44,12 +44,6 @@ struct CiOptions {
   int permutations = 1000;
   /// HyMIT validity rule: χ² used iff df ≤ n / hybrid_beta.
   double hybrid_beta = 5.0;
-  /// Sampled strata count = max(min_sampled_strata,
-  /// ⌈strata_sample_factor·ln(1+L)⌉), never more than L.
-  double strata_sample_factor = 2.0;
-  int min_sampled_strata = 3;
-  /// Within kHybrid, the MIT fallback samples strata when L exceeds this.
-  int sampled_strata_threshold = 64;
   /// Estimator for the permutation statistic (s0 and replicates alike).
   EntropyEstimator mit_estimator = EntropyEstimator::kMillerMadow;
 };

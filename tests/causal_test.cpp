@@ -147,7 +147,7 @@ TEST(CdAlgorithmTest, FallsBackWhenSingleParent) {
   dag.AddEdge(0, 1);
   dag.AddEdge(1, 2);
   DSeparationOracle oracle(&dag);
-  auto r = DiscoverParents(oracle, 1, {0, 2}, CdOptions{}, {2});
+  auto r = DiscoverParents(oracle, 1, {0, 2}, {2});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->fell_back_to_blanket);
   // Fallback = MB(B) − outcomes = {A, C} − {C} = {A}.
@@ -158,8 +158,7 @@ TEST(CdAlgorithmTest, RootTreatmentFallsBackToBlanket) {
   Dag dag = Fig2Dag();
   DSeparationOracle oracle(&dag);
   // W is a root: no parents, fallback to MB(W) = {T, Z}.
-  auto r = DiscoverParents(oracle, W, AllBut(kFig2Count, W), CdOptions{},
-                           {Y});
+  auto r = DiscoverParents(oracle, W, AllBut(kFig2Count, W), {Y});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->fell_back_to_blanket);
   EXPECT_EQ(r->parents, (std::vector<int>{Z, T}));
@@ -412,7 +411,7 @@ TEST(FdFilterTest, DropsBijectionsAndKeys) {
   Rng rng(17);
   ViewCountProvider scanner{TableView(t)};
   auto report = FilterLogicalDependencies(TableView(t), scanner,
-                                          {0, 1, 2, 3}, {}, rng);
+                                          {0, 1, 2, 3}, rng);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->kept, (std::vector<int>{0, 2}));
   ASSERT_EQ(report->dropped_fd.size(), 1u);
@@ -445,7 +444,7 @@ TEST(FdFilterTest, CountsThroughTheEngineItIsHanded) {
   RecordingEngine caching(MakeViewEngine(view, MiEngineOptions{}));
   Rng rng(17);
   auto cached =
-      FilterLogicalDependencies(view, caching, {0, 1, 2, 3}, {}, rng);
+      FilterLogicalDependencies(view, caching, {0, 1, 2, 3}, rng);
   ASSERT_TRUE(cached.ok());
   // Each survivor's marginal, and the joint of the one plausible pair;
   // the key-like column is dropped before any count.
@@ -456,7 +455,7 @@ TEST(FdFilterTest, CountsThroughTheEngineItIsHanded) {
   RecordingEngine bare(std::make_shared<ViewCountProvider>(view));
   Rng same_rng(17);
   auto scanned =
-      FilterLogicalDependencies(view, bare, {0, 1, 2, 3}, {}, same_rng);
+      FilterLogicalDependencies(view, bare, {0, 1, 2, 3}, same_rng);
   ASSERT_TRUE(scanned.ok());
   EXPECT_EQ(bare.seen(), caching.seen());
   EXPECT_EQ(scanned->kept, cached->kept);
@@ -479,7 +478,7 @@ TEST(FdFilterTest, KeepsOrdinaryAttributes) {
   Rng rng(19);
   ViewCountProvider scanner{TableView(t)};
   auto report = FilterLogicalDependencies(TableView(t), scanner,
-                                          {0, 1, 2, 3}, {}, rng);
+                                          {0, 1, 2, 3}, rng);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->kept, (std::vector<int>{0, 1, 2, 3}));
 }

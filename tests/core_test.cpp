@@ -96,7 +96,7 @@ StatusOr<std::vector<ContextExplanation>> Explain(
   HYPDB_ASSIGN_OR_RETURN(
       ContextExplanation expl,
       ExplainContext(table, bound, Whole(bound), variables,
-                     ExplainerOptions{}, Engine(bound)));
+                     EntropyEstimator::kMillerMadow, Engine(bound)));
   return std::vector<ContextExplanation>{std::move(expl)};
 }
 
@@ -191,6 +191,40 @@ TEST(ExplainerTest, ResponsibilitiesSumToOneAndRankConfounder) {
     total += r.rho;
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+// The paper's fixed explanation shape: top-3 triples for at most the two
+// most responsible variables, against the primary outcome; a bound query
+// with no outcome fails with an error instead of reading outcomes[0].
+TEST(ExplainerTest, ExplainsThePrimaryOutcomeAndNeedsOne) {
+  TablePtr data = Confounded(8000, false, 5);
+  auto bound = BindQuery(data, BasicQuery());
+  ASSERT_TRUE(bound.ok());
+  const int z = *data->ColumnIndex("z");
+  const int noise = *data->ColumnIndex("noise");
+  auto expl = Explain(data, *bound, {z, noise});
+  ASSERT_TRUE(expl.ok());
+  const ContextExplanation& e = (*expl)[0];
+  ASSERT_FALSE(e.fine.empty());
+  EXPECT_LE(e.fine.size(), 2u);
+  for (const auto& fine : e.fine) {
+    EXPECT_FALSE(fine.top.empty());
+    EXPECT_LE(fine.top.size(), 3u);
+  }
+  auto top = FineGrained(data, bound->treatment, bound->outcomes[0], z, 3);
+  ASSERT_TRUE(top.ok());
+  ASSERT_EQ(e.fine[0].covariate, "z");
+  ASSERT_EQ(e.fine[0].top.size(), top->size());
+  for (size_t i = 0; i < top->size(); ++i) {
+    EXPECT_EQ(e.fine[0].top[i].y_label, (*top)[i].y_label);
+    EXPECT_EQ(e.fine[0].top[i].kappa_yz, (*top)[i].kappa_yz);
+  }
+
+  BoundQuery no_outcome = *bound;
+  no_outcome.outcomes.clear();
+  auto failed = Explain(data, no_outcome, {z, noise});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(ExplainerTest, FineGrainedFindsDominantTriple) {

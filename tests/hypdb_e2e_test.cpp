@@ -28,9 +28,7 @@ TEST(HypDbE2eTest, FlightSimpsonsParadox) {
   auto table =
       GenerateFlightData({.num_rows = 30000, .num_noise_columns = 4});
   ASSERT_TRUE(table.ok());
-  HypDbOptions options;
-  options.explain.fine_covariates = 2;
-  HypDb db(MakeTable(std::move(*table)), options);
+  HypDb db(MakeTable(std::move(*table)));
 
   auto report = db.AnalyzeSql(
       "SELECT avg(Delayed) FROM FlightData "

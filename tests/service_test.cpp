@@ -200,18 +200,55 @@ TEST(DiscoveryKeyTest, SeparatesOptionsDatasetsAndEpochs) {
   EXPECT_EQ(base, DiscoveryKey("berkeley", 1, q, o));
   EXPECT_NE(base, DiscoveryKey("berkeley", 2, q, o));
   EXPECT_NE(base, DiscoveryKey("adult", 1, q, o));
-  HypDbOptions alpha = o;
-  alpha.alpha = 0.05;
-  EXPECT_NE(base, DiscoveryKey("berkeley", 1, q, alpha));
-  HypDbOptions seed = o;
-  seed.seed = 123;
-  EXPECT_NE(base, DiscoveryKey("berkeley", 1, q, seed));
-  // Execution strategy must NOT split the key: caching and threads change
-  // how counts are produced, never what discovery concludes.
-  HypDbOptions exec = o;
-  exec.engine.scan_threads = 7;
-  exec.engine.max_cached_cells = 1000;
-  EXPECT_EQ(base, DiscoveryKey("berkeley", 1, q, exec));
+
+  using Edit = std::pair<const char*, void (*)(HypDbOptions&)>;
+  // Every value discovery depends on splits the key. A sub-6-significant-
+  // digit difference counts: a different test threshold is a different
+  // configuration.
+  const std::vector<Edit> statistical = {
+      {"ci.method", [](HypDbOptions& x) { x.ci.method = CiMethod::kMit; }},
+      {"ci.permutations", [](HypDbOptions& x) { x.ci.permutations = 999; }},
+      {"ci.hybrid_beta",
+       [](HypDbOptions& x) { x.ci.hybrid_beta += 1e-7; }},
+      {"ci.mit_estimator",
+       [](HypDbOptions& x) {
+         x.ci.mit_estimator = EntropyEstimator::kPlugin;
+       }},
+      {"alpha", [](HypDbOptions& x) { x.alpha = 0.05; }},
+      {"apply_fd_filter",
+       [](HypDbOptions& x) { x.apply_fd_filter = false; }},
+      {"discover_mediators",
+       [](HypDbOptions& x) { x.discover_mediators = false; }},
+      {"engine.estimator",
+       [](HypDbOptions& x) { x.engine.estimator = EntropyEstimator::kPlugin; }},
+      {"seed", [](HypDbOptions& x) { x.seed = 123; }},
+  };
+  for (const auto& [name, edit] : statistical) {
+    HypDbOptions changed = o;
+    edit(changed);
+    EXPECT_NE(base, DiscoveryKey("berkeley", 1, q, changed)) << name;
+  }
+  // Execution strategy and the stages after discovery must NOT split it:
+  // they change how counts are produced or what is done with the
+  // covariates, never what discovery concludes.
+  const std::vector<Edit> neutral = {
+      {"engine.scan_threads",
+       [](HypDbOptions& x) { x.engine.scan_threads = 7; }},
+      {"engine.scan_morsel_rows",
+       [](HypDbOptions& x) { x.engine.scan_morsel_rows = 1000; }},
+      {"engine.scan_simd", [](HypDbOptions& x) { x.engine.scan_simd = false; }},
+      {"engine.max_cached_cells",
+       [](HypDbOptions& x) { x.engine.max_cached_cells = 1000; }},
+      {"compute_significance",
+       [](HypDbOptions& x) { x.compute_significance = false; }},
+      {"direct_reference",
+       [](HypDbOptions& x) { x.direct_reference = "Male"; }},
+  };
+  for (const auto& [name, edit] : neutral) {
+    HypDbOptions changed = o;
+    edit(changed);
+    EXPECT_EQ(base, DiscoveryKey("berkeley", 1, q, changed)) << name;
+  }
 
   // Outcome ORDER splits the key: mediators are discovered for
   // outcomes[0], so {y1,y2} and {y2,y1} are different discoveries.
@@ -221,12 +258,6 @@ TEST(DiscoveryKeyTest, SeparatesOptionsDatasetsAndEpochs) {
   swapped.outcomes = {"y2", "y1"};
   EXPECT_NE(DiscoveryKey("berkeley", 1, multi, o),
             DiscoveryKey("berkeley", 1, swapped, o));
-
-  // Sub-6-significant-digit option differences split the key too — a
-  // different test threshold is a different configuration.
-  HypDbOptions beta = o;
-  beta.ci.hybrid_beta = o.ci.hybrid_beta + 1e-7;
-  EXPECT_NE(base, DiscoveryKey("berkeley", 1, q, beta));
 }
 
 TEST(DatasetRegistryTest, RegisterGetEpochAndReplacement) {
@@ -957,6 +988,72 @@ TEST(HypDbServiceTest, SessionAnswersAsAtBindAfterAnAppend) {
       service.registry().ShardEngine("b", session->epoch, "", table);
   ASSERT_TRUE(replaced.ok()) << replaced.status();
   EXPECT_EQ(replaced->get(), shard.get());
+}
+
+void ExpectSameStats(const CountEngineStats& got,
+                     const CountEngineStats& want) {
+  EXPECT_EQ(got.queries, want.queries);
+  EXPECT_EQ(got.scans, want.scans);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.marginalizations, want.marginalizations);
+  EXPECT_EQ(got.cube_hits, want.cube_hits);
+  EXPECT_EQ(got.fallback_calls, want.fallback_calls);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.delta_patches, want.delta_patches);
+  EXPECT_EQ(got.rows_scanned, want.rows_scanned);
+}
+
+// An analyze's engine_delta is its population engine's work from before
+// the treatment census to the report, so on a 1-worker service an
+// ungrouped query's delta is exactly its report's count work: cold, warm
+// and after an append. A session stage job reports its stage's work.
+TEST(HypDbServiceTest, EngineDeltaIsTheWholeRequestsPopulationWork) {
+  TablePtr table = Staples(6000);
+  HypDbServiceOptions options;
+  options.num_workers = 1;
+  HypDbService service(options);
+  service.RegisterTable("s", table);
+  const std::string sql = "SELECT Income, avg(Price) FROM s GROUP BY Income";
+  // Eight of the table's rows again, each with a fresh SessionId.
+  std::vector<std::vector<std::string>> batch;
+  for (int64_t r = 0; r < 8; ++r) {
+    std::vector<std::string> row;
+    for (int c = 0; c < table->NumColumns(); ++c) {
+      const Column& column = table->column(c);
+      row.push_back(column.name() == "SessionId"
+                        ? "appended-" + std::to_string(r)
+                        : column.LabelAt(r));
+    }
+    batch.push_back(std::move(row));
+  }
+  for (const std::string run : {"cold", "warm", "after an append"}) {
+    SCOPED_TRACE(run);
+    const bool appended = run == "after an append";
+    if (appended) ASSERT_TRUE(service.AppendRows("s", batch).ok());
+    auto report = service.AnalyzeSql("s", sql);
+    ASSERT_TRUE(report.ok()) << report.status();
+    ExpectSameStats(report->stats.engine_delta, report->report.count_stats);
+    EXPECT_GT(report->stats.engine_delta.queries, 0);
+    EXPECT_EQ(report->stats.engine_delta.delta_patches > 0, appended);
+  }
+
+  HypDbService fresh(options);
+  fresh.RegisterTable("s", table);
+  AnalyzeRequest request;
+  request.dataset = "s";
+  request.sql = sql;
+  auto session = fresh.CreateSession(request);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto discover = fresh.AdvanceSession(session->id, "discover");
+  ASSERT_TRUE(discover.ok()) << discover.status();
+  EXPECT_GT(discover->stats.engine_delta.scans, 0);
+  ExpectSameStats(discover->stats.engine_delta,
+                  discover->report.discovery.count_stats);
+  // A reused stage does no count work.
+  auto again = fresh.AdvanceSession(session->id, "discover");
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->stats.stage_reused);
+  ExpectSameStats(again->stats.engine_delta, CountEngineStats{});
 }
 
 TEST(HypDbServiceTest, AsyncSubmitPollWait) {
